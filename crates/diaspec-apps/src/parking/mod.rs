@@ -51,8 +51,6 @@ pub struct ParkingAppConfig {
     pub processing: ProcessingMode,
     /// How many lots the city-entrance panels suggest.
     pub suggestions: usize,
-    /// Delivery-pipeline shard count (1 = serial inline pipeline).
-    pub shards: usize,
 }
 
 impl Default for ParkingAppConfig {
@@ -64,7 +62,6 @@ impl Default for ParkingAppConfig {
             transport: TransportConfig::default(),
             processing: ProcessingMode::Serial,
             suggestions: 3,
-            shards: 1,
         }
     }
 }
@@ -394,7 +391,6 @@ pub fn build(config: ParkingAppConfig) -> Result<ParkingApp, RuntimeError> {
         Arc::new(diaspec_core::compile_str(SPEC).expect("bundled parking.spec must compile"));
     let mut orch = Orchestrator::with_transport(spec, config.transport);
     orch.set_processing_mode(config.processing);
-    orch.set_shards(config.shards)?;
     register_components(&mut orch, &config)?;
 
     // Simulated city: one lot per ParkingLotEnum variant.

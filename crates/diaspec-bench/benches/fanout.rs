@@ -20,7 +20,7 @@ fn bench_fanout(c: &mut Criterion) {
                 BenchmarkId::new(payload.name(), fanout),
                 &payload,
                 |b, &payload| {
-                    b.iter(|| run_point(fanout, payload, emissions, 1));
+                    b.iter(|| run_point(fanout, payload, emissions));
                 },
             );
         }

@@ -4,25 +4,24 @@
 //! ```text
 //! cargo run --release -p diaspec-bench --bin experiments \
 //!     [-- --quick] [-- --json] [-- --only eNN] [-- --list]
-//!     [-- --shards N] [-- --check-bench-json [path]]
+//!     [-- --check-bench-json [path]]
 //! ```
 //!
 //! `--quick` shrinks the sweeps for smoke-testing; `--json` additionally
 //! dumps machine-readable rows; `--only eNN` runs a single experiment
 //! (e.g. `--only e20`) and rejects ids this binary does not implement;
-//! `--shards N` adds the multi-core axis to E18 and E20: each re-runs a
-//! representative point at shard counts 1, 2, 4, … up to N (row 0 is the
-//! serial baseline) and records the rows in `BENCH_delivery.json`;
-//! `--list` prints the full E1–E21 index with where each experiment
+//! `--list` prints the full experiment index with where each experiment
 //! lives; `--check-bench-json [path]` validates an existing
-//! `BENCH_delivery.json` against the schema guard and exits.
+//! `BENCH_delivery.json` against the schema guard and exits. Any other
+//! argument is a usage error (exit status 2): a script passing a retired
+//! flag must not silently get a different run than it asked for.
 
 use diaspec_bench::{
     chaossoak, churn, continuum, delivery, discovery, fanout, loadgen, processing, share,
     taskfaults,
 };
 
-/// The E1–E21 index from `DESIGN.md`: id, one-line summary, and whether
+/// The experiment index from `DESIGN.md`: id, one-line summary, and whether
 /// this binary runs it (the rest are covered by tests, examples, or the
 /// `diaspec-gen` CLI).
 const EXPERIMENTS: &[(&str, &str, bool)] = &[
@@ -47,45 +46,73 @@ const EXPERIMENTS: &[(&str, &str, bool)] = &[
     ("e19", "whole-design static analysis + negative fixtures (diaspec-gen lint)", false),
     ("e20", "open-loop load harness: throughput knee + latency percentiles + spans", true),
     ("e21", "chaos soak: byte-identical orchestration under swept link-fault rates", true),
+    ("e22", "cross-design deployment analysis validated on a shared device fleet (tests/cross_design.rs)", false),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
+const USAGE: &str = "--quick --json --list --only <id> --check-bench-json [path]";
 
-    if args.iter().any(|a| a == "--list") {
+/// The parsed command line.
+#[derive(Default)]
+struct Cli {
+    quick: bool,
+    json: bool,
+    list: bool,
+    only: Option<String>,
+    /// `Some(path)` when `--check-bench-json` was given.
+    check_bench_json: Option<String>,
+}
+
+/// Parses the arguments against the known flag set, naming the first
+/// offender otherwise.
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    let mut args = args.peekable();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => cli.quick = true,
+            "--json" => cli.json = true,
+            "--list" => cli.list = true,
+            "--only" => {
+                cli.only = Some(
+                    args.next_if(|id| !id.starts_with("--"))
+                        .ok_or("`--only` needs an experiment id")?,
+                );
+            }
+            "--check-bench-json" => {
+                let path = args.next_if(|a| !a.starts_with("--"));
+                cli.check_bench_json = Some(path.unwrap_or_else(|| "BENCH_delivery.json".into()));
+            }
+            other => return Err(format!("unexpected argument `{other}`")),
+        }
+    }
+    Ok(cli)
+}
+
+/// `E1-E22`, derived from the first and last rows of [`EXPERIMENTS`].
+fn index_range() -> String {
+    let first = EXPERIMENTS.first().expect("index is not empty").0;
+    let last = EXPERIMENTS.last().expect("index is not empty").0;
+    format!("{}-{}", first.to_uppercase(), last.to_uppercase())
+}
+
+fn main() {
+    let cli = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}; valid flags: {USAGE}");
+        std::process::exit(2);
+    });
+    let (quick, json) = (cli.quick, cli.json);
+
+    if cli.list {
         list_experiments();
         return;
     }
 
-    if let Some(i) = args.iter().position(|a| a == "--check-bench-json") {
-        let path = args
-            .get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map_or("BENCH_delivery.json", String::as_str);
+    if let Some(path) = &cli.check_bench_json {
         check_bench_json(path);
         return;
     }
 
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--shards expects a positive integer, got {s:?}");
-                std::process::exit(1);
-            }
-        })
-        .unwrap_or(1);
-
-    let only = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
+    let only = cli.only.as_deref();
     if let Some(o) = only {
         let runnable = EXPERIMENTS
             .iter()
@@ -97,8 +124,9 @@ fn main() {
                 .map(|(id, _, _)| *id)
                 .collect();
             eprintln!(
-                "unknown experiment `{o}`: this binary runs {} (see --list for the full E1-E21 index)",
-                valid.join(", ")
+                "unknown experiment `{o}`: this binary runs {} (see --list for the full {} index)",
+                valid.join(", "),
+                index_range()
             );
             std::process::exit(1);
         }
@@ -127,44 +155,27 @@ fn main() {
         e17_taskfaults(quick, json);
     }
     if run("e18") {
-        e18_fanout(quick, json, shards);
+        e18_fanout(quick, json);
     }
     if run("e20") {
-        e20_load(quick, json, shards);
+        e20_load(quick, json);
     }
     if run("e21") {
         e21_chaossoak(quick, json);
     }
 }
 
-/// Prints the E1–E21 index: one line per experiment, marking the ones
-/// this binary runs (`*`) versus the ones covered elsewhere.
+/// Prints the experiment index: one line per experiment, marking the
+/// ones this binary runs (`*`) versus the ones covered elsewhere.
 fn list_experiments() {
-    println!("E1-E21 experiment index (*) = runnable via --only:");
+    println!(
+        "{} experiment index (*) = runnable via --only:",
+        index_range()
+    );
     for (id, summary, runs_here) in EXPERIMENTS {
         let marker = if *runs_here { '*' } else { ' ' };
         println!("{marker} {id:>4}  {summary}");
     }
-    println!(
-        "\nShard axis: e18 and e20 accept --shards N to re-run a representative\n\
-         point at shard counts 1, 2, 4, ... up to N through the sharded delivery\n\
-         pipeline (deterministic sequenced merge); rows land in BENCH_delivery.json."
-    );
-}
-
-/// The shard counts `--shards N` sweeps: the serial baseline, powers of
-/// two below `max`, and `max` itself.
-fn shard_counts(max: usize) -> Vec<usize> {
-    let mut counts = vec![1];
-    let mut c = 2;
-    while c < max {
-        counts.push(c);
-        c *= 2;
-    }
-    if max > 1 {
-        counts.push(max);
-    }
-    counts
 }
 
 /// Validates `path` against the E20 schema guard; exits non-zero on any
@@ -449,7 +460,7 @@ fn e17_taskfaults(quick: bool, json: bool) {
     }
 }
 
-fn e18_fanout(quick: bool, json: bool, shards: usize) {
+fn e18_fanout(quick: bool, json: bool) {
     heading("E18 — subscriber fan-out × payload size (zero-copy delivery pipeline)");
     let fanouts: &[usize] = if quick {
         &[1, 10, 100]
@@ -461,7 +472,7 @@ fn e18_fanout(quick: bool, json: bool, shards: usize) {
         "{:>7} {:>11} {:>9} {:>10} {:>11} {:>13} {:>13} {:>10}",
         "fanout", "payload", "emit", "delivered", "copied", "deep copy", "deliv/s", "wall (ms)"
     );
-    let rows = fanout::sweep(fanouts, emissions_at_1k, 1);
+    let rows = fanout::sweep(fanouts, emissions_at_1k);
     for row in &rows {
         println!(
             "{:>7} {:>11} {:>9} {:>10} {:>11} {:>13} {:>13.0} {:>10.1}",
@@ -475,65 +486,8 @@ fn e18_fanout(quick: bool, json: bool, shards: usize) {
             row.wall_ms
         );
     }
-    if shards > 1 {
-        let counts = shard_counts(shards);
-        let fanout_point = if quick { 100 } else { 1_000 };
-        let emissions = if quick { 50 } else { 200 };
-        println!(
-            "\nMulti-core axis (fan-out {fanout_point}, array-4KiB payload, \
-             sequenced-merge shard plan):\n"
-        );
-        println!(
-            "{:>7} {:>9} {:>10} {:>13} {:>10} {:>9}",
-            "shards", "emit", "delivered", "deliv/s", "wall (ms)", "speedup"
-        );
-        let shard_rows = fanout::shard_sweep(fanout_point, emissions, &counts);
-        let baseline_wall = shard_rows[0].wall_ms.max(1e-9);
-        for row in &shard_rows {
-            println!(
-                "{:>7} {:>9} {:>10} {:>13.0} {:>10.1} {:>8.2}x",
-                row.shards,
-                row.emissions,
-                row.deliveries,
-                row.deliveries_per_sec,
-                row.wall_ms,
-                baseline_wall / row.wall_ms.max(1e-9)
-            );
-        }
-        merge_fanout_shards(&shard_rows);
-        if json {
-            println!(
-                "{}",
-                serde_json::to_string(&shard_rows).expect("serializable")
-            );
-        }
-    }
     if json {
         println!("{}", serde_json::to_string(&rows).expect("serializable"));
-    }
-}
-
-/// Merges the E18 shard rows into the existing `BENCH_delivery.json`
-/// (same read-modify-write pattern E21 uses for its chaos rows).
-fn merge_fanout_shards(rows: &[fanout::FanoutRow]) {
-    let bench_path = "BENCH_delivery.json";
-    match std::fs::read_to_string(bench_path) {
-        Ok(payload) => match serde_json::from_str::<loadgen::LoadReport>(&payload) {
-            Ok(mut report) => {
-                report.fanout_shards = rows.to_vec();
-                match serde_json::to_string(&report) {
-                    Ok(payload) => match std::fs::write(bench_path, &payload) {
-                        Ok(()) => println!("\nFan-out shard rows merged into {bench_path}"),
-                        Err(e) => eprintln!("\ncannot write {bench_path}: {e}"),
-                    },
-                    Err(e) => eprintln!("\ncannot serialize merged report: {e}"),
-                }
-            }
-            Err(e) => eprintln!("\n{bench_path} is not a load report, not merging: {e}"),
-        },
-        Err(_) => {
-            println!("\nNo {bench_path} yet; run --only e20 first to merge the fan-out shard rows.")
-        }
     }
 }
 
@@ -549,14 +503,14 @@ fn human_bytes(bytes: u64) -> String {
     }
 }
 
-fn e20_load(quick: bool, json: bool, shards: usize) {
+fn e20_load(quick: bool, json: bool) {
     heading("E20 — open-loop load harness: latency under load (coordinated-omission-free)");
     let config = if quick {
         loadgen::LoadConfig::quick()
     } else {
         loadgen::LoadConfig::full()
     };
-    let mut report = loadgen::sweep(&config, quick);
+    let report = loadgen::sweep(&config, quick);
     println!(
         "{:>12} {:>12} {:>9} {:>8} {:>9} {:>9} {:>9} {:>9}",
         "offered/s", "achieved/s", "messages", "late", "p50 (us)", "p99 (us)", "p99.9", "max (us)"
@@ -614,32 +568,6 @@ fn e20_load(quick: bool, json: bool, shards: usize) {
                 stage.latency.max
             );
         }
-    }
-    if shards > 1 {
-        let counts = shard_counts(shards);
-        let shard_rows = loadgen::shard_sweep(&config, &counts);
-        println!(
-            "\nMulti-core axis ({} msgs/s offered, sequenced-merge shard plan):\n",
-            shard_rows[0].offered_msgs_per_sec
-        );
-        println!(
-            "{:>7} {:>12} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            "shards", "achieved/s", "messages", "p50 (us)", "p99 (us)", "max (us)", "speedup"
-        );
-        let baseline = shard_rows[0].achieved_msgs_per_sec.max(1) as f64;
-        for row in &shard_rows {
-            println!(
-                "{:>7} {:>12} {:>9} {:>9} {:>9} {:>9} {:>8.2}x",
-                row.shards,
-                row.achieved_msgs_per_sec,
-                row.messages,
-                row.end_to_end_us.p50,
-                row.end_to_end_us.p99,
-                row.end_to_end_us.max,
-                row.achieved_msgs_per_sec as f64 / baseline
-            );
-        }
-        report.shard_rates = shard_rows;
     }
     let bench_path = "BENCH_delivery.json";
     match serde_json::to_string(&report) {

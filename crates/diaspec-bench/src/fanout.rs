@@ -15,7 +15,7 @@
 use diaspec_runtime::component::ContextActivation;
 use diaspec_runtime::engine::{ContextApi, ControllerApi, Orchestrator};
 use diaspec_runtime::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -79,17 +79,12 @@ pub fn copied_bytes_per_delivery(_payload: &Value) -> u64 {
 }
 
 /// One row of the E18 sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FanoutRow {
     /// Subscribed controllers receiving each publication.
     pub fanout: usize,
-    /// Delivery-pipeline shard count (1 = serial inline pipeline; 0 only
-    /// in legacy payloads predating the shard axis, which the v2 schema
-    /// guard rejects).
-    #[serde(default)]
-    pub shards: usize,
     /// Payload label (`int`, `str-1KiB`, `array-4KiB`).
-    pub payload: String,
+    pub payload: &'static str,
     /// Deep size of one payload value in bytes.
     pub payload_bytes: u64,
     /// Source emissions driven through the engine.
@@ -126,20 +121,17 @@ pub fn fanout_spec(fanout: usize, payload: PayloadKind) -> String {
     spec
 }
 
-/// Runs one (fan-out, payload, shards) point: `emissions` source events,
-/// each published once and delivered to every subscriber, through the
-/// serial pipeline (`shards == 1`) or the sharded plan with its
-/// sequenced merge.
+/// Runs one (fan-out, payload) point: `emissions` source events, each
+/// published once and delivered to every subscriber.
 ///
 /// # Panics
 ///
 /// Panics if the generated design fails to compile or bind — both are
 /// programming errors in the harness.
 #[must_use]
-pub fn run_point(fanout: usize, payload: PayloadKind, emissions: u64, shards: usize) -> FanoutRow {
+pub fn run_point(fanout: usize, payload: PayloadKind, emissions: u64) -> FanoutRow {
     let spec = Arc::new(diaspec_core::compile_str(&fanout_spec(fanout, payload)).expect("spec"));
     let mut orch = Orchestrator::new(spec);
-    orch.set_shards(shards).expect("pre-launch");
     let template = payload.value();
     let payload_bytes = template.deep_size();
     let published = template.clone();
@@ -193,8 +185,7 @@ pub fn run_point(fanout: usize, payload: PayloadKind, emissions: u64, shards: us
     let wall_ms = wall.as_secs_f64() * 1e3;
     FanoutRow {
         fanout,
-        shards,
-        payload: payload.name().to_owned(),
+        payload: payload.name(),
         payload_bytes,
         emissions,
         deliveries,
@@ -205,31 +196,19 @@ pub fn run_point(fanout: usize, payload: PayloadKind, emissions: u64, shards: us
     }
 }
 
-/// The full E18 sweep: fan-out × payload size at one shard count.
-/// `emissions_at_1k` scales the event count so each row performs
-/// comparable delivery work.
+/// The full E18 sweep: fan-out × payload size. `emissions_at_1k` scales
+/// the event count so each row performs comparable delivery work.
 #[must_use]
-pub fn sweep(fanouts: &[usize], emissions_at_1k: u64, shards: usize) -> Vec<FanoutRow> {
+pub fn sweep(fanouts: &[usize], emissions_at_1k: u64) -> Vec<FanoutRow> {
     let mut rows = Vec::new();
     for &fanout in fanouts {
         // Keep deliveries per row roughly constant: ~1k × emissions_at_1k.
         let emissions = (emissions_at_1k * 1_000 / fanout.max(1) as u64).clamp(50, 50_000);
         for payload in PayloadKind::all() {
-            rows.push(run_point(fanout, payload, emissions, shards));
+            rows.push(run_point(fanout, payload, emissions));
         }
     }
     rows
-}
-
-/// The E18 multi-core axis: a fixed wide fan-out point swept across
-/// shard counts. Row 0 is the serial baseline the speedup column in
-/// `EXPERIMENTS.md` is computed against.
-#[must_use]
-pub fn shard_sweep(fanout: usize, emissions: u64, shard_counts: &[usize]) -> Vec<FanoutRow> {
-    shard_counts
-        .iter()
-        .map(|&shards| run_point(fanout, PayloadKind::Array4K, emissions, shards))
-        .collect()
 }
 
 #[cfg(test)]
@@ -238,26 +217,13 @@ mod tests {
 
     #[test]
     fn fanout_delivers_to_every_subscriber() {
-        let row = run_point(10, PayloadKind::Int, 20, 1);
+        let row = run_point(10, PayloadKind::Int, 20);
         assert_eq!(row.fanout, 10);
         assert_eq!(row.emissions, 20);
         // Each emission crosses once to the context, then fans out.
         assert_eq!(row.deliveries, 20 * 11);
         assert!(row.deliveries_per_sec > 0.0);
         assert!(row.deep_copy_bytes >= row.deliveries * 8);
-    }
-
-    /// The multi-core axis must not change what is delivered — only how
-    /// fast: every shard count performs the identical delivery count.
-    #[test]
-    fn shard_sweep_rows_deliver_identically() {
-        let rows = shard_sweep(16, 10, &[1, 2, 4]);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].shards, 1);
-        for row in &rows {
-            assert_eq!(row.deliveries, rows[0].deliveries);
-            assert_eq!(row.emissions, rows[0].emissions);
-        }
     }
 
     #[test]

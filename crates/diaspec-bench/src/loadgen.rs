@@ -27,10 +27,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Schema tag of the machine-readable report (`BENCH_delivery.json`).
-/// v2 added the multi-core shard axis (`shard_rates`, `fanout_shards`
-/// and the per-rate `shards` field); v1 reports are rejected by the
-/// guard and must be regenerated.
-pub const SCHEMA: &str = "diaspec-bench/delivery/v2";
+/// v3 is v2 without the retired shard-count axis; older reports are
+/// rejected by the guard and must be regenerated.
+pub const SCHEMA: &str = "diaspec-bench/delivery/v3";
 
 /// Sustained-throughput threshold for the knee: achieved ≥ 95% of
 /// offered.
@@ -62,8 +61,6 @@ pub struct LoadConfig {
     /// Hard cap on messages per rate; shortens the window at high rates
     /// so a sweep stays bounded.
     pub max_messages: u64,
-    /// Delivery-pipeline shard count (1 = serial inline pipeline).
-    pub shards: usize,
 }
 
 impl LoadConfig {
@@ -76,7 +73,6 @@ impl LoadConfig {
             window: Duration::from_millis(400),
             sensors: 64,
             max_messages: 800_000,
-            shards: 1,
         }
     }
 
@@ -88,7 +84,6 @@ impl LoadConfig {
             window: Duration::from_millis(150),
             sensors: 16,
             max_messages: 150_000,
-            shards: 1,
         }
     }
 }
@@ -96,11 +91,6 @@ impl LoadConfig {
 /// Measurements at one offered rate.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RateReport {
-    /// Delivery-pipeline shard count the rate ran at (1 = serial; 0 only
-    /// in legacy payloads predating the shard axis, which the schema
-    /// guard rejects).
-    #[serde(default)]
-    pub shards: usize,
     /// Scheduled arrival rate, messages per second.
     pub offered_msgs_per_sec: u64,
     /// Messages completed divided by wall time from the first scheduled
@@ -139,21 +129,11 @@ pub struct LoadReport {
     /// `experiments --only e21`. Defaults to empty for pre-E21 reports.
     #[serde(default)]
     pub chaos: Vec<crate::chaossoak::ChaosSoakRow>,
-    /// E20 multi-core axis: the representative offered rate re-run at
-    /// each shard count (row 0 is the serial baseline). Merged in by
-    /// `experiments --only e20 --shards N`.
-    #[serde(default)]
-    pub shard_rates: Vec<RateReport>,
-    /// E18 multi-core axis: the wide fan-out point re-run at each shard
-    /// count. Merged in by `experiments --only e18 --shards N`.
-    #[serde(default)]
-    pub fanout_shards: Vec<crate::fanout::FanoutRow>,
 }
 
-fn build(sensors: usize, shards: usize) -> (Orchestrator, Vec<EntityId>) {
+fn build(sensors: usize) -> (Orchestrator, Vec<EntityId>) {
     let spec = Arc::new(diaspec_core::compile_str(SPEC).expect("load spec compiles"));
     let mut orch = Orchestrator::new(spec);
-    orch.set_shards(shards).expect("shards set before launch");
     orch.register_context(
         "Agg",
         |_: &mut ContextApi<'_>, activation: ContextActivation<'_>| match activation {
@@ -214,7 +194,7 @@ fn build(sensors: usize, shards: usize) -> (Orchestrator, Vec<EntityId>) {
 #[must_use]
 pub fn run_rate(offered: u64, config: &LoadConfig) -> RateReport {
     assert!(offered > 0, "offered rate must be positive");
-    let (mut orch, ids) = build(config.sensors, config.shards);
+    let (mut orch, ids) = build(config.sensors);
     // Cheap-mode tracing: stage histograms accumulate, no span records
     // materialize (buffering stays off, no observers attached).
     orch.set_span_tracing(true);
@@ -263,10 +243,7 @@ pub fn run_rate(offered: u64, config: &LoadConfig) -> RateReport {
         }
         // Drain the whole delivery chain the batch triggered (ideal
         // transport: everything lands at the current sim instant).
-        // `run_until` rather than a step loop so the shard plan engages
-        // when `config.shards > 1`; the clock only advances to the last
-        // popped event, never to the deadline itself.
-        orch.run_until(u64::MAX);
+        while orch.step().is_some() {}
         let done_ns = start.elapsed().as_nanos() as u64;
         last_done_ns = done_ns;
         for &d in &batch {
@@ -280,7 +257,6 @@ pub fn run_rate(offered: u64, config: &LoadConfig) -> RateReport {
     let elapsed_secs = (last_done_ns.max(1)) as f64 / 1e9;
     let snapshot = orch.observation();
     RateReport {
-        shards: config.shards,
         offered_msgs_per_sec: offered,
         achieved_msgs_per_sec: (total as f64 / elapsed_secs).round() as u64,
         messages: total,
@@ -320,28 +296,7 @@ pub fn sweep(config: &LoadConfig, quick: bool) -> LoadReport {
         knee_msgs_per_sec: knee(&rates),
         rates,
         chaos: Vec::new(),
-        shard_rates: Vec::new(),
-        fanout_shards: Vec::new(),
     }
-}
-
-/// The E20 multi-core axis: one representative offered rate (the
-/// second-lowest of the sweep, comfortably below the knee) re-run at
-/// each shard count. Row 0 is the serial baseline the speedup column in
-/// `EXPERIMENTS.md` is computed against.
-#[must_use]
-pub fn shard_sweep(config: &LoadConfig, shard_counts: &[usize]) -> Vec<RateReport> {
-    let rate = config.rates.get(1).copied().unwrap_or(config.rates[0]);
-    shard_counts
-        .iter()
-        .map(|&shards| {
-            let point = LoadConfig {
-                shards,
-                ..config.clone()
-            };
-            run_rate(rate, &point)
-        })
-        .collect()
 }
 
 /// Parses a `BENCH_delivery.json` payload and checks the invariants the
@@ -356,7 +311,8 @@ pub fn check_report(payload: &str) -> Result<LoadReport, String> {
         serde_json::from_str(payload).map_err(|e| format!("malformed report: {e}"))?;
     if report.schema != SCHEMA {
         return Err(format!(
-            "schema mismatch: expected {SCHEMA:?}, found {:?}",
+            "schema mismatch: expected {SCHEMA:?}, found {:?}; regenerate with full \
+             `experiments --only e20` then `--only e21` runs",
             report.schema
         ));
     }
@@ -394,40 +350,6 @@ pub fn check_report(payload: &str) -> Result<LoadReport, String> {
             ));
         }
     }
-    if !report.shard_rates.is_empty() {
-        if report.shard_rates[0].shards != 1 {
-            return Err(format!(
-                "shard sweep must start at the serial baseline, found shards={}",
-                report.shard_rates[0].shards
-            ));
-        }
-        for row in &report.shard_rates {
-            if row.shards == 0 || row.messages == 0 || row.end_to_end_us.count == 0 {
-                return Err(format!(
-                    "empty shard-sweep measurement at shards={}",
-                    row.shards
-                ));
-            }
-        }
-    }
-    if !report.fanout_shards.is_empty() {
-        let baseline = &report.fanout_shards[0];
-        if baseline.shards != 1 {
-            return Err(format!(
-                "fan-out shard sweep must start at the serial baseline, found shards={}",
-                baseline.shards
-            ));
-        }
-        for row in &report.fanout_shards {
-            if row.deliveries != baseline.deliveries || row.emissions != baseline.emissions {
-                return Err(format!(
-                    "fan-out shard row at shards={} delivered {} of the baseline's {} — \
-                     the shard axis must not change what is delivered",
-                    row.shards, row.deliveries, baseline.deliveries
-                ));
-            }
-        }
-    }
     Ok(report)
 }
 
@@ -436,7 +358,7 @@ pub fn check_report(payload: &str) -> Result<LoadReport, String> {
 /// (the sample trace CI uploads next to the bench report).
 #[must_use]
 pub fn perfetto_sample(messages: u64, sensors: usize) -> String {
-    let (mut orch, ids) = build(sensors, 1);
+    let (mut orch, ids) = build(sensors);
     orch.set_span_tracing(true);
     orch.set_span_buffering(true);
     orch.launch().unwrap();
@@ -467,7 +389,6 @@ mod tests {
             window: Duration::from_millis(20),
             sensors: 4,
             max_messages: 2_000,
-            shards: 1,
         }
     }
 
@@ -486,7 +407,6 @@ mod tests {
     #[test]
     fn knee_is_highest_sustained_offered_rate() {
         let mk = |offered: u64, achieved: u64| RateReport {
-            shards: 1,
             offered_msgs_per_sec: offered,
             achieved_msgs_per_sec: achieved,
             messages: 1,
@@ -502,38 +422,19 @@ mod tests {
 
     #[test]
     fn report_round_trips_and_passes_the_schema_guard() {
-        let mut report = sweep(
+        let report = sweep(
             &LoadConfig {
                 rates: vec![2_000, 4_000, 8_000, 16_000],
                 window: Duration::from_millis(10),
                 sensors: 2,
                 max_messages: 500,
-                shards: 1,
             },
             true,
-        );
-        report.shard_rates = shard_sweep(
-            &LoadConfig {
-                rates: vec![2_000, 4_000],
-                window: Duration::from_millis(10),
-                sensors: 2,
-                max_messages: 200,
-                shards: 1,
-            },
-            &[1, 2],
         );
         let payload = serde_json::to_string(&report).unwrap();
         let parsed = check_report(&payload).expect("generated report passes its own guard");
         assert_eq!(parsed.rates.len(), 4);
         assert_eq!(parsed.schema, SCHEMA);
-        assert_eq!(parsed.shard_rates.len(), 2);
-        assert_eq!(parsed.shard_rates[0].shards, 1);
-        assert_eq!(parsed.shard_rates[1].shards, 2);
-        // Both shard rows drove the identical message count.
-        assert_eq!(
-            parsed.shard_rates[0].messages,
-            parsed.shard_rates[1].messages
-        );
     }
 
     #[test]
@@ -546,11 +447,16 @@ mod tests {
                 window: Duration::from_millis(5),
                 sensors: 2,
                 max_messages: 200,
-                shards: 1,
             },
             true,
         );
-        let full_payload = serde_json::to_string(&report).unwrap();
+        // A report from before the shard axis was retired is told to regenerate.
+        let v2 = serde_json::to_string(&report)
+            .unwrap()
+            .replace(SCHEMA, "diaspec-bench/delivery/v2");
+        let err = check_report(&v2).unwrap_err();
+        assert!(err.contains("schema mismatch"), "{err}");
+        assert!(err.contains("regenerate"), "{err}");
         report.rates.truncate(2);
         let payload = serde_json::to_string(&report).unwrap();
         let err = check_report(&payload).unwrap_err();
@@ -558,27 +464,6 @@ mod tests {
         // A payload that drops a required field fails deserialization.
         let stripped = payload.replace("\"schema\":", "\"schema_was\":");
         assert!(check_report(&stripped).is_err());
-        // A v1 report (old schema tag) is rejected outright.
-        let v1 = full_payload.replace(SCHEMA, "diaspec-bench/delivery/v1");
-        let err = check_report(&v1).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-        // A shard sweep that skips the serial baseline is rejected.
-        let mut skewed = check_report(&full_payload).unwrap();
-        skewed.shard_rates = vec![RateReport {
-            shards: 2,
-            offered_msgs_per_sec: 1_000,
-            achieved_msgs_per_sec: 1_000,
-            messages: 10,
-            late_starts: 0,
-            end_to_end_us: {
-                let mut h = LatencyHistogram::new();
-                h.record(1);
-                h.summary()
-            },
-            stages: Vec::new(),
-        }];
-        let err = check_report(&serde_json::to_string(&skewed).unwrap()).unwrap_err();
-        assert!(err.contains("serial baseline"), "{err}");
     }
 
     #[test]

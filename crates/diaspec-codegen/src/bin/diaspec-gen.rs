@@ -10,7 +10,7 @@
 //!                  [--fleet N] [--capacity] [--manifest <M.json>]...
 //!                  [--link-budget N]
 //! diaspec-gen deploy <SPEC.spec> [--edges N] [--host H] [--port-base P]
-//!                    [--shard-enum NAME] [--shards N] [--out <DIR>]
+//!                    [--shard-enum NAME] [--out <DIR>]
 //! ```
 //!
 //! Compiles a DiaSpec design and writes the generated programming
@@ -103,21 +103,13 @@ fn run_deploy(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             "--shard-enum" => {
                 options.shard_enum = Some(args.next().ok_or("--shard-enum needs a name")?);
             }
-            "--shards" => {
-                let value = args.next().ok_or("--shards needs a shard count")?;
-                options.pipeline_shards = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--shards needs a positive integer, got `{value}`"))?;
-            }
             "--out" | "-o" => {
                 out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?));
             }
             "--help" | "-h" => {
                 println!(
                     "usage: diaspec-gen deploy <SPEC.spec> [--edges N] [--host H] \
-                     [--port-base P] [--shard-enum NAME] [--shards N] [--out <DIR>]"
+                     [--port-base P] [--shard-enum NAME] [--out <DIR>]"
                 );
                 return Ok(());
             }

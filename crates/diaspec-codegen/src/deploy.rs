@@ -50,13 +50,6 @@ pub struct DeployOptions {
     /// Explicit shard enumeration name. When `None`, the enum type most
     /// referenced by device attributes is auto-detected.
     pub shard_enum: Option<String>,
-    /// Delivery-pipeline shard count for the coordinator's engine
-    /// (`Orchestrator::set_shards`): 1 keeps the serial inline pipeline,
-    /// N > 1 launches the sharded execution plan with its deterministic
-    /// sequenced merge. Distinct from `edges`, which partitions *devices*
-    /// across nodes; this partitions the coordinator's *compute* across
-    /// cores.
-    pub pipeline_shards: usize,
 }
 
 impl Default for DeployOptions {
@@ -67,7 +60,6 @@ impl Default for DeployOptions {
             host: "127.0.0.1".to_owned(),
             port_base: 7070,
             shard_enum: None,
-            pipeline_shards: 1,
         }
     }
 }
@@ -92,10 +84,6 @@ pub struct CoordinatorManifest {
     pub devices: Vec<String>,
     /// Edge nodes it connects to, in node order.
     pub connects: Vec<PeerAddr>,
-    /// Delivery-pipeline shard count the coordinator's engine launches
-    /// with (0 only in manifests predating the shard axis; treat as 1).
-    #[serde(default)]
-    pub pipeline_shards: usize,
 }
 
 /// Resilience policy of one coordinator↔edge link in the manifest.
@@ -321,7 +309,6 @@ pub fn plan_deployment(spec: &CheckedSpec, options: &DeployOptions) -> Result<De
                     addr: e.listen.clone(),
                 })
                 .collect(),
-            pipeline_shards: options.pipeline_shards.max(1),
         },
         edges,
         cut_routes: report
@@ -448,15 +435,6 @@ fn coordinator_source(manifest: &NodeManifest) -> GeneratedFile {
         "LOCAL_DEVICES",
         "Device families hosted on this node.",
         c.devices.iter().map(String::as_str),
-    );
-    let _ = write!(
-        out,
-        "/// Delivery-pipeline shard count for this node's engine: pass to\n\
-         /// `Orchestrator::set_shards` before `launch` (1 = serial inline\n\
-         /// pipeline; N > 1 = sharded plan with the sequenced merge — the\n\
-         /// observable outcome is byte-identical either way).\n\
-         pub const PIPELINE_SHARDS: usize = {};\n\n",
-        c.pipeline_shards.max(1)
     );
     out.push_str("/// Edge peers this node connects to: `(node, address)`.\n");
     out.push_str("pub const PEERS: &[(&str, &str)] = &[\n");
@@ -672,34 +650,15 @@ mod tests {
         }"#;
         let manifest: NodeManifest = serde_json::from_str(legacy).unwrap();
         assert_eq!(manifest.edges[0].link, LinkPolicy::default());
-        // Likewise for manifests predating the pipeline-shard axis.
-        assert_eq!(manifest.coordinator.pipeline_shards, 0);
-    }
-
-    #[test]
-    fn pipeline_shards_ride_into_the_manifest_and_coordinator_source() {
-        let spec = parking();
-        let options = DeployOptions {
-            pipeline_shards: 4,
-            ..DeployOptions::default()
-        };
-        let deployment = plan_deployment(&spec, &options).unwrap();
-        assert_eq!(deployment.manifest.coordinator.pipeline_shards, 4);
-        let coord = &deployment
-            .files
-            .file("node_coordinator.rs")
-            .unwrap()
-            .content;
-        assert!(coord.contains("pub const PIPELINE_SHARDS: usize = 4;"));
-        // The default stays on the serial inline pipeline.
-        let serial = plan_deployment(&spec, &DeployOptions::default()).unwrap();
-        assert_eq!(serial.manifest.coordinator.pipeline_shards, 1);
-        assert!(serial
-            .files
-            .file("node_coordinator.rs")
-            .unwrap()
-            .content
-            .contains("pub const PIPELINE_SHARDS: usize = 1;"));
+        // A manifest written while the coordinator block carried a
+        // delivery-pipeline shard count still loads: the key is ignored.
+        let with_shards = legacy.replace(
+            r#""connects": []"#,
+            r#""connects": [], "pipeline_shards": 4"#,
+        );
+        assert_ne!(with_shards, legacy);
+        let sharded: NodeManifest = serde_json::from_str(&with_shards).unwrap();
+        assert_eq!(sharded, manifest);
     }
 
     #[test]

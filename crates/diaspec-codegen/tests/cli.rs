@@ -189,3 +189,21 @@ fn deploy_rejects_an_unshardable_design() {
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert!(stderr.contains("enumeration"), "{stderr}");
 }
+
+/// `--shards` configured the retired delivery shard pool; a script still
+/// passing it must fail, not deploy as if the flag had been honoured.
+#[test]
+fn deploy_rejects_the_retired_shards_flag() {
+    let output = gen()
+        .arg("deploy")
+        .arg(spec_path("parking.spec"))
+        .args(["--shards", "2"])
+        .output()
+        .expect("binary runs");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(
+        stderr.contains("unexpected argument `--shards`"),
+        "{stderr}"
+    );
+}

@@ -388,11 +388,11 @@ mod tests {
         }
     }
 
-    /// The property the sharded delivery pipeline leans on: because a
-    /// fate is a pure hash with no RNG stream, it is identical no matter
-    /// which thread asks, in what order, or how tasks are partitioned
-    /// across shards — unlike message fates, which consume a sequential
-    /// RNG and must therefore stay on the coordinator.
+    /// The property the parallel executor leans on for serial ≡ parallel
+    /// results under faults: because a fate is a pure hash with no RNG
+    /// stream, it is identical no matter which worker thread asks, in
+    /// what order, or how tasks are striped across workers — unlike the
+    /// runtime's message fates, which consume a sequential RNG.
     #[test]
     fn fate_is_invariant_under_query_order_and_sharding() {
         let plan = std::sync::Arc::new(

@@ -35,12 +35,10 @@
 
 mod api;
 mod deliver;
-mod shard;
 
 pub use api::{ContextApi, ControllerApi, ProcessApi};
 
 use self::deliver::{Event, RouteTable};
-use self::shard::ShardRuntime;
 use crate::clock::{EventQueue, SimTime};
 use crate::component::{ContainedError, ContextLogic, ControllerLogic, MapReduceLogic};
 use crate::entity::{AttributeMap, BindingTime, DeviceInstance, EntityId};
@@ -232,12 +230,6 @@ pub struct Orchestrator {
     /// and query-driven computations nest under the activating compute
     /// span. [`SpanCtx::NONE`] outside an activation or with tracing off.
     span_cursor: SpanCtx,
-    /// Requested shard count for the delivery pipeline (1 = serial).
-    shards: usize,
-    /// Live shard plan and worker pool, present after a `shards > 1`
-    /// launch. Serial runs (`shards == 1`) never construct one, so the
-    /// inline dispatch path is byte-for-byte untouched.
-    shard: Option<ShardRuntime>,
 }
 
 impl Orchestrator {
@@ -324,34 +316,7 @@ impl Orchestrator {
             faults: None,
             recovery: RecoveryConfig::default(),
             span_cursor: SpanCtx::NONE,
-            shards: 1,
-            shard: None,
         }
-    }
-
-    /// Shards the delivery pipeline across `shards` worker threads with a
-    /// deterministic sequenced merge: traces, metrics, span forests and
-    /// contained-error order are byte-identical for every shard count.
-    /// `1` (the default) keeps the fully inline serial path. Must be
-    /// called before [`Orchestrator::launch`].
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Configuration`] if already launched.
-    pub fn set_shards(&mut self, shards: usize) -> Result<(), RuntimeError> {
-        if self.phase == Phase::Launched {
-            return Err(RuntimeError::Configuration(
-                "set_shards must be called before launch".to_owned(),
-            ));
-        }
-        self.shards = shards.max(1);
-        Ok(())
-    }
-
-    /// The configured shard count (1 = serial inline pipeline).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Enables seeded fault injection for this run. Must be called before
@@ -549,7 +514,7 @@ impl Orchestrator {
             name: name.to_owned(),
             value,
         };
-        let mut gauges = vec![
+        vec![
             gauge("queue_depth", self.queue.len() as u64),
             gauge("queue_pending_emits", pending_emit),
             gauge("queue_pending_deliveries", pending_delivery),
@@ -558,14 +523,7 @@ impl Orchestrator {
             gauge("error_buffer_fill", self.errors.len() as u64),
             gauge("error_buffer_capacity", ERRORS_CAP as u64),
             gauge("open_spans", self.obs.open_span_count() as u64),
-        ];
-        if let Some(rt) = &self.shard {
-            gauges.push(gauge("shard_workers", rt.worker_count() as u64));
-            gauges.push(gauge("shard_rounds_total", rt.rounds_total()));
-            gauges.push(gauge("shard_items_total", rt.items_total()));
-            gauges.push(gauge("shard_busy_us_p99", rt.busy_us_p99()));
-        }
-        gauges
+        ]
     }
 
     /// A point-in-time snapshot of the activity-labeled measurements,
@@ -840,17 +798,6 @@ impl Orchestrator {
         if let Some(interval) = self.recovery.lease_check_interval_ms() {
             self.queue.schedule(now + interval, Event::LeaseCheck);
         }
-        if self.shards > 1 {
-            self.shard = Some(ShardRuntime::launch(
-                &self.spec,
-                self.shards,
-                // Under fault injection a crashed actuator feeds `invoke`
-                // errors back into controller logic, which a worker's
-                // deferred actuation cannot reproduce: controllers stay
-                // on the coordinator.
-                self.faults.is_none(),
-            ));
-        }
         self.phase = Phase::Launched;
         Ok(())
     }
@@ -864,16 +811,8 @@ impl Orchestrator {
         Some(time)
     }
 
-    /// Runs every event scheduled up to and including `deadline`. With a
-    /// shard plan live (`set_shards(n)` for `n > 1`), same-time rounds of
-    /// shard-eligible deliveries execute on the worker pool and recombine
-    /// through the sequenced merge; the observable outcome is
-    /// byte-identical to the serial path.
+    /// Runs every event scheduled up to and including `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.shard.is_some() {
-            self.run_until_sharded(deadline);
-            return;
-        }
         while self.queue.peek_time().is_some_and(|t| t <= deadline) {
             self.step();
         }

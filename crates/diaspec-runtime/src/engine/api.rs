@@ -15,167 +15,12 @@ use crate::engine::Orchestrator;
 use crate::entity::{AttributeMap, DeviceInstance, EntityId};
 use crate::error::RuntimeError;
 use crate::obs::{self, Activity};
-use crate::registry::{DiscoveryQuery, ErrorPolicy, ReadView};
+use crate::registry::ErrorPolicy;
 use crate::spans::SpanStage;
 use crate::trace::TraceKind;
 use crate::value::Value;
-use diaspec_core::model::{CheckedSpec, InputRef};
+use diaspec_core::model::InputRef;
 use std::sync::Arc;
-
-/// Whether `context` declares a `get` of the given device source
-/// (directly or against an ancestor device). A free function over the
-/// immutable spec so both the engine facade and shard workers run the
-/// identical conformance check.
-pub(crate) fn context_declares_source_get(
-    spec: &CheckedSpec,
-    context: &str,
-    device: &str,
-    source: &str,
-) -> bool {
-    let Some(ctx) = spec.context(context) else {
-        return false;
-    };
-    ctx.activations.iter().any(|a| {
-        a.gets.iter().any(|g| match g {
-            InputRef::DeviceSource {
-                device: d,
-                source: s,
-            } => s == source && spec.device_is_subtype(device, d),
-            InputRef::Context(_) => false,
-        })
-    })
-}
-
-/// Whether `context` declares `get <target>` for another context.
-pub(crate) fn context_declares_context_get(
-    spec: &CheckedSpec,
-    context: &str,
-    target: &str,
-) -> bool {
-    let Some(ctx) = spec.context(context) else {
-        return false;
-    };
-    ctx.activations.iter().any(|a| {
-        a.gets
-            .iter()
-            .any(|g| matches!(g, InputRef::Context(c) if c == target))
-    })
-}
-
-/// Whether `controller` declares `do action on device` (allowing the
-/// concrete device to be a subtype of the declared one).
-pub(crate) fn controller_declares_action(
-    spec: &CheckedSpec,
-    controller: &str,
-    device: &str,
-    action: &str,
-) -> bool {
-    let Some(ctrl) = spec.controller(controller) else {
-        return false;
-    };
-    ctrl.bindings.iter().any(|b| {
-        b.actions
-            .iter()
-            .any(|(a, d)| a == action && spec.device_is_subtype(device, d))
-    })
-}
-
-/// Whether `controller` declares any action touching `device`'s family.
-pub(crate) fn controller_declares_device(
-    spec: &CheckedSpec,
-    controller: &str,
-    device: &str,
-) -> bool {
-    let Some(ctrl) = spec.controller(controller) else {
-        return false;
-    };
-    ctrl.bindings.iter().any(|b| {
-        b.actions
-            .iter()
-            .any(|(_, d)| spec.device_is_subtype(device, d) || spec.device_is_subtype(d, device))
-    })
-}
-
-/// An actuation a shard worker validated but could not perform: workers
-/// hold no device drivers, so the coordinator's sequenced merge replays
-/// these through the real registry in deterministic item order.
-#[derive(Debug)]
-pub(crate) struct DeferredActuation {
-    pub(crate) entity: EntityId,
-    pub(crate) device_type: String,
-    pub(crate) action: String,
-    pub(crate) args: Vec<Value>,
-}
-
-/// What a facade executes against: the live engine (serial path and the
-/// coordinator's merge replay), or a shard worker's immutable snapshot.
-///
-/// The shard backend can answer time, conformance checks, and discovery
-/// identically to the engine; device queries are unreachable behind it
-/// (only contexts without `get` clauses are shard-eligible, so the
-/// declaration check always fails first) and actuations are deferred for
-/// the merge to replay.
-pub(crate) enum ApiBackend<'a> {
-    Engine(&'a mut Orchestrator),
-    Shard(ShardAccess<'a>),
-}
-
-/// The engine state a shard worker is allowed to see: the sim clock of
-/// the round, the immutable spec, a registry snapshot, and a buffer of
-/// deferred actuations.
-pub(crate) struct ShardAccess<'a> {
-    pub(crate) now: SimTime,
-    pub(crate) spec: &'a CheckedSpec,
-    pub(crate) view: &'a ReadView,
-    pub(crate) actuations: &'a mut Vec<DeferredActuation>,
-}
-
-impl<'a> ApiBackend<'a> {
-    fn now(&self) -> SimTime {
-        match self {
-            ApiBackend::Engine(engine) => engine.queue.now(),
-            ApiBackend::Shard(shard) => shard.now,
-        }
-    }
-
-    fn spec(&self) -> &CheckedSpec {
-        match self {
-            ApiBackend::Engine(engine) => &engine.spec,
-            ApiBackend::Shard(shard) => shard.spec,
-        }
-    }
-
-    /// Declared device type of a bound entity, or `None` if unbound.
-    fn entity_device_type(&self, entity: &EntityId) -> Option<String> {
-        match self {
-            ApiBackend::Engine(engine) => engine
-                .registry
-                .entity(entity)
-                .map(|info| info.device_type.clone()),
-            ApiBackend::Shard(shard) => shard
-                .view
-                .entity(entity)
-                .map(|info| info.device_type.clone()),
-        }
-    }
-
-    fn discover(&self, device_type: &str) -> DiscoveryQuery<'_> {
-        match self {
-            ApiBackend::Engine(engine) => engine.registry.discover(device_type),
-            ApiBackend::Shard(shard) => shard.view.discover(device_type),
-        }
-    }
-}
-
-/// Guard for facade paths a shard worker can never reach: shard
-/// eligibility guarantees the conformance check rejects the call first,
-/// so hitting this means the eligibility rules and the facade disagree.
-fn shard_backend_unreachable(component: &str, what: &str) -> RuntimeError {
-    RuntimeError::Configuration(format!(
-        "component `{component}` attempted a {what} on a shard worker; \
-         shard eligibility should have kept it on the coordinator"
-    ))
-}
 
 impl Orchestrator {
     /// Registers the logic of a declared context.
@@ -268,8 +113,56 @@ impl Orchestrator {
         Ok(())
     }
 
+    /// Whether `context` declares a `get` of the given device source
+    /// (directly or against an ancestor device).
+    fn context_declares_source_get(&self, context: &str, device: &str, source: &str) -> bool {
+        let Some(ctx) = self.spec.context(context) else {
+            return false;
+        };
+        ctx.activations.iter().any(|a| {
+            a.gets.iter().any(|g| match g {
+                InputRef::DeviceSource {
+                    device: d,
+                    source: s,
+                } => s == source && self.spec.device_is_subtype(device, d),
+                InputRef::Context(_) => false,
+            })
+        })
+    }
+
+    fn context_declares_context_get(&self, context: &str, target: &str) -> bool {
+        let Some(ctx) = self.spec.context(context) else {
+            return false;
+        };
+        ctx.activations.iter().any(|a| {
+            a.gets
+                .iter()
+                .any(|g| matches!(g, InputRef::Context(c) if c == target))
+        })
+    }
+
+    /// Whether `controller` declares `do action on device` (allowing the
+    /// concrete device to be a subtype of the declared one).
+    fn controller_declares_action(&self, controller: &str, device: &str, action: &str) -> bool {
+        let Some(ctrl) = self.spec.controller(controller) else {
+            return false;
+        };
+        ctrl.bindings.iter().any(|b| {
+            b.actions
+                .iter()
+                .any(|(a, d)| a == action && self.spec.device_is_subtype(device, d))
+        })
+    }
+
     pub(crate) fn controller_declares_device(&self, controller: &str, device: &str) -> bool {
-        controller_declares_device(&self.spec, controller, device)
+        let Some(ctrl) = self.spec.controller(controller) else {
+            return false;
+        };
+        ctrl.bindings.iter().any(|b| {
+            b.actions.iter().any(|(_, d)| {
+                self.spec.device_is_subtype(device, d) || self.spec.device_is_subtype(d, device)
+            })
+        })
     }
 }
 
@@ -282,7 +175,7 @@ impl Orchestrator {
 /// clauses — a context cannot read data its design does not declare
 /// (design/implementation conformance, paper §V).
 pub struct ContextApi<'a> {
-    pub(crate) backend: ApiBackend<'a>,
+    pub(crate) engine: &'a mut Orchestrator,
     pub(crate) context: &'a str,
 }
 
@@ -290,7 +183,7 @@ impl ContextApi<'_> {
     /// Current simulation time in milliseconds.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.backend.now()
+        self.engine.queue.now()
     }
 
     /// The name of the activated context.
@@ -313,23 +206,21 @@ impl ContextApi<'_> {
         device_type: &str,
         source: &str,
     ) -> Result<Vec<(EntityId, Value)>, RuntimeError> {
-        if !context_declares_source_get(self.backend.spec(), self.context, device_type, source) {
+        if !self
+            .engine
+            .context_declares_source_get(self.context, device_type, source)
+        {
             return Err(RuntimeError::ContractViolation {
                 component: self.context.to_owned(),
                 message: format!("design declares no `get {source} from {device_type}`"),
             });
         }
-        let ApiBackend::Engine(engine) = &mut self.backend else {
-            // Contexts with `get` clauses are never shard-eligible, so the
-            // declaration check above already rejected every shard call.
-            return Err(shard_backend_unreachable(self.context, "device query"));
-        };
-        let now = engine.queue.now();
-        let ids = engine.registry.discover(device_type).ids();
+        let now = self.engine.queue.now();
+        let ids = self.engine.registry.discover(device_type).ids();
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
-            if let Some(value) = engine.registry.query_source(&id, source, now)? {
-                engine.metrics.component_queries += 1;
+            if let Some(value) = self.engine.registry.query_source(&id, source, now)? {
+                self.engine.metrics.component_queries += 1;
                 out.push((id, value));
             }
         }
@@ -347,26 +238,29 @@ impl ContextApi<'_> {
         entity: &EntityId,
         source: &str,
     ) -> Result<Option<Value>, RuntimeError> {
-        let device_type =
-            self.backend
-                .entity_device_type(entity)
-                .ok_or_else(|| RuntimeError::Unknown {
-                    kind: "entity",
-                    name: entity.to_string(),
-                })?;
-        if !context_declares_source_get(self.backend.spec(), self.context, &device_type, source) {
+        let device_type = self
+            .engine
+            .registry
+            .entity(entity)
+            .ok_or_else(|| RuntimeError::Unknown {
+                kind: "entity",
+                name: entity.to_string(),
+            })?
+            .device_type
+            .clone();
+        if !self
+            .engine
+            .context_declares_source_get(self.context, &device_type, source)
+        {
             return Err(RuntimeError::ContractViolation {
                 component: self.context.to_owned(),
                 message: format!("design declares no `get {source} from {device_type}`"),
             });
         }
-        let ApiBackend::Engine(engine) = &mut self.backend else {
-            return Err(shard_backend_unreachable(self.context, "device query"));
-        };
-        let now = engine.queue.now();
-        let value = engine.registry.query_source(entity, source, now)?;
+        let now = self.engine.queue.now();
+        let value = self.engine.registry.query_source(entity, source, now)?;
         if value.is_some() {
-            engine.metrics.component_queries += 1;
+            self.engine.metrics.component_queries += 1;
         }
         Ok(value)
     }
@@ -379,24 +273,24 @@ impl ContextApi<'_> {
     /// [`RuntimeError::ContractViolation`] if this context's design does
     /// not declare `get <target>`, or the computation fails.
     pub fn get_context(&mut self, target: &str) -> Result<Value, RuntimeError> {
-        if !context_declares_context_get(self.backend.spec(), self.context, target) {
+        if !self
+            .engine
+            .context_declares_context_get(self.context, target)
+        {
             return Err(RuntimeError::ContractViolation {
                 component: self.context.to_owned(),
                 message: format!("design declares no `get {target}`"),
             });
         }
-        let ApiBackend::Engine(engine) = &mut self.backend else {
-            return Err(shard_backend_unreachable(self.context, "context pull"));
-        };
-        engine.metrics.component_queries += 1;
-        engine.compute_on_demand(target)
+        self.engine.metrics.component_queries += 1;
+        self.engine.compute_on_demand(target)
     }
 
     /// Attribute-filtered discovery (read-only), e.g. to learn which
     /// entities exist in a group.
     #[must_use]
-    pub fn discover(&self, device_type: &str) -> DiscoveryQuery<'_> {
-        self.backend.discover(device_type)
+    pub fn discover(&self, device_type: &str) -> crate::registry::DiscoveryQuery<'_> {
+        self.engine.registry.discover(device_type)
     }
 }
 
@@ -408,7 +302,7 @@ impl ContextApi<'_> {
 /// Actuation is validated against the controller's declared `do ... on
 /// ...` clauses, enforcing the Sense-Compute-Control layering at runtime.
 pub struct ControllerApi<'a> {
-    pub(crate) backend: ApiBackend<'a>,
+    pub(crate) engine: &'a mut Orchestrator,
     pub(crate) controller: &'a str,
 }
 
@@ -416,7 +310,7 @@ impl ControllerApi<'_> {
     /// Current simulation time in milliseconds.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.backend.now()
+        self.engine.queue.now()
     }
 
     /// The name of the activated controller.
@@ -431,14 +325,20 @@ impl ControllerApi<'_> {
     ///
     /// [`RuntimeError::ContractViolation`] if the controller's design
     /// declares no action on that device family.
-    pub fn discover(&self, device_type: &str) -> Result<DiscoveryQuery<'_>, RuntimeError> {
-        if !controller_declares_device(self.backend.spec(), self.controller, device_type) {
+    pub fn discover(
+        &self,
+        device_type: &str,
+    ) -> Result<crate::registry::DiscoveryQuery<'_>, RuntimeError> {
+        if !self
+            .engine
+            .controller_declares_device(self.controller, device_type)
+        {
             return Err(RuntimeError::ContractViolation {
                 component: self.controller.to_owned(),
                 message: format!("design declares no action on device `{device_type}`"),
             });
         }
-        Ok(self.backend.discover(device_type))
+        Ok(self.engine.registry.discover(device_type))
     }
 
     /// Invokes a declared action on an entity.
@@ -454,89 +354,59 @@ impl ControllerApi<'_> {
         action: &str,
         args: &[Value],
     ) -> Result<(), RuntimeError> {
-        let device_type =
-            self.backend
-                .entity_device_type(entity)
-                .ok_or_else(|| RuntimeError::Unknown {
-                    kind: "entity",
-                    name: entity.to_string(),
-                })?;
-        if !controller_declares_action(self.backend.spec(), self.controller, &device_type, action) {
+        let device_type = self
+            .engine
+            .registry
+            .entity(entity)
+            .ok_or_else(|| RuntimeError::Unknown {
+                kind: "entity",
+                name: entity.to_string(),
+            })?
+            .device_type
+            .clone();
+        if !self
+            .engine
+            .controller_declares_action(self.controller, &device_type, action)
+        {
             return Err(RuntimeError::ContractViolation {
                 component: self.controller.to_owned(),
                 message: format!("design declares no `do {action} on {device_type}`"),
             });
         }
-        match &mut self.backend {
-            ApiBackend::Engine(engine) => {
-                engine.invoke_for_controller(entity, &device_type, action, args)
-            }
-            ApiBackend::Shard(shard) => {
-                // Workers hold no drivers: the conformance checks above
-                // ran against the same spec and snapshot the coordinator
-                // would use, so the actuation is recorded and replayed by
-                // the sequenced merge in deterministic order. A driver
-                // failure consequently surfaces as a contained error at
-                // the merge instead of propagating into the logic — the
-                // documented sharding envelope.
-                shard.actuations.push(DeferredActuation {
-                    entity: entity.clone(),
-                    device_type,
-                    action: action.to_owned(),
-                    args: args.to_vec(),
-                });
-                Ok(())
-            }
-        }
-    }
-}
-
-impl Orchestrator {
-    /// Performs one validated controller actuation against the live
-    /// registry: the driver call plus all its accounting (activity
-    /// histogram, actuate/recover spans, metrics, traces, masked-fallback
-    /// bookkeeping). Shared by the serial facade path and the shard
-    /// merge's deferred-actuation replay.
-    pub(crate) fn invoke_for_controller(
-        &mut self,
-        entity: &EntityId,
-        device_type: &str,
-        action: &str,
-        args: &[Value],
-    ) -> Result<(), RuntimeError> {
-        let now = self.queue.now();
+        let now = self.engine.queue.now();
         // One Instant serves both the activity histogram and the actuate
         // span; taken only when either consumer is live.
-        let cursor = self.span_cursor;
-        let started = (self.obs.is_enabled() || cursor.is_active()).then(std::time::Instant::now);
-        let fallbacks_before = self.registry.stats().fallback_invocations;
-        self.registry.invoke(entity, action, args, now)?;
+        let cursor = self.engine.span_cursor;
+        let started =
+            (self.engine.obs.is_enabled() || cursor.is_active()).then(std::time::Instant::now);
+        let fallbacks_before = self.engine.registry.stats().fallback_invocations;
+        self.engine.registry.invoke(entity, action, args, now)?;
         if let Some(t0) = started {
             let us = obs::elapsed_us(t0);
-            if self.obs.is_enabled() {
+            if self.engine.obs.is_enabled() {
                 let label = format!("{device_type}.{action}");
-                self.obs.record(Activity::Actuating, &label, us);
+                self.engine.obs.record(Activity::Actuating, &label, us);
             }
             if cursor.is_active() {
                 // The actuate span nests inside the controller's open
                 // compute span.
-                let label = if self.obs.spans_materializing() {
+                let label = if self.engine.obs.spans_materializing() {
                     format!("{device_type}.{action}")
                 } else {
                     String::new()
                 };
-                let id = self.obs.open_span(
+                let id = self.engine.obs.open_span(
                     cursor.trace_id,
                     cursor.parent,
                     SpanStage::Actuate,
                     &label,
                     now,
                 );
-                self.obs.close_span(id, now, us);
+                self.engine.obs.close_span(id, now, us);
             }
         }
-        self.metrics.actuations += 1;
-        self.record_trace(
+        self.engine.metrics.actuations += 1;
+        self.engine.record_trace(
             now,
             TraceKind::Actuation {
                 entity: entity.to_string(),
@@ -545,16 +415,17 @@ impl Orchestrator {
         );
         // The registry masked the failure with the device's declared
         // `@error(fallback = ...)` action: surface it as a recovery event.
-        let masked = self.registry.stats().fallback_invocations - fallbacks_before;
+        let masked = self.engine.registry.stats().fallback_invocations - fallbacks_before;
         if masked > 0 {
-            self.metrics.fallback_actuations += masked;
+            self.engine.metrics.fallback_actuations += masked;
             let fallback = self
+                .engine
                 .spec
-                .device(device_type)
+                .device(&device_type)
                 .map(ErrorPolicy::of_device)
                 .and_then(|policy| policy.fallback)
                 .unwrap_or_default();
-            self.record_trace(
+            self.engine.record_trace(
                 now,
                 TraceKind::FallbackActuation {
                     entity: entity.to_string(),
@@ -564,12 +435,12 @@ impl Orchestrator {
             // A masked fallback is a recovery episode inside the same
             // trace: a sibling of the actuate span.
             if cursor.is_active() {
-                let label = if self.obs.spans_materializing() {
+                let label = if self.engine.obs.spans_materializing() {
                     format!("{device_type}.{fallback}")
                 } else {
                     String::new()
                 };
-                self.obs.record_span(
+                self.engine.obs.record_span(
                     cursor.trace_id,
                     cursor.parent,
                     SpanStage::Recover,

@@ -12,7 +12,6 @@
 //! admission and activation.
 
 use crate::component::{BatchData, ContextActivation, MapReduceLogic};
-use crate::engine::api::ApiBackend;
 use crate::engine::{ContextApi, ControllerApi, Orchestrator, ProcessApi, ProcessingMode};
 use crate::error::RuntimeError;
 use crate::fault::{FaultInjector, FaultKind};
@@ -284,7 +283,7 @@ impl Orchestrator {
             };
             let result = {
                 let mut api = ControllerApi {
-                    backend: ApiBackend::Engine(self),
+                    engine: self,
                     controller: &name,
                 };
                 logic.on_recovery(&mut api, lost, replacement)
@@ -309,7 +308,7 @@ impl Orchestrator {
             };
             let result = {
                 let mut api = ContextApi {
-                    backend: ApiBackend::Engine(self),
+                    engine: self,
                     context: &name,
                 };
                 logic.on_recovery(&mut api, lost, replacement)
@@ -778,7 +777,7 @@ impl Orchestrator {
         let started = self.obs.is_enabled().then(std::time::Instant::now);
         let result = {
             let mut api = ContextApi {
-                backend: ApiBackend::Engine(self),
+                engine: self,
                 context: name,
             };
             logic.activate(&mut api, input)
@@ -825,7 +824,7 @@ impl Orchestrator {
         let started = self.obs.is_enabled().then(std::time::Instant::now);
         let result = {
             let mut api = ControllerApi {
-                backend: ApiBackend::Engine(self),
+                engine: self,
                 controller: name,
             };
             logic.on_context(&mut api, from, value)
@@ -882,7 +881,7 @@ impl Orchestrator {
         let started = self.obs.is_enabled().then(std::time::Instant::now);
         let result = {
             let mut api = ContextApi {
-                backend: ApiBackend::Engine(self),
+                engine: self,
                 context: name,
             };
             logic.activate(&mut api, ContextActivation::OnDemand)

@@ -225,11 +225,6 @@ pub struct Registry {
     /// Lease duration applied to (re)bound entities; `None` disables leases.
     lease_ttl_ms: Option<u64>,
     stats: RegistryStats,
-    /// Bumped on every binding change (bind/unbind, including lease
-    /// expiry and standby promotion), so shard read views know when
-    /// their snapshot is stale. Crash flags do not bump it: they affect
-    /// queries and actuations (coordinator-side), never discovery.
-    generation: u64,
 }
 
 impl Registry {
@@ -243,7 +238,6 @@ impl Registry {
             standbys: BTreeMap::new(),
             lease_ttl_ms: None,
             stats: RegistryStats::default(),
-            generation: 0,
         }
     }
 
@@ -278,7 +272,6 @@ impl Registry {
         now_ms: u64,
     ) -> Result<(), RuntimeError> {
         self.check_binding(&id, device_type, &attributes)?;
-        self.generation += 1;
         self.indexes.insert(&id, device_type, &attributes);
         self.entities.insert(
             id.clone(),
@@ -364,34 +357,9 @@ impl Registry {
                 kind: "entity",
                 name: id.to_string(),
             })?;
-        self.generation += 1;
         self.indexes
             .remove(id, &record.info.device_type, &record.info.attributes);
         Ok(record.info)
-    }
-
-    /// The current binding generation (see the `generation` field).
-    #[must_use]
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Snapshots the discovery state for shard workers: the derived
-    /// indexes plus the public entity records. The snapshot is immutable
-    /// and `Send + Sync`; it answers `discover(...)` queries and entity
-    /// info lookups identically to the live registry as of this
-    /// generation. Crash flags and drivers stay coordinator-side.
-    #[must_use]
-    pub(crate) fn read_view(&self) -> ReadView {
-        ReadView {
-            indexes: self.indexes.clone(),
-            entities: self
-                .entities
-                .iter()
-                .map(|(id, record)| (id.clone(), record.info.clone()))
-                .collect(),
-            generation: self.generation,
-        }
     }
 
     /// Whether `id` is currently bound.
@@ -423,7 +391,7 @@ impl Registry {
     #[must_use]
     pub fn discover(&self, device_type: &str) -> DiscoveryQuery<'_> {
         DiscoveryQuery {
-            source: QuerySource::Registry(self),
+            registry: self,
             device_type: device_type.to_owned(),
             filters: Vec::new(),
         }
@@ -917,73 +885,13 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-/// An immutable snapshot of the registry's discovery state, taken by
-/// [`Registry::read_view`] for shard workers. Answers `discover(...)`
-/// queries and entity-info lookups identically to the live registry at
-/// the generation it was taken; drivers, crash flags, and standbys stay
-/// with the single-writer registry on the coordinator.
-pub(crate) struct ReadView {
-    indexes: Indexes,
-    entities: BTreeMap<EntityId, EntityInfo>,
-    generation: u64,
-}
-
-impl ReadView {
-    /// The binding generation this snapshot was taken at.
-    #[must_use]
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The public record of entity `id`, as of the snapshot.
-    #[must_use]
-    pub(crate) fn entity(&self, id: &EntityId) -> Option<&EntityInfo> {
-        self.entities.get(id)
-    }
-
-    /// Starts a discovery query over the snapshot. Same semantics as
-    /// [`Registry::discover`].
-    #[must_use]
-    pub(crate) fn discover(&self, device_type: &str) -> DiscoveryQuery<'_> {
-        DiscoveryQuery {
-            source: QuerySource::View(self),
-            device_type: device_type.to_owned(),
-            filters: Vec::new(),
-        }
-    }
-}
-
-/// Where a [`DiscoveryQuery`] resolves: the live registry, or a shard
-/// worker's immutable [`ReadView`] snapshot. Both expose the same
-/// [`Indexes`] and entity records, so query results are identical for a
-/// view taken at the current generation.
-enum QuerySource<'r> {
-    Registry(&'r Registry),
-    View(&'r ReadView),
-}
-
-impl<'r> QuerySource<'r> {
-    fn indexes(&self) -> &'r Indexes {
-        match self {
-            QuerySource::Registry(r) => &r.indexes,
-            QuerySource::View(v) => &v.indexes,
-        }
-    }
-
-    fn entity_info(&self, id: &EntityId) -> &'r EntityInfo {
-        match self {
-            QuerySource::Registry(r) => &r.entities[id].info,
-            QuerySource::View(v) => &v.entities[id],
-        }
-    }
-}
-
 /// A builder-style discovery query: device type plus attribute filters.
 ///
 /// Mirrors the generated discover facade of the paper's Figure 11
 /// (`discover.parkingEntrancePanels().whereLocation(...)`).
+#[derive(Debug)]
 pub struct DiscoveryQuery<'r> {
-    source: QuerySource<'r>,
+    registry: &'r Registry,
     device_type: String,
     filters: Vec<(String, Value)>,
 }
@@ -1006,10 +914,9 @@ impl<'r> DiscoveryQuery<'r> {
     /// visited.
     #[must_use]
     pub fn ids(&self) -> Vec<EntityId> {
-        let indexes = self.source.indexes();
         let mut out: Vec<EntityId> = Vec::new();
-        for ty in indexes.family_members(&self.device_type) {
-            let Some(bucket) = indexes.type_bucket(ty) else {
+        for ty in self.registry.indexes.family_members(&self.device_type) {
+            let Some(bucket) = self.registry.indexes.type_bucket(ty) else {
                 continue;
             };
             if self.filters.is_empty() {
@@ -1020,7 +927,7 @@ impl<'r> DiscoveryQuery<'r> {
             let mut sets: Vec<&BTreeSet<EntityId>> = Vec::with_capacity(self.filters.len());
             let mut empty = false;
             for (attr, value) in &self.filters {
-                match indexes.attribute_bucket(ty, attr, value) {
+                match self.registry.indexes.attribute_bucket(ty, attr, value) {
                     Some(set) if !set.is_empty() => sets.push(set),
                     _ => {
                         empty = true;
@@ -1048,7 +955,9 @@ impl<'r> DiscoveryQuery<'r> {
     #[must_use]
     pub fn entities(&self) -> Vec<&'r EntityInfo> {
         let ids = self.ids();
-        ids.iter().map(|id| self.source.entity_info(id)).collect()
+        ids.iter()
+            .map(|id| &self.registry.entities[id].info)
+            .collect()
     }
 
     /// Number of matching entities.

@@ -27,12 +27,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The registry's derived discovery indexes. See the [module
 /// docs](self) for the read/write split.
-///
-/// `Clone` exists for the shard read views: `Registry::read_view`
-/// snapshots the indexes once per registry generation so shard workers
-/// can resolve `discover(...)` queries without touching the single-writer
-/// registry.
-#[derive(Clone)]
 pub(crate) struct Indexes {
     /// Exact-type index: device type name -> bound entity ids.
     by_type: BTreeMap<String, BTreeSet<EntityId>>,

@@ -11,11 +11,12 @@
 //! --test pipeline_equivalence` — but only when a behaviour change is
 //! intended and reviewed.
 //!
-//! The same goldens also pin the sharded pipeline: every scenario is
-//! re-run with `set_shards(n)` for n > 1 against the *identical* golden
-//! file, and a seeded property sweep asserts byte-identical observable
-//! state (trace, metrics, contained-error order) for shards ∈ {1, 2, 4,
-//! 8} with tracing both on (dense merge) and off (sparse merge).
+//! The `sweep_seed*` goldens are younger: they were blessed on the serial
+//! path at the last commit that still carried the shard pool, so that
+//! deleting the pool (and collapsing the component APIs onto
+//! `&mut Orchestrator`) is pinned by the one scenario that combines
+//! contained-error order, `maybe publish` declines, no-actuation
+//! controller activations and a lossy transport.
 
 use diaspec_apps::parking::{build as build_parking, ParkingAppConfig};
 use diaspec_devices::common::{ActuationLog, RecordingActuator};
@@ -102,10 +103,9 @@ const CHURN_SPEC: &str = r#"
 
 /// Mirrors `build_churn` from `failure_injection.rs`: one leased sensor,
 /// a standby, seeded drops, and a crash at t = 5.5 s.
-fn build_churn(faults: bool, shards: usize) -> Orchestrator {
+fn build_churn(faults: bool) -> Orchestrator {
     let spec = Arc::new(diaspec_core::compile_str(CHURN_SPEC).unwrap());
     let mut orch = Orchestrator::new(spec);
-    orch.set_shards(shards).unwrap();
     orch.register_context(
         "Relay",
         |_: &mut ContextApi<'_>, activation: ContextActivation<'_>| match activation {
@@ -173,7 +173,7 @@ fn build_churn(faults: bool, shards: usize) -> Orchestrator {
 /// backoffs must replay byte-identically through the staged pipeline.
 #[test]
 fn seeded_churn_trace_is_identical_to_pre_refactor_golden() {
-    let mut orch = build_churn(true, 1);
+    let mut orch = build_churn(true);
     orch.run_until(20_000);
     assert_matches_golden("churn_faulty_trace.txt", &render(&mut orch));
 }
@@ -181,55 +181,14 @@ fn seeded_churn_trace_is_identical_to_pre_refactor_golden() {
 /// The fault-free control run: recovery machinery armed but idle.
 #[test]
 fn fault_free_churn_trace_is_identical_to_pre_refactor_golden() {
-    let mut orch = build_churn(false, 1);
+    let mut orch = build_churn(false);
     orch.run_until(20_000);
     assert_matches_golden("churn_clean_trace.txt", &render(&mut orch));
 }
 
-/// The churn scenarios under a live shard plan: fault fates, lease
-/// machinery, and retry backoffs must still match the serial golden
-/// byte-for-byte (the sequenced-merge determinism guarantee).
-#[test]
-fn churn_traces_are_identical_under_sharding() {
-    for shards in [2, 4, 8] {
-        let mut faulty = build_churn(true, shards);
-        faulty.run_until(20_000);
-        assert_matches_golden("churn_faulty_trace.txt", &render(&mut faulty));
-        let mut clean = build_churn(false, shards);
-        clean.run_until(20_000);
-        assert_matches_golden("churn_clean_trace.txt", &render(&mut clean));
-    }
-}
-
-/// E1 parking under a live shard plan against the serial golden: mixed
-/// eligibility (MapReduce availability stays on the coordinator, the
-/// event-driven contexts shard out) must not perturb a single byte.
-#[test]
-fn e1_parking_trace_is_identical_under_sharding() {
-    let mut app = build_parking(ParkingAppConfig {
-        sensors_per_lot: 3,
-        processing: ProcessingMode::Serial,
-        transport: TransportConfig {
-            latency: LatencyModel::Uniform {
-                min_ms: 20,
-                max_ms: 200,
-            },
-            loss_probability: 0.0,
-            seed: 1,
-        },
-        shards: 4,
-        ..ParkingAppConfig::default()
-    })
-    .expect("parking app builds");
-    app.orchestrator.set_tracing(true);
-    app.orchestrator.run_until(10 * 60 * 1000 + 1_000);
-    assert!(app.orchestrator.drain_errors().is_empty());
-    assert_matches_golden("e1_parking_trace.txt", &render(&mut app.orchestrator));
-}
-
 /// Builds the seeded duplicate/delay scenario, runs it, and renders the
 /// observable state.
-fn run_event_duplicates(shards: usize) -> String {
+fn run_event_duplicates() -> String {
     let spec = Arc::new(
         diaspec_core::compile_str(
             r#"
@@ -249,7 +208,6 @@ fn run_event_duplicates(shards: usize) -> String {
             seed: 9,
         },
     );
-    orch.set_shards(shards).unwrap();
     orch.register_context(
         "Chime",
         |_: &mut ContextApi<'_>, activation: ContextActivation<'_>| match activation {
@@ -304,23 +262,13 @@ fn run_event_duplicates(shards: usize) -> String {
 /// that the batch scenarios above do not.
 #[test]
 fn event_driven_duplicates_trace_is_identical_to_pre_refactor_golden() {
-    assert_matches_golden("event_duplicates_trace.txt", &run_event_duplicates(1));
+    assert_matches_golden("event_duplicates_trace.txt", &run_event_duplicates());
 }
 
-/// Same scenario with a shard plan: fault injection is live, so the
-/// controller stays coordinator-side while `Chime` shards out, and every
-/// seeded fate must land identically.
-#[test]
-fn event_driven_duplicates_trace_is_identical_under_sharding() {
-    for shards in [2, 4] {
-        assert_matches_golden("event_duplicates_trace.txt", &run_event_duplicates(shards));
-    }
-}
-
-// ---- shard-sweep property: byte identity for any shard count ---------------
+// ---- same-instant fan-out sweep -------------------------------------------
 
 /// A wide fan-out design: every probe reading activates four contexts at
-/// the same instant (a real multi-item round), two of which feed
+/// the same instant, two of which feed
 /// controllers, one errors periodically (contained-error ordering), one
 /// declines periodically (`maybe publish` accounting).
 const SWEEP_SPEC: &str = r#"
@@ -335,8 +283,7 @@ const SWEEP_SPEC: &str = r#"
 "#;
 
 /// Renders trace + metrics + the contained-error sequence (order and
-/// formatting included): the full observable state a shard plan must
-/// reproduce exactly.
+/// formatting included).
 fn render_with_errors(orch: &mut Orchestrator) -> String {
     let mut out = render(orch);
     for err in orch.drain_errors() {
@@ -345,7 +292,7 @@ fn render_with_errors(orch: &mut Orchestrator) -> String {
     out
 }
 
-fn run_sweep_scenario(seed: u64, shards: usize, tracing: bool) -> String {
+fn run_sweep_scenario(seed: u64, tracing: bool) -> String {
     use diaspec_runtime::error::ComponentError;
     let spec = Arc::new(diaspec_core::compile_str(SWEEP_SPEC).unwrap());
     let mut orch = Orchestrator::with_transport(
@@ -359,7 +306,6 @@ fn run_sweep_scenario(seed: u64, shards: usize, tracing: bool) -> String {
             seed,
         },
     );
-    orch.set_shards(shards).unwrap();
     for (name, f) in [
         (
             "Double",
@@ -437,23 +383,16 @@ fn run_sweep_scenario(seed: u64, shards: usize, tracing: bool) -> String {
     render_with_errors(&mut orch)
 }
 
-/// The tentpole property: for seeds × shard counts, with tracing on
-/// (dense merge: every item replayed) and off (sparse merge: trivial
-/// activations folded into aggregate counters), the rendered observable
-/// state is byte-identical to the serial pipeline.
+/// Seeds × tracing on/off: with tracing off the trace section is empty
+/// and the golden pins metrics and contained-error order alone.
 #[test]
-fn shard_sweep_is_byte_identical_to_serial_for_all_shard_counts() {
+fn sweep_scenario_matches_serial_goldens() {
     for seed in [1, 7, 42] {
-        for tracing in [true, false] {
-            let serial = run_sweep_scenario(seed, 1, tracing);
-            assert!(!serial.is_empty());
-            for shards in [2, 4, 8] {
-                let sharded = run_sweep_scenario(seed, shards, tracing);
-                assert_eq!(
-                    serial, sharded,
-                    "observable state diverged at seed={seed} shards={shards} tracing={tracing}"
-                );
-            }
+        for (tracing, suffix) in [(true, "traced"), (false, "untraced")] {
+            assert_matches_golden(
+                &format!("sweep_seed{seed}_{suffix}.txt"),
+                &run_sweep_scenario(seed, tracing),
+            );
         }
     }
 }
