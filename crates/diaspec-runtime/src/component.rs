@@ -33,8 +33,12 @@ pub struct BatchData {
     pub device_type: String,
     /// The polled source.
     pub source: String,
-    /// Raw readings in deterministic (entity-id) order. Readings lost in
-    /// transport are absent.
+    /// Raw readings in deterministic order: one poll yields the device
+    /// family's exact member types in name order, each type's entities in
+    /// id order (so ids interleave across a subtype, they are not globally
+    /// sorted); an `every <T>` window is the concatenation of its polls in
+    /// poll order. Readings lost in transport are absent, and an injected
+    /// duplicate sits next to its original.
     pub readings: Vec<PolledReading>,
     /// Readings grouped by the `grouped by` attribute value, when the
     /// activation declares grouping. Keys and readings are shared

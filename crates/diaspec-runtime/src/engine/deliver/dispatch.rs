@@ -346,7 +346,10 @@ impl Orchestrator {
     }
 
     fn dispatch_periodic_poll(&mut self, context: &str, activation_idx: usize) {
-        let Some(ctx_decl) = self.spec.context(context) else {
+        // The declaration is borrowed from a handle to the spec for the
+        // whole poll, as `dispatch_batch` does.
+        let spec = std::sync::Arc::clone(&self.spec);
+        let Some(ctx_decl) = spec.context(context) else {
             return;
         };
         let Some(activation) = ctx_decl.activations.get(activation_idx) else {
@@ -356,11 +359,11 @@ impl Orchestrator {
             device,
             source,
             period_ms,
-        } = activation.trigger.clone()
+        } = &activation.trigger
         else {
             return;
         };
-        let group_attr = activation.grouping.as_ref().map(|g| g.attribute.clone());
+        let group_attr = activation.grouping.as_ref().map(|g| g.attribute.as_str());
         let window_ms = activation.grouping.as_ref().and_then(|g| g.window_ms);
 
         // Poll the whole device family (query-driven under the hood; the
@@ -383,9 +386,7 @@ impl Orchestrator {
         } else {
             None
         };
-        let readings = self
-            .registry
-            .poll(&device, &source, group_attr.as_deref(), now);
+        let readings = self.registry.poll(device, source, group_attr, now);
         self.metrics.periodic_deliveries += 1;
         self.metrics.readings_polled += readings.len() as u64;
         self.record_trace(
@@ -444,6 +445,17 @@ impl Orchestrator {
                 .windows
                 .get_mut(&activation_idx)
                 .expect("window initialized at launch");
+            if buffer.readings.capacity() == 0 {
+                // First poll of a window: size the buffer for every poll
+                // the window will hold instead of doubling up to it. A
+                // reservation the allocator refuses is not an error; the
+                // buffer then grows as it fills.
+                let polls = (window_ms / (*period_ms).max(1)).saturating_add(1);
+                let expected = usize::try_from(polls)
+                    .unwrap_or(usize::MAX)
+                    .saturating_mul(surviving.len());
+                let _ = buffer.readings.try_reserve_exact(expected);
+            }
             buffer.readings.extend(surviving);
             if now >= buffer.deadline {
                 let batch = std::mem::take(&mut buffer.readings);
@@ -480,7 +492,7 @@ impl Orchestrator {
 
         // Keep the cadence anchored to the poll time, not delivery time.
         self.queue.schedule(
-            now + period_ms,
+            now + *period_ms,
             Event::PeriodicPoll {
                 context: context.to_owned(),
                 activation_idx,

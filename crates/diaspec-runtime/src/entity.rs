@@ -22,16 +22,23 @@ use crate::error::DeviceError;
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Unique identifier of a bound entity, e.g. `"presence-A22-17"`.
+///
+/// The id is a shared string: cloning is one reference-count increment,
+/// so the registry's map key, its discovery index sets, queued events and
+/// every [`PolledReading`](crate::registry::PolledReading) of an entity
+/// point at one allocation. Equality, ordering and hashing are those of
+/// the string.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EntityId(String);
+pub struct EntityId(Arc<str>);
 
 impl EntityId {
     /// Creates an entity id.
     #[must_use]
     pub fn new(id: impl Into<String>) -> Self {
-        EntityId(id.into())
+        EntityId(Arc::from(id.into()))
     }
 
     /// The id as a string slice.
@@ -49,7 +56,7 @@ impl fmt::Display for EntityId {
 
 impl From<&str> for EntityId {
     fn from(s: &str) -> Self {
-        EntityId::new(s)
+        EntityId(Arc::from(s))
     }
 }
 
@@ -157,6 +164,29 @@ mod tests {
         assert_eq!(id.as_ref(), "sensor-1");
         let id2 = EntityId::from(String::from("sensor-1"));
         assert_eq!(id, id2);
+        assert_eq!(format!("{id:?}"), r#"EntityId("sensor-1")"#);
+    }
+
+    #[test]
+    fn entity_id_clones_share_one_string_and_compare_by_content() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        let id = EntityId::new("sensor-1");
+        let copy = id.clone();
+        assert!(std::ptr::eq(id.as_str(), copy.as_str()));
+        // A separately built id is a different allocation but the same id.
+        let other = EntityId::new(String::from("sensor-1"));
+        assert!(!std::ptr::eq(id.as_str(), other.as_str()));
+        assert_eq!(id, other);
+        assert_eq!(id.cmp(&other), std::cmp::Ordering::Equal);
+        let hash = |id: &EntityId| {
+            let mut h = DefaultHasher::new();
+            id.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&id), hash(&other));
+        assert!(EntityId::new("a-10") < EntityId::new("a-9"));
     }
 
     #[test]

@@ -113,6 +113,10 @@ pub struct EntityInfo {
 
 struct EntityRecord {
     info: EntityInfo,
+    /// The canonical handle of each value in `info.attributes`, in its
+    /// (name) order, as handed out by the index writer path at bind time.
+    /// A grouped poll attaches a clone of one of these to its reading.
+    attribute_handles: Vec<Payload>,
     driver: Box<dyn DeviceInstance>,
     /// Lease deadline: the entity must renew (by serving a query, poll,
     /// or invocation) before this time or be unbound by
@@ -272,10 +276,11 @@ impl Registry {
         now_ms: u64,
     ) -> Result<(), RuntimeError> {
         self.check_binding(&id, device_type, &attributes)?;
-        self.indexes.insert(&id, device_type, &attributes);
+        let attribute_handles = self.indexes.insert(&id, device_type, &attributes);
         self.entities.insert(
             id.clone(),
             EntityRecord {
+                attribute_handles,
                 info: EntityInfo {
                     id,
                     device_type: device_type.to_owned(),
@@ -424,33 +429,30 @@ impl Registry {
         source: &str,
         now_ms: u64,
     ) -> Result<Option<Value>, RuntimeError> {
-        let (device_type, policy, source_ty) = {
-            let record = self.entities.get(id).ok_or_else(|| RuntimeError::Unknown {
-                kind: "entity",
-                name: id.to_string(),
-            })?;
-            let device = self
-                .spec
-                .device(&record.info.device_type)
-                .expect("bound entity has declared device");
-            let src = device.source(source).ok_or_else(|| RuntimeError::Unknown {
-                kind: "source",
-                name: format!("{source} on {}", record.info.device_type),
-            })?;
-            (
-                record.info.device_type.clone(),
-                ErrorPolicy::of_device(device),
-                src.ty.clone(),
-            )
-        };
+        // The declaration is borrowed from a handle to the spec, not from
+        // `self`, so the device name and source type need no copy while
+        // the driver is called.
+        let spec = Arc::clone(&self.spec);
+        let record = self.entities.get(id).ok_or_else(|| RuntimeError::Unknown {
+            kind: "entity",
+            name: id.to_string(),
+        })?;
+        let device = spec
+            .device(&record.info.device_type)
+            .expect("bound entity has declared device");
+        let src = device.source(source).ok_or_else(|| RuntimeError::Unknown {
+            kind: "source",
+            name: format!("{source} on {}", device.name),
+        })?;
+        let policy = ErrorPolicy::of_device(device);
 
-        match self.query_with_policy(id, &device_type, source, now_ms, policy)? {
+        match self.query_with_policy(id, &device.name, source, now_ms, policy)? {
             None => Ok(None),
             Some(value) => {
-                if !value.conforms_to(&source_ty, &self.spec) {
+                if !value.conforms_to(&src.ty, &spec) {
                     return Err(RuntimeError::TypeMismatch {
                         at: format!("source `{source}` of entity `{id}`"),
-                        expected: source_ty.to_string(),
+                        expected: src.ty.to_string(),
                         found: value.to_string(),
                     });
                 }
@@ -543,7 +545,13 @@ impl Registry {
 
     /// Polls `source` on every bound entity of `device_type` (and
     /// subtypes), optionally attaching the `group_attr` attribute value for
-    /// downstream grouping.
+    /// downstream grouping. Readings come in family order: exact member
+    /// types by name, entities by id within each.
+    ///
+    /// A reading is three shared handles — the entity id, the canonical
+    /// handle of the grouping value (one per distinct value among the live
+    /// bindings), and the wrapped reading — so a poll sweep allocates for
+    /// its result vector, not per entity.
     ///
     /// Entities whose driver fails under an `ignore` policy are skipped;
     /// other policies apply as in [`Registry::query_source`], and an
@@ -569,12 +577,16 @@ impl Registry {
                 Ok(Some(value)) => value,
                 Ok(None) | Err(_) => continue,
             };
+            // The grouping key is the canonical handle of the attribute
+            // value (one per distinct value, owned by the bind/unbind
+            // writer path): a pointer bump, not a copy of the value.
             let group = group_attr.and_then(|attr| {
-                self.entities
-                    .get(&id)
-                    .and_then(|r| r.info.attributes.get(attr))
-                    .cloned()
-                    .map(Payload::new)
+                let record = self.entities.get(&id)?;
+                let names = record.info.attributes.keys();
+                let (_, handle) = names
+                    .zip(&record.attribute_handles)
+                    .find(|(name, _)| *name == attr)?;
+                Some(handle.clone())
             });
             readings.push(PolledReading {
                 entity: id,
@@ -1669,10 +1681,103 @@ mod tests {
         assert_eq!(reg.stats().fallback_invocations, 1);
     }
 
+    /// The indexes mirror the live bindings exactly, and so does the
+    /// handle table they own: every binding holds, per attribute, the one
+    /// canonical handle of its value — the index key itself, which
+    /// `mirrors` has just shown exists for live values only.
+    fn assert_mirrored(reg: &Registry) {
+        reg.indexes
+            .mirrors(
+                reg.entities
+                    .iter()
+                    .map(|(id, rec)| (id, rec.info.device_type.as_str(), &rec.info.attributes)),
+            )
+            .expect("indexes mirror live bindings");
+        for (id, rec) in &reg.entities {
+            assert_eq!(rec.attribute_handles.len(), rec.info.attributes.len());
+            for ((attr, value), held) in rec.info.attributes.iter().zip(&rec.attribute_handles) {
+                let canonical = reg
+                    .indexes
+                    .canonical_handle(&rec.info.device_type, attr, value)
+                    .expect("a live value has a handle");
+                assert!(
+                    std::ptr::eq(canonical.value(), held.value()),
+                    "`{id}` holds a stale handle for `{attr}`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn attribute_handles_are_shared_per_value_and_dropped_with_the_last_binding() {
+        let mut reg = registry();
+        for (id, lot) in [("s1", "A22"), ("s2", "A22"), ("s3", "B16")] {
+            reg.bind(
+                id.into(),
+                "PresenceSensor",
+                attrs(&[("parkingLot", lot)]),
+                const_driver(Value::Bool(true)),
+                BindingTime::Deployment,
+                0,
+            )
+            .unwrap();
+        }
+        let readings = reg.poll("PresenceSensor", "presence", Some("parkingLot"), 1);
+        let group = |i: usize| readings[i].group.clone().expect("grouped poll");
+        let (a22, also_a22, b16) = (group(0), group(1), group(2));
+        assert!(std::ptr::eq(a22.value(), also_a22.value()));
+        assert!(!std::ptr::eq(a22.value(), b16.value()));
+        // Polling again hands out the same handles, not fresh ones.
+        let again = reg.poll("PresenceSensor", "presence", Some("parkingLot"), 2);
+        assert!(std::ptr::eq(
+            a22.value(),
+            again[0].group.as_ref().unwrap().value()
+        ));
+        // The readings themselves are the interned Boolean.
+        assert!(std::ptr::eq(
+            readings[0].value.value(),
+            readings[2].value.value()
+        ));
+        drop((readings, again, also_a22));
+        // Held by: the table, the two bindings, and `a22` here.
+        assert_eq!(a22.handle_count(), 4);
+
+        reg.unbind(&"s1".into()).unwrap();
+        assert_eq!(a22.handle_count(), 3);
+        reg.unbind(&"s2".into()).unwrap();
+        // The last `A22` binding took the table's handle with it.
+        assert_eq!(a22.handle_count(), 1);
+        assert!(reg
+            .indexes
+            .canonical_handle("PresenceSensor", "parkingLot", &Value::from("A22"))
+            .is_none());
+        assert_eq!(b16.handle_count(), 3);
+        assert_mirrored(&reg);
+
+        // Re-binding the value mints a new handle, equal to the old one.
+        reg.bind(
+            "s4".into(),
+            "PresenceSensor",
+            attrs(&[("parkingLot", "A22")]),
+            const_driver(Value::Bool(true)),
+            BindingTime::Runtime,
+            3,
+        )
+        .unwrap();
+        let fresh = reg.poll("PresenceSensor", "presence", Some("parkingLot"), 4);
+        let reborn = fresh[1].group.as_ref().expect("grouped poll");
+        assert_eq!(fresh[1].entity, EntityId::from("s4"));
+        assert!(!std::ptr::eq(reborn.value(), a22.value()));
+        assert_eq!(reborn, &a22);
+        assert_mirrored(&reg);
+    }
+
     /// Property test for the index writer path: under seeded
     /// bind/unbind/rebind churn the discovery indexes must mirror the live
     /// bindings exactly — no stale `(type, attribute, value)` or type key
     /// may outlive its last binding, and no binding may go unindexed.
+    /// The same holds for the canonical attribute handles the index keys
+    /// own: every live binding holds the current one.
     #[test]
     fn index_keys_mirror_live_bindings_under_churn() {
         use rand::rngs::StdRng;
@@ -1711,22 +1816,10 @@ mod tests {
             }
             peak_attr_keys = peak_attr_keys.max(reg.indexes.attribute_key_count());
             if round % 100 == 0 {
-                reg.indexes
-                    .mirrors(
-                        reg.entities.iter().map(|(id, rec)| {
-                            (id, rec.info.device_type.as_str(), &rec.info.attributes)
-                        }),
-                    )
-                    .expect("indexes mirror live bindings");
+                assert_mirrored(&reg);
             }
         }
-        reg.indexes
-            .mirrors(
-                reg.entities
-                    .iter()
-                    .map(|(id, rec)| (id, rec.info.device_type.as_str(), &rec.info.attributes)),
-            )
-            .expect("indexes mirror live bindings after churn");
+        assert_mirrored(&reg);
         // Key space is bounded by the live combination count, not by the
         // churn volume: 3 types x 4 zones = 12 possible attribute keys.
         assert!(

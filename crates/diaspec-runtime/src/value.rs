@@ -619,6 +619,27 @@ mod tests {
     }
 
     #[test]
+    fn equality_is_reflexive_for_every_variant() {
+        // `Payload` answers "same allocation" with "equal" without looking
+        // at the value; that needs `v == v` for every value, `NaN` too.
+        let values = [
+            Value::Int(i64::MIN),
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Bool(false),
+            Value::from("s"),
+            Value::enum_value("Lot", "A"),
+            Value::structure("S", [("f".to_owned(), Value::Float(f64::NAN))]),
+            Value::Array(vec![Value::Float(f64::NAN), Value::Float(-0.0)]),
+        ];
+        for v in &values {
+            assert_eq!(v, &v.clone(), "{v}");
+            assert_eq!(v.cmp(v), Ordering::Equal, "{v}");
+        }
+        assert_ne!(Value::Float(-0.0), Value::Float(0.0));
+    }
+
+    #[test]
     fn cross_type_ordering_is_stable() {
         let mut values = [
             Value::Array(vec![]),

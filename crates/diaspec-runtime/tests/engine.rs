@@ -1129,3 +1129,169 @@ fn entities_bound_and_unbound_mid_run_affect_subsequent_polls() {
     assert_eq!(orch.last_value("Count"), Some(&Value::Int(1)));
     assert!(orch.drain_errors().is_empty());
 }
+
+// ---------- batch order and window contents -------------------------------------
+
+/// What one delivered batch held: entity ids in batch order, readings in
+/// batch order, and the `grouped by` partition.
+#[derive(Debug, Clone, PartialEq)]
+struct SeenBatch {
+    entities: Vec<String>,
+    readings: Vec<Value>,
+    grouped: Vec<(Value, Vec<Value>)>,
+}
+
+/// Polls the `level` source of the `Panel` family every 10 minutes,
+/// grouped by `zone`, with `window` (e.g. `"every <1 hr>"`, or `""`)
+/// spliced into the activation; returns every batch the context was
+/// handed during `minutes` of simulated time. Bindings: two plain
+/// `Panel`s (`p-2`, `p-4`) and two `EntrancePanel`s (`p-1`, `p-3`), each
+/// reporting a value that differs per entity and per poll.
+fn panel_batches(window: &str, faults: Option<u64>, minutes: u64) -> Vec<SeenBatch> {
+    use diaspec_runtime::fault::FaultPlan;
+    use std::sync::Mutex;
+
+    let spec = Arc::new(
+        compile_str(&format!(
+            r#"
+            device Panel {{ attribute zone as String; source level as Integer; }}
+            device EntrancePanel extends Panel {{ action update(status as String); }}
+            context Levels as Integer {{
+              when periodic level from Panel <10 min>
+                grouped by zone {window}
+                maybe publish;
+            }}
+            controller Show {{ when provided Levels do update on EntrancePanel; }}
+            "#
+        ))
+        .unwrap(),
+    );
+    let seen: Arc<Mutex<Vec<SeenBatch>>> = Arc::default();
+    let mut orch = Orchestrator::new(spec);
+    let sink = Arc::clone(&seen);
+    orch.register_context(
+        "Levels",
+        move |_: &mut ContextApi<'_>, activation: ContextActivation<'_>| {
+            if let ContextActivation::Batch(batch) = activation {
+                sink.lock().unwrap().push(SeenBatch {
+                    entities: batch
+                        .readings
+                        .iter()
+                        .map(|r| r.entity.to_string())
+                        .collect(),
+                    readings: batch
+                        .readings
+                        .iter()
+                        .map(|r| r.value.value().clone())
+                        .collect(),
+                    grouped: batch
+                        .grouped
+                        .as_ref()
+                        .expect("grouping declared")
+                        .iter()
+                        .map(|(k, vs)| {
+                            (
+                                k.value().clone(),
+                                vs.iter().map(|v| v.value().clone()).collect(),
+                            )
+                        })
+                        .collect(),
+                });
+            }
+            // Never publishing keeps the fault injector's sample sequence
+            // identical between the windowed and the unwindowed design.
+            Ok(None)
+        },
+    )
+    .unwrap();
+    orch.register_controller("Show", |_: &mut ControllerApi<'_>, _: &str, _: &Value| {
+        Ok(())
+    })
+    .unwrap();
+    for (n, (id, ty, zone)) in [
+        ("p-1", "EntrancePanel", "north"),
+        ("p-2", "Panel", "south"),
+        ("p-3", "EntrancePanel", "south"),
+        ("p-4", "Panel", "north"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut attrs = AttributeMap::new();
+        attrs.insert("zone".to_owned(), Value::from(zone));
+        let driver = move |_: &str, now: u64| Ok(Value::Int((now / 60_000 * 10) as i64 + n as i64));
+        orch.bind_entity(id.into(), ty, attrs, Box::new(driver))
+            .unwrap();
+    }
+    if let Some(seed) = faults {
+        orch.enable_faults(
+            FaultPlan::seeded(seed)
+                .drop_messages(0.25)
+                .duplicate_messages(0.25),
+        )
+        .unwrap();
+    }
+    orch.launch().unwrap();
+    orch.run_until(minutes * 60_000);
+    assert!(orch.drain_errors().is_empty());
+    let batches = seen.lock().unwrap().clone();
+    batches
+}
+
+#[test]
+fn batch_order_is_member_type_then_id_and_a_window_concatenates_polls() {
+    // One poll: the family's exact types in name order (`EntrancePanel`
+    // before `Panel`), ids in order within each — not global id order.
+    let polls = panel_batches("", None, 25);
+    assert_eq!(polls.len(), 2);
+    assert_eq!(polls[0].entities, ["p-1", "p-3", "p-2", "p-4"]);
+    assert_eq!(polls[1].entities, polls[0].entities);
+
+    // A window holds its polls back to back, in poll order.
+    let windows = panel_batches("every <20 min>", None, 25);
+    assert_eq!(windows.len(), 1);
+    assert_eq!(
+        windows[0].entities,
+        ["p-1", "p-3", "p-2", "p-4", "p-1", "p-3", "p-2", "p-4"]
+    );
+    assert_eq!(
+        windows[0].readings,
+        [polls[0].readings.clone(), polls[1].readings.clone()].concat()
+    );
+}
+
+#[test]
+fn window_batch_equals_the_concatenation_of_its_polls_under_drops_and_duplicates() {
+    for seed in [3, 17, 4242] {
+        // Two one-hour windows of six polls each.
+        let polls = panel_batches("", Some(seed), 125);
+        let windows = panel_batches("every <1 hr>", Some(seed), 125);
+        assert_eq!(polls.len(), 12, "seed {seed}");
+        assert_eq!(windows.len(), 2, "seed {seed}");
+        let clean = 12 * 4;
+        let delivered: usize = polls.iter().map(|p| p.readings.len()).sum();
+        assert_ne!(delivered, clean, "seed {seed}: the plan injected faults");
+
+        for (w, window) in windows.iter().enumerate() {
+            let its_polls = &polls[w * 6..(w + 1) * 6];
+            let mut expected = SeenBatch {
+                entities: Vec::new(),
+                readings: Vec::new(),
+                grouped: Vec::new(),
+            };
+            let mut groups: std::collections::BTreeMap<Value, Vec<Value>> = Default::default();
+            for poll in its_polls {
+                expected.entities.extend(poll.entities.iter().cloned());
+                expected.readings.extend(poll.readings.iter().cloned());
+                for (key, values) in &poll.grouped {
+                    groups
+                        .entry(key.clone())
+                        .or_default()
+                        .extend(values.iter().cloned());
+                }
+            }
+            expected.grouped = groups.into_iter().collect();
+            assert_eq!(window, &expected, "seed {seed}, window {w}");
+        }
+    }
+}
