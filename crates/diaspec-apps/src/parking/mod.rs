@@ -481,6 +481,52 @@ pub fn build(config: ParkingAppConfig) -> Result<ParkingApp, RuntimeError> {
 /// same grid so both runs step the city at identical sim times.
 pub const ENVIRONMENT_FIRST_STEP_MS: u64 = 61_000;
 
+/// The orchestration-level summary of a parking run, built only from
+/// coordinator-side observations: published contexts, the messenger's
+/// local actuation log, engine metrics and surfaced errors (drained).
+/// Every way of running the deployment — in one process, over TCP, under
+/// chaos — must render these bytes identically (`deploy_smoke.sh`, E21).
+pub fn render_summary(orch: &mut Orchestrator, messenger: &ActuationLog) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let availability: Option<Vec<Availability>> = orch
+        .last_value("ParkingAvailability")
+        .and_then(ValueCodec::from_value);
+    match availability {
+        Some(list) => {
+            let cells: Vec<String> = list
+                .iter()
+                .map(|a| format!("{}={}", a.parking_lot.name(), a.count))
+                .collect();
+            let _ = writeln!(out, "availability: {}", cells.join(" "));
+        }
+        None => out.push_str("availability: none\n"),
+    }
+    let suggestions: Option<Vec<ParkingLotEnum>> = orch
+        .last_value("ParkingSuggestion")
+        .and_then(ValueCodec::from_value);
+    match suggestions {
+        Some(lots) => {
+            let names: Vec<&str> = lots.iter().map(|l| l.name()).collect();
+            let _ = writeln!(out, "suggestions: {}", names.join(", "));
+        }
+        None => out.push_str("suggestions: none\n"),
+    }
+    let _ = writeln!(out, "digests: {}", messenger.count("sendMessage"));
+    let m = orch.metrics();
+    let _ = writeln!(
+        out,
+        "metrics: periodic={} polled={} mapreduce={} publications={} actuations={}",
+        m.periodic_deliveries,
+        m.readings_polled,
+        m.map_reduce_executions,
+        m.publications,
+        m.actuations
+    );
+    let _ = writeln!(out, "errors: {}", orch.drain_errors().len());
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,9 +18,9 @@
 //! zero-fault `ChaosTransport` (the middleware must be transparent),
 //! and over the faulty one. All three summaries must agree.
 
-use diaspec_apps::parking::generated::{Availability, ParkingLotEnum};
+use diaspec_apps::parking::generated::ParkingLotEnum;
 use diaspec_apps::parking::{
-    register_components, ParkingAppConfig, ENVIRONMENT_FIRST_STEP_MS, SPEC,
+    register_components, render_summary, ParkingAppConfig, ENVIRONMENT_FIRST_STEP_MS, SPEC,
 };
 use diaspec_devices::common::{ActuationLog, RecordingActuator};
 use diaspec_devices::parking::{ParkingCityModel, ParkingConfig, PresenceSensorDriver, UsageCurve};
@@ -31,7 +31,7 @@ use diaspec_runtime::entity::AttributeMap;
 use diaspec_runtime::transport::{
     ChaosConfig, ChaosStats, ChaosTransport, Direction, SimTransport, TransportConfig,
 };
-use diaspec_runtime::value::{Value, ValueCodec};
+use diaspec_runtime::value::Value;
 use diaspec_runtime::{Orchestrator, RetryConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
@@ -285,50 +285,6 @@ fn run_once(config: &ChaosSoakConfig, mode: &LinkMode) -> SoakOutcome {
         chaos: chaos_stats.map(|h| h.get()).unwrap_or_default(),
         duplicates_absorbed,
     }
-}
-
-/// The orchestration-level summary all link modes must agree on —
-/// published contexts, coordinator-local actuations, engine metrics,
-/// surfaced errors.
-fn render_summary(orch: &mut Orchestrator, messenger: &ActuationLog) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let availability: Option<Vec<Availability>> = orch
-        .last_value("ParkingAvailability")
-        .and_then(ValueCodec::from_value);
-    match availability {
-        Some(list) => {
-            let cells: Vec<String> = list
-                .iter()
-                .map(|a| format!("{}={}", a.parking_lot.name(), a.count))
-                .collect();
-            let _ = writeln!(out, "availability: {}", cells.join(" "));
-        }
-        None => out.push_str("availability: none\n"),
-    }
-    let suggestions: Option<Vec<ParkingLotEnum>> = orch
-        .last_value("ParkingSuggestion")
-        .and_then(ValueCodec::from_value);
-    match suggestions {
-        Some(lots) => {
-            let names: Vec<&str> = lots.iter().map(|l| l.name()).collect();
-            let _ = writeln!(out, "suggestions: {}", names.join(", "));
-        }
-        None => out.push_str("suggestions: none\n"),
-    }
-    let _ = writeln!(out, "digests: {}", messenger.count("sendMessage"));
-    let m = orch.metrics();
-    let _ = writeln!(
-        out,
-        "metrics: periodic={} polled={} mapreduce={} publications={} actuations={}",
-        m.periodic_deliveries,
-        m.readings_polled,
-        m.map_reduce_executions,
-        m.publications,
-        m.actuations
-    );
-    let _ = writeln!(out, "errors: {}", orch.drain_errors().len());
-    out
 }
 
 /// Runs one soak scenario: bare link, zero-fault chaos, faulty chaos —

@@ -160,7 +160,9 @@ impl<C> Job<C> {
     /// Panics if the plan holds a probability outside `[0, 1]`.
     #[must_use]
     pub fn fault_plan(mut self, plan: TaskFaultPlan) -> Self {
-        plan.validate();
+        if let Err(message) = plan.validate() {
+            panic!("{message}");
+        }
         self.faults = Some(plan);
         self
     }

@@ -11,10 +11,15 @@
 //!   [`TaskFault::Delay`]), either *targeted* at an exact task for its
 //!   first N attempts or sampled probabilistically;
 //! - determinism by construction: the fate of an attempt is a **pure
-//!   function** of `(seed, phase, task, attempt)` — a split-mix hash, not
-//!   a shared RNG — so the injected fault sequence is byte-identical no
+//!   function** of `(seed, phase, task, attempt)` — [`fate`], not a
+//!   shared RNG — so the injected fault sequence is byte-identical no
 //!   matter how worker threads interleave, and identical between the
-//!   serial and parallel executors at the same task granularity.
+//!   serial and parallel executors at the same task granularity;
+//! - [`fate`] / [`fate_bits`] themselves: the one seeded sampler every
+//!   fault plane of the workspace draws from (the runtime's message
+//!   injector and chaos transport key the same function on their own
+//!   coordinates), with [`check_probabilities`] as the one `[0, 1]`
+//!   validator beside it.
 //!
 //! The recovery half (bounded retries, speculation, coverage accounting)
 //! lives in the executor; see [`Job`](crate::Job).
@@ -186,20 +191,15 @@ impl TaskFaultPlan {
 
     /// Validates all probabilities.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any probability is outside `[0, 1]`.
-    pub fn validate(&self) {
-        for (name, p) in [
-            ("panic", self.panic_probability),
-            ("lost", self.lost_probability),
-            ("delay", self.delay_probability),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "{name} probability {p} outside [0, 1]"
-            );
-        }
+    /// The message of [`check_probabilities`], naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        check_probabilities(&[
+            ("task panic", self.panic_probability),
+            ("task lost", self.lost_probability),
+            ("task delay", self.delay_probability),
+        ])
     }
 
     /// The fate of one attempt — a pure function of
@@ -212,34 +212,70 @@ impl TaskFaultPlan {
                 return Some(t.fault);
             }
         }
-        let base = self
-            .seed
-            .wrapping_add(match phase {
-                TaskPhase::Map => 0x4d41_5054,
-                TaskPhase::Reduce => 0x5245_4455,
-            })
-            .wrapping_add((task as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        if self.panic_probability > 0.0 && unit(base, 1) < self.panic_probability {
+        let plane = match phase {
+            TaskPhase::Map => 0x4d41_5054,
+            TaskPhase::Reduce => 0x5245_4455,
+        };
+        let draw = |stream| fate(self.seed, plane, task as u64, attempt, stream);
+        if self.panic_probability > 0.0 && draw(1) < self.panic_probability {
             return Some(TaskFault::Panic);
         }
-        if self.lost_probability > 0.0 && unit(base, 2) < self.lost_probability {
+        if self.lost_probability > 0.0 && draw(2) < self.lost_probability {
             return Some(TaskFault::WorkerLost);
         }
-        if self.delay_probability > 0.0 && unit(base, 3) < self.delay_probability {
+        if self.delay_probability > 0.0 && draw(3) < self.delay_probability {
             return Some(TaskFault::Delay { ms: self.delay_ms });
         }
         None
     }
 }
 
-/// SplitMix64 finalizer: a well-mixed `[0, 1)` draw from `(state, stream)`.
-fn unit(state: u64, stream: u64) -> f64 {
-    let mut z = state.wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+/// The one fault sampler of the workspace, as 64 raw bits: the SplitMix64
+/// finalizer over a weighted sum of named coordinates. Every seeded fault
+/// decision — a MapReduce task attempt, an engine message, a chaos
+/// envelope — is this function of `seed` and where the decision sits:
+///
+/// - `plane` tells fault domains apart (a phase tag, a peer hash);
+/// - `index` is the item within the plane (task, sequence number);
+/// - `attempt` is the retry ordinal, so a resend samples afresh;
+/// - `stream` separates the independent draws one item needs.
+///
+/// `index` and `stream` enter the sum with the same weight — that is what
+/// makes `fate_bits(seed, 0, 0, 0, k)` the `k`-th output of a SplitMix64
+/// generator seeded with `seed` — so a plane with dense indices must
+/// space its streams further apart than its indices reach.
+#[must_use]
+pub fn fate_bits(seed: u64, plane: u64, index: u64, attempt: u32, stream: u64) -> u64 {
+    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+    const MIX: u64 = 0xBF58_476D_1CE4_E5B9;
+    let mut z = seed
+        .wrapping_add(plane)
+        .wrapping_add(index.wrapping_mul(GOLDEN))
+        .wrapping_add(u64::from(attempt).wrapping_mul(MIX))
+        .wrapping_add(stream.wrapping_mul(GOLDEN));
+    z = (z ^ (z >> 30)).wrapping_mul(MIX);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    z ^ (z >> 31)
+}
+
+/// [`fate_bits`] as a uniform draw in `[0, 1)` (53 mantissa bits), to be
+/// compared against a fault probability.
+#[must_use]
+pub fn fate(seed: u64, plane: u64, index: u64, attempt: u32, stream: u64) -> f64 {
+    (fate_bits(seed, plane, index, attempt, stream) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Checks that every named probability lies in `[0, 1]` (NaN does not).
+///
+/// # Errors
+///
+/// `"<name> probability <p> outside [0, 1]"` for the first field that
+/// does not.
+pub fn check_probabilities(fields: &[(&str, f64)]) -> Result<(), String> {
+    match fields.iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
+        Some((name, p)) => Err(format!("{name} probability {p} outside [0, 1]")),
+        None => Ok(()),
+    }
 }
 
 /// Why a task permanently failed.
@@ -464,10 +500,53 @@ mod tests {
         assert_eq!(plan.fate(TaskPhase::Reduce, 2, 1), None);
     }
 
+    /// Literal vectors, computed outside this code base: the first is the
+    /// published first output of SplitMix64 seeded with 0. Every golden
+    /// that involves a fault rests on these bits.
+    #[test]
+    fn fate_bits_match_literal_vectors() {
+        let m = u64::MAX;
+        for ((seed, plane, index, attempt, stream), bits) in [
+            ((0, 0, 0, 0, 1), 0xE220_A839_7B1D_CDAF_u64),
+            ((42, 0, 0, 0, 1), 0xBDD7_3226_2FEB_6E95),
+            ((42, 0, 0, 0, 2), 0x28EF_E333_B266_F103),
+            ((9, 0x4d41_5054, 3, 1, 1), 0xE072_3FB1_E928_2D8E),
+            ((9, 0x5245_4455, 3, 2, 3), 0xEFFD_1376_6679_9DBA),
+            (
+                (7, 0xCBF2_9CE4_8422_2325, 12, 2, 5 << 32),
+                0xEF29_1FF9_8DB1_145A,
+            ),
+            ((m, m, m, u32::MAX, m), 0x4DF6_CEFD_1E3B_201B),
+        ] {
+            assert_eq!(fate_bits(seed, plane, index, attempt, stream), bits);
+            assert_eq!(
+                fate(seed, plane, index, attempt, stream),
+                (bits >> 11) as f64 / (1u64 << 53) as f64
+            );
+        }
+        assert_eq!(
+            fate(42, 0, 0, 0, 2).to_bits(),
+            0.159_910_392_876_920_1_f64.to_bits()
+        );
+    }
+
+    #[test]
+    fn probability_check_names_the_first_offender() {
+        assert_eq!(check_probabilities(&[("a", 0.0), ("b", 1.0)]), Ok(()));
+        assert_eq!(
+            check_probabilities(&[("a", 0.5), ("b", -0.1), ("c", 2.0)]),
+            Err("b probability -0.1 outside [0, 1]".to_owned())
+        );
+        assert!(check_probabilities(&[("a", f64::NAN)]).is_err());
+    }
+
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn invalid_probability_rejected() {
-        TaskFaultPlan::seeded(0).panic_tasks(1.5).validate();
+        TaskFaultPlan::seeded(0)
+            .panic_tasks(1.5)
+            .validate()
+            .unwrap();
     }
 
     #[test]

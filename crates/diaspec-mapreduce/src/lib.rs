@@ -66,7 +66,8 @@ mod stats;
 pub use collector::{MapCollector, ReduceCollector};
 pub use executor::{Executor, Job, MapReduceResult, MappedResult};
 pub use fault::{
-    JobError, SpeculationConfig, TaskError, TaskFailure, TaskFault, TaskFaultPlan, TaskPhase,
+    check_probabilities, fate, fate_bits, JobError, SpeculationConfig, TaskError, TaskFailure,
+    TaskFault, TaskFaultPlan, TaskPhase,
 };
 pub use stats::{CoverageReport, ExecutionStats};
 

@@ -321,22 +321,20 @@ impl Orchestrator {
 
     /// Enables seeded fault injection for this run. Must be called before
     /// [`Orchestrator::launch`] so the plan's scheduled faults (crashes,
-    /// restarts, partition windows) are installed in the event queue.
+    /// restarts) are installed in the event queue.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Configuration`] if already launched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a plan probability is outside `[0, 1]`.
+    /// [`RuntimeError::Configuration`] if already launched, or if a
+    /// probability of the plan (message faults or the embedded task
+    /// plan) is outside `[0, 1]` — the message names the field.
     pub fn enable_faults(&mut self, plan: FaultPlan) -> Result<(), RuntimeError> {
         if self.phase == Phase::Launched {
             return Err(RuntimeError::Configuration(
                 "enable_faults must be called before launch".to_owned(),
             ));
         }
-        self.faults = Some(FaultInjector::new(plan));
+        self.faults = Some(FaultInjector::try_new(plan).map_err(RuntimeError::Configuration)?);
         Ok(())
     }
 

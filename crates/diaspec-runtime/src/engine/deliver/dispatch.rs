@@ -140,7 +140,7 @@ impl Orchestrator {
         }
     }
 
-    /// Applies a scheduled fault (crash, restart, partition transition).
+    /// Applies a scheduled fault (crash, restart).
     fn dispatch_fault(&mut self, idx: usize) {
         let Some(kind) = self
             .faults
@@ -150,43 +150,15 @@ impl Orchestrator {
         else {
             return;
         };
-        let applied = match &kind {
-            FaultKind::DeviceCrash { entity } => {
-                let ok = self.registry.set_crashed(entity, true).is_ok();
-                if ok {
-                    self.faults
-                        .as_mut()
-                        .expect("fault injector enabled")
-                        .count_injection();
-                }
-                ok
-            }
-            FaultKind::DeviceRestart { entity } => {
-                let ok = self.registry.set_crashed(entity, false).is_ok();
-                if ok {
-                    self.faults
-                        .as_mut()
-                        .expect("fault injector enabled")
-                        .count_injection();
-                }
-                ok
-            }
-            FaultKind::PartitionStart => {
-                self.faults
-                    .as_mut()
-                    .expect("fault injector enabled")
-                    .set_partitioned(true);
-                true
-            }
-            FaultKind::PartitionEnd => {
-                self.faults
-                    .as_mut()
-                    .expect("fault injector enabled")
-                    .set_partitioned(false);
-                true
-            }
+        let (entity, crashed) = match &kind {
+            FaultKind::DeviceCrash { entity } => (entity, true),
+            FaultKind::DeviceRestart { entity } => (entity, false),
         };
-        if applied {
+        if self.registry.set_crashed(entity, crashed).is_ok() {
+            self.faults
+                .as_mut()
+                .expect("fault injector enabled")
+                .count_injection();
             self.metrics.faults_injected += 1;
             let at = self.queue.now();
             self.record_trace(

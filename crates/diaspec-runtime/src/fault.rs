@@ -8,12 +8,14 @@
 //! failure story:
 //!
 //! - [`FaultPlan`] / [`FaultInjector`] — a *deterministic, clock-driven*
-//!   fault injector. Scheduled faults (device crash/restart, link
-//!   partition windows) fire at exact simulation times; per-message
-//!   faults (drop, duplication, extra delay) are sampled from a seeded
-//!   RNG that is independent of the transport's, so adding faults never
-//!   perturbs the healthy-path event sequence of a run with the same
-//!   seed.
+//!   fault injector. Scheduled faults (device crash/restart) fire at
+//!   exact simulation times; per-message faults (drop, duplication,
+//!   extra delay) are [`fate`] draws keyed on the plan's seed and the
+//!   draw's ordinal in the engine's serial send order — independent of
+//!   the transport's generator, so adding faults never perturbs the
+//!   healthy-path event sequence of a run with the same seed. (Link
+//!   partitions are a property of the wire: see
+//!   [`ChaosConfig::window`](crate::transport::ChaosConfig::window).)
 //! - [`RecoveryConfig`] / [`RetryConfig`] — the recovery machinery the
 //!   engine executes against those faults: lease-based bindings with
 //!   expiry and automatic standby promotion (see
@@ -27,10 +29,10 @@
 
 use crate::clock::SimTime;
 use crate::entity::EntityId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-pub use diaspec_mapreduce::{SpeculationConfig, TaskFault, TaskFaultPlan, TaskPhase};
+pub use diaspec_mapreduce::{
+    check_probabilities, fate, fate_bits, SpeculationConfig, TaskFault, TaskFaultPlan, TaskPhase,
+};
 
 // ---- faults ----------------------------------------------------------------
 
@@ -49,11 +51,6 @@ pub enum FaultKind {
         /// The restarting entity.
         entity: EntityId,
     },
-    /// The link partitions: every message is dropped until the matching
-    /// [`FaultKind::PartitionEnd`].
-    PartitionStart,
-    /// The link heals.
-    PartitionEnd,
 }
 
 impl std::fmt::Display for FaultKind {
@@ -61,8 +58,6 @@ impl std::fmt::Display for FaultKind {
         match self {
             FaultKind::DeviceCrash { entity } => write!(f, "crash {entity}"),
             FaultKind::DeviceRestart { entity } => write!(f, "restart {entity}"),
-            FaultKind::PartitionStart => write!(f, "partition start"),
-            FaultKind::PartitionEnd => write!(f, "partition end"),
         }
     }
 }
@@ -81,7 +76,8 @@ pub struct ScheduledFault {
 /// plans inject byte-identical fault sequences.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Seed of the injector's RNG (independent of the transport seed).
+    /// Seed of the injector's [`fate`] draws (independent of the
+    /// transport seed).
     pub seed: u64,
     /// Probability in `[0, 1]` that a message is dropped by a fault
     /// (on top of the transport's own loss model).
@@ -93,17 +89,6 @@ pub struct FaultPlan {
     pub delay_probability: f64,
     /// Extra delay applied to delayed messages.
     pub delay_ms: SimTime,
-    /// Probability in `[0, 1]` that a message is held back and arrives
-    /// after the next one (out-of-order delivery). Consumed only by the
-    /// chaos transport middleware
-    /// ([`ChaosTransport`](crate::transport::ChaosTransport)); the
-    /// engine-side [`FaultInjector`] never samples it, so enabling it
-    /// leaves in-process fault streams untouched.
-    pub reorder_probability: f64,
-    /// Probability in `[0, 1]` that a message's encoded frame has one
-    /// byte flipped in flight. Chaos-transport only, like
-    /// [`FaultPlan::reorder_probability`].
-    pub corrupt_probability: f64,
     /// Clock-driven faults, fired by the engine at their exact times.
     pub scheduled: Vec<ScheduledFault>,
     /// Task-level faults injected into the MapReduce processing activity
@@ -122,8 +107,6 @@ impl Default for FaultPlan {
             duplicate_probability: 0.0,
             delay_probability: 0.0,
             delay_ms: 0,
-            reorder_probability: 0.0,
-            corrupt_probability: 0.0,
             scheduled: Vec::new(),
             tasks: None,
         }
@@ -162,21 +145,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the per-message reorder probability (chaos transport only).
-    #[must_use]
-    pub fn reorder_messages(mut self, probability: f64) -> Self {
-        self.reorder_probability = probability;
-        self
-    }
-
-    /// Sets the per-message frame-corruption probability (chaos
-    /// transport only).
-    #[must_use]
-    pub fn corrupt_frames(mut self, probability: f64) -> Self {
-        self.corrupt_probability = probability;
-        self
-    }
-
     /// Crashes `entity` at `at_ms`.
     #[must_use]
     pub fn crash_at(mut self, at_ms: SimTime, entity: impl Into<EntityId>) -> Self {
@@ -208,21 +176,6 @@ impl FaultPlan {
         self.tasks = Some(tasks);
         self
     }
-
-    /// Partitions the link over `[from_ms, until_ms)`.
-    #[must_use]
-    pub fn partition(mut self, from_ms: SimTime, until_ms: SimTime) -> Self {
-        assert!(from_ms < until_ms, "empty partition window");
-        self.scheduled.push(ScheduledFault {
-            at_ms: from_ms,
-            kind: FaultKind::PartitionStart,
-        });
-        self.scheduled.push(ScheduledFault {
-            at_ms: until_ms,
-            kind: FaultKind::PartitionEnd,
-        });
-        self
-    }
 }
 
 /// The fate of one message after fault sampling.
@@ -235,17 +188,19 @@ pub enum MessageFate {
         /// Whether a duplicate copy also arrives.
         duplicated: bool,
     },
-    /// Dropped by an injected fault (or a partition window).
+    /// Dropped by an injected fault.
     Drop,
 }
 
-/// The seeded fault sampler consulted by the engine on every send, plus
-/// the partition state toggled by scheduled faults.
+/// The seeded fault sampler consulted by the engine on every send.
+///
+/// Its coordinate is the draw ordinal: the `k`-th draw of a run is
+/// `fate(seed, 0, 0, 0, k)`, and the engine's delivery path is serial, so
+/// `k` is as stable a name for a decision as a message id would be.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    rng: StdRng,
-    partitioned: bool,
+    draws: u64,
     injected: u64,
 }
 
@@ -254,31 +209,29 @@ impl FaultInjector {
     ///
     /// # Panics
     ///
-    /// Panics if any probability is outside `[0, 1]`.
+    /// Panics if a probability of the plan — message faults or embedded
+    /// task plan — is outside `[0, 1]` ([`check_probabilities`]).
     #[must_use]
     pub fn new(plan: FaultPlan) -> Self {
-        for (name, p) in [
-            ("drop", plan.drop_probability),
-            ("duplicate", plan.duplicate_probability),
-            ("delay", plan.delay_probability),
-            ("reorder", plan.reorder_probability),
-            ("corrupt", plan.corrupt_probability),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "{name} probability {p} outside [0, 1]"
-            );
-        }
+        Self::try_new(plan).unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// [`FaultInjector::new`], with the [`check_probabilities`] message
+    /// (naming the offending field) in place of the panic.
+    pub(crate) fn try_new(plan: FaultPlan) -> Result<Self, String> {
+        check_probabilities(&[
+            ("message drop", plan.drop_probability),
+            ("message duplicate", plan.duplicate_probability),
+            ("message delay", plan.delay_probability),
+        ])?;
         if let Some(tasks) = &plan.tasks {
-            tasks.validate();
+            tasks.validate()?;
         }
-        let rng = StdRng::seed_from_u64(plan.seed);
-        FaultInjector {
+        Ok(FaultInjector {
             plan,
-            rng,
-            partitioned: false,
+            draws: 0,
             injected: 0,
-        }
+        })
     }
 
     /// The scheduled faults of the plan (in declaration order; the engine
@@ -294,19 +247,6 @@ impl FaultInjector {
         self.plan.tasks.as_ref()
     }
 
-    /// Whether the link is currently partitioned.
-    #[must_use]
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
-    }
-
-    /// Applies a partition start/end (called by the engine when the
-    /// scheduled fault fires).
-    pub fn set_partitioned(&mut self, partitioned: bool) {
-        self.partitioned = partitioned;
-        self.injected += 1;
-    }
-
     /// Counts one injected fault (crash/restart applied by the engine).
     pub fn count_injection(&mut self) {
         self.injected += 1;
@@ -319,27 +259,31 @@ impl FaultInjector {
         self.injected
     }
 
-    /// Samples the fate of one message. Deterministic per seed and call
-    /// sequence.
+    /// One draw against `probability`: the next ordinal of the plan's
+    /// [`fate`] sequence, consumed only when the fault class is enabled.
+    fn draw(&mut self, probability: f64) -> bool {
+        if probability <= 0.0 {
+            return false;
+        }
+        self.draws += 1;
+        fate(self.plan.seed, 0, 0, 0, self.draws) < probability
+    }
+
+    /// Samples the fate of one message: one draw per enabled fault class
+    /// (drop, then delay, then duplicate). Deterministic per seed and
+    /// call sequence.
     pub fn message_fate(&mut self) -> MessageFate {
-        if self.partitioned {
+        if self.draw(self.plan.drop_probability) {
             self.injected += 1;
             return MessageFate::Drop;
         }
-        if self.plan.drop_probability > 0.0 && self.rng.gen::<f64>() < self.plan.drop_probability {
-            self.injected += 1;
-            return MessageFate::Drop;
-        }
-        let extra_delay_ms = if self.plan.delay_probability > 0.0
-            && self.rng.gen::<f64>() < self.plan.delay_probability
-        {
+        let extra_delay_ms = if self.draw(self.plan.delay_probability) {
             self.injected += 1;
             self.plan.delay_ms
         } else {
             0
         };
-        let duplicated = self.plan.duplicate_probability > 0.0
-            && self.rng.gen::<f64>() < self.plan.duplicate_probability;
+        let duplicated = self.draw(self.plan.duplicate_probability);
         if duplicated {
             self.injected += 1;
         }
@@ -481,17 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_drops_everything_until_healed() {
-        let mut inj = FaultInjector::new(FaultPlan::default());
-        inj.set_partitioned(true);
-        for _ in 0..10 {
-            assert_eq!(inj.message_fate(), MessageFate::Drop);
-        }
-        inj.set_partitioned(false);
-        assert!(matches!(inj.message_fate(), MessageFate::Deliver { .. }));
-    }
-
-    #[test]
     fn drop_rate_roughly_matches_probability() {
         let mut inj = FaultInjector::new(FaultPlan::seeded(7).drop_messages(0.25));
         let drops = (0..10_000)
@@ -505,17 +438,16 @@ mod tests {
     fn plan_builder_schedules_faults_in_order() {
         let plan = FaultPlan::seeded(1)
             .crash_at(5_000, "altimeter-NOSE")
-            .restart_at(20_000, "altimeter-NOSE")
-            .partition(30_000, 40_000);
-        assert_eq!(plan.scheduled.len(), 4);
+            .restart_at(20_000, "altimeter-NOSE");
+        assert_eq!(plan.scheduled.len(), 2);
         assert_eq!(
             plan.scheduled[0].kind,
             FaultKind::DeviceCrash {
                 entity: "altimeter-NOSE".into()
             }
         );
-        assert_eq!(plan.scheduled[2].at_ms, 30_000);
-        assert_eq!(plan.scheduled[3].kind, FaultKind::PartitionEnd);
+        assert_eq!(plan.scheduled[1].at_ms, 20_000);
+        assert_eq!(plan.scheduled[1].kind.to_string(), "restart altimeter-NOSE");
         assert_eq!(plan.scheduled[0].kind.to_string(), "crash altimeter-NOSE");
     }
 

@@ -13,13 +13,15 @@
 //!
 //! # Determinism contract
 //!
-//! Every fate is a pure hash of `seed · peer · seq · attempt` (the same
-//! scheme the MapReduce task-fault plan uses): no RNG stream, no global
-//! state, no dependence on wall-clock time or thread interleaving. Two
-//! runs with the same seed and the same request sequence inject exactly
-//! the same faults; a resend of the same sequence number is a new
-//! `attempt` and samples a fresh fate, so retries can succeed and a
-//! seeded run recovers identically every time. Partition windows are
+//! Every fate is a [`fate`] draw — the one sampler the MapReduce
+//! task-fault plan and the engine's message injector also draw from —
+//! keyed on `(peer hash, seq, attempt)` with the fault class
+//! as its stream: no RNG, no global state, no dependence on wall-clock
+//! time or thread interleaving. Two runs with the same seed and the same
+//! request sequence inject exactly the same faults; a resend of the same
+//! sequence number is a new `attempt` and samples a fresh fate, so
+//! retries can succeed and a seeded run recovers identically every time
+//! (docs/FAULTS.md "Determinism"). Partition windows are
 //! keyed on the **link clock** — the high-water mark of every sim-time
 //! stamp (`Envelope::now`) that has entered the transport — so they
 //! hold for the same simulated interval regardless of how often the
@@ -59,7 +61,7 @@
 use super::wire::{Envelope, TransportError};
 use super::TransportStats;
 use crate::clock::SimTime;
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::{check_probabilities, fate, fate_bits};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -94,7 +96,7 @@ pub struct ChaosConfig {
     /// Seed of the fate hash (share it across links for one scenario).
     pub seed: u64,
     /// Probability in `[0, 1]` that a message is dropped (split evenly
-    /// between request-loss and reply-loss by a further hash bit).
+    /// between request-loss and reply-loss by a further draw).
     pub drop_probability: f64,
     /// Probability in `[0, 1]` that a request is delivered twice.
     pub duplicate_probability: f64,
@@ -130,41 +132,6 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Derives a chaos scenario from an existing [`FaultPlan`]: the
-    /// plan's seed and message-fault probabilities carry over directly,
-    /// and each scheduled `PartitionStart`/`PartitionEnd` pair becomes a
-    /// bidirectional partition window.
-    #[must_use]
-    pub fn from_plan(plan: &FaultPlan) -> Self {
-        let mut windows = Vec::new();
-        let mut open: Option<SimTime> = None;
-        for fault in &plan.scheduled {
-            match fault.kind {
-                FaultKind::PartitionStart => open = Some(fault.at_ms),
-                FaultKind::PartitionEnd => {
-                    if let Some(from_ms) = open.take() {
-                        windows.push(PartitionWindow {
-                            from_ms,
-                            until_ms: fault.at_ms,
-                            direction: Direction::Both,
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-        ChaosConfig {
-            seed: plan.seed,
-            drop_probability: plan.drop_probability,
-            duplicate_probability: plan.duplicate_probability,
-            delay_probability: plan.delay_probability,
-            delay_ms: plan.delay_ms,
-            reorder_probability: plan.reorder_probability,
-            corrupt_probability: plan.corrupt_probability,
-            windows,
-        }
-    }
-
     /// Adds a directional partition window over `[from_ms, until_ms)`.
     ///
     /// # Panics
@@ -279,17 +246,14 @@ impl ChaosTransport {
     /// Panics if any probability is outside `[0, 1]`.
     #[must_use]
     pub fn new(inner: impl super::Transport + 'static, config: ChaosConfig) -> Self {
-        for (name, p) in [
-            ("drop", config.drop_probability),
-            ("duplicate", config.duplicate_probability),
-            ("delay", config.delay_probability),
-            ("reorder", config.reorder_probability),
-            ("corrupt", config.corrupt_probability),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "{name} probability {p} outside [0, 1]"
-            );
+        if let Err(message) = check_probabilities(&[
+            ("chaos drop", config.drop_probability),
+            ("chaos duplicate", config.duplicate_probability),
+            ("chaos delay", config.delay_probability),
+            ("chaos reorder", config.reorder_probability),
+            ("chaos corrupt", config.corrupt_probability),
+        ]) {
+            panic!("{message}");
         }
         let peer_hash = fnv1a(inner.peer());
         ChaosTransport {
@@ -310,20 +274,10 @@ impl ChaosTransport {
         ChaosStatsHandle(Arc::clone(&self.stats))
     }
 
-    /// The fate hash for one (seq, attempt, salt) triple, mapped to
-    /// `[0, 1)`. Pure: seed, peer, seq, attempt, salt and nothing else.
-    fn chance(&self, seq: u64, attempt: u32, salt: u64) -> f64 {
-        let h = self.hash(seq, attempt, salt);
-        #[allow(clippy::cast_precision_loss)]
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        unit
-    }
-
-    fn hash(&self, seq: u64, attempt: u32, salt: u64) -> u64 {
-        mix64(
-            self.config.seed
-                ^ mix64(self.peer_hash ^ mix64(seq ^ mix64(u64::from(attempt).wrapping_add(salt)))),
-        )
+    /// The `[0, 1)` draw of one fault class for one send of `seq`. Pure:
+    /// seed, peer, seq, attempt, class and nothing else.
+    fn chance(&self, seq: u64, attempt: u32, class: u64) -> f64 {
+        fate(self.config.seed, self.peer_hash, seq, attempt, class)
     }
 
     /// Bumps and returns the attempt counter for `seq` (1-based).
@@ -409,7 +363,13 @@ impl ChaosTransport {
         let Ok(mut frame) = envelope.encode_frame() else {
             return TransportError::Dropped;
         };
-        let h = self.hash(envelope.seq, attempt, SALT_BYTE);
+        let h = fate_bits(
+            self.config.seed,
+            self.peer_hash,
+            envelope.seq,
+            attempt,
+            CLASS_BYTE,
+        );
         let index = usize::try_from(h % frame.len() as u64).expect("index < frame length");
         frame[index] ^= 1u8 << ((h >> 32) & 7);
         match Envelope::decode_frame(&frame) {
@@ -423,23 +383,17 @@ impl ChaosTransport {
     }
 }
 
-const SALT_DROP: u64 = 0x9E37_79B9_7F4A_7C15;
-const SALT_DIRECTION: u64 = 0xC2B2_AE3D_27D4_EB4F;
-const SALT_DUP: u64 = 0x1656_67B1_9E37_79F9;
-const SALT_DELAY: u64 = 0x2545_F491_4F6C_DD1D;
-const SALT_REORDER: u64 = 0x9E6D_4626_4DC2_5A59;
-const SALT_CORRUPT: u64 = 0x853C_49E6_748F_EA9B;
-const SALT_BYTE: u64 = 0xDA3E_39CB_94B9_5BDB;
-
-/// The 64-bit finalizer of MurmurHash3 — a cheap, well-mixed bijection.
-fn mix64(mut h: u64) -> u64 {
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    h ^= h >> 33;
-    h
-}
+/// The fault classes, as `fate` streams. `fate` weighs `index` (here the
+/// sequence number) and `stream` alike, so the classes sit 2^32 apart:
+/// no two (seq, class) pairs of one link share a draw before a session
+/// has sent four billion envelopes.
+const CLASS_CORRUPT: u64 = 1 << 32;
+const CLASS_DROP: u64 = 2 << 32;
+const CLASS_DIRECTION: u64 = 3 << 32;
+const CLASS_REORDER: u64 = 4 << 32;
+const CLASS_DELAY: u64 = 5 << 32;
+const CLASS_DUP: u64 = 6 << 32;
+const CLASS_BYTE: u64 = 7 << 32;
 
 fn fnv1a(s: &str) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -474,13 +428,13 @@ impl super::Transport for ChaosTransport {
             return Err(TransportError::Dropped);
         }
 
-        if self.chance(envelope.seq, attempt, SALT_CORRUPT) < self.config.corrupt_probability {
+        if self.chance(envelope.seq, attempt, CLASS_CORRUPT) < self.config.corrupt_probability {
             self.count(|s| s.corruptions += 1);
             return Err(self.corrupt_outcome(envelope, attempt));
         }
 
-        if self.chance(envelope.seq, attempt, SALT_DROP) < self.config.drop_probability {
-            if self.chance(envelope.seq, attempt, SALT_DIRECTION) < 0.5 {
+        if self.chance(envelope.seq, attempt, CLASS_DROP) < self.config.drop_probability {
+            if self.chance(envelope.seq, attempt, CLASS_DIRECTION) < 0.5 {
                 self.count(|s| s.drops_to_peer += 1);
             } else {
                 let _ = self.inner.exchange(envelope);
@@ -489,19 +443,19 @@ impl super::Transport for ChaosTransport {
             return Err(TransportError::Dropped);
         }
 
-        if self.chance(envelope.seq, attempt, SALT_REORDER) < self.config.reorder_probability {
+        if self.chance(envelope.seq, attempt, CLASS_REORDER) < self.config.reorder_probability {
             self.hold(envelope, None);
             self.count(|s| s.reorders += 1);
             return Err(TransportError::Dropped);
         }
 
-        if self.chance(envelope.seq, attempt, SALT_DELAY) < self.config.delay_probability {
+        if self.chance(envelope.seq, attempt, CLASS_DELAY) < self.config.delay_probability {
             self.hold(envelope, Some(envelope.now + self.config.delay_ms));
             self.count(|s| s.delays += 1);
             return Err(TransportError::Dropped);
         }
 
-        if self.chance(envelope.seq, attempt, SALT_DUP) < self.config.duplicate_probability {
+        if self.chance(envelope.seq, attempt, CLASS_DUP) < self.config.duplicate_probability {
             self.count(|s| s.duplicates += 1);
             let _ = self.inner.exchange(envelope);
         }
@@ -743,37 +697,45 @@ mod tests {
         assert_eq!(chaos.stats_handle().get().partition_drops, 1);
     }
 
+    /// The three fault planes draw from one function: each plane's
+    /// decision, recomputed from [`fate`] on that plane's coordinates.
     #[test]
-    fn from_plan_carries_probabilities_and_windows() {
-        let plan = FaultPlan::seeded(99)
-            .drop_messages(0.1)
-            .duplicate_messages(0.05)
-            .delay_messages(0.2, 750)
-            .reorder_messages(0.07)
-            .corrupt_frames(0.01)
-            .partition(10_000, 20_000)
-            .partition(30_000, 40_000);
-        let config = ChaosConfig::from_plan(&plan);
-        assert_eq!(config.seed, 99);
-        assert_eq!(config.drop_probability, 0.1);
-        assert_eq!(config.reorder_probability, 0.07);
-        assert_eq!(config.corrupt_probability, 0.01);
-        assert_eq!(config.delay_ms, 750);
-        assert_eq!(
-            config.windows,
-            vec![
-                PartitionWindow {
-                    from_ms: 10_000,
-                    until_ms: 20_000,
-                    direction: Direction::Both
-                },
-                PartitionWindow {
-                    from_ms: 30_000,
-                    until_ms: 40_000,
-                    direction: Direction::Both
-                },
-            ]
+    fn task_engine_and_chaos_planes_share_one_sampler() {
+        use crate::fault::{FaultInjector, FaultPlan, MessageFate, TaskFaultPlan, TaskPhase};
+        let (seed, p) = (31, 0.4);
+
+        let tasks = TaskFaultPlan::seeded(seed).panic_tasks(p);
+        let mut engine = FaultInjector::new(FaultPlan::seeded(seed).drop_messages(p));
+        let mut chaos = ChaosTransport::new(
+            echo_peer(Arc::new(Mutex::new(Vec::new()))),
+            ChaosConfig {
+                seed,
+                drop_probability: p,
+                ..ChaosConfig::default()
+            },
         );
+        let peer = fnv1a("local");
+        for i in 1..=200u64 {
+            assert_eq!(
+                tasks.fate(TaskPhase::Reduce, i as usize, 2).is_some(),
+                fate(seed, 0x5245_4455, i, 2, 1) < p,
+                "task plane: (phase tag, task, attempt), stream 1 = panic"
+            );
+            assert_eq!(
+                engine.message_fate() == MessageFate::Drop,
+                fate(seed, 0, 0, 0, i) < p,
+                "engine plane: the draw ordinal"
+            );
+            assert_eq!(
+                chaos.chance(i, 1, CLASS_DROP),
+                fate(seed, peer, i, 1, CLASS_DROP)
+            );
+            assert_eq!(
+                chaos.exchange(&query(i, i)).is_err(),
+                fate(seed, peer, i, 1, CLASS_DROP) < p,
+                "chaos plane: (peer hash, seq, attempt), stream = fault class"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use super::wire::{Envelope, MessageKind, TransportError};
 use super::TransportStats;
 use crate::clock::SimTime;
-use crate::fault::{FaultInjector, MessageFate};
+use crate::fault::{check_probabilities, FaultInjector, MessageFate};
 use crate::obs::LatencyHistogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,11 +138,9 @@ impl SimTransport {
     /// latency range is inverted.
     #[must_use]
     pub fn new(config: TransportConfig) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&config.loss_probability),
-            "loss probability {} outside [0, 1]",
-            config.loss_probability
-        );
+        if let Err(message) = check_probabilities(&[("transport loss", config.loss_probability)]) {
+            panic!("{message}");
+        }
         if let LatencyModel::Uniform { min_ms, max_ms } = config.latency {
             assert!(
                 min_ms <= max_ms,

@@ -35,7 +35,7 @@
 //! replay queue and land, in order, once the window closes.
 
 use diaspec_apps::parking::{
-    register_components, ParkingAppConfig, ENVIRONMENT_FIRST_STEP_MS, SPEC,
+    register_components, render_summary, ParkingAppConfig, ENVIRONMENT_FIRST_STEP_MS, SPEC,
 };
 use diaspec_codegen::deploy::{EdgeManifest, NodeManifest};
 use diaspec_devices::common::{ActuationLog, RecordingActuator};
@@ -544,49 +544,10 @@ impl diaspec_runtime::process::Process for StepAnd {
     }
 }
 
-/// The orchestration-level summary both backends must agree on, built
-/// only from coordinator-side observations (published values, local
-/// actuation logs, engine metrics).
+/// Prints the orchestration-level summary both backends must agree on,
+/// then (with `--recover`) the lease/rebind lines of the trace.
 fn print_summary(orch: &mut Orchestrator, messenger: &ActuationLog, options: &Options) {
-    use diaspec_apps::parking::generated::{Availability, ParkingLotEnum};
-    use diaspec_runtime::value::ValueCodec;
-
-    let availability: Option<Vec<Availability>> = orch
-        .last_value("ParkingAvailability")
-        .and_then(ValueCodec::from_value);
-    match availability {
-        Some(list) => {
-            let cells: Vec<String> = list
-                .iter()
-                .map(|a| format!("{}={}", a.parking_lot.name(), a.count))
-                .collect();
-            println!("availability: {}", cells.join(" "));
-        }
-        None => println!("availability: none"),
-    }
-    let suggestions: Option<Vec<ParkingLotEnum>> = orch
-        .last_value("ParkingSuggestion")
-        .and_then(ValueCodec::from_value);
-    match suggestions {
-        Some(lots) => {
-            let names: Vec<&str> = lots.iter().map(|l| l.name()).collect();
-            println!("suggestions: {}", names.join(", "));
-        }
-        None => println!("suggestions: none"),
-    }
-    println!("digests: {}", messenger.count("sendMessage"));
-
-    let m = orch.metrics();
-    println!(
-        "metrics: periodic={} polled={} mapreduce={} publications={} actuations={}",
-        m.periodic_deliveries,
-        m.readings_polled,
-        m.map_reduce_executions,
-        m.publications,
-        m.actuations
-    );
-    let errors = orch.drain_errors();
-    println!("errors: {}", errors.len());
+    print!("{}", render_summary(orch, messenger));
 
     if options.recover {
         let mut lease_lines = 0usize;

@@ -6,6 +6,12 @@
 #    shows up as new `.clone()` calls in engine/deliver/, so the total is
 #    budgeted in scripts/clone_budget.txt. Raising the budget is allowed
 #    but must be a reviewed, committed change.
+# 3. One fault sampler: every seeded fault decision is a `fate` draw
+#    (crates/diaspec-mapreduce/src/fault.rs, see docs/FAULTS.md
+#    "Determinism"). A second hash or an RNG stream under an injector
+#    would show up as the SplitMix64 multiplier in a second file, the
+#    retired MurmurHash3 finalizer anywhere, or `use rand` in the engine
+#    or chaos injector.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,3 +38,26 @@ if [ "$clones" -gt "$budget" ]; then
     exit 1
 fi
 echo "ok: engine/deliver/ has $clones .clone() calls (budget $budget)"
+
+SPLITMIX='0xBF58_?476D_?1CE4_?E5B9'
+MURMUR='0xFF51_?AFD7_?ED55_?8CCD'
+samplers=$(grep -rliE "$SPLITMIX" crates/*/src || true)
+if [ "$samplers" != "crates/diaspec-mapreduce/src/fault.rs" ]; then
+    echo "FAIL: the SplitMix64 multiplier 0xBF58_476D_1CE4_E5B9 must appear in exactly one" >&2
+    echo "file under crates/*/src (the \`fate\` primitive); found in:" >&2
+    echo "${samplers:-<none>}" >&2
+    exit 1
+fi
+if grep -rliE "$MURMUR" crates/*/src; then
+    echo "FAIL: the MurmurHash3 finalizer 0xFF51_AFD7_ED55_8CCD is back (files above);" >&2
+    echo "key the decision on \`fate\` instead of a second hash." >&2
+    exit 1
+fi
+for injector in crates/diaspec-runtime/src/fault.rs \
+    crates/diaspec-runtime/src/transport/chaos.rs; do
+    if grep -n 'use rand' "$injector"; then
+        echo "FAIL: $injector imports rand; injectors draw from \`fate\`." >&2
+        exit 1
+    fi
+done
+echo "ok: one fault sampler (fate), no second hash, no RNG under an injector"
