@@ -30,7 +30,10 @@
 //! even when a later generation served traffic successfully.
 
 use super::EdgeRuntime;
-use crate::transport::{Envelope, MessageKind, TransportError, TransportStats};
+use crate::transport::socket::{serve_frames, ConnectionEnd};
+#[cfg(test)]
+use crate::transport::{Envelope, MessageKind};
+use crate::transport::{TransportError, TransportStats};
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -83,18 +86,6 @@ pub struct SupervisorReport {
     pub stats: TransportStats,
 }
 
-/// Why one served connection ended.
-enum ConnectionEnd {
-    /// The coordinator said `Bye`: the deployment is over.
-    Bye,
-    /// The coordinator vanished mid-session (or the connection
-    /// failed); the runtime survives and the listener re-accepts.
-    Disconnected,
-    /// The runtime's crash schedule triggered; the connection was
-    /// dropped without a reply.
-    Died,
-}
-
 /// Runs an [`EdgeRuntime`] under a [`RestartPolicy`] — see the module
 /// docs for the lifecycle.
 pub struct Supervisor {
@@ -137,16 +128,18 @@ impl Supervisor {
                 break;
             };
             report.connections += 1;
-            let end = match serve_supervised(&mut stream, &mut runtime, &mut report.stats) {
-                Ok(end) => end,
-                // A broken connection is the coordinator's problem to
-                // retry; the runtime and its dedup cache survive.
-                Err(_) => ConnectionEnd::Disconnected,
-            };
+            let end = serve_frames(&mut stream, &mut report.stats, |envelope| {
+                runtime.handle(envelope)
+            });
             match end {
-                ConnectionEnd::Bye => break,
-                ConnectionEnd::Disconnected => continue,
-                ConnectionEnd::Died => {
+                // The coordinator said `Bye`: the deployment is over.
+                Ok(ConnectionEnd::Bye) => break,
+                // The coordinator vanished mid-session, or the connection
+                // broke (the coordinator's problem to retry): the runtime
+                // and its dedup cache survive and the listener re-accepts.
+                Ok(ConnectionEnd::Disconnected) | Err(_) => continue,
+                // The runtime's crash schedule triggered.
+                Ok(ConnectionEnd::Dropped) => {
                     report.died_on_schedule = true;
                     let now = Instant::now();
                     let window = Duration::from_millis(self.policy.restart_window_ms);
@@ -202,36 +195,6 @@ impl Supervisor {
                 Err(e) => return Err(TransportError::Io(e.to_string())),
             }
         }
-    }
-}
-
-/// Serves one accepted connection like
-/// [`serve_connection`](crate::transport::serve_connection), but
-/// reports *why* it ended so the supervisor can tell an orderly `Bye`
-/// from a vanished coordinator from a crashed runtime.
-fn serve_supervised(
-    stream: &mut TcpStream,
-    runtime: &mut EdgeRuntime,
-    stats: &mut TransportStats,
-) -> Result<ConnectionEnd, TransportError> {
-    loop {
-        let Some((envelope, received)) = Envelope::read_from(stream)? else {
-            return Ok(ConnectionEnd::Disconnected);
-        };
-        stats.bytes_received += received as u64;
-        stats.frames_received += 1;
-        if envelope.kind == MessageKind::Bye {
-            let sent = envelope.reply_ok().write_to(stream)?;
-            stats.bytes_sent += sent as u64;
-            stats.frames_sent += 1;
-            return Ok(ConnectionEnd::Bye);
-        }
-        let Some(reply) = runtime.handle(&envelope) else {
-            return Ok(ConnectionEnd::Died);
-        };
-        let sent = reply.write_to(stream)?;
-        stats.bytes_sent += sent as u64;
-        stats.frames_sent += 1;
     }
 }
 

@@ -35,6 +35,7 @@
 
 mod api;
 mod deliver;
+mod telemetry;
 
 pub use api::{ContextApi, ControllerApi, ProcessApi};
 
@@ -45,11 +46,11 @@ use crate::entity::{AttributeMap, BindingTime, DeviceInstance, EntityId};
 use crate::error::RuntimeError;
 use crate::fault::{FaultInjector, FaultPlan, RecoveryConfig};
 use crate::metrics::RuntimeMetrics;
-use crate::obs::{self, Activity, ObsHub};
+use crate::obs::{self, Activity, ObsHub, Ring};
 use crate::payload::Payload;
 use crate::registry::{PolledReading, Registry};
-use crate::spans::{SpanCtx, SpanEvent, SpanStage};
-use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
+use crate::spans::{SpanCtx, SpanEvent};
+use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::{SimTransport, TransportConfig};
 use crate::value::Value;
 use diaspec_core::model::{ActivationTrigger, AnnotationArg, CheckedSpec};
@@ -61,6 +62,10 @@ use std::sync::Arc;
 /// errors are counted in [`Orchestrator::errors_dropped`] instead of
 /// buffered, so memory stays bounded while the count stays honest.
 const ERRORS_CAP: usize = 100_000;
+
+/// Cap on buffered trace events (oldest dropped, counted in
+/// [`Orchestrator::trace_dropped`]).
+const TRACE_CAP: usize = 100_000;
 
 /// How MapReduce phases declared in the design are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -125,7 +130,8 @@ struct ControllerRuntime {
 }
 
 struct ProcessSlot {
-    name: String,
+    /// Shared so a wake can label its scope while the engine is borrowed.
+    name: Arc<str>,
     process: Option<Box<dyn crate::process::Process>>,
 }
 
@@ -211,7 +217,8 @@ pub struct Orchestrator {
     /// Errors discarded after [`ERRORS_CAP`] buffered entries; reset by
     /// [`Orchestrator::drain_errors`].
     errors_dropped: u64,
-    trace: TraceBuffer,
+    /// The bounded trace buffer; enabled by [`Orchestrator::set_tracing`].
+    trace: Ring<TraceEvent>,
     obs: ObsHub,
     /// Precomputed subscription routes (stage 2 of the delivery
     /// pipeline), shared so fan-out can iterate while scheduling.
@@ -308,7 +315,7 @@ impl Orchestrator {
             processing: ProcessingMode::default(),
             errors: Vec::new(),
             errors_dropped: 0,
-            trace: TraceBuffer::new(),
+            trace: Ring::new(TRACE_CAP, false),
             obs: ObsHub::new(),
             routes,
             qos_budgets,
@@ -382,7 +389,7 @@ impl Orchestrator {
 
     /// Removes and returns all trace events recorded since the last call.
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.take()
+        self.trace.drain()
     }
 
     /// Number of trace events dropped because the bounded trace buffer
@@ -456,39 +463,6 @@ impl Orchestrator {
         self.obs.open_span_count()
     }
 
-    /// Opens a wall-clock span as a child of `parent` if tracing is
-    /// active for that context, returning the handle [`end_wall_span`]
-    /// needs. The label closure only runs when spans are materialized.
-    fn begin_wall_span(
-        &mut self,
-        parent: SpanCtx,
-        stage: SpanStage,
-        label: &dyn Fn() -> String,
-    ) -> Option<(u64, std::time::Instant)> {
-        if !parent.is_active() {
-            return None;
-        }
-        let text = if self.obs.spans_materializing() {
-            label()
-        } else {
-            String::new()
-        };
-        let now = self.queue.now();
-        let id = self
-            .obs
-            .open_span(parent.trace_id, parent.parent, stage, &text, now);
-        Some((id, std::time::Instant::now()))
-    }
-
-    /// Closes a span opened by [`begin_wall_span`], recording its
-    /// wall-clock extent.
-    fn end_wall_span(&mut self, open: Option<(u64, std::time::Instant)>) {
-        if let Some((id, t0)) = open {
-            let now = self.queue.now();
-            self.obs.close_span(id, now, obs::elapsed_us(t0));
-        }
-    }
-
     /// Samples the engine's occupancy gauges: event-queue composition,
     /// contained-error buffer fill, and open spans.
     fn sample_gauges(&self) -> Vec<obs::GaugeSample> {
@@ -551,24 +525,6 @@ impl Orchestrator {
     #[must_use]
     pub fn transport(&self) -> &SimTransport {
         &self.transport
-    }
-
-    /// Whether trace events need to be materialized: either the bounded
-    /// buffer wants them or an observer is attached.
-    fn trace_active(&self) -> bool {
-        self.trace.is_enabled() || self.obs.has_observers()
-    }
-
-    /// Routes one trace event to the bounded buffer and the observers.
-    fn record_trace(&mut self, at: SimTime, kind: TraceKind) {
-        if self.obs.has_observers() {
-            let event = TraceEvent {
-                at,
-                kind: kind.clone(),
-            };
-            self.obs.broadcast(&event);
-        }
-        self.trace.record(at, kind);
     }
 
     /// Selects how declared MapReduce phases execute.
@@ -635,12 +591,9 @@ impl Orchestrator {
 
     fn contain(&mut self, error: RuntimeError) {
         let at = self.queue.now();
-        self.record_trace(
-            at,
-            TraceKind::Error {
-                message: error.to_string(),
-            },
-        );
+        self.note(|| TraceKind::Error {
+            message: error.to_string(),
+        });
         if self.errors.len() < ERRORS_CAP {
             self.errors.push(ContainedError { at, error });
         } else {
@@ -705,7 +658,7 @@ impl Orchestrator {
     ) {
         let idx = self.processes.len();
         self.processes.push(ProcessSlot {
-            name: name.into(),
+            name: name.into().into(),
             process: Some(Box::new(process)),
         });
         self.queue.schedule(at, Event::ProcessWake { idx });
@@ -867,11 +820,7 @@ impl std::fmt::Debug for Orchestrator {
             .field("controllers", &self.controllers.len())
             .field(
                 "processes",
-                &self
-                    .processes
-                    .iter()
-                    .map(|p| p.name.as_str())
-                    .collect::<Vec<_>>(),
+                &self.processes.iter().map(|p| &*p.name).collect::<Vec<_>>(),
             )
             .field("pending_events", &self.queue.len())
             .finish()

@@ -14,7 +14,7 @@ use crate::component::{ContextLogic, ControllerLogic, MapReduceLogic};
 use crate::engine::Orchestrator;
 use crate::entity::{AttributeMap, DeviceInstance, EntityId};
 use crate::error::RuntimeError;
-use crate::obs::{self, Activity};
+use crate::obs::Activity;
 use crate::registry::ErrorPolicy;
 use crate::spans::SpanStage;
 use crate::trace::TraceKind;
@@ -374,45 +374,23 @@ impl ControllerApi<'_> {
             });
         }
         let now = self.engine.queue.now();
-        // One Instant serves both the activity histogram and the actuate
-        // span; taken only when either consumer is live.
+        // The actuate span nests inside the controller's open compute
+        // span; a failed invocation abandons the scope unrecorded.
         let cursor = self.engine.span_cursor;
-        let started =
-            (self.engine.obs.is_enabled() || cursor.is_active()).then(std::time::Instant::now);
+        let actuate = self.engine.leaf(
+            cursor,
+            SpanStage::Actuate,
+            Some(Activity::Actuating),
+            || format!("{device_type}.{action}").into(),
+        );
         let fallbacks_before = self.engine.registry.stats().fallback_invocations;
         self.engine.registry.invoke(entity, action, args, now)?;
-        if let Some(t0) = started {
-            let us = obs::elapsed_us(t0);
-            if self.engine.obs.is_enabled() {
-                let label = format!("{device_type}.{action}");
-                self.engine.obs.record(Activity::Actuating, &label, us);
-            }
-            if cursor.is_active() {
-                // The actuate span nests inside the controller's open
-                // compute span.
-                let label = if self.engine.obs.spans_materializing() {
-                    format!("{device_type}.{action}")
-                } else {
-                    String::new()
-                };
-                let id = self.engine.obs.open_span(
-                    cursor.trace_id,
-                    cursor.parent,
-                    SpanStage::Actuate,
-                    &label,
-                    now,
-                );
-                self.engine.obs.close_span(id, now, us);
-            }
-        }
+        self.engine.end(actuate);
         self.engine.metrics.actuations += 1;
-        self.engine.record_trace(
-            now,
-            TraceKind::Actuation {
-                entity: entity.to_string(),
-                action: action.to_owned(),
-            },
-        );
+        self.engine.note(|| TraceKind::Actuation {
+            entity: entity.to_string(),
+            action: action.to_owned(),
+        });
         // The registry masked the failure with the device's declared
         // `@error(fallback = ...)` action: surface it as a recovery event.
         let masked = self.engine.registry.stats().fallback_invocations - fallbacks_before;
@@ -425,30 +403,19 @@ impl ControllerApi<'_> {
                 .map(ErrorPolicy::of_device)
                 .and_then(|policy| policy.fallback)
                 .unwrap_or_default();
-            self.engine.record_trace(
-                now,
-                TraceKind::FallbackActuation {
-                    entity: entity.to_string(),
-                    action: fallback.clone(),
-                },
-            );
+            self.engine.note(|| TraceKind::FallbackActuation {
+                entity: entity.to_string(),
+                action: fallback.clone(),
+            });
             // A masked fallback is a recovery episode inside the same
             // trace: a sibling of the actuate span.
-            if cursor.is_active() {
-                let label = if self.engine.obs.spans_materializing() {
-                    format!("{device_type}.{fallback}")
-                } else {
-                    String::new()
-                };
-                self.engine.obs.record_span(
-                    cursor.trace_id,
-                    cursor.parent,
-                    SpanStage::Recover,
-                    &label,
-                    now,
-                    now,
-                );
-            }
+            self.engine.point(
+                cursor,
+                SpanStage::Recover,
+                || format!("{device_type}.{fallback}").into(),
+                now,
+                now,
+            );
         }
         Ok(())
     }

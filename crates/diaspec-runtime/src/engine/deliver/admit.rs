@@ -17,7 +17,6 @@
 use crate::engine::Orchestrator;
 use crate::entity::EntityId;
 use crate::error::RuntimeError;
-use crate::obs;
 use crate::payload::Payload;
 use crate::spans::{SpanCtx, SpanStage};
 use crate::trace::TraceKind;
@@ -87,33 +86,13 @@ impl Orchestrator {
         value: &Payload,
         index: Option<&Payload>,
     ) {
-        let admit = if self.obs.spans_enabled() {
-            let trace_id = self.obs.mint_trace();
-            let label = if self.obs.spans_materializing() {
-                format!("{entity}.{source}")
-            } else {
-                String::new()
-            };
-            let now = self.queue.now();
-            let id = self
-                .obs
-                .open_span(trace_id, 0, SpanStage::Admit, &label, now);
-            Some((trace_id, id, std::time::Instant::now()))
-        } else {
-            None
-        };
+        let root = self.flow(SpanCtx::NONE);
+        let admit = self.begin(root, SpanStage::Admit, None, || {
+            format!("{entity}.{source}").into()
+        });
         let device_type = self.admit_emission(entity, source);
-        let span = match admit {
-            Some((trace_id, id, t0)) => {
-                let now = self.queue.now();
-                self.obs.close_span(id, now, obs::elapsed_us(t0));
-                SpanCtx {
-                    trace_id,
-                    parent: id,
-                }
-            }
-            None => SpanCtx::NONE,
-        };
+        let span = admit.ctx();
+        self.end(admit);
         let Some(device_type) = device_type else {
             return;
         };
@@ -128,16 +107,10 @@ impl Orchestrator {
             return None;
         }
         self.metrics.emissions += 1;
-        if self.trace_active() {
-            let at = self.queue.now();
-            self.record_trace(
-                at,
-                TraceKind::Emission {
-                    entity: entity.to_string(),
-                    source: source.to_owned(),
-                },
-            );
-        }
+        self.note(|| TraceKind::Emission {
+            entity: entity.to_string(),
+            source: source.to_owned(),
+        });
         // The entity may have been unbound between emission and dispatch.
         let info = self.registry.entity(entity)?;
         Some(info.device_type.clone())
@@ -192,52 +165,19 @@ impl Orchestrator {
             });
             return;
         }
-        let admit = if self.obs.spans_enabled() {
-            let trace_id = if span.is_active() {
-                span.trace_id
-            } else {
-                self.obs.mint_trace()
-            };
-            let parent = if span.is_active() { span.parent } else { 0 };
-            let label = if self.obs.spans_materializing() {
-                context.to_owned()
-            } else {
-                String::new()
-            };
-            let now = self.queue.now();
-            let id = self
-                .obs
-                .open_span(trace_id, parent, SpanStage::Admit, &label, now);
-            Some((trace_id, id, std::time::Instant::now()))
-        } else {
-            None
-        };
+        let flow = self.flow(span);
+        let admit = self.begin(flow, SpanStage::Admit, None, || context.into());
         let payload = Payload::new(value);
         self.metrics.publications += 1;
-        if self.trace_active() {
-            let at = self.queue.now();
-            self.record_trace(
-                at,
-                TraceKind::Publication {
-                    context: context.to_owned(),
-                    value: payload.to_string(),
-                },
-            );
-        }
+        self.note(|| TraceKind::Publication {
+            context: context.to_owned(),
+            value: payload.to_string(),
+        });
         if let Some(runtime) = self.contexts.get_mut(context) {
             runtime.last_value = Some(payload.clone());
         }
-        let ctx = match admit {
-            Some((trace_id, id, t0)) => {
-                let now = self.queue.now();
-                self.obs.close_span(id, now, obs::elapsed_us(t0));
-                SpanCtx {
-                    trace_id,
-                    parent: id,
-                }
-            }
-            None => SpanCtx::NONE,
-        };
+        let ctx = admit.ctx();
+        self.end(admit);
         self.fan_out_publication(context, &payload, ctx);
     }
 }

@@ -11,11 +11,13 @@
 //! to [`Value`]) — the pipeline never deep-copies a value between
 //! admission and activation.
 
-use crate::component::{BatchData, ContextActivation, MapReduceLogic};
+use crate::component::{
+    BatchData, ContextActivation, ContextLogic, ControllerLogic, MapReduceLogic,
+};
 use crate::engine::{ContextApi, ControllerApi, Orchestrator, ProcessApi, ProcessingMode};
 use crate::error::RuntimeError;
 use crate::fault::{FaultInjector, FaultKind};
-use crate::obs::{self, Activity};
+use crate::obs::Activity;
 use crate::payload::Payload;
 use crate::registry::PolledReading;
 use crate::spans::{SpanCtx, SpanStage};
@@ -48,11 +50,8 @@ impl Orchestrator {
                 activation_idx,
                 span,
             } => {
-                let open = self.begin_wall_span(span, SpanStage::Dispatch, &|| context.clone());
-                let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-                    trace_id: span.trace_id,
-                    parent: id,
-                });
+                let arrival =
+                    self.begin(span, SpanStage::Dispatch, None, || context.as_str().into());
                 let input = ContextActivation::SourceEvent {
                     device_type: &device_type,
                     entity: &entity,
@@ -60,8 +59,8 @@ impl Orchestrator {
                     value: &value,
                     index: index.as_deref(),
                 };
-                self.activate_context(&context, activation_idx, input, ctx);
-                self.end_wall_span(open);
+                self.activate_context(&context, activation_idx, input, arrival.ctx());
+                self.end(arrival);
             }
             Event::ContextDeliver {
                 context,
@@ -70,17 +69,14 @@ impl Orchestrator {
                 activation_idx,
                 span,
             } => {
-                let open = self.begin_wall_span(span, SpanStage::Dispatch, &|| context.clone());
-                let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-                    trace_id: span.trace_id,
-                    parent: id,
-                });
+                let arrival =
+                    self.begin(span, SpanStage::Dispatch, None, || context.as_str().into());
                 let input = ContextActivation::ContextEvent {
                     context: &from,
                     value: &value,
                 };
-                self.activate_context(&context, activation_idx, input, ctx);
-                self.end_wall_span(open);
+                self.activate_context(&context, activation_idx, input, arrival.ctx());
+                self.end(arrival);
             }
             Event::ControllerDeliver {
                 controller,
@@ -88,13 +84,11 @@ impl Orchestrator {
                 value,
                 span,
             } => {
-                let open = self.begin_wall_span(span, SpanStage::Dispatch, &|| controller.clone());
-                let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-                    trace_id: span.trace_id,
-                    parent: id,
+                let arrival = self.begin(span, SpanStage::Dispatch, None, || {
+                    controller.as_str().into()
                 });
-                self.activate_controller(&controller, &from, &value, ctx);
-                self.end_wall_span(open);
+                self.activate_controller(&controller, &from, &value, arrival.ctx());
+                self.end(arrival);
             }
             Event::PeriodicPoll {
                 context,
@@ -111,16 +105,20 @@ impl Orchestrator {
                 let Some(mut process) = self.processes[idx].process.take() else {
                     return;
                 };
-                let started = self.obs.is_enabled().then(std::time::Instant::now);
+                // A wake belongs to no flow: it is timed as processing but
+                // opens no span.
+                let name = std::sync::Arc::clone(&self.processes[idx].name);
+                let wake = self.begin(
+                    SpanCtx::NONE,
+                    SpanStage::Compute,
+                    Some(Activity::Processing),
+                    || format!("process:{name}").into(),
+                );
                 let next = {
                     let mut api = ProcessApi { engine: self };
                     process.wake(&mut api)
                 };
-                if let Some(t0) = started {
-                    let label = format!("process:{}", self.processes[idx].name);
-                    self.obs
-                        .record(Activity::Processing, &label, obs::elapsed_us(t0));
-                }
+                self.end(wake);
                 self.processes[idx].process = Some(process);
                 if let Some(at) = next {
                     self.queue.schedule(at, Event::ProcessWake { idx });
@@ -160,13 +158,9 @@ impl Orchestrator {
                 .expect("fault injector enabled")
                 .count_injection();
             self.metrics.faults_injected += 1;
-            let at = self.queue.now();
-            self.record_trace(
-                at,
-                TraceKind::FaultInjected {
-                    fault: kind.to_string(),
-                },
-            );
+            self.note(|| TraceKind::FaultInjected {
+                fault: kind.to_string(),
+            });
         }
     }
 
@@ -180,12 +174,9 @@ impl Orchestrator {
         let transitions = self.registry.expire_leases(now);
         for transition in &transitions {
             self.metrics.lease_expiries += 1;
-            self.record_trace(
-                now,
-                TraceKind::LeaseExpired {
-                    entity: transition.lost.id.to_string(),
-                },
-            );
+            self.note(|| TraceKind::LeaseExpired {
+                entity: transition.lost.id.to_string(),
+            });
             // Recovery cost: how long the loss went undetected (bounded
             // by the sweep interval).
             self.obs.record(
@@ -195,31 +186,20 @@ impl Orchestrator {
             );
             // Each recovery episode is its own trace: a root recover span
             // spanning the undetected-loss window.
-            if self.obs.spans_enabled() {
-                let trace_id = self.obs.mint_trace();
-                let label = if self.obs.spans_materializing() {
-                    transition.lost.device_type.clone()
-                } else {
-                    String::new()
-                };
-                self.obs.record_span(
-                    trace_id,
-                    0,
-                    SpanStage::Recover,
-                    &label,
-                    transition.deadline.min(now),
-                    now,
-                );
-            }
+            let episode = self.flow(SpanCtx::NONE);
+            self.point(
+                episode,
+                SpanStage::Recover,
+                || transition.lost.device_type.as_str().into(),
+                transition.deadline.min(now),
+                now,
+            );
             if let Some(replacement) = &transition.replacement {
                 self.metrics.rebinds += 1;
-                self.record_trace(
-                    now,
-                    TraceKind::Rebound {
-                        lost: transition.lost.id.to_string(),
-                        replacement: replacement.to_string(),
-                    },
-                );
+                self.note(|| TraceKind::Rebound {
+                    lost: transition.lost.id.to_string(),
+                    replacement: replacement.to_string(),
+                });
             }
         }
         for transition in transitions {
@@ -344,31 +324,18 @@ impl Orchestrator {
         // the per-reading transport sampling (individual readings are not
         // traced — one span per reading would dwarf the data).
         let now = self.queue.now();
-        let admit = if self.obs.spans_enabled() {
-            let trace_id = self.obs.mint_trace();
-            let label = if self.obs.spans_materializing() {
-                format!("{context}/poll")
-            } else {
-                String::new()
-            };
-            let id = self
-                .obs
-                .open_span(trace_id, 0, SpanStage::Admit, &label, now);
-            Some((trace_id, id, std::time::Instant::now()))
-        } else {
-            None
-        };
+        let root = self.flow(SpanCtx::NONE);
+        let admit = self.begin(root, SpanStage::Admit, None, || {
+            format!("{context}/poll").into()
+        });
         let readings = self.registry.poll(device, source, group_attr, now);
         self.metrics.periodic_deliveries += 1;
         self.metrics.readings_polled += readings.len() as u64;
-        self.record_trace(
-            now,
-            TraceKind::PeriodicPoll {
-                device: device.clone(),
-                source: source.clone(),
-                readings: readings.len(),
-            },
-        );
+        self.note(|| TraceKind::PeriodicPoll {
+            device: device.clone(),
+            source: source.clone(),
+            readings: readings.len(),
+        });
 
         // Each reading crosses the transport; the batch arrives when its
         // slowest surviving reading does. Readings carry payload handles,
@@ -399,16 +366,8 @@ impl Orchestrator {
                 None => self.metrics.messages_lost += 1,
             }
         }
-        let span = match admit {
-            Some((trace_id, id, t0)) => {
-                self.obs.close_span(id, now, obs::elapsed_us(t0));
-                SpanCtx {
-                    trace_id,
-                    parent: id,
-                }
-            }
-            None => SpanCtx::NONE,
-        };
+        let span = admit.ctx();
+        self.end(admit);
 
         // Window accumulation (`every <T>`): buffer until the deadline.
         let deliver = if let Some(window_ms) = window_ms {
@@ -445,11 +404,13 @@ impl Orchestrator {
             // One schedule span stands for the whole batch hop (the batch
             // arrives with its slowest surviving reading). A window flush
             // is attributed to the poll that flushed it.
-            let batch_span = if span.is_active() {
-                self.schedule_span(span, context, max_latency)
-            } else {
-                SpanCtx::NONE
-            };
+            let batch_span = self.point(
+                span,
+                SpanStage::Schedule,
+                || context.into(),
+                now,
+                now + max_latency,
+            );
             self.queue.schedule_in(
                 max_latency,
                 Event::BatchDeliver {
@@ -490,11 +451,8 @@ impl Orchestrator {
         let ActivationTrigger::Periodic { device, source, .. } = activation.trigger.clone() else {
             return;
         };
-        let open = self.begin_wall_span(span, SpanStage::Dispatch, &|| context.to_owned());
-        let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: span.trace_id,
-            parent: id,
-        });
+        let arrival = self.begin(span, SpanStage::Dispatch, None, || context.into());
+        let ctx = arrival.ctx();
 
         // Grouping shares the batch's payload handles — a 10k-reading
         // batch groups with 10k pointer bumps, not 10k value copies.
@@ -527,12 +485,7 @@ impl Orchestrator {
                         // Batch ingestion into the MapReduce substrate is
                         // its own span; the per-phase wall times become
                         // compute spans nested under it.
-                        let ingest =
-                            self.begin_wall_span(ctx, SpanStage::Ingest, &|| context.to_owned());
-                        let ingest_ctx = ingest.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-                            trace_id: ctx.trace_id,
-                            parent: id,
-                        });
+                        let ingest = self.begin(ctx, SpanStage::Ingest, None, || context.into());
                         // Chunk ingestion clones handles: the executor's
                         // input records share the batch's values.
                         let input: Vec<(Payload, Payload)> = readings
@@ -555,43 +508,22 @@ impl Orchestrator {
                         }
                         let outcome = match job.try_run_to_map(&adapter, input) {
                             Ok(result) => {
-                                let phases = [
+                                // Surface the executor's per-phase wall
+                                // times as processing durations and compute
+                                // spans.
+                                for (phase, time) in [
                                     ("map", result.stats.map_time),
                                     ("shuffle", result.stats.shuffle_time),
                                     ("reduce", result.stats.reduce_time),
-                                ];
-                                if self.obs.is_enabled() {
-                                    // Surface the executor's per-phase wall
-                                    // times as processing durations.
-                                    for (phase, time) in phases {
-                                        let us =
-                                            u64::try_from(time.as_micros()).unwrap_or(u64::MAX);
-                                        self.obs.record(
-                                            Activity::Processing,
-                                            &format!("{context}/{phase}"),
-                                            us,
-                                        );
-                                    }
-                                }
-                                if ingest_ctx.is_active() {
-                                    let now = self.queue.now();
-                                    for (phase, time) in phases {
-                                        let us =
-                                            u64::try_from(time.as_micros()).unwrap_or(u64::MAX);
-                                        let label = if self.obs.spans_materializing() {
-                                            format!("{context}/{phase}")
-                                        } else {
-                                            String::new()
-                                        };
-                                        let id = self.obs.open_span(
-                                            ingest_ctx.trace_id,
-                                            ingest_ctx.parent,
-                                            SpanStage::Compute,
-                                            &label,
-                                            now,
-                                        );
-                                        self.obs.close_span(id, now, us);
-                                    }
+                                ] {
+                                    let scope = self.leaf(
+                                        ingest.ctx(),
+                                        SpanStage::Compute,
+                                        Some(Activity::Processing),
+                                        || format!("{context}/{phase}").into(),
+                                    );
+                                    let us = u64::try_from(time.as_micros()).unwrap_or(u64::MAX);
+                                    self.end_measured(scope, us);
                                 }
                                 self.account_batch_processing(
                                     context,
@@ -609,7 +541,7 @@ impl Orchestrator {
                                 (None, None)
                             }
                         };
-                        self.end_wall_span(ingest);
+                        self.end(ingest);
                         outcome
                     }
                     None => {
@@ -638,7 +570,7 @@ impl Orchestrator {
             ContextActivation::Batch(&batch),
             ctx,
         );
-        self.end_wall_span(open);
+        self.end(arrival);
     }
 
     /// Folds one batch execution's fault-tolerance outcome into metrics,
@@ -661,19 +593,13 @@ impl Orchestrator {
                 }
             }
         }
-        let at = self.queue.now();
-        if self.trace_active() {
-            for failed in failed_tasks {
-                self.record_trace(
-                    at,
-                    TraceKind::TaskFailed {
-                        context: context.to_owned(),
-                        phase: failed.phase.to_string(),
-                        task: u32::try_from(failed.task).unwrap_or(u32::MAX),
-                        attempts: failed.attempts,
-                    },
-                );
-            }
+        for failed in failed_tasks {
+            self.note(|| TraceKind::TaskFailed {
+                context: context.to_owned(),
+                phase: failed.phase.to_string(),
+                task: u32::try_from(failed.task).unwrap_or(u32::MAX),
+                attempts: failed.attempts,
+            });
         }
         if self.obs.is_enabled() && !stats.recovery_time.is_zero() {
             let us = u64::try_from(stats.recovery_time.as_micros()).unwrap_or(u64::MAX);
@@ -696,17 +622,12 @@ impl Orchestrator {
         let coverage_pct = coverage.percent_covered();
         if coverage_pct < budget.coverage_pct {
             self.metrics.batches_degraded += 1;
-            if self.trace_active() {
-                self.record_trace(
-                    at,
-                    TraceKind::BatchDegraded {
-                        context: context.to_owned(),
-                        coverage_pct,
-                        threshold_pct: budget.coverage_pct,
-                        failed_tasks: u32::try_from(failed_tasks.len()).unwrap_or(u32::MAX),
-                    },
-                );
-            }
+            self.note(|| TraceKind::BatchDegraded {
+                context: context.to_owned(),
+                coverage_pct,
+                threshold_pct: budget.coverage_pct,
+                failed_tasks: u32::try_from(failed_tasks.len()).unwrap_or(u32::MAX),
+            });
             self.contain(RuntimeError::DegradedBatch {
                 context: context.to_owned(),
                 coverage_pct,
@@ -716,6 +637,46 @@ impl Orchestrator {
     }
 
     // ---- component activation ---------------------------------------------
+
+    /// The one activation body: takes the component's logic out of its
+    /// slot, runs it under a compute scope with the span cursor pointing
+    /// at that scope — so actuations and query-driven computations nest
+    /// under it — then restores the cursor and puts the logic back.
+    /// `started` runs once the logic is in hand (the activation's own
+    /// counters and trace event). Returns the logic's result and the
+    /// compute context, or `None` when the slot is empty: the component
+    /// is already running (re-entrancy).
+    fn run_component<L, R>(
+        &mut self,
+        name: &str,
+        span: SpanCtx,
+        slot: for<'a> fn(&'a mut Self, &str) -> Option<&'a mut Option<L>>,
+        started: impl FnOnce(&mut Self),
+        run: impl FnOnce(&mut Self, &mut L) -> R,
+    ) -> Option<(R, SpanCtx)> {
+        let mut logic = slot(self, name)?.take()?;
+        started(self);
+        // The compute span closes before a resulting publication is
+        // admitted.
+        let compute = self.begin(span, SpanStage::Compute, Some(Activity::Processing), || {
+            name.into()
+        });
+        let ctx = compute.ctx();
+        let prev = std::mem::replace(&mut self.span_cursor, ctx);
+        let result = run(self, &mut logic);
+        self.span_cursor = prev;
+        self.end(compute);
+        *slot(self, name).expect("component exists") = Some(logic);
+        Some((result, ctx))
+    }
+
+    fn context_slot(&mut self, name: &str) -> Option<&mut Option<Box<dyn ContextLogic>>> {
+        self.contexts.get_mut(name).map(|r| &mut r.logic)
+    }
+
+    fn controller_slot(&mut self, name: &str) -> Option<&mut Option<Box<dyn ControllerLogic>>> {
+        self.controllers.get_mut(name).map(|r| &mut r.logic)
+    }
 
     fn activate_context(
         &mut self,
@@ -732,48 +693,30 @@ impl Orchestrator {
             Some(a) => a.publish,
             None => return,
         };
-        let Some(mut logic) = self.contexts.get_mut(name).and_then(|r| r.logic.take()) else {
+        let Some((result, ctx)) = self.run_component(
+            name,
+            span,
+            Self::context_slot,
+            |engine| {
+                engine.metrics.context_activations += 1;
+                engine.note(|| TraceKind::ContextActivation {
+                    context: name.to_owned(),
+                });
+            },
+            |engine, logic| {
+                let mut api = ContextApi {
+                    engine,
+                    context: name,
+                };
+                logic.activate(&mut api, input)
+            },
+        ) else {
             self.contain(RuntimeError::ContractViolation {
                 component: name.to_owned(),
                 message: "re-entrant activation (a `get` cycle at runtime?)".to_owned(),
             });
             return;
         };
-        self.metrics.context_activations += 1;
-        if self.trace_active() {
-            let at = self.queue.now();
-            self.record_trace(
-                at,
-                TraceKind::ContextActivation {
-                    context: name.to_owned(),
-                },
-            );
-        }
-        // The compute span stays open while the logic runs so actuations
-        // and query-driven computations nest under it (via span_cursor);
-        // it closes before the resulting publication is admitted.
-        let compute = self.begin_wall_span(span, SpanStage::Compute, &|| name.to_owned());
-        let ctx = compute.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: span.trace_id,
-            parent: id,
-        });
-        let prev = std::mem::replace(&mut self.span_cursor, ctx);
-        let started = self.obs.is_enabled().then(std::time::Instant::now);
-        let result = {
-            let mut api = ContextApi {
-                engine: self,
-                context: name,
-            };
-            logic.activate(&mut api, input)
-        };
-        self.span_cursor = prev;
-        if let Some(t0) = started {
-            self.obs
-                .record(Activity::Processing, name, obs::elapsed_us(t0));
-        }
-        self.end_wall_span(compute);
-        self.contexts.get_mut(name).expect("context exists").logic = Some(logic);
-
         match result {
             Err(e) => self.contain(e.into()),
             Ok(maybe_value) => self.handle_publication(name, publish_mode, maybe_value, ctx),
@@ -781,48 +724,31 @@ impl Orchestrator {
     }
 
     fn activate_controller(&mut self, name: &str, from: &str, value: &Value, span: SpanCtx) {
-        let Some(mut logic) = self.controllers.get_mut(name).and_then(|r| r.logic.take()) else {
+        let Some((result, _)) = self.run_component(
+            name,
+            span,
+            Self::controller_slot,
+            |engine| {
+                engine.metrics.controller_activations += 1;
+                engine.note(|| TraceKind::ControllerActivation {
+                    controller: name.to_owned(),
+                    from: from.to_owned(),
+                });
+            },
+            |engine, logic| {
+                let mut api = ControllerApi {
+                    engine,
+                    controller: name,
+                };
+                logic.on_context(&mut api, from, value)
+            },
+        ) else {
             self.contain(RuntimeError::ContractViolation {
                 component: name.to_owned(),
                 message: "re-entrant controller activation".to_owned(),
             });
             return;
         };
-        self.metrics.controller_activations += 1;
-        if self.trace_active() {
-            let at = self.queue.now();
-            self.record_trace(
-                at,
-                TraceKind::ControllerActivation {
-                    controller: name.to_owned(),
-                    from: from.to_owned(),
-                },
-            );
-        }
-        let compute = self.begin_wall_span(span, SpanStage::Compute, &|| name.to_owned());
-        let ctx = compute.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: span.trace_id,
-            parent: id,
-        });
-        let prev = std::mem::replace(&mut self.span_cursor, ctx);
-        let started = self.obs.is_enabled().then(std::time::Instant::now);
-        let result = {
-            let mut api = ControllerApi {
-                engine: self,
-                controller: name,
-            };
-            logic.on_context(&mut api, from, value)
-        };
-        self.span_cursor = prev;
-        if let Some(t0) = started {
-            self.obs
-                .record(Activity::Processing, name, obs::elapsed_us(t0));
-        }
-        self.end_wall_span(compute);
-        self.controllers
-            .get_mut(name)
-            .expect("controller exists")
-            .logic = Some(logic);
         if let Err(e) = result {
             self.contain(e.into());
         }
@@ -844,39 +770,30 @@ impl Orchestrator {
             });
         }
         let output_ty = ctx_decl.output.clone();
-        let Some(mut logic) = self.contexts.get_mut(name).and_then(|r| r.logic.take()) else {
-            return Err(RuntimeError::ContractViolation {
-                component: name.to_owned(),
-                message: "re-entrant on-demand computation (a `get` cycle?)".to_owned(),
-            });
-        };
-        self.metrics.on_demand_computations += 1;
-        self.metrics.context_activations += 1;
         // Query-driven computation nests under whatever activation asked
         // for it (the span cursor), forming a compute-inside-compute
         // chain for `get` cascades.
-        let cursor = self.span_cursor;
-        let compute = self.begin_wall_span(cursor, SpanStage::Compute, &|| name.to_owned());
-        let ctx = compute.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: cursor.trace_id,
-            parent: id,
-        });
-        let prev = std::mem::replace(&mut self.span_cursor, ctx);
-        let started = self.obs.is_enabled().then(std::time::Instant::now);
-        let result = {
-            let mut api = ContextApi {
-                engine: self,
-                context: name,
-            };
-            logic.activate(&mut api, ContextActivation::OnDemand)
-        };
-        self.span_cursor = prev;
-        if let Some(t0) = started {
-            self.obs
-                .record(Activity::Processing, name, obs::elapsed_us(t0));
-        }
-        self.end_wall_span(compute);
-        self.contexts.get_mut(name).expect("context exists").logic = Some(logic);
+        let (result, _) = self
+            .run_component(
+                name,
+                self.span_cursor,
+                Self::context_slot,
+                |engine| {
+                    engine.metrics.on_demand_computations += 1;
+                    engine.metrics.context_activations += 1;
+                },
+                |engine, logic| {
+                    let mut api = ContextApi {
+                        engine,
+                        context: name,
+                    };
+                    logic.activate(&mut api, ContextActivation::OnDemand)
+                },
+            )
+            .ok_or_else(|| RuntimeError::ContractViolation {
+                component: name.to_owned(),
+                message: "re-entrant on-demand computation (a `get` cycle?)".to_owned(),
+            })?;
 
         let computed = result.map_err(RuntimeError::from)?;
         let value = match computed {

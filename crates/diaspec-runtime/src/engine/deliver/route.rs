@@ -167,13 +167,10 @@ impl Orchestrator {
     ) {
         let routes = Arc::clone(&self.routes);
         let now = self.queue.now();
-        let open = self.begin_wall_span(span, SpanStage::Route, &|| {
-            format!("{device_type}.{source}")
+        let route_scope = self.begin(span, SpanStage::Route, None, || {
+            format!("{device_type}.{source}").into()
         });
-        let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: span.trace_id,
-            parent: id,
-        });
+        let ctx = route_scope.ctx();
         for route in routes.source_subscribers(device_type, source) {
             let event = Event::SourceDeliver {
                 context: route.context.clone(),
@@ -187,7 +184,7 @@ impl Orchestrator {
             };
             self.send_event(&route.context, true, event, 1, now);
         }
-        self.end_wall_span(open);
+        self.end(route_scope);
     }
 
     /// Fans an admitted publication out to its subscribers — downstream
@@ -195,11 +192,8 @@ impl Orchestrator {
     pub(crate) fn fan_out_publication(&mut self, context: &str, value: &Payload, span: SpanCtx) {
         let routes = Arc::clone(&self.routes);
         let now = self.queue.now();
-        let open = self.begin_wall_span(span, SpanStage::Route, &|| context.to_owned());
-        let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: span.trace_id,
-            parent: id,
-        });
+        let route_scope = self.begin(span, SpanStage::Route, None, || context.into());
+        let ctx = route_scope.ctx();
         for route in routes.context_subscribers(context) {
             let (target, qos_context, event) = match route {
                 ContextRoute::Context {
@@ -229,7 +223,7 @@ impl Orchestrator {
             };
             self.send_event(target, qos_context, event, 1, now);
         }
-        self.end_wall_span(open);
+        self.end(route_scope);
     }
 }
 

@@ -18,7 +18,7 @@
 use crate::clock::SimTime;
 use crate::engine::Orchestrator;
 use crate::obs::Activity;
-use crate::spans::{SpanCtx, SpanStage};
+use crate::spans::SpanStage;
 use crate::trace::TraceKind;
 use crate::transport::SendOutcome;
 
@@ -28,18 +28,14 @@ impl Orchestrator {
     /// Checks a sampled delivery latency against the receiving context's
     /// declared `@qos(latencyMs = N)` budget (paper \[15\]).
     pub(crate) fn check_qos(&mut self, context: &str, latency: SimTime) {
-        if let Some(budget) = self.qos_budgets.get(context) {
-            if latency > *budget {
+        if let Some(&budget) = self.qos_budgets.get(context) {
+            if latency > budget {
                 self.metrics.qos_violations += 1;
-                let at = self.queue.now();
-                self.record_trace(
-                    at,
-                    TraceKind::Error {
-                        message: format!(
-                            "QoS violation: delivery to `{context}` took {latency} ms                              (budget {budget} ms)"
-                        ),
-                    },
-                );
+                self.note(|| TraceKind::Error {
+                    message: format!(
+                        "QoS violation: delivery to `{context}` took {latency} ms                              (budget {budget} ms)"
+                    ),
+                });
             }
         }
     }
@@ -52,39 +48,23 @@ impl Orchestrator {
             return SendOutcome::without_faults(self.transport.send());
         };
         let outcome = self.transport.send_through(injector);
-        let at = self.queue.now();
         if outcome.fault_dropped {
             self.metrics.faults_injected += 1;
-            if self.trace_active() {
-                self.record_trace(
-                    at,
-                    TraceKind::FaultInjected {
-                        fault: "message drop".to_owned(),
-                    },
-                );
-            }
+            self.note(|| TraceKind::FaultInjected {
+                fault: "message drop".to_owned(),
+            });
         }
         if outcome.extra_delay_ms > 0 {
             self.metrics.faults_injected += 1;
-            if self.trace_active() {
-                self.record_trace(
-                    at,
-                    TraceKind::FaultInjected {
-                        fault: format!("message delay +{} ms", outcome.extra_delay_ms),
-                    },
-                );
-            }
+            self.note(|| TraceKind::FaultInjected {
+                fault: format!("message delay +{} ms", outcome.extra_delay_ms),
+            });
         }
         if outcome.duplicate.is_some() {
             self.metrics.faults_injected += 1;
-            if self.trace_active() {
-                self.record_trace(
-                    at,
-                    TraceKind::FaultInjected {
-                        fault: "message duplicate".to_owned(),
-                    },
-                );
-            }
+            self.note(|| TraceKind::FaultInjected {
+                fault: "message duplicate".to_owned(),
+            });
         }
         outcome
     }
@@ -106,16 +86,25 @@ impl Orchestrator {
         // The schedule span covers the simulated transport hop — sim-time
         // extent, recorded as a sibling per scheduled copy. The base
         // context deliberately keeps the *route* parent so a retried
-        // send's schedule span is a sibling of the failed one.
+        // send's schedule span is a sibling of the failed one; each copy
+        // carries its own hop's context so its dispatch parents under it.
         let base = event.span();
+        let now = self.queue.now();
+        let hop = |engine: &mut Self, latency: SimTime| {
+            engine.point(
+                base,
+                SpanStage::Schedule,
+                || target.into(),
+                now,
+                now + latency,
+            )
+        };
         if let Some(latency) = outcome.duplicate {
             self.metrics.messages_delivered += 1;
             self.metrics.total_transport_latency_ms += latency;
             self.obs.record(Activity::Delivering, target, latency);
             let mut copy = event.clone();
-            if base.is_active() {
-                copy.set_span(self.schedule_span(base, target, latency));
-            }
+            copy.set_span(hop(self, latency));
             self.queue.schedule_in(latency, copy);
         }
         match outcome.delivery {
@@ -126,44 +115,13 @@ impl Orchestrator {
                 if qos_context {
                     self.check_qos(target, latency);
                 }
-                if base.is_active() {
-                    event.set_span(self.schedule_span(base, target, latency));
-                }
+                event.set_span(hop(self, latency));
                 self.queue.schedule_in(latency, event);
             }
             None if outcome.fault_dropped => {
                 self.schedule_retry(target, event, attempt, first_sent_at);
             }
             None => self.metrics.messages_lost += 1,
-        }
-    }
-
-    /// Records one transport-hop schedule span (sim-time extent `latency`
-    /// from now) under `base` and returns the context the scheduled copy
-    /// should carry so its dispatch parents under this hop.
-    pub(crate) fn schedule_span(
-        &mut self,
-        base: SpanCtx,
-        target: &str,
-        latency: SimTime,
-    ) -> SpanCtx {
-        let label = if self.obs.spans_materializing() {
-            target.to_owned()
-        } else {
-            String::new()
-        };
-        let now = self.queue.now();
-        let id = self.obs.record_span(
-            base.trace_id,
-            base.parent,
-            SpanStage::Schedule,
-            &label,
-            now,
-            now + latency,
-        );
-        SpanCtx {
-            trace_id: base.trace_id,
-            parent: id,
         }
     }
 
@@ -194,34 +152,22 @@ impl Orchestrator {
             return;
         }
         self.metrics.delivery_retries += 1;
-        self.record_trace(
-            now,
-            TraceKind::DeliveryRetry {
-                to: target.to_owned(),
-                attempt: failed_attempt,
-            },
-        );
+        self.note(|| TraceKind::DeliveryRetry {
+            to: target.to_owned(),
+            attempt: failed_attempt,
+        });
         // Recovery cost: the backoff this delivery now waits out.
         self.obs.record(Activity::Recovering, target, backoff);
         // The retry span covers the backoff wait, a sibling of the failed
         // hop's schedule span (the boxed event keeps its route parent, so
         // the resend's schedule span lands beside this one too).
-        let base = event.span();
-        if base.is_active() {
-            let label = if self.obs.spans_materializing() {
-                target.to_owned()
-            } else {
-                String::new()
-            };
-            self.obs.record_span(
-                base.trace_id,
-                base.parent,
-                SpanStage::Retry,
-                &label,
-                now,
-                now + backoff,
-            );
-        }
+        self.point(
+            event.span(),
+            SpanStage::Retry,
+            || target.into(),
+            now,
+            now + backoff,
+        );
         self.queue.schedule_in(
             backoff,
             Event::Redeliver {
@@ -236,6 +182,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spans::SpanCtx;
     use crate::value::Value;
     use diaspec_core::compile_str;
     use std::sync::Arc;

@@ -489,6 +489,60 @@ impl TransportSample {
     }
 }
 
+// ---- the bounded ring ------------------------------------------------------
+
+/// A bounded drop-oldest queue with a drop counter: the one buffer under
+/// every telemetry surface that could otherwise grow without limit — the
+/// engine's trace buffer, the completed-span buffer, and the three
+/// [`BufferSink`] queues. Pushing to a disabled ring is a no-op; draining
+/// resets the drop counter, so each drain reports a fresh window.
+#[derive(Debug)]
+pub(crate) struct Ring<T> {
+    items: std::collections::VecDeque<T>,
+    capacity: usize,
+    enabled: bool,
+    dropped: u64,
+}
+
+impl<T> Ring<T> {
+    pub(crate) fn new(capacity: usize, enabled: bool) -> Self {
+        Ring {
+            items: std::collections::VecDeque::new(),
+            capacity: capacity.max(1),
+            enabled,
+            dropped: 0,
+        }
+    }
+
+    pub(crate) fn set_enabled(&mut self, enabled: bool) {
+        self.enabled = enabled;
+    }
+
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    pub(crate) fn push(&mut self, item: T) {
+        if !self.enabled {
+            return;
+        }
+        if self.items.len() >= self.capacity {
+            self.items.pop_front();
+            self.dropped += 1;
+        }
+        self.items.push_back(item);
+    }
+
+    pub(crate) fn drain(&mut self) -> Vec<T> {
+        self.dropped = 0;
+        self.items.drain(..).collect()
+    }
+
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
 // ---- observers ------------------------------------------------------------
 
 /// A pluggable observability sink.
@@ -512,78 +566,62 @@ pub trait Observer {
 }
 
 /// A bounded in-memory sink: the observer counterpart of the engine's
-/// internal trace buffer. Oldest events are dropped past the capacity;
-/// the drop counter resets when the buffer is drained.
+/// internal trace buffer. Oldest events, spans and snapshots are dropped
+/// past the capacity; a drop counter resets when its queue is drained.
 #[derive(Debug)]
 pub struct BufferSink {
-    events: std::collections::VecDeque<TraceEvent>,
-    spans: std::collections::VecDeque<SpanEvent>,
-    snapshots: Vec<ObsSnapshot>,
-    capacity: usize,
-    dropped: u64,
-    spans_dropped: u64,
+    events: Ring<TraceEvent>,
+    spans: Ring<SpanEvent>,
+    snapshots: Ring<ObsSnapshot>,
 }
 
 impl BufferSink {
     /// Creates a sink holding at most `capacity` events (and, likewise,
-    /// at most `capacity` spans).
+    /// at most `capacity` spans and `capacity` snapshots).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         BufferSink {
-            events: std::collections::VecDeque::new(),
-            spans: std::collections::VecDeque::new(),
-            snapshots: Vec::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-            spans_dropped: 0,
+            events: Ring::new(capacity, true),
+            spans: Ring::new(capacity, true),
+            snapshots: Ring::new(capacity, true),
         }
     }
 
     /// Drains the buffered events, resetting the drop counter.
     pub fn take(&mut self) -> Vec<TraceEvent> {
-        self.dropped = 0;
-        self.events.drain(..).collect()
+        self.events.drain()
     }
 
     /// Drains the buffered spans, resetting the span drop counter.
     pub fn take_spans(&mut self) -> Vec<SpanEvent> {
-        self.spans_dropped = 0;
-        self.spans.drain(..).collect()
+        self.spans.drain()
     }
 
     /// Drains the buffered snapshots.
     pub fn take_snapshots(&mut self) -> Vec<ObsSnapshot> {
-        std::mem::take(&mut self.snapshots)
+        self.snapshots.drain()
     }
 
     /// Events dropped since the last [`BufferSink::take`].
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.events.dropped()
     }
 
     /// Spans dropped since the last [`BufferSink::take_spans`].
     #[must_use]
     pub fn spans_dropped(&self) -> u64 {
-        self.spans_dropped
+        self.spans.dropped()
     }
 }
 
 impl Observer for BufferSink {
     fn on_event(&mut self, event: &TraceEvent) {
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event.clone());
+        self.events.push(event.clone());
     }
 
     fn on_span(&mut self, span: &SpanEvent) {
-        if self.spans.len() >= self.capacity {
-            self.spans.pop_front();
-            self.spans_dropped += 1;
-        }
-        self.spans.push_back(span.clone());
+        self.spans.push(span.clone());
     }
 
     fn on_snapshot(&mut self, snapshot: &ObsSnapshot) {
@@ -592,7 +630,8 @@ impl Observer for BufferSink {
 }
 
 /// A JSON Lines sink: one JSON object per line, `{"trace": ...}` for
-/// events and `{"snapshot": ...}` for snapshots.
+/// events, `{"span": ...}` for completed spans and `{"snapshot": ...}`
+/// for snapshots.
 ///
 /// Write errors do not disturb the orchestration; they are counted and
 /// reported by [`JsonlSink::write_errors`].
@@ -727,27 +766,58 @@ fn escape_label(value: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// Appends a Prometheus `histogram`-typed family (`_bucket`/`_sum`/
-/// `_count` lines) for one latency distribution.
-fn render_histogram_family(
+/// One row of a latency family: the value of its key label, its unit,
+/// and the distribution.
+type LatencyRow<'a> = (&'a str, &'a str, &'a HistogramSummary, &'a [BucketCount]);
+
+/// Appends the two families that describe one set of latency
+/// distributions: `<family>` as a `summary` (p50/p90/p99/p99.9 + `_sum` +
+/// `_count`) and `<family>_hist` as a cumulative `histogram`
+/// (`_bucket{le=...}`/`_sum`/`_count`), one row per `key` label value.
+fn render_latency_families(
     out: &mut String,
     family: &str,
-    base: &str,
-    latency: &HistogramSummary,
-    buckets: &[BucketCount],
+    key: &str,
+    summary_help: &str,
+    hist_help: &str,
+    rows: &[LatencyRow<'_>],
 ) {
-    for bucket in buckets {
+    let base = |name: &str, unit: &str| format!("{key}=\"{name}\",unit=\"{unit}\"");
+    out.push_str(&format!("# HELP {family} {summary_help}\n"));
+    out.push_str(&format!("# TYPE {family} summary\n"));
+    for &(name, unit, latency, _) in rows {
+        let base = base(name, unit);
+        for (q, v) in [
+            ("0.5", latency.p50),
+            ("0.9", latency.p90),
+            ("0.99", latency.p99),
+            ("0.999", latency.p999),
+        ] {
+            out.push_str(&format!("{family}{{{base},quantile=\"{q}\"}} {v}\n"));
+        }
+        out.push_str(&format!("{family}_sum{{{base}}} {}\n", latency.sum));
+        out.push_str(&format!("{family}_count{{{base}}} {}\n", latency.count));
+    }
+    out.push_str(&format!("# HELP {family}_hist {hist_help}\n"));
+    out.push_str(&format!("# TYPE {family}_hist histogram\n"));
+    for &(name, unit, latency, buckets) in rows {
+        let base = base(name, unit);
+        for bucket in buckets {
+            out.push_str(&format!(
+                "{family}_hist_bucket{{{base},le=\"{}\"}} {}\n",
+                bucket.le, bucket.count
+            ));
+        }
         out.push_str(&format!(
-            "{family}_bucket{{{base},le=\"{}\"}} {}\n",
-            bucket.le, bucket.count
+            "{family}_hist_bucket{{{base},le=\"+Inf\"}} {}\n",
+            latency.count
+        ));
+        out.push_str(&format!("{family}_hist_sum{{{base}}} {}\n", latency.sum));
+        out.push_str(&format!(
+            "{family}_hist_count{{{base}}} {}\n",
+            latency.count
         ));
     }
-    out.push_str(&format!(
-        "{family}_bucket{{{base},le=\"+Inf\"}} {}\n",
-        latency.count
-    ));
-    out.push_str(&format!("{family}_sum{{{base}}} {}\n", latency.sum));
-    out.push_str(&format!("{family}_count{{{base}}} {}\n", latency.count));
 }
 
 /// Renders a snapshot in the Prometheus text exposition style:
@@ -784,85 +854,33 @@ pub fn render_prometheus(snapshot: &ObsSnapshot) -> String {
             ));
         }
     }
-    out.push_str(
-        "# HELP diaspec_activity_latency Duration distribution per activity (ms simulated for delivering, us wall otherwise).\n",
+    let activities: Vec<LatencyRow<'_>> = snapshot
+        .activities
+        .iter()
+        .map(|a| (&*a.activity, &*a.unit, &a.latency, &*a.buckets))
+        .collect();
+    render_latency_families(
+        &mut out,
+        "diaspec_activity_latency",
+        "activity",
+        "Duration distribution per activity (ms simulated for delivering, us wall otherwise).",
+        "Cumulative duration histogram per activity.",
+        &activities,
     );
-    out.push_str("# TYPE diaspec_activity_latency summary\n");
-    for act in &snapshot.activities {
-        let base = format!("activity=\"{}\",unit=\"{}\"", act.activity, act.unit);
-        for (q, v) in [
-            ("0.5", act.latency.p50),
-            ("0.9", act.latency.p90),
-            ("0.99", act.latency.p99),
-            ("0.999", act.latency.p999),
-        ] {
-            out.push_str(&format!(
-                "diaspec_activity_latency{{{base},quantile=\"{q}\"}} {v}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "diaspec_activity_latency_sum{{{base}}} {}\n",
-            act.latency.sum
-        ));
-        out.push_str(&format!(
-            "diaspec_activity_latency_count{{{base}}} {}\n",
-            act.latency.count
-        ));
-    }
-    out.push_str(
-        "# HELP diaspec_activity_latency_hist Cumulative duration histogram per activity.\n",
-    );
-    out.push_str("# TYPE diaspec_activity_latency_hist histogram\n");
-    for act in &snapshot.activities {
-        let base = format!("activity=\"{}\",unit=\"{}\"", act.activity, act.unit);
-        render_histogram_family(
-            &mut out,
-            "diaspec_activity_latency_hist",
-            &base,
-            &act.latency,
-            &act.buckets,
-        );
-    }
     if !snapshot.stages.is_empty() {
-        out.push_str(
-            "# HELP diaspec_stage_latency Per-pipeline-stage duration from causal span tracing.\n",
+        let stages: Vec<LatencyRow<'_>> = snapshot
+            .stages
+            .iter()
+            .map(|s| (&*s.stage, &*s.unit, &s.latency, &*s.buckets))
+            .collect();
+        render_latency_families(
+            &mut out,
+            "diaspec_stage_latency",
+            "stage",
+            "Per-pipeline-stage duration from causal span tracing.",
+            "Cumulative duration histogram per pipeline stage.",
+            &stages,
         );
-        out.push_str("# TYPE diaspec_stage_latency summary\n");
-        for stage in &snapshot.stages {
-            let base = format!("stage=\"{}\",unit=\"{}\"", stage.stage, stage.unit);
-            for (q, v) in [
-                ("0.5", stage.latency.p50),
-                ("0.9", stage.latency.p90),
-                ("0.99", stage.latency.p99),
-                ("0.999", stage.latency.p999),
-            ] {
-                out.push_str(&format!(
-                    "diaspec_stage_latency{{{base},quantile=\"{q}\"}} {v}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "diaspec_stage_latency_sum{{{base}}} {}\n",
-                stage.latency.sum
-            ));
-            out.push_str(&format!(
-                "diaspec_stage_latency_count{{{base}}} {}\n",
-                stage.latency.count
-            ));
-        }
-        out.push_str(
-            "# HELP diaspec_stage_latency_hist Cumulative duration histogram per pipeline stage.\n",
-        );
-        out.push_str("# TYPE diaspec_stage_latency_hist histogram\n");
-        for stage in &snapshot.stages {
-            let base = format!("stage=\"{}\",unit=\"{}\"", stage.stage, stage.unit);
-            render_histogram_family(
-                &mut out,
-                "diaspec_stage_latency_hist",
-                &base,
-                &stage.latency,
-                &stage.buckets,
-            );
-        }
     }
     if !snapshot.transports.is_empty() {
         type CounterOf = fn(&TransportSample) -> u64;
@@ -1322,6 +1340,36 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].at, 3, "oldest dropped");
         assert_eq!(sink.dropped(), 0, "drained buffers start a fresh window");
+    }
+
+    #[test]
+    fn ring_is_gated_bounded_and_drains_to_a_fresh_window() {
+        let mut ring = Ring::new(3, false);
+        ring.push(0);
+        assert!(!ring.is_enabled());
+        assert!(ring.drain().is_empty(), "a disabled ring records nothing");
+        ring.set_enabled(true);
+        for i in 1..=5 {
+            ring.push(i);
+        }
+        assert_eq!(ring.dropped(), 2);
+        assert_eq!(ring.drain(), [3, 4, 5], "oldest dropped");
+        assert_eq!(ring.dropped(), 0, "drain resets the drop counter");
+        assert!(ring.drain().is_empty(), "drained");
+    }
+
+    #[test]
+    fn buffer_sink_bounds_its_snapshots_too() {
+        const CAPACITY: usize = 4;
+        let mut sink = BufferSink::new(CAPACITY);
+        let hub = ObsHub::new();
+        for at in 0..(CAPACITY as u64 + 3) {
+            sink.on_snapshot(&hub.snapshot(at));
+        }
+        let kept = sink.take_snapshots();
+        assert_eq!(kept.len(), CAPACITY);
+        assert_eq!(kept[0].at, 3, "the newest `capacity` are kept");
+        assert!(sink.take_snapshots().is_empty(), "drained");
     }
 
     #[test]

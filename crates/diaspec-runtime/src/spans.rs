@@ -31,9 +31,8 @@
 //! updated — no per-span allocation.
 
 use crate::clock::SimTime;
-use crate::obs::LatencyHistogram;
+use crate::obs::{LatencyHistogram, Ring};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -148,6 +147,22 @@ impl SpanCtx {
     pub fn is_active(self) -> bool {
         self.trace_id != 0
     }
+
+    /// The root context of a freshly minted trace.
+    pub(crate) fn root(trace_id: u64) -> SpanCtx {
+        SpanCtx {
+            trace_id,
+            parent: 0,
+        }
+    }
+
+    /// The context of this flow's events caused under span `span_id`.
+    pub(crate) fn child(self, span_id: u64) -> SpanCtx {
+        SpanCtx {
+            trace_id: self.trace_id,
+            parent: span_id,
+        }
+    }
 }
 
 /// One completed span: a stage of one flow, with its tree position and
@@ -225,12 +240,11 @@ struct OpenSpan {
 /// through the hub so completed spans also reach attached observers.
 pub(crate) struct SpanTracer {
     enabled: bool,
-    buffering: bool,
     next_trace: u64,
     next_span: u64,
     open: Vec<OpenSpan>,
-    buffer: VecDeque<SpanEvent>,
-    dropped: u64,
+    /// Completed spans; enabled while buffering is on.
+    buffer: Ring<SpanEvent>,
     stages: Vec<LatencyHistogram>,
 }
 
@@ -238,12 +252,10 @@ impl SpanTracer {
     pub(crate) fn new() -> Self {
         SpanTracer {
             enabled: false,
-            buffering: false,
             next_trace: 1,
             next_span: 1,
             open: Vec::new(),
-            buffer: VecDeque::new(),
-            dropped: 0,
+            buffer: Ring::new(SPAN_BUFFER_CAP, false),
             stages: SpanStage::ALL
                 .iter()
                 .map(|_| LatencyHistogram::new())
@@ -253,11 +265,11 @@ impl SpanTracer {
 
     pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
-        self.buffering = enabled;
+        self.buffer.set_enabled(enabled);
     }
 
     pub(crate) fn set_buffering(&mut self, buffering: bool) {
-        self.buffering = buffering;
+        self.buffer.set_enabled(buffering);
     }
 
     pub(crate) fn is_enabled(&self) -> bool {
@@ -265,7 +277,7 @@ impl SpanTracer {
     }
 
     pub(crate) fn is_buffering(&self) -> bool {
-        self.buffering
+        self.buffer.is_enabled()
     }
 
     pub(crate) fn mint_trace(&mut self) -> u64 {
@@ -335,12 +347,8 @@ impl SpanTracer {
             end_ms,
             wall_us,
         };
-        if self.buffering {
-            if self.buffer.len() >= SPAN_BUFFER_CAP {
-                self.buffer.pop_front();
-                self.dropped += 1;
-            }
-            self.buffer.push_back(event.clone());
+        if self.buffer.is_enabled() {
+            self.buffer.push(event.clone());
         }
         Some(event)
     }
@@ -350,17 +358,16 @@ impl SpanTracer {
     }
 
     pub(crate) fn take(&mut self) -> Vec<SpanEvent> {
-        self.dropped = 0;
         // Spans land in the buffer when they close, but consumers (the
         // validator, the canonical rendering) want open order — IDs are
         // minted at open, so sorting restores it.
-        let mut spans: Vec<SpanEvent> = self.buffer.drain(..).collect();
+        let mut spans = self.buffer.drain();
         spans.sort_unstable_by_key(|s| s.span_id);
         spans
     }
 
     pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
+        self.buffer.dropped()
     }
 
     pub(crate) fn stage_histogram(&self, stage: SpanStage) -> &LatencyHistogram {

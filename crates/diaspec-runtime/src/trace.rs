@@ -1,11 +1,13 @@
-//! Execution tracing: a timestamped record of every orchestration-level
-//! event.
+//! Execution tracing: the vocabulary of timestamped orchestration-level
+//! events.
 //!
 //! Tracing is off by default (it allocates per event); switch it on with
 //! [`Orchestrator::set_tracing`](crate::engine::Orchestrator::set_tracing)
 //! to debug a design or to render a timeline of a scenario run, and drain
 //! the recorded events with
 //! [`Orchestrator::take_trace`](crate::engine::Orchestrator::take_trace).
+//! An event is built once, and only while the engine's bounded buffer is
+//! enabled or an [`Observer`](crate::obs::Observer) is attached.
 
 use crate::clock::SimTime;
 use serde::{Deserialize, Serialize};
@@ -189,118 +191,9 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A bounded trace buffer (oldest entries are dropped past the capacity).
-#[derive(Debug)]
-pub(crate) struct TraceBuffer {
-    events: std::collections::VecDeque<TraceEvent>,
-    capacity: usize,
-    enabled: bool,
-    dropped: u64,
-}
-
-impl TraceBuffer {
-    pub(crate) fn new() -> Self {
-        TraceBuffer {
-            events: std::collections::VecDeque::new(),
-            capacity: 100_000,
-            enabled: false,
-            dropped: 0,
-        }
-    }
-
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub(crate) fn record(&mut self, at: SimTime, kind: TraceKind) {
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TraceEvent { at, kind });
-    }
-
-    pub(crate) fn take(&mut self) -> Vec<TraceEvent> {
-        // Draining starts a fresh observation window: a stale drop count
-        // from a previous run would otherwise misreport later drains.
-        self.dropped = 0;
-        self.events.drain(..).collect()
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_buffer_records_nothing() {
-        let mut buf = TraceBuffer::new();
-        buf.record(
-            1,
-            TraceKind::Emission {
-                entity: "e".into(),
-                source: "s".into(),
-            },
-        );
-        assert!(buf.take().is_empty());
-        assert!(!buf.is_enabled());
-    }
-
-    #[test]
-    fn enabled_buffer_records_and_drains() {
-        let mut buf = TraceBuffer::new();
-        buf.set_enabled(true);
-        buf.record(
-            5,
-            TraceKind::Publication {
-                context: "C".into(),
-                value: "1".into(),
-            },
-        );
-        buf.record(
-            9,
-            TraceKind::Actuation {
-                entity: "dev".into(),
-                action: "go".into(),
-            },
-        );
-        let events = buf.take();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].at, 5);
-        assert!(buf.take().is_empty(), "drained");
-        assert_eq!(buf.dropped(), 0);
-    }
-
-    #[test]
-    fn buffer_is_bounded() {
-        let mut buf = TraceBuffer::new();
-        buf.set_enabled(true);
-        buf.capacity = 3;
-        for i in 0..5 {
-            buf.record(
-                i,
-                TraceKind::ContextActivation {
-                    context: format!("C{i}"),
-                },
-            );
-        }
-        assert_eq!(buf.dropped(), 2);
-        let events = buf.take();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].at, 2, "oldest dropped");
-        assert_eq!(buf.dropped(), 0, "drain resets the drop counter");
-    }
 
     #[test]
     fn display_forms_are_readable() {

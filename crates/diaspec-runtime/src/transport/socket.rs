@@ -196,27 +196,54 @@ impl super::Transport for TcpTransport {
 /// [`TransportError::Frame`] on a malformed frame.
 pub fn serve_connection(
     stream: &mut TcpStream,
-    mut handler: impl FnMut(&Envelope) -> Option<Envelope>,
+    handler: impl FnMut(&Envelope) -> Option<Envelope>,
 ) -> Result<TransportStats, TransportError> {
     let mut stats = TransportStats::default();
+    serve_frames(stream, &mut stats, handler)?;
+    Ok(stats)
+}
+
+/// Why a served connection ended.
+pub(crate) enum ConnectionEnd {
+    /// The peer said [`MessageKind::Bye`] (acknowledged).
+    Bye,
+    /// The peer closed the connection without a `Bye`.
+    Disconnected,
+    /// The handler returned `None`: the connection was dropped without a
+    /// reply.
+    Dropped,
+}
+
+/// The frame loop under [`serve_connection`] and the edge
+/// [`Supervisor`](crate::deploy::supervisor::Supervisor): reads a frame,
+/// hands it to `handler`, writes the reply, and says why it stopped.
+/// Counters accumulate into `stats` as frames move, so what was served
+/// before a failure stays counted.
+pub(crate) fn serve_frames(
+    stream: &mut TcpStream,
+    stats: &mut TransportStats,
+    mut handler: impl FnMut(&Envelope) -> Option<Envelope>,
+) -> Result<ConnectionEnd, TransportError> {
     loop {
         let Some((envelope, received)) = Envelope::read_from(stream)? else {
-            return Ok(stats);
+            return Ok(ConnectionEnd::Disconnected);
         };
         stats.bytes_received += received as u64;
         stats.frames_received += 1;
-        if envelope.kind == MessageKind::Bye {
-            let sent = envelope.reply_ok().write_to(stream)?;
-            stats.bytes_sent += sent as u64;
-            stats.frames_sent += 1;
-            return Ok(stats);
-        }
-        let Some(reply) = handler(&envelope) else {
-            return Ok(stats);
+        let (reply, end) = if envelope.kind == MessageKind::Bye {
+            (envelope.reply_ok(), Some(ConnectionEnd::Bye))
+        } else {
+            match handler(&envelope) {
+                Some(reply) => (reply, None),
+                None => return Ok(ConnectionEnd::Dropped),
+            }
         };
         let sent = reply.write_to(stream)?;
         stats.bytes_sent += sent as u64;
         stats.frames_sent += 1;
+        if let Some(end) = end {
+            return Ok(end);
+        }
     }
 }
 

@@ -1,21 +1,29 @@
-//! Allocation guard for periodic delivery: poll → `every <T>` window.
+//! Allocation guards for the delivery paths.
 //!
-//! A polled reading is three shared handles — the entity id, the
-//! canonical handle of its grouping attribute value, and the interned
-//! `Boolean` — so a poll sweep makes a constant number of allocator
-//! calls, not one (or five) per reading, and a buffered reading costs the
-//! three pointers it is made of. This file has its own counting
-//! allocator and a single test, so nothing else allocates while it
-//! counts.
+//! Periodic delivery (poll → `every <T>` window): a polled reading is
+//! three shared handles — the entity id, the canonical handle of its
+//! grouping attribute value, and the interned `Boolean` — so a poll sweep
+//! makes a constant number of allocator calls, not one (or five) per
+//! reading, and a buffered reading costs the three pointers it is made
+//! of.
+//!
+//! Event-driven delivery (sensor → context → controller → actuation):
+//! with every telemetry switch off no site builds a trace event, so a
+//! message costs only the allocations the pipeline itself needs.
+//!
+//! This file has its own counting allocator; its tests take [`SERIAL`]
+//! so nothing else allocates while one of them counts.
 
 use diaspec_core::compile_str;
 use diaspec_runtime::component::ContextActivation;
 use diaspec_runtime::engine::{ContextApi, ControllerApi, Orchestrator};
-use diaspec_runtime::entity::AttributeMap;
+use diaspec_runtime::entity::{AttributeMap, DeviceInstance, EntityId};
+use diaspec_runtime::error::DeviceError;
+use diaspec_runtime::trace::TraceKind;
 use diaspec_runtime::value::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Counts allocator calls (`alloc` and `realloc`) and live heap bytes.
 struct Counting;
@@ -51,6 +59,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Held by each test while it runs: the counters are process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 const SENSORS: u64 = 1_000;
 const GROUPS: u64 = 8;
 const POLLS: u64 = 10;
@@ -58,6 +69,7 @@ const PERIOD_MS: u64 = 600_000;
 
 #[test]
 fn a_polled_reading_costs_handles_not_allocations() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = Arc::new(
         compile_str(
             r#"
@@ -131,4 +143,122 @@ fn a_polled_reading_costs_handles_not_allocations() {
         bytes_per_reading <= 48.0,
         "{grown} B of live heap for {readings} buffered readings ({bytes_per_reading:.1} B each)"
     );
+}
+
+/// A sink that accepts `absorb` and serves no sources.
+struct Sink;
+
+impl DeviceInstance for Sink {
+    fn query(&mut self, source: &str, _now: u64) -> Result<Value, DeviceError> {
+        Err(DeviceError::new("sink", source, "sinks have no sources"))
+    }
+
+    fn invoke(&mut self, _action: &str, _args: &[Value], _now: u64) -> Result<(), DeviceError> {
+        Ok(())
+    }
+}
+
+/// The benchmark's `event_chain` design: emission → `Agg` → `Out` →
+/// `absorb`, one sensor.
+fn chain() -> Orchestrator {
+    let spec = Arc::new(
+        compile_str(
+            r#"
+            device Sensor { source v as Integer; }
+            device Sink { action absorb(v as Integer); }
+            context Agg as Integer { when provided v from Sensor always publish; }
+            controller Out { when provided Agg do absorb on Sink; }
+            "#,
+        )
+        .unwrap(),
+    );
+    let mut orch = Orchestrator::new(spec);
+    orch.register_context(
+        "Agg",
+        |_: &mut ContextApi<'_>, activation: ContextActivation<'_>| match activation {
+            ContextActivation::SourceEvent { value, .. } => Ok(Some(value.clone())),
+            _ => Ok(None),
+        },
+    )
+    .unwrap();
+    let sink: EntityId = "sink".into();
+    orch.register_controller(
+        "Out",
+        move |api: &mut ControllerApi<'_>, _: &str, value: &Value| {
+            api.invoke(&sink, "absorb", std::slice::from_ref(value))?;
+            Ok(())
+        },
+    )
+    .unwrap();
+    let sensor = |_: &str, _: u64| Ok(Value::Int(0));
+    orch.bind_entity("s0".into(), "Sensor", AttributeMap::new(), Box::new(sensor))
+        .unwrap();
+    orch.bind_entity("sink".into(), "Sink", AttributeMap::new(), Box::new(Sink))
+        .unwrap();
+    orch.launch().unwrap();
+    orch
+}
+
+/// Drives messages `from..=to` through the chain, one per simulated ms.
+fn drive(orch: &mut Orchestrator, from: u64, to: u64) {
+    let sensor: EntityId = "s0".into();
+    for at in from..=to {
+        orch.emit_at(at, &sensor, "v", Value::Int(at as i64), None)
+            .unwrap();
+        orch.run_until(at);
+    }
+}
+
+#[test]
+fn an_untraced_message_builds_no_trace_event() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const WARM_UP: u64 = 100;
+    const MESSAGES: u64 = 10_000;
+
+    // Every switch off: tracing, observability, span tracing, observers.
+    let mut orch = chain();
+    drive(&mut orch, 1, WARM_UP);
+    let before = CALLS.load(Ordering::Relaxed);
+    drive(&mut orch, WARM_UP + 1, WARM_UP + MESSAGES);
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(orch.metrics().actuations, WARM_UP + MESSAGES);
+    assert!(orch.drain_errors().is_empty());
+    // Parent commit: 140 000 calls (14.0 per message), two of them the
+    // `entity.to_string()` and `action.to_owned()` of an `Actuation`
+    // event that was built and then thrown away. Now: 120 000 (12.0),
+    // give or take a few calls by the test harness's own threads.
+    let per_message = calls as f64 / MESSAGES as f64;
+    assert!(
+        per_message <= 12.05,
+        "{calls} allocator calls for {MESSAGES} untraced messages ({per_message:.2} each)"
+    );
+
+    // Tracing on: the same five events per message, in pipeline order.
+    let mut orch = chain();
+    orch.set_tracing(true);
+    drive(&mut orch, 1, MESSAGES);
+    let trace = orch.take_trace();
+    assert_eq!(trace.len() as u64, 5 * MESSAGES);
+    for (message, events) in trace.chunks(5).enumerate() {
+        assert!(events.iter().all(|e| e.at == message as u64 + 1));
+        assert!(
+            matches!(
+                [
+                    &events[0].kind,
+                    &events[1].kind,
+                    &events[2].kind,
+                    &events[3].kind,
+                    &events[4].kind,
+                ],
+                [
+                    TraceKind::Emission { .. },
+                    TraceKind::ContextActivation { .. },
+                    TraceKind::Publication { .. },
+                    TraceKind::ControllerActivation { .. },
+                    TraceKind::Actuation { .. },
+                ]
+            ),
+            "message {message}: {events:?}"
+        );
+    }
 }

@@ -12,6 +12,12 @@
 #    would show up as the SplitMix64 multiplier in a second file, the
 #    retired MurmurHash3 finalizer anywhere, or `use rand` in the engine
 #    or chaos injector.
+# 4. One telemetry protocol: an engine site states what happened through
+#    the three verbs of engine/telemetry.rs (`note`, `begin`/`leaf`..`end`,
+#    `point`; see docs/OBSERVABILITY.md "Instrumenting a site") and never
+#    asks which switch is on. A hand-rolled copy of the protocol shows up
+#    as a switch query, a wall-clock read or a `SpanCtx { .. }` literal
+#    outside that file.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -61,3 +67,52 @@ for injector in crates/diaspec-runtime/src/fault.rs \
     fi
 done
 echo "ok: one fault sampler (fate), no second hash, no RNG under an injector"
+
+TELEMETRY=crates/diaspec-runtime/src/engine/telemetry.rs
+API=crates/diaspec-runtime/src/engine/api.rs
+DELIVER=crates/diaspec-runtime/src/engine/deliver
+
+# Occurrences of fixed string $1 in the code (comment lines excluded) of
+# the files that follow.
+count() {
+    local needle=$1
+    shift
+    { grep -hv '^[[:space:]]*//' "$@" || true; } | { grep -oF -- "$needle" || true; } | wc -l
+}
+
+# needle, max in telemetry.rs (what the verbs need), max in engine.rs.
+# Nothing is allowed in engine/api.rs or engine/deliver/.
+# engine.rs keeps two named wall-clock reads: `bind_entity`'s binding
+# timer and `run_realtime_for`'s pacing clock.
+while read -r needle in_verbs in_engine; do
+    found=$(count "$needle" "$TELEMETRY")
+    if [ "$found" -gt "$in_verbs" ]; then
+        echo "FAIL: $TELEMETRY has $found \`$needle\` (the verbs need $in_verbs)." >&2
+        exit 1
+    fi
+    found=$(count "$needle" "$ENGINE")
+    if [ "$found" -gt "$in_engine" ]; then
+        echo "FAIL: $ENGINE has $found \`$needle\` (max $in_engine); go through a verb." >&2
+        exit 1
+    fi
+    found=$(count "$needle" "$API" "$DELIVER"/*.rs)
+    if [ "$found" -gt 0 ]; then
+        echo "FAIL: $found \`$needle\` in engine/api.rs or engine/deliver/; a site" >&2
+        echo "states what happened through note/begin/leaf/end/point and lets the" >&2
+        echo "verb query the switches (engine/telemetry.rs)." >&2
+        exit 1
+    fi
+done <<'EOF_RULES'
+spans_materializing() 1 0
+trace.is_enabled() 1 0
+has_observers() 1 0
+Instant::now 1 2
+EOF_RULES
+literals=$({ grep -hv '^[[:space:]]*//' "$ENGINE" "$API" "$TELEMETRY" "$DELIVER"/*.rs || true; } \
+    | { grep -F 'SpanCtx {' || true; } | { grep -vcF -- '-> SpanCtx {' || true; })
+if [ "$literals" -gt 0 ]; then
+    echo "FAIL: $literals \`SpanCtx { .. }\` literal(s) in the engine; use SpanCtx::child," >&2
+    echo "SpanCtx::root or SpanCtx::NONE (crates/diaspec-runtime/src/spans.rs)." >&2
+    exit 1
+fi
+echo "ok: one telemetry protocol (switch queries and Instant::now only in the verbs)"
