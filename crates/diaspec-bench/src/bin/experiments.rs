@@ -37,7 +37,7 @@ const EXPERIMENTS: &[(&str, &str, bool)] = &[
     ("e10", "serial vs parallel MapReduce speedup: crossover where parallelism pays", true),
     ("e11", "message volume + latency per delivery model (periodic/event/query)", true),
     ("e12", "discovery latency vs registry size and attribute selectivity", true),
-    ("e13", "compiler throughput vs spec size (bench: compiler)", false),
+    ("e13", "compiler throughput vs spec size (benchmark/ probes lexer.lex_us .. codegen.java_us)", false),
     ("e14", "@error/@qos annotations drive declared recovery (tests/failure_injection.rs)", false),
     ("e15", "requirements matched against infrastructure descriptions (examples/capacity_planning.rs)", false),
     ("e16", "recovery cost under seeded device churn: leases, rebinds, retries", true),
@@ -324,15 +324,20 @@ fn e10_processing(quick: bool, json: bool) {
     let readings = if quick { 20_000 } else { 400_000 };
     let workers: &[usize] = &[1, 2, 4, 8];
     println!(
-        "{:>9} {:>6} {:>9} {:>11} {:>9} {:>8}",
-        "readings", "work", "workers", "wall (ms)", "speedup", "groups"
+        "nproc {}; every speedup is the median (min-max) of {} alternating serial/parallel pairs\n",
+        std::thread::available_parallelism().map_or(1, usize::from),
+        processing::ROUNDS
+    );
+    println!(
+        "{:>9} {:>6} {:>9} {:>11} {:>9} {:>13} {:>8}",
+        "readings", "work", "workers", "wall (ms)", "speedup", "(min-max)", "groups"
     );
     let mut all = Vec::new();
     for work in [0u32, 50, 400] {
         let rows = processing::sweep(readings, workers, work);
         for row in &rows {
             println!(
-                "{:>9} {:>6} {:>9} {:>11.2} {:>8.2}x {:>8}",
+                "{:>9} {:>6} {:>9} {:>11.2} {:>8.2}x {:>13} {:>8}",
                 row.readings,
                 row.work,
                 if row.workers == 0 {
@@ -342,6 +347,7 @@ fn e10_processing(quick: bool, json: bool) {
                 },
                 row.wall_ms,
                 row.speedup,
+                format!("({:.2}-{:.2})", row.speedup_min, row.speedup_max),
                 row.groups
             );
         }

@@ -32,8 +32,7 @@ pub struct ContinuumRow {
 }
 
 /// Runs one scale point: `sensors_per_lot` sensors in each of the 8 lots.
-#[must_use]
-pub fn run_scale(sensors_per_lot: usize, processing: ProcessingMode) -> ContinuumRow {
+fn run_scale(sensors_per_lot: usize, processing: ProcessingMode) -> ContinuumRow {
     let build_start = Instant::now();
     let mut app = build(ParkingAppConfig {
         sensors_per_lot,

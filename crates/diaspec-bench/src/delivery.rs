@@ -136,8 +136,7 @@ fn absorb_all() -> impl diaspec_runtime::component::ControllerLogic {
 }
 
 /// Runs one delivery-model configuration.
-#[must_use]
-pub fn run(model: Model, sensors: usize, change_rate_per_min: f64, minutes: u64) -> DeliveryRow {
+fn run(model: Model, sensors: usize, change_rate_per_min: f64, minutes: u64) -> DeliveryRow {
     let spec_src = match model {
         Model::Periodic => PERIODIC_SPEC,
         Model::EventDriven => EVENT_SPEC,

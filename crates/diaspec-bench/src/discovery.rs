@@ -22,8 +22,7 @@ const SPEC: &str = r#"
 
 /// Builds a registry of `entities` panels spread over `zones` zones and 4
 /// floors.
-#[must_use]
-pub fn build_registry(entities: usize, zones: usize) -> Registry {
+fn build_registry(entities: usize, zones: usize) -> Registry {
     let spec = Arc::new(compile_str(SPEC).expect("discovery spec compiles"));
     let mut registry = Registry::new(spec);
     for i in 0..entities {

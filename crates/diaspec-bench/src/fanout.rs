@@ -21,7 +21,7 @@ use std::time::Instant;
 
 /// A payload-size point of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PayloadKind {
+enum PayloadKind {
     /// `Value::Int` — the smallest payload (8 data bytes).
     Int,
     /// A 1 KiB `Value::Str`.
@@ -32,8 +32,7 @@ pub enum PayloadKind {
 
 impl PayloadKind {
     /// Display label.
-    #[must_use]
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             PayloadKind::Int => "int",
             PayloadKind::Str1K => "str-1KiB",
@@ -42,8 +41,7 @@ impl PayloadKind {
     }
 
     /// The declared output type of the relay context for this payload.
-    #[must_use]
-    pub fn spec_type(self) -> &'static str {
+    fn spec_type(self) -> &'static str {
         match self {
             PayloadKind::Int => "Integer",
             PayloadKind::Str1K => "String",
@@ -52,8 +50,7 @@ impl PayloadKind {
     }
 
     /// Builds one payload value of this kind.
-    #[must_use]
-    pub fn value(self) -> Value {
+    fn value(self) -> Value {
         match self {
             PayloadKind::Int => Value::Int(42),
             PayloadKind::Str1K => Value::Str("x".repeat(1024)),
@@ -62,8 +59,7 @@ impl PayloadKind {
     }
 
     /// Every payload kind of the sweep.
-    #[must_use]
-    pub fn all() -> [PayloadKind; 3] {
+    fn all() -> [PayloadKind; 3] {
         [PayloadKind::Int, PayloadKind::Str1K, PayloadKind::Array4K]
     }
 }
@@ -73,8 +69,7 @@ impl PayloadKind {
 /// regardless of payload size.
 ///
 /// [`Payload`]: diaspec_runtime::payload::Payload
-#[must_use]
-pub fn copied_bytes_per_delivery(_payload: &Value) -> u64 {
+fn copied_bytes_per_delivery(_payload: &Value) -> u64 {
     std::mem::size_of::<diaspec_runtime::payload::Payload>() as u64
 }
 
@@ -105,8 +100,7 @@ pub struct FanoutRow {
 /// `fanout` subscribed controllers (each declaring an actuation contract
 /// on a shared sink family, never exercised — the experiment isolates
 /// delivery cost).
-#[must_use]
-pub fn fanout_spec(fanout: usize, payload: PayloadKind) -> String {
+fn fanout_spec(fanout: usize, payload: PayloadKind) -> String {
     let mut spec = format!(
         "device Button {{ source press as Integer; }}\n\
          device Sink {{ action absorb; }}\n\
@@ -123,13 +117,7 @@ pub fn fanout_spec(fanout: usize, payload: PayloadKind) -> String {
 
 /// Runs one (fan-out, payload) point: `emissions` source events, each
 /// published once and delivered to every subscriber.
-///
-/// # Panics
-///
-/// Panics if the generated design fails to compile or bind — both are
-/// programming errors in the harness.
-#[must_use]
-pub fn run_point(fanout: usize, payload: PayloadKind, emissions: u64) -> FanoutRow {
+fn run_point(fanout: usize, payload: PayloadKind, emissions: u64) -> FanoutRow {
     let spec = Arc::new(diaspec_core::compile_str(&fanout_spec(fanout, payload)).expect("spec"));
     let mut orch = Orchestrator::new(spec);
     let template = payload.value();

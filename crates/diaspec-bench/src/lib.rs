@@ -22,10 +22,10 @@
 //!   percentiles and the throughput knee;
 //! - [`share`] — E9: the generated-code fraction.
 //!
-//! E13 (compiler throughput) lives in `benches/compiler.rs`.
-//!
-//! The `experiments` binary prints every table; the Criterion benches
-//! under `benches/` time the hot paths.
+//! The `experiments` binary prints every table. Layer timings (compiler
+//! stages — E13 —, registry, engine, wire, MapReduce phases) are not
+//! measured here: they are the per-layer rows of the stand-alone
+//! `benchmark/` package, recorded in `BENCH_ledger.json`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

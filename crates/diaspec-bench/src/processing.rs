@@ -12,9 +12,14 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::time::Instant;
 
+/// Serial/parallel pairs behind every speedup figure. The two
+/// invocations of a pair run back to back, so a slow phase of the host
+/// hits both sides alike; the spread over the pairs shows the phases in
+/// which a second core was not available.
+pub const ROUNDS: usize = 5;
+
 /// A synthetic presence dataset: `(lot index, occupied)` records.
-#[must_use]
-pub fn presence_dataset(readings: usize, lots: u32, seed: u64) -> Vec<(u32, bool)> {
+pub(crate) fn presence_dataset(readings: usize, lots: u32, seed: u64) -> Vec<(u32, bool)> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..readings)
         .map(|_| (rng.gen_range(0..lots), rng.gen::<f64>() < 0.55))
@@ -24,8 +29,7 @@ pub fn presence_dataset(readings: usize, lots: u32, seed: u64) -> Vec<(u32, bool
 /// Burns deterministic CPU work, returning a value the optimizer cannot
 /// discard. Each unit is a short integer-hash loop (~1 ns scale).
 #[inline]
-#[must_use]
-pub fn burn(units: u32, seed: u64) -> u64 {
+fn burn(units: u32, seed: u64) -> u64 {
     let mut x = seed | 1;
     for _ in 0..units {
         x ^= x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -36,9 +40,9 @@ pub fn burn(units: u32, seed: u64) -> u64 {
 
 /// The availability MapReduce with `work` units of synthetic processing
 /// per record (e.g. de-noising a raw sensor signal before counting).
-pub struct CostedAvailability {
+pub(crate) struct CostedAvailability {
     /// Synthetic work units per Map record.
-    pub work: u32,
+    pub(crate) work: u32,
 }
 
 impl MapReduce<u32, bool, u32, u64, u32, i64> for CostedAvailability {
@@ -65,60 +69,85 @@ pub struct ProcessingRow {
     pub workers: usize,
     /// Synthetic work units per record.
     pub work: u32,
-    /// Wall-clock milliseconds of the execution.
+    /// Median wall-clock milliseconds of the execution.
     pub wall_ms: f64,
-    /// Speedup over the serial baseline at the same `(readings, work)`;
-    /// 1.0 for the baseline itself.
+    /// Median over the [`ROUNDS`] pairs of serial ÷ parallel wall time at
+    /// the same `(readings, work)`; 1.0 for the baseline itself.
     pub speedup: f64,
+    /// Lowest speedup of a pair.
+    pub speedup_min: f64,
+    /// Highest speedup of a pair.
+    pub speedup_max: f64,
     /// Distinct groups after the shuffle.
     pub groups: u64,
 }
 
-/// Executes one configuration, returning the row and raw stats.
-#[must_use]
-pub fn run_once(readings: usize, workers: usize, work: u32) -> (f64, ExecutionStats) {
-    let data = presence_dataset(readings, 64, 42);
+/// Executes one configuration over a copy of `data`, returning its
+/// wall-clock milliseconds and raw stats.
+fn run_once(data: &[(u32, bool)], workers: usize, work: u32) -> (f64, ExecutionStats) {
     let mr = CostedAvailability { work };
+    let input = data.to_vec();
     let start = Instant::now();
     let result = if workers == 0 {
-        Job::serial().run(&mr, data)
+        Job::serial().run(&mr, input)
     } else {
-        Job::parallel(workers).run(&mr, data)
+        Job::parallel(workers).run(&mr, input)
     };
     let wall = start.elapsed().as_secs_f64() * 1e3;
     (wall, result.stats)
 }
 
-/// The E10 sweep: serial baseline plus each worker count, with speedups.
+/// Sorts `values` ascending and returns the middle one.
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// The E10 sweep: for each worker count, [`ROUNDS`] alternating
+/// serial/parallel invocations; the baseline row is the median of every
+/// serial invocation made.
 #[must_use]
 pub fn sweep(readings: usize, worker_counts: &[usize], work: u32) -> Vec<ProcessingRow> {
-    // Median of three runs keeps the table stable.
-    let measure = |workers: usize| -> (f64, ExecutionStats) {
-        let mut runs: Vec<(f64, ExecutionStats)> =
-            (0..3).map(|_| run_once(readings, workers, work)).collect();
-        runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        runs.swap_remove(1)
-    };
-    let (serial_wall, serial_stats) = measure(0);
-    let mut rows = vec![ProcessingRow {
-        readings,
-        workers: 0,
-        work,
-        wall_ms: serial_wall,
-        speedup: 1.0,
-        groups: serial_stats.groups,
-    }];
+    let data = presence_dataset(readings, 64, 42);
+    let mut serial_walls = Vec::new();
+    let mut groups = 0;
+    let mut rows = Vec::new();
     for &workers in worker_counts {
-        let (wall, stats) = measure(workers);
+        let mut walls = Vec::with_capacity(ROUNDS);
+        let mut speedups = Vec::with_capacity(ROUNDS);
+        for _ in 0..ROUNDS {
+            let (serial, _) = run_once(&data, 0, work);
+            let (parallel, stats) = run_once(&data, workers, work);
+            serial_walls.push(serial);
+            walls.push(parallel);
+            speedups.push(serial / parallel.max(1e-9));
+            groups = stats.groups;
+        }
+        let speedup = median(&mut speedups);
         rows.push(ProcessingRow {
             readings,
             workers,
             work,
-            wall_ms: wall,
-            speedup: serial_wall / wall.max(1e-9),
-            groups: stats.groups,
+            wall_ms: median(&mut walls),
+            speedup,
+            speedup_min: speedups[0],
+            speedup_max: speedups[ROUNDS - 1],
+            groups,
         });
     }
+    rows.insert(
+        0,
+        ProcessingRow {
+            readings,
+            workers: 0,
+            work,
+            wall_ms: median(&mut serial_walls),
+            speedup: 1.0,
+            speedup_min: 1.0,
+            speedup_max: 1.0,
+            groups,
+        },
+    );
     rows
 }
 
@@ -145,8 +174,9 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree_on_output_counts() {
-        let (_, serial) = run_once(20_000, 0, 8);
-        let (_, parallel) = run_once(20_000, 4, 8);
+        let data = presence_dataset(20_000, 64, 42);
+        let (_, serial) = run_once(&data, 0, 8);
+        let (_, parallel) = run_once(&data, 4, 8);
         assert_eq!(serial.groups, parallel.groups);
         assert_eq!(serial.reduce_output_records, parallel.reduce_output_records);
         assert_eq!(serial.map_output_records, parallel.map_output_records);
@@ -155,7 +185,7 @@ mod tests {
     #[test]
     fn parallel_speeds_up_costly_processing() {
         if std::thread::available_parallelism().map_or(1, usize::from) < 4 {
-            return; // meaningless on a single-core runner
+            return; // the 1.5x bar needs more cores than a 2-vCPU runner has
         }
         let rows = sweep(60_000, &[4], 200);
         let parallel = rows.iter().find(|r| r.workers == 4).unwrap();

@@ -8,19 +8,19 @@
 //! wall-clock) and what coverage survives when it runs out.
 
 use crate::processing::{presence_dataset, CostedAvailability};
-use diaspec_mapreduce::{Job, TaskFaultPlan, TaskPhase};
+use diaspec_mapreduce::{Job, TaskFaultPlan};
 use serde::Serialize;
 use std::time::Instant;
 
 /// Task granularity of every configuration: failures cost 1/16th of a
 /// phase, independent of the worker count.
-pub const TASKS: usize = 16;
+const TASKS: usize = 16;
 
 /// Retry budget per task.
-pub const RETRIES: u32 = 2;
+const RETRIES: u32 = 2;
 
 /// Synthetic per-record work units (de-noising before counting).
-pub const WORK: u32 = 50;
+const WORK: u32 = 50;
 
 /// One row of the task-fault experiment.
 #[derive(Debug, Clone, Serialize)]
@@ -44,8 +44,7 @@ pub struct TaskFaultRow {
 }
 
 /// Executes one configuration.
-#[must_use]
-pub fn run_once(sensors: usize, workers: usize, failure_rate: f64, seed: u64) -> TaskFaultRow {
+fn run_once(sensors: usize, workers: usize, failure_rate: f64, seed: u64) -> TaskFaultRow {
     let data = presence_dataset(sensors, 64, 42);
     let mr = CostedAvailability { work: WORK };
     let mut job = if workers == 0 {
@@ -57,7 +56,9 @@ pub fn run_once(sensors: usize, workers: usize, failure_rate: f64, seed: u64) ->
     .task_retries(RETRIES)
     .allow_partial(true);
     if failure_rate > 0.0 {
-        job = job.fault_plan(TaskFaultPlan::seeded(seed).panic_tasks(failure_rate));
+        job = job
+            .fault_plan(TaskFaultPlan::seeded(seed).panic_tasks(failure_rate))
+            .expect("sweep rates are probabilities");
     }
     let start = Instant::now();
     let result = job.try_run(&mr, data).expect("partial results allowed");
@@ -88,19 +89,18 @@ pub fn sweep(scales: &[usize], rates: &[f64], parallel_workers: usize) -> Vec<Ta
     rows
 }
 
-/// Returns `Some(fault)` if the seeded plan would panic this map task's
-/// first attempt — used by tests to cross-check determinism.
-#[must_use]
-pub fn planned_fate(seed: u64, rate: f64, task: usize) -> bool {
-    TaskFaultPlan::seeded(seed)
-        .panic_tasks(rate)
-        .fate(TaskPhase::Map, task, 1)
-        .is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diaspec_mapreduce::TaskPhase;
+
+    /// Whether the seeded plan panics this map task's first attempt.
+    fn planned_fate(seed: u64, rate: f64, task: usize) -> bool {
+        TaskFaultPlan::seeded(seed)
+            .panic_tasks(rate)
+            .fate(TaskPhase::Map, task, 1)
+            .is_some()
+    }
 
     #[test]
     fn fault_free_row_is_complete_and_free() {

@@ -6,8 +6,8 @@
 //! that cost directly: even at a generous 50 ns per record and ~10
 //! record sites per orchestration event, the added cost is < 0.5 µs per
 //! event — under 5% of the cheapest E1 event the engine dispatches
-//! (~10 µs each; see the `obs` criterion bench for the end-to-end
-//! off/on comparison).
+//! (~10 µs each; the enabled path is priced by the benchmark's
+//! `obs.span_tracing_slowdown` and `harness.trace_overhead` rows).
 
 use diaspec_runtime::obs::{Activity, ObsHub};
 use diaspec_runtime::SpanCtx;

@@ -781,13 +781,7 @@ fn detect_family_overloads(
     let mut budgets: BTreeMap<String, (u64, usize)> = BTreeMap::new();
     for (index, design) in designs.iter().enumerate() {
         for device in design.spec.devices() {
-            let Some(cap) = device
-                .annotations
-                .iter()
-                .find(|a| a.name == "qos")
-                .and_then(|a| a.arg("capacityPerHour"))
-                .and_then(|v| v.as_int())
-            else {
+            let Some(cap) = device.qos_capacity_per_hour() else {
                 continue;
             };
             let entry = budgets.entry(device.name.clone()).or_insert((cap, index));

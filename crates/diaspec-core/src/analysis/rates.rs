@@ -10,7 +10,7 @@
 //! match the family) — the small-to-large-scale knob of the paper.
 
 use crate::diag::{Diagnostic, Diagnostics};
-use crate::model::{ActivationTrigger, CheckedSpec, InputRef, PublishMode};
+use crate::model::{ActivationTrigger, CheckedSpec, Device, InputRef, PublishMode};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -128,7 +128,7 @@ pub(crate) fn detect(
                     })
                 }
                 ActivationTrigger::DeviceSource { device, source } => {
-                    let hinted = qos_period_ms(spec, device);
+                    let hinted = spec.device(device).and_then(Device::qos_period_ms);
                     let per_hour = hinted.map(|p| fleet * (MS_PER_HOUR / p as f64));
                     edges.push(EdgeCapacity {
                         from: format!("{device}.{source}"),
@@ -229,17 +229,6 @@ pub(crate) fn detect(
         total_msgs_per_hour: total,
         unknown_edges: unknown,
     }
-}
-
-/// The `@qos(periodMs = …)` hint of a device, when declared: the design
-/// promise of how often each deployed instance publishes.
-fn qos_period_ms(spec: &CheckedSpec, device: &str) -> Option<u64> {
-    spec.device(device)?
-        .annotations
-        .iter()
-        .find(|a| a.name == "qos")?
-        .arg("periodMs")?
-        .as_int()
 }
 
 #[cfg(test)]

@@ -607,7 +607,8 @@ impl<'a> Checker<'a> {
                                     self.diags.push(Diagnostic::error(
                                         "E0251",
                                         format!(
-                                            "@qos argument `{key}` must be a positive                                              integer, got `{value}`"
+                                            "@qos argument `{key}` must be a positive \
+                                             integer, got `{value}`"
                                         ),
                                         ann.span,
                                     ));
@@ -617,7 +618,9 @@ impl<'a> Checker<'a> {
                                 self.diags.push(Diagnostic::warning(
                                     "W0307",
                                     format!(
-                                        "unknown @qos argument `{other}` (known:                                          latencyMs, periodMs, priority,                                          capacityPerHour)"
+                                        "unknown @qos argument `{other}` (known: \
+                                         latencyMs, periodMs, priority, \
+                                         capacityPerHour)"
                                     ),
                                     ann.span,
                                 ));

@@ -64,6 +64,82 @@ impl ResolvedAnnotation {
     }
 }
 
+/// The first annotation called `name`, if declared.
+fn annotation<'a>(
+    annotations: &'a [ResolvedAnnotation],
+    name: &str,
+) -> Option<&'a ResolvedAnnotation> {
+    annotations.iter().find(|a| a.name == name)
+}
+
+/// The integer argument `key` of the first `@qos` annotation.
+fn qos_int(annotations: &[ResolvedAnnotation], key: &str) -> Option<u64> {
+    annotation(annotations, "qos")?.arg(key)?.as_int()
+}
+
+/// How the runtime reacts when a device driver fails.
+///
+/// Read from the `@error(policy = "...", attempts = N, fallback = "a")`
+/// annotation of the paper's §III non-functional extension by
+/// [`Device::error_policy`]. The default policy is
+/// [`PolicyKind::Escalate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ErrorPolicy {
+    /// Reaction kind.
+    pub kind: PolicyKind,
+    /// Total attempts for `retry` (including the first call). At least 1.
+    pub attempts: u32,
+    /// Declared fallback action: when an actuation fails beyond what the
+    /// policy can mask, this parameterless action is invoked instead — on
+    /// the failed entity first, then on its device family (a safe-state
+    /// actuation, e.g. `neutral` on a redundant elevator).
+    pub fallback: Option<String>,
+}
+
+/// The reaction kinds of an `@error` policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicyKind {
+    /// Re-issue the operation on the same entity up to `attempts` times.
+    Retry,
+    /// Try another bound entity of the same device type with identical
+    /// attributes.
+    Failover,
+    /// Swallow the failure; queries yield no reading, actuations no-op.
+    Ignore,
+    /// Propagate the failure to the caller (default).
+    Escalate,
+}
+
+impl Default for ErrorPolicy {
+    fn default() -> Self {
+        ErrorPolicy {
+            kind: PolicyKind::Escalate,
+            attempts: 1,
+            fallback: None,
+        }
+    }
+}
+
+/// A context's declared batch-quality expectations
+/// (`@quality(coverage = N, deadlineMs = M)`), read by
+/// [`Context::quality`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QualityBudget {
+    /// Minimum acceptable input coverage, in whole percent (1–100).
+    pub coverage_pct: u32,
+    /// Wall-clock processing deadline for one batch, when declared.
+    pub deadline_ms: Option<u64>,
+}
+
+impl Default for QualityBudget {
+    fn default() -> Self {
+        QualityBudget {
+            coverage_pct: 100,
+            deadline_ms: None,
+        }
+    }
+}
+
 /// A device attribute, possibly inherited.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Attribute {
@@ -136,6 +212,48 @@ impl Device {
     #[must_use]
     pub fn action(&self, name: &str) -> Option<&Action> {
         self.actions.iter().find(|a| a.name == name)
+    }
+
+    /// The declared `@error` policy, or the default when there is none.
+    /// `attempts` defaults to 3 and is clamped to 1..=100.
+    #[must_use]
+    pub fn error_policy(&self) -> ErrorPolicy {
+        let Some(ann) = annotation(&self.annotations, "error") else {
+            return ErrorPolicy::default();
+        };
+        let kind = match ann.arg("policy").and_then(AnnotationArg::as_str) {
+            Some("retry") => PolicyKind::Retry,
+            Some("failover") => PolicyKind::Failover,
+            Some("ignore") => PolicyKind::Ignore,
+            _ => PolicyKind::Escalate,
+        };
+        let attempts = ann
+            .arg("attempts")
+            .and_then(AnnotationArg::as_int)
+            .map_or(3, |n| n.clamp(1, 100) as u32);
+        let fallback = ann
+            .arg("fallback")
+            .and_then(AnnotationArg::as_str)
+            .map(str::to_owned);
+        ErrorPolicy {
+            kind,
+            attempts,
+            fallback,
+        }
+    }
+
+    /// The `@qos(periodMs = …)` hint, when declared: the design promise
+    /// of how often each deployed instance publishes.
+    #[must_use]
+    pub fn qos_period_ms(&self) -> Option<u64> {
+        qos_int(&self.annotations, "periodMs")
+    }
+
+    /// The `@qos(capacityPerHour = …)` budget, when declared: how many
+    /// messages an hour the device family is provisioned for.
+    #[must_use]
+    pub fn qos_capacity_per_hour(&self) -> Option<u64> {
+        qos_int(&self.annotations, "capacityPerHour")
     }
 }
 
@@ -296,6 +414,28 @@ impl Context {
         self.activations
             .iter()
             .any(|a| a.grouping.as_ref().is_some_and(|g| g.map_reduce.is_some()))
+    }
+
+    /// The `@qos(latencyMs = …)` delivery budget, when declared.
+    #[must_use]
+    pub fn qos_latency_ms(&self) -> Option<u64> {
+        qos_int(&self.annotations, "latencyMs")
+    }
+
+    /// The declared `@quality` budget, when there is one. `coverage`
+    /// defaults to 100 and is capped there.
+    #[must_use]
+    pub fn quality(&self) -> Option<QualityBudget> {
+        let ann = annotation(&self.annotations, "quality")?;
+        let coverage_pct = ann
+            .arg("coverage")
+            .and_then(AnnotationArg::as_int)
+            .map_or(100, |pct| u32::try_from(pct.min(100)).unwrap_or(100));
+        let deadline_ms = ann.arg("deadlineMs").and_then(AnnotationArg::as_int);
+        Some(QualityBudget {
+            coverage_pct,
+            deadline_ms,
+        })
     }
 }
 
@@ -760,5 +900,50 @@ mod tests {
         let lots = spec.enumeration("ParkingLotEnum").unwrap();
         assert!(lots.has_variant("A22"));
         assert!(!lots.has_variant("Z99"));
+    }
+
+    #[test]
+    fn annotation_accessors_read_declared_values_and_defaults() {
+        let spec = compile_str(
+            r#"
+            @error(policy = "retry")
+            @qos(periodMs = 500, capacityPerHour = 7200)
+            device Probe { source v as Integer; }
+            device Plain { source v as Integer; action absorb; }
+            @qos(latencyMs = 100)
+            @quality(deadlineMs = 40)
+            context Fast as Integer { when provided v from Probe always publish; }
+            context Loose as Integer { when provided v from Plain always publish; }
+            "#,
+        )
+        .unwrap();
+        let probe = spec.device("Probe").unwrap();
+        assert_eq!(
+            probe.error_policy(),
+            ErrorPolicy {
+                kind: PolicyKind::Retry,
+                attempts: 3,
+                fallback: None
+            }
+        );
+        assert_eq!(probe.qos_period_ms(), Some(500));
+        assert_eq!(probe.qos_capacity_per_hour(), Some(7200));
+        let plain = spec.device("Plain").unwrap();
+        assert_eq!(plain.error_policy(), ErrorPolicy::default());
+        assert_eq!(plain.qos_period_ms(), None);
+        assert_eq!(plain.qos_capacity_per_hour(), None);
+
+        let fast = spec.context("Fast").unwrap();
+        assert_eq!(fast.qos_latency_ms(), Some(100));
+        assert_eq!(
+            fast.quality(),
+            Some(QualityBudget {
+                coverage_pct: 100,
+                deadline_ms: Some(40)
+            })
+        );
+        let loose = spec.context("Loose").unwrap();
+        assert_eq!(loose.qos_latency_ms(), None);
+        assert_eq!(loose.quality(), None);
     }
 }

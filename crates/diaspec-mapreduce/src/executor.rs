@@ -155,16 +155,14 @@ impl<C> Job<C> {
 
     /// Injects the given seeded [`TaskFaultPlan`] into task attempts.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the plan holds a probability outside `[0, 1]`.
-    #[must_use]
-    pub fn fault_plan(mut self, plan: TaskFaultPlan) -> Self {
-        if let Err(message) = plan.validate() {
-            panic!("{message}");
-        }
+    /// The message of [`TaskFaultPlan::validate`] if the plan holds a
+    /// probability outside `[0, 1]`.
+    pub fn fault_plan(mut self, plan: TaskFaultPlan) -> Result<Self, String> {
+        plan.validate()?;
         self.faults = Some(plan);
-        self
+        Ok(self)
     }
 
     /// Retries each failed task up to `retries` times (default 0).
@@ -1024,6 +1022,7 @@ mod tests {
         let plan = TaskFaultPlan::seeded(11).panic_task(TaskPhase::Map, 1, 2);
         let healed = Job::parallel(4)
             .fault_plan(plan)
+            .expect("probabilities in range")
             .task_retries(2)
             .run(&SumPerKey, data);
         assert_eq!(clean.output, healed.output);
@@ -1057,11 +1056,23 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_plan_is_an_error_not_a_panic() {
+        let err = Job::serial()
+            .fault_plan(TaskFaultPlan::seeded(0).panic_tasks(1.5))
+            .err();
+        assert_eq!(
+            err.as_deref(),
+            Some("task panic probability 1.5 outside [0, 1]")
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "map task 0 failed")]
     fn run_still_panics_when_partial_results_not_allowed() {
         let plan = TaskFaultPlan::seeded(1).panic_task(TaskPhase::Map, 0, 10);
         let _ = Job::parallel(2)
             .fault_plan(plan)
+            .expect("probabilities in range")
             .run(&SumPerKey, dataset(100, 5));
     }
 
@@ -1071,6 +1082,7 @@ mod tests {
         let plan = TaskFaultPlan::seeded(5).panic_task(TaskPhase::Map, 0, 10);
         let result = Job::parallel(4)
             .fault_plan(plan)
+            .expect("probabilities in range")
             .task_retries(1)
             .allow_partial(true)
             .run(&SumPerKey, data.clone());
@@ -1100,6 +1112,7 @@ mod tests {
         let plan = TaskFaultPlan::seeded(3).lose_task(TaskPhase::Reduce, 0, 10);
         let result = Job::parallel(4)
             .fault_plan(plan)
+            .expect("probabilities in range")
             .allow_partial(true)
             .run(&SumPerKey, data);
         let coverage = result.stats.coverage;
@@ -1121,6 +1134,7 @@ mod tests {
         let result = Job::serial()
             .tasks(4)
             .fault_plan(plan)
+            .expect("probabilities in range")
             .allow_partial(true)
             .run(&SumPerKey, data);
         assert_eq!(result.stats.workers, 1);
@@ -1137,6 +1151,7 @@ mod tests {
             Job::parallel(4)
                 .tasks(16)
                 .fault_plan(TaskFaultPlan::seeded(99).panic_tasks(0.4).lose_workers(0.2))
+                .expect("probabilities in range")
                 .task_retries(3)
                 .allow_partial(true)
                 .run(&SumPerKey, data.clone())
@@ -1162,6 +1177,7 @@ mod tests {
         let result = Job::parallel(4)
             .tasks(8)
             .fault_plan(plan)
+            .expect("probabilities in range")
             .speculation(SpeculationConfig {
                 quantile: 0.5,
                 multiplier: 2.0,

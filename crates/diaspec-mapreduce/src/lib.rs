@@ -13,10 +13,11 @@
 //!   (`MapReduce<K1, V1, K2, V2, K3, V3>`), with [`MapCollector`] /
 //!   [`ReduceCollector`] mirroring `emitMap` / `emitReduce`;
 //! - [`Job`] — an executor with a **serial** baseline and a **parallel**
-//!   mode (worker threads via crossbeam scoped threads) so experiments can
+//!   mode (worker threads under `std::thread::scope`) so experiments can
 //!   compare the two (experiment E10);
 //! - optional [`Combiner`] — per-worker local pre-aggregation, the classic
-//!   MapReduce optimization, used by the ablation benchmarks;
+//!   MapReduce optimization (shuffle volume N → ≤ workers × keys, pinned by
+//!   the `combiner_reduces_shuffle_volume` test);
 //! - [`ExecutionStats`] — per-phase record counts and wall-clock timings,
 //!   including a [`CoverageReport`] of task-level fault tolerance;
 //! - task fault tolerance in the spirit of the original MapReduce paper:

@@ -145,6 +145,7 @@ proptest! {
         let serial = Job::serial().run(&Concat, data.clone());
         let injected = Job::parallel(workers)
             .fault_plan(plan_from(seed, &faults))
+            .expect("probabilities in range")
             .task_retries(2)
             .run(&Concat, data);
         // Every fault window (<= 2 attempts) fits in the retry budget, so
@@ -165,6 +166,7 @@ proptest! {
         let job = || Job::parallel(workers)
             .tasks(8)
             .fault_plan(TaskFaultPlan::seeded(seed).panic_tasks(0.3).lose_workers(0.2))
+            .expect("probabilities in range")
             .task_retries(1)
             .allow_partial(true)
             .run(&Sum, data.clone());
@@ -182,6 +184,7 @@ proptest! {
     ) {
         let result = Job::parallel(4)
             .fault_plan(TaskFaultPlan::seeded(seed).panic_tasks(0.5))
+            .expect("probabilities in range")
             .allow_partial(true)
             .run(&Sum, data);
         let coverage = result.stats.coverage;

@@ -53,7 +53,7 @@ use crate::spans::{SpanCtx, SpanEvent};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::{SimTransport, TransportConfig};
 use crate::value::Value;
-use diaspec_core::model::{ActivationTrigger, AnnotationArg, CheckedSpec};
+use diaspec_core::model::{ActivationTrigger, CheckedSpec, QualityBudget};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -89,25 +89,6 @@ pub enum Phase {
     /// Running: periodic deliveries are scheduled; new bindings are
     /// runtime bindings.
     Launched,
-}
-
-/// A context's declared batch-quality expectations
-/// (`@quality(coverage = N, deadlineMs = M)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct QualityBudget {
-    /// Minimum acceptable input coverage, in whole percent (1–100).
-    coverage_pct: u32,
-    /// Wall-clock processing deadline for one batch, when declared.
-    deadline_ms: Option<u64>,
-}
-
-impl Default for QualityBudget {
-    fn default() -> Self {
-        QualityBudget {
-            coverage_pct: 100,
-            deadline_ms: None,
-        }
-    }
 }
 
 struct ContextRuntime {
@@ -270,36 +251,11 @@ impl Orchestrator {
             .collect();
         let qos_budgets = spec
             .contexts()
-            .filter_map(|ctx| {
-                ctx.annotations
-                    .iter()
-                    .find(|a| a.name == "qos")
-                    .and_then(|a| a.arg("latencyMs"))
-                    .and_then(AnnotationArg::as_int)
-                    .map(|budget| (ctx.name.clone(), budget))
-            })
+            .filter_map(|ctx| Some((ctx.name.clone(), ctx.qos_latency_ms()?)))
             .collect();
         let quality_budgets = spec
             .contexts()
-            .filter_map(|ctx| {
-                ctx.annotations
-                    .iter()
-                    .find(|a| a.name == "quality")
-                    .map(|a| {
-                        let coverage_pct = a
-                            .arg("coverage")
-                            .and_then(AnnotationArg::as_int)
-                            .map_or(100, |pct| u32::try_from(pct.min(100)).unwrap_or(100));
-                        let deadline_ms = a.arg("deadlineMs").and_then(AnnotationArg::as_int);
-                        (
-                            ctx.name.clone(),
-                            QualityBudget {
-                                coverage_pct,
-                                deadline_ms,
-                            },
-                        )
-                    })
-            })
+            .filter_map(|ctx| Some((ctx.name.clone(), ctx.quality()?)))
             .collect();
         let routes = Arc::new(RouteTable::build(&spec));
         Orchestrator {

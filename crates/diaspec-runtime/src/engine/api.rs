@@ -15,7 +15,6 @@ use crate::engine::Orchestrator;
 use crate::entity::{AttributeMap, DeviceInstance, EntityId};
 use crate::error::RuntimeError;
 use crate::obs::Activity;
-use crate::registry::ErrorPolicy;
 use crate::spans::SpanStage;
 use crate::trace::TraceKind;
 use crate::value::Value;
@@ -400,8 +399,7 @@ impl ControllerApi<'_> {
                 .engine
                 .spec
                 .device(&device_type)
-                .map(ErrorPolicy::of_device)
-                .and_then(|policy| policy.fallback)
+                .and_then(|device| device.error_policy().fallback)
                 .unwrap_or_default();
             self.engine.note(|| TraceKind::FallbackActuation {
                 entity: entity.to_string(),

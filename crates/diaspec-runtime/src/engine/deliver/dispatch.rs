@@ -502,11 +502,15 @@ impl Orchestrator {
                         if let Some(speculation) = self.recovery.task_speculation {
                             job = job.speculation(speculation);
                         }
-                        if let Some(plan) = self.faults.as_ref().and_then(FaultInjector::task_plan)
-                        {
-                            job = job.fault_plan(plan.clone());
-                        }
-                        let outcome = match job.try_run_to_map(&adapter, input) {
+                        let job = match self.faults.as_ref().and_then(FaultInjector::task_plan) {
+                            Some(plan) => job.fault_plan(plan.clone()),
+                            None => Ok(job),
+                        };
+                        let run = job.and_then(|job| {
+                            job.try_run_to_map(&adapter, input)
+                                .map_err(|err| err.to_string())
+                        });
+                        let outcome = match run {
                             Ok(result) => {
                                 // Surface the executor's per-phase wall
                                 // times as processing durations and compute
@@ -533,8 +537,9 @@ impl Orchestrator {
                                 (Some(result.output), Some(result.stats.coverage))
                             }
                             Err(err) => {
-                                // Unreachable while `allow_partial` is set,
-                                // but contained rather than trusted.
+                                // Unreachable while `allow_partial` is set and
+                                // `enable_faults` validated the plan, but
+                                // contained rather than trusted.
                                 self.contain(RuntimeError::Configuration(format!(
                                     "context `{context}` batch processing failed: {err}"
                                 )));

@@ -33,7 +33,8 @@ impl Orchestrator {
                 self.metrics.qos_violations += 1;
                 self.note(|| TraceKind::Error {
                     message: format!(
-                        "QoS violation: delivery to `{context}` took {latency} ms                              (budget {budget} ms)"
+                        "QoS violation: delivery to `{context}` took {latency} ms \
+                         (budget {budget} ms)"
                     ),
                 });
             }

@@ -29,7 +29,7 @@
 //!
 //! Everything is **off by default**: with observability disabled and no
 //! observers attached, the engine's hot path pays a single branch per
-//! candidate record site (see the `obs` benchmark in `diaspec-bench`).
+//! candidate record site (bounded by `diaspec-bench`'s `obs_overhead` test).
 
 use crate::clock::SimTime;
 use crate::spans::{SpanEvent, SpanStage, SpanTracer};

@@ -16,85 +16,14 @@ use crate::entity::{AttributeMap, BindingTime, DeviceInstance, EntityId};
 use crate::error::{DeviceError, RuntimeError};
 use crate::payload::Payload;
 use crate::value::Value;
-use diaspec_core::model::{AnnotationArg, CheckedSpec, Device};
+use diaspec_core::model::CheckedSpec;
+pub use diaspec_core::model::{ErrorPolicy, PolicyKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 mod indexes;
 
 use indexes::Indexes;
-
-/// How the runtime reacts when a device driver fails.
-///
-/// Parsed from the `@error(policy = "...", attempts = N, fallback = "a")`
-/// annotation of the paper's §III non-functional extension. The default
-/// policy is [`PolicyKind::Escalate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ErrorPolicy {
-    /// Reaction kind.
-    pub kind: PolicyKind,
-    /// Total attempts for `retry` (including the first call). At least 1.
-    pub attempts: u32,
-    /// Declared fallback action: when an actuation fails beyond what the
-    /// policy can mask, this parameterless action is invoked instead — on
-    /// the failed entity first, then on its device family (a safe-state
-    /// actuation, e.g. `neutral` on a redundant elevator).
-    pub fallback: Option<String>,
-}
-
-/// The reaction kinds of an `@error` policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Re-issue the operation on the same entity up to `attempts` times.
-    Retry,
-    /// Try another bound entity of the same device type with identical
-    /// attributes.
-    Failover,
-    /// Swallow the failure; queries yield no reading, actuations no-op.
-    Ignore,
-    /// Propagate the failure to the caller (default).
-    Escalate,
-}
-
-impl Default for ErrorPolicy {
-    fn default() -> Self {
-        ErrorPolicy {
-            kind: PolicyKind::Escalate,
-            attempts: 1,
-            fallback: None,
-        }
-    }
-}
-
-impl ErrorPolicy {
-    /// Extracts the policy from a device's annotations, falling back to the
-    /// default when no `@error` annotation is present.
-    #[must_use]
-    pub fn of_device(device: &Device) -> ErrorPolicy {
-        let Some(ann) = device.annotations.iter().find(|a| a.name == "error") else {
-            return ErrorPolicy::default();
-        };
-        let kind = match ann.arg("policy").and_then(AnnotationArg::as_str) {
-            Some("retry") => PolicyKind::Retry,
-            Some("failover") => PolicyKind::Failover,
-            Some("ignore") => PolicyKind::Ignore,
-            _ => PolicyKind::Escalate,
-        };
-        let attempts = ann
-            .arg("attempts")
-            .and_then(AnnotationArg::as_int)
-            .map_or(3, |n| n.clamp(1, 100) as u32);
-        let fallback = ann
-            .arg("fallback")
-            .and_then(AnnotationArg::as_str)
-            .map(str::to_owned);
-        ErrorPolicy {
-            kind,
-            attempts,
-            fallback,
-        }
-    }
-}
 
 /// A bound entity's public record (driver excluded).
 #[derive(Debug, Clone, PartialEq)]
@@ -444,7 +373,7 @@ impl Registry {
             kind: "source",
             name: format!("{source} on {}", device.name),
         })?;
-        let policy = ErrorPolicy::of_device(device);
+        let policy = device.error_policy();
 
         match self.query_with_policy(id, &device.name, source, now_ms, policy)? {
             None => Ok(None),
@@ -647,7 +576,7 @@ impl Registry {
                     });
                 }
             }
-            ErrorPolicy::of_device(device)
+            device.error_policy()
         };
 
         let mut last_err: Option<DeviceError> = None;
@@ -1416,15 +1345,15 @@ mod tests {
     #[test]
     fn error_policy_parsing() {
         let spec = compile_str(SPEC).unwrap();
-        let flaky = ErrorPolicy::of_device(spec.device("FlakySensor").unwrap());
+        let flaky = spec.device("FlakySensor").unwrap().error_policy();
         assert_eq!(flaky.kind, PolicyKind::Retry);
         assert_eq!(flaky.attempts, 3);
         assert_eq!(flaky.fallback, None);
-        let lossy = ErrorPolicy::of_device(spec.device("LossySensor").unwrap());
+        let lossy = spec.device("LossySensor").unwrap().error_policy();
         assert_eq!(lossy.kind, PolicyKind::Ignore);
-        let plain = ErrorPolicy::of_device(spec.device("PresenceSensor").unwrap());
+        let plain = spec.device("PresenceSensor").unwrap().error_policy();
         assert_eq!(plain.kind, PolicyKind::Escalate);
-        let safe = ErrorPolicy::of_device(spec.device("SafeActuator").unwrap());
+        let safe = spec.device("SafeActuator").unwrap().error_policy();
         assert_eq!(safe.fallback.as_deref(), Some("neutral"));
     }
 

@@ -159,10 +159,12 @@ fn qos_violation_appears_in_trace() {
         .unwrap();
     orch.run_until(2_000);
     let trace = orch.take_trace();
+    // The exact line: it reaches the trace buffer and every observer.
     assert!(
         trace.iter().any(|e| matches!(
             &e.kind,
-            TraceKind::Error { message } if message.contains("QoS violation")
+            TraceKind::Error { message }
+                if message == "QoS violation: delivery to `Fast` took 500 ms (budget 100 ms)"
         )),
         "{trace:#?}"
     );

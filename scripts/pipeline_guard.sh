@@ -18,6 +18,14 @@
 #    asks which switch is on. A hand-rolled copy of the protocol shows up
 #    as a switch query, a wall-clock read or a `SpanCtx { .. }` literal
 #    outside that file.
+# 5. One measuring stick: performance is measured by `benchmark/` (the
+#    gate, recorded in BENCH_ledger.json by scripts/bench_ledger.sh) and
+#    paper claims by `experiments --only eN`. The bench-framework stack
+#    those replaced must not grow back: the framework is named in no
+#    manifest and not in the root lock file, and there is no
+#    crates/*/benches/ and no vendor/ copy of it. (Its name is spelled
+#    with a bracket below so that a search of the tree for it finds
+#    history only: CHANGES.md, ROADMAP.md.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -116,3 +124,19 @@ if [ "$literals" -gt 0 ]; then
     exit 1
 fi
 echo "ok: one telemetry protocol (switch queries and Instant::now only in the verbs)"
+
+framework='criteri[o]n'
+if grep -il "$framework" Cargo.toml Cargo.lock crates/*/Cargo.toml tests/Cargo.toml \
+    examples/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml; then
+    echo "FAIL: the retired bench framework is named in the manifest(s) or lock file above." >&2
+    echo "Time a layer with a benchmark/ probe or an \`experiments\` row instead" >&2
+    echo "(EXPERIMENTS.md, \"Two measuring sticks, and where the third went\")." >&2
+    exit 1
+fi
+for gone in crates/*/benches vendor/criteri*; do
+    if [ -e "$gone" ]; then
+        echo "FAIL: $gone exists; the bench stack it belonged to was retired." >&2
+        exit 1
+    fi
+done
+echo "ok: one measuring stick (no bench framework in any manifest, no benches/, no vendored copy)"

@@ -108,3 +108,32 @@ fn fixture_diagnostics_carry_real_spans() {
     }
     assert!(seen >= 7, "expected at least 7 fixtures, found {seen}");
 }
+
+/// The `@qos` diagnostics are operator-facing text: pinned whole, so a
+/// lost `\` line continuation (which once put 40-odd literal spaces into
+/// both) cannot come back unseen.
+#[test]
+fn qos_annotation_messages_are_pinned_verbatim() {
+    let (ast, parse_diags) = diaspec_core::parser::parse(
+        "@qos(latencyMs = 0, colour = 3)\n\
+         device Lamp { action light; }\n",
+    );
+    assert!(!parse_diags.has_errors(), "{parse_diags:?}");
+    let (_, diags) = diaspec_core::check::check(&ast);
+    let message = |code: &str| {
+        diags
+            .iter()
+            .find(|d| d.code == code)
+            .unwrap_or_else(|| panic!("{code} not reported: {diags:?}"))
+            .message
+            .clone()
+    };
+    assert_eq!(
+        message("E0251"),
+        "@qos argument `latencyMs` must be a positive integer, got `0`"
+    );
+    assert_eq!(
+        message("W0307"),
+        "unknown @qos argument `colour` (known: latencyMs, periodMs, priority, capacityPerHour)"
+    );
+}
