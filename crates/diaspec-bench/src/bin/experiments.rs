@@ -41,7 +41,7 @@ const EXPERIMENTS: &[(&str, &str, bool)] = &[
     ("e14", "@error/@qos annotations drive declared recovery (tests/failure_injection.rs)", false),
     ("e15", "requirements matched against infrastructure descriptions (examples/capacity_planning.rs)", false),
     ("e16", "recovery cost under seeded device churn: leases, rebinds, retries", true),
-    ("e17", "fault-tolerant batch processing: task panics, lost workers, stragglers", true),
+    ("e17", "fault-tolerant batch processing: task panics, bounded retries, degraded coverage", true),
     ("e18", "one-datum-to-many fan-out through the zero-copy delivery pipeline", true),
     ("e19", "whole-design static analysis + negative fixtures (diaspec-gen lint)", false),
     ("e20", "open-loop load harness: throughput knee + latency percentiles + spans", true),

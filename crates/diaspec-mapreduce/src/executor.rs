@@ -1,11 +1,15 @@
-//! Serial and parallel MapReduce executors with task-level fault
-//! tolerance.
+//! The MapReduce executor: one task loop, run by one worker or many,
+//! with task-level fault tolerance.
 //!
-//! The serial executor is the measurement baseline; the parallel executor
-//! fans both phases out over a pool of scoped worker threads pulling from
-//! a shared task queue. Both produce byte-identical output (final records
-//! sorted by intermediate key, with per-key emission order preserved), so
-//! experiments compare *time*, never correctness.
+//! A phase is a list of tasks (input chunks for Map, key-range partitions
+//! for Reduce). Workers claim task indices from a shared counter and run
+//! each task to its conclusion; one worker — the serial executor, the
+//! measurement baseline — runs that loop inline on the calling thread,
+//! more workers are scoped threads running the same loop. Results are
+//! assembled by task index, never by arrival order, so every worker count
+//! produces byte-identical output (final records sorted by intermediate
+//! key, with per-key emission order preserved) and experiments compare
+//! *time*, never correctness.
 //!
 //! Fault tolerance follows the original MapReduce design (Dean &
 //! Ghemawat, OSDI'04):
@@ -14,38 +18,20 @@
 //!   function becomes a structured [`TaskError`] instead of tearing down
 //!   the process;
 //! - failed attempts are retried up to [`Job::task_retries`] times;
-//! - straggling attempts are speculatively re-executed when
-//!   [`Job::speculation`] is configured — first result wins, the loser is
-//!   discarded, and output stays byte-identical because results are
-//!   assembled by task index, never by arrival order;
 //! - with [`Job::allow_partial`], tasks that exhaust their budget are
 //!   *dropped* rather than fatal: the job completes degraded and the
 //!   [`CoverageReport`] in its stats accounts for exactly what was lost.
 
 use crate::collector::{MapCollector, ReduceCollector};
-use crate::fault::{
-    JobError, SpeculationConfig, TaskError, TaskFailure, TaskFault, TaskFaultPlan, TaskPhase,
-};
+use crate::fault::{JobError, TaskError, TaskFailure, TaskFault, TaskFaultPlan, TaskPhase};
 use crate::stats::{CoverageReport, ExecutionStats};
 use crate::{Combiner, MapReduce};
 use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Condvar, Mutex, Once};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Once;
 use std::time::{Duration, Instant};
-
-/// Which execution strategy a [`Job`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Executor {
-    /// Single-threaded baseline.
-    Serial,
-    /// Map and Reduce phases run on this many worker threads.
-    Parallel {
-        /// Number of worker threads (clamped to at least 1, and capped
-        /// per phase at the phase's task count).
-        workers: usize,
-    },
-}
 
 /// A pass-through combiner used when none is configured.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,47 +71,42 @@ pub struct MappedResult<K3, V3> {
     pub failed_tasks: Vec<TaskError>,
 }
 
-/// A configured MapReduce execution: strategy, optional combiner, and
+/// A configured MapReduce execution: worker count, optional combiner, and
 /// fault-tolerance knobs.
 ///
 /// Construct with [`Job::serial`] or [`Job::parallel`], optionally add a
 /// [`Combiner`] with [`Job::combiner`] and fault tolerance with
-/// [`Job::task_retries`] / [`Job::fault_plan`] / [`Job::speculation`] /
-/// [`Job::allow_partial`], then call [`Job::run`] ([`Job::try_run`] for
-/// structured errors) or [`Job::run_to_map`] ([`Job::try_run_to_map`]).
+/// [`Job::task_retries`] / [`Job::fault_plan`] / [`Job::allow_partial`],
+/// then call [`Job::run`] ([`Job::try_run`] for structured errors) or
+/// [`Job::run_to_map`] ([`Job::try_run_to_map`]).
 #[derive(Debug, Clone)]
 pub struct Job<C = NoCombiner> {
-    executor: Executor,
+    workers: usize,
     combiner: C,
     faults: Option<TaskFaultPlan>,
     max_retries: u32,
-    speculation: Option<SpeculationConfig>,
     allow_partial: bool,
     tasks: Option<usize>,
 }
 
 impl Job<NoCombiner> {
-    /// A single-threaded job (the experiment baseline).
+    /// A single-threaded job (the experiment baseline): one worker, which
+    /// runs on the calling thread.
     #[must_use]
     pub fn serial() -> Self {
-        Job::new(Executor::Serial)
+        Job::parallel(1)
     }
 
-    /// A parallel job over `workers` threads (clamped to at least 1).
+    /// A job over `workers` workers (clamped to at least 1, and capped per
+    /// phase at the phase's task count). More than one worker means that
+    /// many scoped threads.
     #[must_use]
     pub fn parallel(workers: usize) -> Self {
-        Job::new(Executor::Parallel {
-            workers: workers.max(1),
-        })
-    }
-
-    fn new(executor: Executor) -> Self {
         Job {
-            executor,
+            workers: workers.max(1),
             combiner: NoCombiner,
             faults: None,
             max_retries: 0,
-            speculation: None,
             allow_partial: false,
             tasks: None,
         }
@@ -137,20 +118,13 @@ impl<C> Job<C> {
     #[must_use]
     pub fn combiner<C2>(self, combiner: C2) -> Job<C2> {
         Job {
-            executor: self.executor,
+            workers: self.workers,
             combiner,
             faults: self.faults,
             max_retries: self.max_retries,
-            speculation: self.speculation,
             allow_partial: self.allow_partial,
             tasks: self.tasks,
         }
-    }
-
-    /// The configured execution strategy.
-    #[must_use]
-    pub fn executor(&self) -> Executor {
-        self.executor
     }
 
     /// Injects the given seeded [`TaskFaultPlan`] into task attempts.
@@ -169,15 +143,6 @@ impl<C> Job<C> {
     #[must_use]
     pub fn task_retries(mut self, retries: u32) -> Self {
         self.max_retries = retries;
-        self
-    }
-
-    /// Enables speculative re-execution of straggling tasks. Only the
-    /// parallel executor speculates — with a single worker there is no
-    /// idle capacity to race a duplicate on.
-    #[must_use]
-    pub fn speculation(mut self, config: SpeculationConfig) -> Self {
-        self.speculation = Some(config);
         self
     }
 
@@ -301,13 +266,8 @@ impl<C> Job<C> {
         C: Combiner<K2, V2>,
     {
         let input: Vec<(K1, V1)> = input.into_iter().collect();
-        let requested_workers = match self.executor {
-            Executor::Serial => 1,
-            Executor::Parallel { workers } => workers.max(1),
-        };
-        let n_tasks = self.tasks.unwrap_or(requested_workers).max(1);
+        let n_tasks = self.tasks.unwrap_or(self.workers);
         let faults = self.faults.as_ref().filter(|plan| !plan.is_empty());
-        let speculation = self.speculation.as_ref();
 
         let mut stats = ExecutionStats {
             map_input_records: input.len() as u64,
@@ -345,21 +305,18 @@ impl<C> Job<C> {
                 })
                 .collect()
         };
-        let map_out = run_phase(
+        let (map_out, map_workers) = run_phase(
             chunks.len(),
-            requested_workers,
+            self.workers,
             TaskPhase::Map,
             faults,
             self.max_retries,
-            speculation,
             &map_work,
         );
         stats.map_time = map_start.elapsed();
-        let map_workers = map_out.workers;
-        absorb_phase(&mut coverage, &mut stats, &map_out);
         let mut partials: Vec<BTreeMap<K2, (Vec<V2>, u64)>> = Vec::with_capacity(chunks.len());
-        for (task, result) in map_out.results.into_iter().enumerate() {
-            match result {
+        for (task, out) in map_out {
+            match absorb_task(&mut coverage, &mut stats, out) {
                 Ok(partial) => partials.push(partial),
                 Err(err) => {
                     coverage.map_tasks_failed += 1;
@@ -406,19 +363,17 @@ impl<C> Job<C> {
             }
             out.into_items()
         };
-        let reduce_out = run_phase(
+        let (reduce_out, reduce_workers) = run_phase(
             partitions.len(),
-            requested_workers,
+            self.workers,
             TaskPhase::Reduce,
             faults,
             self.max_retries,
-            speculation,
             &reduce_work,
         );
-        absorb_phase(&mut coverage, &mut stats, &reduce_out);
         let mut output: Vec<(K3, V3)> = Vec::new();
-        for (task, result) in reduce_out.results.into_iter().enumerate() {
-            match result {
+        for (task, out) in reduce_out {
+            match absorb_task(&mut coverage, &mut stats, out) {
                 Ok(records) => output.extend(records),
                 Err(err) => {
                     coverage.reduce_tasks_failed += 1;
@@ -430,7 +385,7 @@ impl<C> Job<C> {
         }
         stats.reduce_output_records = output.len() as u64;
         stats.reduce_time = reduce_start.elapsed();
-        stats.workers = map_workers.max(reduce_out.workers).max(1);
+        stats.workers = map_workers.max(reduce_workers).max(1);
         stats.coverage = coverage;
 
         if !self.allow_partial && coverage.reduce_tasks_failed > 0 {
@@ -446,116 +401,114 @@ impl<C> Job<C> {
     }
 }
 
-/// Folds one phase's fault-tolerance counters into the job totals.
-fn absorb_phase<T>(
-    coverage: &mut CoverageReport,
-    stats: &mut ExecutionStats,
-    out: &PhaseOutcome<T>,
-) {
-    coverage.task_retries += out.retries;
-    coverage.speculative_attempts += out.speculative;
-    coverage.injected_faults += out.injected;
-    stats.recovery_time += out.recovery;
-}
-
-/// Everything one phase execution produced.
-struct PhaseOutcome<T> {
-    /// Per-task outcome, indexed by task.
-    results: Vec<Result<T, TaskError>>,
-    /// Worker threads actually used (0 when the phase had no tasks).
-    workers: usize,
-    /// Failed attempts re-queued within the retry budget.
+/// What running one task to its conclusion produced.
+struct TaskOutcome<T> {
+    /// The first successful attempt's value, or the error of the attempt
+    /// that spent the budget.
+    result: Result<T, TaskError>,
+    /// Failed attempts that were followed by another attempt.
     retries: u32,
-    /// Speculative duplicate attempts launched.
-    speculative: u32,
     /// Attempts the fault plan injected into.
     injected: u32,
-    /// Wall time of attempts whose result was discarded.
+    /// Wall time of the failed attempts.
     recovery: Duration,
 }
 
-/// Runs `n_tasks` tasks on up to `requested_workers` threads, retrying
-/// failures and (optionally) speculating on stragglers.
+/// Folds one task's fault-tolerance counters into the job totals and
+/// hands back its result.
+fn absorb_task<T>(
+    coverage: &mut CoverageReport,
+    stats: &mut ExecutionStats,
+    out: TaskOutcome<T>,
+) -> Result<T, TaskError> {
+    coverage.task_retries += out.retries;
+    coverage.injected_faults += out.injected;
+    stats.recovery_time += out.recovery;
+    out.result
+}
+
+/// Runs `n_tasks` tasks on up to `requested_workers` workers and returns
+/// every `(task, outcome)` in task order, plus the number of workers used
+/// (0 when the phase had no tasks).
+///
+/// Every worker runs the same loop: claim the next unclaimed task index,
+/// [`run_task`] it, repeat until none is left. One worker runs that loop
+/// on the calling thread and spawns nothing; more workers are scoped
+/// threads. Which worker ran a task is not observable: its fates are keyed
+/// by `(seed, phase, task, attempt)` and its outcome is filed under its
+/// index.
 fn run_phase<T, F>(
     n_tasks: usize,
     requested_workers: usize,
     phase: TaskPhase,
     faults: Option<&TaskFaultPlan>,
     max_retries: u32,
-    speculation: Option<&SpeculationConfig>,
     work: &F,
-) -> PhaseOutcome<T>
+) -> (Vec<(usize, TaskOutcome<T>)>, usize)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n_tasks == 0 {
-        return PhaseOutcome {
-            results: Vec::new(),
-            workers: 0,
-            retries: 0,
-            speculative: 0,
-            injected: 0,
-            recovery: Duration::ZERO,
-        };
-    }
-    // Cap the pool at the task count: a task never runs on two pool
-    // threads at once unless speculation duplicates it, so extra threads
+    // A task runs on exactly one worker, so workers beyond the task count
     // would only pay spawn/join cost.
-    let workers = requested_workers.min(n_tasks).max(1);
-    if workers == 1 {
-        run_phase_sequential(n_tasks, phase, faults, max_retries, work)
+    let workers = requested_workers.min(n_tasks);
+    // `Relaxed`: the counter only hands out indices and publishes no data;
+    // outcomes reach the caller through the scope's joins.
+    let next = AtomicUsize::new(0);
+    let claim_loop = || {
+        let mut done = Vec::new();
+        loop {
+            let task = next.fetch_add(1, Ordering::Relaxed);
+            if task >= n_tasks {
+                return done;
+            }
+            done.push((task, run_task(phase, task, faults, max_retries, work)));
+        }
+    };
+    let mut done = if workers <= 1 {
+        claim_loop()
     } else {
-        run_phase_pool(
-            n_tasks,
-            workers,
-            phase,
-            faults,
-            max_retries,
-            speculation,
-            work,
-        )
-    }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim_loop)).collect();
+            let mut done = Vec::with_capacity(n_tasks);
+            for worker in handles {
+                let claimed = worker.join();
+                done.extend(claimed.expect("task attempts run under catch_unwind"));
+            }
+            done
+        })
+    };
+    done.sort_unstable_by_key(|(task, _)| *task);
+    (done, workers)
 }
 
-/// Single-threaded phase driver: same retry semantics as the pool, no
-/// thread spawns, no speculation (there is no idle capacity to race on).
-fn run_phase_sequential<T, F>(
-    n_tasks: usize,
+/// Runs attempt 1, 2, … of one task until the first success or until
+/// `max_retries` retries are spent.
+///
+/// A failed attempt is retried at once, on the worker that claimed the
+/// task, rather than queued behind other tasks: nothing a job reports
+/// depends on when an attempt ran, only on its coordinates.
+fn run_task<T>(
     phase: TaskPhase,
+    task: usize,
     faults: Option<&TaskFaultPlan>,
     max_retries: u32,
-    work: &F,
-) -> PhaseOutcome<T>
-where
-    F: Fn(usize) -> T,
-{
-    let mut out = PhaseOutcome {
-        results: Vec::with_capacity(n_tasks),
-        workers: 1,
-        retries: 0,
-        speculative: 0,
-        injected: 0,
-        recovery: Duration::ZERO,
-    };
-    for task in 0..n_tasks {
-        let mut failures = 0u32;
-        let result = loop {
-            let started = Instant::now();
-            let (attempt_result, injected) =
-                run_attempt(phase, task, failures + 1, faults, || work(task));
-            if injected {
-                out.injected += 1;
-            }
-            match attempt_result {
-                Ok(value) => break Ok(value),
-                Err(failure) => {
-                    failures += 1;
-                    out.recovery += started.elapsed();
-                    if failures <= max_retries {
-                        out.retries += 1;
-                        continue;
-                    }
+    work: impl Fn(usize) -> T,
+) -> TaskOutcome<T> {
+    let mut failures = 0u32;
+    let mut injected = 0u32;
+    let mut recovery = Duration::ZERO;
+    let result = loop {
+        let started = Instant::now();
+        let (attempt_result, was_injected) =
+            run_attempt(phase, task, failures + 1, faults, || work(task));
+        injected += u32::from(was_injected);
+        match attempt_result {
+            Ok(value) => break Ok(value),
+            Err(failure) => {
+                failures += 1;
+                recovery += started.elapsed();
+                if failures > max_retries {
                     break Err(TaskError {
                         phase,
                         task,
@@ -564,206 +517,14 @@ where
                     });
                 }
             }
-        };
-        out.results.push(result);
-    }
-    out
-}
-
-/// State shared by the pool workers of one phase.
-struct PoolState<T> {
-    /// Attempts ready to run: `(task, attempt_number)`.
-    pending: VecDeque<(usize, u32)>,
-    /// Per-task resolution slot; the first successful attempt wins.
-    slots: Vec<Option<Result<T, TaskError>>>,
-    /// Attempts of each task currently executing on some worker.
-    live: Vec<u32>,
-    /// Start of the oldest live attempt per task (straggler detection).
-    started: Vec<Option<Instant>>,
-    /// Attempt numbers handed out per task.
-    launched: Vec<u32>,
-    /// Concluded failed attempts per task.
-    failures: Vec<u32>,
-    /// Tasks not yet resolved.
-    outstanding: usize,
-    /// Durations of winning attempts (speculation baseline).
-    durations: Vec<Duration>,
-    retries: u32,
-    speculative: u32,
-    injected: u32,
-    recovery: Duration,
-}
-
-impl<T> PoolState<T> {
-    fn new(n_tasks: usize) -> Self {
-        PoolState {
-            pending: (0..n_tasks).map(|task| (task, 1)).collect(),
-            slots: (0..n_tasks).map(|_| None).collect(),
-            live: vec![0; n_tasks],
-            started: vec![None; n_tasks],
-            launched: vec![1; n_tasks],
-            failures: vec![0; n_tasks],
-            outstanding: n_tasks,
-            durations: Vec::new(),
-            retries: 0,
-            speculative: 0,
-            injected: 0,
-            recovery: Duration::ZERO,
-        }
-    }
-
-    fn has_pending_for(&self, task: usize) -> bool {
-        self.pending.iter().any(|(t, _)| *t == task)
-    }
-
-    /// The straggling task most worth duplicating, if any: a single live
-    /// attempt, nothing queued, running longer than the speculation
-    /// threshold derived from completed-task durations.
-    fn pick_straggler(&self, spec: &SpeculationConfig) -> Option<usize> {
-        if self.durations.len() < spec.min_observations {
-            return None;
-        }
-        let mut sorted = self.durations.clone();
-        sorted.sort();
-        let index = ((sorted.len() as f64) * spec.quantile.clamp(0.0, 1.0)).ceil() as usize;
-        let baseline = sorted[index.saturating_sub(1).min(sorted.len() - 1)];
-        let threshold = baseline
-            .mul_f64(spec.multiplier.max(1.0))
-            .max(spec.min_elapsed);
-        (0..self.slots.len()).find(|&task| {
-            self.slots[task].is_none()
-                && self.live[task] == 1
-                && !self.has_pending_for(task)
-                && self.started[task].is_some_and(|s| s.elapsed() > threshold)
-        })
-    }
-}
-
-/// Multi-threaded phase driver: a shared queue of task attempts drained
-/// by `workers` scoped threads; idle workers speculate on stragglers.
-fn run_phase_pool<T, F>(
-    n_tasks: usize,
-    workers: usize,
-    phase: TaskPhase,
-    faults: Option<&TaskFaultPlan>,
-    max_retries: u32,
-    speculation: Option<&SpeculationConfig>,
-    work: &F,
-) -> PhaseOutcome<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let state = Mutex::new(PoolState::<T>::new(n_tasks));
-    let ready = Condvar::new();
-    let worker_loop = || {
-        let mut guard = state.lock().expect("pool lock");
-        loop {
-            if guard.outstanding == 0 {
-                ready.notify_all();
-                return;
-            }
-            let Some((task, attempt)) = guard.pending.pop_front() else {
-                // Idle: speculate on a straggler, or wait for work. The
-                // short timeout re-checks straggler thresholds, which
-                // advance with wall time rather than with events.
-                if let Some(spec) = speculation {
-                    if let Some(task) = guard.pick_straggler(spec) {
-                        let attempt = guard.launched[task] + 1;
-                        guard.launched[task] = attempt;
-                        guard.pending.push_back((task, attempt));
-                        guard.speculative += 1;
-                        continue;
-                    }
-                }
-                let (next, _timeout) = ready
-                    .wait_timeout(guard, Duration::from_millis(1))
-                    .expect("pool lock");
-                guard = next;
-                continue;
-            };
-            guard.live[task] += 1;
-            if guard.started[task].is_none() {
-                guard.started[task] = Some(Instant::now());
-            }
-            drop(guard);
-            let attempt_start = Instant::now();
-            let (attempt_result, injected) =
-                run_attempt(phase, task, attempt, faults, || work(task));
-            let elapsed = attempt_start.elapsed();
-            guard = state.lock().expect("pool lock");
-            guard.live[task] -= 1;
-            if guard.live[task] == 0 {
-                guard.started[task] = None;
-            }
-            if injected {
-                guard.injected += 1;
-            }
-            let resolved = guard.slots[task].is_some();
-            match attempt_result {
-                Ok(value) => {
-                    if resolved {
-                        // A duplicate already won the race; discard.
-                        guard.recovery += elapsed;
-                    } else {
-                        guard.slots[task] = Some(Ok(value));
-                        guard.outstanding -= 1;
-                        guard.durations.push(elapsed);
-                        // Orphan any queued duplicates of this task.
-                        guard.pending.retain(|(t, _)| *t != task);
-                        ready.notify_all();
-                    }
-                }
-                Err(failure) => {
-                    guard.recovery += elapsed;
-                    if !resolved {
-                        guard.failures[task] += 1;
-                        let failures = guard.failures[task];
-                        if failures <= max_retries {
-                            let attempt = guard.launched[task] + 1;
-                            guard.launched[task] = attempt;
-                            guard.pending.push_back((task, attempt));
-                            guard.retries += 1;
-                            ready.notify_all();
-                        } else if guard.live[task] == 0 && !guard.has_pending_for(task) {
-                            // Out of budget and no duplicate can still
-                            // save the task: permanently failed.
-                            guard.slots[task] = Some(Err(TaskError {
-                                phase,
-                                task,
-                                attempts: failures,
-                                failure,
-                            }));
-                            guard.outstanding -= 1;
-                            ready.notify_all();
-                        }
-                        // Otherwise a still-running or queued duplicate
-                        // decides the task's fate.
-                    }
-                }
-            }
         }
     };
-    std::thread::scope(|scope| {
-        // Spawn through a shared reference so every worker runs the same
-        // (non-Copy) closure.
-        let worker = &worker_loop;
-        for _ in 0..workers {
-            scope.spawn(worker);
-        }
-    });
-    let state = state.into_inner().expect("pool lock");
-    PhaseOutcome {
-        results: state
-            .slots
-            .into_iter()
-            .map(|slot| slot.expect("every task resolved"))
-            .collect(),
-        workers,
-        retries: state.retries,
-        speculative: state.speculative,
-        injected: state.injected,
-        recovery: state.recovery,
+    TaskOutcome {
+        result,
+        // Every failure was retried, but for the one that spent the budget.
+        retries: failures.min(max_retries),
+        injected,
+        recovery,
     }
 }
 
@@ -920,6 +681,30 @@ mod tests {
         // only 3 of the 64 requested threads are worth spawning.
         assert_eq!(result.stats.workers, 3);
         assert_eq!(result.stats.coverage.map_tasks, 3);
+    }
+
+    #[test]
+    fn one_worker_phase_runs_on_the_calling_thread() {
+        /// Emits the id of the thread each phase ran on.
+        struct WhichThread;
+        type Id = std::thread::ThreadId;
+        impl MapReduce<u32, i64, u32, Id, Id, Id> for WhichThread {
+            fn map(&self, key: &u32, _: &i64, out: &mut MapCollector<u32, Id>) {
+                out.emit_map(*key, std::thread::current().id());
+            }
+            fn reduce(&self, _: &u32, mapped_on: &[Id], out: &mut ReduceCollector<Id, Id>) {
+                out.emit_reduce(mapped_on[0], std::thread::current().id());
+            }
+        }
+        let here = std::thread::current().id();
+        // One worker by request, and one worker because there is one task.
+        for job in [Job::serial().tasks(4), Job::parallel(8).tasks(1)] {
+            let result = job.run(&WhichThread, dataset(100, 4));
+            assert_eq!(result.stats.workers, 1);
+            assert_eq!(result.output, vec![(here, here); 4]);
+        }
+        let result = Job::parallel(2).run(&WhichThread, dataset(100, 4));
+        assert!(result.output.iter().all(|(m, r)| *m != here && *r != here));
     }
 
     #[test]
@@ -1168,33 +953,5 @@ mod tests {
             first.stats.coverage.injected_faults,
             second.stats.coverage.injected_faults
         );
-    }
-
-    #[test]
-    fn straggler_is_speculatively_duplicated() {
-        let data = dataset(800, 16);
-        let plan = TaskFaultPlan::seeded(8).delay_task(TaskPhase::Map, 0, 400, 1);
-        let result = Job::parallel(4)
-            .tasks(8)
-            .fault_plan(plan)
-            .expect("probabilities in range")
-            .speculation(SpeculationConfig {
-                quantile: 0.5,
-                multiplier: 2.0,
-                min_observations: 2,
-                min_elapsed: Duration::from_millis(20),
-            })
-            .run(&SumPerKey, data.clone());
-        let clean = Job::serial().run(&SumPerKey, data);
-        assert_eq!(
-            result.output, clean.output,
-            "first result wins, byte-identical"
-        );
-        assert!(result.failed_tasks.is_empty());
-        assert!(
-            result.stats.coverage.speculative_attempts >= 1,
-            "the 400 ms straggler must attract a backup task"
-        );
-        assert!(result.stats.coverage.is_complete());
     }
 }

@@ -21,10 +21,8 @@
 //!   coordinates), with [`check_probabilities`] as the one `[0, 1]`
 //!   validator beside it.
 //!
-//! The recovery half (bounded retries, speculation, coverage accounting)
-//! lives in the executor; see [`Job`](crate::Job).
-
-use std::time::Duration;
+//! The recovery half (bounded retries, coverage accounting) lives in the
+//! executor; see [`Job`](crate::Job).
 
 /// Which executor phase a task belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -54,7 +52,7 @@ pub enum TaskFault {
     /// result and no panic — it simply never reports back.
     WorkerLost,
     /// The attempt stalls for this long before doing its work, turning
-    /// the task into a straggler (speculation bait).
+    /// the task into a straggler (deadline bait for `@quality(deadlineMs)`).
     Delay {
         /// Extra latency injected before the attempt runs.
         ms: u64,
@@ -356,40 +354,6 @@ impl std::fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
-
-/// When the executor launches a speculative duplicate of a straggling
-/// task (Dean & Ghemawat §3.6: "backup tasks").
-///
-/// A task is a straggler once its oldest live attempt has run longer
-/// than `multiplier` times the `quantile` of completed task durations in
-/// the same phase — and at least `min_observations` tasks have completed
-/// (no baseline, no speculation) and `min_elapsed` wall time has passed
-/// (never speculate near-instant tasks). The duplicate races the
-/// original; the first result wins and the loser is discarded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeculationConfig {
-    /// Latency quantile of completed tasks used as the baseline, in
-    /// `(0, 1]` (e.g. `0.75` = the 75th percentile).
-    pub quantile: f64,
-    /// How many times the baseline an attempt must exceed to be
-    /// considered straggling.
-    pub multiplier: f64,
-    /// Completed tasks required before any speculation.
-    pub min_observations: usize,
-    /// Minimum elapsed time of the straggling attempt.
-    pub min_elapsed: Duration,
-}
-
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        SpeculationConfig {
-            quantile: 0.75,
-            multiplier: 2.0,
-            min_observations: 3,
-            min_elapsed: Duration::from_millis(5),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

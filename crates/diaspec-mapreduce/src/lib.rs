@@ -12,17 +12,17 @@
 //! - [`MapReduce`] — the six-type-parameter interface of Figure 10
 //!   (`MapReduce<K1, V1, K2, V2, K3, V3>`), with [`MapCollector`] /
 //!   [`ReduceCollector`] mirroring `emitMap` / `emitReduce`;
-//! - [`Job`] — an executor with a **serial** baseline and a **parallel**
-//!   mode (worker threads under `std::thread::scope`) so experiments can
-//!   compare the two (experiment E10);
+//! - [`Job`] — one task loop run by one worker on the calling thread (the
+//!   **serial** baseline) or by several under `std::thread::scope` (the
+//!   **parallel** mode), so experiments can compare the two (experiment
+//!   E10);
 //! - optional [`Combiner`] — per-worker local pre-aggregation, the classic
 //!   MapReduce optimization (shuffle volume N → ≤ workers × keys, pinned by
 //!   the `combiner_reduces_shuffle_volume` test);
 //! - [`ExecutionStats`] — per-phase record counts and wall-clock timings,
 //!   including a [`CoverageReport`] of task-level fault tolerance;
 //! - task fault tolerance in the spirit of the original MapReduce paper:
-//!   panic isolation via `catch_unwind`, bounded per-task retries,
-//!   speculative straggler re-execution ([`SpeculationConfig`]), degraded
+//!   panic isolation via `catch_unwind`, bounded per-task retries, degraded
 //!   partial results, and a seeded, deterministic [`TaskFaultPlan`] for
 //!   injecting panics, stalls, and lost workers into task attempts.
 //!
@@ -65,10 +65,10 @@ pub mod fault;
 mod stats;
 
 pub use collector::{MapCollector, ReduceCollector};
-pub use executor::{Executor, Job, MapReduceResult, MappedResult};
+pub use executor::{Job, MapReduceResult, MappedResult};
 pub use fault::{
-    check_probabilities, fate, fate_bits, JobError, SpeculationConfig, TaskError, TaskFailure,
-    TaskFault, TaskFaultPlan, TaskPhase,
+    check_probabilities, fate, fate_bits, JobError, TaskError, TaskFailure, TaskFault,
+    TaskFaultPlan, TaskPhase,
 };
 pub use stats::{CoverageReport, ExecutionStats};
 

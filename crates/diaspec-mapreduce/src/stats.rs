@@ -17,10 +17,10 @@ pub struct ExecutionStats {
     pub groups: u64,
     /// Final records emitted by the Reduce phase.
     pub reduce_output_records: u64,
-    /// Worker threads used (1 for the serial executor; for the parallel
-    /// executor, the largest thread pool either phase actually spawned —
-    /// capped at the phase's task count, so small jobs never pay for
-    /// idle threads).
+    /// Workers used: the larger of the two phases' worker counts, each
+    /// capped at the phase's task count so small jobs never pay for idle
+    /// threads. 1 is the calling thread itself (the serial executor, or a
+    /// one-task job); more are scoped threads.
     pub workers: usize,
     /// Wall-clock time of the Map phase (including combining).
     pub map_time: Duration,
@@ -29,8 +29,8 @@ pub struct ExecutionStats {
     /// Wall-clock time of the Reduce phase.
     pub reduce_time: Duration,
     /// Wall-clock time burnt on attempts whose result was discarded:
-    /// failed attempts that were retried or abandoned, and superseded
-    /// speculative duplicates. Zero on a fault-free run.
+    /// failed attempts that were retried or abandoned. Zero on a
+    /// fault-free run.
     pub recovery_time: Duration,
     /// Task-level fault-tolerance accounting for this execution.
     pub coverage: CoverageReport,
@@ -45,23 +45,21 @@ impl ExecutionStats {
 }
 
 /// Coverage accounting for one execution: how many tasks ran, were
-/// retried, speculated, or permanently failed, and what fraction of the
-/// input the surviving tasks covered.
+/// retried, or permanently failed, and what fraction of the input the
+/// surviving tasks covered.
 ///
 /// A fault-free run reports every `*_failed`/`*_lost` field as zero and
-/// [`CoverageReport::fraction_covered`] as exactly `1.0`. All counts are
-/// deterministic for a fixed seed and task layout **except**
-/// `speculative_attempts`, which depends on real wall-clock straggling.
+/// [`CoverageReport::fraction_covered`] as exactly `1.0`. Every field is
+/// a function of the seed and the task layout alone: the same for any
+/// worker count, and from run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoverageReport {
     /// Map tasks in the job (contiguous input chunks).
     pub map_tasks: u32,
     /// Reduce tasks in the job (contiguous key-range partitions).
     pub reduce_tasks: u32,
-    /// Failed attempts that were re-queued within the retry budget.
+    /// Failed attempts that were retried within the retry budget.
     pub task_retries: u32,
-    /// Speculative duplicate attempts launched for stragglers.
-    pub speculative_attempts: u32,
     /// Attempts into which the fault plan injected a fault.
     pub injected_faults: u32,
     /// Map tasks that exhausted their retry budget.
@@ -93,6 +91,20 @@ impl CoverageReport {
         self.map_tasks_failed + self.reduce_tasks_failed
     }
 
+    /// `(surviving, total)` per phase — input records for Map, grouped
+    /// values for Reduce — with `lost` clamped to `total` and an empty
+    /// phase counting as fully covered, `(1, 1)`.
+    fn surviving(&self) -> [(u64, u64); 2] {
+        [
+            (self.map_records_total, self.map_records_lost),
+            (self.group_values_total, self.group_values_lost),
+        ]
+        .map(|(total, lost)| match total {
+            0 => (1, 1),
+            _ => (total - total.min(lost), total),
+        })
+    }
+
     /// Fraction of the input the final output covers, in `[0, 1]`.
     ///
     /// The product of the surviving map fraction (input records whose map
@@ -101,22 +113,24 @@ impl CoverageReport {
     /// covered. `1.0` exactly when [`CoverageReport::is_complete`].
     #[must_use]
     pub fn fraction_covered(&self) -> f64 {
-        fn surviving(total: u64, lost: u64) -> f64 {
-            if total == 0 {
-                1.0
-            } else {
-                (total - total.min(lost)) as f64 / total as f64
-            }
-        }
-        surviving(self.map_records_total, self.map_records_lost)
-            * surviving(self.group_values_total, self.group_values_lost)
+        let [map, reduce] = self
+            .surviving()
+            .map(|(kept, total)| kept as f64 / total as f64);
+        map * reduce
     }
 
     /// [`CoverageReport::fraction_covered`] as a whole percentage,
-    /// rounded down so a lossy run never rounds up to 100.
+    /// rounded down so a lossy run never rounds up to 100. Computed in
+    /// integers, so a run that covers exactly 58 % reports 58 (the
+    /// floating-point product `0.58 * 100.0` is `57.99…`).
     #[must_use]
     pub fn percent_covered(&self) -> u32 {
-        (self.fraction_covered() * 100.0).floor() as u32
+        let [(map_kept, map_total), (reduce_kept, reduce_total)] = self
+            .surviving()
+            .map(|(kept, total)| (u128::from(kept), u128::from(total)));
+        // The counts are records held in memory, far below 2^60 each, so
+        // the numerator fits u128; the quotient is at most 100.
+        (100 * map_kept * reduce_kept / (map_total * reduce_total)) as u32
     }
 }
 
@@ -161,6 +175,38 @@ mod tests {
         let expected = 0.75 * 0.5;
         assert!((coverage.fraction_covered() - expected).abs() < 1e-12);
         assert_eq!(coverage.percent_covered(), 37);
+    }
+
+    #[test]
+    fn percent_is_the_exact_integer_floor() {
+        let single = |total: u64, lost: u64| CoverageReport {
+            map_records_total: total,
+            map_records_lost: lost,
+            ..CoverageReport::default()
+        };
+        // `0.58 * 100.0`, `0.57 * 100.0` and `0.29 * 100.0` all land just
+        // under the whole number in f64.
+        assert_eq!(single(100, 42).percent_covered(), 58);
+        assert_eq!(single(100, 43).percent_covered(), 57);
+        assert_eq!(single(100, 71).percent_covered(), 29);
+        for total in 1..=200u64 {
+            for lost in 0..=total {
+                assert_eq!(
+                    u64::from(single(total, lost).percent_covered()),
+                    (total - lost) * 100 / total,
+                    "{lost} of {total} lost"
+                );
+            }
+        }
+        // Two phases multiply before the floor: 58/100 * 2/3 = 38.66 %.
+        let both = CoverageReport {
+            group_values_total: 3,
+            group_values_lost: 1,
+            ..single(100, 42)
+        };
+        assert_eq!(both.percent_covered(), 38);
+        // `lost` beyond `total` clamps to nothing covered.
+        assert_eq!(single(10, 11).percent_covered(), 0);
     }
 
     #[test]

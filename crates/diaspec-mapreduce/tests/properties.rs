@@ -157,24 +157,29 @@ proptest! {
         prop_assert_eq!(injected.stats.coverage.fraction_covered(), 1.0);
     }
 
+    /// Everything a faulty run reports that is not a clock is a function
+    /// of the seed and the task layout: the same on one inline worker as
+    /// on any number of threads, and from run to run.
     #[test]
     fn probabilistic_fault_runs_are_deterministic_per_seed(
         data in dataset(),
         workers in 2usize..9,
+        retries in 0u32..4,
         seed in 0u64..1000,
     ) {
-        let job = || Job::parallel(workers)
+        let run = |job: Job| job
             .tasks(8)
             .fault_plan(TaskFaultPlan::seeded(seed).panic_tasks(0.3).lose_workers(0.2))
             .expect("probabilities in range")
-            .task_retries(1)
+            .task_retries(retries)
             .allow_partial(true)
             .run(&Sum, data.clone());
-        let first = job();
-        let second = job();
-        prop_assert_eq!(first.output, second.output);
-        prop_assert_eq!(first.failed_tasks, second.failed_tasks);
-        prop_assert_eq!(first.stats.coverage, second.stats.coverage);
+        let serial = run(Job::serial());
+        for parallel in [run(Job::parallel(workers)), run(Job::parallel(workers))] {
+            prop_assert_eq!(&serial.output, &parallel.output);
+            prop_assert_eq!(&serial.failed_tasks, &parallel.failed_tasks);
+            prop_assert_eq!(serial.stats.coverage, parallel.stats.coverage);
+        }
     }
 
     #[test]

@@ -91,6 +91,11 @@ impl Link {
     /// `config.retry`, exhausted effects are parked for in-order replay
     /// once the link heals, and a circuit breaker fails fast on a dead
     /// peer (see [`session`]).
+    ///
+    /// # Panics
+    ///
+    /// If `config` fails [`SessionConfig::validate`]; validate a
+    /// configuration read from a manifest first.
     #[must_use]
     pub fn with_session(transport: impl Transport + 'static, config: SessionConfig) -> Arc<Link> {
         Arc::new(Link {

@@ -95,6 +95,27 @@ impl Default for SessionConfig {
     }
 }
 
+impl SessionConfig {
+    /// Checks the values a session cannot run with: it must be able to
+    /// park at least one effect, and the breaker must need at least one
+    /// failure to trip. Call it on a configuration that comes from outside
+    /// the program (a manifest) before [`Link::with_session`](super::Link::with_session),
+    /// which panics on one that fails.
+    ///
+    /// # Errors
+    ///
+    /// `"<field> must be at least 1"`, naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.resend_queue == 0 {
+            return Err("resend_queue must be at least 1".to_owned());
+        }
+        if self.breaker.failure_threshold == 0 {
+            return Err("breaker.failure_threshold must be at least 1".to_owned());
+        }
+        Ok(())
+    }
+}
+
 /// What the session layer has done for one link.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionStats {
@@ -148,11 +169,9 @@ pub(super) struct SessionState {
 
 impl SessionState {
     pub(super) fn new(config: SessionConfig) -> Self {
-        assert!(config.resend_queue > 0, "zero resend queue");
-        assert!(
-            config.breaker.failure_threshold > 0,
-            "zero breaker threshold"
-        );
+        if let Err(reason) = config.validate() {
+            panic!("invalid SessionConfig: {reason}");
+        }
         SessionState {
             config,
             circuit: CircuitState::Closed,
@@ -447,6 +466,26 @@ mod tests {
             .filter(|e| e.kind != MessageKind::Heartbeat)
             .map(|e| e.seq)
             .collect()
+    }
+
+    #[test]
+    fn validate_names_the_value_a_session_cannot_run_with() {
+        assert_eq!(SessionConfig::default().validate(), Ok(()));
+        assert_eq!(fast_config().validate(), Ok(()));
+        let no_queue = SessionConfig {
+            resend_queue: 0,
+            ..fast_config()
+        };
+        assert_eq!(
+            no_queue.validate(),
+            Err("resend_queue must be at least 1".to_owned())
+        );
+        let mut no_threshold = fast_config();
+        no_threshold.breaker.failure_threshold = 0;
+        assert_eq!(
+            no_threshold.validate(),
+            Err("breaker.failure_threshold must be at least 1".to_owned())
+        );
     }
 
     #[test]

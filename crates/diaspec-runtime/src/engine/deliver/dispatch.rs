@@ -493,15 +493,12 @@ impl Orchestrator {
                             .filter_map(|r| r.group.clone().map(|g| (g, r.value.clone())))
                             .collect();
                         let adapter = LogicAdapter(mr.as_ref());
-                        let mut job = match self.processing {
+                        let job = match self.processing {
                             ProcessingMode::Serial => Job::serial(),
                             ProcessingMode::Parallel(workers) => Job::parallel(workers),
                         }
                         .task_retries(self.recovery.task_retries)
                         .allow_partial(true);
-                        if let Some(speculation) = self.recovery.task_speculation {
-                            job = job.speculation(speculation);
-                        }
                         let job = match self.faults.as_ref().and_then(FaultInjector::task_plan) {
                             Some(plan) => job.fault_plan(plan.clone()),
                             None => Ok(job),
@@ -588,7 +585,6 @@ impl Orchestrator {
     ) {
         let coverage = stats.coverage;
         self.metrics.task_retries += u64::from(coverage.task_retries);
-        self.metrics.task_speculations += u64::from(coverage.speculative_attempts);
         self.metrics.tasks_failed += failed_tasks.len() as u64;
         if coverage.injected_faults > 0 {
             self.metrics.faults_injected += u64::from(coverage.injected_faults);

@@ -31,7 +31,7 @@ use crate::clock::SimTime;
 use crate::entity::EntityId;
 
 pub use diaspec_mapreduce::{
-    check_probabilities, fate, fate_bits, SpeculationConfig, TaskFault, TaskFaultPlan, TaskPhase,
+    check_probabilities, fate, fate_bits, TaskFault, TaskFaultPlan, TaskPhase,
 };
 
 // ---- faults ----------------------------------------------------------------
@@ -347,9 +347,6 @@ pub struct RecoveryConfig {
     /// How many times a failed map/reduce task is re-executed before the
     /// batch completes degraded (0 = a single failure loses the task).
     pub task_retries: u32,
-    /// When set, straggling map/reduce tasks are speculatively
-    /// re-executed (first result wins, byte-identical output).
-    pub task_speculation: Option<SpeculationConfig>,
 }
 
 impl RecoveryConfig {
@@ -372,13 +369,6 @@ impl RecoveryConfig {
     #[must_use]
     pub fn with_task_retries(mut self, retries: u32) -> Self {
         self.task_retries = retries;
-        self
-    }
-
-    /// Enables speculative re-execution of straggling tasks.
-    #[must_use]
-    pub fn with_task_speculation(mut self, speculation: SpeculationConfig) -> Self {
-        self.task_speculation = Some(speculation);
         self
     }
 
@@ -476,15 +466,11 @@ mod tests {
         assert!(config.lease_ttl_ms.is_none());
         assert!(config.retry.is_none());
         assert_eq!(config.task_retries, 0);
-        assert!(config.task_speculation.is_none());
         assert_eq!(config.lease_check_interval_ms(), None);
         let config = config.with_leases(5_000).with_retry(RetryConfig::default());
         assert_eq!(config.lease_check_interval_ms(), Some(2_500));
-        let config = config
-            .with_task_retries(2)
-            .with_task_speculation(SpeculationConfig::default());
+        let config = config.with_task_retries(2);
         assert_eq!(config.task_retries, 2);
-        assert!(config.task_speculation.is_some());
     }
 
     #[test]

@@ -58,8 +58,6 @@ pub struct RuntimeMetrics {
     /// Failed map/reduce task attempts re-executed during batch
     /// processing.
     pub task_retries: u64,
-    /// Speculative duplicate attempts launched for straggling tasks.
-    pub task_speculations: u64,
     /// Map/reduce tasks that exhausted their retry budget (their share
     /// of the batch was lost).
     pub tasks_failed: u64,

@@ -271,12 +271,13 @@ fn run_edge(manifest: &NodeManifest, options: &Options) -> Result<(), Box<dyn st
 /// Builds the coordinator's link to one edge: the manifest's session
 /// policy decides between an at-least-once session link and a
 /// best-effort one, and any `--chaos-partition` windows wrap the
-/// backend in a [`ChaosTransport`] first.
+/// backend in a [`ChaosTransport`] first. A session policy no session can
+/// run with is the manifest's error, named by edge and field.
 fn build_link(
     transport: impl Transport + 'static,
     edge: &EdgeManifest,
     options: &Options,
-) -> Arc<Link> {
+) -> Result<Arc<Link>, String> {
     let policy = &edge.link;
     let session = SessionConfig {
         retry: RetryConfig {
@@ -290,7 +291,12 @@ fn build_link(
             cooldown_ms: policy.breaker_cooldown_ms,
         },
     };
-    if options.chaos_partitions.is_empty() {
+    if policy.session {
+        session
+            .validate()
+            .map_err(|reason| format!("manifest edge {}: link.{reason}", edge.name))?;
+    }
+    Ok(if options.chaos_partitions.is_empty() {
         if policy.session {
             Link::with_session(transport, session)
         } else {
@@ -307,7 +313,7 @@ fn build_link(
         } else {
             Link::new(chaos)
         }
-    }
+    })
 }
 
 /// Coordinator (or whole-run in-process) role: run the orchestration
@@ -339,7 +345,7 @@ fn run_coordinator(
                 TcpTransport::new(edge.name.clone(), edge.listen.clone(), retry),
                 edge,
                 options,
-            ),
+            )?,
             Backend::InProcess => {
                 let runtime = Arc::new(Mutex::new(edge_runtime(
                     edge,
@@ -350,7 +356,7 @@ fn run_coordinator(
                 sim.connect_handler(Box::new(move |envelope| {
                     runtime.lock().expect("edge runtime lock").handle(envelope)
                 }));
-                build_link(sim, edge, options)
+                build_link(sim, edge, options)?
             }
         };
         links.insert(edge.name.clone(), link);

@@ -15,7 +15,10 @@
 #   4. the TCP run is repeated with edge1 dying mid-run and recovery
 #      enabled — the coordinator trace must show lease expiry and
 #      standby promotion;
-#   5. no child process may leak past the script.
+#   5. a manifest whose link policy no session can run with (a zero
+#      resend queue) is refused with the edge and field named — exit
+#      non-zero, no panic;
+#   6. no child process may leak past the script.
 #
 # Usage: scripts/deploy_smoke.sh   (PORT_BASE overridable, default 7470)
 set -euo pipefail
@@ -104,7 +107,21 @@ grep -q "died on schedule" "$OUT/edge1-kill.out" \
   || { echo "edge1 did not die on schedule" >&2; cat "$OUT/edge1-kill.out" >&2; exit 1; }
 echo "kill scenario recovered: $(grep -c 'rebind ' "$OUT/kill.out") promotion(s)"
 
-# 5. Everything must have exited; a leaked edge would hold its port.
+# 5. Hostile manifest: `resend_queue` 0 must be an error message that
+# names the edge and the field, not a panic in the session layer.
+sed 's/"resend_queue": *[0-9]*/"resend_queue": 0/' "$MANIFEST" > "$OUT/bad_manifest.json"
+if "$BIN" --role inprocess --manifest "$OUT/bad_manifest.json" --sensors "$SENSORS" \
+  --hours "$HOURS" > /dev/null 2> "$OUT/bad.err"; then
+  echo "a manifest with resend_queue 0 was accepted" >&2; exit 1
+fi
+grep -q "manifest edge edge0: link.resend_queue must be at least 1" "$OUT/bad.err" \
+  || { echo "bad manifest: the edge and field are not named" >&2; cat "$OUT/bad.err" >&2; exit 1; }
+if grep -q "panicked" "$OUT/bad.err"; then
+  echo "bad manifest reached a panic" >&2; cat "$OUT/bad.err" >&2; exit 1
+fi
+echo "bad manifest refused: $(cut -c1-80 "$OUT/bad.err" | head -1)"
+
+# 6. Everything must have exited; a leaked edge would hold its port.
 if pgrep -f "parking_distributed --role" > /dev/null; then
   echo "leaked child processes:" >&2
   pgrep -af "parking_distributed --role" >&2

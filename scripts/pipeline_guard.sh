@@ -26,6 +26,13 @@
 #    crates/*/benches/ and no vendor/ copy of it. (Its name is spelled
 #    with a bracket below so that a search of the tree for it finds
 #    history only: CHANGES.md, ROADMAP.md.)
+# 6. One task loop: a MapReduce phase is `run_task` under one claim loop
+#    (crates/diaspec-mapreduce/src/executor.rs), inline for one worker and
+#    on scoped threads for more. The straggler-duplicating pool it
+#    replaced (ROADMAP "Decided against") shows up as a condition
+#    variable, a timed wait or its vocabulary in the executor crate or in
+#    the runtime files that plumbed it, or as executor.rs regrowing past
+#    its line budget (which, like MAX_ENGINE_LINES, only ratchets down).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -140,3 +147,19 @@ for gone in crates/*/benches vendor/criteri*; do
     fi
 done
 echo "ok: one measuring stick (no bench framework in any manifest, no benches/, no vendored copy)"
+
+EXECUTOR=crates/diaspec-mapreduce/src/executor.rs
+MAX_EXECUTOR_LINES=1000
+if grep -rnE 'Condvar|wait_timeout|[Ss]peculat' crates/diaspec-mapreduce/src \
+    crates/diaspec-runtime/src/fault.rs crates/diaspec-runtime/src/metrics.rs; then
+    echo "FAIL: the task pool is growing back (lines above): a phase hands out task" >&2
+    echo "indices from one atomic counter and runs each task to its conclusion; it" >&2
+    echo "does not wait, wake or duplicate attempts (ROADMAP, \"Decided against\")." >&2
+    exit 1
+fi
+lines=$(wc -l < "$EXECUTOR")
+if [ "$lines" -gt "$MAX_EXECUTOR_LINES" ]; then
+    echo "FAIL: $EXECUTOR is $lines lines (max $MAX_EXECUTOR_LINES)." >&2
+    exit 1
+fi
+echo "ok: one task loop (no condition variable, timed wait or duplicate attempts; $EXECUTOR is $lines lines, max $MAX_EXECUTOR_LINES)"

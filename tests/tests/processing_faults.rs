@@ -172,7 +172,6 @@ fn exhausted_retries_degrade_the_batch_with_exact_coverage() {
         map_tasks: 4,
         reduce_tasks: 4,
         task_retries: 1,
-        speculative_attempts: 0,
         injected_faults: 2,
         map_tasks_failed: 1,
         reduce_tasks_failed: 0,
