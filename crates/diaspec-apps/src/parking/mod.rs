@@ -21,6 +21,7 @@
 // Byte-identical to compiler output (golden-tested): keep rustfmt out.
 #[rustfmt::skip]
 pub mod generated;
+pub mod remote;
 
 use self::generated::*;
 use diaspec_devices::common::{ActuationLog, RecordingActuator};

@@ -1,6 +1,9 @@
 //! E21 — chaos soak: orchestration correctness under link faults.
 //!
-//! The parking deployment runs with its edge bridged over a
+//! Runs the generated one-edge deployment of the parking design
+//! (`plan_deployment`, `edges: 1`, wired by
+//! [`diaspec_apps::parking::remote`] exactly as the distributed demo
+//! wires a manifest) with its edge bridged over a
 //! [`ChaosTransport`] that drops, duplicates, delays, reorders, and
 //! corrupts envelopes at a swept rate and cuts the link over two
 //! partition windows — against an at-least-once session link (inline
@@ -18,22 +21,18 @@
 //! zero-fault `ChaosTransport` (the middleware must be transparent),
 //! and over the faulty one. All three summaries must agree.
 
-use diaspec_apps::parking::generated::ParkingLotEnum;
+use diaspec_apps::parking::remote::{bind_coordinator, edge_runtime};
 use diaspec_apps::parking::{
     register_components, render_summary, ParkingAppConfig, ENVIRONMENT_FIRST_STEP_MS, SPEC,
 };
-use diaspec_devices::common::{ActuationLog, RecordingActuator};
-use diaspec_devices::parking::{ParkingCityModel, ParkingConfig, PresenceSensorDriver, UsageCurve};
-use diaspec_runtime::deploy::{
-    BreakerConfig, EdgeRuntime, Link, RemoteDeviceProxy, SessionConfig, SessionStats, TickPump,
-};
-use diaspec_runtime::entity::AttributeMap;
+use diaspec_codegen::deploy::{plan_deployment, DeployOptions};
+use diaspec_runtime::deploy::{BreakerConfig, Link, SessionConfig, SessionStats, TickPump};
 use diaspec_runtime::transport::{
     ChaosConfig, ChaosStats, ChaosTransport, Direction, SimTransport, TransportConfig,
 };
-use diaspec_runtime::value::Value;
 use diaspec_runtime::{Orchestrator, RetryConfig};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -130,13 +129,6 @@ struct SoakOutcome {
     duplicates_absorbed: u64,
 }
 
-fn lot_names() -> Vec<String> {
-    ParkingLotEnum::ALL
-        .iter()
-        .map(|l| l.name().to_owned())
-        .collect()
-}
-
 /// Runs the parking deployment once over the given link mode and
 /// renders its orchestration-level summary.
 fn run_once(config: &ChaosSoakConfig, mode: &LinkMode) -> SoakOutcome {
@@ -144,42 +136,27 @@ fn run_once(config: &ChaosSoakConfig, mode: &LinkMode) -> SoakOutcome {
         sensors_per_lot: config.sensors,
         ..ParkingAppConfig::default()
     };
-    let spec = Arc::new(diaspec_core::compile_str(SPEC).expect("parking spec compiles"));
-    let mut orch = Orchestrator::with_transport(spec, app.transport);
+    let spec = diaspec_core::compile_str(SPEC).expect("parking spec compiles");
+    let options = DeployOptions {
+        edges: 1,
+        ..DeployOptions::default()
+    };
+    let manifest = plan_deployment(&spec, &options)
+        .expect("parking deploys onto one edge")
+        .manifest;
+    let mut orch = Orchestrator::with_transport(Arc::new(spec), app.transport);
     register_components(&mut orch, &app).expect("components register");
 
-    // One edge runtime hosting every lot's devices over a shared city
-    // model, looped back through a SimTransport handler — the same
-    // wiring as the distributed demo's in-process backend.
-    let lots = lot_names();
-    let mut model = ParkingCityModel::new(
-        lots.clone(),
-        ParkingConfig {
-            spaces_per_lot: config.sensors,
-            ..ParkingConfig::default()
-        },
-        UsageCurve::default(),
-    );
-    let mut runtime = EdgeRuntime::new("edge0");
-    for lot in &lots {
-        let cell = model.lot(lot).expect("model lot");
-        for space in 0..config.sensors {
-            runtime.add_device(
-                format!("presence-{lot}-{space}"),
-                Box::new(PresenceSensorDriver::new(cell.clone(), space)),
-            );
-        }
-        runtime.add_device(
-            format!("panel-{lot}"),
-            Box::new(RecordingActuator::new(ActuationLog::new())),
-        );
-    }
-    runtime.on_tick(move |now| model.step(now));
+    // The manifest's one edge hosts every lot; its runtime is looped
+    // back through a SimTransport handler, as the distributed demo's
+    // in-process backend does.
+    let edge = &manifest.edges[0];
+    let runtime = edge_runtime(edge, config.sensors).expect("every shard is a lot");
     let runtime = Arc::new(Mutex::new(runtime));
-    let edge = Arc::clone(&runtime);
+    let handler = Arc::clone(&runtime);
     let mut sim = SimTransport::new(TransportConfig::default());
     sim.connect_handler(Box::new(move |envelope| {
-        edge.lock().expect("edge runtime lock").handle(envelope)
+        handler.lock().expect("edge runtime lock").handle(envelope)
     }));
 
     // Enough inline attempts that probabilistic faults never exhaust a
@@ -219,54 +196,9 @@ fn run_once(config: &ChaosSoakConfig, mode: &LinkMode) -> SoakOutcome {
         }
     };
 
-    orch.begin_deployment();
-    for lot in &lots {
-        let lot_value = Value::enum_value("ParkingLotEnum", lot);
-        for space in 0..config.sensors {
-            let id = format!("presence-{lot}-{space}");
-            let mut attrs = AttributeMap::new();
-            attrs.insert("parkingLot".to_owned(), lot_value.clone());
-            orch.bind_entity(
-                id.clone().into(),
-                "PresenceSensor",
-                attrs,
-                Box::new(RemoteDeviceProxy::new(id, Arc::clone(&link))),
-            )
-            .expect("sensor binds");
-        }
-        let id = format!("panel-{lot}");
-        let mut attrs = AttributeMap::new();
-        attrs.insert("location".to_owned(), lot_value.clone());
-        orch.bind_entity(
-            id.clone().into(),
-            "ParkingEntrancePanel",
-            attrs,
-            Box::new(RemoteDeviceProxy::new(id, Arc::clone(&link))),
-        )
-        .expect("panel binds");
-    }
-    for entrance in diaspec_apps::parking::generated::CityEntranceEnum::ALL {
-        let mut attrs = AttributeMap::new();
-        attrs.insert(
-            "location".to_owned(),
-            Value::enum_value("CityEntranceEnum", entrance.name()),
-        );
-        orch.bind_entity(
-            format!("city-panel-{}", entrance.name()).into(),
-            "CityEntrancePanel",
-            attrs,
-            Box::new(RecordingActuator::new(ActuationLog::new())),
-        )
-        .expect("city panel binds");
-    }
-    let messenger = ActuationLog::new();
-    orch.bind_entity(
-        "messenger-mgmt".into(),
-        "Messenger",
-        AttributeMap::new(),
-        Box::new(RecordingActuator::new(messenger.clone())),
-    )
-    .expect("messenger binds");
+    let links = BTreeMap::from([(edge.name.clone(), Arc::clone(&link))]);
+    let messenger =
+        bind_coordinator(&mut orch, &manifest, &links, config.sensors).expect("entities bind");
 
     let pump = TickPump::new(vec![Arc::clone(&link)], TICK_MS);
     let stop = pump.stop_handle();

@@ -33,7 +33,7 @@ pub const SCHEMA: &str = "diaspec-bench/delivery/v3";
 
 /// Sustained-throughput threshold for the knee: achieved ≥ 95% of
 /// offered.
-pub const KNEE_THRESHOLD: f64 = 0.95;
+const KNEE_THRESHOLD: f64 = 0.95;
 
 /// Emissions admitted per engine drain under backlog. Bounds queue
 /// growth when the offered rate exceeds capacity; deadlines are fixed
@@ -192,7 +192,7 @@ fn build(sensors: usize) -> (Orchestrator, Vec<EntityId>) {
 /// Drives one offered rate through a fresh orchestrator and reports
 /// latency under that load.
 #[must_use]
-pub fn run_rate(offered: u64, config: &LoadConfig) -> RateReport {
+fn run_rate(offered: u64, config: &LoadConfig) -> RateReport {
     assert!(offered > 0, "offered rate must be positive");
     let (mut orch, ids) = build(config.sensors);
     // Cheap-mode tracing: stage histograms accumulate, no span records

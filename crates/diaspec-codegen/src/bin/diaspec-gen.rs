@@ -31,9 +31,10 @@
 //!
 //! The `deploy` subcommand partitions a design into deployment units —
 //! one coordinator plus N edge nodes sharded by a discovery-attribute
-//! enumeration — validates the split with the static partition pass,
-//! and emits `manifest.json` plus one `node_<name>.rs` source per unit.
-//! Without `--out` the manifest is printed to stdout.
+//! enumeration — passes the split through the gate a loaded manifest
+//! meets (`NodeManifest::check_against`: shard assignment, then the
+//! static partition pass) and writes `<DIR>/manifest.json`, the
+//! deployment unit. Without `--out` the manifest is printed to stdout.
 
 use diaspec_codegen::deploy::{plan_deployment, DeployOptions, NodeManifest};
 use diaspec_codegen::lint::{lint_designs, lint_source, LintFormat, LintLevel, LintOptions};
@@ -79,7 +80,7 @@ fn main() -> ExitCode {
 }
 
 /// Parses deploy flags, partitions the design, and writes or prints
-/// the deployment artifacts.
+/// the manifest.
 fn run_deploy(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut options = DeployOptions::default();
     let mut spec_path: Option<PathBuf> = None;
@@ -134,9 +135,8 @@ fn run_deploy(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         eprintln!("diaspec-gen: warning: {warning}");
     }
     if let Some(dir) = &out {
-        deployment
-            .files
-            .write_to(dir)
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(dir.join("manifest.json"), deployment.manifest.to_json()))
             .map_err(|e| format!("cannot write to {}: {e}", dir.display()))?;
         eprintln!(
             "deployed `{}` as 1 coordinator + {} edge node(s), {} cut route(s), into {}",
@@ -146,14 +146,7 @@ fn run_deploy(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             dir.display()
         );
     } else {
-        print!(
-            "{}",
-            deployment
-                .files
-                .file("manifest.json")
-                .expect("plan_deployment always emits a manifest")
-                .content
-        );
+        print!("{}", deployment.manifest.to_json());
     }
     Ok(())
 }
@@ -254,7 +247,7 @@ fn run_lint(mut args: impl Iterator<Item = String>) -> Result<u8, String> {
                 return Ok(EXIT_BROKEN);
             }
         };
-        match serde_json::from_str::<NodeManifest>(&raw) {
+        match NodeManifest::from_json(&raw) {
             Ok(manifest) => manifests.push((path.display().to_string(), manifest)),
             Err(e) => {
                 eprintln!("diaspec-gen: invalid manifest {}: {e}", path.display());

@@ -5,13 +5,11 @@
 //! touching the design itself. This module is the tooling side of that
 //! move: [`plan_deployment`] splits a checked design into a *star* of
 //! deployment units — one coordinator running the orchestration engine
-//! plus N edge nodes hosting device slices — and emits
-//!
-//! - a machine-readable **node manifest** (`manifest.json`) naming what
-//!   runs where and which addresses the nodes listen/connect on, and
-//! - one **per-node Rust source** per unit, declaring exactly that
-//!   node's slice of the design and the peers it bridges to over the
-//!   socket transport (`diaspec_runtime::transport`).
+//! plus N edge nodes hosting device slices — and describes it in one
+//! machine-readable **node manifest** (`manifest.json`): what runs
+//! where, which address each edge listens on, and each link's
+//! resilience policy. The manifest *is* the deployment unit; a node is
+//! a generic binary plus its slice of it.
 //!
 //! The split is attribute-driven, mirroring how the parking study
 //! shards by parking lot: the *shard enumeration* is the enum type most
@@ -22,13 +20,14 @@
 //! contexts and controllers — the computations — and every non-sharded
 //! device family stay on the coordinator.
 //!
-//! Before anything is emitted the split is validated by the static
-//! partition pass ([`diaspec_core::analysis::partition`]): a plan that
-//! leaves a component unplaced or routes data edge-to-edge is rejected
-//! here, at design time, with E05xx diagnostics.
+//! A manifest is edited by hand after it is generated, so it is checked
+//! where it is loaded: [`NodeManifest::from_json`] refuses what needs no
+//! design to refuse, [`NodeManifest::check_against`] holds it against
+//! the design — the shard assignment, then the static partition pass
+//! ([`diaspec_core::analysis::partition`], E05xx) — and
+//! [`plan_deployment`] passes what it builds through the same two.
 
-use crate::{GeneratedFile, GeneratedFramework, Language};
-use diaspec_core::analysis::partition::{self, PartitionNode, PartitionPlan};
+use diaspec_core::analysis::partition::{self, PartitionNode, PartitionPlan, PartitionReport};
 use diaspec_core::diag::Severity;
 use diaspec_core::model::CheckedSpec;
 use diaspec_core::types::Type;
@@ -64,15 +63,6 @@ impl Default for DeployOptions {
     }
 }
 
-/// `(node, address)` pair in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PeerAddr {
-    /// Peer node name.
-    pub node: String,
-    /// `host:port` the peer listens on.
-    pub addr: String,
-}
-
 /// The coordinator's slice in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoordinatorManifest {
@@ -82,8 +72,6 @@ pub struct CoordinatorManifest {
     pub components: Vec<String>,
     /// Device families hosted locally.
     pub devices: Vec<String>,
-    /// Edge nodes it connects to, in node order.
-    pub connects: Vec<PeerAddr>,
 }
 
 /// Resilience policy of one coordinator↔edge link in the manifest.
@@ -181,31 +169,148 @@ pub struct NodeManifest {
     pub cut_routes: Vec<ManifestRoute>,
 }
 
-/// A validated deployment split plus its emitted artifacts.
+impl NodeManifest {
+    /// The manifest as `manifest.json` holds it — the one serializer.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("manifest serialization is infallible") + "\n"
+    }
+
+    /// Loads a manifest — the one way in — refusing what needs no design
+    /// to refuse: no edge; an empty or repeated node name; a `listen` that
+    /// is not `host:port` with a port in 1..=65535; a shard on two edges; a
+    /// session link that cannot run (`SessionConfig::validate`'s two rules,
+    /// under the manifest's field names).
+    ///
+    /// # Errors
+    ///
+    /// The JSON error, or the first broken rule with its node and field.
+    pub fn from_json(json: &str) -> Result<NodeManifest, String> {
+        let manifest: NodeManifest = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        manifest.check_shape()?;
+        Ok(manifest)
+    }
+
+    /// The rules of [`Self::from_json`].
+    fn check_shape(&self) -> Result<(), String> {
+        if self.edges.is_empty() {
+            return Err("manifest: edges must hold at least one edge node".to_owned());
+        }
+        if self.coordinator.name.is_empty() {
+            return Err("manifest coordinator: name must not be empty".to_owned());
+        }
+        let mut names = vec![self.coordinator.name.as_str()];
+        let mut hosts: BTreeMap<&str, &str> = BTreeMap::new();
+        for (i, edge) in self.edges.iter().enumerate() {
+            let refuse = |what: String| Err(format!("manifest edge {}: {what}", edge.name));
+            if edge.name.is_empty() {
+                return Err(format!("manifest edge #{i}: name must not be empty"));
+            }
+            if names.contains(&edge.name.as_str()) {
+                return refuse("name is taken by an earlier node".to_owned());
+            }
+            names.push(&edge.name);
+            let port = edge.listen.rsplit_once(':').filter(|(h, _)| !h.is_empty());
+            if !matches!(port.map(|(_, p)| p.parse::<u16>()), Some(Ok(1..))) {
+                return refuse(format!(
+                    "listen `{}` is not host:port (1..=65535)",
+                    edge.listen
+                ));
+            }
+            for shard in &edge.shards {
+                if let Some(other) = hosts.insert(shard, &edge.name) {
+                    return refuse(format!("shards holds `{shard}`, already on {other}"));
+                }
+            }
+            if edge.link.session && edge.link.resend_queue == 0 {
+                return refuse("link.resend_queue must be at least 1".to_owned());
+            }
+            if edge.link.session && edge.link.breaker_failures == 0 {
+                return refuse("link.breaker_failures must be at least 1".to_owned());
+            }
+        }
+        Ok(())
+    }
+
+    /// Holds the manifest against the design it claims to deploy: the
+    /// shard enumeration exists, every shard is one of its variants and
+    /// every variant is on exactly one edge, and the static partition
+    /// pass accepts the plan the manifest describes (which is also where
+    /// an unknown family or component is refused, as E0502).
+    ///
+    /// # Errors
+    ///
+    /// The first broken rule, or the E05xx diagnostics, one per line.
+    pub fn check_against(&self, spec: &CheckedSpec) -> Result<PartitionReport, String> {
+        let shard_enum = &self.shard.enumeration;
+        let variants = &spec
+            .enumeration(shard_enum)
+            .ok_or_else(|| format!("manifest: shard.enumeration `{shard_enum}` is not declared"))?
+            .variants;
+        for edge in &self.edges {
+            if let Some(stray) = edge.shards.iter().find(|s| !variants.contains(s)) {
+                return Err(format!(
+                    "manifest edge {}: shards holds `{stray}`, not a variant of `{shard_enum}`",
+                    edge.name
+                ));
+            }
+        }
+        for variant in variants {
+            let hosts = self.edges.iter().filter(|e| e.shards.contains(variant));
+            if hosts.count() != 1 {
+                return Err(format!(
+                    "manifest: `{variant}` of `{shard_enum}` must be in the shards of exactly one edge"
+                ));
+            }
+        }
+        let mut nodes = vec![PartitionNode {
+            name: self.coordinator.name.clone(),
+            components: self.coordinator.components.clone(),
+            devices: self.coordinator.devices.clone(),
+        }];
+        nodes.extend(self.edges.iter().map(|edge| PartitionNode {
+            name: edge.name.clone(),
+            components: Vec::new(),
+            devices: edge.devices.clone(),
+        }));
+        let plan = PartitionPlan {
+            coordinator: self.coordinator.name.clone(),
+            nodes,
+        };
+        let report = partition::validate(spec, &plan);
+        if !report.is_deployable() {
+            let mut message = String::from("the deployment split is not a valid partition:\n");
+            for diag in report
+                .diagnostics
+                .iter()
+                .filter(|d| d.severity == Severity::Error)
+            {
+                let _ = writeln!(message, "  {}: {}", diag.code, diag.message);
+            }
+            return Err(message.trim_end().to_owned());
+        }
+        Ok(report)
+    }
+}
+
+/// A checked deployment split.
 #[derive(Debug, Clone)]
 pub struct Deployment {
-    /// The manifest, also serialized into `files` as `manifest.json`.
+    /// The manifest — the deployment unit (`manifest.json`).
     pub manifest: NodeManifest,
-    /// The partition plan the manifest was validated against.
-    pub plan: PartitionPlan,
-    /// `manifest.json` plus one `node_<name>.rs` per unit.
-    pub files: GeneratedFramework,
     /// Partition warnings (W0501), rendered one per line.
     pub warnings: Vec<String>,
 }
 
-/// Splits `spec` into deployment units and emits their artifacts.
+/// Splits `spec` into deployment units and describes them in a manifest.
 ///
 /// # Errors
 ///
 /// Returns a rendered message when the options are unusable (zero
 /// edges, unknown or ambiguous shard enumeration, more edges than
-/// variants) or when the static partition pass rejects the split
-/// (E05xx diagnostics, one per line).
+/// variants, a listen port outside 1..=65535) or when the manifest's
+/// own gate ([`NodeManifest::check_against`]) rejects the split.
 pub fn plan_deployment(spec: &CheckedSpec, options: &DeployOptions) -> Result<Deployment, String> {
-    if options.edges == 0 {
-        return Err("a deployment needs at least one edge node".to_owned());
-    }
     let (shard_enum, shard_attrs) = shard_enumeration(spec, options)?;
     let variants = &spec
         .enumeration(&shard_enum)
@@ -241,58 +346,28 @@ pub fn plan_deployment(spec: &CheckedSpec, options: &DeployOptions) -> Result<De
         .chain(spec.controllers().map(|c| c.name.clone()))
         .collect();
 
-    let mut nodes = vec![PartitionNode {
-        name: "coordinator".to_owned(),
-        components: components.clone(),
-        devices: central.clone(),
-    }];
     let mut edges = Vec::new();
     for i in 0..options.edges {
-        let name = format!("edge{i}");
         let shards: Vec<String> = variants
             .iter()
             .enumerate()
             .filter(|(v, _)| v % options.edges == i)
             .map(|(_, v)| v.clone())
             .collect();
-        nodes.push(PartitionNode {
-            name: name.clone(),
-            components: Vec::new(),
-            devices: sharded.clone(),
-        });
+        let needed = usize::from(options.port_base) + i;
+        let port = u16::try_from(needed)
+            .ok()
+            .filter(|port| *port > 0)
+            .ok_or_else(|| format!("edge{i} would need port {needed}, outside 1..=65535"))?;
         edges.push(EdgeManifest {
-            name,
-            listen: format!("{}:{}", options.host, options.port_base + i as u16),
+            name: format!("edge{i}"),
+            listen: format!("{}:{port}", options.host),
             devices: sharded.clone(),
             shards,
             link: LinkPolicy::default(),
         });
     }
-    let plan = PartitionPlan {
-        coordinator: "coordinator".to_owned(),
-        nodes,
-    };
-
-    let report = partition::validate(spec, &plan);
-    if !report.is_deployable() {
-        let mut message = String::from("the deployment split is not a valid partition:\n");
-        for diag in report
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-        {
-            let _ = writeln!(message, "  {}: {}", diag.code, diag.message);
-        }
-        return Err(message.trim_end().to_owned());
-    }
-    let warnings: Vec<String> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity != Severity::Error)
-        .map(|d| format!("{}: {}", d.code, d.message))
-        .collect();
-
-    let manifest = NodeManifest {
+    let mut manifest = NodeManifest {
         design: options.design.clone(),
         shard: ShardManifest {
             enumeration: shard_enum,
@@ -302,47 +377,31 @@ pub fn plan_deployment(spec: &CheckedSpec, options: &DeployOptions) -> Result<De
             name: "coordinator".to_owned(),
             components,
             devices: central,
-            connects: edges
-                .iter()
-                .map(|e| PeerAddr {
-                    node: e.name.clone(),
-                    addr: e.listen.clone(),
-                })
-                .collect(),
         },
         edges,
-        cut_routes: report
-            .cut_routes
-            .iter()
-            .map(|r| ManifestRoute {
-                from_node: r.from.0.clone(),
-                from: r.from.1.clone(),
-                to_node: r.to.0.clone(),
-                to: r.to.1.clone(),
-            })
-            .collect(),
+        cut_routes: Vec::new(),
     };
 
-    let mut files = vec![GeneratedFile {
-        path: "manifest.json".to_owned(),
-        content: serde_json::to_string_pretty(&manifest)
-            .expect("manifest serialization is infallible")
-            + "\n",
-    }];
-    files.push(coordinator_source(&manifest));
-    for edge in &manifest.edges {
-        files.push(edge_source(&manifest, edge));
-    }
-
-    Ok(Deployment {
-        manifest,
-        plan,
-        files: GeneratedFramework {
-            language: Language::Rust,
-            files,
-        },
-        warnings,
-    })
+    // The gate a hand-edited manifest meets when it is loaded.
+    manifest.check_shape()?;
+    let report = manifest.check_against(spec)?;
+    manifest.cut_routes = report
+        .cut_routes
+        .iter()
+        .map(|r| ManifestRoute {
+            from_node: r.from.0.clone(),
+            from: r.from.1.clone(),
+            to_node: r.to.0.clone(),
+            to: r.to.1.clone(),
+        })
+        .collect();
+    let warnings = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity != Severity::Error)
+        .map(|d| format!("{}: {}", d.code, d.message))
+        .collect();
+    Ok(Deployment { manifest, warnings })
 }
 
 /// Resolves the shard enumeration: the explicit option, or the enum
@@ -401,164 +460,6 @@ fn shard_enumeration(
     let name = (*winners[0]).to_owned();
     let attrs = refs[name.as_str()].clone();
     Ok((name, attrs))
-}
-
-/// Shared file header for generated per-node sources.
-fn node_header(manifest: &NodeManifest, node: &str, role: &str) -> String {
-    format!(
-        "//! Deployment unit `{node}` of design `{}` — {role}.\n\
-         //!\n\
-         //! Generated by `diaspec-gen deploy`; addresses and slices come\n\
-         //! from the accompanying `manifest.json`. Do not edit.\n\n",
-        manifest.design
-    )
-}
-
-/// Emits `node_coordinator.rs`: the unit running the engine, bridging
-/// every remote device family over one [`Link`] per edge node.
-fn coordinator_source(manifest: &NodeManifest) -> GeneratedFile {
-    let c = &manifest.coordinator;
-    let mut out = node_header(manifest, &c.name, "the orchestration coordinator");
-    out.push_str(
-        "use diaspec_runtime::deploy::{BreakerConfig, Link, RemoteDeviceProxy, SessionConfig};\n",
-    );
-    out.push_str("use diaspec_runtime::{RetryConfig, TcpTransport};\n");
-    out.push_str("use std::sync::Arc;\n\n");
-    push_list(
-        &mut out,
-        "COMPONENTS",
-        "Contexts and controllers this node runs.",
-        c.components.iter().map(String::as_str),
-    );
-    push_list(
-        &mut out,
-        "LOCAL_DEVICES",
-        "Device families hosted on this node.",
-        c.devices.iter().map(String::as_str),
-    );
-    out.push_str("/// Edge peers this node connects to: `(node, address)`.\n");
-    out.push_str("pub const PEERS: &[(&str, &str)] = &[\n");
-    for peer in &c.connects {
-        let _ = writeln!(out, "    ({:?}, {:?}),", peer.node, peer.addr);
-    }
-    out.push_str("];\n\n");
-    out.push_str("/// Remote device families, bridged per hosting edge: `(family, node)`.\n");
-    out.push_str("pub const REMOTE_DEVICES: &[(&str, &str)] = &[\n");
-    for edge in &manifest.edges {
-        for device in &edge.devices {
-            let _ = writeln!(out, "    ({device:?}, {:?}),", edge.name);
-        }
-    }
-    out.push_str("];\n\n");
-    out.push_str(
-        "/// Per-link resilience policy from the manifest:\n\
-         /// `(node, session, resend_queue, max_attempts, base_backoff_ms,\n\
-         /// timeout_ms, breaker_failures, breaker_cooldown_ms)`.\n\
-         pub const LINK_POLICIES: &[(&str, bool, usize, u32, u64, u64, u32, u64)] = &[\n",
-    );
-    for edge in &manifest.edges {
-        let p = &edge.link;
-        let _ = writeln!(
-            out,
-            "    ({:?}, {}, {}, {}, {}, {}, {}, {}),",
-            edge.name,
-            p.session,
-            p.resend_queue,
-            p.max_attempts,
-            p.base_backoff_ms,
-            p.timeout_ms,
-            p.breaker_failures,
-            p.breaker_cooldown_ms,
-        );
-    }
-    out.push_str("];\n\n");
-    out.push_str(
-        "/// Opens one socket link per edge peer, in `PEERS` order, applying\n\
-         /// each peer's `LINK_POLICIES` entry (at-least-once session layer\n\
-         /// when `session` is set, best-effort otherwise).\n\
-         pub fn links(retry: RetryConfig) -> Vec<(&'static str, Arc<Link>)> {\n\
-         \x20   PEERS\n\
-         \x20       .iter()\n\
-         \x20       .map(|(node, addr)| {\n\
-         \x20           let transport = TcpTransport::new(*node, *addr, retry);\n\
-         \x20           let policy = LINK_POLICIES.iter().find(|(name, ..)| name == node);\n\
-         \x20           let link = match policy {\n\
-         \x20               Some(&(_, true, resend_queue, max_attempts, base_backoff_ms, timeout_ms, failures, cooldown_ms)) => {\n\
-         \x20                   Link::with_session(\n\
-         \x20                       transport,\n\
-         \x20                       SessionConfig {\n\
-         \x20                           retry: RetryConfig { max_attempts, base_backoff_ms, timeout_ms },\n\
-         \x20                           resend_queue,\n\
-         \x20                           breaker: BreakerConfig { failure_threshold: failures, cooldown_ms },\n\
-         \x20                       },\n\
-         \x20                   )\n\
-         \x20               }\n\
-         \x20               _ => Link::new(transport),\n\
-         \x20           };\n\
-         \x20           (*node, link)\n\
-         \x20       })\n\
-         \x20       .collect()\n\
-         }\n\n\
-         /// Proxies a remote family hosted on `node` through its link.\n\
-         pub fn proxy(family: &str, node: &str, links: &[(&'static str, Arc<Link>)]) -> Option<RemoteDeviceProxy> {\n\
-         \x20   links\n\
-         \x20       .iter()\n\
-         \x20       .find(|(name, _)| *name == node)\n\
-         \x20       .map(|(_, link)| RemoteDeviceProxy::new(family, Arc::clone(link)))\n\
-         }\n",
-    );
-    GeneratedFile {
-        path: format!("node_{}.rs", c.name),
-        content: out,
-    }
-}
-
-/// Emits `node_<edge>.rs`: a unit hosting device shards behind an
-/// [`EdgeRuntime`] served on its listen address.
-fn edge_source(manifest: &NodeManifest, edge: &EdgeManifest) -> GeneratedFile {
-    let mut out = node_header(manifest, &edge.name, "an edge device host");
-    out.push_str("use diaspec_runtime::deploy::EdgeRuntime;\n\n");
-    let _ = writeln!(
-        out,
-        "/// The address this node listens on.\npub const LISTEN: &str = {:?};\n",
-        edge.listen
-    );
-    push_list(
-        &mut out,
-        "DEVICES",
-        "Device families with instances on this node.",
-        edge.devices.iter().map(String::as_str),
-    );
-    push_list(
-        &mut out,
-        "SHARDS",
-        "Shard-enum variants assigned to this node.",
-        edge.shards.iter().map(String::as_str),
-    );
-    let _ = write!(
-        out,
-        "/// Builds this node's runtime. Register one driver per family and\n\
-         /// shard (`EdgeRuntime::add_device`) before serving on `LISTEN`.\n\
-         #[must_use]\n\
-         pub fn runtime() -> EdgeRuntime {{\n\
-         \x20   EdgeRuntime::new({:?})\n\
-         }}\n",
-        edge.name
-    );
-    GeneratedFile {
-        path: format!("node_{}.rs", edge.name),
-        content: out,
-    }
-}
-
-/// Appends a documented `pub const NAME: &[&str]` list.
-fn push_list<'a>(out: &mut String, name: &str, doc: &str, items: impl Iterator<Item = &'a str>) {
-    let _ = writeln!(out, "/// {doc}");
-    let _ = writeln!(out, "pub const {name}: &[&str] = &[");
-    for item in items {
-        let _ = writeln!(out, "    {item:?},");
-    }
-    out.push_str("];\n\n");
 }
 
 #[cfg(test)]
@@ -620,11 +521,19 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_through_json() {
+        // Whatever `plan_deployment` writes passes the gate a loaded
+        // manifest meets, at every edge count parking can be split into.
         let spec = parking();
-        let deployment = plan_deployment(&spec, &DeployOptions::default()).unwrap();
-        let json = &deployment.files.file("manifest.json").unwrap().content;
-        let back: NodeManifest = serde_json::from_str(json).unwrap();
-        assert_eq!(back, deployment.manifest);
+        for edges in 1..=8 {
+            let options = DeployOptions {
+                edges,
+                ..DeployOptions::default()
+            };
+            let manifest = plan_deployment(&spec, &options).unwrap().manifest;
+            let back = NodeManifest::from_json(&manifest.to_json()).unwrap();
+            assert_eq!(back, manifest);
+            back.check_against(&spec).unwrap();
+        }
     }
 
     #[test]
@@ -637,8 +546,7 @@ mod tests {
             "coordinator": {
                 "name": "coordinator",
                 "components": [],
-                "devices": [],
-                "connects": []
+                "devices": []
             },
             "edges": [{
                 "name": "edge0",
@@ -648,41 +556,116 @@ mod tests {
             }],
             "cut_routes": []
         }"#;
-        let manifest: NodeManifest = serde_json::from_str(legacy).unwrap();
+        let manifest = NodeManifest::from_json(legacy).unwrap();
         assert_eq!(manifest.edges[0].link, LinkPolicy::default());
-        // A manifest written while the coordinator block carried a
-        // delivery-pipeline shard count still loads: the key is ignored.
-        let with_shards = legacy.replace(
-            r#""connects": []"#,
-            r#""connects": [], "pipeline_shards": 4"#,
-        );
-        assert_ne!(with_shards, legacy);
-        let sharded: NodeManifest = serde_json::from_str(&with_shards).unwrap();
-        assert_eq!(sharded, manifest);
+        // Manifests written while the coordinator block carried a peer
+        // list or a delivery-pipeline shard count still load: both keys
+        // are ignored.
+        for retired in [
+            r#""connects": [{"node": "edge0", "addr": "127.0.0.1:7070"}]"#,
+            r#""pipeline_shards": 4"#,
+        ] {
+            let older = legacy.replace(
+                r#""devices": []
+            }"#,
+                &format!(r#""devices": [], {retired} }}"#),
+            );
+            assert_ne!(older, legacy);
+            assert_eq!(NodeManifest::from_json(&older).unwrap(), manifest);
+        }
     }
 
     #[test]
-    fn per_node_sources_declare_their_slice() {
+    fn hostile_manifests_are_refused_by_name() {
+        type Row = (fn(&mut NodeManifest), &'static [&'static str]);
+        // One hand edit of the generated parking manifest per row, and
+        // what the refusal must name (nothing: the manifest must load).
+        let rows: &[Row] = &[
+            (
+                |m| m.edges[0].shards[0] = "Z99".to_owned(),
+                &["edge edge0", "shards", "`Z99`", "ParkingLotEnum"],
+            ),
+            (
+                |m| m.edges[1].name = "edge0".to_owned(),
+                &["edge edge0", "name"],
+            ),
+            (|m| m.edges[1].name.clear(), &["edge #1", "name"]),
+            (|m| m.coordinator.name.clear(), &["coordinator", "name"]),
+            (|m| m.edges.clear(), &["edges", "at least one"]),
+            (
+                |m| m.edges[1].shards.push("A22".to_owned()),
+                &["edge edge1", "shards", "`A22`", "edge0"],
+            ),
+            (
+                |m| drop(m.edges[1].shards.pop()),
+                &["shards", "`J4`", "exactly one"],
+            ),
+            (
+                |m| m.edges[0].listen = "127.0.0.1".to_owned(),
+                &["edge edge0", "listen"],
+            ),
+            (
+                |m| m.edges[0].listen = "127.0.0.1:0".to_owned(),
+                &["edge edge0", "listen", "127.0.0.1:0"],
+            ),
+            (
+                |m| m.edges[0].listen = "127.0.0.1:65536".to_owned(),
+                &["edge edge0", "listen", "1..=65535"],
+            ),
+            (
+                |m| m.shard.enumeration = "NoSuchEnum".to_owned(),
+                &["shard.enumeration", "`NoSuchEnum`"],
+            ),
+            (
+                |m| m.edges[0].devices.push("Toaster".to_owned()),
+                &["E0502", "`edge0`", "unknown device `Toaster`"],
+            ),
+            (
+                |m| m.coordinator.components.push("Nope".to_owned()),
+                &["E0502", "`coordinator`", "unknown component `Nope`"],
+            ),
+            (
+                |m| m.edges[0].link.resend_queue = 0,
+                &["manifest edge edge0: link.resend_queue must be at least 1"],
+            ),
+            (
+                |m| m.edges[1].link.breaker_failures = 0,
+                &["manifest edge edge1: link.breaker_failures must be at least 1"],
+            ),
+            (
+                |m| {
+                    m.edges[0].link = LinkPolicy {
+                        session: false,
+                        resend_queue: 0,
+                        breaker_failures: 0,
+                        ..LinkPolicy::default()
+                    };
+                },
+                &[],
+            ),
+        ];
         let spec = parking();
-        let deployment = plan_deployment(&spec, &DeployOptions::default()).unwrap();
-        let coord = &deployment
-            .files
-            .file("node_coordinator.rs")
+        let generated = plan_deployment(&spec, &DeployOptions::default())
             .unwrap()
-            .content;
-        assert!(coord.contains("pub const PEERS"));
-        assert!(coord.contains("TcpTransport::new"));
-        assert!(coord.contains("\"PresenceSensor\", \"edge0\""));
-        // The manifest's link policy rides into the generated source.
-        assert!(coord.contains("pub const LINK_POLICIES"));
-        assert!(coord.contains("(\"edge0\", true, 64, 3, 100, 10000, 4, 60000),"));
-        assert!(coord.contains("Link::with_session"));
-        let edge = &deployment.files.file("node_edge1.rs").unwrap().content;
-        assert!(edge.contains("pub const LISTEN: &str = \"127.0.0.1:7071\""));
-        assert!(edge.contains("EdgeRuntime::new(\"edge1\")"));
-        // Round-robin: edge1 gets the odd-indexed lots.
-        assert!(edge.contains("\"B16\""));
-        assert!(!edge.contains("\"A22\""));
+            .manifest;
+        for (i, (edit, names)) in rows.iter().enumerate() {
+            let mut manifest = generated.clone();
+            edit(&mut manifest);
+            let loaded = NodeManifest::from_json(&manifest.to_json())
+                .and_then(|m| m.check_against(&spec).map(|_| ()));
+            match (loaded, names.is_empty()) {
+                (Ok(()), true) => {}
+                (Err(message), false) => {
+                    for name in *names {
+                        assert!(
+                            message.contains(name),
+                            "row {i}: `{name}` not in: {message}"
+                        );
+                    }
+                }
+                (other, _) => panic!("row {i}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -707,6 +690,17 @@ mod tests {
         assert!(plan_deployment(&spec, &unknown)
             .unwrap_err()
             .contains("unknown shard enumeration"));
+        // Edge 1 of 2 would listen on 65536: named, not wrapped to port 0
+        // (a release build's `+`) nor an overflow panic (a debug build's).
+        let high = DeployOptions {
+            port_base: 65535,
+            ..DeployOptions::default()
+        };
+        let error = plan_deployment(&spec, &high).unwrap_err();
+        assert!(
+            error.contains("edge1") && error.contains("65536"),
+            "{error}"
+        );
     }
 
     #[test]

@@ -1019,8 +1019,7 @@ mod tests {
                 "coordinator": {{
                     "name": "coordinator",
                     "components": [],
-                    "devices": ["Lamp"],
-                    "connects": []
+                    "devices": ["Lamp"]
                 }},
                 "edges": [{{
                     "name": "edge0",
@@ -1031,7 +1030,7 @@ mod tests {
                 "cut_routes": []
             }}"#
         );
-        serde_json::from_str(&json).unwrap()
+        NodeManifest::from_json(&json).unwrap()
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn help_prints_usage() {
 }
 
 #[test]
-fn deploy_subcommand_writes_manifest_and_node_sources() {
+fn deploy_subcommand_writes_only_the_manifest() {
     let out = std::env::temp_dir().join("diaspec-gen-cli-deploy");
     let _ = std::fs::remove_dir_all(&out);
     let output = gen()
@@ -147,9 +147,12 @@ fn deploy_subcommand_writes_manifest_and_node_sources() {
     assert!(manifest.contains("\"design\": \"parking\""));
     assert!(manifest.contains("\"ParkingLotEnum\""));
     assert!(manifest.contains("127.0.0.1:7172"));
-    assert!(out.join("node_coordinator.rs").exists());
-    assert!(out.join("node_edge0.rs").exists());
-    assert!(out.join("node_edge1.rs").exists());
+    // The manifest is the deployment unit: nothing else is written.
+    let written: Vec<_> = std::fs::read_dir(&out)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert_eq!(written, ["manifest.json"]);
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert!(
         stderr.contains("1 coordinator + 2 edge node(s)"),
@@ -188,6 +191,22 @@ fn deploy_rejects_an_unshardable_design() {
     assert!(!output.status.success());
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert!(stderr.contains("enumeration"), "{stderr}");
+}
+
+/// `edge1` would listen on 65536: refused by name — a wrapping add would
+/// write `127.0.0.1:0` into the manifest.
+#[test]
+fn deploy_rejects_a_port_base_that_runs_past_65535() {
+    let output = gen()
+        .arg("deploy")
+        .arg(spec_path("parking.spec"))
+        .args(["--edges", "2", "--port-base", "65535"])
+        .output()
+        .expect("binary runs");
+    assert!(!output.status.success());
+    assert!(output.stdout.is_empty());
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(stderr.contains("edge1 would need port 65536"), "{stderr}");
 }
 
 /// `--shards` configured the retired delivery shard pool; a script still

@@ -2,7 +2,10 @@
 //! running the full orchestration (contexts, controllers, MapReduce)
 //! plus edge nodes hosting the per-lot device slices, bridged by the
 //! socket transport. The split comes from the deployment manifest
-//! emitted by `diaspec-gen deploy specs/parking.spec`.
+//! emitted by `diaspec-gen deploy specs/parking.spec`, the deployment
+//! unit: every role is this binary plus its slice of the manifest, which
+//! is loaded (`NodeManifest::from_json`) and held against the design
+//! (`check_against`) before anything is wired.
 //!
 //! ```text
 //! # one process per node, socket backend:
@@ -34,15 +37,16 @@
 //! byte-identical to the fault-free run — ticks queue in the session's
 //! replay queue and land, in order, once the window closes.
 
+use diaspec_apps::parking::remote::{bind_coordinator, city_replica, edge_runtime};
 use diaspec_apps::parking::{
     register_components, render_summary, ParkingAppConfig, ENVIRONMENT_FIRST_STEP_MS, SPEC,
 };
 use diaspec_codegen::deploy::{EdgeManifest, NodeManifest};
+use diaspec_core::model::CheckedSpec;
 use diaspec_devices::common::{ActuationLog, RecordingActuator};
-use diaspec_devices::parking::{ParkingCityModel, ParkingConfig, PresenceSensorDriver, UsageCurve};
+use diaspec_devices::parking::PresenceSensorDriver;
 use diaspec_runtime::deploy::{
-    BreakerConfig, EdgeRuntime, Link, RemoteDeviceProxy, RestartPolicy, SessionConfig, Supervisor,
-    TickPump,
+    BreakerConfig, EdgeRuntime, Link, RestartPolicy, SessionConfig, Supervisor, TickPump,
 };
 use diaspec_runtime::entity::AttributeMap;
 use diaspec_runtime::obs::render_prometheus;
@@ -63,12 +67,13 @@ const LEASE_TTL_MS: u64 = 1_500_000;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = Options::parse(std::env::args().skip(1))?;
-    let manifest: NodeManifest =
-        serde_json::from_str(&std::fs::read_to_string(&options.manifest)?)?;
+    let manifest = NodeManifest::from_json(&std::fs::read_to_string(&options.manifest)?)?;
+    let spec = diaspec_core::compile_str(SPEC)?;
+    manifest.check_against(&spec)?;
     match options.role.as_str() {
         "edge" => run_edge(&manifest, &options),
-        "coordinator" => run_coordinator(&manifest, &options, Backend::Tcp),
-        "inprocess" => run_coordinator(&manifest, &options, Backend::InProcess),
+        "coordinator" => run_coordinator(spec, &manifest, &options, Backend::Tcp),
+        "inprocess" => run_coordinator(spec, &manifest, &options, Backend::InProcess),
         other => {
             Err(format!("unknown role `{other}` (expected coordinator, edge, inprocess)").into())
         }
@@ -164,56 +169,13 @@ impl Options {
     }
 }
 
-/// A fresh replica of the deterministic city model. Every node builds
-/// the same one (same seed), so lot trajectories agree everywhere.
-fn city_replica(sensors: usize) -> ParkingCityModel {
-    let lot_names: Vec<String> = lot_names();
-    let config = ParkingConfig {
-        spaces_per_lot: sensors,
-        ..ParkingConfig::default()
-    };
-    ParkingCityModel::new(lot_names, config, UsageCurve::default())
-}
-
-fn lot_names() -> Vec<String> {
-    use diaspec_apps::parking::generated::ParkingLotEnum;
-    ParkingLotEnum::ALL
-        .iter()
-        .map(|l| l.name().to_owned())
-        .collect()
-}
-
-fn city_entrances() -> Vec<String> {
-    use diaspec_apps::parking::generated::CityEntranceEnum;
-    CityEntranceEnum::ALL
-        .iter()
-        .map(|e| e.name().to_owned())
-        .collect()
-}
-
-/// Builds one edge node's runtime: drivers for its lot shards over a
-/// full model replica stepped on coordinator ticks.
-fn edge_runtime(edge: &EdgeManifest, sensors: usize, die_at: Option<u64>) -> EdgeRuntime {
-    let mut model = city_replica(sensors);
-    let mut runtime = EdgeRuntime::new(edge.name.clone());
-    for lot in &edge.shards {
-        let cell = model.lot(lot).expect("manifest shard is a model lot");
-        for space in 0..sensors {
-            runtime.add_device(
-                format!("presence-{lot}-{space}"),
-                Box::new(PresenceSensorDriver::new(cell.clone(), space)),
-            );
-        }
-        runtime.add_device(
-            format!("panel-{lot}"),
-            Box::new(RecordingActuator::new(ActuationLog::new())),
-        );
-    }
-    runtime.on_tick(move |now| model.step(now));
-    if let Some(die_at) = die_at {
+/// One edge node's runtime, with the `--die-at` schedule armed.
+fn edge_node(edge: &EdgeManifest, options: &Options) -> Result<EdgeRuntime, String> {
+    let mut runtime = edge_runtime(edge, options.sensors)?;
+    if let Some(die_at) = options.die_at {
         runtime.set_die_at(die_at);
     }
-    runtime
+    Ok(runtime)
 }
 
 /// Edge role: serve the coordinator under a [`Supervisor`] — the node
@@ -238,7 +200,7 @@ fn run_edge(manifest: &NodeManifest, options: &Options) -> Result<(), Box<dyn st
     // schedule stays dead, so the coordinator's lease/standby recovery
     // is what brings the lots back, exactly as in the in-process run.
     let report = supervisor.serve(&listener, |_generation| {
-        edge_runtime(edge, options.sensors, options.die_at)
+        edge_node(edge, options).expect("check_against: every shard is a lot of the model")
     })?;
     if report.restarts > 0 {
         eprintln!(
@@ -271,13 +233,14 @@ fn run_edge(manifest: &NodeManifest, options: &Options) -> Result<(), Box<dyn st
 /// Builds the coordinator's link to one edge: the manifest's session
 /// policy decides between an at-least-once session link and a
 /// best-effort one, and any `--chaos-partition` windows wrap the
-/// backend in a [`ChaosTransport`] first. A session policy no session can
-/// run with is the manifest's error, named by edge and field.
+/// backend in a [`ChaosTransport`] first. This is the one place a manifest
+/// `LinkPolicy` becomes a `SessionConfig`; `NodeManifest::from_json` has
+/// already refused a policy no session can run with.
 fn build_link(
     transport: impl Transport + 'static,
     edge: &EdgeManifest,
     options: &Options,
-) -> Result<Arc<Link>, String> {
+) -> Arc<Link> {
     let policy = &edge.link;
     let session = SessionConfig {
         retry: RetryConfig {
@@ -291,12 +254,7 @@ fn build_link(
             cooldown_ms: policy.breaker_cooldown_ms,
         },
     };
-    if policy.session {
-        session
-            .validate()
-            .map_err(|reason| format!("manifest edge {}: link.{reason}", edge.name))?;
-    }
-    Ok(if options.chaos_partitions.is_empty() {
+    if options.chaos_partitions.is_empty() {
         if policy.session {
             Link::with_session(transport, session)
         } else {
@@ -313,12 +271,13 @@ fn build_link(
         } else {
             Link::new(chaos)
         }
-    })
+    }
 }
 
 /// Coordinator (or whole-run in-process) role: run the orchestration
 /// with every sharded device bridged over the chosen backend.
 fn run_coordinator(
+    spec: CheckedSpec,
     manifest: &NodeManifest,
     options: &Options,
     backend: Backend,
@@ -327,8 +286,7 @@ fn run_coordinator(
         sensors_per_lot: options.sensors,
         ..ParkingAppConfig::default()
     };
-    let spec = Arc::new(diaspec_core::compile_str(SPEC)?);
-    let mut orch = Orchestrator::with_transport(spec, config.transport);
+    let mut orch = Orchestrator::with_transport(Arc::new(spec), config.transport);
     register_components(&mut orch, &config)?;
 
     // One link per edge node. In-process: the very same EdgeRuntime
@@ -345,18 +303,14 @@ fn run_coordinator(
                 TcpTransport::new(edge.name.clone(), edge.listen.clone(), retry),
                 edge,
                 options,
-            )?,
+            ),
             Backend::InProcess => {
-                let runtime = Arc::new(Mutex::new(edge_runtime(
-                    edge,
-                    options.sensors,
-                    options.die_at,
-                )));
+                let runtime = Arc::new(Mutex::new(edge_node(edge, options)?));
                 let mut sim = SimTransport::new(TransportConfig::default());
                 sim.connect_handler(Box::new(move |envelope| {
                     runtime.lock().expect("edge runtime lock").handle(envelope)
                 }));
-                build_link(sim, edge, options)?
+                build_link(sim, edge, options)
             }
         };
         links.insert(edge.name.clone(), link);
@@ -372,91 +326,36 @@ fn run_coordinator(
     let mut pump_stop = None;
     let step_stop = Arc::new(AtomicBool::new(false));
 
-    orch.begin_deployment();
-    // Sharded families: one remote proxy per entity, over the link of
-    // the edge that hosts its lot.
-    for edge in &manifest.edges {
-        let link = &links[&edge.name];
-        for lot in &edge.shards {
-            let lot_value = Value::enum_value("ParkingLotEnum", lot);
-            for space in 0..options.sensors {
-                let id = format!("presence-{lot}-{space}");
-                let mut attrs = AttributeMap::new();
-                attrs.insert("parkingLot".to_owned(), lot_value.clone());
-                orch.bind_entity(
-                    id.clone().into(),
-                    "PresenceSensor",
-                    attrs,
-                    Box::new(RemoteDeviceProxy::new(id, Arc::clone(link))),
-                )?;
-            }
-            let id = format!("panel-{lot}");
-            let mut attrs = AttributeMap::new();
-            attrs.insert("location".to_owned(), lot_value.clone());
-            orch.bind_entity(
-                id.clone().into(),
-                "ParkingEntrancePanel",
-                attrs,
-                Box::new(RemoteDeviceProxy::new(id, Arc::clone(link))),
-            )?;
-        }
-    }
-    // Coordinator-local devices: city entrance panels and the messenger.
-    for entrance in city_entrances() {
-        let mut attrs = AttributeMap::new();
-        attrs.insert(
-            "location".to_owned(),
-            Value::enum_value("CityEntranceEnum", &entrance),
-        );
-        orch.bind_entity(
-            format!("city-panel-{entrance}").into(),
-            "CityEntrancePanel",
-            attrs,
-            Box::new(RecordingActuator::new(ActuationLog::new())),
-        )?;
-    }
-    let messenger = ActuationLog::new();
-    orch.bind_entity(
-        "messenger-mgmt".into(),
-        "Messenger",
-        AttributeMap::new(),
-        Box::new(RecordingActuator::new(messenger.clone())),
-    )?;
+    let messenger = bind_coordinator(&mut orch, manifest, &links, options.sensors)?;
 
     if options.recover {
         // Coordinator-local standbys over yet another model replica:
         // when an edge dies and leases expire, the registry promotes
         // these and the orchestration continues on identical data.
         let standby_model = city_replica(options.sensors);
-        let cells: BTreeMap<String, _> = lot_names()
-            .into_iter()
-            .map(|lot| {
-                let cell = standby_model.lot(&lot).expect("replica lot");
-                (lot, cell)
-            })
-            .collect();
-        for edge in &manifest.edges {
-            for lot in &edge.shards {
-                let lot_value = Value::enum_value("ParkingLotEnum", lot);
-                for space in 0..options.sensors {
-                    let mut attrs = AttributeMap::new();
-                    attrs.insert("parkingLot".to_owned(), lot_value.clone());
-                    orch.register_standby(
-                        format!("standby-presence-{lot}-{space}").into(),
-                        "PresenceSensor",
-                        attrs,
-                        Box::new(PresenceSensorDriver::new(cells[lot].clone(), space)),
-                    )?;
-                }
+        for lot in manifest.edges.iter().flat_map(|edge| &edge.shards) {
+            let cell = standby_model
+                .lot(lot)
+                .ok_or_else(|| format!("manifest shard `{lot}` is not a lot"))?;
+            let lot_value = Value::enum_value("ParkingLotEnum", lot);
+            for space in 0..options.sensors {
                 let mut attrs = AttributeMap::new();
-                attrs.insert("location".to_owned(), lot_value.clone());
+                attrs.insert("parkingLot".to_owned(), lot_value.clone());
                 orch.register_standby(
-                    format!("standby-panel-{lot}").into(),
-                    "ParkingEntrancePanel",
+                    format!("standby-presence-{lot}-{space}").into(),
+                    "PresenceSensor",
                     attrs,
-                    Box::new(RecordingActuator::new(ActuationLog::new())),
+                    Box::new(PresenceSensorDriver::new(cell.clone(), space)),
                 )?;
             }
+            let mut attrs = AttributeMap::new();
+            attrs.insert("location".to_owned(), lot_value.clone());
+            orch.register_standby(
+                format!("standby-panel-{lot}").into(),
+                "ParkingEntrancePanel",
+                attrs,
+                Box::new(RecordingActuator::new(ActuationLog::new())),
+            )?;
         }
         let mut hook_model = standby_model;
         let pump_links: Vec<Arc<Link>> = links.values().map(Arc::clone).collect();

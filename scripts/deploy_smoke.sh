@@ -3,8 +3,8 @@
 # identical to the in-process backend, and a killed edge must recover
 # through lease expiry + standby promotion.
 #
-#   1. `diaspec-gen deploy` partitions specs/parking.spec into a
-#      manifest plus per-node sources;
+#   1. `diaspec-gen deploy` partitions specs/parking.spec into one
+#      `manifest.json` — the deployment unit, and the only file written;
 #   2. the distributed parking demo runs once fully in-process (golden)
 #      and once as 1 coordinator + 2 edge processes over localhost TCP —
 #      the two orchestration-level summaries must diff clean;
@@ -15,9 +15,9 @@
 #   4. the TCP run is repeated with edge1 dying mid-run and recovery
 #      enabled — the coordinator trace must show lease expiry and
 #      standby promotion;
-#   5. a manifest whose link policy no session can run with (a zero
-#      resend queue) is refused with the edge and field named — exit
-#      non-zero, no panic;
+#   5. hand-edited manifests the demo used to mis-run — a zero resend
+#      queue, two edges with one name, a shard that is no parking lot —
+#      are refused with the node and field named: exit non-zero, no panic;
 #   6. no child process may leak past the script.
 #
 # Usage: scripts/deploy_smoke.sh   (PORT_BASE overridable, default 7470)
@@ -37,9 +37,9 @@ BIN=target/release/parking_distributed
 # 1. Partition the design; the partition pass must accept the split.
 "$GEN" deploy specs/parking.spec --edges 2 --port-base "$PORT_BASE" --out "$OUT/deploy"
 MANIFEST="$OUT/deploy/manifest.json"
-for f in manifest.json node_coordinator.rs node_edge0.rs node_edge1.rs; do
-  test -f "$OUT/deploy/$f" || { echo "missing deployment artifact $f" >&2; exit 1; }
-done
+if [ "$(ls "$OUT/deploy")" != "manifest.json" ]; then
+  echo "a deployment is exactly manifest.json; found:" >&2; ls "$OUT/deploy" >&2; exit 1
+fi
 
 # 2. Golden: the same wiring over the in-process backend.
 "$BIN" --role inprocess --manifest "$MANIFEST" --sensors "$SENSORS" --hours "$HOURS" \
@@ -107,19 +107,28 @@ grep -q "died on schedule" "$OUT/edge1-kill.out" \
   || { echo "edge1 did not die on schedule" >&2; cat "$OUT/edge1-kill.out" >&2; exit 1; }
 echo "kill scenario recovered: $(grep -c 'rebind ' "$OUT/kill.out") promotion(s)"
 
-# 5. Hostile manifest: `resend_queue` 0 must be an error message that
-# names the edge and the field, not a panic in the session layer.
-sed 's/"resend_queue": *[0-9]*/"resend_queue": 0/' "$MANIFEST" > "$OUT/bad_manifest.json"
-if "$BIN" --role inprocess --manifest "$OUT/bad_manifest.json" --sensors "$SENSORS" \
-  --hours "$HOURS" > /dev/null 2> "$OUT/bad.err"; then
-  echo "a manifest with resend_queue 0 was accepted" >&2; exit 1
-fi
-grep -q "manifest edge edge0: link.resend_queue must be at least 1" "$OUT/bad.err" \
-  || { echo "bad manifest: the edge and field are not named" >&2; cat "$OUT/bad.err" >&2; exit 1; }
-if grep -q "panicked" "$OUT/bad.err"; then
-  echo "bad manifest reached a panic" >&2; cat "$OUT/bad.err" >&2; exit 1
-fi
-echo "bad manifest refused: $(cut -c1-80 "$OUT/bad.err" | head -1)"
+# 5. Hostile manifests: each hand edit must be an error message that
+# names the node and the field — not a panic, and not an exit 0 over
+# half the city (two edges under one name would share one link).
+refuse() { # <name> <expected stderr> — reads the edited manifest on stdin
+  cat > "$OUT/bad_$1.json"
+  if "$BIN" --role inprocess --manifest "$OUT/bad_$1.json" --sensors "$SENSORS" \
+    --hours "$HOURS" > /dev/null 2> "$OUT/bad_$1.err"; then
+    echo "bad manifest ($1) was accepted" >&2; exit 1
+  fi
+  grep -qF "$2" "$OUT/bad_$1.err" \
+    || { echo "bad manifest ($1): the node and field are not named" >&2; cat "$OUT/bad_$1.err" >&2; exit 1; }
+  if grep -q "panicked" "$OUT/bad_$1.err"; then
+    echo "bad manifest ($1) reached a panic" >&2; cat "$OUT/bad_$1.err" >&2; exit 1
+  fi
+  echo "bad manifest refused: $(cut -c1-90 "$OUT/bad_$1.err" | head -1)"
+}
+sed 's/"resend_queue": *[0-9]*/"resend_queue": 0/' "$MANIFEST" \
+  | refuse resend_queue "manifest edge edge0: link.resend_queue must be at least 1"
+sed 's/"name": "edge1"/"name": "edge0"/' "$MANIFEST" \
+  | refuse duplicate_name "manifest edge edge0: name is taken by an earlier node"
+sed 's/"A22"/"Z99"/' "$MANIFEST" \
+  | refuse unknown_shard "manifest edge edge0: shards holds \`Z99\`, not a variant of \`ParkingLotEnum\`"
 
 # 6. Everything must have exited; a leaked edge would hold its port.
 if pgrep -f "parking_distributed --role" > /dev/null; then

@@ -33,12 +33,22 @@
 #    variable, a timed wait or its vocabulary in the executor crate or in
 #    the runtime files that plumbed it, or as executor.rs regrowing past
 #    its line budget (which, like MAX_ENGINE_LINES, only ratchets down).
+# 7. One deployment unit: `manifest.json` is what `diaspec-gen deploy`
+#    writes and all a node needs (docs/DEPLOYMENT.md "Deployment units").
+#    It enters a program through `NodeManifest::from_json`
+#    (crates/diaspec-codegen/src/deploy.rs) and reaches a parking runtime
+#    through `diaspec_apps::parking::remote`. A second loader shows up as
+#    an untyped `serde_json::from_*` in a file (other than deploy.rs) that
+#    names `NodeManifest`, the per-node source templates as their
+#    vocabulary under the generator (spelled with a bracket below, as in
+#    section 5), and a hand copy of the wiring as
+#    `RemoteDeviceProxy::new` in the bench crate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 ENGINE=crates/diaspec-runtime/src/engine.rs
-MAX_ENGINE_LINES=900
+MAX_ENGINE_LINES=800
 
 lines=$(wc -l < "$ENGINE")
 if [ "$lines" -gt "$MAX_ENGINE_LINES" ]; then
@@ -149,7 +159,7 @@ done
 echo "ok: one measuring stick (no bench framework in any manifest, no benches/, no vendored copy)"
 
 EXECUTOR=crates/diaspec-mapreduce/src/executor.rs
-MAX_EXECUTOR_LINES=1000
+MAX_EXECUTOR_LINES=960
 if grep -rnE 'Condvar|wait_timeout|[Ss]peculat' crates/diaspec-mapreduce/src \
     crates/diaspec-runtime/src/fault.rs crates/diaspec-runtime/src/metrics.rs; then
     echo "FAIL: the task pool is growing back (lines above): a phase hands out task" >&2
@@ -163,3 +173,27 @@ if [ "$lines" -gt "$MAX_EXECUTOR_LINES" ]; then
     exit 1
 fi
 echo "ok: one task loop (no condition variable, timed wait or duplicate attempts; $EXECUTOR is $lines lines, max $MAX_EXECUTOR_LINES)"
+
+DEPLOY=crates/diaspec-codegen/src/deploy.rs
+# In a file that names NodeManifest, a `serde_json::from_*` call must say
+# on its own line that it builds some other type.
+loaders=$(grep -rl 'NodeManifest' --include='*.rs' crates examples tests \
+    | { grep -vx "$DEPLOY" || true; } | xargs grep -n 'serde_json::from_' \
+    | { grep -vP 'let \w+: (?![\w:]*NodeManifest)[\w:]+ = serde_json::from_' || true; })
+if [ -n "$loaders" ]; then
+    echo "FAIL: a manifest is deserialized outside $DEPLOY:" >&2
+    echo "$loaders" >&2
+    echo "Load it with NodeManifest::from_json, which also checks it." >&2
+    exit 1
+fi
+if grep -rnE 'node_\{|LINK_POLICIE[S]' crates/diaspec-codegen/src; then
+    echo "FAIL: per-node source templates are back under the generator (lines above);" >&2
+    echo "the manifest is the deployment unit (ROADMAP, item 7, branch b)." >&2
+    exit 1
+fi
+if grep -rn 'RemoteDeviceProxy::new' crates/diaspec-bench/src; then
+    echo "FAIL: the bench crate wires remote devices by hand (lines above); drive the" >&2
+    echo "generated manifest through diaspec_apps::parking::remote instead." >&2
+    exit 1
+fi
+echo "ok: one deployment unit (one manifest loader, no per-node templates, no hand-wired soak)"

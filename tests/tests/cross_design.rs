@@ -14,6 +14,7 @@
 //!    docs/ANALYSIS.md (disjoint sibling subfamilies) to the
 //!    choreography pair must make the co-deployment lint clean.
 
+use diaspec_codegen::deploy::NodeManifest;
 use diaspec_codegen::lint::{lint_designs, lint_source, LintFormat, LintLevel, LintOptions};
 use diaspec_core::analysis::{analyze_deployment, DeploymentOptions, DesignRef};
 use diaspec_core::span::Span;
@@ -259,12 +260,12 @@ fn conflicting_manifests_trip_the_cut_safety_pass() {
     let unpinned = lint_designs(&inputs, &[], &LintOptions::default()).unwrap();
     assert!(!unpinned.failed(), "{}", unpinned.rendered);
 
-    let manifests: Vec<(String, diaspec_codegen::deploy::NodeManifest)> = ["a", "b"]
+    let manifests: Vec<(String, NodeManifest)> = ["a", "b"]
         .iter()
         .map(|s| {
             let rel = format!("specs/lint/cross/cross_e0602_{s}.manifest.json");
             let raw = std::fs::read_to_string(repo_path(&rel)).unwrap();
-            (rel, serde_json::from_str(&raw).unwrap())
+            (rel, NodeManifest::from_json(&raw).unwrap())
         })
         .collect();
     let pinned = lint_designs(&inputs, &manifests, &LintOptions::default()).unwrap();
