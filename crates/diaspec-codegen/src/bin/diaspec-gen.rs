@@ -342,7 +342,7 @@ fn run() -> Result<(), String> {
         let infra_src = std::fs::read_to_string(infra_path)
             .map_err(|e| format!("cannot read {}: {e}", infra_path.display()))?;
         let infra: diaspec_core::requirements::Infrastructure = serde_json::from_str(&infra_src)
-            .map_err(|e| format!("invalid infrastructure JSON: {e}"))?;
+            .map_err(|e| format!("invalid infrastructure JSON {}: {e}", infra_path.display()))?;
         let req = diaspec_core::requirements::estimate(&spec);
         let report = diaspec_core::requirements::match_infrastructure(&spec, &req, &infra);
         print!("{report}");

@@ -90,6 +90,18 @@ pub struct LintOutcome {
     pub broken: bool,
 }
 
+impl LintOptions {
+    /// The analysis options of a run: the `--fleet` hypothesis, or the
+    /// analysis default.
+    fn analysis(&self) -> AnalysisOptions {
+        AnalysisOptions {
+            fleet_size: self
+                .fleet_size
+                .unwrap_or(AnalysisOptions::default().fleet_size),
+        }
+    }
+}
+
 impl LintOutcome {
     /// Whether the lint should exit non-zero.
     #[must_use]
@@ -131,14 +143,9 @@ fn effective_severity(options: &LintOptions, code: &str, severity: Severity) -> 
 /// file and applies the severity policy.
 fn lint_one(file: &str, source: &str, options: &LintOptions) -> FileLint {
     let map = SourceMap::new(source);
-    let analysis_options = AnalysisOptions {
-        fleet_size: options
-            .fleet_size
-            .unwrap_or(AnalysisOptions::default().fleet_size),
-    };
     let (raw, capacity, spec) = match diaspec_core::compile_str_with_warnings(source) {
         Ok((spec, warnings)) => {
-            let report = analyze_with(&spec, &analysis_options);
+            let report = analyze_with(&spec, &options.analysis());
             let mut diags: Vec<Diagnostic> = warnings.iter().cloned().collect();
             diags.extend(report.diagnostics.iter().cloned());
             (diags, Some(report.capacity), Some(spec))
@@ -306,9 +313,7 @@ pub fn lint_designs(
             &designs,
             &pins,
             &DeploymentOptions {
-                fleet_size: options
-                    .fleet_size
-                    .unwrap_or(AnalysisOptions::default().fleet_size),
+                fleet_size: options.analysis().fleet_size,
                 link_budget_per_hour: options.link_budget,
             },
         );

@@ -226,3 +226,94 @@ fn deploy_rejects_the_retired_shards_flag() {
         "{stderr}"
     );
 }
+
+/// A per-test scratch directory under the system temp dir.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("diaspec-gen-cli-{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// §VI extraction: the three periodic contracts on `PresenceSensor` (10
+/// min, 1 hr, 10 min) cost 6 + 1 + 6 messages an hour per sensor.
+#[test]
+fn requirements_flag_reports_periodic_rate_per_entity() {
+    let output = gen()
+        .arg(spec_path("parking.spec"))
+        .arg("--requirements")
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success());
+    let req: serde_json::Value = serde_json::from_slice(&output.stdout).expect("valid JSON");
+    assert_eq!(
+        req["devices"]["PresenceSensor"]["periodic_msgs_per_entity_hour"].as_f64(),
+        Some(13.0)
+    );
+}
+
+/// §VI matching: 4 000 sensors x 13 msg/h = 52 000 msg/h does not fit a
+/// 30 000 msg/h network, and the verdict fails the run.
+#[test]
+fn match_flag_refuses_an_undersized_network() {
+    let dir = scratch("match");
+    let infra = dir.join("lora.json");
+    std::fs::write(
+        &infra,
+        r#"{"entities": {"PresenceSensor": 4000, "ParkingEntrancePanel": 8,
+            "CityEntrancePanel": 4, "Messenger": 1},
+           "msgs_per_hour_capacity": 30000.0, "parallel_workers": 4}"#,
+    )
+    .unwrap();
+    let output = gen()
+        .arg(spec_path("parking.spec"))
+        .arg("--match")
+        .arg(&infra)
+        .output()
+        .expect("binary runs");
+    assert!(!output.status.success());
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    assert!(stdout.contains("NOT DEPLOYABLE"), "{stdout}");
+    assert!(stdout.contains("~52000"), "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn match_flag_names_a_malformed_infrastructure_file() {
+    let dir = scratch("match-bad");
+    let infra = dir.join("broken.json");
+    std::fs::write(&infra, "{ \"entities\": ").unwrap();
+    let output = gen()
+        .arg(spec_path("parking.spec"))
+        .arg("--match")
+        .arg(&infra)
+        .output()
+        .expect("binary runs");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(stderr.contains("invalid infrastructure JSON"), "{stderr}");
+    assert!(stderr.contains(&infra.display().to_string()), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// EXPERIMENTS.md E19: the parking design under a 10 000-device
+/// hypothesis.
+#[test]
+fn lint_capacity_scales_with_the_fleet_flag() {
+    let output = gen()
+        .arg("lint")
+        .arg(spec_path("parking.spec"))
+        .args(["--capacity", "--fleet", "10000"])
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success());
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    assert!(
+        stdout.contains("capacity report (fleet hypothesis: 10000 devices per family)"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("total known: 250440.7 msg/h, 0 edge(s) unknown"),
+        "{stdout}"
+    );
+}

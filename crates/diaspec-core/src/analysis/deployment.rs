@@ -35,8 +35,8 @@ use crate::span::Span;
 use std::collections::{BTreeMap, BTreeSet};
 
 use super::conflicts::{collect_sites, ActuationSite};
-use super::rates;
-use crate::diag::Severity;
+use super::rates::{self, EdgeCapacity};
+use crate::diag::{Diagnostics, Severity};
 
 /// One design participating in a deployment, by display name (usually
 /// the spec file stem).
@@ -62,7 +62,7 @@ pub struct DeploymentOptions {
 impl Default for DeploymentOptions {
     fn default() -> Self {
         DeploymentOptions {
-            fleet_size: 1000,
+            fleet_size: super::AnalysisOptions::default().fleet_size,
             link_budget_per_hour: None,
         }
     }
@@ -417,11 +417,17 @@ pub fn analyze_deployment(
     options: &DeploymentOptions,
 ) -> DeploymentReport {
     let taxonomy = MergedTaxonomy::build(designs);
+    // Each design's load model, once for both capacity passes. W0404 is
+    // a per-design finding the single-design pass already reports.
+    let loads: Vec<Vec<EdgeCapacity>> = designs
+        .iter()
+        .map(|d| rates::detect(d.spec, options.fleet_size, &mut Diagnostics::new()).edges)
+        .collect();
     let mut report = DeploymentReport::default();
     detect_conflicts(designs, &taxonomy, &mut report);
     detect_cut_violations(designs, pins, &taxonomy, &mut report);
-    detect_family_overloads(designs, &taxonomy, options, &mut report);
-    detect_link_overloads(designs, pins, &taxonomy, options, &mut report);
+    detect_family_overloads(designs, &loads, &taxonomy, options, &mut report);
+    detect_link_overloads(designs, &loads, pins, &taxonomy, options, &mut report);
     report
 }
 
@@ -736,42 +742,24 @@ fn render_cut(
     }
 }
 
-/// The device name of a capacity-report endpoint (`Device.source` or
-/// `Device.action()`), `None` for `[Context]` / `(Controller)` ends.
-fn endpoint_device(endpoint: &str) -> Option<&str> {
-    if endpoint.starts_with('[') || endpoint.starts_with('(') {
-        return None;
-    }
-    endpoint.split('.').next()
-}
-
-/// Known device-facing load of `design` against `family`, plus how many
-/// matching edges have no design-time rate.
+/// Known load of one design's edges against `family` under the shared
+/// fleet hypothesis, plus how many of its edges have no design-time rate.
 fn family_contribution(
-    edges: &[rates::EdgeCapacity],
+    edges: &[EdgeCapacity],
     taxonomy: &MergedTaxonomy,
     family: &str,
+    fleet_size: u64,
 ) -> (f64, usize) {
-    let mut known = 0.0;
-    let mut unknown = 0;
-    for edge in edges {
-        let touches = [&edge.from, &edge.to]
-            .into_iter()
-            .filter_map(|e| endpoint_device(e))
-            .any(|device| taxonomy.overlap(device, family));
-        if !touches {
-            continue;
-        }
-        match edge.msgs_per_hour {
-            Some(rate) => known += rate,
-            None => unknown += 1,
-        }
-    }
-    (known, unknown)
+    let touches = |f: &str| taxonomy.overlap(f, family);
+    let touching = edges
+        .iter()
+        .filter(|e| e.family.as_deref().is_some_and(touches));
+    rates::tally(touching.map(|e| e.msgs_per_hour(|_| fleet_size)))
 }
 
 fn detect_family_overloads(
     designs: &[DesignRef<'_>],
+    loads: &[Vec<EdgeCapacity>],
     taxonomy: &MergedTaxonomy,
     options: &DeploymentOptions,
     report: &mut DeploymentReport,
@@ -790,33 +778,19 @@ fn detect_family_overloads(
             }
         }
     }
-    if budgets.is_empty() {
-        return;
-    }
-
-    let capacities: Vec<rates::CapacityReport> = designs
-        .iter()
-        .map(|d| {
-            // W0404 is a per-design finding already reported by the
-            // single-design pass; here only the edge rates matter.
-            let mut scratch = crate::diag::Diagnostics::new();
-            rates::detect(d.spec, options.fleet_size, &mut scratch)
-        })
-        .collect();
-
     for (family, (per_device_budget, declaring_design)) in budgets {
         let budget = per_device_budget as f64 * options.fleet_size as f64;
         let mut per_design = Vec::new();
-        let mut total = 0.0;
         let mut unknown = 0;
-        for (design, capacity) in designs.iter().zip(&capacities) {
-            let (known, unrated) = family_contribution(&capacity.edges, taxonomy, &family);
+        for (design, edges) in designs.iter().zip(loads) {
+            let (known, unrated) =
+                family_contribution(edges, taxonomy, &family, options.fleet_size);
             unknown += unrated;
             if known > 0.0 || unrated > 0 {
                 per_design.push((design.name.to_owned(), known));
-                total += known;
             }
         }
+        let total = per_design.iter().fold(0.0, |sum, (_, rate)| sum + rate);
         let load = FamilyLoad {
             family: family.clone(),
             per_device_budget,
@@ -902,6 +876,7 @@ fn render_family_overload(
 
 fn detect_link_overloads(
     designs: &[DesignRef<'_>],
+    loads: &[Vec<EdgeCapacity>],
     pins: &[DeployPins],
     taxonomy: &MergedTaxonomy,
     options: &DeploymentOptions,
@@ -910,29 +885,15 @@ fn detect_link_overloads(
     let Some(budget) = options.link_budget_per_hour else {
         return;
     };
-    if pins.is_empty() {
-        return;
-    }
-    let capacities: BTreeMap<usize, rates::CapacityReport> = pins
-        .iter()
-        .filter(|p| p.design < designs.len())
-        .map(|p| {
-            let mut scratch = crate::diag::Diagnostics::new();
-            (
-                p.design,
-                rates::detect(designs[p.design].spec, options.fleet_size, &mut scratch),
-            )
-        })
-        .collect();
 
     // addr -> contributions.
     let mut links: BTreeMap<String, Vec<(String, String, f64)>> = BTreeMap::new();
     for pin in pins {
-        let Some(capacity) = capacities.get(&pin.design) else {
+        let Some(edges) = loads.get(pin.design) else {
             continue;
         };
         for (family, hosts) in &pin.families {
-            let (family_load, _) = family_contribution(&capacity.edges, taxonomy, family);
+            let (family_load, _) = family_contribution(edges, taxonomy, family, options.fleet_size);
             if family_load <= 0.0 {
                 continue;
             }

@@ -83,7 +83,7 @@ pub use deployment::{
 pub use graph::DesignGraph;
 pub use loops::{FeedbackLoop, LoopKind};
 pub use partition::{CutRoute, PartitionNode, PartitionPlan, PartitionReport};
-pub use rates::{CapacityReport, EdgeCapacity};
+pub use rates::{CapacityReport, EdgeCapacity, LoadKind};
 pub use reach::Reachability;
 
 use crate::diag::Diagnostics;
@@ -226,7 +226,10 @@ mod tests {
         )
         .unwrap();
         let report = analyze_with(&spec, &AnalysisOptions { fleet_size: 7 });
-        assert_eq!(report.capacity.fleet_size, 7);
-        assert_eq!(report.capacity.edges[0].msgs_per_hour, Some(7.0 * 60.0));
+        let capacity = &report.capacity;
+        assert_eq!(capacity.fleet_size, 7);
+        // Meter.reading at 60/h per device, then (Out) -> K.a() per meter
+        // batch and per K: 7 x 60 + 60 + 7 x 60.
+        assert_eq!(capacity.total_msgs_per_hour, 900.0);
     }
 }

@@ -1,13 +1,13 @@
-//! Pass 4b: rate propagation — window/period mismatches (W0404) and the
-//! static capacity report.
+//! Pass 4b: the load model — rate propagation, window/period mismatches
+//! (W0404) and the static capacity report.
 //!
-//! Message rates propagate forward through the dataflow graph in
-//! topological order. Periodic subscriptions anchor the computation
-//! (`1/period`); a `grouped by … every <W>` clause re-times publication
-//! to once per window; event-driven sources are unknown at design time
-//! unless the device carries a `@qos(periodMs = …)` hint. Device-facing
-//! edges scale with a *fleet-size hypothesis* (how many deployed devices
-//! match the family) — the small-to-large-scale knob of the paper.
+//! The one place a declaration becomes messages per hour. Rates propagate
+//! forward in topological order from periodic subscriptions (`1/period`,
+//! re-timed by `every <W>` windows) and from event-driven sources with a
+//! `@qos(periodMs = …)` hint. Each edge carries its rate for one device
+//! of its family; [`EdgeCapacity::msgs_per_hour`] scales it by a count:
+//! a *fleet-size hypothesis* (capacity report, W0602), an infrastructure
+//! ([`crate::requirements`]) or the entities a run bound.
 
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::model::{ActivationTrigger, CheckedSpec, Device, InputRef, PublishMode};
@@ -17,19 +17,90 @@ use std::fmt;
 
 const MS_PER_HOUR: f64 = 3_600_000.0;
 
-/// One edge of the capacity report.
+/// How often, in ms, an activation clocked every `period_ms` fires when
+/// folded `every <window_ms>`: the engine closes a window at the first
+/// poll at or after its deadline, so every `P·max(1, ⌈W/P⌉)` ms.
+pub(crate) fn cadence_ms(period_ms: u64, window_ms: Option<u64>) -> u64 {
+    let polls = window_ms.map_or(1, |w| w.div_ceil(period_ms.max(1)).max(1));
+    period_ms.saturating_mul(polls)
+}
+
+/// Activations per hour of a clock (see [`cadence_ms`]).
+fn per_hour(period_ms: u64, window_ms: Option<u64>) -> f64 {
+    MS_PER_HOUR / cadence_ms(period_ms, window_ms) as f64
+}
+
+/// The sum of the known rates (from +0.0; `Sum` for f64 starts at -0.0)
+/// and how many are unknown.
+pub(crate) fn tally(rates: impl IntoIterator<Item = Option<f64>>) -> (f64, usize) {
+    rates
+        .into_iter()
+        .fold((0.0, 0), |(known, unknown), rate| match rate {
+            Some(rate) => (known + rate, unknown),
+            None => (known, unknown + 1),
+        })
+}
+
+/// The interaction an edge of the load model stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
+pub enum LoadKind {
+    /// Batched delivery of a polled device source (`when periodic`).
+    Periodic,
+    /// Event-driven delivery of a device source (`when provided`).
+    Event,
+    /// A context publication reaching a subscribing component.
+    Publish,
+    /// A query-driven read (`get`), once per activation.
+    Get,
+    /// An actuation (`do`), once per trigger and matching device.
+    Do,
+}
+
+impl fmt::Display for LoadKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            LoadKind::Periodic => "periodic",
+            LoadKind::Event => "event",
+            LoadKind::Publish => "publish",
+            LoadKind::Get => "get",
+            LoadKind::Do => "do",
+        })
+    }
+}
+
+/// One edge of the load model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EdgeCapacity {
     /// Producing endpoint (`Device.source`, `[Context]`, `(Controller)`).
     pub from: String,
     /// Consuming endpoint.
     pub to: String,
-    /// Interaction kind: `periodic`, `event`, `publish`, `get`, or `do`.
-    pub kind: String,
-    /// Estimated messages per hour, `None` when unknown at design time.
-    pub msgs_per_hour: Option<f64>,
+    /// Interaction kind.
+    pub kind: LoadKind,
+    /// The device family the rate scales with (the polled, sensed,
+    /// queried or actuated device); `None` for context-to-context and
+    /// context-to-controller edges.
+    pub family: Option<String>,
+    /// Messages per hour for one deployed device of `family` (the whole
+    /// edge when it has none), `None` when unknown at design time. Below a
+    /// hinted event source, it counts the hypothesis's devices of that.
+    pub msgs_per_device_hour: Option<f64>,
     /// How the estimate was derived (or why there is none).
     pub note: String,
+}
+
+impl EdgeCapacity {
+    /// The one scaling rule of the load model: the one-device rate times
+    /// `count` of the edge's family (asked only when the edge has one).
+    #[must_use]
+    pub fn msgs_per_hour(&self, count: impl FnOnce(&str) -> u64) -> Option<f64> {
+        let rate = self.msgs_per_device_hour?;
+        Some(match &self.family {
+            Some(family) => rate * count(family) as f64,
+            None => rate,
+        })
+    }
 }
 
 /// The static capacity report: every interaction edge with its estimated
@@ -54,7 +125,7 @@ impl fmt::Display for CapacityReport {
             self.fleet_size
         )?;
         for edge in &self.edges {
-            let rate = match edge.msgs_per_hour {
+            let rate = match edge.msgs_per_hour(|_| self.fleet_size) {
                 Some(r) => format!("{r:>12.1} msg/h"),
                 None => format!("{:>12} msg/h", "?"),
             };
@@ -78,63 +149,56 @@ pub(crate) fn detect(
     fleet_size: u64,
     diags: &mut Diagnostics,
 ) -> CapacityReport {
-    let fleet = fleet_size as f64;
+    let fleet = |_: &str| fleet_size;
     let mut edges = Vec::new();
     // Publication rate (msg/h) of each context, `None` when unknown.
     // Topological order guarantees producers are rated before consumers.
     let mut rate: BTreeMap<&str, Option<f64>> = BTreeMap::new();
 
     for ctx in spec.context_topo_order() {
+        let to = format!("[{}]", ctx.name);
         let mut own: Option<f64> = Some(0.0);
         for activation in &ctx.activations {
-            // W0404: a window shorter than the delivery period closes
-            // with at most one batch in it — aggregation degenerates.
-            if let (ActivationTrigger::Periodic { period_ms, .. }, Some(grouping)) =
-                (&activation.trigger, &activation.grouping)
-            {
-                if let Some(window_ms) = grouping.window_ms {
-                    if window_ms < *period_ms {
-                        diags.push(Diagnostic::warning(
-                            "W0404",
-                            format!(
-                                "aggregation window ({window_ms} ms) is shorter than the delivery period ({period_ms} ms): each window sees at most one batch"
-                            ),
-                            grouping.window_span.unwrap_or(activation.span),
-                        ));
-                    }
-                }
-            }
-
+            let grouping = activation.grouping.as_ref();
             let activations_per_hour = match &activation.trigger {
                 ActivationTrigger::Periodic {
                     device,
                     source,
                     period_ms,
                 } => {
-                    let per_device = MS_PER_HOUR / *period_ms as f64;
+                    let window = grouping.and_then(|g| g.window_ms);
+                    // W0404: a window shorter than the delivery period
+                    // closes with at most one batch in it — aggregation
+                    // degenerates.
+                    if let Some(window_ms) = window.filter(|w| w < period_ms) {
+                        diags.push(Diagnostic::warning(
+                            "W0404",
+                            format!(
+                                "aggregation window ({window_ms} ms) is shorter than the delivery period ({period_ms} ms): each window sees at most one batch"
+                            ),
+                            grouping.and_then(|g| g.window_span).unwrap_or(activation.span),
+                        ));
+                    }
                     edges.push(EdgeCapacity {
                         from: format!("{device}.{source}"),
-                        to: format!("[{}]", ctx.name),
-                        kind: "periodic".to_owned(),
-                        msgs_per_hour: Some(fleet * per_device),
+                        to: to.clone(),
+                        kind: LoadKind::Periodic,
+                        family: Some(device.clone()),
+                        msgs_per_device_hour: Some(per_hour(*period_ms, None)),
                         note: format!("{fleet_size} devices x 1/{period_ms} ms, batched"),
                     });
                     // One activation per delivery, or per window when
                     // the readings are folded `every <W>`.
-                    let window = activation.grouping.as_ref().and_then(|g| g.window_ms);
-                    Some(match window {
-                        Some(w) => MS_PER_HOUR / w as f64,
-                        None => per_device,
-                    })
+                    Some(per_hour(*period_ms, window))
                 }
                 ActivationTrigger::DeviceSource { device, source } => {
                     let hinted = spec.device(device).and_then(Device::qos_period_ms);
-                    let per_hour = hinted.map(|p| fleet * (MS_PER_HOUR / p as f64));
                     edges.push(EdgeCapacity {
                         from: format!("{device}.{source}"),
-                        to: format!("[{}]", ctx.name),
-                        kind: "event".to_owned(),
-                        msgs_per_hour: per_hour,
+                        to: to.clone(),
+                        kind: LoadKind::Event,
+                        family: Some(device.clone()),
+                        msgs_per_device_hour: hinted.map(|p| per_hour(p, None)),
                         note: match hinted {
                             Some(p) => {
                                 format!("{fleet_size} devices x @qos(periodMs = {p}) hint")
@@ -142,15 +206,17 @@ pub(crate) fn detect(
                             None => "event-driven; no @qos(periodMs) hint".to_owned(),
                         },
                     });
-                    per_hour
+                    // Every device's publication activates the context.
+                    edges.last().and_then(|edge| edge.msgs_per_hour(fleet))
                 }
                 ActivationTrigger::Context(from) => {
                     let upstream = rate.get(from.as_str()).copied().flatten();
                     edges.push(EdgeCapacity {
                         from: format!("[{from}]"),
-                        to: format!("[{}]", ctx.name),
-                        kind: "publish".to_owned(),
-                        msgs_per_hour: upstream,
+                        to: to.clone(),
+                        kind: LoadKind::Publish,
+                        family: None,
+                        msgs_per_device_hour: upstream,
                         note: match upstream {
                             Some(_) => "publication rate of the producer".to_owned(),
                             None => "producer rate unknown".to_owned(),
@@ -164,22 +230,23 @@ pub(crate) fn detect(
             // `get` edges fire once per activation; device-facing gets
             // fan out to every matching deployed device.
             for get in &activation.gets {
-                let (from, getscale, kindnote) = match get {
+                let (from, family, note) = match get {
                     InputRef::DeviceSource { device, source } => (
                         format!("{device}.{source}"),
-                        fleet,
+                        Some(device.clone()),
                         format!("per activation x {fleet_size} devices"),
                     ),
                     InputRef::Context(name) => {
-                        (format!("[{name}]"), 1.0, "per activation".to_owned())
+                        (format!("[{name}]"), None, "per activation".to_owned())
                     }
                 };
                 edges.push(EdgeCapacity {
                     from,
-                    to: format!("[{}]", ctx.name),
-                    kind: "get".to_owned(),
-                    msgs_per_hour: activations_per_hour.map(|r| r * getscale),
-                    note: kindnote,
+                    to: to.clone(),
+                    kind: LoadKind::Get,
+                    family,
+                    msgs_per_device_hour: activations_per_hour,
+                    note,
                 });
             }
 
@@ -202,8 +269,9 @@ pub(crate) fn detect(
             edges.push(EdgeCapacity {
                 from: format!("[{}]", binding.context),
                 to: format!("({})", ctrl.name),
-                kind: "publish".to_owned(),
-                msgs_per_hour: trigger_rate,
+                kind: LoadKind::Publish,
+                family: None,
+                msgs_per_device_hour: trigger_rate,
                 note: match trigger_rate {
                     Some(_) => "publication rate of the trigger context".to_owned(),
                     None => "trigger rate unknown".to_owned(),
@@ -213,16 +281,16 @@ pub(crate) fn detect(
                 edges.push(EdgeCapacity {
                     from: format!("({})", ctrl.name),
                     to: format!("{device}.{action}()"),
-                    kind: "do".to_owned(),
-                    msgs_per_hour: trigger_rate.map(|r| r * fleet),
+                    kind: LoadKind::Do,
+                    family: Some(device.clone()),
+                    msgs_per_device_hour: trigger_rate,
                     note: format!("per trigger x {fleet_size} matching devices"),
                 });
             }
         }
     }
 
-    let total = edges.iter().filter_map(|e| e.msgs_per_hour).sum::<f64>();
-    let unknown = edges.iter().filter(|e| e.msgs_per_hour.is_none()).count();
+    let (total, unknown) = tally(edges.iter().map(|e| e.msgs_per_hour(fleet)));
     CapacityReport {
         fleet_size,
         edges,
@@ -241,6 +309,13 @@ mod tests {
         let mut diags = Diagnostics::new();
         let report = detect(&spec, fleet, &mut diags);
         (report, diags)
+    }
+
+    /// The rate of the first edge matching `pick`, under the report's
+    /// hypothesis.
+    fn rate_of(report: &CapacityReport, pick: impl Fn(&EdgeCapacity) -> bool) -> Option<f64> {
+        let edge = report.edges.iter().find(|e| pick(e)).unwrap();
+        edge.msgs_per_hour(|_| report.fleet_size)
     }
 
     #[test]
@@ -290,35 +365,60 @@ mod tests {
             "#,
             100,
         );
-        let source_edge = report.edges.iter().find(|e| e.kind == "periodic").unwrap();
         // 100 devices x 60 readings/hour.
-        assert_eq!(source_edge.msgs_per_hour, Some(6000.0));
+        assert_eq!(
+            rate_of(&report, |e| e.kind == LoadKind::Periodic),
+            Some(6000.0)
+        );
         // Context publishes once per delivery, centrally (not scaled).
         let trigger_edge = report.edges.iter().find(|e| e.to == "(Out)").unwrap();
-        assert_eq!(trigger_edge.msgs_per_hour, Some(60.0));
-        // Actuation fans back out to the fleet.
-        let do_edge = report.edges.iter().find(|e| e.kind == "do").unwrap();
-        assert_eq!(do_edge.msgs_per_hour, Some(6000.0));
+        assert_eq!(trigger_edge.family, None);
+        assert_eq!(trigger_edge.msgs_per_hour(|_| 100), Some(60.0));
+        // Actuation fans back out to the fleet; the same edge scales with
+        // any other count of its family.
+        let do_edge = report
+            .edges
+            .iter()
+            .find(|e| e.kind == LoadKind::Do)
+            .unwrap();
+        assert_eq!(do_edge.family.as_deref(), Some("K"));
+        assert_eq!(do_edge.msgs_per_hour(|_| 100), Some(6000.0));
+        assert_eq!(do_edge.msgs_per_hour(|_| 3), Some(180.0));
         assert_eq!(report.unknown_edges, 0);
     }
 
+    /// The engine closes an `every <W>` window at the first poll at or
+    /// after its deadline, so one device's `[Usage] -> (Out)` edge runs
+    /// at `1 / (P·max(1, ⌈W/P⌉))`, not `1 / W`.
     #[test]
     fn grouping_window_retimes_publication() {
-        let (report, _) = analyze(
-            r#"
-            device Meter { attribute home as String; source reading as Float; }
-            device K { action a; }
-            context Usage as Float[] {
-              when periodic reading from Meter <1 min>
-                grouped by home every <1 hr>
-                always publish;
-            }
-            controller Out { when provided Usage do a on K; }
-            "#,
-            100,
-        );
-        let trigger_edge = report.edges.iter().find(|e| e.to == "(Out)").unwrap();
-        assert_eq!(trigger_edge.msgs_per_hour, Some(1.0));
+        for (period, window, per_hour) in [
+            ("10 min", "1 hr", 1.0),
+            ("10 min", "25 min", 2.0),
+            ("1 hr", "1 min", 1.0),
+            ("1 min", "0 min", 60.0),
+        ] {
+            let (report, _) = analyze(
+                &format!(
+                    r#"
+                    device Meter {{ attribute home as String; source reading as Float; }}
+                    device K {{ action a; }}
+                    context Usage as Float[] {{
+                      when periodic reading from Meter <{period}>
+                        grouped by home every <{window}>
+                        always publish;
+                    }}
+                    controller Out {{ when provided Usage do a on K; }}
+                    "#
+                ),
+                1,
+            );
+            assert_eq!(
+                rate_of(&report, |e| e.to == "(Out)"),
+                Some(per_hour),
+                "period {period}, window {window}"
+            );
+        }
     }
 
     #[test]
@@ -335,21 +435,31 @@ mod tests {
             "#,
             10,
         );
-        let unhinted = report
-            .edges
-            .iter()
-            .find(|e| e.from == "Sensor.motion")
-            .unwrap();
-        assert_eq!(unhinted.msgs_per_hour, None);
-        let hinted = report
-            .edges
-            .iter()
-            .find(|e| e.from == "Beacon.ping")
-            .unwrap();
-        assert_eq!(hinted.msgs_per_hour, Some(36000.0));
+        assert_eq!(rate_of(&report, |e| e.from == "Sensor.motion"), None);
+        assert_eq!(rate_of(&report, |e| e.from == "Beacon.ping"), Some(36000.0));
         assert!(report.unknown_edges >= 1);
         let rendered = report.to_string();
         assert!(rendered.contains("capacity report"));
         assert!(rendered.contains("Beacon.ping"));
+    }
+
+    #[test]
+    fn all_unknown_design_totals_positive_zero() {
+        let (report, _) = analyze(
+            r#"
+            device Sensor { source motion as Boolean; }
+            device K { action a; }
+            context A as Boolean { when provided motion from Sensor always publish; }
+            controller Out { when provided A do a on K; }
+            "#,
+            10,
+        );
+        assert_eq!(report.unknown_edges, report.edges.len());
+        assert!(
+            report
+                .to_string()
+                .ends_with("total known: 0.0 msg/h, 3 edge(s) unknown"),
+            "{report}"
+        );
     }
 }

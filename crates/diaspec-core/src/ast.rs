@@ -141,7 +141,7 @@ impl TimeUnit {
             TimeUnit::Millis => 1,
             TimeUnit::Seconds => 1_000,
             TimeUnit::Minutes => 60_000,
-            TimeUnit::Hours => 3_600_000,
+            TimeUnit::Hours => 60 * 60_000,
             TimeUnit::Days => 86_400_000,
         }
     }

@@ -880,11 +880,13 @@ impl<'a> Checker<'a> {
         let window_span = grouping.window.map(|w| w.span);
         if let (Some(window), Some(period)) = (window_ms, period_ms) {
             if period > 0 && window % period != 0 {
+                let cadence = crate::analysis::rates::cadence_ms(period, Some(window));
                 self.diags.push(Diagnostic::warning(
                     "W0305",
                     format!(
                         "aggregation window ({window} ms) is not a multiple of the \
-                         delivery period ({period} ms); the final window will be truncated"
+                         delivery period ({period} ms); every window stretches to the \
+                         next poll, so the context is activated every {cadence} ms"
                     ),
                     grouping.window.expect("window present").span,
                 ));

@@ -14,14 +14,19 @@
 //! demand. [`match_infrastructure`] then checks those requirements
 //! against a concrete [`Infrastructure`] description and reports, per
 //! finding, what is satisfied, tight, or missing.
+//! Both read the one load model, [`crate::analysis::rates`]: families
+//! and usage are its edges' device ends, network demand its periodic
+//! edges scaled by the infrastructure's entity counts.
 
-use crate::model::{ActivationTrigger, CheckedSpec, InputRef};
+use crate::analysis::rates::{self, EdgeCapacity, LoadKind};
+use crate::diag::Diagnostics;
+use crate::model::{ActivationTrigger, CheckedSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// How an application uses a device family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeviceUsage {
     /// Some context subscribes to a source event-driven.
     pub event_sources: bool,
@@ -33,19 +38,8 @@ pub struct DeviceUsage {
     pub actuated: bool,
 }
 
-impl DeviceUsage {
-    fn none() -> Self {
-        DeviceUsage {
-            event_sources: false,
-            polled_sources: false,
-            queried_sources: false,
-            actuated: false,
-        }
-    }
-}
-
 /// One device family the application must be able to bind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DeviceRequirement {
     /// The declared device type (entities of any subtype qualify).
     pub device_type: String,
@@ -83,25 +77,6 @@ pub struct AppRequirements {
     /// Whether any source is consumed event-driven (bandwidth for these
     /// depends on environment activity and cannot be bounded statically).
     pub has_event_driven_load: bool,
-}
-
-impl AppRequirements {
-    /// Statically estimable network demand, in messages per hour, for a
-    /// given assignment of entity counts per device family.
-    ///
-    /// Families absent from `entity_counts` contribute nothing; event-
-    /// driven load is excluded (see
-    /// [`has_event_driven_load`](Self::has_event_driven_load)).
-    #[must_use]
-    pub fn periodic_msgs_per_hour(&self, entity_counts: &BTreeMap<String, u32>) -> f64 {
-        self.devices
-            .values()
-            .map(|req| {
-                let entities = entity_counts.get(&req.device_type).copied().unwrap_or(0);
-                req.periodic_msgs_per_entity_hour * f64::from(entities)
-            })
-            .sum()
-    }
 }
 
 /// A concrete infrastructure offer: what is deployed and what the
@@ -207,73 +182,57 @@ impl fmt::Display for MatchReport {
     }
 }
 
+/// The design's load-model edges (read here: periodic rates, which no
+/// fleet hypothesis changes; W0404 is the lint's to report).
+fn load_model(spec: &CheckedSpec) -> Vec<EdgeCapacity> {
+    rates::detect(spec, 1, &mut Diagnostics::new()).edges
+}
+
 /// Extracts the application requirements from a checked design (§VI).
 #[must_use]
 pub fn estimate(spec: &CheckedSpec) -> AppRequirements {
     let mut devices: BTreeMap<String, DeviceRequirement> = BTreeMap::new();
-    let mut processing = Vec::new();
-    let mut has_event_driven_load = false;
-
-    fn require<'m>(
-        devices: &'m mut BTreeMap<String, DeviceRequirement>,
-        device_type: &str,
-    ) -> &'m mut DeviceRequirement {
-        devices
-            .entry(device_type.to_owned())
-            .or_insert_with(|| DeviceRequirement {
-                device_type: device_type.to_owned(),
-                usage: DeviceUsage::none(),
-                periodic_msgs_per_entity_hour: 0.0,
-            })
-    }
-
-    for ctx in spec.contexts() {
-        for activation in &ctx.activations {
-            match &activation.trigger {
-                ActivationTrigger::DeviceSource { device, .. } => {
-                    require(&mut devices, device).usage.event_sources = true;
-                    has_event_driven_load = true;
-                }
-                ActivationTrigger::Periodic {
-                    device, period_ms, ..
-                } => {
-                    let req = require(&mut devices, device);
-                    req.usage.polled_sources = true;
-                    if *period_ms > 0 {
-                        req.periodic_msgs_per_entity_hour += 3_600_000.0 / *period_ms as f64;
-                    }
-                    processing.push(ProcessingRequirement {
-                        context: ctx.name.clone(),
-                        device_type: device.clone(),
-                        period_ms: *period_ms,
-                        window_ms: activation.grouping.as_ref().and_then(|g| g.window_ms),
-                        map_reduce: activation
-                            .grouping
-                            .as_ref()
-                            .is_some_and(|g| g.map_reduce.is_some()),
-                    });
-                }
-                ActivationTrigger::Context(_) | ActivationTrigger::OnDemand => {}
+    for edge in load_model(spec) {
+        let Some(family) = edge.family else {
+            continue;
+        };
+        let req = devices.entry(family.clone()).or_default();
+        req.device_type = family;
+        match edge.kind {
+            LoadKind::Periodic => {
+                req.usage.polled_sources = true;
+                req.periodic_msgs_per_entity_hour += edge.msgs_per_device_hour.unwrap_or(0.0);
             }
-            for get in &activation.gets {
-                if let InputRef::DeviceSource { device, .. } = get {
-                    require(&mut devices, device).usage.queried_sources = true;
-                }
-            }
+            LoadKind::Event => req.usage.event_sources = true,
+            LoadKind::Get => req.usage.queried_sources = true,
+            LoadKind::Do => req.usage.actuated = true,
+            LoadKind::Publish => {}
         }
     }
-    for ctrl in spec.controllers() {
-        for binding in &ctrl.bindings {
-            for (_, device) in &binding.actions {
-                require(&mut devices, device).usage.actuated = true;
+
+    let mut processing = Vec::new();
+    for ctx in spec.contexts() {
+        for activation in &ctx.activations {
+            if let ActivationTrigger::Periodic {
+                device, period_ms, ..
+            } = &activation.trigger
+            {
+                let grouping = activation.grouping.as_ref();
+                processing.push(ProcessingRequirement {
+                    context: ctx.name.clone(),
+                    device_type: device.clone(),
+                    period_ms: *period_ms,
+                    window_ms: grouping.and_then(|g| g.window_ms),
+                    map_reduce: grouping.is_some_and(|g| g.map_reduce.is_some()),
+                });
             }
         }
     }
 
     AppRequirements {
+        has_event_driven_load: devices.values().any(|req| req.usage.event_sources),
         devices,
         processing,
-        has_event_driven_load,
     }
 }
 
@@ -288,10 +247,8 @@ pub fn match_infrastructure(
     let mut findings = Vec::new();
 
     // Devices: every required family needs at least one bound entity.
-    let mut entity_counts: BTreeMap<String, u32> = BTreeMap::new();
     for req in requirements.devices.values() {
         let available = infrastructure.family_count(spec, &req.device_type);
-        entity_counts.insert(req.device_type.clone(), available);
         if available == 0 {
             findings.push(MatchFinding {
                 severity: MatchSeverity::Missing,
@@ -315,8 +272,16 @@ pub fn match_infrastructure(
         }
     }
 
-    // Network: statically known periodic demand vs. capacity.
-    let demand = requirements.periodic_msgs_per_hour(&entity_counts);
+    // Network: statically known periodic demand vs. capacity — every
+    // periodic edge scaled by the entities deployed of its family.
+    let (demand, _) = rates::tally(
+        load_model(spec)
+            .iter()
+            .filter(|edge| edge.kind == LoadKind::Periodic)
+            .map(|edge| {
+                edge.msgs_per_hour(|family| u64::from(infrastructure.family_count(spec, family)))
+            }),
+    );
     match infrastructure.msgs_per_hour_capacity {
         Some(capacity) if demand > capacity => findings.push(MatchFinding {
             severity: MatchSeverity::Missing,

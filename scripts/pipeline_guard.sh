@@ -43,6 +43,12 @@
 #    vocabulary under the generator (spelled with a bracket below, as in
 #    section 5), and a hand copy of the wiring as
 #    `RemoteDeviceProxy::new` in the bench crate.
+# 8. One load model: crates/diaspec-core/src/analysis/rates.rs is the only
+#    place a declaration becomes messages per hour (docs/ANALYSIS.md §4);
+#    §VI matching and W0602 read its typed edges. A second derivation
+#    shows up as the hour in milliseconds elsewhere in diaspec-core, and a
+#    parser of its rendered endpoints as `endpoint_device` or `split('.')`
+#    in analysis/deployment.rs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -197,3 +203,19 @@ if grep -rn 'RemoteDeviceProxy::new' crates/diaspec-bench/src; then
     exit 1
 fi
 echo "ok: one deployment unit (one manifest loader, no per-node templates, no hand-wired soak)"
+
+RATES=crates/diaspec-core/src/analysis/rates.rs
+derivations=$(grep -rlE '3_600_000|MS_PER_HOUR' crates/diaspec-core/src \
+    | { grep -vx "$RATES" || true; })
+if [ -n "$derivations" ]; then
+    echo "FAIL: a rate is derived outside $RATES:" >&2
+    echo "$derivations" >&2
+    echo "Read the load model's edges (EdgeCapacity::msgs_per_hour) instead." >&2
+    exit 1
+fi
+if grep -nE "fn endpoint_device|split\('\.'\)" crates/diaspec-core/src/analysis/deployment.rs; then
+    echo "FAIL: analysis/deployment.rs parses rendered endpoints (lines above); filter" >&2
+    echo "the load model's edges on their typed \`family\` instead." >&2
+    exit 1
+fi
+echo "ok: one load model (msg/h derived only in $RATES, no endpoint parser in W0602)"

@@ -137,3 +137,24 @@ fn qos_annotation_messages_are_pinned_verbatim() {
         "unknown @qos argument `colour` (known: latencyMs, periodMs, priority, capacityPerHour)"
     );
 }
+
+/// W0305 states what the engine does with a window that is not a whole
+/// number of periods: it closes every window at the next poll, so a
+/// 25-minute window over 10-minute polls fires every 30 minutes.
+#[test]
+fn window_period_message_states_the_runtime_cadence() {
+    let spec = "device Meter { attribute home as String; source reading as Float; }\n\
+                device K { action a; }\n\
+                context Usage as Float[] {\n\
+                  when periodic reading from Meter <10 min> grouped by home every <25 min>\n\
+                  always publish;\n\
+                }\n\
+                controller Out { when provided Usage do a on K; }\n";
+    let (_, warnings) = diaspec_core::compile_str_with_warnings(spec).unwrap();
+    let w0305 = warnings.find("W0305").expect("W0305 reported");
+    assert_eq!(
+        w0305.message,
+        "aggregation window (1500000 ms) is not a multiple of the delivery period (600000 ms); \
+         every window stretches to the next poll, so the context is activated every 1800000 ms"
+    );
+}

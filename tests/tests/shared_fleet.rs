@@ -10,11 +10,9 @@
 
 use diaspec_core::analysis::deployment::{analyze_deployment, DeploymentOptions, DesignRef};
 use diaspec_core::model::CheckedSpec;
-use diaspec_core::types::Type;
-use diaspec_runtime::component::ContextActivation;
-use diaspec_runtime::engine::{ContextApi, ControllerApi, Orchestrator};
+use diaspec_integration::register_all;
 use diaspec_runtime::entity::{AttributeMap, DeviceInstance};
-use diaspec_runtime::error::{ComponentError, DeviceError, RuntimeError};
+use diaspec_runtime::error::DeviceError;
 use diaspec_runtime::multi::SharedFleet;
 use diaspec_runtime::value::Value;
 use std::path::PathBuf;
@@ -32,65 +30,6 @@ fn load(relative: &str) -> Arc<CheckedSpec> {
         diaspec_core::compile_str(&source)
             .unwrap_or_else(|e| panic!("{} does not compile: {e}", path.display())),
     )
-}
-
-fn passthrough(
-    _api: &mut ContextApi<'_>,
-    activation: ContextActivation<'_>,
-) -> Result<Option<Value>, ComponentError> {
-    match activation {
-        ContextActivation::SourceEvent { value, .. } => Ok(Some(value.clone())),
-        _ => Ok(None),
-    }
-}
-
-/// A placeholder argument of the declared parameter type — the scenario
-/// only counts actuations, the payloads are irrelevant.
-fn default_arg(ty: &Type) -> Value {
-    match ty {
-        Type::Integer => Value::Int(0),
-        Type::Float => Value::Float(0.0),
-        Type::Boolean => Value::Bool(false),
-        _ => Value::Str("probe".to_owned()),
-    }
-}
-
-/// Registers every component of `spec` generically: contexts pass their
-/// triggering value through, controllers perform each declared `do`
-/// clause on every discovered entity of the target family. This mirrors
-/// what any concrete implementation is contractually allowed to do, so
-/// the observed actuations are exactly the ones the design declares.
-fn register_all(orch: &mut Orchestrator, spec: &CheckedSpec) -> Result<(), RuntimeError> {
-    for ctx in spec.contexts() {
-        orch.register_context(&ctx.name, passthrough)?;
-    }
-    for ctrl in spec.controllers() {
-        let acts: Vec<(String, String, Vec<Value>)> = ctrl
-            .bindings
-            .iter()
-            .flat_map(|b| b.actions.iter())
-            .map(|(action, device)| {
-                let args = spec
-                    .device(device)
-                    .and_then(|d| d.action(action))
-                    .map(|a| a.params.iter().map(|(_, ty)| default_arg(ty)).collect())
-                    .unwrap_or_default();
-                (action.clone(), device.clone(), args)
-            })
-            .collect();
-        orch.register_controller(
-            &ctrl.name,
-            move |api: &mut ControllerApi<'_>, _context: &str, _value: &Value| {
-                for (action, device, args) in &acts {
-                    for id in api.discover(device)?.ids() {
-                        api.invoke(&id, action, args)?;
-                    }
-                }
-                Ok(())
-            },
-        )?;
-    }
-    Ok(())
 }
 
 struct Inert;
