@@ -27,8 +27,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Schema tag of the machine-readable report (`BENCH_delivery.json`).
-/// v3 is v2 without the retired shard-count axis; older reports are
-/// rejected by the guard and must be regenerated.
+/// v3 is v2 without the retired shard-count axis, plus the host and
+/// checkout it ran on (`rev`, `nproc`, `cpu_model`, as in
+/// `BENCH_ledger.json`); older reports are rejected by the guard and
+/// must be regenerated.
 pub const SCHEMA: &str = "diaspec-bench/delivery/v3";
 
 /// Sustained-throughput threshold for the knee: achieved ≥ 95% of
@@ -114,6 +116,14 @@ pub struct RateReport {
 pub struct LoadReport {
     /// Always [`SCHEMA`].
     pub schema: String,
+    /// The checkout the report was taken from (`git describe --always
+    /// --dirty --abbrev=7`, as `BENCH_ledger.json` rows record it;
+    /// `unknown` outside a git checkout).
+    pub rev: String,
+    /// Logical CPUs available to the run.
+    pub nproc: u64,
+    /// The host's CPU model (`/proc/cpuinfo`; `unknown` elsewhere).
+    pub cpu_model: String,
     /// Whether the quick (CI smoke) configuration ran.
     pub quick: bool,
     /// Open-loop window per rate, milliseconds.
@@ -290,6 +300,9 @@ pub fn sweep(config: &LoadConfig, quick: bool) -> LoadReport {
     let rates: Vec<RateReport> = config.rates.iter().map(|&r| run_rate(r, config)).collect();
     LoadReport {
         schema: SCHEMA.to_owned(),
+        rev: rev(),
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+        cpu_model: cpu_model(),
         quick,
         window_ms: config.window.as_millis() as u64,
         sensors: config.sensors as u64,
@@ -297,6 +310,33 @@ pub fn sweep(config: &LoadConfig, quick: bool) -> LoadReport {
         rates,
         chaos: Vec::new(),
     }
+}
+
+/// The checkout's revision as `BENCH_ledger.json` records it.
+fn rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_owned())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The first `model name` of `/proc/cpuinfo`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|line| line.strip_prefix("model name"))
+                .and_then(|rest| rest.split_once(':'))
+                .map(|(_, model)| model.trim().to_owned())
+        })
+        .filter(|model| !model.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// Parses a `BENCH_delivery.json` payload and checks the invariants the
@@ -315,6 +355,13 @@ pub fn check_report(payload: &str) -> Result<LoadReport, String> {
              `experiments --only e20` then `--only e21` runs",
             report.schema
         ));
+    }
+    if report.nproc == 0 || report.rev.is_empty() || report.cpu_model.is_empty() {
+        return Err(
+            "no host on record: `nproc`, `rev` and `cpu_model` must name the host and \
+             checkout the report ran on"
+                .to_owned(),
+        );
     }
     if report.rates.len() < 4 {
         return Err(format!(
@@ -457,6 +504,7 @@ mod tests {
         let err = check_report(&v2).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
         assert!(err.contains("regenerate"), "{err}");
+        let mut hostless = report.clone();
         report.rates.truncate(2);
         let payload = serde_json::to_string(&report).unwrap();
         let err = check_report(&payload).unwrap_err();
@@ -464,6 +512,14 @@ mod tests {
         // A payload that drops a required field fails deserialization.
         let stripped = payload.replace("\"schema\":", "\"schema_was\":");
         assert!(check_report(&stripped).is_err());
+        // The host fields are required, as in BENCH_ledger.json rows.
+        for field in ["rev", "nproc", "cpu_model"] {
+            let stripped = payload.replace(&format!("\"{field}\":"), "\"dropped\":");
+            assert!(check_report(&stripped).is_err(), "{field} is required");
+        }
+        hostless.nproc = 0;
+        let err = check_report(&serde_json::to_string(&hostless).unwrap()).unwrap_err();
+        assert!(err.contains("no host on record"), "{err}");
     }
 
     #[test]

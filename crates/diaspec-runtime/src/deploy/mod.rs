@@ -16,7 +16,8 @@
 //!   cross the link as [`Envelope`]s, so the engine binds and polls a
 //!   remote device exactly like a local one (and lease renewal,
 //!   expiry, and standby promotion apply unchanged when the remote
-//!   node stops answering);
+//!   node stops answering); inside a registry poll sweep, the members
+//!   on one link are read by one `QueryBatch` exchange (`sweep`);
 //! - [`EdgeRuntime`] — the edge side: owns the node's device drivers
 //!   and environment-stepping hooks and answers envelopes, either over
 //!   a real socket ([`serve_edge`]) or as an in-process handler on the
@@ -41,22 +42,31 @@
 
 pub mod session;
 pub mod supervisor;
+mod sweep;
 
 pub use session::{BreakerConfig, SessionConfig, SessionStats};
 pub use supervisor::{RestartPolicy, Supervisor, SupervisorReport};
 
 use crate::clock::SimTime;
 use crate::engine::ProcessApi;
-use crate::entity::DeviceInstance;
+use crate::entity::{DeviceInstance, EntityId};
 use crate::error::DeviceError;
 use crate::process::Process;
-use crate::transport::{Envelope, MessageKind, Transport, TransportError, TransportStats};
+use crate::transport::{
+    decode_query_batch, Envelope, MessageKind, Transport, TransportError, TransportStats,
+};
 use crate::value::Value;
 use session::SessionState;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+pub(crate) use sweep::Scope as SweepScope;
+
+/// Remote device proxies alive in the process: a poll opens no sweep
+/// scope while there are none.
+static LIVE_PROXIES: AtomicUsize = AtomicUsize::new(0);
 
 /// Most replies the edge-side idempotency cache retains when the
 /// sender never acks (best-effort links); ack-pruning keeps sessioned
@@ -72,6 +82,28 @@ pub struct Link {
     transport: Mutex<Box<dyn Transport>>,
     seq: AtomicU64,
     session: Option<Mutex<SessionState>>,
+    /// The device names of the live proxies built on this link: the
+    /// members a sweep batches here.
+    devices: Mutex<DeviceNames>,
+}
+
+/// The device names of a link's live proxies (shared with them), with
+/// how many proxies carry each. A new proxy's name waits in `pending`
+/// and is counted in at the next sweep or drop, so building a
+/// deployment's proxies costs a push each, not a hash-map insert.
+#[derive(Default)]
+struct DeviceNames {
+    counts: HashMap<Arc<str>, usize>,
+    pending: Vec<Arc<str>>,
+}
+
+impl DeviceNames {
+    fn settled(&mut self) -> &mut HashMap<Arc<str>, usize> {
+        for name in self.pending.drain(..) {
+            *self.counts.entry(name).or_default() += 1;
+        }
+        &mut self.counts
+    }
 }
 
 impl Link {
@@ -83,6 +115,7 @@ impl Link {
             transport: Mutex::new(Box::new(transport)),
             seq: AtomicU64::new(0),
             session: None,
+            devices: Mutex::default(),
         })
     }
 
@@ -102,6 +135,7 @@ impl Link {
             transport: Mutex::new(Box::new(transport)),
             seq: AtomicU64::new(0),
             session: Some(Mutex::new(SessionState::new(config))),
+            devices: Mutex::default(),
         })
     }
 
@@ -134,6 +168,20 @@ impl Link {
                 .request(transport.as_mut(), envelope),
             None => transport.exchange(&envelope),
         }
+    }
+
+    /// The index of every sweep member a proxy on this link is named
+    /// after (and whose name fits a batch entry), in order.
+    fn covered(&self, members: &[EntityId]) -> Vec<usize> {
+        let mut names = self.devices.lock().expect("device names lock poisoned");
+        let devices = names.settled();
+        members
+            .iter()
+            .enumerate()
+            .filter(|(_, id)| id.as_str().len() <= usize::from(u16::MAX))
+            .filter(|(_, id)| devices.contains_key(id.as_str()))
+            .map(|(at, _)| at)
+            .collect()
     }
 
     /// The backend's byte/frame/reconnect counters.
@@ -187,8 +235,13 @@ impl Link {
 /// as [`DeviceError`]s, so the engine's `@error` policies, lease
 /// non-renewal, and standby promotion handle a dead edge node exactly
 /// like a crashed local device.
+///
+/// Bind the proxy under its device name: inside a registry poll sweep,
+/// the members named after a proxy on a link are read by one
+/// `QueryBatch` exchange on that link, and each member's first query in
+/// the sweep is answered from it.
 pub struct RemoteDeviceProxy {
-    device: String,
+    device: Arc<str>,
     link: Arc<Link>,
 }
 
@@ -196,15 +249,40 @@ impl RemoteDeviceProxy {
     /// A proxy for `device` reached over `link`.
     #[must_use]
     pub fn new(device: impl Into<String>, link: Arc<Link>) -> Self {
-        RemoteDeviceProxy {
-            device: device.into(),
-            link,
+        let device: Arc<str> = device.into().into();
+        link.devices
+            .lock()
+            .expect("device names lock poisoned")
+            .pending
+            .push(Arc::clone(&device));
+        LIVE_PROXIES.fetch_add(1, Ordering::Relaxed);
+        RemoteDeviceProxy { device, link }
+    }
+}
+
+impl Drop for RemoteDeviceProxy {
+    fn drop(&mut self) {
+        LIVE_PROXIES.fetch_sub(1, Ordering::Relaxed);
+        let mut names = self
+            .link
+            .devices
+            .lock()
+            .expect("device names lock poisoned");
+        let devices = names.settled();
+        if let Some(count) = devices.get_mut(&*self.device) {
+            *count -= 1;
+            if *count == 0 {
+                devices.remove(&*self.device);
+            }
         }
     }
 }
 
 impl DeviceInstance for RemoteDeviceProxy {
     fn query(&mut self, source: &str, now_ms: u64) -> Result<Value, DeviceError> {
+        if let Some(reply) = sweep::take(&self.link, &self.device, source, now_ms) {
+            return reply.map_err(|message| DeviceError::new(&*self.device, source, message));
+        }
         let reply = self
             .link
             .request(|seq| {
@@ -216,13 +294,13 @@ impl DeviceInstance for RemoteDeviceProxy {
                     now_ms,
                 )
             })
-            .map_err(|e| DeviceError::new(&self.device, source, e.to_string()))?;
+            .map_err(|e| DeviceError::new(&*self.device, source, e.to_string()))?;
         match reply.kind {
             MessageKind::Value => reply
                 .value()
-                .map_err(|e| DeviceError::new(&self.device, source, e.to_string())),
+                .map_err(|e| DeviceError::new(&*self.device, source, e.to_string())),
             other => Err(DeviceError::new(
-                &self.device,
+                &*self.device,
                 source,
                 format!("unexpected reply kind {other:?}"),
             )),
@@ -242,11 +320,11 @@ impl DeviceInstance for RemoteDeviceProxy {
                     now_ms,
                 )
             })
-            .map_err(|e| DeviceError::new(&self.device, action, e.to_string()))?;
+            .map_err(|e| DeviceError::new(&*self.device, action, e.to_string()))?;
         match reply.kind {
             MessageKind::Ok => Ok(()),
             other => Err(DeviceError::new(
-                &self.device,
+                &*self.device,
                 action,
                 format!("unexpected reply kind {other:?}"),
             )),
@@ -408,30 +486,53 @@ impl EdgeRuntime {
                     Ok(value) => envelope.reply_value(&value),
                     Err(e) => envelope.reply_error(&e.to_string()),
                 },
-                None => envelope.reply_error(&format!(
-                    "node {} hosts no device `{}`",
-                    self.node, envelope.target
+                None => envelope.reply_error(&no_device(&self.node, &envelope.target)),
+            },
+            MessageKind::QueryBatch => match decode_query_batch(&envelope.payload) {
+                Ok(names) => {
+                    let entries: Vec<Result<Value, String>> = names
+                        .into_iter()
+                        .map(|name| match self.devices.get_mut(name) {
+                            Some(device) => device
+                                .query(&envelope.member, envelope.now)
+                                .map_err(|e| e.to_string()),
+                            None => Err(no_device(&self.node, name)),
+                        })
+                        .collect();
+                    envelope.reply_values(&entries)
+                }
+                Err(e) => envelope.reply_error(&format!(
+                    "node {}: malformed QueryBatch of `{}`: {e}",
+                    self.node, envelope.member
                 )),
             },
             MessageKind::Invoke => match self.devices.get_mut(&envelope.target) {
-                Some(device) => {
-                    let args: Vec<Value> =
-                        serde_json::from_slice(&envelope.payload).unwrap_or_default();
-                    match device.invoke(&envelope.member, &args, envelope.now) {
+                Some(device) => match serde_json::from_slice::<Vec<Value>>(&envelope.payload) {
+                    Ok(args) => match device.invoke(&envelope.member, &args, envelope.now) {
                         Ok(()) => envelope.reply_ok(),
                         Err(e) => envelope.reply_error(&e.to_string()),
-                    }
-                }
-                None => envelope.reply_error(&format!(
-                    "node {} hosts no device `{}`",
-                    self.node, envelope.target
-                )),
+                    },
+                    Err(_) => envelope.reply_error(&format!(
+                        "node {}: malformed arguments for `{}` on `{}`",
+                        self.node, envelope.member, envelope.target
+                    )),
+                },
+                None => envelope.reply_error(&no_device(&self.node, &envelope.target)),
             },
-            MessageKind::Bye | MessageKind::Ok | MessageKind::Value | MessageKind::Error => {
+            MessageKind::Bye
+            | MessageKind::Ok
+            | MessageKind::Value
+            | MessageKind::Values
+            | MessageKind::Error => {
                 envelope.reply_error(&format!("unexpected request kind {:?}", envelope.kind))
             }
         }
     }
+}
+
+/// The error text for a request naming a device `node` does not host.
+fn no_device(node: &str, device: &str) -> String {
+    format!("node {node} hosts no device `{device}`")
 }
 
 /// Serves one coordinator connection on `listener` to completion:
@@ -572,6 +673,89 @@ mod tests {
         assert_eq!(stats.frames_sent, 3);
         assert_eq!(stats.frames_received, 3);
         assert!(stats.bytes_sent > 0 && stats.bytes_received > 0);
+    }
+
+    /// An edge hosting one device, `gate-0`, whose driver calls are
+    /// counted in the returned handle.
+    fn counted_edge() -> (EdgeRuntime, Arc<Mutex<u32>>) {
+        struct Counted(Arc<Mutex<u32>>);
+        impl DeviceInstance for Counted {
+            fn query(&mut self, _: &str, _: u64) -> Result<Value, DeviceError> {
+                *self.0.lock().expect("calls lock") += 1;
+                Ok(Value::Int(1))
+            }
+            fn invoke(&mut self, _: &str, _: &[Value], _: u64) -> Result<(), DeviceError> {
+                *self.0.lock().expect("calls lock") += 1;
+                Ok(())
+            }
+        }
+        let calls = Arc::new(Mutex::new(0));
+        let mut edge = EdgeRuntime::new("edge0");
+        edge.add_device("gate-0", Box::new(Counted(Arc::clone(&calls))));
+        (edge, calls)
+    }
+
+    #[test]
+    fn a_garbage_invoke_payload_is_an_error_and_calls_no_driver() {
+        let (mut edge, calls) = counted_edge();
+        let garbage = Envelope::new(
+            MessageKind::Invoke,
+            crate::spans::SpanCtx::NONE,
+            1,
+            "gate-0",
+            "open",
+            b"{not json".to_vec(),
+        );
+        let reply = edge.handle(&garbage).expect("answered");
+        assert_eq!(reply.kind, MessageKind::Error);
+        let message = String::from_utf8_lossy(&reply.payload);
+        for named in ["edge0", "gate-0", "open"] {
+            assert!(message.contains(named), "{message} names {named}");
+        }
+        assert_eq!(*calls.lock().expect("calls lock"), 0, "no driver call");
+        let args = Envelope::invoke(crate::spans::SpanCtx::NONE, 2, "gate-0", "open", &[], 0);
+        assert_eq!(edge.handle(&args).expect("answered").kind, MessageKind::Ok);
+        assert_eq!(
+            *calls.lock().expect("calls lock"),
+            1,
+            "a well-formed one runs"
+        );
+    }
+
+    #[test]
+    fn a_malformed_query_batch_is_an_error_and_calls_no_driver() {
+        let (mut edge, calls) = counted_edge();
+        let mut payload = crate::transport::encode_query_batch(["gate-0", "gate-0"]).unwrap();
+        payload.truncate(payload.len() - 1);
+        let batch = |seq, payload| {
+            Envelope::new(
+                MessageKind::QueryBatch,
+                crate::spans::SpanCtx::NONE,
+                seq,
+                "",
+                "presence",
+                payload,
+            )
+        };
+        let reply = edge.handle(&batch(1, payload)).expect("answered");
+        assert_eq!(reply.kind, MessageKind::Error);
+        assert!(String::from_utf8_lossy(&reply.payload).contains("edge0"));
+        assert_eq!(*calls.lock().expect("calls lock"), 0, "no driver call");
+        // A well-formed batch answers each name in order; an unknown one
+        // gets the text a single `Query` of it would get.
+        let payload = crate::transport::encode_query_batch(["gate-0", "ghost"]).unwrap();
+        let reply = edge.handle(&batch(2, payload)).expect("answered");
+        assert_eq!(reply.kind, MessageKind::Values);
+        let single = Envelope::query(crate::spans::SpanCtx::NONE, 3, "ghost", "presence", 0);
+        let single = edge.handle(&single).expect("answered");
+        assert_eq!(
+            crate::transport::decode_values(&reply.payload).unwrap(),
+            vec![
+                Ok(Value::Int(1)),
+                Err(String::from_utf8_lossy(&single.payload).into_owned())
+            ]
+        );
+        assert_eq!(*calls.lock().expect("calls lock"), 1);
     }
 
     #[test]

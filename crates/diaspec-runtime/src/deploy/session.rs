@@ -504,6 +504,34 @@ mod tests {
     }
 
     #[test]
+    fn an_exhausted_query_batch_is_resent_inline_and_never_parked() {
+        // A poll sweep's batch is in the query class: one sequence
+        // number across its inline resends, then abandoned and settled —
+        // the next request replays nothing before itself.
+        let (mut transport, arrivals) = scripted(&[false, false, false]);
+        let mut session = SessionState::new(fast_config());
+        let batch = Envelope::new(
+            MessageKind::QueryBatch,
+            SpanCtx::NONE,
+            1,
+            "",
+            "presence",
+            Vec::new(),
+        )
+        .at(100);
+        assert!(session.request(&mut transport, batch).is_err());
+        let stats = session.stats();
+        assert_eq!((stats.resends, stats.abandoned), (2, 1));
+        session
+            .request(&mut transport, tick(2, 200))
+            .expect("healed");
+        assert_eq!(effect_seqs(&arrivals), vec![2], "the batch is not replayed");
+        let arrived = arrivals.lock().expect("arrivals lock");
+        assert_eq!(arrived[0].ack, 1, "the abandoned batch is settled");
+        assert_eq!(session.stats().probes, 0, "nothing parked, no probe");
+    }
+
+    #[test]
     fn exhausted_effect_is_parked_and_replayed_in_order() {
         // Tick 1 fails all 3 attempts; tick 2 heals the link and must
         // be preceded by the replay of tick 1.

@@ -500,6 +500,14 @@ impl Registry {
             .into_iter()
             .cloned()
             .collect();
+        // Remote members answer from one exchange per link; a crashed
+        // member is never asked (`deploy::sweep`).
+        let declared = self
+            .spec
+            .device(device_type)
+            .is_some_and(|d| d.source(source).is_some());
+        let members = ids.iter().filter(|id| declared && !self.is_crashed(id));
+        let _sweep = crate::deploy::SweepScope::open(source, now_ms, members);
         let mut readings = Vec::with_capacity(ids.len());
         for id in ids {
             let value = match self.query_source(&id, source, now_ms) {

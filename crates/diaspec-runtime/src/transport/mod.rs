@@ -37,7 +37,10 @@ pub mod wire;
 pub use chaos::{ChaosConfig, ChaosStats, ChaosStatsHandle, ChaosTransport, Direction};
 pub use sim::{LatencyModel, SendOutcome, SimTransport, TransportConfig};
 pub use socket::{serve_connection, TcpTransport};
-pub use wire::{Envelope, FrameError, MessageKind, TransportError, MAX_FRAME};
+pub use wire::{
+    decode_query_batch, decode_values, encode_query_batch, encode_values, Envelope, FrameError,
+    MessageKind, TransportError, MAX_FRAME,
+};
 
 /// Byte and frame counters for one transport link.
 ///

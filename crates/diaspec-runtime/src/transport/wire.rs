@@ -9,6 +9,14 @@
 //! entity, the member (source or action) addressed on it, and an opaque
 //! payload (values are JSON-encoded [`crate::value::Value`]s).
 //!
+//! A periodic poll of many remote devices crosses as one
+//! [`MessageKind::QueryBatch`] / [`MessageKind::Values`] pair whose
+//! payloads [`encode_query_batch`] / [`decode_query_batch`] and
+//! [`encode_values`] / [`decode_values`] read and write: a 4-byte count,
+//! then per device a 2-byte-length name, or per reply entry a tag byte
+//! (`0` value, `1` error) and a 4-byte-length JSON value or UTF-8
+//! message, in request order.
+//!
 //! The format is deliberately simple — fixed-width integers big-endian,
 //! strings UTF-8 with a 2-byte length, payload with a 4-byte length — so
 //! that both ends can be implemented without a serialization framework
@@ -50,6 +58,12 @@ pub enum MessageKind {
     Error = 7,
     /// Orderly shutdown of the connection.
     Bye = 8,
+    /// Read one source on many devices: `member` = source name, payload
+    /// = device names ([`encode_query_batch`]), queried in order.
+    QueryBatch = 9,
+    /// The reply to a `QueryBatch`: one value or error message per
+    /// device, in request order ([`encode_values`]).
+    Values = 10,
 }
 
 impl MessageKind {
@@ -64,6 +78,8 @@ impl MessageKind {
             6 => MessageKind::Value,
             7 => MessageKind::Error,
             8 => MessageKind::Bye,
+            9 => MessageKind::QueryBatch,
+            10 => MessageKind::Values,
             _ => return None,
         })
     }
@@ -177,6 +193,21 @@ impl Envelope {
     pub fn reply_value(&self, value: &Value) -> Self {
         let payload = serde_json::to_vec(value).unwrap_or_default();
         Envelope::new(MessageKind::Value, self.span, self.seq, "", "", payload).at(self.now)
+    }
+
+    /// A `Values` reply to `self` (a `QueryBatch`) carrying one entry
+    /// per queried device, in request order.
+    #[must_use]
+    pub fn reply_values(&self, entries: &[Result<Value, String>]) -> Self {
+        Envelope::new(
+            MessageKind::Values,
+            self.span,
+            self.seq,
+            "",
+            "",
+            encode_values(entries),
+        )
+        .at(self.now)
     }
 
     /// An error reply to `self` carrying `message`.
@@ -384,6 +415,131 @@ impl Envelope {
     }
 }
 
+/// Encodes the device names of a `QueryBatch` payload: a 4-byte count,
+/// then each name with a 2-byte length.
+///
+/// # Errors
+///
+/// Returns [`FrameError::Oversized`] when a name exceeds its 2-byte
+/// length field.
+pub fn encode_query_batch<'a>(
+    devices: impl IntoIterator<Item = &'a str>,
+) -> Result<Vec<u8>, FrameError> {
+    let mut out = vec![0; 4];
+    let mut count: u32 = 0;
+    for device in devices {
+        let len = u16::try_from(device.len()).map_err(|_| FrameError::Oversized {
+            len: device.len(),
+            max: usize::from(u16::MAX),
+        })?;
+        out.extend_from_slice(&len.to_be_bytes());
+        out.extend_from_slice(device.as_bytes());
+        count += 1;
+    }
+    out[..4].copy_from_slice(&count.to_be_bytes());
+    Ok(out)
+}
+
+/// Encoded size of one device name in a `QueryBatch` payload.
+pub(crate) fn query_batch_entry_len(device: &str) -> usize {
+    2 + device.len()
+}
+
+/// Decodes the device names of a `QueryBatch` payload, borrowing them
+/// from `payload`.
+///
+/// # Errors
+///
+/// Returns [`FrameError::Truncated`] when the payload ends early,
+/// [`FrameError::BadString`] on a name that is not UTF-8, and
+/// [`FrameError::TrailingBytes`] when bytes follow the last name.
+pub fn decode_query_batch(payload: &[u8]) -> Result<Vec<&str>, FrameError> {
+    let mut cursor = Cursor {
+        body: payload,
+        at: 0,
+    };
+    let count = cursor.u32()? as usize;
+    // A forged count must not size the allocation: each name is at
+    // least its 2-byte length.
+    let mut devices = Vec::with_capacity(count.min(payload.len() / 2));
+    for _ in 0..count {
+        let len = usize::from(u16::from_be_bytes(
+            cursor.bytes(2)?.try_into().expect("2 bytes"),
+        ));
+        let name = std::str::from_utf8(cursor.bytes(len)?).map_err(|_| FrameError::BadString)?;
+        devices.push(name);
+    }
+    cursor.finish()?;
+    Ok(devices)
+}
+
+/// Encodes the entries of a `Values` payload: a 4-byte count, then per
+/// entry a tag byte (`0` value, `1` error) and a 4-byte-length body —
+/// the JSON-encoded value or the UTF-8 error message.
+#[must_use]
+pub fn encode_values(entries: &[Result<Value, String>]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + entries.len() * 10);
+    out.extend_from_slice(
+        &u32::try_from(entries.len())
+            .unwrap_or(u32::MAX)
+            .to_be_bytes(),
+    );
+    for entry in entries {
+        let encoded;
+        let (tag, body) = match entry {
+            Ok(value) => match serde_json::to_string(value) {
+                Ok(json) => {
+                    encoded = json;
+                    (0, encoded.as_bytes())
+                }
+                // A value JSON cannot carry becomes that entry's error.
+                Err(e) => {
+                    encoded = e.to_string();
+                    (1, encoded.as_bytes())
+                }
+            },
+            Err(message) => (1, message.as_bytes()),
+        };
+        out.push(tag);
+        out.extend_from_slice(&u32::try_from(body.len()).unwrap_or(u32::MAX).to_be_bytes());
+        out.extend_from_slice(body);
+    }
+    out
+}
+
+/// Decodes the entries of a `Values` payload.
+///
+/// # Errors
+///
+/// Returns [`FrameError::Truncated`] when the payload ends early,
+/// [`FrameError::BadPayload`] on an unknown tag or a value that is not
+/// JSON for a `Value`, [`FrameError::BadString`] on an error message
+/// that is not UTF-8, and [`FrameError::TrailingBytes`] when bytes
+/// follow the last entry.
+pub fn decode_values(payload: &[u8]) -> Result<Vec<Result<Value, String>>, FrameError> {
+    let mut cursor = Cursor {
+        body: payload,
+        at: 0,
+    };
+    let count = cursor.u32()? as usize;
+    // Each entry is at least its tag and its 4-byte length.
+    let mut entries = Vec::with_capacity(count.min(payload.len() / 5));
+    for _ in 0..count {
+        let tag = cursor.u8()?;
+        let len = cursor.u32()? as usize;
+        let body = cursor.bytes(len)?;
+        entries.push(match tag {
+            0 => Ok(serde_json::from_slice(body).map_err(|_| FrameError::BadPayload)?),
+            1 => Err(std::str::from_utf8(body)
+                .map_err(|_| FrameError::BadString)?
+                .to_owned()),
+            _ => return Err(FrameError::BadPayload),
+        });
+    }
+    cursor.finish()?;
+    Ok(entries)
+}
+
 /// Maps an I/O error to the transport vocabulary: a passed read/write
 /// deadline (a stalled peer) is [`TransportError::Timeout`], everything
 /// else [`TransportError::Io`].
@@ -400,8 +556,8 @@ struct Cursor<'a> {
     at: usize,
 }
 
-impl Cursor<'_> {
-    fn bytes(&mut self, n: usize) -> Result<&[u8], FrameError> {
+impl<'a> Cursor<'a> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
         let end = self.at.checked_add(n).ok_or(FrameError::Truncated {
             expected: usize::MAX,
             got: self.body.len(),
@@ -431,6 +587,13 @@ impl Cursor<'_> {
         Ok(u64::from_be_bytes(
             self.bytes(8)?.try_into().expect("8 bytes"),
         ))
+    }
+
+    fn finish(&self) -> Result<(), FrameError> {
+        match self.body.len() - self.at {
+            0 => Ok(()),
+            extra => Err(FrameError::TrailingBytes(extra)),
+        }
     }
 
     fn string(&mut self) -> Result<String, FrameError> {

@@ -14,14 +14,30 @@
 //! 5. `decode_frame` never panics on corrupted input — any single bit
 //!    flip yields a clean `Ok`/`Err`, and a stream cut mid-frame
 //!    surfaces as an error, never a silent clean-EOF.
+//! 6. The batch payloads (`QueryBatch` names, `Values` entries)
+//!    round-trip — the empty list, error entries and non-ASCII names
+//!    included — and arbitrary bytes decode to a clean `Err` or `Ok`,
+//!    never a panic.
+//! 7. A poll sweep whose names outgrow one frame splits into several
+//!    `QueryBatch` exchanges, each within `MAX_FRAME`, and every member
+//!    is still answered, in order.
 
-use diaspec_runtime::transport::{Envelope, FrameError, MessageKind, TransportError, MAX_FRAME};
+use diaspec_runtime::deploy::{EdgeRuntime, Link, RemoteDeviceProxy};
+use diaspec_runtime::entity::{AttributeMap, BindingTime, DeviceInstance};
+use diaspec_runtime::error::DeviceError;
+use diaspec_runtime::registry::Registry;
+use diaspec_runtime::transport::{
+    decode_query_batch, decode_values, encode_query_batch, encode_values, Envelope, FrameError,
+    MessageKind, Transport, TransportError, TransportStats, MAX_FRAME,
+};
+use diaspec_runtime::value::Value;
 use diaspec_runtime::SpanCtx;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 // ---- generators ---------------------------------------------------------------
 
-const KINDS: [MessageKind; 9] = [
+const KINDS: [MessageKind; 11] = [
     MessageKind::Hello,
     MessageKind::Query,
     MessageKind::Invoke,
@@ -31,6 +47,8 @@ const KINDS: [MessageKind; 9] = [
     MessageKind::Value,
     MessageKind::Error,
     MessageKind::Bye,
+    MessageKind::QueryBatch,
+    MessageKind::Values,
 ];
 
 fn envelope() -> impl Strategy<Value = Envelope> {
@@ -118,7 +136,7 @@ proptest! {
     }
 
     #[test]
-    fn unknown_kind_bytes_are_rejected(env in envelope(), kind in 9u8..255) {
+    fn unknown_kind_bytes_are_rejected(env in envelope(), kind in 11u8..255) {
         let mut frame = env.encode_frame().expect("within bounds");
         frame[4] = kind;
         prop_assert_eq!(
@@ -162,6 +180,168 @@ proptest! {
             Err(TransportError::Io(_))
         ));
     }
+}
+
+// ---- batch payloads -----------------------------------------------------------
+
+/// A `Values` entry: a reading or an error message.
+fn reply_entry() -> impl Strategy<Value = Result<Value, String>> {
+    (any::<bool>(), any::<i64>(), ".{0,24}").prop_map(|(ok, n, message)| {
+        if ok {
+            Ok(Value::Int(n))
+        } else {
+            Err(message)
+        }
+    })
+}
+
+proptest! {
+    #[test]
+    fn query_batch_names_round_trip(names in proptest::collection::vec(".{0,24}", 0..40)) {
+        let payload = encode_query_batch(names.iter().map(String::as_str))
+            .expect("short names fit");
+        let back = decode_query_batch(&payload).expect("own encoding decodes");
+        prop_assert_eq!(back, names.iter().map(String::as_str).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn values_entries_round_trip(entries in proptest::collection::vec(reply_entry(), 0..40)) {
+        let payload = encode_values(&entries);
+        prop_assert_eq!(decode_values(&payload).expect("own encoding decodes"), entries);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_batch_decoders(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // Whatever a peer (or a corrupting link) puts in a batch payload
+        // comes back as a return value.
+        let _ = decode_query_batch(&bytes);
+        let _ = decode_values(&bytes);
+    }
+}
+
+#[test]
+fn batch_payload_edge_cases_round_trip() {
+    let empty = encode_query_batch([]).expect("empty list");
+    assert_eq!(decode_query_batch(&empty), Ok(Vec::new()));
+    let names = ["présence-Ä22-0", "パネル-1", ""];
+    let payload = encode_query_batch(names).expect("fits");
+    assert_eq!(decode_query_batch(&payload), Ok(names.to_vec()));
+    let entries = vec![
+        Ok(Value::Bool(true)),
+        Err("node edge0 hosts no device `x`".to_owned()),
+        Ok(Value::Str("Lüneburg".into())),
+    ];
+    assert_eq!(decode_values(&encode_values(&entries)), Ok(entries));
+    assert_eq!(decode_values(&encode_values(&[])), Ok(Vec::new()));
+    // A forged count is refused without sizing an allocation by it.
+    assert!(decode_query_batch(&u32::MAX.to_be_bytes()).is_err());
+    assert!(decode_values(&u32::MAX.to_be_bytes()).is_err());
+    // An unknown entry tag and a trailing byte are refused.
+    let mut bad_tag = encode_values(&[Ok(Value::Int(1))]);
+    bad_tag[4] = 7;
+    assert_eq!(decode_values(&bad_tag), Err(FrameError::BadPayload));
+    let mut trailing = encode_query_batch(["a"]).expect("fits");
+    trailing.push(0);
+    assert_eq!(
+        decode_query_batch(&trailing),
+        Err(FrameError::TrailingBytes(1))
+    );
+}
+
+/// Loops a link into an edge runtime and records every frame's encoded
+/// size and kind.
+struct Recorded {
+    edge: Arc<Mutex<EdgeRuntime>>,
+    frames: Arc<Mutex<Vec<(MessageKind, usize)>>>,
+}
+
+impl Transport for Recorded {
+    fn backend(&self) -> &'static str {
+        "recorded"
+    }
+    fn peer(&self) -> &str {
+        "edge0"
+    }
+    fn exchange(&mut self, envelope: &Envelope) -> Result<Envelope, TransportError> {
+        let frame = envelope.encode_frame().map_err(TransportError::Frame)?;
+        self.frames
+            .lock()
+            .expect("frames lock")
+            .push((envelope.kind, frame.len() - 4));
+        let reply = self
+            .edge
+            .lock()
+            .expect("edge lock")
+            .handle(&Envelope::decode_frame(&frame).map_err(TransportError::Frame)?)
+            .ok_or(TransportError::Closed)?;
+        reply.encode_frame().map_err(TransportError::Frame)?;
+        Ok(reply)
+    }
+    fn stats(&self) -> TransportStats {
+        TransportStats::default()
+    }
+}
+
+#[test]
+fn a_sweep_of_long_names_splits_into_frames_within_max_frame() {
+    const MEMBERS: usize = 300;
+    const NAME_BYTES: usize = 60 * 1024;
+    let spec = Arc::new(
+        diaspec_core::compile_str("device D { source s as Integer; }").expect("spec compiles"),
+    );
+    let name = |i: usize| format!("{i:05}-{}", "n".repeat(NAME_BYTES - 6));
+    let mut edge = EdgeRuntime::new("edge0");
+    for i in 0..MEMBERS {
+        let reading = i64::try_from(i).expect("small");
+        edge.add_device(
+            name(i),
+            Box::new(move |_: &str, _: u64| Ok::<_, DeviceError>(Value::Int(reading))),
+        );
+    }
+    let frames = Arc::new(Mutex::new(Vec::new()));
+    let link = Link::new(Recorded {
+        edge: Arc::new(Mutex::new(edge)),
+        frames: Arc::clone(&frames),
+    });
+    let mut registry = Registry::new(spec);
+    for i in 0..MEMBERS {
+        let proxy: Box<dyn DeviceInstance> =
+            Box::new(RemoteDeviceProxy::new(name(i), Arc::clone(&link)));
+        registry
+            .bind(
+                name(i).into(),
+                "D",
+                AttributeMap::new(),
+                proxy,
+                BindingTime::Deployment,
+                0,
+            )
+            .expect("binds");
+    }
+    let readings = registry.poll("D", "s", None, 1_000);
+    let values: Vec<i64> = readings
+        .iter()
+        .map(|r| r.value.as_int().expect("an integer"))
+        .collect();
+    assert_eq!(
+        values,
+        (0..300).collect::<Vec<i64>>(),
+        "every member, in order"
+    );
+    let frames = frames.lock().expect("frames lock");
+    assert!(
+        frames.len() > 1,
+        "{} names of 60 KB need several frames",
+        MEMBERS
+    );
+    assert!(frames
+        .iter()
+        .all(|&(kind, len)| kind == MessageKind::QueryBatch && len <= MAX_FRAME));
+    // A frame only ends where the next name would not have fitted.
+    let fitting = MAX_FRAME / (NAME_BYTES + 2);
+    assert_eq!(frames.len(), MEMBERS.div_ceil(fitting));
 }
 
 // ---- size extremes ------------------------------------------------------------

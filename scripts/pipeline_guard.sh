@@ -49,6 +49,11 @@
 #    shows up as the hour in milliseconds elsewhere in diaspec-core, and a
 #    parser of its rendered endpoints as `endpoint_device` or `split('.')`
 #    in analysis/deployment.rs.
+# 9. One checked wire: an edge decodes every request payload it acts on
+#    (`Invoke` arguments, `QueryBatch` names) and answers a malformed one
+#    with an `Error` naming the node, without calling a driver. A payload
+#    read that falls back to a default instead shows up as
+#    `unwrap_or_default` under crates/diaspec-runtime/src/deploy/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -219,3 +224,12 @@ if grep -nE "fn endpoint_device|split\('\.'\)" crates/diaspec-core/src/analysis/
     exit 1
 fi
 echo "ok: one load model (msg/h derived only in $RATES, no endpoint parser in W0602)"
+
+DEPLOY_RT=crates/diaspec-runtime/src/deploy
+if grep -rn 'unwrap_or_default' "$DEPLOY_RT"; then
+    echo "FAIL: a wire payload is read with a default fallback under $DEPLOY_RT (lines" >&2
+    echo "above): decode it and answer a malformed one with an Error naming the node," >&2
+    echo "calling no driver." >&2
+    exit 1
+fi
+echo "ok: one checked wire (no unwrap_or_default under $DEPLOY_RT)"
