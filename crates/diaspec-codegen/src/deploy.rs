@@ -152,6 +152,11 @@ pub struct ManifestRoute {
     pub to_node: String,
     /// Consuming component or device.
     pub to: String,
+    /// The device member the route uses — the source a device route
+    /// reads or the action a `do ... on` route invokes; `null` between
+    /// two components (and in manifests written before it was named).
+    #[serde(default)]
+    pub member: Option<String>,
 }
 
 /// The machine-readable deployment manifest (`manifest.json`).
@@ -393,6 +398,7 @@ pub fn plan_deployment(spec: &CheckedSpec, options: &DeployOptions) -> Result<De
             from: r.from.1.clone(),
             to_node: r.to.0.clone(),
             to: r.to.1.clone(),
+            member: r.member.clone(),
         })
         .collect();
     let warnings = report

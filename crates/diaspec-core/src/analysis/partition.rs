@@ -54,6 +54,10 @@ pub struct CutRoute {
     pub from: (String, String),
     /// Consuming side: `(node, component-or-device)`.
     pub to: (String, String),
+    /// The device member the route uses: the source a device route reads
+    /// or the action a `do ... on` route invokes. `None` between two
+    /// components.
+    pub member: Option<String>,
 }
 
 /// The result of validating one plan.
@@ -74,10 +78,12 @@ impl PartitionReport {
     }
 }
 
-/// One directed dataflow route, with the span of the consuming clause.
+/// One directed dataflow route, with the device member it uses (see
+/// [`CutRoute::member`]) and the span of the consuming clause.
 struct Route<'a> {
     from: &'a str,
     to: &'a str,
+    member: Option<&'a str>,
     span: Span,
 }
 
@@ -187,6 +193,7 @@ pub fn validate(spec: &CheckedSpec, plan: &PartitionPlan) -> PartitionReport {
                     cut_routes.push(CutRoute {
                         from: (from_node.to_string(), route.from.to_string()),
                         to: (to_node.to_string(), route.to.to_string()),
+                        member: route.member.map(str::to_owned),
                     });
                     continue;
                 }
@@ -267,28 +274,32 @@ fn routes(spec: &CheckedSpec) -> impl Iterator<Item = Route<'_>> {
     let context_routes = spec.contexts().flat_map(|context| {
         context.activations.iter().flat_map(move |activation| {
             let trigger = match &activation.trigger {
-                ActivationTrigger::DeviceSource { device, .. }
-                | ActivationTrigger::Periodic { device, .. } => Some(Route {
+                ActivationTrigger::DeviceSource { device, source }
+                | ActivationTrigger::Periodic { device, source, .. } => Some(Route {
                     from: device,
                     to: &context.name,
+                    member: Some(source),
                     span: activation.span,
                 }),
                 ActivationTrigger::Context(name) => Some(Route {
                     from: name,
                     to: &context.name,
+                    member: None,
                     span: activation.span,
                 }),
                 ActivationTrigger::OnDemand => None,
             };
             let gets = activation.gets.iter().map(move |get| match get {
-                InputRef::DeviceSource { device, .. } => Route {
+                InputRef::DeviceSource { device, source } => Route {
                     from: device,
                     to: &context.name,
+                    member: Some(source),
                     span: activation.span,
                 },
                 InputRef::Context(name) => Route {
                     from: name,
                     to: &context.name,
+                    member: None,
                     span: activation.span,
                 },
             });
@@ -300,17 +311,20 @@ fn routes(spec: &CheckedSpec) -> impl Iterator<Item = Route<'_>> {
             let trigger = Route {
                 from: &binding.context,
                 to: &controller.name,
+                member: None,
                 span: binding.context_span,
             };
-            let actions = binding
-                .actions
-                .iter()
-                .enumerate()
-                .map(move |(index, (_, device))| Route {
-                    from: &controller.name,
-                    to: device,
-                    span: binding.action_span(index),
-                });
+            let actions =
+                binding
+                    .actions
+                    .iter()
+                    .enumerate()
+                    .map(move |(index, (action, device))| Route {
+                        from: &controller.name,
+                        to: device,
+                        member: Some(action),
+                        span: binding.action_span(index),
+                    });
             std::iter::once(trigger).chain(actions)
         })
     });
@@ -355,6 +369,41 @@ mod tests {
             .cut_routes
             .iter()
             .all(|r| r.from.0 == "coordinator" || r.to.0 == "coordinator"));
+    }
+
+    #[test]
+    fn two_actions_on_one_device_are_two_distinguishable_cut_routes() {
+        let spec = compile_str(
+            r#"
+            device Sensor { source motion as Boolean; }
+            device Light { action setOn; action setOff; }
+            context Presence as Boolean { when provided motion from Sensor always publish; }
+            controller Lights { when provided Presence do setOn on Light do setOff on Light; }
+            "#,
+        )
+        .unwrap();
+        let plan = PartitionPlan {
+            coordinator: "coordinator".into(),
+            nodes: vec![
+                node("coordinator", &["Presence", "Lights"], &[]),
+                node("edge0", &[], &["Sensor", "Light"]),
+            ],
+        };
+        let report = validate(&spec, &plan);
+        assert!(report.is_deployable(), "{:?}", report.diagnostics);
+        let to_light: Vec<Option<&str>> = report
+            .cut_routes
+            .iter()
+            .filter(|r| r.to.1 == "Light")
+            .map(|r| r.member.as_deref())
+            .collect();
+        assert_eq!(to_light, [Some("setOn"), Some("setOff")]);
+        let from_sensor = report.cut_routes.iter().find(|r| r.from.1 == "Sensor");
+        assert_eq!(from_sensor.unwrap().member.as_deref(), Some("motion"));
+        // Every route is distinct once the member is named.
+        for (i, a) in report.cut_routes.iter().enumerate() {
+            assert!(report.cut_routes[i + 1..].iter().all(|b| a != b), "{a:?}");
+        }
     }
 
     #[test]

@@ -35,11 +35,13 @@
 
 mod api;
 mod deliver;
+mod design;
 mod telemetry;
 
 pub use api::{ContextApi, ControllerApi, ProcessApi};
 
-use self::deliver::{Event, RouteTable};
+use self::deliver::Event;
+use self::design::Design;
 use crate::clock::{EventQueue, SimTime};
 use crate::component::{ContainedError, ContextLogic, ControllerLogic, MapReduceLogic};
 use crate::entity::{AttributeMap, BindingTime, DeviceInstance, EntityId};
@@ -53,7 +55,7 @@ use crate::spans::{SpanCtx, SpanEvent};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::{SimTransport, TransportConfig};
 use crate::value::Value;
-use diaspec_core::model::{ActivationTrigger, CheckedSpec, QualityBudget};
+use diaspec_core::model::{ActivationTrigger, CheckedSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -91,6 +93,8 @@ pub enum Phase {
     Launched,
 }
 
+/// A context's mutable slot, indexed by its id in the compiled design.
+#[derive(Default)]
 struct ContextRuntime {
     logic: Option<Box<dyn ContextLogic>>,
     map_reduce: Option<Arc<dyn MapReduceLogic>>,
@@ -106,6 +110,8 @@ struct WindowBuffer {
     deadline: SimTime,
 }
 
+/// A controller's mutable slot, indexed by its id.
+#[derive(Default)]
 struct ControllerRuntime {
     logic: Option<Box<dyn ControllerLogic>>,
 }
@@ -189,8 +195,11 @@ pub struct Orchestrator {
     queue: EventQueue<Event>,
     transport: SimTransport,
     metrics: RuntimeMetrics,
-    contexts: BTreeMap<String, ContextRuntime>,
-    controllers: BTreeMap<String, ControllerRuntime>,
+    /// The checked spec compiled to dense ids and tables, shared so a
+    /// stage can borrow names and routes while it mutates the engine.
+    design: Arc<Design>,
+    contexts: Vec<ContextRuntime>,
+    controllers: Vec<ControllerRuntime>,
     processes: Vec<ProcessSlot>,
     phase: Phase,
     processing: ProcessingMode,
@@ -201,15 +210,6 @@ pub struct Orchestrator {
     /// The bounded trace buffer; enabled by [`Orchestrator::set_tracing`].
     trace: Ring<TraceEvent>,
     obs: ObsHub,
-    /// Precomputed subscription routes (stage 2 of the delivery
-    /// pipeline), shared so fan-out can iterate while scheduling.
-    routes: Arc<RouteTable>,
-    /// Per-context QoS latency budgets (ms), from `@qos(latencyMs = N)`.
-    qos_budgets: BTreeMap<String, u64>,
-    /// Per-context batch quality budgets, from `@quality(coverage = N,
-    /// deadlineMs = M)`. Contexts without the annotation expect complete
-    /// (100 %) coverage and have no deadline.
-    quality_budgets: BTreeMap<String, QualityBudget>,
     /// Seeded fault injector, when fault injection is enabled.
     faults: Option<FaultInjector>,
     /// Recovery machinery configuration (leases, delivery retry).
@@ -231,41 +231,21 @@ impl Orchestrator {
     /// Creates an orchestrator with a configured simulated transport.
     #[must_use]
     pub fn with_transport(spec: Arc<CheckedSpec>, transport: TransportConfig) -> Self {
-        let contexts = spec
-            .contexts()
-            .map(|c| {
-                (
-                    c.name.clone(),
-                    ContextRuntime {
-                        logic: None,
-                        map_reduce: None,
-                        last_value: None,
-                        windows: BTreeMap::new(),
-                    },
-                )
-            })
-            .collect();
-        let controllers = spec
-            .controllers()
-            .map(|c| (c.name.clone(), ControllerRuntime { logic: None }))
-            .collect();
-        let qos_budgets = spec
-            .contexts()
-            .filter_map(|ctx| Some((ctx.name.clone(), ctx.qos_latency_ms()?)))
-            .collect();
-        let quality_budgets = spec
-            .contexts()
-            .filter_map(|ctx| Some((ctx.name.clone(), ctx.quality()?)))
-            .collect();
-        let routes = Arc::new(RouteTable::build(&spec));
+        let registry = Registry::new(Arc::clone(&spec));
+        let design = Design::build(&spec, registry.device_types().clone());
         Orchestrator {
-            registry: Registry::new(Arc::clone(&spec)),
+            contexts: design.contexts.ids().map(|_| Default::default()).collect(),
+            controllers: design
+                .controllers
+                .ids()
+                .map(|_| Default::default())
+                .collect(),
+            design: Arc::new(design),
+            registry,
             spec,
             queue: EventQueue::new(),
             transport: SimTransport::new(transport),
             metrics: RuntimeMetrics::default(),
-            contexts,
-            controllers,
             processes: Vec::new(),
             phase: Phase::Configuration,
             processing: ProcessingMode::default(),
@@ -273,9 +253,6 @@ impl Orchestrator {
             errors_dropped: 0,
             trace: Ring::new(TRACE_CAP, false),
             obs: ObsHub::new(),
-            routes,
-            qos_budgets,
-            quality_budgets,
             faults: None,
             recovery: RecoveryConfig::default(),
             span_cursor: SpanCtx::NONE,
@@ -521,7 +498,8 @@ impl Orchestrator {
     /// The last value published or computed by `context`, if any.
     #[must_use]
     pub fn last_value(&self, context: &str) -> Option<&Value> {
-        self.contexts.get(context)?.last_value.as_deref()
+        let id = self.design.contexts.id(context)?;
+        self.contexts[id as usize].last_value.as_deref()
     }
 
     /// Removes and returns all errors contained since the last call.
@@ -635,59 +613,55 @@ impl Orchestrator {
                 "application is already launched".to_owned(),
             ));
         }
-        for (name, runtime) in &self.contexts {
+        let design = Arc::clone(&self.design);
+        for (id, runtime) in design.contexts.ids().zip(&self.contexts) {
+            let name = design.contexts.name(id);
             if runtime.logic.is_none() {
                 return Err(RuntimeError::Configuration(format!(
                     "context `{name}` has no logic registered"
                 )));
             }
-            let declared_mr = self.spec.context(name).is_some_and(|c| c.uses_map_reduce());
-            if declared_mr && runtime.map_reduce.is_none() {
+            if design.context(id).map_reduce && runtime.map_reduce.is_none() {
                 return Err(RuntimeError::Configuration(format!(
                     "context `{name}` declares MapReduce phases but none were registered"
                 )));
             }
         }
-        for (name, runtime) in &self.controllers {
+        for (id, runtime) in design.controllers.ids().zip(&self.controllers) {
             if runtime.logic.is_none() {
                 return Err(RuntimeError::Configuration(format!(
-                    "controller `{name}` has no logic registered"
+                    "controller `{}` has no logic registered",
+                    design.controllers.name(id)
                 )));
             }
         }
 
-        // Schedule periodic polls and initialize aggregation windows.
+        // Schedule periodic polls and initialize aggregation windows. The
+        // spec enumerates contexts in name order, which is id order.
         let now = self.queue.now();
-        let mut to_schedule = Vec::new();
-        for ctx in self.spec.contexts() {
+        for (ctx, context) in self.spec.contexts().zip(0u32..) {
             for (idx, activation) in ctx.activations.iter().enumerate() {
-                if let ActivationTrigger::Periodic { period_ms, .. } = activation.trigger {
-                    to_schedule.push((ctx.name.clone(), idx, period_ms));
-                    if let Some(window_ms) = activation.grouping.as_ref().and_then(|g| g.window_ms)
-                    {
-                        self.contexts
-                            .get_mut(&ctx.name)
-                            .expect("context exists")
-                            .windows
-                            .insert(
-                                idx,
-                                WindowBuffer {
-                                    readings: Vec::new(),
-                                    deadline: now + window_ms,
-                                },
-                            );
-                    }
+                let ActivationTrigger::Periodic { period_ms, .. } = activation.trigger else {
+                    continue;
+                };
+                if let Some(window_ms) = activation.grouping.as_ref().and_then(|g| g.window_ms) {
+                    let deadline = now + window_ms;
+                    self.contexts[context as usize].windows.insert(
+                        idx,
+                        WindowBuffer {
+                            readings: Vec::new(),
+                            deadline,
+                        },
+                    );
                 }
+                self.queue.schedule(
+                    now + period_ms,
+                    Event::PeriodicPoll {
+                        context,
+                        activation_idx: idx,
+                    },
+                );
             }
-        }
-        for (context, activation_idx, period_ms) in to_schedule {
-            self.queue.schedule(
-                now + period_ms,
-                Event::PeriodicPoll {
-                    context,
-                    activation_idx,
-                },
-            );
         }
 
         // Install the fault plan's clock-driven faults and the lease sweep.

@@ -11,6 +11,7 @@
 
 use crate::clock::SimTime;
 use crate::component::{ContextLogic, ControllerLogic, MapReduceLogic};
+use crate::engine::design::Design;
 use crate::engine::Orchestrator;
 use crate::entity::{AttributeMap, DeviceInstance, EntityId};
 use crate::error::RuntimeError;
@@ -33,13 +34,15 @@ impl Orchestrator {
         name: &str,
         logic: impl ContextLogic + 'static,
     ) -> Result<(), RuntimeError> {
-        let runtime = self
+        let id = self
+            .design
             .contexts
-            .get_mut(name)
+            .id(name)
             .ok_or_else(|| RuntimeError::Unknown {
                 kind: "context",
                 name: name.to_owned(),
             })?;
+        let runtime = &mut self.contexts[id as usize];
         if runtime.logic.is_some() {
             return Err(RuntimeError::Configuration(format!(
                 "context `{name}` already has logic registered"
@@ -62,20 +65,20 @@ impl Orchestrator {
         name: &str,
         logic: impl MapReduceLogic + 'static,
     ) -> Result<(), RuntimeError> {
-        let declared = self
-            .spec
-            .context(name)
+        let id = self
+            .design
+            .contexts
+            .id(name)
             .ok_or_else(|| RuntimeError::Unknown {
                 kind: "context",
                 name: name.to_owned(),
-            })?
-            .uses_map_reduce();
-        if !declared {
+            })?;
+        if !self.design.context(id).map_reduce {
             return Err(RuntimeError::Configuration(format!(
                 "context `{name}` declares no `with map ... reduce ...` clause"
             )));
         }
-        let runtime = self.contexts.get_mut(name).expect("checked above");
+        let runtime = &mut self.contexts[id as usize];
         if runtime.map_reduce.is_some() {
             return Err(RuntimeError::Configuration(format!(
                 "context `{name}` already has MapReduce phases registered"
@@ -96,13 +99,15 @@ impl Orchestrator {
         name: &str,
         logic: impl ControllerLogic + 'static,
     ) -> Result<(), RuntimeError> {
-        let runtime = self
+        let id = self
+            .design
             .controllers
-            .get_mut(name)
+            .id(name)
             .ok_or_else(|| RuntimeError::Unknown {
                 kind: "controller",
                 name: name.to_owned(),
             })?;
+        let runtime = &mut self.controllers[id as usize];
         if runtime.logic.is_some() {
             return Err(RuntimeError::Configuration(format!(
                 "controller `{name}` already has logic registered"
@@ -137,30 +142,6 @@ impl Orchestrator {
             a.gets
                 .iter()
                 .any(|g| matches!(g, InputRef::Context(c) if c == target))
-        })
-    }
-
-    /// Whether `controller` declares `do action on device` (allowing the
-    /// concrete device to be a subtype of the declared one).
-    fn controller_declares_action(&self, controller: &str, device: &str, action: &str) -> bool {
-        let Some(ctrl) = self.spec.controller(controller) else {
-            return false;
-        };
-        ctrl.bindings.iter().any(|b| {
-            b.actions
-                .iter()
-                .any(|(a, d)| a == action && self.spec.device_is_subtype(device, d))
-        })
-    }
-
-    pub(crate) fn controller_declares_device(&self, controller: &str, device: &str) -> bool {
-        let Some(ctrl) = self.spec.controller(controller) else {
-            return false;
-        };
-        ctrl.bindings.iter().any(|b| {
-            b.actions.iter().any(|(_, d)| {
-                self.spec.device_is_subtype(device, d) || self.spec.device_is_subtype(d, device)
-            })
         })
     }
 }
@@ -302,6 +283,10 @@ impl ContextApi<'_> {
 /// ...` clauses, enforcing the Sense-Compute-Control layering at runtime.
 pub struct ControllerApi<'a> {
     pub(crate) engine: &'a mut Orchestrator,
+    /// The compiled design, held by the dispatching stage.
+    pub(crate) design: &'a Design,
+    /// The controller's id in the compiled design.
+    pub(crate) id: u32,
     pub(crate) controller: &'a str,
 }
 
@@ -328,10 +313,7 @@ impl ControllerApi<'_> {
         &self,
         device_type: &str,
     ) -> Result<crate::registry::DiscoveryQuery<'_>, RuntimeError> {
-        if !self
-            .engine
-            .controller_declares_device(self.controller, device_type)
-        {
+        if !self.design.addresses(self.id, device_type) {
             return Err(RuntimeError::ContractViolation {
                 component: self.controller.to_owned(),
                 message: format!("design declares no action on device `{device_type}`"),
@@ -353,38 +335,36 @@ impl ControllerApi<'_> {
         action: &str,
         args: &[Value],
     ) -> Result<(), RuntimeError> {
-        let device_type = self
-            .engine
-            .registry
-            .entity(entity)
-            .ok_or_else(|| RuntimeError::Unknown {
-                kind: "entity",
-                name: entity.to_string(),
-            })?
-            .device_type
-            .clone();
-        if !self
-            .engine
-            .controller_declares_action(self.controller, &device_type, action)
-        {
-            return Err(RuntimeError::ContractViolation {
-                component: self.controller.to_owned(),
-                message: format!("design declares no `do {action} on {device_type}`"),
-            });
-        }
+        let design = self.design;
         let now = self.engine.queue.now();
         // The actuate span nests inside the controller's open compute
         // span; a failed invocation abandons the scope unrecorded.
         let cursor = self.engine.span_cursor;
-        let actuate = self.engine.leaf(
-            cursor,
-            SpanStage::Actuate,
-            Some(Activity::Actuating),
-            || format!("{device_type}.{action}").into(),
-        );
+        let actuate = self
+            .engine
+            .leaf(cursor, SpanStage::Actuate, Some(Activity::Actuating));
         let fallbacks_before = self.engine.registry.stats().fallback_invocations;
-        self.engine.registry.invoke(entity, action, args, now)?;
-        self.engine.end(actuate);
+        // One entity lookup: the registry hands the bound device type to
+        // the declared-contract check before it validates the call.
+        let permits = |ty| {
+            if design.may_invoke(self.id, ty, action) {
+                return Ok(());
+            }
+            Err(RuntimeError::ContractViolation {
+                component: self.controller.to_owned(),
+                message: format!(
+                    "design declares no `do {action} on {}`",
+                    design.types.name(ty)
+                ),
+            })
+        };
+        let ty = self
+            .engine
+            .registry
+            .invoke_permitted(entity, action, args, now, permits)?;
+        let device_type = design.types.name(ty);
+        self.engine
+            .end_leaf(actuate, || format!("{device_type}.{action}").into());
         self.engine.metrics.actuations += 1;
         self.engine.note(|| TraceKind::Actuation {
             entity: entity.to_string(),
@@ -398,7 +378,7 @@ impl ControllerApi<'_> {
             let fallback = self
                 .engine
                 .spec
-                .device(&device_type)
+                .device(device_type)
                 .and_then(|device| device.error_policy().fallback)
                 .unwrap_or_default();
             self.engine.note(|| TraceKind::FallbackActuation {

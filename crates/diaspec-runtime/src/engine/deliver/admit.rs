@@ -23,6 +23,8 @@ use crate::trace::TraceKind;
 use crate::value::Value;
 use diaspec_core::model::PublishMode;
 
+use super::super::design::Design;
+
 use super::Event;
 
 impl Orchestrator {
@@ -46,28 +48,24 @@ impl Orchestrator {
         value: Value,
         index: Option<Value>,
     ) -> Result<(), RuntimeError> {
-        let info = self
-            .registry
-            .entity(entity)
-            .ok_or_else(|| RuntimeError::Unknown {
-                kind: "entity",
-                name: entity.to_string(),
-            })?;
-        let device = self
-            .spec
-            .device(&info.device_type)
-            .expect("bound entity has declared device");
-        if device.source(source).is_none() {
+        let device_type =
+            self.registry
+                .device_type_id(entity)
+                .ok_or_else(|| RuntimeError::Unknown {
+                    kind: "entity",
+                    name: entity.to_string(),
+                })?;
+        let Some(source) = self.design.source_of(device_type, source) else {
             return Err(RuntimeError::Unknown {
                 kind: "source",
-                name: format!("{source} on {}", info.device_type),
+                name: format!("{source} on {}", self.design.types.name(device_type)),
             });
-        }
+        };
         self.queue.schedule(
             at,
             Event::Emit {
                 entity: entity.clone(),
-                source: source.to_owned(),
+                source,
                 value: Payload::new(value),
                 index: index.map(Payload::new),
             },
@@ -81,27 +79,29 @@ impl Orchestrator {
     /// nested).
     pub(crate) fn dispatch_emit(
         &mut self,
+        design: &Design,
         entity: &EntityId,
-        source: &str,
+        source: u32,
         value: &Payload,
         index: Option<&Payload>,
     ) {
+        let source_name = design.sources.name(source);
         let root = self.flow(SpanCtx::NONE);
         let admit = self.begin(root, SpanStage::Admit, None, || {
-            format!("{entity}.{source}").into()
+            format!("{entity}.{source_name}").into()
         });
-        let device_type = self.admit_emission(entity, source);
+        let device_type = self.admit_emission(entity, source_name);
         let span = admit.ctx();
         self.end(admit);
         let Some(device_type) = device_type else {
             return;
         };
-        self.fan_out_emission(&device_type, entity, source, value, index, span);
+        self.fan_out_emission(device_type, entity, source, value, index, span);
     }
 
     /// Entry checks and bookkeeping for an emission; returns the emitting
     /// entity's concrete device type when the emission proceeds.
-    fn admit_emission(&mut self, entity: &EntityId, source: &str) -> Option<String> {
+    fn admit_emission(&mut self, entity: &EntityId, source: &str) -> Option<u32> {
         // A crashed device emits nothing until it restarts.
         if self.faults.is_some() && self.registry.is_crashed(entity) {
             return None;
@@ -112,8 +112,7 @@ impl Orchestrator {
             source: source.to_owned(),
         });
         // The entity may have been unbound between emission and dispatch.
-        let info = self.registry.entity(entity)?;
-        Some(info.device_type.clone())
+        self.registry.device_type_id(entity)
     }
 
     /// Enforces an activation's declared publish mode on its result.
@@ -121,64 +120,60 @@ impl Orchestrator {
     /// publication joins it ([`SpanCtx::NONE`] starts a fresh trace).
     pub(crate) fn handle_publication(
         &mut self,
-        context: &str,
+        design: &Design,
+        context: u32,
         mode: PublishMode,
         value: Option<Value>,
         span: SpanCtx,
     ) {
+        let violation = |message: &str| RuntimeError::ContractViolation {
+            component: design.contexts.name(context).to_owned(),
+            message: message.to_owned(),
+        };
         match (mode, value) {
             (PublishMode::Always, None) => {
-                self.contain(RuntimeError::ContractViolation {
-                    component: context.to_owned(),
-                    message: "activation declared `always publish` but produced no value"
-                        .to_owned(),
-                });
+                let error = violation("activation declared `always publish` but produced no value");
+                self.contain(error);
             }
             (PublishMode::No, Some(_)) => {
-                self.contain(RuntimeError::ContractViolation {
-                    component: context.to_owned(),
-                    message: "activation declared `no publish` but produced a value".to_owned(),
-                });
+                let error = violation("activation declared `no publish` but produced a value");
+                self.contain(error);
             }
             (PublishMode::Maybe, None) => {
                 self.metrics.publications_declined += 1;
             }
             (PublishMode::No, None) => {}
             (PublishMode::Always | PublishMode::Maybe, Some(value)) => {
-                self.publish(context, value, span);
+                self.publish(design, context, value, span);
             }
         }
     }
 
     /// Admits one context publication — conformance check, bookkeeping,
     /// last-value cache — then hands it to the route stage.
-    fn publish(&mut self, context: &str, value: Value, span: SpanCtx) {
-        let output_ty = match self.spec.context(context) {
-            Some(c) => c.output.clone(),
-            None => return,
-        };
-        if !value.conforms_to(&output_ty, &self.spec) {
+    fn publish(&mut self, design: &Design, context: u32, value: Value, span: SpanCtx) {
+        let name = design.contexts.name(context);
+        let output_ty = &design.context(context).output;
+        if !value.conforms_to(output_ty, &self.spec) {
             self.contain(RuntimeError::TypeMismatch {
-                at: format!("publication of context `{context}`"),
+                at: format!("publication of context `{name}`"),
                 expected: output_ty.to_string(),
                 found: value.to_string(),
             });
             return;
         }
         let flow = self.flow(span);
-        let admit = self.begin(flow, SpanStage::Admit, None, || context.into());
+        let admit = self.begin(flow, SpanStage::Admit, None, || name.into());
         let payload = Payload::new(value);
         self.metrics.publications += 1;
         self.note(|| TraceKind::Publication {
-            context: context.to_owned(),
+            context: name.to_owned(),
             value: payload.to_string(),
         });
-        if let Some(runtime) = self.contexts.get_mut(context) {
-            runtime.last_value = Some(payload.clone());
-        }
+        self.contexts[context as usize].last_value = Some(payload.clone());
         let ctx = admit.ctx();
         self.end(admit);
-        self.fan_out_publication(context, &payload, ctx);
+        self.fan_out_publication(design, context, &payload, ctx);
     }
 }
 

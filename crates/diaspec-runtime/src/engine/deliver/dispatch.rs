@@ -14,6 +14,7 @@
 use crate::component::{
     BatchData, ContextActivation, ContextLogic, ControllerLogic, MapReduceLogic,
 };
+use crate::engine::design::Design;
 use crate::engine::{ContextApi, ControllerApi, Orchestrator, ProcessApi, ProcessingMode};
 use crate::error::RuntimeError;
 use crate::fault::{FaultInjector, FaultKind};
@@ -26,6 +27,7 @@ use crate::value::Value;
 use diaspec_core::model::{ActivationTrigger, InputRef};
 use diaspec_mapreduce::{ExecutionStats, Job, MapCollector, MapReduce, ReduceCollector, TaskError};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use super::Event;
@@ -33,13 +35,16 @@ use super::Event;
 impl Orchestrator {
     /// Consumes one due event.
     pub(crate) fn dispatch(&mut self, event: Event) {
+        // Names are borrowed from the compiled design, held by a handle
+        // while the engine is mutated.
+        let design = Arc::clone(&self.design);
         match event {
             Event::Emit {
                 entity,
                 source,
                 value,
                 index,
-            } => self.dispatch_emit(&entity, &source, &value, index.as_ref()),
+            } => self.dispatch_emit(&design, &entity, source, &value, index.as_ref()),
             Event::SourceDeliver {
                 context,
                 entity,
@@ -50,16 +55,17 @@ impl Orchestrator {
                 activation_idx,
                 span,
             } => {
-                let arrival =
-                    self.begin(span, SpanStage::Dispatch, None, || context.as_str().into());
+                let arrival = self.begin(span, SpanStage::Dispatch, None, || {
+                    design.contexts.name(context).into()
+                });
                 let input = ContextActivation::SourceEvent {
-                    device_type: &device_type,
+                    device_type: design.types.name(device_type),
                     entity: &entity,
-                    source: &source,
+                    source: design.sources.name(source),
                     value: &value,
                     index: index.as_deref(),
                 };
-                self.activate_context(&context, activation_idx, input, arrival.ctx());
+                self.activate_context(&design, context, activation_idx, input, arrival.ctx());
                 self.end(arrival);
             }
             Event::ContextDeliver {
@@ -69,13 +75,14 @@ impl Orchestrator {
                 activation_idx,
                 span,
             } => {
-                let arrival =
-                    self.begin(span, SpanStage::Dispatch, None, || context.as_str().into());
+                let arrival = self.begin(span, SpanStage::Dispatch, None, || {
+                    design.contexts.name(context).into()
+                });
                 let input = ContextActivation::ContextEvent {
-                    context: &from,
+                    context: design.contexts.name(from),
                     value: &value,
                 };
-                self.activate_context(&context, activation_idx, input, arrival.ctx());
+                self.activate_context(&design, context, activation_idx, input, arrival.ctx());
                 self.end(arrival);
             }
             Event::ControllerDeliver {
@@ -85,29 +92,30 @@ impl Orchestrator {
                 span,
             } => {
                 let arrival = self.begin(span, SpanStage::Dispatch, None, || {
-                    controller.as_str().into()
+                    design.controllers.name(controller).into()
                 });
-                self.activate_controller(&controller, &from, &value, arrival.ctx());
+                let from = design.contexts.name(from);
+                self.activate_controller(&design, controller, from, &value, arrival.ctx());
                 self.end(arrival);
             }
             Event::PeriodicPoll {
                 context,
                 activation_idx,
-            } => self.dispatch_periodic_poll(&context, activation_idx),
+            } => self.dispatch_periodic_poll(&design, context, activation_idx),
             Event::BatchDeliver {
                 context,
                 activation_idx,
                 readings,
                 window_ms,
                 span,
-            } => self.dispatch_batch(&context, activation_idx, readings, window_ms, span),
+            } => self.dispatch_batch(context, activation_idx, readings, window_ms, span),
             Event::ProcessWake { idx } => {
                 let Some(mut process) = self.processes[idx].process.take() else {
                     return;
                 };
                 // A wake belongs to no flow: it is timed as processing but
                 // opens no span.
-                let name = std::sync::Arc::clone(&self.processes[idx].name);
+                let name = Arc::clone(&self.processes[idx].name);
                 let wake = self.begin(
                     SpanCtx::NONE,
                     SpanStage::Compute,
@@ -130,11 +138,7 @@ impl Orchestrator {
                 event,
                 attempt,
                 first_sent_at,
-            } => {
-                let target = event.target().to_owned();
-                let qos_context = event.targets_context();
-                self.send_event(&target, qos_context, *event, attempt, first_sent_at);
-            }
+            } => self.send_event(&design, *event, attempt, first_sent_at),
         }
     }
 
@@ -215,57 +219,54 @@ impl Orchestrator {
     }
 
     /// Invokes the `on_recovery` hook of every component whose design
-    /// references the lost device's family.
+    /// references the lost device's family, controllers first, each in
+    /// name order.
     fn notify_recovery(
         &mut self,
         lost: &crate::entity::EntityId,
         device_type: &str,
         replacement: &crate::entity::EntityId,
     ) {
-        let controllers: Vec<String> = self
-            .controllers
-            .keys()
-            .filter(|name| self.controller_declares_device(name, device_type))
-            .cloned()
-            .collect();
-        for name in controllers {
-            let Some(mut logic) = self.controllers.get_mut(&name).and_then(|r| r.logic.take())
-            else {
+        let design = Arc::clone(&self.design);
+        for id in design.controllers.ids() {
+            if !design.addresses(id, device_type) {
+                continue;
+            }
+            let slot = id as usize;
+            let Some(mut logic) = self.controllers[slot].logic.take() else {
                 continue;
             };
             let result = {
                 let mut api = ControllerApi {
                     engine: self,
-                    controller: &name,
+                    design: &design,
+                    id,
+                    controller: design.controllers.name(id),
                 };
                 logic.on_recovery(&mut api, lost, replacement)
             };
-            self.controllers
-                .get_mut(&name)
-                .expect("controller exists")
-                .logic = Some(logic);
+            self.controllers[slot].logic = Some(logic);
             if let Err(e) = result {
                 self.contain(e.into());
             }
         }
-        let contexts: Vec<String> = self
-            .contexts
-            .keys()
-            .filter(|name| self.context_references_device(name, device_type))
-            .cloned()
-            .collect();
-        for name in contexts {
-            let Some(mut logic) = self.contexts.get_mut(&name).and_then(|r| r.logic.take()) else {
+        for id in design.contexts.ids() {
+            let name = design.contexts.name(id);
+            if !self.context_references_device(name, device_type) {
+                continue;
+            }
+            let slot = id as usize;
+            let Some(mut logic) = self.contexts[slot].logic.take() else {
                 continue;
             };
             let result = {
                 let mut api = ContextApi {
                     engine: self,
-                    context: &name,
+                    context: name,
                 };
                 logic.on_recovery(&mut api, lost, replacement)
             };
-            self.contexts.get_mut(&name).expect("context exists").logic = Some(logic);
+            self.contexts[slot].logic = Some(logic);
             if let Err(e) = result {
                 self.contain(e.into());
             }
@@ -297,10 +298,11 @@ impl Orchestrator {
         })
     }
 
-    fn dispatch_periodic_poll(&mut self, context: &str, activation_idx: usize) {
+    fn dispatch_periodic_poll(&mut self, design: &Design, id: u32, activation_idx: usize) {
         // The declaration is borrowed from a handle to the spec for the
         // whole poll, as `dispatch_batch` does.
-        let spec = std::sync::Arc::clone(&self.spec);
+        let spec = Arc::clone(&self.spec);
+        let context = design.contexts.name(id);
         let Some(ctx_decl) = spec.context(context) else {
             return;
         };
@@ -371,8 +373,7 @@ impl Orchestrator {
 
         // Window accumulation (`every <T>`): buffer until the deadline.
         let deliver = if let Some(window_ms) = window_ms {
-            let runtime = self.contexts.get_mut(context).expect("context exists");
-            let buffer = runtime
+            let buffer = self.contexts[id as usize]
                 .windows
                 .get_mut(&activation_idx)
                 .expect("window initialized at launch");
@@ -400,7 +401,7 @@ impl Orchestrator {
         };
 
         if let Some(readings) = deliver {
-            self.check_qos(context, max_latency);
+            self.check_qos(id, max_latency);
             // One schedule span stands for the whole batch hop (the batch
             // arrives with its slowest surviving reading). A window flush
             // is attributed to the poll that flushed it.
@@ -414,7 +415,7 @@ impl Orchestrator {
             self.queue.schedule_in(
                 max_latency,
                 Event::BatchDeliver {
-                    context: context.to_owned(),
+                    context: id,
                     activation_idx,
                     readings,
                     window_ms,
@@ -427,7 +428,7 @@ impl Orchestrator {
         self.queue.schedule(
             now + *period_ms,
             Event::PeriodicPoll {
-                context: context.to_owned(),
+                context: id,
                 activation_idx,
             },
         );
@@ -435,13 +436,15 @@ impl Orchestrator {
 
     fn dispatch_batch(
         &mut self,
-        context: &str,
+        id: u32,
         activation_idx: usize,
         readings: Vec<PolledReading>,
         window_ms: Option<u64>,
         span: SpanCtx,
     ) {
-        let spec = std::sync::Arc::clone(&self.spec);
+        let spec = Arc::clone(&self.spec);
+        let design = Arc::clone(&self.design);
+        let context = design.contexts.name(id);
         let Some(ctx_decl) = spec.context(context) else {
             return;
         };
@@ -475,11 +478,7 @@ impl Orchestrator {
             .and_then(|g| g.map_reduce.as_ref())
         {
             Some(_) => {
-                let mr = self
-                    .contexts
-                    .get(context)
-                    .and_then(|r| r.map_reduce.clone());
-                match mr {
+                match self.contexts[id as usize].map_reduce.clone() {
                     Some(mr) => {
                         self.metrics.map_reduce_executions += 1;
                         // Batch ingestion into the MapReduce substrate is
@@ -521,13 +520,15 @@ impl Orchestrator {
                                         ingest.ctx(),
                                         SpanStage::Compute,
                                         Some(Activity::Processing),
-                                        || format!("{context}/{phase}").into(),
                                     );
                                     let us = u64::try_from(time.as_micros()).unwrap_or(u64::MAX);
-                                    self.end_measured(scope, us);
+                                    self.end_measured(scope, us, || {
+                                        format!("{context}/{phase}").into()
+                                    });
                                 }
                                 self.account_batch_processing(
-                                    context,
+                                    &design,
+                                    id,
                                     &result.stats,
                                     &result.failed_tasks,
                                 );
@@ -566,12 +567,8 @@ impl Orchestrator {
             coverage,
             window_ms,
         };
-        self.activate_context(
-            context,
-            activation_idx,
-            ContextActivation::Batch(&batch),
-            ctx,
-        );
+        let batch = ContextActivation::Batch(&batch);
+        self.activate_context(&design, id, activation_idx, batch, ctx);
         self.end(arrival);
     }
 
@@ -579,10 +576,12 @@ impl Orchestrator {
     /// traces, observability, and the context's `@quality` verdict.
     fn account_batch_processing(
         &mut self,
-        context: &str,
+        design: &Design,
+        id: u32,
         stats: &ExecutionStats,
         failed_tasks: &[TaskError],
     ) {
+        let context = design.contexts.name(id);
         let coverage = stats.coverage;
         self.metrics.task_retries += u64::from(coverage.task_retries);
         self.metrics.tasks_failed += failed_tasks.len() as u64;
@@ -607,11 +606,7 @@ impl Orchestrator {
             self.obs
                 .record(Activity::Recovering, &format!("{context}/tasks"), us);
         }
-        let budget = self
-            .quality_budgets
-            .get(context)
-            .copied()
-            .unwrap_or_default();
+        let budget = design.context(id).quality;
         // A missed processing deadline is a QoS violation, not lost
         // coverage: the results are complete, just late.
         if budget
@@ -649,13 +644,13 @@ impl Orchestrator {
     /// is already running (re-entrancy).
     fn run_component<L, R>(
         &mut self,
-        name: &str,
+        (id, name): (u32, &str),
         span: SpanCtx,
-        slot: for<'a> fn(&'a mut Self, &str) -> Option<&'a mut Option<L>>,
+        slot: fn(&mut Self, u32) -> &mut Option<L>,
         started: impl FnOnce(&mut Self),
         run: impl FnOnce(&mut Self, &mut L) -> R,
     ) -> Option<(R, SpanCtx)> {
-        let mut logic = slot(self, name)?.take()?;
+        let mut logic = slot(self, id).take()?;
         started(self);
         // The compute span closes before a resulting publication is
         // admitted.
@@ -667,35 +662,32 @@ impl Orchestrator {
         let result = run(self, &mut logic);
         self.span_cursor = prev;
         self.end(compute);
-        *slot(self, name).expect("component exists") = Some(logic);
+        *slot(self, id) = Some(logic);
         Some((result, ctx))
     }
 
-    fn context_slot(&mut self, name: &str) -> Option<&mut Option<Box<dyn ContextLogic>>> {
-        self.contexts.get_mut(name).map(|r| &mut r.logic)
+    fn context_slot(&mut self, id: u32) -> &mut Option<Box<dyn ContextLogic>> {
+        &mut self.contexts[id as usize].logic
     }
 
-    fn controller_slot(&mut self, name: &str) -> Option<&mut Option<Box<dyn ControllerLogic>>> {
-        self.controllers.get_mut(name).map(|r| &mut r.logic)
+    fn controller_slot(&mut self, id: u32) -> &mut Option<Box<dyn ControllerLogic>> {
+        &mut self.controllers[id as usize].logic
     }
 
     fn activate_context(
         &mut self,
-        name: &str,
+        design: &Design,
+        id: u32,
         activation_idx: usize,
         input: ContextActivation<'_>,
         span: SpanCtx,
     ) {
-        let publish_mode = match self
-            .spec
-            .context(name)
-            .and_then(|c| c.activations.get(activation_idx))
-        {
-            Some(a) => a.publish,
-            None => return,
+        let name = design.contexts.name(id);
+        let Some(&publish_mode) = design.context(id).publish.get(activation_idx) else {
+            return;
         };
         let Some((result, ctx)) = self.run_component(
-            name,
+            (id, name),
             span,
             Self::context_slot,
             |engine| {
@@ -720,13 +712,23 @@ impl Orchestrator {
         };
         match result {
             Err(e) => self.contain(e.into()),
-            Ok(maybe_value) => self.handle_publication(name, publish_mode, maybe_value, ctx),
+            Ok(maybe_value) => {
+                self.handle_publication(design, id, publish_mode, maybe_value, ctx);
+            }
         }
     }
 
-    fn activate_controller(&mut self, name: &str, from: &str, value: &Value, span: SpanCtx) {
+    fn activate_controller(
+        &mut self,
+        design: &Design,
+        id: u32,
+        from: &str,
+        value: &Value,
+        span: SpanCtx,
+    ) {
+        let name = design.controllers.name(id);
         let Some((result, _)) = self.run_component(
-            name,
+            (id, name),
             span,
             Self::controller_slot,
             |engine| {
@@ -739,6 +741,8 @@ impl Orchestrator {
             |engine, logic| {
                 let mut api = ControllerApi {
                     engine,
+                    design,
+                    id,
                     controller: name,
                 };
                 logic.on_context(&mut api, from, value)
@@ -757,26 +761,23 @@ impl Orchestrator {
 
     /// Computes the on-demand value of a `when required` context.
     pub(crate) fn compute_on_demand(&mut self, name: &str) -> Result<Value, RuntimeError> {
-        let ctx_decl = self
-            .spec
-            .context(name)
-            .ok_or_else(|| RuntimeError::Unknown {
-                kind: "context",
-                name: name.to_owned(),
-            })?;
-        if !ctx_decl.is_required() {
+        let unknown = || RuntimeError::Unknown {
+            kind: "context",
+            name: name.to_owned(),
+        };
+        let id = self.design.contexts.id(name).ok_or_else(unknown)?;
+        if !self.spec.context(name).is_some_and(|c| c.is_required()) {
             return Err(RuntimeError::ContractViolation {
                 component: name.to_owned(),
                 message: "context does not declare `when required`".to_owned(),
             });
         }
-        let output_ty = ctx_decl.output.clone();
         // Query-driven computation nests under whatever activation asked
         // for it (the span cursor), forming a compute-inside-compute
         // chain for `get` cascades.
         let (result, _) = self
             .run_component(
-                name,
+                (id, name),
                 self.span_cursor,
                 Self::context_slot,
                 |engine| {
@@ -796,35 +797,33 @@ impl Orchestrator {
                 message: "re-entrant on-demand computation (a `get` cycle?)".to_owned(),
             })?;
 
-        let computed = result.map_err(RuntimeError::from)?;
-        let value = match computed {
+        let slot = &mut self.contexts[id as usize];
+        match result.map_err(RuntimeError::from)? {
             Some(value) => {
-                if !value.conforms_to(&output_ty, &self.spec) {
+                let output_ty = &self.design.context(id).output;
+                if !value.conforms_to(output_ty, &self.spec) {
                     return Err(RuntimeError::TypeMismatch {
                         at: format!("on-demand value of context `{name}`"),
                         expected: output_ty.to_string(),
                         found: value.to_string(),
                     });
                 }
-                self.contexts
-                    .get_mut(name)
-                    .expect("context exists")
-                    .last_value = Some(Payload::new(value.clone()));
-                value
+                slot.last_value = Some(Payload::new(value.clone()));
+                Ok(value)
             }
             // Fall back to the most recent value when the logic has
             // nothing fresher (e.g. it accumulates from periodic polls).
-            None => self
-                .contexts
-                .get(name)
-                .and_then(|r| r.last_value.as_deref().cloned())
-                .ok_or_else(|| RuntimeError::ContractViolation {
-                    component: name.to_owned(),
-                    message: "on-demand computation produced no value and none is cached"
-                        .to_owned(),
-                })?,
-        };
-        Ok(value)
+            None => {
+                slot.last_value
+                    .as_deref()
+                    .cloned()
+                    .ok_or_else(|| RuntimeError::ContractViolation {
+                        component: name.to_owned(),
+                        message: "on-demand computation produced no value and none is cached"
+                            .to_owned(),
+                    })
+            }
+        }
     }
 }
 

@@ -39,15 +39,18 @@ use crate::payload::Payload;
 use crate::registry::PolledReading;
 use crate::spans::SpanCtx;
 
+use super::design::Target;
+
 /// A scheduled pipeline event. Delivery events carry their value as a
-/// shared [`Payload`] handle, so cloning an event (fan-out, injected
-/// duplicates, retry re-sends) never deep-copies the value.
+/// shared [`Payload`] handle and name components, device types and
+/// sources by their compiled-design ids, so building or cloning an event
+/// (fan-out, injected duplicates, retry re-sends) allocates nothing.
 #[derive(Clone)]
 pub(crate) enum Event {
     /// A process emitted a source value (event-driven delivery).
     Emit {
         entity: EntityId,
-        source: String,
+        source: u32,
         value: Payload,
         index: Option<Payload>,
     },
@@ -55,10 +58,10 @@ pub(crate) enum Event {
     /// index was resolved at route time (the route predicate equals the
     /// activation-lookup predicate, so the resolution cannot diverge).
     SourceDeliver {
-        context: String,
+        context: u32,
         entity: EntityId,
-        device_type: String,
-        source: String,
+        device_type: u32,
+        source: u32,
         value: Payload,
         index: Option<Payload>,
         activation_idx: usize,
@@ -68,27 +71,24 @@ pub(crate) enum Event {
     },
     /// A context publication arrives at a subscribed context.
     ContextDeliver {
-        context: String,
-        from: String,
+        context: u32,
+        from: u32,
         value: Payload,
         activation_idx: usize,
         span: SpanCtx,
     },
     /// A context publication arrives at a subscribed controller.
     ControllerDeliver {
-        controller: String,
-        from: String,
+        controller: u32,
+        from: u32,
         value: Payload,
         span: SpanCtx,
     },
     /// Time to poll a periodic activation.
-    PeriodicPoll {
-        context: String,
-        activation_idx: usize,
-    },
+    PeriodicPoll { context: u32, activation_idx: usize },
     /// A gathered periodic batch arrives at its context.
     BatchDeliver {
-        context: String,
+        context: u32,
         activation_idx: usize,
         readings: Vec<PolledReading>,
         window_ms: Option<u64>,
@@ -111,23 +111,16 @@ pub(crate) enum Event {
 }
 
 impl Event {
-    /// Display label of the component a delivery event is addressed to.
-    pub(crate) fn target(&self) -> &str {
+    /// The component a delivery event is addressed to (`None` for
+    /// non-delivery events). Contexts are QoS-budgeted; controllers not.
+    pub(crate) fn target(&self) -> Option<Target> {
         match self {
             Event::SourceDeliver { context, .. }
             | Event::ContextDeliver { context, .. }
-            | Event::BatchDeliver { context, .. } => context,
-            Event::ControllerDeliver { controller, .. } => controller,
-            _ => "",
+            | Event::BatchDeliver { context, .. } => Some(Target::Context(*context)),
+            Event::ControllerDeliver { controller, .. } => Some(Target::Controller(*controller)),
+            _ => None,
         }
-    }
-
-    /// Whether the event is addressed to a context (QoS budgets apply).
-    pub(crate) fn targets_context(&self) -> bool {
-        matches!(
-            self,
-            Event::SourceDeliver { .. } | Event::ContextDeliver { .. } | Event::BatchDeliver { .. }
-        )
     }
 
     /// The causal-tracing context the event carries
@@ -165,24 +158,21 @@ mod tests {
     #[test]
     fn delivery_events_name_their_target() {
         let ev = Event::ContextDeliver {
-            context: "Occupancy".into(),
-            from: "Presence".into(),
+            context: 2,
+            from: 1,
             value: Payload::new(Value::Bool(true)),
             activation_idx: 0,
             span: SpanCtx::NONE,
         };
-        assert_eq!(ev.target(), "Occupancy");
-        assert!(ev.targets_context());
+        assert_eq!(ev.target(), Some(Target::Context(2)));
         let ev = Event::ControllerDeliver {
-            controller: "Panel".into(),
-            from: "Occupancy".into(),
+            controller: 0,
+            from: 2,
             value: Payload::new(Value::Int(3)),
             span: SpanCtx::NONE,
         };
-        assert_eq!(ev.target(), "Panel");
-        assert!(!ev.targets_context());
-        assert_eq!(Event::LeaseCheck.target(), "");
-        assert!(!Event::LeaseCheck.targets_context());
+        assert_eq!(ev.target(), Some(Target::Controller(0)));
+        assert_eq!(Event::LeaseCheck.target(), None);
     }
 
     #[test]
@@ -219,7 +209,7 @@ mod tests {
         let value = Payload::new(Value::Str("big".into()));
         let ev = Event::Emit {
             entity: "s1".into(),
-            source: "presence".into(),
+            source: 0,
             value: value.clone(),
             index: None,
         };

@@ -1,11 +1,13 @@
 //! Stage 2 — **route**: resolve an admitted payload to its subscribers.
 //!
 //! Subscriptions are declared in the spec and the spec is immutable, so
-//! the engine resolves them once, at construction, into a [`RouteTable`]:
-//! `(device type, source)` → the event-driven context subscribers, and
-//! `context` → the downstream context/controller subscribers. The hot
-//! fan-out paths then walk a precomputed slice instead of re-filtering
-//! every declared context per emission.
+//! the engine resolves them once, at construction, into a [`RouteTable`]
+//! indexed by the compiled design's ids
+//! ([`Design`](crate::engine::design::Design)): `(device type, source)`
+//! → the event-driven context subscribers, and `context` → the downstream
+//! context/controller subscribers. The hot fan-out paths then index a
+//! precomputed slice instead of re-filtering every declared context, or
+//! building a name key, per emission.
 //!
 //! Ordering is part of the engine's determinism contract: routes preserve
 //! the name-ordered subscriber enumeration of
@@ -16,12 +18,14 @@
 //! the same predicate the dynamic lookup used, which makes the stored
 //! index provably equal to a delivery-time resolution.
 
+use crate::engine::design::Design;
 use crate::engine::Orchestrator;
 use crate::entity::EntityId;
+use crate::names::Names;
 use crate::payload::Payload;
 use crate::spans::{SpanCtx, SpanStage};
-use diaspec_core::model::{ActivationTrigger, CheckedSpec, Subscriber};
-use std::collections::{BTreeMap, BTreeSet};
+use diaspec_core::model::{ActivationTrigger, CheckedSpec};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use super::Event;
@@ -30,7 +34,7 @@ use super::Event;
 /// emission.
 pub(crate) struct SourceRoute {
     /// The subscribed context.
-    pub(crate) context: String,
+    pub(crate) context: u32,
     /// Index of the matching `when provided ... from ...` activation.
     pub(crate) activation_idx: usize,
 }
@@ -39,28 +43,36 @@ pub(crate) struct SourceRoute {
 pub(crate) enum ContextRoute {
     /// A downstream context (`when provided Ctx`); QoS budgets apply.
     Context {
-        name: String,
+        id: u32,
         /// Index of the matching `when provided Ctx` activation.
         activation_idx: usize,
     },
     /// A subscribed controller.
-    Controller { name: String },
+    Controller { id: u32 },
 }
 
 /// The precomputed subscription tables. Built once per orchestrator from
 /// the immutable spec; see the [module docs](self).
 pub(crate) struct RouteTable {
-    /// `(concrete device type, source)` → event-driven subscribers, in
-    /// spec (name) order. Only non-empty routes are stored.
-    source_routes: BTreeMap<(String, String), Vec<SourceRoute>>,
+    /// Row length of `source_routes`: the number of source names.
+    sources: usize,
+    /// `concrete device type * sources + source` → event-driven
+    /// subscribers, in spec (name) order.
+    source_routes: Vec<Vec<SourceRoute>>,
     /// Publishing context → subscribers (contexts first, then
-    /// controllers, each in name order). Only non-empty routes are stored.
-    context_routes: BTreeMap<String, Vec<ContextRoute>>,
+    /// controllers, each in name order).
+    context_routes: Vec<Vec<ContextRoute>>,
 }
 
 impl RouteTable {
-    /// Resolves every possible subscription in `spec`.
-    pub(crate) fn build(spec: &CheckedSpec) -> Self {
+    /// Resolves every possible subscription in `spec` to the ids of the
+    /// given name tables.
+    pub(crate) fn build(
+        spec: &CheckedSpec,
+        contexts: &Names,
+        types: &Names,
+        sources: &Names,
+    ) -> Self {
         // Candidate sources: every source name appearing in an
         // event-driven (`when provided ... from ...`) trigger. Periodic
         // subscriptions poll; they never consume emissions.
@@ -72,64 +84,56 @@ impl RouteTable {
                 }
             }
         }
-        let mut source_routes = BTreeMap::new();
-        for device in spec.devices() {
+        let mut source_routes: Vec<Vec<SourceRoute>> = Vec::new();
+        source_routes.resize_with(types.len() * sources.len(), Vec::new);
+        for ty in types.ids() {
+            let device = types.name(ty);
             for source in &event_sources {
-                let routes: Vec<SourceRoute> = spec
-                    .subscribers_of_source(&device.name, source)
+                let Some(src) = sources.id(source) else {
+                    continue;
+                };
+                source_routes[ty as usize * sources.len() + src as usize] = spec
+                    .subscribers_of_source(device, source)
                     .into_iter()
                     .filter_map(|ctx| {
-                        ctx.activations
-                            .iter()
-                            .position(|a| {
-                                matches!(
-                                    &a.trigger,
-                                    ActivationTrigger::DeviceSource { device: d, source: s }
-                                        if s == *source && spec.device_is_subtype(&device.name, d)
-                                )
-                            })
-                            .map(|activation_idx| SourceRoute {
-                                context: ctx.name.clone(),
-                                activation_idx,
-                            })
+                        let activation_idx = ctx.activations.iter().position(|a| {
+                            matches!(
+                                &a.trigger,
+                                ActivationTrigger::DeviceSource { device: d, source: s }
+                                    if s == *source && spec.device_is_subtype(device, d)
+                            )
+                        })?;
+                        Some(SourceRoute {
+                            context: contexts.id(&ctx.name)?,
+                            activation_idx,
+                        })
                     })
                     .collect();
-                if !routes.is_empty() {
-                    source_routes.insert((device.name.clone(), (*source).to_owned()), routes);
-                }
             }
         }
-        let mut context_routes = BTreeMap::new();
-        for ctx in spec.contexts() {
-            let routes: Vec<ContextRoute> = spec
-                .subscribers_of_context(&ctx.name)
-                .into_iter()
-                .map(|subscriber| match subscriber {
-                    Subscriber::Context(name) => {
-                        let activation_idx = spec
-                            .context(&name)
-                            .and_then(|c| {
-                                c.activations.iter().position(|a| {
-                                    matches!(
-                                        &a.trigger,
-                                        ActivationTrigger::Context(from) if *from == ctx.name
-                                    )
-                                })
-                            })
-                            .expect("subscriber has a matching activation");
-                        ContextRoute::Context {
-                            name,
-                            activation_idx,
-                        }
-                    }
-                    Subscriber::Controller(name) => ContextRoute::Controller { name },
-                })
-                .collect();
-            if !routes.is_empty() {
-                context_routes.insert(ctx.name.clone(), routes);
-            }
-        }
+        // Subscribers of each publisher, contexts before controllers, each
+        // in name (= id) order: `CheckedSpec::subscribers_of_context`'s
+        // order and predicate, resolved to ids without a lookup.
+        let context_routes = spec
+            .contexts()
+            .map(|publisher| {
+                let publisher = publisher.name.as_str();
+                let downstream = spec.contexts().zip(0u32..).filter_map(|(ctx, id)| {
+                    let activation_idx = ctx.activations.iter().position(|a| {
+                        matches!(&a.trigger, ActivationTrigger::Context(from) if from == publisher)
+                    })?;
+                    Some(ContextRoute::Context { id, activation_idx })
+                });
+                let controllers = spec
+                    .controllers()
+                    .zip(0u32..)
+                    .filter(|(ctrl, _)| ctrl.bindings.iter().any(|b| b.context == publisher))
+                    .map(|(_, id)| ContextRoute::Controller { id });
+                downstream.chain(controllers).collect()
+            })
+            .collect();
         RouteTable {
+            sources: sources.len(),
             source_routes,
             context_routes,
         }
@@ -138,16 +142,14 @@ impl RouteTable {
     /// Event-driven subscribers of a `(concrete device type, source)`
     /// emission, in deterministic spec order. Empty when nothing
     /// subscribes.
-    pub(crate) fn source_subscribers(&self, device_type: &str, source: &str) -> &[SourceRoute] {
-        self.source_routes
-            .get(&(device_type.to_owned(), source.to_owned()))
-            .map_or(&[], Vec::as_slice)
+    pub(crate) fn source_subscribers(&self, device_type: u32, source: u32) -> &[SourceRoute] {
+        &self.source_routes[device_type as usize * self.sources + source as usize]
     }
 
     /// Subscribers of `context`'s publications (contexts first, then
     /// controllers). Empty when nothing subscribes.
-    pub(crate) fn context_subscribers(&self, context: &str) -> &[ContextRoute] {
-        self.context_routes.get(context).map_or(&[], Vec::as_slice)
+    pub(crate) fn context_subscribers(&self, context: u32) -> &[ContextRoute] {
+        &self.context_routes[context as usize]
     }
 }
 
@@ -158,70 +160,67 @@ impl Orchestrator {
     /// each scheduled delivery parents under it.
     pub(crate) fn fan_out_emission(
         &mut self,
-        device_type: &str,
+        device_type: u32,
         entity: &EntityId,
-        source: &str,
+        source: u32,
         value: &Payload,
         index: Option<&Payload>,
         span: SpanCtx,
     ) {
-        let routes = Arc::clone(&self.routes);
+        let design = Arc::clone(&self.design);
         let now = self.queue.now();
         let route_scope = self.begin(span, SpanStage::Route, None, || {
-            format!("{device_type}.{source}").into()
+            let device = design.types.name(device_type);
+            format!("{device}.{}", design.sources.name(source)).into()
         });
         let ctx = route_scope.ctx();
-        for route in routes.source_subscribers(device_type, source) {
+        for route in design.routes.source_subscribers(device_type, source) {
             let event = Event::SourceDeliver {
-                context: route.context.clone(),
+                context: route.context,
                 entity: entity.clone(),
-                device_type: device_type.to_owned(),
-                source: source.to_owned(),
+                device_type,
+                source,
                 value: value.clone(),
                 index: index.cloned(),
                 activation_idx: route.activation_idx,
                 span: ctx,
             };
-            self.send_event(&route.context, true, event, 1, now);
+            self.send_event(&design, event, 1, now);
         }
         self.end(route_scope);
     }
 
     /// Fans an admitted publication out to its subscribers — downstream
     /// contexts (QoS-budgeted) first, then controllers, as declared.
-    pub(crate) fn fan_out_publication(&mut self, context: &str, value: &Payload, span: SpanCtx) {
-        let routes = Arc::clone(&self.routes);
+    pub(crate) fn fan_out_publication(
+        &mut self,
+        design: &Design,
+        context: u32,
+        value: &Payload,
+        span: SpanCtx,
+    ) {
         let now = self.queue.now();
-        let route_scope = self.begin(span, SpanStage::Route, None, || context.into());
+        let route_scope = self.begin(span, SpanStage::Route, None, || {
+            design.contexts.name(context).into()
+        });
         let ctx = route_scope.ctx();
-        for route in routes.context_subscribers(context) {
-            let (target, qos_context, event) = match route {
-                ContextRoute::Context {
-                    name,
+        for route in design.routes.context_subscribers(context) {
+            let event = match *route {
+                ContextRoute::Context { id, activation_idx } => Event::ContextDeliver {
+                    context: id,
+                    from: context,
+                    value: value.clone(),
                     activation_idx,
-                } => (
-                    name.as_str(),
-                    true,
-                    Event::ContextDeliver {
-                        context: name.clone(),
-                        from: context.to_owned(),
-                        value: value.clone(),
-                        activation_idx: *activation_idx,
-                        span: ctx,
-                    },
-                ),
-                ContextRoute::Controller { name } => (
-                    name.as_str(),
-                    false,
-                    Event::ControllerDeliver {
-                        controller: name.clone(),
-                        from: context.to_owned(),
-                        value: value.clone(),
-                        span: ctx,
-                    },
-                ),
+                    span: ctx,
+                },
+                ContextRoute::Controller { id } => Event::ControllerDeliver {
+                    controller: id,
+                    from: context,
+                    value: value.clone(),
+                    span: ctx,
+                },
             };
-            self.send_event(target, qos_context, event, 1, now);
+            self.send_event(design, event, 1, now);
         }
         self.end(route_scope);
     }
@@ -248,47 +247,63 @@ mod tests {
         controller Show { when provided First do show on Panel; }
     "#;
 
+    fn design(spec: &CheckedSpec) -> Design {
+        Design::build(spec, Names::new(spec.devices().map(|d| d.name.as_str())))
+    }
+
+    /// The subscribers of a `(device, source)` emission, by name.
+    fn subscribers<'d>(design: &'d Design, device: &str, source: &str) -> Vec<&'d str> {
+        let ty = design.types.id(device).unwrap();
+        let Some(src) = design.sources.id(source) else {
+            return Vec::new();
+        };
+        design
+            .routes
+            .source_subscribers(ty, src)
+            .iter()
+            .map(|r| design.contexts.name(r.context))
+            .collect()
+    }
+
     #[test]
     fn source_routes_respect_subtyping_and_order() {
         let spec = compile_str(SPEC).unwrap();
-        let table = RouteTable::build(&spec);
+        let design = design(&spec);
         // A base-type emission reaches only the base-type subscriber...
-        let base: Vec<&str> = table
-            .source_subscribers("Sensor", "reading")
-            .iter()
-            .map(|r| r.context.as_str())
-            .collect();
-        assert_eq!(base, ["First"]);
+        assert_eq!(subscribers(&design, "Sensor", "reading"), ["First"]);
         // ...while a subtype emission reaches both, in name order.
-        let fine: Vec<&str> = table
-            .source_subscribers("FineSensor", "reading")
-            .iter()
-            .map(|r| r.context.as_str())
-            .collect();
-        assert_eq!(fine, ["First", "Second"]);
-        assert!(table.source_subscribers("Panel", "reading").is_empty());
-        assert!(table.source_subscribers("Sensor", "absent").is_empty());
+        assert_eq!(
+            subscribers(&design, "FineSensor", "reading"),
+            ["First", "Second"]
+        );
+        assert!(subscribers(&design, "Panel", "reading").is_empty());
+        assert!(subscribers(&design, "Sensor", "precision").is_empty());
+        assert!(subscribers(&design, "Sensor", "absent").is_empty());
     }
 
     #[test]
     fn stored_activation_indices_match_dynamic_resolution() {
         let spec = compile_str(SPEC).unwrap();
-        let table = RouteTable::build(&spec);
-        for ((device, source), routes) in &table.source_routes {
-            for route in routes {
-                let dynamic = spec
-                    .context(&route.context)
-                    .unwrap()
-                    .activations
-                    .iter()
-                    .position(|a| {
-                        matches!(
-                            &a.trigger,
-                            ActivationTrigger::DeviceSource { device: d, source: s }
-                                if s == source && spec.device_is_subtype(device, d)
-                        )
-                    });
-                assert_eq!(dynamic, Some(route.activation_idx));
+        let design = design(&spec);
+        for ty in design.types.ids() {
+            let device = design.types.name(ty);
+            for src in design.sources.ids() {
+                let source = design.sources.name(src);
+                for route in design.routes.source_subscribers(ty, src) {
+                    let dynamic = spec
+                        .context(design.contexts.name(route.context))
+                        .unwrap()
+                        .activations
+                        .iter()
+                        .position(|a| {
+                            matches!(
+                                &a.trigger,
+                                ActivationTrigger::DeviceSource { device: d, source: s }
+                                    if s == source && spec.device_is_subtype(device, d)
+                            )
+                        });
+                    assert_eq!(dynamic, Some(route.activation_idx));
+                }
             }
         }
     }
@@ -296,14 +311,16 @@ mod tests {
     #[test]
     fn context_routes_list_contexts_before_controllers() {
         let spec = compile_str(SPEC).unwrap();
-        let table = RouteTable::build(&spec);
-        let routes = table.context_subscribers("First");
+        let design = design(&spec);
+        let id = |name| design.contexts.id(name).unwrap();
+        let routes = design.routes.context_subscribers(id("First"));
         assert_eq!(routes.len(), 2);
         assert!(
-            matches!(&routes[0], ContextRoute::Context { name, activation_idx }
-                if name == "Chained" && *activation_idx == 0)
+            matches!(&routes[0], ContextRoute::Context { id: c, activation_idx }
+                if *c == id("Chained") && *activation_idx == 0)
         );
-        assert!(matches!(&routes[1], ContextRoute::Controller { name } if name == "Show"));
-        assert!(table.context_subscribers("Chained").is_empty());
+        assert!(matches!(&routes[1], ContextRoute::Controller { id: c }
+            if design.controllers.name(*c) == "Show"));
+        assert!(design.routes.context_subscribers(id("Chained")).is_empty());
     }
 }

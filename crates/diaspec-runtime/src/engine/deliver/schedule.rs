@@ -21,23 +21,28 @@ use crate::obs::Activity;
 use crate::spans::SpanStage;
 use crate::trace::TraceKind;
 use crate::transport::SendOutcome;
+use std::sync::Arc;
 
+use super::super::design::{Design, Target};
 use super::Event;
 
 impl Orchestrator {
     /// Checks a sampled delivery latency against the receiving context's
     /// declared `@qos(latencyMs = N)` budget (paper \[15\]).
-    pub(crate) fn check_qos(&mut self, context: &str, latency: SimTime) {
-        if let Some(&budget) = self.qos_budgets.get(context) {
-            if latency > budget {
-                self.metrics.qos_violations += 1;
-                self.note(|| TraceKind::Error {
-                    message: format!(
-                        "QoS violation: delivery to `{context}` took {latency} ms \
-                         (budget {budget} ms)"
-                    ),
-                });
-            }
+    pub(crate) fn check_qos(&mut self, context: u32, latency: SimTime) {
+        let Some(budget) = self.design.context(context).qos_ms else {
+            return;
+        };
+        if latency > budget {
+            self.metrics.qos_violations += 1;
+            let design = Arc::clone(&self.design);
+            let context = design.contexts.name(context);
+            self.note(|| TraceKind::Error {
+                message: format!(
+                    "QoS violation: delivery to `{context}` took {latency} ms \
+                     (budget {budget} ms)"
+                ),
+            });
         }
     }
 
@@ -77,12 +82,13 @@ impl Orchestrator {
     /// send = 1) and `first_sent_at` anchors the retry timeout.
     pub(crate) fn send_event(
         &mut self,
-        target: &str,
-        qos_context: bool,
+        design: &Design,
         mut event: Event,
         attempt: u32,
         first_sent_at: SimTime,
     ) {
+        let to = event.target();
+        let target = to.map_or("", |to| design.target_name(to));
         let outcome = self.sample_send();
         // The schedule span covers the simulated transport hop — sim-time
         // extent, recorded as a sibling per scheduled copy. The base
@@ -113,8 +119,8 @@ impl Orchestrator {
                 self.metrics.messages_delivered += 1;
                 self.metrics.total_transport_latency_ms += latency;
                 self.obs.record(Activity::Delivering, target, latency);
-                if qos_context {
-                    self.check_qos(target, latency);
+                if let Some(Target::Context(context)) = to {
+                    self.check_qos(context, latency);
                 }
                 event.set_span(hop(self, latency));
                 self.queue.schedule_in(latency, event);
@@ -197,6 +203,9 @@ mod tests {
                 context Tight as Integer {
                   when provided reading from Sensor maybe publish;
                 }
+                context Untimed as Integer {
+                  when provided reading from Sensor maybe publish;
+                }
                 "#,
             )
             .unwrap(),
@@ -208,15 +217,16 @@ mod tests {
     fn qos_budget_violations_are_counted_and_traced() {
         let mut orch = orchestrator();
         orch.set_tracing(true);
-        orch.check_qos("Tight", 5);
+        let (tight, loose) = (0, 1);
+        orch.check_qos(tight, 5);
         assert_eq!(orch.metrics().qos_violations, 1);
         let trace = orch.take_trace();
         assert_eq!(trace.len(), 1);
         assert!(matches!(&trace[0].kind, TraceKind::Error { message }
             if message.contains("QoS violation") && message.contains("budget 1 ms")));
         // Within budget, and contexts without a budget, never violate.
-        orch.check_qos("Tight", 1);
-        orch.check_qos("Unbudgeted", 1_000_000);
+        orch.check_qos(tight, 1);
+        orch.check_qos(loose, 1_000_000);
         assert_eq!(orch.metrics().qos_violations, 1);
     }
 
@@ -224,13 +234,14 @@ mod tests {
     fn ideal_transport_delivers_immediately_without_faults() {
         let mut orch = orchestrator();
         let event = Event::ContextDeliver {
-            context: "Tight".into(),
-            from: "X".into(),
+            context: 0,
+            from: 1,
             value: crate::payload::Payload::new(Value::Int(1)),
             activation_idx: 0,
             span: SpanCtx::NONE,
         };
-        orch.send_event("Tight", true, event, 1, 0);
+        let design = Arc::clone(&orch.design);
+        orch.send_event(&design, event, 1, 0);
         assert_eq!(orch.metrics().messages_delivered, 1);
         assert_eq!(orch.metrics().messages_lost, 0);
         assert_eq!(orch.metrics().qos_violations, 0);

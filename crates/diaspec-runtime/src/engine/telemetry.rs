@@ -8,10 +8,11 @@
 //!
 //! - [`Orchestrator::note`] — one trace event, built lazily, for the
 //!   bounded buffer and the attached observers;
-//! - [`Orchestrator::begin`] / [`Orchestrator::leaf`] →
-//!   [`Orchestrator::end`] — one wall-clock [`Scope`]: a span under the
-//!   caller's context, an activity duration, or both, from one
-//!   `Instant` reading and one lazily built label;
+//! - [`Orchestrator::begin`] → [`Orchestrator::end`] (or
+//!   [`Orchestrator::leaf`] → [`Orchestrator::end_leaf`]) — one
+//!   wall-clock [`Scope`]: a span under the caller's context, an activity
+//!   duration, or both, from one `Instant` reading and one lazily built
+//!   label;
 //! - [`Orchestrator::point`] — one span whose simulated extent is known
 //!   up front (a transport hop, a backoff, a recovery episode).
 //!
@@ -27,9 +28,10 @@ use crate::trace::{TraceEvent, TraceKind};
 use std::borrow::Cow;
 use std::time::Instant;
 
-/// One open wall-clock scope, from [`Orchestrator::begin`] (or
-/// [`Orchestrator::leaf`]) to [`Orchestrator::end`]. Dropping a leaf
-/// scope without ending it records nothing.
+/// One open wall-clock scope, from [`Orchestrator::begin`] to
+/// [`Orchestrator::end`] (or from [`Orchestrator::leaf`] to
+/// [`Orchestrator::end_leaf`]). Dropping a leaf scope without ending it
+/// records nothing.
 pub(crate) struct Scope<'l> {
     /// Where the scope's span hangs ([`SpanCtx::NONE`]: no span).
     parent: SpanCtx,
@@ -155,29 +157,48 @@ impl Orchestrator {
     }
 
     /// Begins a wall-clock scope nothing nests under (an actuation, a
-    /// MapReduce phase): its span opens and closes at [`end`](Self::end),
-    /// so a scope abandoned on an error path leaves nothing behind.
-    pub(crate) fn leaf<'l>(
+    /// MapReduce phase): its span opens and closes at
+    /// [`end_leaf`](Self::end_leaf), which also names it — what a leaf
+    /// did is known once it is done — so a scope abandoned on an error
+    /// path leaves nothing behind and builds no label.
+    pub(crate) fn leaf(
         &mut self,
         parent: SpanCtx,
         stage: SpanStage,
         activity: Option<Activity>,
-        label: impl FnOnce() -> Cow<'l, str>,
-    ) -> Scope<'l> {
-        self.scope(parent, stage, activity, label, false)
+    ) -> Scope<'static> {
+        self.scope(parent, stage, activity, || Cow::Borrowed(""), false)
     }
 
     /// Ends a scope: its one wall-clock reading closes the span and feeds
     /// the activity histogram.
     pub(crate) fn end(&mut self, scope: Scope<'_>) {
         if let Some(t0) = scope.started {
-            self.end_measured(scope, obs::elapsed_us(t0));
+            self.record_scope(scope, obs::elapsed_us(t0));
         }
     }
 
-    /// Ends a scope whose duration was measured elsewhere (the MapReduce
-    /// executor times its own phases).
-    pub(crate) fn end_measured(&mut self, scope: Scope<'_>, wall_us: u64) {
+    /// Ends a leaf scope under the label `label` builds (only when
+    /// something retains it).
+    pub(crate) fn end_leaf<'l>(&mut self, scope: Scope<'_>, label: impl FnOnce() -> Cow<'l, str>) {
+        if let Some(t0) = scope.started {
+            self.end_measured(scope, obs::elapsed_us(t0), label);
+        }
+    }
+
+    /// Ends a leaf scope whose duration was measured elsewhere (the
+    /// MapReduce executor times its own phases).
+    pub(crate) fn end_measured<'l>(
+        &mut self,
+        scope: Scope<'_>,
+        wall_us: u64,
+        label: impl FnOnce() -> Cow<'l, str>,
+    ) {
+        let label = self.label_for(scope.parent.is_active(), scope.activity.is_some(), label);
+        self.record_scope(Scope { label, ..scope }, wall_us);
+    }
+
+    fn record_scope(&mut self, scope: Scope<'_>, wall_us: u64) {
         if let Some(activity) = scope.activity {
             self.obs.record(activity, &scope.label, wall_us);
         }

@@ -41,7 +41,7 @@ pub mod entity;
 pub mod error;
 pub mod fault;
 pub mod metrics;
-pub mod multi;
+mod names;
 pub mod obs;
 pub mod payload;
 pub mod process;

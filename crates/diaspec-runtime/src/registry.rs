@@ -14,6 +14,7 @@
 
 use crate::entity::{AttributeMap, BindingTime, DeviceInstance, EntityId};
 use crate::error::{DeviceError, RuntimeError};
+use crate::names::Names;
 use crate::payload::Payload;
 use crate::value::Value;
 use diaspec_core::model::CheckedSpec;
@@ -42,6 +43,9 @@ pub struct EntityInfo {
 
 struct EntityRecord {
     info: EntityInfo,
+    /// `info.device_type`'s id in [`Registry::device_types`], resolved
+    /// at bind time.
+    type_id: u32,
     /// The canonical handle of each value in `info.attributes`, in its
     /// (name) order, as handed out by the index writer path at bind time.
     /// A grouped poll attaches a clone of one of these to its reading.
@@ -148,6 +152,9 @@ pub struct RegistryStats {
 /// ```
 pub struct Registry {
     spec: Arc<CheckedSpec>,
+    /// The declared device types; the engine's compiled design shares
+    /// this table, so a record's cached id means the same to both.
+    device_types: Names,
     entities: BTreeMap<EntityId, EntityRecord>,
     /// Read-optimized discovery indexes (exact type, attribute, family);
     /// all mutation funnels through bind/unbind so keys mirror live
@@ -166,6 +173,7 @@ impl Registry {
     pub fn new(spec: Arc<CheckedSpec>) -> Self {
         Registry {
             indexes: Indexes::new(&spec),
+            device_types: Names::new(spec.devices().map(|d| d.name.as_str())),
             spec,
             entities: BTreeMap::new(),
             standbys: BTreeMap::new(),
@@ -204,11 +212,12 @@ impl Registry {
         bound_at: BindingTime,
         now_ms: u64,
     ) -> Result<(), RuntimeError> {
-        self.check_binding(&id, device_type, &attributes)?;
+        let type_id = self.check_binding(&id, device_type, &attributes)?;
         let attribute_handles = self.indexes.insert(&id, device_type, &attributes);
         self.entities.insert(
             id.clone(),
             EntityRecord {
+                type_id,
                 attribute_handles,
                 info: EntityInfo {
                     id,
@@ -227,14 +236,17 @@ impl Registry {
 
     /// Validates that `id` is free and that `attributes` conform to the
     /// declaration of `device_type` (shared by [`Registry::bind`] and
-    /// [`Registry::register_standby`]).
+    /// [`Registry::register_standby`]); returns the device type's id.
     fn check_binding(
         &self,
         id: &EntityId,
         device_type: &str,
         attributes: &AttributeMap,
-    ) -> Result<(), RuntimeError> {
-        let Some(device) = self.spec.device(device_type) else {
+    ) -> Result<u32, RuntimeError> {
+        let (Some(device), Some(type_id)) = (
+            self.spec.device(device_type),
+            self.device_types.id(device_type),
+        ) else {
             return Err(RuntimeError::Unknown {
                 kind: "device",
                 name: device_type.to_owned(),
@@ -273,7 +285,7 @@ impl Registry {
                 )));
             }
         }
-        Ok(())
+        Ok(type_id)
     }
 
     /// Unbinds an entity, returning its public record. Index buckets that
@@ -318,6 +330,16 @@ impl Registry {
     #[must_use]
     pub fn entity(&self, id: &EntityId) -> Option<&EntityInfo> {
         self.entities.get(id).map(|r| &r.info)
+    }
+
+    /// The declared device types, by id.
+    pub(crate) fn device_types(&self) -> &Names {
+        &self.device_types
+    }
+
+    /// The device-type id of bound entity `id`.
+    pub(crate) fn device_type_id(&self, id: &EntityId) -> Option<u32> {
+        self.entities.get(id).map(|r| r.type_id)
     }
 
     /// Starts a discovery query for entities of `device_type` (or any of
@@ -366,13 +388,16 @@ impl Registry {
             kind: "entity",
             name: id.to_string(),
         })?;
-        let device = spec
-            .device(&record.info.device_type)
-            .expect("bound entity has declared device");
-        let src = device.source(source).ok_or_else(|| RuntimeError::Unknown {
-            kind: "source",
-            name: format!("{source} on {}", device.name),
-        })?;
+        let device_type = &record.info.device_type;
+        let Some((device, src)) = spec
+            .device(device_type)
+            .and_then(|device| Some((device, device.source(source)?)))
+        else {
+            return Err(RuntimeError::Unknown {
+                kind: "source",
+                name: format!("{source} on {device_type}"),
+            });
+        };
         let policy = device.error_policy();
 
         match self.query_with_policy(id, &device.name, source, now_ms, policy)? {
@@ -552,77 +577,104 @@ impl Registry {
         args: &[Value],
         now_ms: u64,
     ) -> Result<(), RuntimeError> {
-        let policy = {
-            let record = self.entities.get(id).ok_or_else(|| RuntimeError::Unknown {
+        self.invoke_permitted(id, action, args, now_ms, |_| Ok(()))
+            .map(|_| ())
+    }
+
+    /// [`Registry::invoke`] behind a caller's contract check: `permits`
+    /// sees the entity's device-type id before the action is resolved,
+    /// and its error is returned as is. One entity lookup serves the
+    /// check, the validation and every attempt; returns the device-type
+    /// id.
+    pub(crate) fn invoke_permitted(
+        &mut self,
+        id: &EntityId,
+        action: &str,
+        args: &[Value],
+        now_ms: u64,
+        permits: impl FnOnce(u32) -> Result<(), RuntimeError>,
+    ) -> Result<u32, RuntimeError> {
+        let record = self
+            .entities
+            .get_mut(id)
+            .ok_or_else(|| RuntimeError::Unknown {
                 kind: "entity",
                 name: id.to_string(),
             })?;
-            let device = self
-                .spec
-                .device(&record.info.device_type)
-                .expect("bound entity has declared device");
-            let act = device.action(action).ok_or_else(|| RuntimeError::Unknown {
+        permits(record.type_id)?;
+        let device_type = &record.info.device_type;
+        let Some((device, act)) = self
+            .spec
+            .device(device_type)
+            .and_then(|device| Some((device, device.action(action)?)))
+        else {
+            return Err(RuntimeError::Unknown {
                 kind: "action",
-                name: format!("{action} on {}", record.info.device_type),
-            })?;
-            if act.params.len() != args.len() {
-                return Err(RuntimeError::ContractViolation {
-                    component: format!("entity `{id}`"),
-                    message: format!(
-                        "action `{action}` takes {} argument(s), got {}",
-                        act.params.len(),
-                        args.len()
-                    ),
+                name: format!("{action} on {device_type}"),
+            });
+        };
+        if act.params.len() != args.len() {
+            return Err(RuntimeError::ContractViolation {
+                component: format!("entity `{id}`"),
+                message: format!(
+                    "action `{action}` takes {} argument(s), got {}",
+                    act.params.len(),
+                    args.len()
+                ),
+            });
+        }
+        for ((pname, pty), arg) in act.params.iter().zip(args) {
+            if !arg.conforms_to(pty, &self.spec) {
+                return Err(RuntimeError::TypeMismatch {
+                    at: format!("argument `{pname}` of action `{action}` on `{id}`"),
+                    expected: pty.to_string(),
+                    found: arg.to_string(),
                 });
             }
-            for ((pname, pty), arg) in act.params.iter().zip(args) {
-                if !arg.conforms_to(pty, &self.spec) {
-                    return Err(RuntimeError::TypeMismatch {
-                        at: format!("argument `{pname}` of action `{action}` on `{id}`"),
-                        expected: pty.to_string(),
-                        found: arg.to_string(),
-                    });
-                }
-            }
-            device.error_policy()
-        };
+        }
+        let policy = device.error_policy();
+        let type_id = record.type_id;
 
-        let mut last_err: Option<DeviceError> = None;
         let attempts = if policy.kind == PolicyKind::Retry {
             policy.attempts
         } else {
             1
         };
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.stats.retries += 1;
-            }
-            match self.raw_invoke(id, action, args, now_ms) {
-                Ok(()) => return Ok(()),
+        let mut attempt = 1;
+        let err = loop {
+            match drive_invoke(
+                record,
+                &mut self.stats,
+                self.lease_ttl_ms,
+                action,
+                args,
+                now_ms,
+            ) {
+                Ok(()) => return Ok(type_id),
                 Err(e) => {
                     self.stats.driver_failures += 1;
-                    last_err = Some(e);
-                }
-            }
-        }
-        let err = last_err.expect("at least one attempt");
-        match policy.kind {
-            PolicyKind::Ignore => {
-                self.stats.ignored_failures += 1;
-                Ok(())
-            }
-            _ => {
-                if let Some(fallback) = policy.fallback.as_deref() {
-                    if self.invoke_fallback(id, fallback, now_ms) {
-                        return Ok(());
+                    if attempt >= attempts {
+                        break e;
                     }
                 }
-                Err(err.into())
+            }
+            attempt += 1;
+            self.stats.retries += 1;
+        };
+        if policy.kind == PolicyKind::Ignore {
+            self.stats.ignored_failures += 1;
+            return Ok(type_id);
+        }
+        if let Some(fallback) = policy.fallback.as_deref() {
+            if self.invoke_fallback(id, fallback, now_ms) {
+                return Ok(type_id);
             }
         }
+        Err(err.into())
     }
 
-    /// Calls the driver directly, maintaining counters and lease renewal.
+    /// Calls the driver of entity `id` directly, maintaining counters and
+    /// lease renewal.
     fn raw_invoke(
         &mut self,
         id: &EntityId,
@@ -630,21 +682,17 @@ impl Registry {
         args: &[Value],
         now_ms: u64,
     ) -> Result<(), DeviceError> {
-        let lease_ttl = self.lease_ttl_ms;
-        let record = self
-            .entities
-            .get_mut(id)
-            .expect("caller validated entity exists");
-        if record.crashed {
-            return Err(DeviceError::new(id.to_string(), action, "device crashed"));
-        }
-        record.driver.invoke(action, args, now_ms)?;
-        self.stats.invocations += 1;
-        // Serving an actuation successfully renews the entity's lease.
-        if let Some(ttl) = lease_ttl {
-            record.lease_expires_at = Some(now_ms.saturating_add(ttl));
-        }
-        Ok(())
+        let Some(record) = self.entities.get_mut(id) else {
+            return Err(DeviceError::new(id.to_string(), action, "entity not bound"));
+        };
+        drive_invoke(
+            record,
+            &mut self.stats,
+            self.lease_ttl_ms,
+            action,
+            args,
+            now_ms,
+        )
     }
 
     /// Drives the declared `@error(fallback = ...)` action after an
@@ -821,6 +869,32 @@ impl Registry {
         self.stats.rebinds += 1;
         Some(id)
     }
+}
+
+/// One driver call of an actuation, maintaining counters and lease
+/// renewal.
+fn drive_invoke(
+    record: &mut EntityRecord,
+    stats: &mut RegistryStats,
+    lease_ttl: Option<u64>,
+    action: &str,
+    args: &[Value],
+    now_ms: u64,
+) -> Result<(), DeviceError> {
+    if record.crashed {
+        return Err(DeviceError::new(
+            record.info.id.to_string(),
+            action,
+            "device crashed",
+        ));
+    }
+    record.driver.invoke(action, args, now_ms)?;
+    stats.invocations += 1;
+    // Serving an actuation successfully renews the entity's lease.
+    if let Some(ttl) = lease_ttl {
+        record.lease_expires_at = Some(now_ms.saturating_add(ttl));
+    }
+    Ok(())
 }
 
 impl std::fmt::Debug for Registry {

@@ -159,19 +159,28 @@ impl DeviceInstance for Sink {
 }
 
 /// The benchmark's `event_chain` design: emission → `Agg` → `Out` →
-/// `absorb`, one sensor.
-fn chain() -> Orchestrator {
-    let spec = Arc::new(
-        compile_str(
-            r#"
-            device Sensor { source v as Integer; }
-            device Sink { action absorb(v as Integer); }
-            context Agg as Integer { when provided v from Sensor always publish; }
-            controller Out { when provided Agg do absorb on Sink; }
-            "#,
-        )
-        .unwrap(),
+/// `absorb`, one sensor. With `controllers` > 1, `Out1`, `Out2`, … also
+/// subscribe to `Agg` and actuate the same sink.
+fn chain(controllers: usize) -> Orchestrator {
+    let names: Vec<String> = (0..controllers)
+        .map(|i| match i {
+            0 => "Out".to_owned(),
+            i => format!("Out{i}"),
+        })
+        .collect();
+    let mut source = String::from(
+        r#"
+        device Sensor { source v as Integer; }
+        device Sink { action absorb(v as Integer); }
+        context Agg as Integer { when provided v from Sensor always publish; }
+        "#,
     );
+    for name in &names {
+        source.push_str(&format!(
+            "controller {name} {{ when provided Agg do absorb on Sink; }}\n"
+        ));
+    }
+    let spec = Arc::new(compile_str(&source).unwrap());
     let mut orch = Orchestrator::new(spec);
     orch.register_context(
         "Agg",
@@ -182,14 +191,17 @@ fn chain() -> Orchestrator {
     )
     .unwrap();
     let sink: EntityId = "sink".into();
-    orch.register_controller(
-        "Out",
-        move |api: &mut ControllerApi<'_>, _: &str, value: &Value| {
-            api.invoke(&sink, "absorb", std::slice::from_ref(value))?;
-            Ok(())
-        },
-    )
-    .unwrap();
+    for name in &names {
+        let sink = sink.clone();
+        orch.register_controller(
+            name,
+            move |api: &mut ControllerApi<'_>, _: &str, value: &Value| {
+                api.invoke(&sink, "absorb", std::slice::from_ref(value))?;
+                Ok(())
+            },
+        )
+        .unwrap();
+    }
     let sensor = |_: &str, _: u64| Ok(Value::Int(0));
     orch.bind_entity("s0".into(), "Sensor", AttributeMap::new(), Box::new(sensor))
         .unwrap();
@@ -209,6 +221,15 @@ fn drive(orch: &mut Orchestrator, from: u64, to: u64) {
     }
 }
 
+/// Allocator calls made while `messages` messages run through `orch`,
+/// after `warm_up` un-counted ones.
+fn count_calls(orch: &mut Orchestrator, warm_up: u64, messages: u64) -> u64 {
+    drive(orch, 1, warm_up);
+    let before = CALLS.load(Ordering::Relaxed);
+    drive(orch, warm_up + 1, warm_up + messages);
+    CALLS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn an_untraced_message_builds_no_trace_event() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -216,25 +237,25 @@ fn an_untraced_message_builds_no_trace_event() {
     const MESSAGES: u64 = 10_000;
 
     // Every switch off: tracing, observability, span tracing, observers.
-    let mut orch = chain();
-    drive(&mut orch, 1, WARM_UP);
-    let before = CALLS.load(Ordering::Relaxed);
-    drive(&mut orch, WARM_UP + 1, WARM_UP + MESSAGES);
-    let calls = CALLS.load(Ordering::Relaxed) - before;
+    let mut orch = chain(1);
+    let calls = count_calls(&mut orch, WARM_UP, MESSAGES);
     assert_eq!(orch.metrics().actuations, WARM_UP + MESSAGES);
     assert!(orch.drain_errors().is_empty());
-    // Parent commit: 140 000 calls (14.0 per message), two of them the
-    // `entity.to_string()` and `action.to_owned()` of an `Actuation`
-    // event that was built and then thrown away. Now: 120 000 (12.0),
-    // give or take a few calls by the test harness's own threads.
+    // 14.0 calls per message before the lazy `note` (an `Actuation`
+    // event built and thrown away), then 12.0 while events carried
+    // names: the emission's source, the device type at admission, two
+    // for the route key, three for a `SourceDeliver`, two for a
+    // `ControllerDeliver` and the device type at actuation. Now 2.0:
+    // the emission's and the publication's `Payload`, give or take a
+    // few calls by the test harness's own threads.
     let per_message = calls as f64 / MESSAGES as f64;
     assert!(
-        per_message <= 12.05,
+        per_message <= 2.05,
         "{calls} allocator calls for {MESSAGES} untraced messages ({per_message:.2} each)"
     );
 
     // Tracing on: the same five events per message, in pipeline order.
-    let mut orch = chain();
+    let mut orch = chain(1);
     orch.set_tracing(true);
     drive(&mut orch, 1, MESSAGES);
     let trace = orch.take_trace();
@@ -261,4 +282,28 @@ fn an_untraced_message_builds_no_trace_event() {
             "message {message}: {events:?}"
         );
     }
+}
+
+#[test]
+fn a_publication_costs_the_same_for_one_or_a_hundred_subscribers() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const WARM_UP: u64 = 100;
+    const MESSAGES: u64 = 2_000;
+
+    let mut one = chain(1);
+    let calls_one = count_calls(&mut one, WARM_UP, MESSAGES);
+    let mut hundred = chain(100);
+    let calls_hundred = count_calls(&mut hundred, WARM_UP, MESSAGES);
+    assert_eq!(hundred.metrics().actuations, 100 * (WARM_UP + MESSAGES));
+    assert!(hundred.drain_errors().is_empty());
+    // A delivery is a handful of ids, an entity handle and a payload
+    // handle: the 99 extra deliveries of each publication allocate
+    // nothing. Before dense ids each one cost two names (3.0 calls per
+    // delivery on the benchmark's `fanout_wide`).
+    let extra = (calls_hundred as f64 - calls_one as f64) / MESSAGES as f64;
+    assert!(
+        extra < 1.0,
+        "{calls_one} calls with 1 subscriber, {calls_hundred} with 100, over {MESSAGES} \
+         publications ({extra:.2} extra per publication)"
+    );
 }

@@ -13,11 +13,11 @@
 #    retired MurmurHash3 finalizer anywhere, or `use rand` in the engine
 #    or chaos injector.
 # 4. One telemetry protocol: an engine site states what happened through
-#    the three verbs of engine/telemetry.rs (`note`, `begin`/`leaf`..`end`,
-#    `point`; see docs/OBSERVABILITY.md "Instrumenting a site") and never
-#    asks which switch is on. A hand-rolled copy of the protocol shows up
-#    as a switch query, a wall-clock read or a `SpanCtx { .. }` literal
-#    outside that file.
+#    the three verbs of engine/telemetry.rs (`note`, `begin`..`end` or
+#    `leaf`..`end_leaf`, `point`; see docs/OBSERVABILITY.md "Instrumenting
+#    a site") and never asks which switch is on. A hand-rolled copy of the
+#    protocol shows up as a switch query, a wall-clock read or a
+#    `SpanCtx { .. }` literal outside that file.
 # 5. One measuring stick: performance is measured by `benchmark/` (the
 #    gate, recorded in BENCH_ledger.json by scripts/bench_ledger.sh) and
 #    paper claims by `experiments --only eN`. The bench-framework stack
@@ -54,12 +54,20 @@
 #    with an `Error` naming the node, without calling a driver. A payload
 #    read that falls back to a default instead shows up as
 #    `unwrap_or_default` under crates/diaspec-runtime/src/deploy/.
+# 10. One compiled design: the orchestrator lowers the checked spec once,
+#    at construction, to dense ids and Vec-indexed tables
+#    (crates/diaspec-runtime/src/engine/design.rs, docs/ARCHITECTURE.md
+#    "One compiled design"); a message moves ids and shared handles, and
+#    a name is read back from its table only for a person. Interpreting
+#    the design by name again shows up as an owned `String` in a variant
+#    of the pipeline's `enum Event`, or as a name-keyed map
+#    (`BTreeMap<String`) in the engine's coordinator, facades or stages.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 ENGINE=crates/diaspec-runtime/src/engine.rs
-MAX_ENGINE_LINES=800
+MAX_ENGINE_LINES=758
 
 lines=$(wc -l < "$ENGINE")
 if [ "$lines" -gt "$MAX_ENGINE_LINES" ]; then
@@ -134,7 +142,7 @@ while read -r needle in_verbs in_engine; do
     found=$(count "$needle" "$API" "$DELIVER"/*.rs)
     if [ "$found" -gt 0 ]; then
         echo "FAIL: $found \`$needle\` in engine/api.rs or engine/deliver/; a site" >&2
-        echo "states what happened through note/begin/leaf/end/point and lets the" >&2
+        echo "states what happened through note/begin/leaf/end/end_leaf/point and lets the" >&2
         echo "verb query the switches (engine/telemetry.rs)." >&2
         exit 1
     fi
@@ -233,3 +241,24 @@ if grep -rn 'unwrap_or_default' "$DEPLOY_RT"; then
     exit 1
 fi
 echo "ok: one checked wire (no unwrap_or_default under $DEPLOY_RT)"
+
+EVENTS=crates/diaspec-runtime/src/engine/deliver/mod.rs
+named=$(awk '/^pub\(crate\) enum Event \{/{inside=1} inside{print FILENAME ":" FNR ": " $0} inside && /^\}/{exit}' "$EVENTS" \
+    | { grep -vE '^[^:]+:[0-9]+: *//' || true; } | { grep -E '\bString\b' || true; })
+if [ -n "$named" ]; then
+    echo "FAIL: a pipeline event carries an owned name:" >&2
+    echo "$named" >&2
+    echo "Carry the component, device type or source id of the compiled design" >&2
+    echo "(engine/design.rs) and read the name from its table where a person reads it." >&2
+    exit 1
+fi
+if ! grep -q '^pub(crate) enum Event {' "$EVENTS"; then
+    echo "FAIL: $EVENTS no longer declares \`pub(crate) enum Event {\`; update this check." >&2
+    exit 1
+fi
+if grep -nF 'BTreeMap<String' "$ENGINE" "$API" "$DELIVER"/*.rs; then
+    echo "FAIL: a name-keyed map is back in the engine (lines above); index the" >&2
+    echo "compiled design's Vec slots by id instead." >&2
+    exit 1
+fi
+echo "ok: one compiled design (no owned name in enum Event, no BTreeMap<String in the engine)"

@@ -1,6 +1,8 @@
 //! Cross-crate integration tests live in tests/; this library holds the
 //! generic wiring more than one of them runs designs with.
 
+pub mod multi;
+
 use diaspec_core::model::{ActivationTrigger, CheckedSpec, Context, PublishMode};
 use diaspec_core::types::Type;
 use diaspec_runtime::component::ContextActivation;

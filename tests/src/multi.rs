@@ -16,12 +16,12 @@
 //! separately deployed processes would, and only the physical world
 //! (bindings and emissions) is shared.
 
-use crate::engine::Orchestrator;
-use crate::entity::{AttributeMap, DeviceInstance, EntityId};
-use crate::error::RuntimeError;
-use crate::trace::TraceKind;
-use crate::value::Value;
 use diaspec_core::model::CheckedSpec;
+use diaspec_runtime::engine::Orchestrator;
+use diaspec_runtime::entity::{AttributeMap, DeviceInstance, EntityId};
+use diaspec_runtime::error::RuntimeError;
+use diaspec_runtime::trace::TraceKind;
+use diaspec_runtime::value::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -220,9 +220,9 @@ impl SharedFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::ContextActivation;
-    use crate::engine::{ContextApi, ControllerApi};
-    use crate::error::ComponentError;
+    use diaspec_runtime::component::ContextActivation;
+    use diaspec_runtime::engine::{ContextApi, ControllerApi};
+    use diaspec_runtime::error::ComponentError;
 
     const APP_A: &str = r#"
         device Sensor { source motion as Boolean; }
@@ -262,7 +262,11 @@ mod tests {
 
     struct Inert;
     impl DeviceInstance for Inert {
-        fn query(&mut self, _source: &str, _now: u64) -> Result<Value, crate::error::DeviceError> {
+        fn query(
+            &mut self,
+            _source: &str,
+            _now: u64,
+        ) -> Result<Value, diaspec_runtime::error::DeviceError> {
             Ok(Value::Bool(false))
         }
         fn invoke(
@@ -270,7 +274,7 @@ mod tests {
             _action: &str,
             _args: &[Value],
             _now: u64,
-        ) -> Result<(), crate::error::DeviceError> {
+        ) -> Result<(), diaspec_runtime::error::DeviceError> {
             Ok(())
         }
     }

@@ -10,10 +10,10 @@
 
 use diaspec_core::analysis::deployment::{analyze_deployment, DeploymentOptions, DesignRef};
 use diaspec_core::model::CheckedSpec;
+use diaspec_integration::multi::SharedFleet;
 use diaspec_integration::register_all;
 use diaspec_runtime::entity::{AttributeMap, DeviceInstance};
 use diaspec_runtime::error::DeviceError;
-use diaspec_runtime::multi::SharedFleet;
 use diaspec_runtime::value::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
