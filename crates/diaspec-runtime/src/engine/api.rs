@@ -196,14 +196,14 @@ impl ContextApi<'_> {
             });
         }
         let now = self.engine.queue.now();
-        let ids = self.engine.registry.discover(device_type).ids();
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            if let Some(value) = self.engine.registry.query_source(&id, source, now)? {
-                self.engine.metrics.component_queries += 1;
-                out.push((id, value));
-            }
-        }
+        let mut out = Vec::new();
+        let read = self
+            .engine
+            .registry
+            .query_family(device_type, source, now, &mut out);
+        // Readings served before a failure count, as they did one by one.
+        self.engine.metrics.component_queries += out.len() as u64;
+        read?;
         Ok(out)
     }
 
@@ -377,9 +377,10 @@ impl ControllerApi<'_> {
             self.engine.metrics.fallback_actuations += masked;
             let fallback = self
                 .engine
-                .spec
-                .device(device_type)
-                .and_then(|device| device.error_policy().fallback)
+                .registry
+                .error_policy(ty)
+                .fallback
+                .clone()
                 .unwrap_or_default();
             self.engine.note(|| TraceKind::FallbackActuation {
                 entity: entity.to_string(),

@@ -194,7 +194,7 @@ impl Orchestrator {
             self.point(
                 episode,
                 SpanStage::Recover,
-                || transition.lost.device_type.as_str().into(),
+                || (&*transition.lost.device_type).into(),
                 transition.deadline.min(now),
                 now,
             );

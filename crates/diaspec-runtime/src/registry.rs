@@ -11,14 +11,30 @@
 //! The registry also routes query-driven reads and actuations to drivers,
 //! applying the device's declared `@error` policy (`retry`, `failover`,
 //! `ignore`, `escalate`) on driver failures.
+//!
+//! # One entity slab
+//!
+//! Bound records live in one dense slab addressed by a `u32` slot (in
+//! fixed pages, so it grows without moving a record); a freed slot is
+//! reused by the next bind, so the slab is as long as the peak live
+//! count. One id → slot map serves the by-id entry points
+//! (`query_source`, `invoke`, `unbind`, …); the exact-type index keeps
+//! each type's ids with their slots in id order. [`Registry::new`]
+//! resolves every declared device type once — its name, declaration,
+//! `@error` policy and family — into a table indexed by type id. A
+//! periodic [`Registry::poll`] therefore resolves the source and the
+//! grouping attribute once per member type and walks the family's slots,
+//! with no id lookup per reading; it shares one per-record read with
+//! [`Registry::query_source`].
 
 use crate::entity::{AttributeMap, BindingTime, DeviceInstance, EntityId};
 use crate::error::{DeviceError, RuntimeError};
 use crate::names::Names;
 use crate::payload::Payload;
 use crate::value::Value;
-use diaspec_core::model::CheckedSpec;
+use diaspec_core::model::{CheckedSpec, Device};
 pub use diaspec_core::model::{ErrorPolicy, PolicyKind};
+use diaspec_core::types::Type;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -31,8 +47,9 @@ use indexes::Indexes;
 pub struct EntityInfo {
     /// The entity's unique id.
     pub id: EntityId,
-    /// The declared device type this entity implements.
-    pub device_type: String,
+    /// The declared device type this entity implements (one shared name
+    /// per declared type).
+    pub device_type: Arc<str>,
     /// Attribute values fixed at binding.
     pub attributes: AttributeMap,
     /// When in the lifecycle the entity was bound.
@@ -49,7 +66,7 @@ struct EntityRecord {
     /// The canonical handle of each value in `info.attributes`, in its
     /// (name) order, as handed out by the index writer path at bind time.
     /// A grouped poll attaches a clone of one of these to its reading.
-    attribute_handles: Vec<Payload>,
+    attribute_handles: Box<[Payload]>,
     driver: Box<dyn DeviceInstance>,
     /// Lease deadline: the entity must renew (by serving a query, poll,
     /// or invocation) before this time or be unbound by
@@ -60,10 +77,113 @@ struct EntityRecord {
     crashed: bool,
 }
 
+/// Records per page of the [`Slab`].
+const SLAB_PAGE: usize = 64;
+
+/// The entity slab: every bound record at its `u32` slot, and the freed
+/// slots the next binds reuse. Slots live in fixed pages of
+/// [`SLAB_PAGE`] records, so growing the slab never moves a record, and
+/// each page is an ordinary small allocation that the allocator hands
+/// out again after a registry is dropped.
+#[derive(Default)]
+struct Slab {
+    pages: Vec<Box<[Option<EntityRecord>]>>,
+    /// Slots handed out so far, live or freed: the slab's length.
+    len: u32,
+    /// Freed slots, reused last freed first.
+    free: Vec<u32>,
+}
+
+impl Slab {
+    /// The slot the next [`Slab::put`] fills.
+    fn next_slot(&self) -> u32 {
+        self.free.last().copied().unwrap_or(self.len)
+    }
+
+    /// Stores `record` at [`Slab::next_slot`].
+    fn put(&mut self, record: EntityRecord) {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                if (self.len as usize).is_multiple_of(SLAB_PAGE) {
+                    self.pages.push((0..SLAB_PAGE).map(|_| None).collect());
+                }
+                self.len += 1;
+                self.len - 1
+            }
+        };
+        *self.cell(slot) = Some(record);
+    }
+
+    /// Removes the record in `slot` and frees the slot.
+    fn take(&mut self, slot: u32) -> EntityRecord {
+        let record = self
+            .cell(slot)
+            .take()
+            .expect("a bound id's slot holds its record");
+        self.free.push(slot);
+        record
+    }
+
+    fn get(&self, slot: u32) -> &EntityRecord {
+        self.pages[slot as usize / SLAB_PAGE][slot as usize % SLAB_PAGE]
+            .as_ref()
+            .expect("an indexed slot holds its record")
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut EntityRecord {
+        self.cell(slot)
+            .as_mut()
+            .expect("an indexed slot holds its record")
+    }
+
+    fn cell(&mut self, slot: u32) -> &mut Option<EntityRecord> {
+        &mut self.pages[slot as usize / SLAB_PAGE][slot as usize % SLAB_PAGE]
+    }
+
+    /// Every live record, in slot order.
+    fn records_mut(&mut self) -> impl Iterator<Item = &mut EntityRecord> {
+        self.pages
+            .iter_mut()
+            .flat_map(|page| page.iter_mut())
+            .flatten()
+    }
+}
+
+/// One declared device type as the registry reads it, resolved once by
+/// [`Registry::new`] and addressed by the type's id.
+struct TypeDecl {
+    /// The type's name, shared by every [`EntityInfo`] and standby of it.
+    name: Arc<str>,
+    /// The resolved declaration: attributes, sources and actions, own and
+    /// inherited.
+    device: Device,
+    /// The declared `@error` policy, parsed once.
+    policy: ErrorPolicy,
+    /// The member types of its family (itself and every subtype), in id
+    /// (name) order.
+    family: Box<[u32]>,
+}
+
+impl TypeDecl {
+    /// Where attribute `name` sits among a binding's attributes (which
+    /// are exactly the declared ones, in name order), when declared.
+    fn attribute_position(&self, name: &str) -> Option<usize> {
+        self.device.attribute(name)?;
+        Some(
+            self.device
+                .attributes
+                .iter()
+                .filter(|a| a.name.as_str() < name)
+                .count(),
+        )
+    }
+}
+
 /// A validated entity waiting to replace an expired one (see
 /// [`Registry::register_standby`]).
 struct StandbyRecord {
-    device_type: String,
+    device_type: Arc<str>,
     attributes: AttributeMap,
     driver: Box<dyn DeviceInstance>,
 }
@@ -155,10 +275,16 @@ pub struct Registry {
     /// The declared device types; the engine's compiled design shares
     /// this table, so a record's cached id means the same to both.
     device_types: Names,
-    entities: BTreeMap<EntityId, EntityRecord>,
-    /// Read-optimized discovery indexes (exact type, attribute, family);
-    /// all mutation funnels through bind/unbind so keys mirror live
-    /// bindings exactly.
+    /// Per device-type id, what the registry reads of its declaration.
+    /// Shared, so a read can hold a declaration while it drives records.
+    types: Arc<[TypeDecl]>,
+    /// The entity slab: every bound record, at its slot.
+    slab: Slab,
+    /// Bound id -> its slot, for the by-id entry points.
+    slots: BTreeMap<EntityId, u32>,
+    /// Read-optimized discovery indexes (exact type, attribute); all
+    /// mutation funnels through bind/unbind so keys mirror live bindings
+    /// exactly.
     indexes: Indexes,
     /// Validated spares awaiting promotion by [`Registry::expire_leases`].
     standbys: BTreeMap<EntityId, StandbyRecord>,
@@ -171,11 +297,29 @@ impl Registry {
     /// Creates an empty registry over a checked specification.
     #[must_use]
     pub fn new(spec: Arc<CheckedSpec>) -> Self {
+        let device_types = Names::new(spec.devices().map(|d| d.name.as_str()));
+        // `devices()` enumerates in name order, which is id order.
+        let types: Arc<[TypeDecl]> = spec
+            .devices()
+            .map(|device| TypeDecl {
+                name: Arc::from(device.name.as_str()),
+                policy: device.error_policy(),
+                family: device_types
+                    .ids()
+                    .filter(|&member| {
+                        spec.device_is_subtype(device_types.name(member), &device.name)
+                    })
+                    .collect(),
+                device: device.clone(),
+            })
+            .collect();
         Registry {
-            indexes: Indexes::new(&spec),
-            device_types: Names::new(spec.devices().map(|d| d.name.as_str())),
+            indexes: Indexes::new(types.len()),
+            types,
+            device_types,
             spec,
-            entities: BTreeMap::new(),
+            slab: Slab::default(),
+            slots: BTreeMap::new(),
             standbys: BTreeMap::new(),
             lease_ttl_ms: None,
             stats: RegistryStats::default(),
@@ -213,24 +357,27 @@ impl Registry {
         now_ms: u64,
     ) -> Result<(), RuntimeError> {
         let type_id = self.check_binding(&id, device_type, &attributes)?;
-        let attribute_handles = self.indexes.insert(&id, device_type, &attributes);
-        self.entities.insert(
-            id.clone(),
-            EntityRecord {
-                type_id,
-                attribute_handles,
-                info: EntityInfo {
-                    id,
-                    device_type: device_type.to_owned(),
-                    attributes,
-                    bound_at,
-                    bound_time_ms: now_ms,
-                },
-                driver,
-                lease_expires_at: self.lease_ttl_ms.map(|ttl| now_ms.saturating_add(ttl)),
-                crashed: false,
+        let slot = self.slab.next_slot();
+        let attribute_handles = self
+            .indexes
+            .insert(&id, slot, type_id, &attributes)
+            .into_boxed_slice();
+        self.slots.insert(id.clone(), slot);
+        let record = EntityRecord {
+            type_id,
+            attribute_handles,
+            info: EntityInfo {
+                id,
+                device_type: Arc::clone(&self.types[type_id as usize].name),
+                attributes,
+                bound_at,
+                bound_time_ms: now_ms,
             },
-        );
+            driver,
+            lease_expires_at: self.lease_ttl_ms.map(|ttl| now_ms.saturating_add(ttl)),
+            crashed: false,
+        };
+        self.slab.put(record);
         Ok(())
     }
 
@@ -243,16 +390,14 @@ impl Registry {
         device_type: &str,
         attributes: &AttributeMap,
     ) -> Result<u32, RuntimeError> {
-        let (Some(device), Some(type_id)) = (
-            self.spec.device(device_type),
-            self.device_types.id(device_type),
-        ) else {
+        let Some(type_id) = self.device_types.id(device_type) else {
             return Err(RuntimeError::Unknown {
                 kind: "device",
                 name: device_type.to_owned(),
             });
         };
-        if self.entities.contains_key(id) || self.standbys.contains_key(id) {
+        let device = &self.types[type_id as usize].device;
+        if self.slots.contains_key(id) || self.standbys.contains_key(id) {
             return Err(RuntimeError::Configuration(format!(
                 "entity `{id}` is already bound"
             )));
@@ -288,48 +433,44 @@ impl Registry {
         Ok(type_id)
     }
 
-    /// Unbinds an entity, returning its public record. Index buckets that
-    /// become empty are deleted with it, so churn (unbind/rebind cycles)
-    /// cannot accumulate stale index keys.
+    /// Unbinds an entity, returning its public record. Its slot goes back
+    /// to the free list, and index buckets that become empty are deleted
+    /// with it, so churn (unbind/rebind cycles) accumulates neither slots
+    /// nor stale index keys.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Unknown`] if the entity is not bound.
     pub fn unbind(&mut self, id: &EntityId) -> Result<EntityInfo, RuntimeError> {
-        let record = self
-            .entities
-            .remove(id)
-            .ok_or_else(|| RuntimeError::Unknown {
-                kind: "entity",
-                name: id.to_string(),
-            })?;
+        let slot = self.slots.remove(id).ok_or_else(|| unknown_entity(id))?;
+        let record = self.slab.take(slot);
         self.indexes
-            .remove(id, &record.info.device_type, &record.info.attributes);
+            .remove(id, record.type_id, &record.info.attributes);
         Ok(record.info)
     }
 
     /// Whether `id` is currently bound.
     #[must_use]
     pub fn contains(&self, id: &EntityId) -> bool {
-        self.entities.contains_key(id)
+        self.slots.contains_key(id)
     }
 
     /// Number of bound entities.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entities.len()
+        self.slots.len()
     }
 
     /// Whether no entities are bound.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entities.is_empty()
+        self.slots.is_empty()
     }
 
     /// The public record of entity `id`.
     #[must_use]
     pub fn entity(&self, id: &EntityId) -> Option<&EntityInfo> {
-        self.entities.get(id).map(|r| &r.info)
+        self.bound(id).map(|r| &r.info)
     }
 
     /// The declared device types, by id.
@@ -339,7 +480,30 @@ impl Registry {
 
     /// The device-type id of bound entity `id`.
     pub(crate) fn device_type_id(&self, id: &EntityId) -> Option<u32> {
-        self.entities.get(id).map(|r| r.type_id)
+        self.bound(id).map(|r| r.type_id)
+    }
+
+    /// The declared `@error` policy of device type `type_id`.
+    pub(crate) fn error_policy(&self, type_id: u32) -> &ErrorPolicy {
+        &self.types[type_id as usize].policy
+    }
+
+    /// The record in `slot`.
+    fn record(&self, slot: u32) -> &EntityRecord {
+        self.slab.get(slot)
+    }
+
+    /// The record of bound entity `id`.
+    fn bound(&self, id: &EntityId) -> Option<&EntityRecord> {
+        self.slots.get(id).map(|&slot| self.record(slot))
+    }
+
+    /// The slot of bound entity `id`.
+    fn slot_of(&self, id: &EntityId) -> Result<u32, RuntimeError> {
+        self.slots
+            .get(id)
+            .copied()
+            .ok_or_else(|| unknown_entity(id))
     }
 
     /// Starts a discovery query for entities of `device_type` (or any of
@@ -353,11 +517,30 @@ impl Registry {
         }
     }
 
-    fn ids_of_family(&self, device_type: &str) -> Vec<&EntityId> {
-        // Exact-type buckets of the requested type and every subtype,
-        // walked through the precomputed family member list (name order,
-        // matching the former full-index subtype scan).
-        self.indexes.ids_of_family(device_type).collect()
+    /// The member types of `device_type`'s family (itself and every
+    /// subtype), in name order; empty for an undeclared type.
+    fn family(&self, device_type: &str) -> &[u32] {
+        self.device_types
+            .id(device_type)
+            .map_or(&[], |ty| &self.types[ty as usize].family)
+    }
+
+    /// The other bound members of `slot`'s device family (its exact type
+    /// and subtypes): interchangeable siblings first (identical
+    /// attributes, e.g. a second sensor in the same parking lot), then
+    /// the rest (e.g. a wing altimeter standing in for the nose one),
+    /// each in family order.
+    fn siblings(&self, slot: u32) -> Vec<u32> {
+        let record = self.record(slot);
+        let family = &self.types[record.type_id as usize].family;
+        let (mut matching, others): (Vec<u32>, Vec<u32>) = self
+            .indexes
+            .family_slots(family)
+            .map(|(_, sibling)| sibling)
+            .filter(|&sibling| sibling != slot)
+            .partition(|&sibling| self.record(sibling).info.attributes == record.info.attributes);
+        matching.extend(others);
+        matching
     }
 
     /// Reads `source` from entity `id`, applying the device's `@error`
@@ -380,54 +563,91 @@ impl Registry {
         source: &str,
         now_ms: u64,
     ) -> Result<Option<Value>, RuntimeError> {
-        // The declaration is borrowed from a handle to the spec, not from
-        // `self`, so the device name and source type need no copy while
-        // the driver is called.
-        let spec = Arc::clone(&self.spec);
-        let record = self.entities.get(id).ok_or_else(|| RuntimeError::Unknown {
-            kind: "entity",
-            name: id.to_string(),
-        })?;
-        let device_type = &record.info.device_type;
-        let Some((device, src)) = spec
-            .device(device_type)
-            .and_then(|device| Some((device, device.source(source)?)))
-        else {
-            return Err(RuntimeError::Unknown {
-                kind: "source",
-                name: format!("{source} on {device_type}"),
-            });
+        let slot = self.slot_of(id)?;
+        let types = Arc::clone(&self.types);
+        let decl = &types[self.record(slot).type_id as usize];
+        let Some(src) = decl.device.source(source) else {
+            return Err(unknown_source(source, decl));
         };
-        let policy = device.error_policy();
-
-        match self.query_with_policy(id, &device.name, source, now_ms, policy)? {
-            None => Ok(None),
-            Some(value) => {
-                if !value.conforms_to(&src.ty, &spec) {
-                    return Err(RuntimeError::TypeMismatch {
-                        at: format!("source `{source}` of entity `{id}`"),
-                        expected: src.ty.to_string(),
-                        found: value.to_string(),
-                    });
-                }
-                Ok(Some(value))
-            }
-        }
+        self.read(slot, source, &src.ty, &decl.policy, now_ms)
     }
 
-    fn query_with_policy(
+    /// Reads `source` from every bound entity of `device_type` (and
+    /// subtypes) in id order — the order `discover(device_type).ids()`
+    /// lists them — appending each reading to `out`. Stops at the first
+    /// failure the `@error` policy does not recover, as a loop of
+    /// [`Registry::query_source`] over those ids would.
+    pub(crate) fn query_family(
         &mut self,
-        id: &EntityId,
         device_type: &str,
         source: &str,
         now_ms: u64,
-        policy: ErrorPolicy,
+        out: &mut Vec<(EntityId, Value)>,
+    ) -> Result<(), RuntimeError> {
+        let family = self.family(device_type);
+        let mut members: Vec<(EntityId, u32)> = self
+            .indexes
+            .family_slots(family)
+            .map(|(id, slot)| (id.clone(), slot))
+            .collect();
+        members.sort_unstable();
+        let types = Arc::clone(&self.types);
+        for (id, slot) in members {
+            let decl = &types[self.record(slot).type_id as usize];
+            let Some(src) = decl.device.source(source) else {
+                return Err(unknown_source(source, decl));
+            };
+            if let Some(value) = self.read(slot, source, &src.ty, &decl.policy, now_ms)? {
+                out.push((id, value));
+            }
+        }
+        Ok(())
+    }
+
+    /// The one per-record read of [`Registry::query_source`],
+    /// [`Registry::poll`] and [`Registry::query_family`]: `source` (of
+    /// type `ty`) from the record in `slot`, under its type's `policy`.
+    /// A driver failure hands its error to the policy, which makes every
+    /// further driver call; a value that does not conform to `ty` is an
+    /// error.
+    fn read(
+        &mut self,
+        slot: u32,
+        source: &str,
+        ty: &Type,
+        policy: &ErrorPolicy,
+        now_ms: u64,
     ) -> Result<Option<Value>, RuntimeError> {
-        let first = self.raw_query(id, source, now_ms);
-        let err = match first {
-            Ok(value) => return Ok(Some(value)),
-            Err(e) => e,
+        let value = match self.raw_query(slot, source, now_ms) {
+            Ok(value) => value,
+            Err(first) => match self.recover(slot, source, now_ms, policy, first)? {
+                Some(value) => value,
+                None => return Ok(None),
+            },
         };
+        if !value.conforms_to(ty, &self.spec) {
+            return Err(RuntimeError::TypeMismatch {
+                at: format!(
+                    "source `{source}` of entity `{}`",
+                    self.record(slot).info.id
+                ),
+                expected: ty.to_string(),
+                found: value.to_string(),
+            });
+        }
+        Ok(Some(value))
+    }
+
+    /// Applies `policy` after the read of `source` from `slot` failed
+    /// with `err`.
+    fn recover(
+        &mut self,
+        slot: u32,
+        source: &str,
+        now_ms: u64,
+        policy: &ErrorPolicy,
+        err: DeviceError,
+    ) -> Result<Option<Value>, RuntimeError> {
         self.stats.driver_failures += 1;
         match policy.kind {
             PolicyKind::Escalate => Err(err.into()),
@@ -438,7 +658,7 @@ impl Registry {
             PolicyKind::Retry => {
                 for _ in 1..policy.attempts {
                     self.stats.retries += 1;
-                    match self.raw_query(id, source, now_ms) {
+                    match self.raw_query(slot, source, now_ms) {
                         Ok(value) => return Ok(Some(value)),
                         Err(_) => self.stats.driver_failures += 1,
                     }
@@ -446,23 +666,9 @@ impl Registry {
                 Err(err.into())
             }
             PolicyKind::Failover => {
-                // Prefer interchangeable siblings (identical attributes,
-                // e.g. a second sensor in the same parking lot), then fall
-                // back to any entity of the same device family (e.g. a
-                // wing altimeter standing in for the nose one).
-                let attrs = self.entities[id].info.attributes.clone();
-                let family: Vec<EntityId> = self
-                    .ids_of_family(device_type)
-                    .into_iter()
-                    .filter(|sid| *sid != id)
-                    .cloned()
-                    .collect();
-                let (matching, others): (Vec<EntityId>, Vec<EntityId>) = family
-                    .into_iter()
-                    .partition(|sid| self.entities[sid].info.attributes == attrs);
-                for sibling in matching.into_iter().chain(others) {
+                for sibling in self.siblings(slot) {
                     self.stats.failovers += 1;
-                    if let Ok(value) = self.raw_query(&sibling, source, now_ms) {
+                    if let Ok(value) = self.raw_query(sibling, source, now_ms) {
                         return Ok(Some(value));
                     }
                     self.stats.driver_failures += 1;
@@ -472,25 +678,22 @@ impl Registry {
         }
     }
 
-    fn raw_query(
-        &mut self,
-        id: &EntityId,
-        source: &str,
-        now_ms: u64,
-    ) -> Result<Value, DeviceError> {
-        let lease_ttl = self.lease_ttl_ms;
-        let record = self
-            .entities
-            .get_mut(id)
-            .expect("caller validated entity exists");
+    /// Calls the driver of the record in `slot` for `source`, maintaining
+    /// counters and lease renewal.
+    fn raw_query(&mut self, slot: u32, source: &str, now_ms: u64) -> Result<Value, DeviceError> {
+        let record = self.slab.get_mut(slot);
         if record.crashed {
-            return Err(DeviceError::new(id.to_string(), source, "device crashed"));
+            return Err(DeviceError::new(
+                record.info.id.to_string(),
+                source,
+                "device crashed",
+            ));
         }
         let result = record.driver.query(source, now_ms);
         if result.is_ok() {
             self.stats.queries += 1;
             // Serving a read successfully renews the entity's lease.
-            if let Some(ttl) = lease_ttl {
+            if let Some(ttl) = self.lease_ttl_ms {
                 record.lease_expires_at = Some(now_ms.saturating_add(ttl));
             }
         }
@@ -502,10 +705,13 @@ impl Registry {
     /// downstream grouping. Readings come in family order: exact member
     /// types by name, entities by id within each.
     ///
-    /// A reading is three shared handles — the entity id, the canonical
-    /// handle of the grouping value (one per distinct value among the live
-    /// bindings), and the wrapped reading — so a poll sweep allocates for
-    /// its result vector, not per entity.
+    /// The source declaration, the `@error` policy and the grouping
+    /// attribute's position are resolved once per member type; the sweep
+    /// then walks the type's slots in id order. A reading is three shared
+    /// handles — the entity id, the canonical handle of the grouping value
+    /// (one per distinct value among the live bindings), and the wrapped
+    /// reading — so a poll sweep allocates for its result vector and its
+    /// slot buffer, not per entity.
     ///
     /// Entities whose driver fails under an `ignore` policy are skipped;
     /// other policies apply as in [`Registry::query_source`], and an
@@ -520,43 +726,52 @@ impl Registry {
         group_attr: Option<&str>,
         now_ms: u64,
     ) -> Vec<PolledReading> {
-        let ids: Vec<EntityId> = self
-            .ids_of_family(device_type)
-            .into_iter()
-            .cloned()
-            .collect();
+        let Some(root) = self.device_types.id(device_type) else {
+            return Vec::new();
+        };
+        let types = Arc::clone(&self.types);
+        let family = &types[root as usize].family;
         // Remote members answer from one exchange per link; a crashed
         // member is never asked (`deploy::sweep`).
-        let declared = self
-            .spec
-            .device(device_type)
-            .is_some_and(|d| d.source(source).is_some());
-        let members = ids.iter().filter(|id| declared && !self.is_crashed(id));
+        let declared = types[root as usize].device.source(source).is_some();
+        let members = self
+            .indexes
+            .family_slots(family)
+            .filter(|&(_, slot)| declared && !self.record(slot).crashed)
+            .map(|(id, _)| id);
         let _sweep = crate::deploy::SweepScope::open(source, now_ms, members);
-        let mut readings = Vec::with_capacity(ids.len());
-        for id in ids {
-            let value = match self.query_source(&id, source, now_ms) {
-                Ok(Some(value)) => value,
-                Ok(None) | Err(_) => continue,
+        let mut readings =
+            Vec::with_capacity(family.iter().map(|&ty| self.indexes.bucket(ty).len()).sum());
+        let mut slots: Vec<u32> = Vec::new();
+        for &ty in family.iter() {
+            let decl = &types[ty as usize];
+            // A member type that does not declare the source has no
+            // reading to give; its drivers are not called.
+            let Some(src) = decl.device.source(source) else {
+                continue;
             };
-            // The grouping key is the canonical handle of the attribute
-            // value (one per distinct value, owned by the bind/unbind
-            // writer path): a pointer bump, not a copy of the value.
-            let group = group_attr.and_then(|attr| {
-                let record = self.entities.get(&id)?;
-                let names = record.info.attributes.keys();
-                let (_, handle) = names
-                    .zip(&record.attribute_handles)
-                    .find(|(name, _)| *name == attr)?;
-                Some(handle.clone())
-            });
-            readings.push(PolledReading {
-                entity: id,
-                group,
-                // Wrapped once here at pipeline admission; every hop
-                // downstream shares the handle.
-                value: Payload::new(value),
-            });
+            let group_at = group_attr.and_then(|attr| decl.attribute_position(attr));
+            // The type's slots, copied out of its bucket so that the reads
+            // below may drive the records; one buffer serves every type.
+            slots.clear();
+            slots.extend(self.indexes.bucket(ty).values().copied());
+            for &slot in &slots {
+                let Ok(Some(value)) = self.read(slot, source, &src.ty, &decl.policy, now_ms) else {
+                    continue;
+                };
+                let record = self.record(slot);
+                readings.push(PolledReading {
+                    entity: record.info.id.clone(),
+                    // The grouping key is the canonical handle of the
+                    // attribute value (one per distinct value, owned by
+                    // the bind/unbind writer path): a pointer bump, not a
+                    // copy of the value.
+                    group: group_at.map(|i| record.attribute_handles[i].clone()),
+                    // Wrapped once here at pipeline admission; every hop
+                    // downstream shares the handle.
+                    value: Payload::new(value),
+                });
+            }
         }
         readings
     }
@@ -584,7 +799,8 @@ impl Registry {
     /// [`Registry::invoke`] behind a caller's contract check: `permits`
     /// sees the entity's device-type id before the action is resolved,
     /// and its error is returned as is. One entity lookup serves the
-    /// check, the validation and every attempt; returns the device-type
+    /// check, the validation and every attempt; the declaration and the
+    /// `@error` policy come from the type table. Returns the device-type
     /// id.
     pub(crate) fn invoke_permitted(
         &mut self,
@@ -594,23 +810,15 @@ impl Registry {
         now_ms: u64,
         permits: impl FnOnce(u32) -> Result<(), RuntimeError>,
     ) -> Result<u32, RuntimeError> {
-        let record = self
-            .entities
-            .get_mut(id)
-            .ok_or_else(|| RuntimeError::Unknown {
-                kind: "entity",
-                name: id.to_string(),
-            })?;
-        permits(record.type_id)?;
-        let device_type = &record.info.device_type;
-        let Some((device, act)) = self
-            .spec
-            .device(device_type)
-            .and_then(|device| Some((device, device.action(action)?)))
-        else {
+        let slot = self.slot_of(id)?;
+        let type_id = self.record(slot).type_id;
+        permits(type_id)?;
+        let types = Arc::clone(&self.types);
+        let decl = &types[type_id as usize];
+        let Some(act) = decl.device.action(action) else {
             return Err(RuntimeError::Unknown {
                 kind: "action",
-                name: format!("{action} on {device_type}"),
+                name: format!("{action} on {}", decl.name),
             });
         };
         if act.params.len() != args.len() {
@@ -632,9 +840,7 @@ impl Registry {
                 });
             }
         }
-        let policy = device.error_policy();
-        let type_id = record.type_id;
-
+        let policy = &decl.policy;
         let attempts = if policy.kind == PolicyKind::Retry {
             policy.attempts
         } else {
@@ -642,14 +848,7 @@ impl Registry {
         };
         let mut attempt = 1;
         let err = loop {
-            match drive_invoke(
-                record,
-                &mut self.stats,
-                self.lease_ttl_ms,
-                action,
-                args,
-                now_ms,
-            ) {
+            match self.raw_invoke(slot, action, args, now_ms) {
                 Ok(()) => return Ok(type_id),
                 Err(e) => {
                     self.stats.driver_failures += 1;
@@ -666,33 +865,37 @@ impl Registry {
             return Ok(type_id);
         }
         if let Some(fallback) = policy.fallback.as_deref() {
-            if self.invoke_fallback(id, fallback, now_ms) {
+            if self.invoke_fallback(slot, fallback, now_ms) {
                 return Ok(type_id);
             }
         }
         Err(err.into())
     }
 
-    /// Calls the driver of entity `id` directly, maintaining counters and
-    /// lease renewal.
+    /// Calls the driver of the record in `slot` for `action`, maintaining
+    /// counters and lease renewal.
     fn raw_invoke(
         &mut self,
-        id: &EntityId,
+        slot: u32,
         action: &str,
         args: &[Value],
         now_ms: u64,
     ) -> Result<(), DeviceError> {
-        let Some(record) = self.entities.get_mut(id) else {
-            return Err(DeviceError::new(id.to_string(), action, "entity not bound"));
-        };
-        drive_invoke(
-            record,
-            &mut self.stats,
-            self.lease_ttl_ms,
-            action,
-            args,
-            now_ms,
-        )
+        let record = self.slab.get_mut(slot);
+        if record.crashed {
+            return Err(DeviceError::new(
+                record.info.id.to_string(),
+                action,
+                "device crashed",
+            ));
+        }
+        record.driver.invoke(action, args, now_ms)?;
+        self.stats.invocations += 1;
+        // Serving an actuation successfully renews the entity's lease.
+        if let Some(ttl) = self.lease_ttl_ms {
+            record.lease_expires_at = Some(now_ms.saturating_add(ttl));
+        }
+        Ok(())
     }
 
     /// Drives the declared `@error(fallback = ...)` action after an
@@ -700,22 +903,10 @@ impl Registry {
     /// tried on the failed entity first, then across its device family
     /// (interchangeable siblings preferred). Returns whether any target
     /// acknowledged it.
-    fn invoke_fallback(&mut self, id: &EntityId, action: &str, now_ms: u64) -> bool {
-        let (device_type, attrs) = {
-            let info = &self.entities[id].info;
-            (info.device_type.clone(), info.attributes.clone())
-        };
-        let family: Vec<EntityId> = self
-            .ids_of_family(&device_type)
-            .into_iter()
-            .filter(|sid| *sid != id)
-            .cloned()
-            .collect();
-        let (matching, others): (Vec<EntityId>, Vec<EntityId>) = family
-            .into_iter()
-            .partition(|sid| self.entities[sid].info.attributes == attrs);
-        for target in std::iter::once(id.clone()).chain(matching).chain(others) {
-            if self.raw_invoke(&target, action, &[], now_ms).is_ok() {
+    fn invoke_fallback(&mut self, slot: u32, action: &str, now_ms: u64) -> bool {
+        let siblings = self.siblings(slot);
+        for target in std::iter::once(slot).chain(siblings) {
+            if self.raw_invoke(target, action, &[], now_ms).is_ok() {
                 self.stats.fallback_invocations += 1;
                 return true;
             }
@@ -731,7 +922,7 @@ impl Registry {
     /// at `now_ms`; `None` clears all leases.
     pub fn set_lease_ttl(&mut self, ttl_ms: Option<u64>, now_ms: u64) {
         self.lease_ttl_ms = ttl_ms;
-        for record in self.entities.values_mut() {
+        for record in self.slab.records_mut() {
             record.lease_expires_at = ttl_ms.map(|ttl| now_ms.saturating_add(ttl));
         }
     }
@@ -740,7 +931,7 @@ impl Registry {
     /// entity is bound.
     #[must_use]
     pub fn lease_of(&self, id: &EntityId) -> Option<u64> {
-        self.entities.get(id).and_then(|r| r.lease_expires_at)
+        self.bound(id).and_then(|r| r.lease_expires_at)
     }
 
     /// Marks entity `id` as crashed (`true`) or restarted (`false`). A
@@ -751,21 +942,15 @@ impl Registry {
     ///
     /// Returns [`RuntimeError::Unknown`] if the entity is not bound.
     pub fn set_crashed(&mut self, id: &EntityId, crashed: bool) -> Result<(), RuntimeError> {
-        let record = self
-            .entities
-            .get_mut(id)
-            .ok_or_else(|| RuntimeError::Unknown {
-                kind: "entity",
-                name: id.to_string(),
-            })?;
-        record.crashed = crashed;
+        let slot = self.slot_of(id)?;
+        self.slab.get_mut(slot).crashed = crashed;
         Ok(())
     }
 
     /// Whether entity `id` is currently marked crashed.
     #[must_use]
     pub fn is_crashed(&self, id: &EntityId) -> bool {
-        self.entities.get(id).is_some_and(|r| r.crashed)
+        self.bound(id).is_some_and(|r| r.crashed)
     }
 
     /// Registers a standby entity: validated exactly like [`Registry::bind`]
@@ -783,11 +968,11 @@ impl Registry {
         attributes: AttributeMap,
         driver: Box<dyn DeviceInstance>,
     ) -> Result<(), RuntimeError> {
-        self.check_binding(&id, device_type, &attributes)?;
+        let type_id = self.check_binding(&id, device_type, &attributes)?;
         self.standbys.insert(
             id,
             StandbyRecord {
-                device_type: device_type.to_owned(),
+                device_type: Arc::clone(&self.types[type_id as usize].name),
                 attributes,
                 driver,
             },
@@ -815,14 +1000,12 @@ impl Registry {
     /// through the declared `@error` policy.
     pub fn expire_leases(&mut self, now_ms: u64) -> Vec<LeaseTransition> {
         let expired: Vec<(EntityId, u64)> = self
-            .entities
+            .slots
             .iter()
-            .filter_map(|(id, r)| {
-                let heartbeat_expected = r.crashed
-                    || self
-                        .spec
-                        .device(&r.info.device_type)
-                        .is_some_and(|d| !d.sources.is_empty());
+            .filter_map(|(id, &slot)| {
+                let r = self.record(slot);
+                let heartbeat_expected =
+                    r.crashed || !self.types[r.type_id as usize].device.sources.is_empty();
                 if !heartbeat_expected {
                     return None;
                 }
@@ -871,38 +1054,31 @@ impl Registry {
     }
 }
 
-/// One driver call of an actuation, maintaining counters and lease
-/// renewal.
-fn drive_invoke(
-    record: &mut EntityRecord,
-    stats: &mut RegistryStats,
-    lease_ttl: Option<u64>,
-    action: &str,
-    args: &[Value],
-    now_ms: u64,
-) -> Result<(), DeviceError> {
-    if record.crashed {
-        return Err(DeviceError::new(
-            record.info.id.to_string(),
-            action,
-            "device crashed",
-        ));
+fn unknown_entity(id: &EntityId) -> RuntimeError {
+    RuntimeError::Unknown {
+        kind: "entity",
+        name: id.to_string(),
     }
-    record.driver.invoke(action, args, now_ms)?;
-    stats.invocations += 1;
-    // Serving an actuation successfully renews the entity's lease.
-    if let Some(ttl) = lease_ttl {
-        record.lease_expires_at = Some(now_ms.saturating_add(ttl));
+}
+
+fn unknown_source(source: &str, decl: &TypeDecl) -> RuntimeError {
+    RuntimeError::Unknown {
+        kind: "source",
+        name: format!("{source} on {}", decl.name),
     }
-    Ok(())
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let types: Vec<&str> = self
+            .indexes
+            .bound_types()
+            .map(|ty| self.device_types.name(ty))
+            .collect();
         f.debug_struct("Registry")
-            .field("entities", &self.entities.len())
+            .field("entities", &self.len())
             .field("standbys", &self.standbys.len())
-            .field("types", &self.indexes.bound_types().collect::<Vec<_>>())
+            .field("types", &types)
             .field("stats", &self.stats)
             .finish()
     }
@@ -937,20 +1113,18 @@ impl<'r> DiscoveryQuery<'r> {
     /// visited.
     #[must_use]
     pub fn ids(&self) -> Vec<EntityId> {
+        let indexes = &self.registry.indexes;
         let mut out: Vec<EntityId> = Vec::new();
-        for ty in self.registry.indexes.family_members(&self.device_type) {
-            let Some(bucket) = self.registry.indexes.type_bucket(ty) else {
-                continue;
-            };
+        for &ty in self.registry.family(&self.device_type) {
             if self.filters.is_empty() {
-                out.extend(bucket.iter().cloned());
+                out.extend(indexes.bucket(ty).keys().cloned());
                 continue;
             }
             // Intersect the per-filter index sets, smallest first.
             let mut sets: Vec<&BTreeSet<EntityId>> = Vec::with_capacity(self.filters.len());
             let mut empty = false;
             for (attr, value) in &self.filters {
-                match self.registry.indexes.attribute_bucket(ty, attr, value) {
+                match indexes.attribute_bucket(ty, attr, value) {
                     Some(set) if !set.is_empty() => sets.push(set),
                     _ => {
                         empty = true;
@@ -977,9 +1151,10 @@ impl<'r> DiscoveryQuery<'r> {
     /// Runs the query, returning full records.
     #[must_use]
     pub fn entities(&self) -> Vec<&'r EntityInfo> {
-        let ids = self.ids();
-        ids.iter()
-            .map(|id| &self.registry.entities[id].info)
+        let registry = self.registry;
+        self.ids()
+            .iter()
+            .map(|id| registry.entity(id).expect("a discovered id is bound"))
             .collect()
     }
 
@@ -1698,18 +1873,19 @@ mod tests {
     /// `mirrors` has just shown exists for live values only.
     fn assert_mirrored(reg: &Registry) {
         reg.indexes
-            .mirrors(
-                reg.entities
-                    .iter()
-                    .map(|(id, rec)| (id, rec.info.device_type.as_str(), &rec.info.attributes)),
-            )
+            .mirrors(reg.slots.iter().map(|(id, &slot)| {
+                let rec = reg.record(slot);
+                (id, slot, rec.type_id, &rec.info.attributes)
+            }))
             .expect("indexes mirror live bindings");
-        for (id, rec) in &reg.entities {
+        for (id, &slot) in &reg.slots {
+            let rec = reg.record(slot);
+            assert_eq!(&rec.info.id, id, "slot {slot} holds another entity");
             assert_eq!(rec.attribute_handles.len(), rec.info.attributes.len());
             for ((attr, value), held) in rec.info.attributes.iter().zip(&rec.attribute_handles) {
                 let canonical = reg
                     .indexes
-                    .canonical_handle(&rec.info.device_type, attr, value)
+                    .canonical_handle(rec.type_id, attr, value)
                     .expect("a live value has a handle");
                 assert!(
                     std::ptr::eq(canonical.value(), held.value()),
@@ -1760,7 +1936,11 @@ mod tests {
         assert_eq!(a22.handle_count(), 1);
         assert!(reg
             .indexes
-            .canonical_handle("PresenceSensor", "parkingLot", &Value::from("A22"))
+            .canonical_handle(
+                reg.device_types.id("PresenceSensor").unwrap(),
+                "parkingLot",
+                &Value::from("A22")
+            )
             .is_none());
         assert_eq!(b16.handle_count(), 3);
         assert_mirrored(&reg);
@@ -1799,6 +1979,7 @@ mod tests {
         let types = ["PresenceSensor", "RedundantSensor", "ParkingEntrancePanel"];
         let zones = ["A22", "B16", "C07", "D41"];
         let mut peak_attr_keys = 0usize;
+        let mut peak_live = 0usize;
 
         for round in 0..2_000u32 {
             let slot = rng.gen_range(0..40u32);
@@ -1826,6 +2007,9 @@ mod tests {
                 .unwrap();
             }
             peak_attr_keys = peak_attr_keys.max(reg.indexes.attribute_key_count());
+            peak_live = peak_live.max(reg.len());
+            // Freed slots are reused before the slab grows.
+            assert_eq!(reg.slab.len as usize, peak_live, "round {round}");
             if round % 100 == 0 {
                 assert_mirrored(&reg);
             }
@@ -1837,13 +2021,14 @@ mod tests {
             peak_attr_keys <= types.len() * zones.len(),
             "attribute keys leaked under churn: peak {peak_attr_keys}"
         );
-        assert!(reg.indexes.type_key_count() <= types.len());
+        assert!(reg.indexes.bound_types().count() <= types.len());
         // Discovery still agrees with a full scan of the live bindings.
         let discovered = reg.discover("DisplayPanel").count();
         let scanned = reg
-            .entities
+            .slots
             .values()
-            .filter(|rec| rec.info.device_type == "ParkingEntrancePanel")
+            .map(|&slot| reg.record(slot))
+            .filter(|rec| &*rec.info.device_type == "ParkingEntrancePanel")
             .count();
         assert_eq!(discovered, scanned);
     }

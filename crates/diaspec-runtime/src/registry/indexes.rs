@@ -3,30 +3,31 @@
 //! Discovery is the hot read path of the paper's *binding entities*
 //! activity: every periodic poll, failover, and `discover(...)` facade
 //! call resolves a device family to its bound entities. This module keeps
-//! the derived structures that make those reads cheap:
+//! the binding-derived structures that make those reads cheap, each
+//! addressed by device-type id (a position in the registry's type table,
+//! which also holds each type's precomputed family):
 //!
-//! - `by_type` — exact device type → bound entity ids;
+//! - `by_type` — exact device type → its bound entity ids, each with the
+//!   slot of its record in the registry's entity slab, in id order. A
+//!   poll sweep walks these buckets in order and reaches each record
+//!   through its slot, with no lookup by id;
 //! - `by_attribute` — exact type → attribute → value → entity ids, so
 //!   attribute-filtered discovery intersects small sets instead of
 //!   scanning the family. The value key is the **canonical handle** of
 //!   that attribute value: every entity bound with an equal value gets a
 //!   clone of the one [`Payload`], which is what a grouped poll attaches
-//!   to its readings;
-//! - `family` — device type → its member types (itself plus every
-//!   declared subtype), precomputed once from the immutable spec so a
-//!   family read walks only the member buckets instead of testing every
-//!   bound type against the subtype relation.
+//!   to its readings.
 //!
 //! All mutation funnels through [`Indexes::insert`] and
 //! [`Indexes::remove`] (the writer path, driven by `Registry::bind` /
-//! `Registry::unbind`); removal deletes emptied buckets so index keys —
-//! and with them the canonical handles — always mirror the live bindings
-//! exactly: an unbind/rebind churn workload cannot leak key space.
+//! `Registry::unbind`); removal deletes emptied attribute buckets so
+//! index keys — and with them the canonical handles — always mirror the
+//! live bindings exactly: an unbind/rebind churn workload cannot leak key
+//! space.
 
 use crate::entity::{AttributeMap, EntityId};
 use crate::payload::Payload;
 use crate::value::Value;
-use diaspec_core::model::CheckedSpec;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Attribute name → canonical value handle → entity ids, for one exact
@@ -36,59 +37,45 @@ type AttributeIndex = BTreeMap<String, BTreeMap<Payload, BTreeSet<EntityId>>>;
 /// The registry's derived discovery indexes. See the [module
 /// docs](self) for the read/write split.
 pub(crate) struct Indexes {
-    /// Exact-type index: device type name -> bound entity ids.
-    by_type: BTreeMap<String, BTreeSet<EntityId>>,
-    /// Attribute index: exact device type -> attribute -> value -> entity
-    /// ids. The value key owns the canonical handle of that value.
-    by_attribute: BTreeMap<String, AttributeIndex>,
-    /// Device type -> member types of its family (itself plus every
-    /// subtype), in declaration (name) order. Immutable after
-    /// construction: derived from the spec, not from bindings.
-    family: BTreeMap<String, Vec<String>>,
+    /// Exact-type index, by type id: bound entity id -> its slot.
+    by_type: Vec<BTreeMap<EntityId, u32>>,
+    /// Attribute index, by type id: attribute -> value -> entity ids. The
+    /// value key owns the canonical handle of that value.
+    by_attribute: Vec<AttributeIndex>,
 }
 
 impl Indexes {
-    /// Builds empty binding indexes plus the spec-derived family table.
-    pub(crate) fn new(spec: &CheckedSpec) -> Self {
-        let family = spec
-            .devices()
-            .map(|ancestor| {
-                let members: Vec<String> = spec
-                    .devices()
-                    .filter(|d| spec.device_is_subtype(&d.name, &ancestor.name))
-                    .map(|d| d.name.clone())
-                    .collect();
-                (ancestor.name.clone(), members)
-            })
-            .collect();
+    /// Empty indexes over `types` declared device types.
+    pub(crate) fn new(types: usize) -> Self {
         Indexes {
-            by_type: BTreeMap::new(),
-            by_attribute: BTreeMap::new(),
-            family,
+            by_type: vec![BTreeMap::new(); types],
+            by_attribute: (0..types).map(|_| AttributeIndex::new()).collect(),
         }
     }
 
     // ---- writer path ------------------------------------------------------
 
-    /// Indexes a fresh binding and returns the canonical handle of each
-    /// attribute value, in `attributes` (name) order. A value no live
-    /// binding of this type and attribute carries yet is wrapped here,
-    /// once; every later binding with an equal value shares that handle.
+    /// Indexes a fresh binding of type `ty` held in `slot`, and returns
+    /// the canonical handle of each attribute value, in `attributes`
+    /// (name) order. A value no live binding of this type and attribute
+    /// carries yet is wrapped here, once; every later binding with an
+    /// equal value shares that handle.
     pub(crate) fn insert(
         &mut self,
         id: &EntityId,
-        device_type: &str,
+        slot: u32,
+        ty: u32,
         attributes: &AttributeMap,
     ) -> Vec<Payload> {
-        entry_or_default(&mut self.by_type, device_type).insert(id.clone());
-        if attributes.is_empty() {
-            return Vec::new();
-        }
-        let by_attr = entry_or_default(&mut self.by_attribute, device_type);
+        self.by_type[ty as usize].insert(id.clone(), slot);
+        let by_attr = &mut self.by_attribute[ty as usize];
         attributes
             .iter()
             .map(|(attr, value)| {
-                let by_value = entry_or_default(by_attr, attr);
+                if !by_attr.contains_key(attr) {
+                    by_attr.insert(attr.clone(), BTreeMap::new());
+                }
+                let by_value = by_attr.get_mut(attr).expect("present or just inserted");
                 let handle = match by_value.get_key_value(value) {
                     Some((handle, _)) => handle.clone(),
                     None => Payload::new(value.clone()),
@@ -102,19 +89,12 @@ impl Indexes {
             .collect()
     }
 
-    /// Un-indexes a binding, dropping buckets that become empty so stale
-    /// `(type, attribute, value)` keys — and the canonical handles they
-    /// own — never accumulate under churn.
-    pub(crate) fn remove(&mut self, id: &EntityId, device_type: &str, attributes: &AttributeMap) {
-        if let Some(set) = self.by_type.get_mut(device_type) {
-            set.remove(id);
-            if set.is_empty() {
-                self.by_type.remove(device_type);
-            }
-        }
-        let Some(by_attr) = self.by_attribute.get_mut(device_type) else {
-            return;
-        };
+    /// Un-indexes a binding of type `ty`, dropping attribute buckets that
+    /// become empty so stale `(type, attribute, value)` keys — and the
+    /// canonical handles they own — never accumulate under churn.
+    pub(crate) fn remove(&mut self, id: &EntityId, ty: u32, attributes: &AttributeMap) {
+        self.by_type[ty as usize].remove(id);
+        let by_attr = &mut self.by_attribute[ty as usize];
         for (attr, value) in attributes {
             let Some(by_value) = by_attr.get_mut(attr) else {
                 continue;
@@ -129,61 +109,49 @@ impl Indexes {
                 by_attr.remove(attr);
             }
         }
-        if by_attr.is_empty() {
-            self.by_attribute.remove(device_type);
-        }
     }
 
     // ---- read path --------------------------------------------------------
 
-    /// Member types of `device_type`'s family (itself plus subtypes), in
-    /// name order. Empty for an undeclared type.
-    pub(crate) fn family_members(&self, device_type: &str) -> &[String] {
-        self.family.get(device_type).map_or(&[], Vec::as_slice)
-    }
-
-    /// Bound entity ids of one exact device type.
-    pub(crate) fn type_bucket(&self, device_type: &str) -> Option<&BTreeSet<EntityId>> {
-        self.by_type.get(device_type)
+    /// The bound entities of one exact device type, with their slots, in
+    /// id order.
+    pub(crate) fn bucket(&self, ty: u32) -> &BTreeMap<EntityId, u32> {
+        &self.by_type[ty as usize]
     }
 
     /// Bound entity ids carrying one exact (type, attribute, value)
     /// combination.
     pub(crate) fn attribute_bucket(
         &self,
-        device_type: &str,
+        ty: u32,
         attribute: &str,
         value: &Value,
     ) -> Option<&BTreeSet<EntityId>> {
-        self.by_attribute
-            .get(device_type)?
-            .get(attribute)?
-            .get(value)
+        self.by_attribute[ty as usize].get(attribute)?.get(value)
     }
 
-    /// Every bound entity of `device_type`'s family, walking the member
-    /// buckets in family (name) order — ids are grouped by exact type,
+    /// Every bound entity of the `family` member types, walking their
+    /// buckets in the given order — entities are grouped by exact type,
     /// each group in id order.
-    pub(crate) fn ids_of_family<'a>(
+    pub(crate) fn family_slots<'a>(
         &'a self,
-        device_type: &str,
-    ) -> impl Iterator<Item = &'a EntityId> + 'a {
-        self.family_members(device_type)
+        family: &'a [u32],
+    ) -> impl Iterator<Item = (&'a EntityId, u32)> + 'a {
+        family
             .iter()
-            .filter_map(|ty| self.by_type.get(ty))
-            .flatten()
+            .flat_map(|&ty| self.bucket(ty).iter().map(|(id, &slot)| (id, slot)))
     }
 
-    /// Device type names with at least one bound entity.
-    pub(crate) fn bound_types(&self) -> impl Iterator<Item = &String> {
-        self.by_type.keys()
+    /// Ids of the device types with at least one bound entity.
+    pub(crate) fn bound_types(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.by_type.len() as u32).filter(|&ty| !self.bucket(ty).is_empty())
     }
 
     /// Number of live `(type, attribute, value)` index keys.
     #[cfg(test)]
     pub(crate) fn attribute_key_count(&self) -> usize {
         self.by_attribute
-            .values()
+            .iter()
             .flat_map(BTreeMap::values)
             .map(BTreeMap::len)
             .sum()
@@ -193,39 +161,31 @@ impl Indexes {
     #[cfg(test)]
     pub(crate) fn canonical_handle(
         &self,
-        device_type: &str,
+        ty: u32,
         attribute: &str,
         value: &Value,
     ) -> Option<&Payload> {
-        let by_value = self.by_attribute.get(device_type)?.get(attribute)?;
+        let by_value = self.by_attribute[ty as usize].get(attribute)?;
         by_value.get_key_value(value).map(|(handle, _)| handle)
     }
 
-    /// Number of live exact-type index keys.
-    #[cfg(test)]
-    pub(crate) fn type_key_count(&self) -> usize {
-        self.by_type.len()
-    }
-
-    /// Checks that the indexes mirror `live` (id → (type, attributes))
-    /// exactly: every binding is indexed, and no bucket or key outlives
-    /// its bindings. Test support for the churn property test.
+    /// Checks that the indexes mirror `live` (id, slot, type, attributes)
+    /// exactly: every binding is indexed under its slot, and no bucket
+    /// entry or key outlives its binding. Test support for the churn
+    /// property test.
     #[cfg(test)]
     pub(crate) fn mirrors<'a>(
         &self,
-        live: impl Iterator<Item = (&'a EntityId, &'a str, &'a AttributeMap)>,
+        live: impl Iterator<Item = (&'a EntityId, u32, u32, &'a AttributeMap)>,
     ) -> Result<(), String> {
-        let mut expect_type: BTreeMap<String, BTreeSet<EntityId>> = BTreeMap::new();
-        let mut expect_attr: BTreeMap<String, AttributeIndex> = BTreeMap::new();
-        for (id, ty, attrs) in live {
-            expect_type
-                .entry(ty.to_owned())
-                .or_default()
-                .insert(id.clone());
+        let mut expect_type = vec![BTreeMap::new(); self.by_type.len()];
+        let mut expect_attr: Vec<AttributeIndex> = (0..self.by_type.len())
+            .map(|_| AttributeIndex::new())
+            .collect();
+        for (id, slot, ty, attrs) in live {
+            expect_type[ty as usize].insert(id.clone(), slot);
             for (attr, value) in attrs {
-                expect_attr
-                    .entry(ty.to_owned())
-                    .or_default()
+                expect_attr[ty as usize]
                     .entry(attr.clone())
                     .or_default()
                     .entry(Payload::new(value.clone()))
@@ -235,9 +195,9 @@ impl Indexes {
         }
         if self.by_type != expect_type {
             return Err(format!(
-                "by_type diverged: {} keys indexed, {} expected",
-                self.by_type.len(),
-                expect_type.len()
+                "by_type diverged: {} entries indexed, {} expected",
+                self.by_type.iter().map(BTreeMap::len).sum::<usize>(),
+                expect_type.iter().map(BTreeMap::len).sum::<usize>()
             ));
         }
         if self.by_attribute != expect_attr {
@@ -248,12 +208,4 @@ impl Indexes {
         }
         Ok(())
     }
-}
-
-/// `map.entry(key).or_default()` that allocates the key only on a miss.
-fn entry_or_default<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
-    if !map.contains_key(key) {
-        map.insert(key.to_owned(), V::default());
-    }
-    map.get_mut(key).expect("present or just inserted")
 }

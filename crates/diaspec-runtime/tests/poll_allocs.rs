@@ -7,6 +7,10 @@
 //! reading, and a buffered reading costs the three pointers it is made
 //! of.
 //!
+//! A sweep walks the registry's entity slab by slot: its allocator calls
+//! do not grow with the fleet, and unbind/rebind churn reuses freed
+//! slots instead of growing the slab.
+//!
 //! Event-driven delivery (sensor → context → controller → actuation):
 //! with every telemetry switch off no site builds a trace event, so a
 //! message costs only the allocations the pipeline itself needs.
@@ -17,8 +21,9 @@
 use diaspec_core::compile_str;
 use diaspec_runtime::component::ContextActivation;
 use diaspec_runtime::engine::{ContextApi, ControllerApi, Orchestrator};
-use diaspec_runtime::entity::{AttributeMap, DeviceInstance, EntityId};
+use diaspec_runtime::entity::{AttributeMap, BindingTime, DeviceInstance, EntityId};
 use diaspec_runtime::error::DeviceError;
+use diaspec_runtime::registry::Registry;
 use diaspec_runtime::trace::TraceKind;
 use diaspec_runtime::value::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,6 +148,121 @@ fn a_polled_reading_costs_handles_not_allocations() {
         bytes_per_reading <= 48.0,
         "{grown} B of live heap for {readings} buffered readings ({bytes_per_reading:.1} B each)"
     );
+}
+
+/// A registry of `sensors` grouped Boolean presence sensors, `GROUPS`
+/// parking lots, bound as `presence-0000`, `presence-0001`, ….
+fn presence_fleet(sensors: u64) -> Registry {
+    let spec = compile_str(
+        r#"
+        device PresenceSensor {
+          attribute parkingLot as ParkingLotEnum;
+          source presence as Boolean;
+        }
+        enumeration ParkingLotEnum { L0, L1, L2, L3, L4, L5, L6, L7 }
+        "#,
+    )
+    .unwrap();
+    let mut registry = Registry::new(Arc::new(spec));
+    registry.set_lease_ttl(Some(PERIOD_MS), 0);
+    for i in 0..sensors {
+        bind_presence(&mut registry, i, 0);
+    }
+    registry
+}
+
+fn bind_presence(registry: &mut Registry, i: u64, now: u64) {
+    let mut attrs = AttributeMap::new();
+    attrs.insert(
+        "parkingLot".to_owned(),
+        Value::enum_value("ParkingLotEnum", format!("L{}", i % GROUPS)),
+    );
+    let driver = move |_: &str, now: u64| Ok(Value::Bool((now / PERIOD_MS + i) % 3 == 1));
+    registry
+        .bind(
+            format!("presence-{i:04}").into(),
+            "PresenceSensor",
+            attrs,
+            Box::new(driver),
+            BindingTime::Runtime,
+            now,
+        )
+        .unwrap();
+}
+
+/// The fewest allocator calls one grouped sweep of `registry` made, over
+/// a few sweeps (the fewest is the sweep's own count: a stray call of
+/// the test harness's threads can only add).
+fn sweep_calls(registry: &mut Registry) -> u64 {
+    (1..=5)
+        .map(|poll| {
+            let before = CALLS.load(Ordering::Relaxed);
+            let readings = registry.poll(
+                "PresenceSensor",
+                "presence",
+                Some("parkingLot"),
+                poll * PERIOD_MS,
+            );
+            let calls = CALLS.load(Ordering::Relaxed) - before;
+            assert_eq!(readings.len(), registry.len());
+            assert!(readings.iter().all(|r| r.group.is_some()));
+            calls
+        })
+        .min()
+        .expect("five sweeps")
+}
+
+#[test]
+fn a_sweep_costs_the_same_allocator_calls_at_100_and_at_4000_sensors() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut small = presence_fleet(100);
+    let mut large = presence_fleet(4_000);
+    let (calls_small, calls_large) = (sweep_calls(&mut small), sweep_calls(&mut large));
+    // The result vector and the slot buffer, each sized once: no call
+    // per reading and none for a lookup.
+    assert_eq!(
+        calls_small, calls_large,
+        "a sweep of 100 sensors made {calls_small} allocator calls, of 4 000 {calls_large}"
+    );
+    assert!(
+        calls_large <= 2,
+        "{calls_large} allocator calls for one sweep"
+    );
+}
+
+#[test]
+fn unbind_rebind_churn_reuses_freed_slots() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const SENSORS: u64 = 1_000;
+    const CHURNED: u64 = 100;
+    let mut registry = presence_fleet(SENSORS);
+    // One cycle: a tenth of the fleet leaves and is replaced under fresh
+    // ids, so nothing but a freed slot can take a new record's place.
+    let mut next = SENSORS;
+    let mut cycle = |registry: &mut Registry| {
+        for i in next - SENSORS..next - SENSORS + CHURNED {
+            registry.unbind(&format!("presence-{i:04}").into()).unwrap();
+        }
+        for _ in 0..CHURNED {
+            bind_presence(registry, next, 0);
+            next += 1;
+        }
+        assert_eq!(registry.len() as u64, SENSORS);
+    };
+    cycle(&mut registry);
+    let live_before = LIVE.load(Ordering::Relaxed);
+    for _ in 0..50 {
+        cycle(&mut registry);
+    }
+    let grown = LIVE.load(Ordering::Relaxed).saturating_sub(live_before);
+    // 5 000 records bound over the churn: a slab that did not reuse its
+    // freed slots would have grown by thousands of records (~0.8 MB).
+    assert!(
+        grown <= 16 * 1024,
+        "{grown} B of live heap grown over 5 000 unbind/rebind pairs at {SENSORS} live"
+    );
+    let readings = registry.poll("PresenceSensor", "presence", None, PERIOD_MS);
+    assert_eq!(readings.len() as u64, SENSORS);
 }
 
 /// A sink that accepts `absorb` and serves no sources.

@@ -62,6 +62,15 @@
 #    the design by name again shows up as an owned `String` in a variant
 #    of the pipeline's `enum Event`, or as a name-keyed map
 #    (`BTreeMap<String`) in the engine's coordinator, facades or stages.
+# 11. One entity slab: the registry keeps bound records in one slab
+#    addressed by slot, one id -> slot map for the by-id entry points, and
+#    type indexes addressed by device-type id whose buckets hold slots
+#    (crates/diaspec-runtime/src/registry.rs, docs/ARCHITECTURE.md "One
+#    entity slab"); a poll sweep walks slots and reads each member type's
+#    declaration once. A name- or id-keyed record store growing back shows
+#    up as `BTreeMap<EntityId, EntityRecord>` in registry.rs, and a
+#    name-keyed type index as `BTreeMap<String, BTreeSet<EntityId>>` in
+#    registry/indexes.rs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -262,3 +271,20 @@ if grep -nF 'BTreeMap<String' "$ENGINE" "$API" "$DELIVER"/*.rs; then
     exit 1
 fi
 echo "ok: one compiled design (no owned name in enum Event, no BTreeMap<String in the engine)"
+
+REGISTRY=crates/diaspec-runtime/src/registry.rs
+if grep -nF 'BTreeMap<EntityId, EntityRecord>' "$REGISTRY"; then
+    echo "FAIL: $REGISTRY keys records by id again (lines above); keep them in the" >&2
+    echo "slab and map an id to its slot." >&2
+    exit 1
+fi
+if grep -nF 'BTreeMap<String, BTreeSet<EntityId>>' crates/diaspec-runtime/src/registry/indexes.rs; then
+    echo "FAIL: a name-keyed type index is back in registry/indexes.rs (lines above);" >&2
+    echo "index buckets by device-type id and hold slots." >&2
+    exit 1
+fi
+if ! grep -q 'pages: Vec<Box<\[Option<EntityRecord>\]>>,' "$REGISTRY"; then
+    echo "FAIL: $REGISTRY no longer declares the slab's \`pages\`; update this check." >&2
+    exit 1
+fi
+echo "ok: one entity slab (records by slot, type buckets by id, no id-keyed record map)"
