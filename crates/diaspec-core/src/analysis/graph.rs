@@ -67,8 +67,7 @@ pub enum EdgeKind {
 impl EdgeKind {
     /// Whether this edge pushes data on its own (event or periodic), as
     /// opposed to being pulled (`get`) or being an actuation.
-    #[must_use]
-    pub fn is_flow(self) -> bool {
+    fn is_flow(self) -> bool {
         matches!(self, EdgeKind::Event | EdgeKind::Periodic { .. })
     }
 }
@@ -204,37 +203,8 @@ impl DesignGraph {
     }
 
     /// Looks up a node's index.
-    #[must_use]
-    pub fn node_id(&self, node: &Node) -> Option<usize> {
+    fn node_id(&self, node: &Node) -> Option<usize> {
         self.index.get(node).copied()
-    }
-
-    /// The contexts a device source feeds, split by coupling: contexts
-    /// *triggered* by it (event-driven or periodic) versus contexts that
-    /// only `get` it.
-    #[must_use]
-    pub fn contexts_fed_by_source(&self, device: &str, source: &str) -> (Vec<&str>, Vec<&str>) {
-        let mut triggered = Vec::new();
-        let mut queried = Vec::new();
-        let Some(id) = self.node_id(&Node::Source {
-            device: device.to_owned(),
-            source: source.to_owned(),
-        }) else {
-            return (triggered, queried);
-        };
-        for edge in &self.edges {
-            if edge.from != id {
-                continue;
-            }
-            if let Node::Context(name) = &self.nodes[edge.to] {
-                if edge.kind.is_flow() {
-                    triggered.push(name.as_str());
-                } else {
-                    queried.push(name.as_str());
-                }
-            }
-        }
-        (triggered, queried)
     }
 
     /// Whether context `from` reaches context `to` along
@@ -355,9 +325,17 @@ mod tests {
                 source: "reading".into(),
             })
             .is_none());
-        let (triggered, queried) = graph.contexts_fed_by_source("Base", "reading");
-        assert_eq!(triggered, vec!["C"]);
-        assert_eq!(queried, vec!["C"]);
+        // C is both triggered by it (periodic) and `get`s it.
+        let source = graph.node_id(&node).unwrap();
+        let into_c: Vec<EdgeKind> = graph
+            .edges
+            .iter()
+            .filter(|e| e.from == source && graph.nodes[e.to] == Node::Context("C".into()))
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(into_c.len(), 2);
+        assert!(into_c.iter().any(|k| k.is_flow()));
+        assert!(into_c.contains(&EdgeKind::Query));
     }
 
     #[test]

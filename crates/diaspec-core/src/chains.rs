@@ -9,7 +9,7 @@
 //! Chains are used by documentation tooling, by tests that assert a design
 //! is fully wired, and by the runtime to pre-compute routing tables.
 
-use crate::model::{ActivationTrigger, CheckedSpec};
+use crate::model::CheckedSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -188,32 +188,6 @@ fn extend_from_context(
     }
 }
 
-/// Returns `true` when the trigger of any activation of `context` is the
-/// given device source (directly or via a device ancestor).
-#[must_use]
-pub fn context_consumes_source(
-    spec: &CheckedSpec,
-    context: &str,
-    device: &str,
-    source: &str,
-) -> bool {
-    let Some(ctx) = spec.context(context) else {
-        return false;
-    };
-    ctx.activations.iter().any(|a| match &a.trigger {
-        ActivationTrigger::DeviceSource {
-            device: d,
-            source: s,
-        }
-        | ActivationTrigger::Periodic {
-            device: d,
-            source: s,
-            ..
-        } => s == source && spec.device_is_subtype(device, d),
-        _ => false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,37 +312,6 @@ mod tests {
         // The source is declared once (on BaseSensor); the chain starts there.
         assert_eq!(chains.len(), 1);
         assert!(chains[0].to_string().starts_with("BaseSensor.reading"));
-    }
-
-    #[test]
-    fn context_consumes_source_walks_hierarchy() {
-        let model = compile_str(
-            r#"
-            device BaseSensor { source reading as Float; }
-            device RoomSensor extends BaseSensor { attribute room as String; }
-            device Sink { action absorb; }
-            context C as Float { when provided reading from BaseSensor always publish; }
-            controller Ctl { when provided C do absorb on Sink; }
-            "#,
-        )
-        .unwrap();
-        assert!(context_consumes_source(
-            &model,
-            "C",
-            "BaseSensor",
-            "reading"
-        ));
-        assert!(
-            context_consumes_source(&model, "C", "RoomSensor", "reading"),
-            "a RoomSensor is a BaseSensor"
-        );
-        assert!(!context_consumes_source(&model, "C", "Sink", "reading"));
-        assert!(!context_consumes_source(
-            &model,
-            "Ghost",
-            "BaseSensor",
-            "reading"
-        ));
     }
 
     #[test]

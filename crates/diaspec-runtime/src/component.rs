@@ -23,10 +23,22 @@ use crate::payload::Payload;
 use crate::registry::PolledReading;
 use crate::value::Value;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// One periodic batch delivered to a context (paper §IV.2: "every 10
 /// minutes, all presence sensor statuses of all parking lots are
 /// delivered").
+///
+/// Two orders describe one batch. [`BatchData::readings`] is batch
+/// order: the poll's family order, polls back to back in a window. A
+/// MapReduce context's Map phase reads that order, so task chunks do not
+/// depend on how the batch is grouped. [`BatchData::grouped`] is group
+/// order: one flat array of every reading that has a grouping value,
+/// group after group in ascending key order, and one end offset per
+/// group. Within a group the readings keep batch order. Readings of
+/// different member types of a subtype family that carry equal values
+/// share one group; a member type without the attribute contributes to
+/// `readings` only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchData {
     /// The polled device type.
@@ -41,10 +53,13 @@ pub struct BatchData {
     /// duplicate sits next to its original.
     pub readings: Vec<PolledReading>,
     /// Readings grouped by the `grouped by` attribute value, when the
-    /// activation declares grouping. Keys and readings are shared
-    /// [`Payload`] handles into the batch — grouping never deep-copies a
-    /// reading (a `&Payload` dereferences to [`Value`] for consumers).
-    pub grouped: Option<BTreeMap<Payload, Vec<Payload>>>,
+    /// activation declares grouping: a [`Groups`] view that yields each
+    /// group's key and its readings as `(&Payload, &[Payload])`, keys
+    /// ascending, each group's readings in batch order. Keys and
+    /// readings are shared [`Payload`] handles into the batch — grouping
+    /// never deep-copies a reading (a `&Payload` dereferences to
+    /// [`Value`] for consumers).
+    pub grouped: Option<Groups>,
     /// Result of the declared MapReduce phases, when `with map ... reduce
     /// ...` is present: final value per group key.
     pub reduced: Option<BTreeMap<Value, Value>>,
@@ -56,6 +71,163 @@ pub struct BatchData {
     /// The aggregation window in milliseconds, when `every <T>` is present.
     pub window_ms: Option<u64>,
 }
+
+/// The `grouped by` partition of a [`BatchData`], laid out flat.
+///
+/// `keys` holds the distinct grouping values in ascending order;
+/// `values` holds every grouped reading, group after group; `ends[g]` is
+/// one past group `g`'s last reading. A batch of any size is three
+/// vectors, sized exactly, so grouping it makes a number of allocator
+/// calls that depends on its groups, not on its readings.
+///
+/// Iterating yields `(&Payload, &[Payload])`: a key and its readings in
+/// batch order.
+#[derive(Clone, Default, PartialEq)]
+pub struct Groups {
+    keys: Vec<Payload>,
+    ends: Vec<usize>,
+    values: Vec<Payload>,
+}
+
+/// Marks a reading without a grouping value in [`Groups::of`].
+const UNGROUPED: u32 = u32::MAX;
+
+impl Groups {
+    /// Groups the readings that carry a grouping value.
+    ///
+    /// The registry hands out one canonical handle per (exact type,
+    /// attribute, value), so a handle names its group: the pass compares
+    /// each reading's handle with the previous reading's, and only a
+    /// change looks the handle up. A handle seen for the first time
+    /// joins the group of an equal value, which merges the handles of a
+    /// subtype family's member types and those of a value rebound
+    /// between the polls of one window. A counting pass then places each
+    /// reading in its group's slice.
+    #[must_use]
+    pub fn of(readings: &[PolledReading]) -> Self {
+        // A small id per distinct value, in first-seen order, and one per
+        // reading.
+        let mut by_handle: BTreeMap<*const Value, u32> = BTreeMap::new();
+        let mut by_value: BTreeMap<&Value, u32> = BTreeMap::new();
+        let mut firsts: Vec<&Payload> = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut ids = Vec::with_capacity(readings.len());
+        let mut last: Option<(*const Value, u32)> = None;
+        for reading in readings {
+            let Some(key) = &reading.group else {
+                ids.push(UNGROUPED);
+                continue;
+            };
+            let handle: *const Value = key.value();
+            let id = match last {
+                Some((hit, id)) if hit == handle => id,
+                _ => {
+                    let id = *by_handle.entry(handle).or_insert_with(|| {
+                        *by_value.entry(key.value()).or_insert_with(|| {
+                            firsts.push(key);
+                            counts.push(0);
+                            u32::try_from(counts.len() - 1).expect("fewer groups than readings")
+                        })
+                    });
+                    last = Some((handle, id));
+                    id
+                }
+            };
+            counts[id as usize] += 1;
+            ids.push(id);
+        }
+
+        // Group order is key order; `next[id]` becomes the slot of the
+        // id's next reading.
+        let mut next = counts;
+        let mut keys = Vec::with_capacity(firsts.len());
+        let mut ends = Vec::with_capacity(firsts.len());
+        let mut total = 0;
+        for &id in by_value.values() {
+            let count = next[id as usize];
+            next[id as usize] = total;
+            total += count;
+            keys.push(firsts[id as usize].clone());
+            ends.push(total);
+        }
+        let mut order = vec![0u32; total];
+        for (at, &id) in ids.iter().enumerate().filter(|(_, &id)| id != UNGROUPED) {
+            order[next[id as usize]] = u32::try_from(at).expect("a batch fits u32 positions");
+            next[id as usize] += 1;
+        }
+        drop(ids);
+        let values = order
+            .iter()
+            .map(|&at| readings[at as usize].value.clone())
+            .collect();
+        Groups { keys, ends, values }
+    }
+
+    /// The groups, keys ascending, each with its readings in batch order.
+    #[must_use]
+    pub fn iter(&self) -> GroupsIter<'_> {
+        GroupsIter {
+            keys: self.keys.iter(),
+            ends: self.ends.iter(),
+            values: &self.values,
+            start: 0,
+        }
+    }
+
+    /// Number of groups.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether no reading carried a grouping value.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+}
+
+impl fmt::Debug for Groups {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Groups {
+    type Item = (&'a Payload, &'a [Payload]);
+    type IntoIter = GroupsIter<'a>;
+
+    fn into_iter(self) -> GroupsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`Groups`] view, from [`Groups::iter`].
+#[derive(Debug, Clone)]
+pub struct GroupsIter<'a> {
+    keys: std::slice::Iter<'a, Payload>,
+    ends: std::slice::Iter<'a, usize>,
+    values: &'a [Payload],
+    start: usize,
+}
+
+impl<'a> Iterator for GroupsIter<'a> {
+    type Item = (&'a Payload, &'a [Payload]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let key = self.keys.next()?;
+        let end = *self.ends.next()?;
+        let group = &self.values[self.start..end];
+        self.start = end;
+        Some((key, group))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.keys.size_hint()
+    }
+}
+
+impl ExactSizeIterator for GroupsIter<'_> {}
 
 /// The stimulus delivered to a [`ContextLogic`] activation.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,8 +367,9 @@ where
 /// Map and Reduce phases of a `grouped by ... with map as X reduce as Y`
 /// context (paper Figure 10), over dynamic values.
 ///
-/// The engine partitions the periodic batch by the grouping attribute and
-/// feeds each `(group, reading)` pair to [`map`](Self::map); intermediate
+/// The engine feeds each reading that has a grouping value to
+/// [`map`](Self::map) as a `(group, reading)` pair, in batch order
+/// ([`BatchData::readings`]); intermediate
 /// records are grouped by their emitted key and folded by
 /// [`reduce`](Self::reduce). Implementations must be stateless
 /// (`Send + Sync`) because the parallel executor shares them across

@@ -55,7 +55,7 @@ use crate::spans::{SpanCtx, SpanEvent};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::{SimTransport, TransportConfig};
 use crate::value::Value;
-use diaspec_core::model::{ActivationTrigger, CheckedSpec};
+use diaspec_core::model::CheckedSpec;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -636,26 +636,25 @@ impl Orchestrator {
             }
         }
 
-        // Schedule periodic polls and initialize aggregation windows. The
-        // spec enumerates contexts in name order, which is id order.
+        // Schedule periodic polls and initialize aggregation windows.
         let now = self.queue.now();
-        for (ctx, context) in self.spec.contexts().zip(0u32..) {
-            for (idx, activation) in ctx.activations.iter().enumerate() {
-                let ActivationTrigger::Periodic { period_ms, .. } = activation.trigger else {
+        for context in design.contexts.ids() {
+            let periodic = &design.context(context).periodic;
+            for (idx, periodic) in periodic.iter().enumerate() {
+                let Some(periodic) = periodic else {
                     continue;
                 };
-                if let Some(window_ms) = activation.grouping.as_ref().and_then(|g| g.window_ms) {
-                    let deadline = now + window_ms;
+                if let Some(window_ms) = periodic.window_ms {
                     self.contexts[context as usize].windows.insert(
                         idx,
                         WindowBuffer {
                             readings: Vec::new(),
-                            deadline,
+                            deadline: now + window_ms,
                         },
                     );
                 }
                 self.queue.schedule(
-                    now + period_ms,
+                    now + periodic.period_ms,
                     Event::PeriodicPoll {
                         context,
                         activation_idx: idx,

@@ -12,9 +12,9 @@
 //! admission and activation.
 
 use crate::component::{
-    BatchData, ContextActivation, ContextLogic, ControllerLogic, MapReduceLogic,
+    BatchData, ContextActivation, ContextLogic, ControllerLogic, Groups, MapReduceLogic,
 };
-use crate::engine::design::Design;
+use crate::engine::design::{Design, Periodic};
 use crate::engine::{ContextApi, ControllerApi, Orchestrator, ProcessApi, ProcessingMode};
 use crate::error::RuntimeError;
 use crate::fault::{FaultInjector, FaultKind};
@@ -24,8 +24,9 @@ use crate::registry::PolledReading;
 use crate::spans::{SpanCtx, SpanStage};
 use crate::trace::TraceKind;
 use crate::value::Value;
-use diaspec_core::model::{ActivationTrigger, InputRef};
-use diaspec_mapreduce::{ExecutionStats, Job, MapCollector, MapReduce, ReduceCollector, TaskError};
+use diaspec_mapreduce::{
+    CoverageReport, ExecutionStats, Job, MapCollector, MapReduce, ReduceCollector, TaskError,
+};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,7 +109,7 @@ impl Orchestrator {
                 readings,
                 window_ms,
                 span,
-            } => self.dispatch_batch(context, activation_idx, readings, window_ms, span),
+            } => self.dispatch_batch(&design, context, activation_idx, readings, window_ms, span),
             Event::ProcessWake { idx } => {
                 let Some(mut process) = self.processes[idx].process.take() else {
                     return;
@@ -251,10 +252,10 @@ impl Orchestrator {
             }
         }
         for id in design.contexts.ids() {
-            let name = design.contexts.name(id);
-            if !self.context_references_device(name, device_type) {
+            if !design.references(id, device_type) {
                 continue;
             }
+            let name = design.contexts.name(id);
             let slot = id as usize;
             let Some(mut logic) = self.contexts[slot].logic.take() else {
                 continue;
@@ -273,52 +274,19 @@ impl Orchestrator {
         }
     }
 
-    /// Whether `context`'s design references the device family (a source
-    /// subscription, a periodic poll, or a `get` of one of its sources).
-    fn context_references_device(&self, context: &str, device_type: &str) -> bool {
-        let Some(ctx) = self.spec.context(context) else {
-            return false;
-        };
-        ctx.activations.iter().any(|a| {
-            let triggered = match &a.trigger {
-                ActivationTrigger::DeviceSource { device, .. }
-                | ActivationTrigger::Periodic { device, .. } => {
-                    self.spec.device_is_subtype(device_type, device)
-                }
-                _ => false,
-            };
-            triggered
-                || a.gets.iter().any(|g| {
-                    matches!(
-                        g,
-                        InputRef::DeviceSource { device, .. }
-                            if self.spec.device_is_subtype(device_type, device)
-                    )
-                })
-        })
-    }
-
     fn dispatch_periodic_poll(&mut self, design: &Design, id: u32, activation_idx: usize) {
-        // The declaration is borrowed from a handle to the spec for the
-        // whole poll, as `dispatch_batch` does.
-        let spec = Arc::clone(&self.spec);
         let context = design.contexts.name(id);
-        let Some(ctx_decl) = spec.context(context) else {
+        let Some(Some(periodic)) = design.context(id).periodic.get(activation_idx) else {
             return;
         };
-        let Some(activation) = ctx_decl.activations.get(activation_idx) else {
-            return;
-        };
-        let ActivationTrigger::Periodic {
+        let &Periodic {
             device,
             source,
             period_ms,
-        } = &activation.trigger
-        else {
-            return;
-        };
-        let group_attr = activation.grouping.as_ref().map(|g| g.attribute.as_str());
-        let window_ms = activation.grouping.as_ref().and_then(|g| g.window_ms);
+            window_ms,
+            ..
+        } = periodic;
+        let (device, source) = (design.types.name(device), design.sources.name(source));
 
         // Poll the whole device family (query-driven under the hood; the
         // paper requires drivers to support all three delivery modes).
@@ -330,12 +298,13 @@ impl Orchestrator {
         let admit = self.begin(root, SpanStage::Admit, None, || {
             format!("{context}/poll").into()
         });
-        let readings = self.registry.poll(device, source, group_attr, now);
+        let group_by = periodic.group_by.as_deref();
+        let readings = self.registry.poll(device, source, group_by, now);
         self.metrics.periodic_deliveries += 1;
         self.metrics.readings_polled += readings.len() as u64;
         self.note(|| TraceKind::PeriodicPoll {
-            device: device.clone(),
-            source: source.clone(),
+            device: device.to_owned(),
+            source: source.to_owned(),
             readings: readings.len(),
         });
 
@@ -382,7 +351,7 @@ impl Orchestrator {
                 // the window will hold instead of doubling up to it. A
                 // reservation the allocator refuses is not an error; the
                 // buffer then grows as it fills.
-                let polls = (window_ms / (*period_ms).max(1)).saturating_add(1);
+                let polls = (window_ms / period_ms.max(1)).saturating_add(1);
                 let expected = usize::try_from(polls)
                     .unwrap_or(usize::MAX)
                     .saturating_mul(surviving.len());
@@ -426,7 +395,7 @@ impl Orchestrator {
 
         // Keep the cadence anchored to the poll time, not delivery time.
         self.queue.schedule(
-            now + *period_ms,
+            now + period_ms,
             Event::PeriodicPoll {
                 context: id,
                 activation_idx,
@@ -436,131 +405,39 @@ impl Orchestrator {
 
     fn dispatch_batch(
         &mut self,
+        design: &Design,
         id: u32,
         activation_idx: usize,
         readings: Vec<PolledReading>,
         window_ms: Option<u64>,
         span: SpanCtx,
     ) {
-        let spec = Arc::clone(&self.spec);
-        let design = Arc::clone(&self.design);
         let context = design.contexts.name(id);
-        let Some(ctx_decl) = spec.context(context) else {
-            return;
-        };
-        let Some(activation) = ctx_decl.activations.get(activation_idx) else {
-            return;
-        };
-        let ActivationTrigger::Periodic { device, source, .. } = activation.trigger.clone() else {
+        let Some(Some(periodic)) = design.context(id).periodic.get(activation_idx) else {
             return;
         };
         let arrival = self.begin(span, SpanStage::Dispatch, None, || context.into());
         let ctx = arrival.ctx();
 
-        // Grouping shares the batch's payload handles — a 10k-reading
-        // batch groups with 10k pointer bumps, not 10k value copies.
-        let grouped = activation.grouping.as_ref().map(|_| {
-            let mut groups: BTreeMap<Payload, Vec<Payload>> = BTreeMap::new();
-            for reading in &readings {
-                if let Some(group) = &reading.group {
-                    groups
-                        .entry(group.clone())
-                        .or_default()
-                        .push(reading.value.clone());
-                }
-            }
-            groups
-        });
+        // One pass groups the batch into one flat layout of the batch's
+        // payload handles — a 10k-reading batch groups with 10k pointer
+        // bumps, not 10k value copies.
+        let grouped = periodic.group_by.as_ref().map(|_| Groups::of(&readings));
 
-        let (reduced, coverage) = match activation
-            .grouping
-            .as_ref()
-            .and_then(|g| g.map_reduce.as_ref())
-        {
-            Some(_) => {
-                match self.contexts[id as usize].map_reduce.clone() {
-                    Some(mr) => {
-                        self.metrics.map_reduce_executions += 1;
-                        // Batch ingestion into the MapReduce substrate is
-                        // its own span; the per-phase wall times become
-                        // compute spans nested under it.
-                        let ingest = self.begin(ctx, SpanStage::Ingest, None, || context.into());
-                        // Chunk ingestion clones handles: the executor's
-                        // input records share the batch's values.
-                        let input: Vec<(Payload, Payload)> = readings
-                            .iter()
-                            .filter_map(|r| r.group.clone().map(|g| (g, r.value.clone())))
-                            .collect();
-                        let adapter = LogicAdapter(mr.as_ref());
-                        let job = match self.processing {
-                            ProcessingMode::Serial => Job::serial(),
-                            ProcessingMode::Parallel(workers) => Job::parallel(workers),
-                        }
-                        .task_retries(self.recovery.task_retries)
-                        .allow_partial(true);
-                        let job = match self.faults.as_ref().and_then(FaultInjector::task_plan) {
-                            Some(plan) => job.fault_plan(plan.clone()),
-                            None => Ok(job),
-                        };
-                        let run = job.and_then(|job| {
-                            job.try_run_to_map(&adapter, input)
-                                .map_err(|err| err.to_string())
-                        });
-                        let outcome = match run {
-                            Ok(result) => {
-                                // Surface the executor's per-phase wall
-                                // times as processing durations and compute
-                                // spans.
-                                for (phase, time) in [
-                                    ("map", result.stats.map_time),
-                                    ("shuffle", result.stats.shuffle_time),
-                                    ("reduce", result.stats.reduce_time),
-                                ] {
-                                    let scope = self.leaf(
-                                        ingest.ctx(),
-                                        SpanStage::Compute,
-                                        Some(Activity::Processing),
-                                    );
-                                    let us = u64::try_from(time.as_micros()).unwrap_or(u64::MAX);
-                                    self.end_measured(scope, us, || {
-                                        format!("{context}/{phase}").into()
-                                    });
-                                }
-                                self.account_batch_processing(
-                                    &design,
-                                    id,
-                                    &result.stats,
-                                    &result.failed_tasks,
-                                );
-                                (Some(result.output), Some(result.stats.coverage))
-                            }
-                            Err(err) => {
-                                // Unreachable while `allow_partial` is set and
-                                // `enable_faults` validated the plan, but
-                                // contained rather than trusted.
-                                self.contain(RuntimeError::Configuration(format!(
-                                    "context `{context}` batch processing failed: {err}"
-                                )));
-                                (None, None)
-                            }
-                        };
-                        self.end(ingest);
-                        outcome
-                    }
-                    None => {
-                        self.contain(RuntimeError::Configuration(format!(
-                            "context `{context}` reached a MapReduce batch without phases"
-                        )));
-                        (None, None)
-                    }
-                }
-            }
-            None => (None, None),
+        let (reduced, coverage) = if !periodic.map_reduce {
+            (None, None)
+        } else if let Some(mr) = self.contexts[id as usize].map_reduce.clone() {
+            self.process_batch(design, id, mr.as_ref(), &readings, ctx)
+        } else {
+            self.contain(RuntimeError::Configuration(format!(
+                "context `{context}` reached a MapReduce batch without phases"
+            )));
+            (None, None)
         };
 
         let batch = BatchData {
-            device_type: device,
-            source,
+            device_type: design.types.name(periodic.device).to_owned(),
+            source: design.sources.name(periodic.source).to_owned(),
             readings,
             grouped,
             reduced,
@@ -568,8 +445,74 @@ impl Orchestrator {
             window_ms,
         };
         let batch = ContextActivation::Batch(&batch);
-        self.activate_context(&design, id, activation_idx, batch, ctx);
+        self.activate_context(design, id, activation_idx, batch, ctx);
         self.end(arrival);
+    }
+
+    /// Runs a batch through the context's MapReduce phases. The Map
+    /// phase reads the grouped readings in batch order, so the task
+    /// chunks (and with them every seeded task fate and coverage report)
+    /// do not depend on the grouping layout.
+    fn process_batch(
+        &mut self,
+        design: &Design,
+        id: u32,
+        mr: &dyn MapReduceLogic,
+        readings: &[PolledReading],
+        ctx: SpanCtx,
+    ) -> (Option<BTreeMap<Value, Value>>, Option<CoverageReport>) {
+        let context = design.contexts.name(id);
+        self.metrics.map_reduce_executions += 1;
+        // Batch ingestion into the MapReduce substrate is its own span;
+        // the per-phase wall times become compute spans nested under it.
+        let ingest = self.begin(ctx, SpanStage::Ingest, None, || context.into());
+        let input = Records {
+            readings: readings.iter(),
+            left: readings.iter().filter(|r| r.group.is_some()).count(),
+        };
+        let job = match self.processing {
+            ProcessingMode::Serial => Job::serial(),
+            ProcessingMode::Parallel(workers) => Job::parallel(workers),
+        }
+        .task_retries(self.recovery.task_retries)
+        .allow_partial(true);
+        let job = match self.faults.as_ref().and_then(FaultInjector::task_plan) {
+            Some(plan) => job.fault_plan(plan.clone()),
+            None => Ok(job),
+        };
+        let run = job.and_then(|job| {
+            job.try_run_to_map(&LogicAdapter(mr), input)
+                .map_err(|err| err.to_string())
+        });
+        let outcome = match run {
+            Ok(result) => {
+                // Surface the executor's per-phase wall times as
+                // processing durations and compute spans.
+                for (phase, time) in [
+                    ("map", result.stats.map_time),
+                    ("shuffle", result.stats.shuffle_time),
+                    ("reduce", result.stats.reduce_time),
+                ] {
+                    let scope =
+                        self.leaf(ingest.ctx(), SpanStage::Compute, Some(Activity::Processing));
+                    let us = u64::try_from(time.as_micros()).unwrap_or(u64::MAX);
+                    self.end_measured(scope, us, || format!("{context}/{phase}").into());
+                }
+                self.account_batch_processing(design, id, &result.stats, &result.failed_tasks);
+                (Some(result.output), Some(result.stats.coverage))
+            }
+            Err(err) => {
+                // Unreachable while `allow_partial` is set and
+                // `enable_faults` validated the plan, but contained rather
+                // than trusted.
+                self.contain(RuntimeError::Configuration(format!(
+                    "context `{context}` batch processing failed: {err}"
+                )));
+                (None, None)
+            }
+        };
+        self.end(ingest);
+        outcome
     }
 
     /// Folds one batch execution's fault-tolerance outcome into metrics,
@@ -766,7 +709,7 @@ impl Orchestrator {
             name: name.to_owned(),
         };
         let id = self.design.contexts.id(name).ok_or_else(unknown)?;
-        if !self.spec.context(name).is_some_and(|c| c.is_required()) {
+        if !self.design.context(id).required {
             return Err(RuntimeError::ContractViolation {
                 component: name.to_owned(),
                 message: "context does not declare `when required`".to_owned(),
@@ -827,13 +770,44 @@ impl Orchestrator {
     }
 }
 
+/// A MapReduce input: each grouped reading's `(group, value)` handles,
+/// borrowed from the batch in batch order. It knows its length, so the
+/// executor collects it with one allocation.
+struct Records<'a> {
+    readings: std::slice::Iter<'a, PolledReading>,
+    /// Grouped readings not yet yielded.
+    left: usize,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (&'a Payload, &'a Payload);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let record = self
+            .readings
+            .find_map(|r| Some((r.group.as_ref()?, &r.value)))?;
+        self.left -= 1;
+        Some(record)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
 /// Adapts a dynamic [`MapReduceLogic`] to the typed
-/// [`diaspec_mapreduce::MapReduce`] interface. Input records are payload
-/// handles; `&Payload` dereferences to [`Value`] at the trait boundary.
+/// [`diaspec_mapreduce::MapReduce`] interface. Input records borrow the
+/// batch's payload handles; `&Payload` dereferences to [`Value`] at the
+/// trait boundary.
 struct LogicAdapter<'a>(&'a dyn MapReduceLogic);
 
-impl MapReduce<Payload, Payload, Value, Value, Value, Value> for LogicAdapter<'_> {
-    fn map(&self, key: &Payload, value: &Payload, collector: &mut MapCollector<Value, Value>) {
+impl<'r> MapReduce<&'r Payload, &'r Payload, Value, Value, Value, Value> for LogicAdapter<'_> {
+    fn map(
+        &self,
+        key: &&'r Payload,
+        value: &&'r Payload,
+        collector: &mut MapCollector<Value, Value>,
+    ) {
         self.0.map(key, value, &mut |k, v| collector.emit_map(k, v));
     }
 

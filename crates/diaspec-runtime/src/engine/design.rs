@@ -16,7 +16,7 @@
 
 use super::deliver::RouteTable;
 use crate::names::Names;
-use diaspec_core::model::{CheckedSpec, PublishMode, QualityBudget};
+use diaspec_core::model::{ActivationTrigger, CheckedSpec, InputRef, PublishMode, QualityBudget};
 use diaspec_core::types::Type;
 
 /// The compiled design. See the [module docs](self).
@@ -44,6 +44,10 @@ pub(crate) struct Design {
     /// of a declared device), which is what it may discover and hear
     /// recoveries of.
     addresses: Vec<bool>,
+    /// Per `context * types.len() + type`: whether the context
+    /// subscribes to, polls or `get`s a source of a device that type is
+    /// (or extends), which is what it hears recoveries of.
+    references: Vec<bool>,
     /// Subscription routes, by id.
     pub(crate) routes: RouteTable,
 }
@@ -52,6 +56,10 @@ pub(crate) struct Design {
 pub(crate) struct ContextDecl {
     /// Per activation, its declared publish mode.
     pub(crate) publish: Vec<PublishMode>,
+    /// Per activation, its `when periodic` trigger, if it has one.
+    pub(crate) periodic: Vec<Option<Periodic>>,
+    /// Whether the context declares `when required`.
+    pub(crate) required: bool,
     pub(crate) output: Type,
     /// Whether an activation declares `with map ... reduce ...`.
     pub(crate) map_reduce: bool,
@@ -60,6 +68,20 @@ pub(crate) struct ContextDecl {
     /// `@quality(...)`; without the annotation a batch must be complete
     /// and has no deadline.
     pub(crate) quality: QualityBudget,
+}
+
+/// What a `when periodic <src> from <Dev> <P>` activation fixes.
+pub(crate) struct Periodic {
+    /// The polled device type.
+    pub(crate) device: u32,
+    pub(crate) source: u32,
+    pub(crate) period_ms: u64,
+    /// The `grouped by` attribute.
+    pub(crate) group_by: Option<String>,
+    /// `every <W>`.
+    pub(crate) window_ms: Option<u64>,
+    /// Whether the grouping declares `with map ... reduce ...`.
+    pub(crate) map_reduce: bool,
 }
 
 /// The component a delivery event is addressed to.
@@ -92,6 +114,29 @@ impl Design {
             .contexts()
             .map(|c| ContextDecl {
                 publish: c.activations.iter().map(|a| a.publish).collect(),
+                periodic: c
+                    .activations
+                    .iter()
+                    .map(|a| {
+                        let ActivationTrigger::Periodic {
+                            device,
+                            source,
+                            period_ms,
+                        } = &a.trigger
+                        else {
+                            return None;
+                        };
+                        Some(Periodic {
+                            device: types.id(device)?,
+                            source: sources.id(source)?,
+                            period_ms: *period_ms,
+                            group_by: a.grouping.as_ref().map(|g| g.attribute.clone()),
+                            window_ms: a.grouping.as_ref().and_then(|g| g.window_ms),
+                            map_reduce: a.grouping.as_ref().is_some_and(|g| g.map_reduce.is_some()),
+                        })
+                    })
+                    .collect(),
+                required: c.is_required(),
                 output: c.output.clone(),
                 map_reduce: c.uses_map_reduce(),
                 qos_ms: c.qos_latency_ms(),
@@ -128,6 +173,28 @@ impl Design {
         }
         permits.sort_unstable();
         permits.dedup();
+        let mut references = vec![false; contexts.len() * types.len()];
+        for (ctx, context) in (0u32..).zip(spec.contexts()) {
+            let devices = context.activations.iter().flat_map(|a| {
+                let trigger = match &a.trigger {
+                    ActivationTrigger::DeviceSource { device, .. }
+                    | ActivationTrigger::Periodic { device, .. } => Some(device),
+                    _ => None,
+                };
+                let gets = a.gets.iter().filter_map(|g| match g {
+                    InputRef::DeviceSource { device, .. } => Some(device),
+                    InputRef::Context(_) => None,
+                });
+                trigger.into_iter().chain(gets)
+            });
+            for declared in devices.filter_map(|d| types.id(d)) {
+                for ty in types.ids() {
+                    if is_subtype[ty as usize * types.len() + declared as usize] {
+                        references[ctx as usize * types.len() + ty as usize] = true;
+                    }
+                }
+            }
+        }
         let routes = RouteTable::build(spec, &contexts, &types, &sources);
         Design {
             contexts,
@@ -139,6 +206,7 @@ impl Design {
             declared_sources,
             permits,
             addresses,
+            references,
             routes,
         }
     }
@@ -169,6 +237,15 @@ impl Design {
         self.types
             .id(device_type)
             .is_some_and(|ty| self.addresses[ctl as usize * self.types.len() + ty as usize])
+    }
+
+    /// Whether context `ctx` reads a source of `device_type`'s family
+    /// (the type or an ancestor is declared); false for an undeclared
+    /// type.
+    pub(crate) fn references(&self, ctx: u32, device_type: &str) -> bool {
+        self.types
+            .id(device_type)
+            .is_some_and(|ty| self.references[ctx as usize * self.types.len() + ty as usize])
     }
 
     /// The name of a delivery's target.
@@ -216,6 +293,13 @@ mod tests {
         assert!(!d.addresses(ctl("Dim"), "Siren"));
         assert!(d.addresses(ctl("Panic"), "Siren"));
         assert!(!d.addresses(ctl("Panic"), "Ghost"));
+        // A context hears recoveries of the declared device and its
+        // subtypes only.
+        let lit = d.contexts.id("Lit").unwrap();
+        assert!(d.references(lit, "Lamp"));
+        assert!(d.references(lit, "Spot"));
+        assert!(!d.references(lit, "Siren"));
+        assert!(!d.references(lit, "Ghost"));
     }
 
     #[test]

@@ -1112,23 +1112,6 @@ impl ObsHub {
         }
     }
 
-    /// Opens and immediately closes a span covering `[begin_ms, end_ms]`
-    /// in simulated time (the shape of transport-side spans, whose
-    /// extent is known up front). Returns the span's ID.
-    pub fn record_span(
-        &mut self,
-        trace_id: u64,
-        parent: u64,
-        stage: SpanStage,
-        label: &str,
-        begin_ms: SimTime,
-        end_ms: SimTime,
-    ) -> u64 {
-        let span_id = self.open_span(trace_id, parent, stage, label, begin_ms);
-        self.close_span(span_id, end_ms, 0);
-        span_id
-    }
-
     /// Drains the completed-span buffer, resetting its drop counter.
     pub fn take_spans(&mut self) -> Vec<SpanEvent> {
         self.spans.take()
@@ -1602,7 +1585,8 @@ mod tests {
         let mut hub = ObsHub::new();
         hub.set_spans_enabled(true);
         let trace = hub.mint_trace();
-        hub.record_span(trace, 0, SpanStage::Schedule, "Ctx", 0, 40);
+        let span = hub.open_span(trace, 0, SpanStage::Schedule, "Ctx", 0);
+        hub.close_span(span, 40, 0);
         let snap = hub.snapshot(40);
         assert_eq!(snap.stages.len(), SpanStage::ALL.len());
         let sched = snap.stage(SpanStage::Schedule).unwrap();

@@ -980,12 +980,6 @@ impl Registry {
         Ok(())
     }
 
-    /// Number of standby entities awaiting promotion.
-    #[must_use]
-    pub fn standby_count(&self) -> usize {
-        self.standbys.len()
-    }
-
     /// Unbinds every entity whose lease deadline is at or before `now_ms`
     /// and promotes a standby replacement where one is available — a
     /// standby of the same device type with identical attributes is
@@ -1713,13 +1707,13 @@ mod tests {
             const_driver(Value::Int(3)),
         )
         .unwrap();
-        assert_eq!(reg.standby_count(), 2);
+        assert_eq!(reg.standbys.len(), 2);
         let transitions = reg.expire_leases(100);
         assert_eq!(transitions.len(), 1);
         // sb-b matches the lost entity's attributes exactly and wins over
         // the lexicographically earlier sb-a.
         assert_eq!(transitions[0].replacement, Some(EntityId::from("sb-b")));
-        assert_eq!(reg.standby_count(), 1);
+        assert_eq!(reg.standbys.len(), 1);
         assert_eq!(reg.stats().rebinds, 1);
         let info = reg.entity(&"sb-b".into()).unwrap();
         assert_eq!(info.bound_at, BindingTime::Runtime);

@@ -107,7 +107,6 @@ pub struct SimTransport {
     rng: StdRng,
     delivered: u64,
     dropped: u64,
-    total_latency_ms: u128,
     /// Per-hop latency distribution, kept only when observability asks
     /// for it (see [`SimTransport::enable_latency_histogram`]).
     histogram: Option<LatencyHistogram>,
@@ -152,7 +151,6 @@ impl SimTransport {
             rng: StdRng::seed_from_u64(config.seed),
             delivered: 0,
             dropped: 0,
-            total_latency_ms: 0,
             histogram: None,
             handler: None,
             link_stats: TransportStats::default(),
@@ -203,7 +201,6 @@ impl SimTransport {
 
     fn record_delivery(&mut self, latency: SimTime) {
         self.delivered += 1;
-        self.total_latency_ms += u128::from(latency);
         if let Some(histogram) = &mut self.histogram {
             histogram.record(latency);
         }
@@ -288,16 +285,6 @@ impl SimTransport {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Mean latency of delivered messages, in milliseconds.
-    #[must_use]
-    pub fn mean_latency_ms(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.total_latency_ms as f64 / self.delivered as f64
-        }
-    }
 }
 
 impl Default for SimTransport {
@@ -365,7 +352,6 @@ mod tests {
         }
         assert_eq!(t.delivered(), 100);
         assert_eq!(t.dropped(), 0);
-        assert_eq!(t.mean_latency_ms(), 0.0);
     }
 
     #[test]
@@ -375,7 +361,7 @@ mod tests {
             ..TransportConfig::default()
         });
         assert_eq!(t.send(), Some(25));
-        assert_eq!(t.mean_latency_ms(), 25.0);
+        assert_eq!(t.send(), Some(25));
     }
 
     #[test]
@@ -388,11 +374,13 @@ mod tests {
             seed: 42,
             ..TransportConfig::default()
         });
+        let mut total = 0;
         for _ in 0..1000 {
             let l = t.send().unwrap();
             assert!((10..=50).contains(&l));
+            total += l;
         }
-        let mean = t.mean_latency_ms();
+        let mean = total as f64 / 1000.0;
         assert!((25.0..35.0).contains(&mean), "mean {mean} implausible");
     }
 

@@ -71,6 +71,14 @@
 #    up as `BTreeMap<EntityId, EntityRecord>` in registry.rs, and a
 #    name-keyed type index as `BTreeMap<String, BTreeSet<EntityId>>` in
 #    registry/indexes.rs.
+# 12. One grouped batch: a periodic batch is grouped once, in one pass over
+#    its readings' canonical handles, into one flat layout that
+#    `BatchData::grouped` views (crates/diaspec-runtime/src/component.rs,
+#    docs/ARCHITECTURE.md "One grouped batch"), and dispatch reads each
+#    activation from the compiled design by id. A per-batch ordered map
+#    of groups growing back shows up as `BTreeMap<Payload` under
+#    engine/deliver/, and reading the declaration by name again as
+#    `spec.context(` in engine/deliver/dispatch.rs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -288,3 +296,16 @@ if ! grep -q 'pages: Vec<Box<\[Option<EntityRecord>\]>>,' "$REGISTRY"; then
     exit 1
 fi
 echo "ok: one entity slab (records by slot, type buckets by id, no id-keyed record map)"
+
+DISPATCH=crates/diaspec-runtime/src/engine/deliver/dispatch.rs
+if grep -nF 'BTreeMap<Payload' "$DELIVER"/*.rs; then
+    echo "FAIL: a batch is regrouped into an ordered map under $DELIVER (lines above);" >&2
+    echo "group it once with component::Groups::of and read the view." >&2
+    exit 1
+fi
+if grep -nF 'spec.context(' "$DISPATCH"; then
+    echo "FAIL: $DISPATCH reads a context declaration by name (lines above); read" >&2
+    echo "the compiled design's ContextDecl by id (engine/design.rs)." >&2
+    exit 1
+fi
+echo "ok: one grouped batch (no BTreeMap<Payload under engine/deliver/, no spec.context( in dispatch.rs)"
