@@ -22,6 +22,15 @@
 //! cross-application findings — E0601/W0601 conflicts, W0602 aggregate
 //! capacity, E0602 cut safety — render in a trailing cross-design
 //! section whose spans point into whichever file they belong to.
+//!
+//! Actuation conflicts come from one pass over a universe of designs
+//! (`diaspec_core::analysis::conflicts`, one guarantee rule): a file's
+//! own pairs (E0401/W0401, in its section) are that pass over the one
+//! design, which [`analyze_with`] runs; pairs across files (E0601/W0601,
+//! in the cross-design section) are the same pass over all of them,
+//! which [`analyze_deployment`] runs and of which it keeps only the
+//! cross-design pairs. So splitting a design into files changes a
+//! conflict's code, not its severity.
 
 use crate::deploy::NodeManifest;
 use diaspec_core::analysis::deployment::{

@@ -8,14 +8,11 @@
 //! their deployment manifests, sharing the physical devices their
 //! taxonomies overlap on.
 //!
-//! - **E0601** — guaranteed cross-application actuation conflict: two
-//!   designs command the same actuator family and both `do` clauses are
-//!   event-coupled (always-publish chains) to one shared device
-//!   publication, so a single sensor reading actuates the device twice.
-//! - **W0601** — possible cross-application conflict: the actuator
-//!   families overlap but the trigger chains are independent (or not
-//!   guaranteed to fire together), so the double actuation depends on
-//!   runtime timing.
+//! - **E0601 / W0601** — cross-application actuation conflicts: the one
+//!   conflict pass ([`super::conflicts`]) run over all N designs, of
+//!   which this report keeps the pairs across designs (each design's own
+//!   pairs are its single-design analysis). E0601 when the pair is
+//!   guaranteed under the one rule stated there, W0601 otherwise.
 //! - **W0602** — aggregate capacity overload: the summed per-design edge
 //!   loads against a device family (under a shared fleet-size
 //!   hypothesis) exceed its declared `@qos(capacityPerHour)` budget, or
@@ -30,11 +27,11 @@
 //! resolve to overlapping families exactly as they would inside a single
 //! design (see [`super::graph::families_overlap`]).
 
-use crate::model::{ActivationTrigger, CheckedSpec, PublishMode};
+use crate::model::CheckedSpec;
 use crate::span::Span;
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::conflicts::{collect_sites, ActuationSite};
+use super::conflicts::{self, ActuationConflict};
 use super::rates::{self, EdgeCapacity};
 use crate::diag::{Diagnostics, Severity};
 
@@ -157,129 +154,6 @@ impl MergedTaxonomy {
     }
 }
 
-/// A device publication a trigger chain is rooted at.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct TriggerRoot {
-    /// Declaring device of the source.
-    device: String,
-    /// Source name.
-    source: String,
-    /// Whether every publication of the root is guaranteed to reach the
-    /// consumer: an event-driven chain of `always publish` hops. A
-    /// periodic (batched) subscription or a `maybe publish` hop anywhere
-    /// breaks the guarantee.
-    guaranteed: bool,
-}
-
-/// Device publications that (transitively) trigger each context's own
-/// publications, keyed by context name. Computed in topological order so
-/// upstream contexts are resolved before their consumers.
-fn context_roots(spec: &CheckedSpec) -> BTreeMap<String, Vec<TriggerRoot>> {
-    let mut roots: BTreeMap<String, Vec<TriggerRoot>> = BTreeMap::new();
-    for ctx in spec.context_topo_order() {
-        let mut merged: BTreeMap<(String, String), bool> = BTreeMap::new();
-        for activation in &ctx.activations {
-            // An activation that never publishes contributes no roots:
-            // nothing downstream is event-triggered through it.
-            if activation.publish == PublishMode::No {
-                continue;
-            }
-            let publish_guaranteed = activation.publish == PublishMode::Always;
-            let incoming: Vec<TriggerRoot> = match &activation.trigger {
-                ActivationTrigger::DeviceSource { device, source } => {
-                    vec![TriggerRoot {
-                        device: declaring_device(spec, device, source),
-                        source: source.clone(),
-                        guaranteed: true,
-                    }]
-                }
-                ActivationTrigger::Periodic { device, source, .. } => {
-                    // Batched delivery decouples publication instants
-                    // from readings: a shared root, but not a shared
-                    // *instant*.
-                    vec![TriggerRoot {
-                        device: declaring_device(spec, device, source),
-                        source: source.clone(),
-                        guaranteed: false,
-                    }]
-                }
-                ActivationTrigger::Context(from) => roots.get(from).cloned().unwrap_or_default(),
-                ActivationTrigger::OnDemand => Vec::new(),
-            };
-            for root in incoming {
-                let guaranteed = root.guaranteed && publish_guaranteed;
-                let entry = merged.entry((root.device, root.source)).or_insert(false);
-                *entry = *entry || guaranteed;
-            }
-        }
-        roots.insert(
-            ctx.name.clone(),
-            merged
-                .into_iter()
-                .map(|((device, source), guaranteed)| TriggerRoot {
-                    device,
-                    source,
-                    guaranteed,
-                })
-                .collect(),
-        );
-    }
-    roots
-}
-
-/// Normalizes a source reference to the device that declares it, so
-/// subscriptions against a subtype and its ancestor meet.
-fn declaring_device(spec: &CheckedSpec, device: &str, source: &str) -> String {
-    spec.device(device)
-        .and_then(|d| d.source(source))
-        .map_or(device, |s| s.declared_in.as_str())
-        .to_owned()
-}
-
-/// The shared device publication witnessing a cross-design conflict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedPublication {
-    /// The root device family both chains subscribe to (the more
-    /// refined of the two overlapping subscription families).
-    pub device: String,
-    /// Source name.
-    pub source: String,
-}
-
-/// Two `do` clauses in *different* designs performing the same action on
-/// overlapping device families.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrossConflict {
-    /// Index of the first design in the analyzed slice.
-    pub first_design: usize,
-    /// The first design's actuation site.
-    pub first: ActuationSite,
-    /// Index of the second design.
-    pub second_design: usize,
-    /// The second design's actuation site.
-    pub second: ActuationSite,
-    /// Devices actuated by both clauses, across the merged taxonomy.
-    pub shared_devices: Vec<String>,
-    /// When both trigger chains are rooted at one shared device
-    /// publication, that publication.
-    pub shared_publication: Option<SharedPublication>,
-    /// Whether one publication of the shared root *guarantees* the
-    /// double actuation (every hop event-coupled and `always publish`).
-    pub guaranteed: bool,
-}
-
-impl CrossConflict {
-    /// The diagnostic code this conflict reports under.
-    #[must_use]
-    pub fn code(&self) -> &'static str {
-        if self.guaranteed {
-            "E0601"
-        } else {
-            "W0601"
-        }
-    }
-}
-
 /// Aggregate load against one device family's declared capacity budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilyLoad {
@@ -376,7 +250,7 @@ pub struct DeploymentReport {
     /// All findings in pass order (conflicts, cut safety, capacity).
     pub findings: Vec<CrossFinding>,
     /// Cross-design actuation conflicts (E0601 / W0601).
-    pub conflicts: Vec<CrossConflict>,
+    pub conflicts: Vec<ActuationConflict>,
     /// Manifest cut violations (E0602).
     pub cut_violations: Vec<CutViolation>,
     /// Aggregate family loads for every budgeted family (whether over
@@ -424,141 +298,16 @@ pub fn analyze_deployment(
         .map(|d| rates::detect(d.spec, options.fleet_size, &mut Diagnostics::new()).edges)
         .collect();
     let mut report = DeploymentReport::default();
-    detect_conflicts(designs, &taxonomy, &mut report);
+    for conflict in conflicts::detect(designs, &taxonomy) {
+        if conflict.first_design != conflict.second_design {
+            report.findings.push(conflicts::render(designs, &conflict));
+            report.conflicts.push(conflict);
+        }
+    }
     detect_cut_violations(designs, pins, &taxonomy, &mut report);
     detect_family_overloads(designs, &loads, &taxonomy, options, &mut report);
     detect_link_overloads(designs, &loads, pins, &taxonomy, options, &mut report);
     report
-}
-
-fn detect_conflicts(
-    designs: &[DesignRef<'_>],
-    taxonomy: &MergedTaxonomy,
-    report: &mut DeploymentReport,
-) {
-    let sites: Vec<Vec<ActuationSite>> = designs.iter().map(|d| collect_sites(d.spec)).collect();
-    let roots: Vec<BTreeMap<String, Vec<TriggerRoot>>> =
-        designs.iter().map(|d| context_roots(d.spec)).collect();
-
-    for i in 0..designs.len() {
-        for j in i + 1..designs.len() {
-            for first in &sites[i] {
-                for second in &sites[j] {
-                    if first.action != second.action
-                        || !taxonomy.overlap(&first.device, &second.device)
-                    {
-                        continue;
-                    }
-                    let empty = Vec::new();
-                    let first_roots = roots[i].get(&first.trigger_context).unwrap_or(&empty);
-                    let second_roots = roots[j].get(&second.trigger_context).unwrap_or(&empty);
-                    let mut shared_publication = None;
-                    let mut guaranteed = false;
-                    for ra in first_roots {
-                        for rb in second_roots {
-                            if ra.source != rb.source || !taxonomy.overlap(&ra.device, &rb.device) {
-                                continue;
-                            }
-                            // Witness with the more refined family.
-                            let device = if taxonomy.is_subtype(&ra.device, &rb.device) {
-                                ra.device.clone()
-                            } else {
-                                rb.device.clone()
-                            };
-                            let pair_guaranteed = ra.guaranteed && rb.guaranteed;
-                            if shared_publication.is_none() || (pair_guaranteed && !guaranteed) {
-                                shared_publication = Some(SharedPublication {
-                                    device,
-                                    source: ra.source.clone(),
-                                });
-                            }
-                            guaranteed = guaranteed || pair_guaranteed;
-                        }
-                    }
-                    let conflict = CrossConflict {
-                        first_design: i,
-                        first: first.clone(),
-                        second_design: j,
-                        second: second.clone(),
-                        shared_devices: taxonomy.shared_devices(&first.device, &second.device),
-                        shared_publication,
-                        guaranteed,
-                    };
-                    report.findings.push(render_conflict(designs, &conflict));
-                    report.conflicts.push(conflict);
-                }
-            }
-        }
-    }
-}
-
-fn render_conflict(designs: &[DesignRef<'_>], conflict: &CrossConflict) -> CrossFinding {
-    let (a, b) = (
-        designs[conflict.first_design].name,
-        designs[conflict.second_design].name,
-    );
-    let (first, second) = (&conflict.first, &conflict.second);
-    let shared = conflict.shared_devices.join("`, `");
-    let heading = format!(
-        "designs `{a}` and `{b}` both perform `{}` on overlapping devices (`{shared}`)",
-        first.action
-    );
-    let (severity, message) = if conflict.guaranteed {
-        let publication = conflict
-            .shared_publication
-            .as_ref()
-            .expect("guaranteed conflicts carry their witness publication");
-        (
-            Severity::Error,
-            format!(
-                "{heading}: every publication of shared `{}.{}` devices triggers controller `{}` ({a}) and controller `{}` ({b}), guaranteeing a cross-application duplicate actuation",
-                publication.device, publication.source, first.controller, second.controller
-            ),
-        )
-    } else if let Some(publication) = &conflict.shared_publication {
-        (
-            Severity::Warning,
-            format!(
-                "{heading}: both react to publications of shared `{}.{}` devices, but not on every publication (a periodic batch or `maybe publish` hop sits on the path), so the duplicate actuation depends on runtime timing",
-                publication.device, publication.source
-            ),
-        )
-    } else {
-        (
-            Severity::Warning,
-            format!(
-                "{heading} via independent trigger chains (`{}` in {a}, `{}` in {b}): whether the duplicate actuation happens depends on runtime timing",
-                first.trigger_context, second.trigger_context
-            ),
-        )
-    };
-    let mut notes = Vec::new();
-    if let Some(chain) = &first.chain {
-        notes.push(format!("first actuation chain ({a}): {chain}"));
-    }
-    if let Some(chain) = &second.chain {
-        notes.push(format!("second actuation chain ({b}): {chain}"));
-    }
-    CrossFinding {
-        code: conflict.code(),
-        severity,
-        message,
-        primary: DesignSpan {
-            design: conflict.first_design,
-            span: first.span,
-        },
-        related: vec![(
-            format!(
-                "conflicting `do` clause of controller `{}` in design `{b}` here",
-                second.controller
-            ),
-            DesignSpan {
-                design: conflict.second_design,
-                span: second.span,
-            },
-        )],
-        notes,
-    }
 }
 
 fn detect_cut_violations(
@@ -970,6 +719,7 @@ fn detect_link_overloads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::conflicts::{Coupling, SharedPublication};
     use crate::compile_str;
 
     fn deploy(sources: &[(&str, &str)], pins: &[DeployPins]) -> DeploymentReport {
@@ -1014,11 +764,11 @@ mod tests {
         );
         assert_eq!(report.conflicts.len(), 1);
         let conflict = &report.conflicts[0];
-        assert!(conflict.guaranteed);
+        assert!(conflict.guaranteed());
         assert_eq!(conflict.code(), "E0601");
         assert_eq!(
-            conflict.shared_publication,
-            Some(SharedPublication {
+            conflict.coupling,
+            Coupling::GuaranteedRoot(SharedPublication {
                 device: "Sensor".into(),
                 source: "motion".into(),
             })
@@ -1053,10 +803,37 @@ mod tests {
         let report = deploy(&[("a", SHARED_GUARANTEED_A), ("b", &b)], &[]);
         assert_eq!(report.conflicts.len(), 1);
         let conflict = &report.conflicts[0];
-        assert!(!conflict.guaranteed);
+        assert!(!conflict.guaranteed());
         assert_eq!(conflict.code(), "W0601");
-        assert!(conflict.shared_publication.is_some());
+        assert!(matches!(conflict.coupling, Coupling::PossibleRoot(_)));
         assert!(report.findings[0].message.contains("maybe publish"));
+    }
+
+    #[test]
+    fn sibling_subscriptions_across_designs_share_no_root() {
+        // Both sources resolve to `Sensor.v`, but no entity is both a
+        // `Hall` and a `Kitchen`.
+        let taxonomy = "
+            device Sensor { source motion as Boolean; }
+            device Hall extends Sensor { attribute hall as String; }
+            device Kitchen extends Sensor { attribute kitchen as String; }
+        ";
+        let a = format!(
+            "{taxonomy}{}",
+            SHARED_GUARANTEED_A
+                .replace("device Sensor { source motion as Boolean; }", "")
+                .replace("from Sensor", "from Hall")
+        );
+        let b = format!(
+            "{taxonomy}{}",
+            SHARED_GUARANTEED_B
+                .replace("device Sensor { source motion as Boolean; }", "")
+                .replace("from Sensor", "from Kitchen")
+        );
+        let report = deploy(&[("a", &a), ("b", &b)], &[]);
+        assert_eq!(report.conflicts.len(), 1);
+        assert_eq!(report.conflicts[0].coupling, Coupling::Independent);
+        assert_eq!(report.conflicts[0].code(), "W0601");
     }
 
     #[test]
@@ -1082,7 +859,7 @@ mod tests {
         assert_eq!(report.conflicts.len(), 1);
         let conflict = &report.conflicts[0];
         assert_eq!(conflict.code(), "W0601");
-        assert_eq!(conflict.shared_publication, None);
+        assert_eq!(conflict.coupling, Coupling::Independent);
         assert!(report.findings[0]
             .message
             .contains("independent trigger chains"));

@@ -280,16 +280,6 @@ pub fn families_overlap(spec: &CheckedSpec, first: &str, second: &str) -> bool {
     spec.device_is_subtype(first, second) || spec.device_is_subtype(second, first)
 }
 
-/// The devices in both families, in name order.
-#[must_use]
-pub fn family_intersection<'s>(spec: &'s CheckedSpec, first: &str, second: &str) -> Vec<&'s str> {
-    spec.device_family(first)
-        .into_iter()
-        .filter(|d| spec.device_is_subtype(&d.name, second))
-        .map(|d| d.name.as_str())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,11 +369,6 @@ mod tests {
         assert!(families_overlap(&spec, "Base", "Leaf"));
         assert!(families_overlap(&spec, "Leaf", "Leaf"));
         assert!(!families_overlap(&spec, "Sink", "Base"));
-        assert_eq!(family_intersection(&spec, "Base", "Leaf"), vec!["Leaf"]);
-        assert_eq!(
-            family_intersection(&spec, "Base", "Base"),
-            vec!["Base", "Leaf"]
-        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! 1. [`graph`] — builds the Sense-Compute-Control dataflow graph with
 //!    attribute-refined device sets;
-//! 2. [`conflicts`] — actuation-conflict detection;
+//! 2. [`conflicts`] — actuation-conflict detection, one pass over a
+//!    universe of N ≥ 1 designs (here N = 1);
 //! 3. [`loops`] — environment feedback-loop detection;
 //! 4. [`reach`] / [`rates`] — reachability, rate propagation, and the
 //!    static capacity report.
@@ -21,7 +22,7 @@
 //! A sixth pass family, [`deployment`], crosses design boundaries: it
 //! takes *several* checked designs (plus their optional deployment
 //! manifests) and analyzes the co-deployment — cross-application
-//! actuation conflicts over the merged device taxonomy, aggregate
+//! actuation conflicts (the [`conflicts`] pass over all N), aggregate
 //! capacity against `@qos(capacityPerHour)` budgets, and manifest cut
 //! safety. It is invoked by multi-design lint
 //! ([`deployment::analyze_deployment`]) rather than by [`analyze`].
@@ -33,8 +34,8 @@
 //!
 //! | Code | Rule |
 //! |------|------|
-//! | E0401 | guaranteed duplicate actuation from a single publication |
-//! | W0401 | actuation conflict via distinct trigger chains |
+//! | E0401 | guaranteed duplicate actuation within a design: shared trigger context or guaranteed shared root |
+//! | W0401 | actuation conflict within a design without a shared trigger context or guaranteed shared root |
 //! | W0402 | event-driven environment feedback loop |
 //! | W0403 | feedback loop closed only through `get` reads |
 //! | W0404 | aggregation window shorter than the delivery period |
@@ -74,11 +75,10 @@ pub mod partition;
 pub mod rates;
 pub mod reach;
 
-pub use conflicts::{ActuationConflict, ActuationSite};
+pub use conflicts::{ActuationConflict, ActuationSite, Coupling, SharedPublication};
 pub use deployment::{
-    analyze_deployment, CrossConflict, CrossFinding, CutViolation, DeployPins, DeploymentOptions,
+    analyze_deployment, CrossFinding, CutViolation, DeployPins, DeploymentOptions,
     DeploymentReport, DesignRef, DesignSpan, FamilyLoad, LinkLoad, MergedTaxonomy, PinnedHost,
-    SharedPublication,
 };
 pub use graph::DesignGraph;
 pub use loops::{FeedbackLoop, LoopKind};
@@ -129,12 +129,6 @@ impl AnalysisReport {
         self.conflicts.is_empty()
     }
 
-    /// Whether no environment feedback loop was found.
-    #[must_use]
-    pub fn loop_free(&self) -> bool {
-        self.loops.is_empty()
-    }
-
     /// Whether the analysis produced no finding at all.
     #[must_use]
     pub fn is_clean(&self) -> bool {
@@ -153,7 +147,7 @@ pub fn analyze(spec: &CheckedSpec) -> AnalysisReport {
 pub fn analyze_with(spec: &CheckedSpec, options: &AnalysisOptions) -> AnalysisReport {
     let graph = DesignGraph::build(spec);
     let mut diagnostics = Diagnostics::new();
-    let conflicts = conflicts::detect(spec, &mut diagnostics);
+    let conflicts = conflicts::detect_design(spec, &mut diagnostics);
     let loops = loops::detect(spec, &graph, &mut diagnostics);
     let reachability = reach::detect(spec, &mut diagnostics);
     let capacity = rates::detect(spec, options.fleet_size, &mut diagnostics);
@@ -186,7 +180,7 @@ mod tests {
         let report = analyze(&spec);
         assert!(report.is_clean());
         assert!(report.conflict_free());
-        assert!(report.loop_free());
+        assert!(report.loops.is_empty());
         assert!(report.reachability.dead_devices.is_empty());
     }
 
@@ -206,7 +200,7 @@ mod tests {
         // One conflict (A vs B, same trigger), two loops (one per do
         // clause), one dead device.
         assert_eq!(report.conflicts.len(), 1);
-        assert!(report.conflicts[0].same_trigger);
+        assert_eq!(report.conflicts[0].coupling, Coupling::SameContext);
         assert_eq!(report.loops.len(), 2);
         assert_eq!(report.reachability.dead_devices, vec!["Ghost"]);
         assert!(report.diagnostics.find("E0401").is_some());

@@ -580,18 +580,6 @@ impl Item {
             Item::Enumeration(e) => e.span,
         }
     }
-
-    /// A short noun describing the item kind ("device", "context", ...).
-    #[must_use]
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Item::Device(_) => "device",
-            Item::Context(_) => "context",
-            Item::Controller(_) => "controller",
-            Item::Structure(_) => "structure",
-            Item::Enumeration(_) => "enumeration",
-        }
-    }
 }
 
 /// A parsed specification: the ordered list of top-level items.
@@ -747,7 +735,6 @@ mod tests {
         assert_eq!(spec.devices().count(), 1);
         assert_eq!(spec.enumerations().count(), 1);
         assert_eq!(spec.contexts().count(), 0);
-        assert_eq!(spec.items[0].kind_name(), "device");
         assert_eq!(spec.items[1].name().as_str(), "E");
     }
 }

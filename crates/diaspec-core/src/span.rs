@@ -173,12 +173,6 @@ impl SourceMap {
         Some(self.text[start..end].trim_end_matches(['\n', '\r']))
     }
 
-    /// Number of lines in the source.
-    #[must_use]
-    pub fn line_count(&self) -> u32 {
-        self.line_starts.len() as u32
-    }
-
     /// Renders a two-line snippet for `span`: the offending source line and
     /// a caret underline, in the style of `rustc` diagnostics.
     #[must_use]
@@ -335,7 +329,6 @@ mod tests {
         assert_eq!(map.line_text(3), Some("third"));
         assert_eq!(map.line_text(4), None);
         assert_eq!(map.line_text(0), None);
-        assert_eq!(map.line_count(), 3);
     }
 
     #[test]

@@ -62,15 +62,6 @@ impl Type {
     pub fn is_groupable(&self) -> bool {
         !matches!(self, Type::Float | Type::Array(_))
     }
-
-    /// Whether this is one of the four built-in scalar types.
-    #[must_use]
-    pub fn is_builtin(&self) -> bool {
-        matches!(
-            self,
-            Type::Integer | Type::Float | Type::Boolean | Type::String
-        )
-    }
 }
 
 impl fmt::Display for Type {

@@ -79,6 +79,14 @@
 #    of groups growing back shows up as `BTreeMap<Payload` under
 #    engine/deliver/, and reading the declaration by name again as
 #    `spec.context(` in engine/deliver/dispatch.rs.
+# 13. One conflict rule: actuation conflicts are decided by one pass over a
+#    universe of N >= 1 designs (crates/diaspec-core/src/analysis/
+#    conflicts.rs, docs/ANALYSIS.md §1): pairs within a design are its i = j
+#    case, pairs across designs i < j, with one guarantee rule and one
+#    result type. A second pass growing back shows up as a second conflict
+#    type (`struct CrossConflict`), the retired single-design family
+#    intersection (`fn family_intersection`), or `collect_sites(` (private
+#    to conflicts.rs) called there anywhere but in the pass's `fn detect(`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -309,3 +317,25 @@ if grep -nF 'spec.context(' "$DISPATCH"; then
     exit 1
 fi
 echo "ok: one grouped batch (no BTreeMap<Payload under engine/deliver/, no spec.context( in dispatch.rs)"
+
+CONFLICTS=crates/diaspec-core/src/analysis/conflicts.rs
+if grep -rnE 'fn family_intersection|struct CrossConflict' crates --include=*.rs; then
+    echo "FAIL: a second conflict pass is back (lines above); run the one pass in" >&2
+    echo "$CONFLICTS over the design universe and read its ActuationConflict." >&2
+    exit 1
+fi
+# `collect_sites` is private to conflicts.rs, so the compiler keeps other
+# files from calling it; inside the file, only `fn detect(` may.
+callers=$(awk '/^(pub(\(crate\))? )?fn /{f=$0}
+    /collect_sites\(/ && !/fn collect_sites\(/ && f !~ /fn detect\(/{print FILENAME ":" FNR ": " $0}' "$CONFLICTS")
+if [ -n "$callers" ]; then
+    echo "FAIL: actuation sites are collected outside the one conflict pass:" >&2
+    echo "$callers" >&2
+    echo "Call conflicts::detect with the designs instead." >&2
+    exit 1
+fi
+if ! grep -q '^pub(crate) fn detect($' "$CONFLICTS"; then
+    echo "FAIL: $CONFLICTS no longer declares \`pub(crate) fn detect(\`; update this check." >&2
+    exit 1
+fi
+echo "ok: one conflict rule (one pass in $CONFLICTS, no CrossConflict, no family_intersection)"

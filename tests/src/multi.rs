@@ -11,6 +11,9 @@
 //! attributes the resulting actuations back to their applications so a
 //! test can check the static verdict against observed behavior.
 //!
+//! A fleet of one application is the single-design case: the same
+//! harness witnesses the conflicts within one design.
+//!
 //! The fleet is deliberately *not* one merged orchestrator: each
 //! application keeps its own engine, queue, and trace, exactly as
 //! separately deployed processes would, and only the physical world
@@ -34,8 +37,9 @@ struct App {
     bound: BTreeMap<String, String>,
 }
 
-/// A physical device action that more than one application performed
-/// during a run — the dynamic witness of a cross-application conflict.
+/// A physical device action performed during a run, counted per
+/// application. Performed by more than one application, it is the
+/// dynamic witness of a cross-application conflict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrossActuation {
     /// The actuated physical entity.
@@ -193,6 +197,14 @@ impl SharedFleet {
     /// empty exactly when the run was free of cross-application
     /// duplicate actuations.
     pub fn cross_actuations(&mut self) -> Vec<CrossActuation> {
+        let mut all = self.actuations();
+        all.retain(|a| a.per_design.len() >= 2);
+        all
+    }
+
+    /// Drains every application's trace and reports every entity/action
+    /// pair any application actuated, with its per-application counts.
+    pub fn actuations(&mut self) -> Vec<CrossActuation> {
         let mut by_target: BTreeMap<(String, String), BTreeMap<String, usize>> = BTreeMap::new();
         for app in &mut self.apps {
             for event in app.orch.take_trace() {
@@ -207,7 +219,6 @@ impl SharedFleet {
         }
         by_target
             .into_iter()
-            .filter(|(_, designs)| designs.len() >= 2)
             .map(|((entity, action), designs)| CrossActuation {
                 entity,
                 action,

@@ -14,8 +14,8 @@
 //!    trace exhibits a double actuation must correspond to a statically
 //!    reported conflict, and a conflict-free design must not.
 
-use diaspec_codegen::lint::{lint_source, LintFormat, LintOptions};
-use diaspec_core::analysis::analyze;
+use diaspec_codegen::lint::{lint_designs, lint_source, LintFormat, LintOptions};
+use diaspec_core::analysis::{analyze, Coupling, SharedPublication};
 use diaspec_runtime::component::ContextActivation;
 use diaspec_runtime::engine::{ContextApi, ControllerApi, Orchestrator};
 use diaspec_runtime::value::Value;
@@ -66,8 +66,11 @@ fn shipped_designs_lint_to_goldens() {
 // ---- 2. negative fixtures -------------------------------------------------------
 
 /// (fixture, expected code, text the primary span must cover).
-const FIXTURES: [(&str, &str, &str); 7] = [
+const FIXTURES: [(&str, &str, &str); 10] = [
     ("conflict_same_trigger", "E0401", "do sound on Siren"),
+    ("conflict_shared_root", "E0401", "do flash on Lamp"),
+    ("conflict_subtype_root", "E0401", "do flash on Lamp"),
+    ("conflict_sibling_roots", "W0401", "do flash on Lamp"),
     ("conflict_distinct_chains", "W0401", "do setOn on Light"),
     ("feedback_event", "W0402", "do heat on Radiator"),
     ("feedback_query", "W0403", "do shutOff on Pump"),
@@ -106,7 +109,7 @@ fn same_trigger_conflict_reports_both_chains() {
     let report = analyze(&spec);
     assert_eq!(report.conflicts.len(), 1);
     let conflict = &report.conflicts[0];
-    assert!(conflict.same_trigger);
+    assert_eq!(conflict.coupling, Coupling::SameContext);
     assert_eq!(conflict.code(), "E0401");
     let diag = report.diagnostics.find("E0401").unwrap();
     let notes: Vec<&str> = diag.notes.iter().map(|(n, _)| n.as_str()).collect();
@@ -137,7 +140,7 @@ fn distinct_chain_conflict_names_both_trigger_chains() {
     let report = analyze(&spec);
     assert_eq!(report.conflicts.len(), 1);
     let conflict = &report.conflicts[0];
-    assert!(!conflict.same_trigger);
+    assert_eq!(conflict.coupling, Coupling::Independent);
     assert_eq!(conflict.shared_devices, vec!["HallLight"]);
     let diag = report.diagnostics.find("W0401").unwrap();
     let notes: Vec<&str> = diag.notes.iter().map(|(n, _)| n.as_str()).collect();
@@ -148,6 +151,48 @@ fn distinct_chain_conflict_names_both_trigger_chains() {
     assert!(notes
         .iter()
         .any(|n| n.contains("Clock.tickMinute -> [Schedule] -> (EveningScene) -> Light.setOn()")));
+}
+
+/// The shared-root probe, as one file and split into two: the verdict
+/// does not depend on the file layout. Both are error-severity and fail
+/// the lint (the CLI exits 2), under E0401 and E0601 respectively.
+#[test]
+fn shared_root_verdict_does_not_depend_on_the_file_split() {
+    let source = fixture_source("conflict_shared_root");
+    let report = analyze(&diaspec_core::compile_str(&source).unwrap());
+    assert_eq!(report.conflicts.len(), 1);
+    assert_eq!(
+        report.conflicts[0].coupling,
+        Coupling::GuaranteedRoot(SharedPublication {
+            device: "Sensor".into(),
+            source: "v".into(),
+        })
+    );
+    let one = lint_source("one.spec", &source, &LintOptions::default());
+    assert!(one.rendered.contains("error[E0401]"), "{}", one.rendered);
+    assert!(one.failed() && !one.broken, "{}", one.rendered);
+
+    let shared = r#"
+        device Sensor { source v as Integer; }
+        device Lamp { action flash; }
+    "#;
+    let a = format!(
+        "{shared} context A as Integer {{ when provided v from Sensor always publish; }}
+        controller CA {{ when provided A do flash on Lamp; }}"
+    );
+    let b = format!(
+        "{shared} context B as Integer {{ when provided v from Sensor always publish; }}
+        controller CB {{ when provided B do flash on Lamp; }}"
+    );
+    let two = lint_designs(
+        &[("a.spec".to_owned(), a), ("b.spec".to_owned(), b)],
+        &[],
+        &LintOptions::default(),
+    )
+    .unwrap();
+    assert!(two.rendered.contains("error[E0601]"), "{}", two.rendered);
+    assert!(!two.rendered.contains("W0401"), "{}", two.rendered);
+    assert!(two.failed() && !two.broken, "{}", two.rendered);
 }
 
 #[test]
@@ -290,7 +335,7 @@ fn runtime_double_actuation_matches_static_conflict_verdict() {
     let spec = diaspec_core::compile_str(CONFLICTED).unwrap();
     let report = analyze(&spec);
     assert_eq!(report.conflicts.len(), 1);
-    assert!(report.conflicts[0].same_trigger);
+    assert_eq!(report.conflicts[0].coupling, Coupling::SameContext);
     let predicted = [
         report.conflicts[0].first.controller.as_str(),
         report.conflicts[0].second.controller.as_str(),
