@@ -37,8 +37,9 @@
 //! deployment unit. Without `--out` the manifest is printed to stdout.
 
 use diaspec_codegen::deploy::{plan_deployment, DeployOptions, NodeManifest};
-use diaspec_codegen::lint::{lint_designs, lint_source, LintFormat, LintLevel, LintOptions};
+use diaspec_codegen::lint::{lint_designs, LintFormat, LintLevel, LintOptions};
 use diaspec_codegen::{generate_java, generate_rust, generate_rust_co_deployed, metrics};
+use diaspec_core::span::MultiSourceMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -256,18 +257,11 @@ fn run_lint(mut args: impl Iterator<Item = String>) -> Result<u8, String> {
         }
     }
 
-    // A single spec without manifests keeps the historical single-design
-    // output byte-for-byte; several specs lint as one co-deployment.
-    let outcome = if inputs.len() == 1 && manifests.is_empty() {
-        let (file, source) = &inputs[0];
-        lint_source(file, source, &options)
-    } else {
-        match lint_designs(&inputs, &manifests, &options) {
-            Ok(outcome) => outcome,
-            Err(message) => {
-                eprintln!("diaspec-gen: {message}");
-                return Ok(EXIT_BROKEN);
-            }
+    let outcome = match lint_designs(&inputs, &manifests, &options) {
+        Ok(outcome) => outcome,
+        Err(message) => {
+            eprintln!("diaspec-gen: {message}");
+            return Ok(EXIT_BROKEN);
         }
     };
     print!("{}", outcome.rendered);
@@ -345,7 +339,8 @@ fn run() -> Result<(), String> {
             .map_err(|e| format!("invalid infrastructure JSON {}: {e}", infra_path.display()))?;
         let req = diaspec_core::requirements::estimate(&spec);
         let report = diaspec_core::requirements::match_infrastructure(&spec, &req, &infra);
-        print!("{report}");
+        let sources = MultiSourceMap::new([(spec_path.display().to_string(), &source)]);
+        println!("{}", report.render(&sources, false));
         return if report.deployable() {
             Ok(())
         } else {

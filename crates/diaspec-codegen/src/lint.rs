@@ -15,13 +15,13 @@
 //! per-code setting winning over the blanket flag — the same layering as
 //! `rustc -D warnings -A some_lint`.
 //!
-//! Linting *several* specifications together ([`lint_designs`]) adds the
-//! cross-design deployment passes on top: each file is linted exactly as
-//! it would be alone, then [`analyze_deployment`] runs over the merged
-//! device taxonomy (plus any `--manifest` deployment pins) and the
+//! [`lint_designs`] lints one specification or several together. Each
+//! file is linted exactly as it would be alone; given several files (or
+//! any `--manifest`), [`analyze_deployment`] then runs over the merged
+//! device taxonomy (plus the manifests' deployment pins) and the
 //! cross-application findings — E0601/W0601 conflicts, W0602 aggregate
 //! capacity, E0602 cut safety — render in a trailing cross-design
-//! section whose spans point into whichever file they belong to.
+//! section whose positions name the file they point into.
 //!
 //! Actuation conflicts come from one pass over a universe of designs
 //! (`diaspec_core::analysis::conflicts`, one guarantee rule): a file's
@@ -31,16 +31,20 @@
 //! which [`analyze_deployment`] runs and of which it keeps only the
 //! cross-design pairs. So splitting a design into files changes a
 //! conflict's code, not its severity.
+//!
+//! Every finding is a [`Diagnostic`] whose locations index the run's
+//! files, and each format has one renderer; the only difference between
+//! a file's section and the cross-design section is that a cross-design
+//! position names its file.
 
 use crate::deploy::NodeManifest;
 use diaspec_core::analysis::deployment::{
-    analyze_deployment, CrossFinding, DeployPins, DeploymentOptions, DesignRef, DesignSpan,
-    PinnedHost,
+    analyze_deployment, DeployPins, DeploymentOptions, DesignRef, PinnedHost,
 };
 use diaspec_core::analysis::{analyze_with, AnalysisOptions, CapacityReport};
 use diaspec_core::diag::{Diagnostic, Severity};
 use diaspec_core::model::CheckedSpec;
-use diaspec_core::span::{SourceMap, Span};
+use diaspec_core::span::{Loc, MultiSourceMap};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -56,7 +60,7 @@ pub enum LintLevel {
     Deny,
 }
 
-/// Output format of [`lint_source`].
+/// Output format of [`lint_designs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LintFormat {
     /// Caret diagnostics for terminals.
@@ -119,118 +123,63 @@ impl LintOutcome {
     }
 }
 
-/// One linted file: its diagnostics after level mapping, plus the model
-/// when the front end produced one.
-struct FileLint {
-    file: String,
-    map: SourceMap,
+/// The diagnostics of one output section after the severity policy,
+/// with their counts.
+#[derive(Default)]
+struct Section {
     kept: Vec<Diagnostic>,
     errors: usize,
     warnings: usize,
+}
+
+impl Section {
+    /// Applies the severity policy to `raw`: per-code overrides first,
+    /// then `--deny warnings`; allowed codes are dropped.
+    fn keep(options: &LintOptions, raw: impl IntoIterator<Item = Diagnostic>) -> Self {
+        let mut section = Section::default();
+        for mut diag in raw {
+            diag.severity = match options.levels.get(diag.code) {
+                Some(LintLevel::Allow) => continue,
+                Some(LintLevel::Warn) => Severity::Warning,
+                Some(LintLevel::Deny) => Severity::Error,
+                None if options.deny_warnings => Severity::Error,
+                None => diag.severity,
+            };
+            match diag.severity {
+                Severity::Error => section.errors += 1,
+                Severity::Warning => section.warnings += 1,
+            }
+            section.kept.push(diag);
+        }
+        section
+    }
+}
+
+/// One linted file: its section, plus the model and capacity report
+/// when the front end produced a model.
+struct FileLint {
+    section: Section,
     capacity: Option<CapacityReport>,
     spec: Option<CheckedSpec>,
 }
 
-/// Applies the severity policy to one code, returning the effective
-/// severity (or `None` when allowed away).
-fn effective_severity(options: &LintOptions, code: &str, severity: Severity) -> Option<Severity> {
-    match options.levels.get(code) {
-        Some(LintLevel::Allow) => None,
-        Some(LintLevel::Warn) => Some(Severity::Warning),
-        Some(LintLevel::Deny) => Some(Severity::Error),
-        None => {
-            if options.deny_warnings && severity == Severity::Warning {
-                Some(Severity::Error)
-            } else {
-                Some(severity)
-            }
-        }
-    }
-}
-
-/// Runs the front end plus every single-design analysis pass over one
-/// file and applies the severity policy.
-fn lint_one(file: &str, source: &str, options: &LintOptions) -> FileLint {
-    let map = SourceMap::new(source);
+/// Runs the front end plus every single-design analysis pass over file
+/// `file` of the run and applies the severity policy.
+fn lint_one(file: usize, source: &str, options: &LintOptions) -> FileLint {
     let (raw, capacity, spec) = match diaspec_core::compile_str_with_warnings(source) {
         Ok((spec, warnings)) => {
             let report = analyze_with(&spec, &options.analysis());
-            let mut diags: Vec<Diagnostic> = warnings.iter().cloned().collect();
-            diags.extend(report.diagnostics.iter().cloned());
+            let mut diags: Vec<Diagnostic> = warnings.into_iter().collect();
+            diags.extend(report.diagnostics);
             (diags, Some(report.capacity), Some(spec))
         }
         Err(error) => (error.diagnostics().iter().cloned().collect(), None, None),
     };
-
-    let mut kept: Vec<Diagnostic> = Vec::new();
-    for mut diag in raw {
-        let Some(severity) = effective_severity(options, diag.code, diag.severity) else {
-            continue;
-        };
-        diag.severity = severity;
-        kept.push(diag);
-    }
-    let errors = kept
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let warnings = kept.len() - errors;
+    let raw = raw.into_iter().map(|d| d.relocate(|at| Loc { file, ..at }));
     FileLint {
-        file: file.to_owned(),
-        map,
-        kept,
-        errors,
-        warnings,
+        section: Section::keep(options, raw),
         capacity,
         spec,
-    }
-}
-
-/// The human-format section for one file: caret diagnostics, the
-/// per-file summary line, and (on request) the capacity report.
-fn render_human_file(lint: &FileLint, options: &LintOptions) -> String {
-    let mut out = String::new();
-    for diag in &lint.kept {
-        out.push_str(&diag.render(&lint.map));
-        out.push('\n');
-    }
-    let _ = writeln!(
-        out,
-        "{}: {} error(s), {} warning(s)",
-        lint.file, lint.errors, lint.warnings
-    );
-    if options.capacity {
-        if let Some(capacity) = &lint.capacity {
-            let _ = writeln!(out, "{capacity}");
-        }
-    }
-    out
-}
-
-/// Lints `source` (read from `file`, used for reporting only) and
-/// renders the outcome according to `options`.
-///
-/// Parse or check *errors* short-circuit the analysis passes (there is
-/// no model to analyze) but still render in the requested format, so a
-/// SARIF consumer sees broken designs too.
-#[must_use]
-pub fn lint_source(file: &str, source: &str, options: &LintOptions) -> LintOutcome {
-    let lint = lint_one(file, source, options);
-    let rendered = match options.format {
-        LintFormat::Human => render_human_file(&lint, options),
-        LintFormat::Json => {
-            serde_json::to_string_pretty(&json_log(&lint)).expect("lint JSON serializes")
-        }
-        LintFormat::Sarif => {
-            serde_json::to_string_pretty(&sarif_log(std::slice::from_ref(&lint), &[]))
-                .expect("lint SARIF serializes")
-        }
-    };
-    LintOutcome {
-        rendered,
-        errors: lint.errors,
-        warnings: lint.warnings,
-        broken: lint.spec.is_none(),
     }
 }
 
@@ -275,117 +224,141 @@ fn manifest_pins(manifest: &NodeManifest, design: usize, origin: &str) -> Deploy
     }
 }
 
-/// Lints every input file exactly as [`lint_source`] would, then runs
-/// the cross-design deployment passes over the whole set (plus any
-/// deployment manifests, given as `(path, manifest)` pairs) and appends
-/// a cross-design section.
+/// The cross-design passes over every linted file (all compiled) and
+/// the manifests' pins; a location's file is its design's input index.
+fn cross_design(
+    inputs: &[(String, String)],
+    lints: &[FileLint],
+    manifests: &[(String, NodeManifest)],
+    options: &LintOptions,
+) -> Result<Vec<Diagnostic>, String> {
+    let names: Vec<String> = inputs.iter().map(|(file, _)| design_name(file)).collect();
+    let designs: Vec<DesignRef<'_>> = lints
+        .iter()
+        .zip(&names)
+        .map(|(lint, name)| DesignRef {
+            name,
+            spec: lint.spec.as_ref().expect("not broken"),
+        })
+        .collect();
+    let mut pins: Vec<DeployPins> = Vec::new();
+    for (path, manifest) in manifests {
+        let design = names
+            .iter()
+            .position(|name| *name == manifest.design)
+            .ok_or_else(|| {
+                format!(
+                    "manifest {path} is for design `{}`, which matches none of the linted specs",
+                    manifest.design
+                )
+            })?;
+        pins.push(manifest_pins(manifest, design, path));
+    }
+    let report = analyze_deployment(
+        &designs,
+        &pins,
+        &DeploymentOptions {
+            fleet_size: options.analysis().fleet_size,
+            link_budget_per_hour: options.link_budget,
+        },
+    );
+    Ok(report.diagnostics.into_iter().collect())
+}
+
+/// Lints `inputs` (`(path, source)` pairs; the path is used for
+/// reporting only) and renders the outcome according to `options`.
 ///
-/// Fails (`Err`) only on configuration problems — a manifest naming a
-/// design that matches none of the input file stems; broken *specs* are
-/// reported through the outcome (`broken`), not the error path.
+/// One input without manifests is a single design: its section is the
+/// whole output. Otherwise the cross-design deployment passes run over
+/// the whole set (plus any deployment manifests, given as
+/// `(path, manifest)` pairs) and a cross-design section follows.
+///
+/// Parse or check *errors* short-circuit the analysis passes (there is
+/// no model to analyze) but still render in the requested format, so a
+/// SARIF consumer sees broken designs too; they are reported through the
+/// outcome (`broken`). Fails (`Err`) only on configuration problems — a
+/// manifest naming a design that matches none of the input file stems.
 pub fn lint_designs(
     inputs: &[(String, String)],
     manifests: &[(String, NodeManifest)],
     options: &LintOptions,
 ) -> Result<LintOutcome, String> {
+    let sources = MultiSourceMap::new(inputs.iter().map(|(file, source)| (file.as_str(), source)));
     let lints: Vec<FileLint> = inputs
         .iter()
-        .map(|(file, source)| lint_one(file, source, options))
+        .enumerate()
+        .map(|(file, (_, source))| lint_one(file, source, options))
         .collect();
-    let names: Vec<String> = inputs.iter().map(|(file, _)| design_name(file)).collect();
     let broken = lints.iter().any(|l| l.spec.is_none());
-
-    let mut cross: Vec<CrossFinding> = Vec::new();
-    if !broken {
-        let designs: Vec<DesignRef<'_>> = lints
-            .iter()
-            .zip(&names)
-            .map(|(lint, name)| DesignRef {
-                name,
-                spec: lint.spec.as_ref().expect("not broken"),
-            })
-            .collect();
-        let mut pins: Vec<DeployPins> = Vec::new();
-        for (path, manifest) in manifests {
-            let design = names
-                .iter()
-                .position(|name| *name == manifest.design)
-                .ok_or_else(|| {
-                    format!(
-                        "manifest {path} is for design `{}`, which matches none of the linted specs",
-                        manifest.design
-                    )
-                })?;
-            pins.push(manifest_pins(manifest, design, path));
-        }
-        let report = analyze_deployment(
-            &designs,
-            &pins,
-            &DeploymentOptions {
-                fleet_size: options.analysis().fleet_size,
-                link_budget_per_hour: options.link_budget,
-            },
-        );
-        for mut finding in report.findings {
-            let Some(severity) = effective_severity(options, finding.code, finding.severity) else {
-                continue;
-            };
-            finding.severity = severity;
-            cross.push(finding);
-        }
-    }
-    let cross_errors = cross
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .count();
-    let cross_warnings = cross.len() - cross_errors;
-    let errors = lints.iter().map(|l| l.errors).sum::<usize>() + cross_errors;
-    let warnings = lints.iter().map(|l| l.warnings).sum::<usize>() + cross_warnings;
+    let single = inputs.len() == 1 && manifests.is_empty();
+    let cross = if broken || single {
+        Section::default()
+    } else {
+        Section::keep(options, cross_design(inputs, &lints, manifests, options)?)
+    };
+    let errors = lints.iter().map(|l| l.section.errors).sum::<usize>() + cross.errors;
+    let warnings = lints.iter().map(|l| l.section.warnings).sum::<usize>() + cross.warnings;
 
     let rendered = match options.format {
         LintFormat::Human => {
             let mut out = String::new();
-            for lint in &lints {
-                out.push_str(&render_human_file(lint, options));
-            }
-            if broken {
+            for (lint, (file, _)) in lints.iter().zip(inputs) {
+                let section = &lint.section;
+                out.push_str(&render_human(&sources, &section.kept, false));
                 let _ = writeln!(
                     out,
-                    "cross-design passes skipped: a design failed to compile"
+                    "{file}: {} error(s), {} warning(s)",
+                    section.errors, section.warnings
                 );
-            } else {
-                for finding in &cross {
-                    out.push_str(&render_cross_human(&lints, finding));
-                    out.push('\n');
+                if let Some(capacity) = lint.capacity.as_ref().filter(|_| options.capacity) {
+                    let _ = writeln!(out, "{capacity}");
                 }
-                let _ = writeln!(
-                    out,
-                    "cross-design: {cross_errors} error(s), {cross_warnings} warning(s)"
-                );
             }
-            let _ = writeln!(out, "total: {errors} error(s), {warnings} warning(s)");
+            if !single {
+                if broken {
+                    let _ = writeln!(
+                        out,
+                        "cross-design passes skipped: a design failed to compile"
+                    );
+                } else {
+                    out.push_str(&render_human(&sources, &cross.kept, true));
+                    let _ = writeln!(
+                        out,
+                        "cross-design: {} error(s), {} warning(s)",
+                        cross.errors, cross.warnings
+                    );
+                }
+                let _ = writeln!(out, "total: {errors} error(s), {warnings} warning(s)");
+            }
             out
         }
         LintFormat::Json => {
-            let files: Vec<Value> = lints.iter().map(json_log).collect();
-            let cross_items: Vec<Value> = cross.iter().map(|f| cross_json(&lints, f)).collect();
-            let log = Value::Object(vec![
-                ("files".to_owned(), Value::Array(files)),
-                (
-                    "cross".to_owned(),
-                    Value::Object(vec![
-                        ("errors".to_owned(), Value::UInt(cross_errors as u64)),
-                        ("warnings".to_owned(), Value::UInt(cross_warnings as u64)),
-                        ("diagnostics".to_owned(), Value::Array(cross_items)),
-                    ]),
-                ),
-                ("errors".to_owned(), Value::UInt(errors as u64)),
-                ("warnings".to_owned(), Value::UInt(warnings as u64)),
-            ]);
+            let mut files = lints.iter().zip(inputs).map(|(lint, (file, _))| {
+                let mut entries = vec![("file".to_owned(), Value::String(file.clone()))];
+                entries.extend(json_section(&sources, &lint.section, false));
+                Value::Object(entries)
+            });
+            let log = if single {
+                files.next().expect("one input")
+            } else {
+                Value::Object(vec![
+                    ("files".to_owned(), Value::Array(files.collect())),
+                    (
+                        "cross".to_owned(),
+                        Value::Object(json_section(&sources, &cross, true)),
+                    ),
+                    ("errors".to_owned(), Value::UInt(errors as u64)),
+                    ("warnings".to_owned(), Value::UInt(warnings as u64)),
+                ])
+            };
             serde_json::to_string_pretty(&log).expect("lint JSON serializes")
         }
         LintFormat::Sarif => {
-            serde_json::to_string_pretty(&sarif_log(&lints, &cross)).expect("lint SARIF serializes")
+            let all = lints
+                .iter()
+                .flat_map(|l| &l.section.kept)
+                .chain(&cross.kept);
+            serde_json::to_string_pretty(&sarif_log(&sources, all)).expect("lint SARIF serializes")
         }
     };
 
@@ -397,137 +370,72 @@ pub fn lint_designs(
     })
 }
 
-/// Renders one cross-design finding in the compiler style, prefixing
-/// every position with the file it points into (the spans of one
-/// finding cross file boundaries).
-fn render_cross_human(lints: &[FileLint], finding: &CrossFinding) -> String {
-    let at = |ds: &DesignSpan| -> (String, String) {
-        let lint = &lints[ds.design];
-        let pos = lint.map.line_col(ds.span.start);
-        (format!("{}:{pos}", lint.file), lint.map.snippet(ds.span))
-    };
-    let (pos, snippet) = at(&finding.primary);
-    let mut out = format!(
-        "{}[{}]: {} at {pos}\n",
-        finding.severity, finding.code, finding.message
-    );
-    out.push_str(&snippet);
-    for (note, ds) in &finding.related {
-        let (pos, snippet) = at(ds);
+/// The human format of a section: each diagnostic in the compiler
+/// style, one after the other.
+fn render_human(sources: &MultiSourceMap, kept: &[Diagnostic], named: bool) -> String {
+    let mut out = String::new();
+    for diag in kept {
+        out.push_str(&diag.render(sources, named));
         out.push('\n');
-        let _ = writeln!(out, "note: {note} at {pos}");
-        out.push_str(&snippet);
-    }
-    for note in &finding.notes {
-        out.push('\n');
-        let _ = write!(out, "note: {note}");
     }
     out
 }
 
-fn severity_str(severity: Severity) -> &'static str {
-    match severity {
-        Severity::Error => "error",
-        Severity::Warning => "warning",
-    }
-}
-
-/// A `{line, column, endLine, endColumn}` fragment for a span.
-fn region(map: &SourceMap, span: Span) -> Vec<(String, Value)> {
-    let start = map.line_col(span.start);
-    let end = map.line_col(span.end);
-    vec![
-        ("startLine".to_owned(), Value::UInt(u64::from(start.line))),
-        ("startColumn".to_owned(), Value::UInt(u64::from(start.col))),
-        ("endLine".to_owned(), Value::UInt(u64::from(end.line))),
-        ("endColumn".to_owned(), Value::UInt(u64::from(end.col))),
-    ]
-}
-
-fn json_log(lint: &FileLint) -> Value {
-    let map = &lint.map;
-    let items: Vec<Value> = lint
+/// A section's counts and diagnostics as JSON members; a position
+/// carries a `file` member when `named`.
+fn json_section(sources: &MultiSourceMap, section: &Section, named: bool) -> Vec<(String, Value)> {
+    let locate = |at: Loc| {
+        let (file, map, span) = sources.resolve(at);
+        let pos = map.line_col(span.start);
+        let mut entries = Vec::new();
+        if named {
+            entries.push(("file".to_owned(), Value::String(file.to_owned())));
+        }
+        entries.push(("line".to_owned(), Value::UInt(u64::from(pos.line))));
+        entries.push(("column".to_owned(), Value::UInt(u64::from(pos.col))));
+        entries
+    };
+    let items: Vec<Value> = section
         .kept
         .iter()
         .map(|diag| {
-            let pos = map.line_col(diag.span.start);
             let notes: Vec<Value> = diag
                 .notes
                 .iter()
-                .map(|(message, span)| {
+                .map(|(message, at)| {
                     let mut entries = vec![("message".to_owned(), Value::String(message.clone()))];
-                    if let Some(span) = span {
-                        let pos = map.line_col(span.start);
-                        entries.push(("line".to_owned(), Value::UInt(u64::from(pos.line))));
-                        entries.push(("column".to_owned(), Value::UInt(u64::from(pos.col))));
-                    }
+                    entries.extend(at.map(locate).unwrap_or_default());
                     Value::Object(entries)
                 })
                 .collect();
-            Value::Object(vec![
+            let mut entries = vec![
                 ("code".to_owned(), Value::String(diag.code.to_owned())),
-                (
-                    "level".to_owned(),
-                    Value::String(severity_str(diag.severity).to_owned()),
-                ),
+                ("level".to_owned(), Value::String(diag.severity.to_string())),
                 ("message".to_owned(), Value::String(diag.message.clone())),
-                ("line".to_owned(), Value::UInt(u64::from(pos.line))),
-                ("column".to_owned(), Value::UInt(u64::from(pos.col))),
-                ("notes".to_owned(), Value::Array(notes)),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("file".to_owned(), Value::String(lint.file.clone())),
-        ("errors".to_owned(), Value::UInt(lint.errors as u64)),
-        ("warnings".to_owned(), Value::UInt(lint.warnings as u64)),
-        ("diagnostics".to_owned(), Value::Array(items)),
-    ])
-}
-
-/// One cross-design finding as a JSON object; spans carry the file they
-/// point into.
-fn cross_json(lints: &[FileLint], finding: &CrossFinding) -> Value {
-    let locate = |ds: &DesignSpan| -> Vec<(String, Value)> {
-        let lint = &lints[ds.design];
-        let pos = lint.map.line_col(ds.span.start);
-        vec![
-            ("file".to_owned(), Value::String(lint.file.clone())),
-            ("line".to_owned(), Value::UInt(u64::from(pos.line))),
-            ("column".to_owned(), Value::UInt(u64::from(pos.col))),
-        ]
-    };
-    let mut related: Vec<Value> = finding
-        .related
-        .iter()
-        .map(|(message, ds)| {
-            let mut entries = vec![("message".to_owned(), Value::String(message.clone()))];
-            entries.extend(locate(ds));
+            ];
+            entries.extend(locate(diag.at));
+            entries.push(("notes".to_owned(), Value::Array(notes)));
             Value::Object(entries)
         })
         .collect();
-    related.extend(
-        finding
-            .notes
-            .iter()
-            .map(|note| Value::Object(vec![("message".to_owned(), Value::String(note.clone()))])),
-    );
-    let mut entries = vec![
-        ("code".to_owned(), Value::String(finding.code.to_owned())),
-        (
-            "level".to_owned(),
-            Value::String(severity_str(finding.severity).to_owned()),
-        ),
-        ("message".to_owned(), Value::String(finding.message.clone())),
-    ];
-    entries.extend(locate(&finding.primary));
-    entries.push(("notes".to_owned(), Value::Array(related)));
-    Value::Object(entries)
+    vec![
+        ("errors".to_owned(), Value::UInt(section.errors as u64)),
+        ("warnings".to_owned(), Value::UInt(section.warnings as u64)),
+        ("diagnostics".to_owned(), Value::Array(items)),
+    ]
 }
 
 /// A SARIF physical location, optionally wrapped with a message (for
 /// `relatedLocations` entries).
-fn sarif_location(file: &str, map: &SourceMap, span: Span, message: Option<&str>) -> Value {
+fn sarif_location(sources: &MultiSourceMap, at: Loc, message: Option<&str>) -> Value {
+    let (file, map, span) = sources.resolve(at);
+    let (start, end) = (map.line_col(span.start), map.line_col(span.end));
+    let region = vec![
+        ("startLine".to_owned(), Value::UInt(u64::from(start.line))),
+        ("startColumn".to_owned(), Value::UInt(u64::from(start.col))),
+        ("endLine".to_owned(), Value::UInt(u64::from(end.line))),
+        ("endColumn".to_owned(), Value::UInt(u64::from(end.col))),
+    ];
     let mut entries = vec![(
         "physicalLocation".to_owned(),
         Value::Object(vec![
@@ -535,7 +443,7 @@ fn sarif_location(file: &str, map: &SourceMap, span: Span, message: Option<&str>
                 "artifactLocation".to_owned(),
                 Value::Object(vec![("uri".to_owned(), Value::String(file.to_owned()))]),
             ),
-            ("region".to_owned(), Value::Object(region(map, span))),
+            ("region".to_owned(), Value::Object(region)),
         ]),
     )];
     if let Some(text) = message {
@@ -548,15 +456,14 @@ fn sarif_location(file: &str, map: &SourceMap, span: Span, message: Option<&str>
 }
 
 /// Builds a minimal but valid SARIF 2.1.0 log: one run, one rule entry
-/// per distinct code, one result per diagnostic. Notes *with* a span
-/// become navigable `relatedLocations`; span-less notes (provenance
+/// per distinct code, one result per diagnostic. Notes *with* a location
+/// become navigable `relatedLocations`; location-less notes (provenance
 /// chains) fold into the message text, which every viewer shows.
-fn sarif_log(lints: &[FileLint], cross: &[CrossFinding]) -> Value {
-    let mut rule_ids: Vec<&str> = lints
-        .iter()
-        .flat_map(|l| l.kept.iter().map(|d| d.code))
-        .chain(cross.iter().map(|f| f.code))
-        .collect();
+fn sarif_log<'a>(
+    sources: &MultiSourceMap,
+    diags: impl Iterator<Item = &'a Diagnostic> + Clone,
+) -> Value {
+    let mut rule_ids: Vec<&str> = diags.clone().map(|d| d.code).collect();
     rule_ids.sort_unstable();
     rule_ids.dedup();
     let rules: Vec<Value> = rule_ids
@@ -565,70 +472,28 @@ fn sarif_log(lints: &[FileLint], cross: &[CrossFinding]) -> Value {
         .collect();
 
     let mut results: Vec<Value> = Vec::new();
-    for lint in lints {
-        for diag in &lint.kept {
-            let mut text = diag.message.clone();
-            let mut related: Vec<Value> = Vec::new();
-            for (note, span) in &diag.notes {
-                match span {
-                    Some(span) => {
-                        related.push(sarif_location(&lint.file, &lint.map, *span, Some(note)))
-                    }
-                    None => {
-                        text.push_str("\nnote: ");
-                        text.push_str(note);
-                    }
+    for diag in diags {
+        let mut text = diag.message.clone();
+        let mut related: Vec<Value> = Vec::new();
+        for (note, at) in &diag.notes {
+            match at {
+                Some(at) => related.push(sarif_location(sources, *at, Some(note))),
+                None => {
+                    text.push_str("\nnote: ");
+                    text.push_str(note);
                 }
             }
-            let mut entries = vec![
-                ("ruleId".to_owned(), Value::String(diag.code.to_owned())),
-                (
-                    "level".to_owned(),
-                    Value::String(severity_str(diag.severity).to_owned()),
-                ),
-                (
-                    "message".to_owned(),
-                    Value::Object(vec![("text".to_owned(), Value::String(text))]),
-                ),
-                (
-                    "locations".to_owned(),
-                    Value::Array(vec![sarif_location(&lint.file, &lint.map, diag.span, None)]),
-                ),
-            ];
-            if !related.is_empty() {
-                entries.push(("relatedLocations".to_owned(), Value::Array(related)));
-            }
-            results.push(Value::Object(entries));
         }
-    }
-    for finding in cross {
-        let mut text = finding.message.clone();
-        for note in &finding.notes {
-            text.push_str("\nnote: ");
-            text.push_str(note);
-        }
-        let locate = |ds: &DesignSpan, message: Option<&str>| {
-            let lint = &lints[ds.design];
-            sarif_location(&lint.file, &lint.map, ds.span, message)
-        };
-        let related: Vec<Value> = finding
-            .related
-            .iter()
-            .map(|(note, ds)| locate(ds, Some(note)))
-            .collect();
         let mut entries = vec![
-            ("ruleId".to_owned(), Value::String(finding.code.to_owned())),
-            (
-                "level".to_owned(),
-                Value::String(severity_str(finding.severity).to_owned()),
-            ),
+            ("ruleId".to_owned(), Value::String(diag.code.to_owned())),
+            ("level".to_owned(), Value::String(diag.severity.to_string())),
             (
                 "message".to_owned(),
                 Value::Object(vec![("text".to_owned(), Value::String(text))]),
             ),
             (
                 "locations".to_owned(),
-                Value::Array(vec![locate(&finding.primary, None)]),
+                Value::Array(vec![sarif_location(sources, diag.at, None)]),
             ),
         ];
         if !related.is_empty() {
@@ -684,9 +549,14 @@ mod tests {
         controller Thermostat { when provided Cold do heat on Heater; }
     "#;
 
+    /// One input without manifests: the single-design case.
+    fn lint_alone(file: &str, source: &str, options: &LintOptions) -> LintOutcome {
+        lint_designs(&[(file.to_owned(), source.to_owned())], &[], options).unwrap()
+    }
+
     #[test]
     fn human_output_renders_carets_and_summary() {
-        let outcome = lint_source("x.spec", CONFLICT, &LintOptions::default());
+        let outcome = lint_alone("x.spec", CONFLICT, &LintOptions::default());
         assert_eq!(outcome.errors, 1);
         assert!(outcome.failed());
         assert!(!outcome.broken);
@@ -699,7 +569,7 @@ mod tests {
 
     #[test]
     fn deny_warnings_promotes() {
-        let outcome = lint_source(
+        let outcome = lint_alone(
             "x.spec",
             LOOPY,
             &LintOptions {
@@ -715,7 +585,7 @@ mod tests {
     fn per_code_override_wins_over_blanket() {
         let mut levels = BTreeMap::new();
         levels.insert("W0402".to_owned(), LintLevel::Warn);
-        let outcome = lint_source(
+        let outcome = lint_alone(
             "x.spec",
             LOOPY,
             &LintOptions {
@@ -732,7 +602,7 @@ mod tests {
     fn allow_drops_the_diagnostic() {
         let mut levels = BTreeMap::new();
         levels.insert("W0402".to_owned(), LintLevel::Allow);
-        let outcome = lint_source(
+        let outcome = lint_alone(
             "x.spec",
             LOOPY,
             &LintOptions {
@@ -746,7 +616,7 @@ mod tests {
 
     #[test]
     fn json_format_is_parseable_and_located() {
-        let outcome = lint_source(
+        let outcome = lint_alone(
             "x.spec",
             CONFLICT,
             &LintOptions {
@@ -765,7 +635,7 @@ mod tests {
 
     #[test]
     fn sarif_log_has_required_shape() {
-        let outcome = lint_source(
+        let outcome = lint_alone(
             "x.spec",
             CONFLICT,
             &LintOptions {
@@ -806,7 +676,7 @@ mod tests {
 
     #[test]
     fn sarif_spanned_notes_become_related_locations() {
-        let outcome = lint_source(
+        let outcome = lint_alone(
             "x.spec",
             CONFLICT,
             &LintOptions {
@@ -849,7 +719,7 @@ mod tests {
 
     #[test]
     fn broken_specs_still_render_in_sarif() {
-        let outcome = lint_source(
+        let outcome = lint_alone(
             "x.spec",
             "device { }",
             &LintOptions {
@@ -869,7 +739,7 @@ mod tests {
 
     #[test]
     fn capacity_report_appended_on_request() {
-        let outcome = lint_source(
+        let outcome = lint_alone(
             "x.spec",
             r#"
             device Meter { source reading as Float; }
@@ -1023,6 +893,62 @@ mod tests {
         assert!(outcome.broken);
         assert!(outcome.failed());
         assert!(outcome.rendered.contains("cross-design passes skipped"));
+    }
+
+    #[test]
+    fn an_error_at_the_end_of_a_file_stays_in_that_file() {
+        // `a.spec` ends in a newline and leaves a declaration open: the
+        // parser reports at its end, which is where `b.spec` starts in
+        // the run's concatenation.
+        let inputs = vec![
+            ("a.spec".to_owned(), "device Foo {\n".to_owned()),
+            (
+                "b.spec".to_owned(),
+                "device Bar { action ring; }\n".to_owned(),
+            ),
+        ];
+        let human = lint_designs(&inputs, &[], &LintOptions::default()).unwrap();
+        let (a_section, b_section) = human.rendered.split_once("a.spec: 1 error(s)").unwrap();
+        assert!(a_section.contains("error[E0101]"), "{}", human.rendered);
+        assert!(a_section.contains(" at 2:1\n"), "{}", human.rendered);
+        assert!(!a_section.contains("device Bar"), "{}", human.rendered);
+        assert!(
+            b_section.contains("b.spec: 0 error(s)"),
+            "{}",
+            human.rendered
+        );
+
+        let sarif = lint_designs(
+            &inputs,
+            &[],
+            &LintOptions {
+                format: LintFormat::Sarif,
+                ..LintOptions::default()
+            },
+        )
+        .unwrap();
+        let value: Value = serde_json::from_str(&sarif.rendered).unwrap();
+        let results = value.get("runs").and_then(Value::as_array).unwrap()[0]
+            .get("results")
+            .and_then(Value::as_array)
+            .unwrap();
+        let error = results
+            .iter()
+            .find(|r| r.get("ruleId").and_then(Value::as_str) == Some("E0101"))
+            .unwrap();
+        let location = error.get("locations").and_then(Value::as_array).unwrap()[0]
+            .get("physicalLocation")
+            .unwrap();
+        let uri = location
+            .get("artifactLocation")
+            .and_then(|l| l.get("uri"))
+            .and_then(Value::as_str);
+        assert_eq!(uri, Some("a.spec"));
+        let line = location
+            .get("region")
+            .and_then(|r| r.get("startLine"))
+            .and_then(Value::as_u64);
+        assert_eq!(line, Some(2));
     }
 
     fn manifest_for(design: &str) -> NodeManifest {

@@ -253,7 +253,7 @@ fn requirements_flag_reports_periodic_rate_per_entity() {
 }
 
 /// §VI matching: 4 000 sensors x 13 msg/h = 52 000 msg/h does not fit a
-/// 30 000 msg/h network, and the verdict fails the run.
+/// 30 000 msg/h network (E0604), and the error fails the run.
 #[test]
 fn match_flag_refuses_an_undersized_network() {
     let dir = scratch("match");
@@ -273,8 +273,43 @@ fn match_flag_refuses_an_undersized_network() {
         .expect("binary runs");
     assert!(!output.status.success());
     let stdout = String::from_utf8(output.stdout).unwrap();
-    assert!(stdout.contains("NOT DEPLOYABLE"), "{stdout}");
-    assert!(stdout.contains("~52000"), "{stdout}");
+    // One error diagnostic at the first periodic context, then the verdict.
+    assert_eq!(
+        stdout,
+        "error[E0604]: periodic contracts need ~52000 msgs/hour but the network provides 30000 at 41:9\n  \
+         41 | context AverageOccupancy as ParkingOccupancy[] {\n     \
+         |         ^^^^^^^^^^^^^^^^\n\
+         NOT DEPLOYABLE (1 error(s), 0 warning(s), ~52000 periodic msgs/hour)\n"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A warning alone (MapReduce on one worker, W0607) leaves the design
+/// deployable: the run succeeds.
+#[test]
+fn match_flag_passes_a_design_with_warnings_only() {
+    let dir = scratch("match-tight");
+    let infra = dir.join("one-worker.json");
+    std::fs::write(
+        &infra,
+        r#"{"entities": {"PresenceSensor": 4000, "ParkingEntrancePanel": 8,
+            "CityEntrancePanel": 4, "Messenger": 1},
+           "msgs_per_hour_capacity": null, "parallel_workers": 1}"#,
+    )
+    .unwrap();
+    let output = gen()
+        .arg(spec_path("parking.spec"))
+        .arg("--match")
+        .arg(&infra)
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    assert!(output.status.success(), "{stdout}");
+    assert!(stdout.starts_with("warning[W0607]: "), "{stdout}");
+    assert!(
+        stdout.ends_with("\nDEPLOYABLE (0 error(s), 1 warning(s), ~52000 periodic msgs/hour)\n"),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

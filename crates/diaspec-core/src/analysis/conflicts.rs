@@ -27,12 +27,12 @@
 use crate::chains::{functional_chains, ChainStep, FunctionalChain};
 use crate::diag::{Diagnostic, Diagnostics, Severity};
 use crate::model::{ActivationTrigger, CheckedSpec, PublishMode};
-use crate::span::Span;
+use crate::span::{Loc, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-use super::deployment::{CrossFinding, DesignRef, DesignSpan, MergedTaxonomy};
+use super::deployment::{DesignRef, MergedTaxonomy};
 
 /// One `do` clause, located precisely enough to report a conflict.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -268,23 +268,7 @@ pub(crate) fn detect(
 pub(crate) fn detect_design(spec: &CheckedSpec, diags: &mut Diagnostics) -> Vec<ActuationConflict> {
     let design = [DesignRef { name: "", spec }];
     let conflicts = detect(&design, &MergedTaxonomy::build(&design));
-    for conflict in &conflicts {
-        // Every span of a conflict within one design points into it.
-        let finding = render(&design, conflict);
-        let related = finding
-            .related
-            .into_iter()
-            .map(|(n, at)| (n, Some(at.span)));
-        diags.push(Diagnostic {
-            severity: finding.severity,
-            code: finding.code,
-            message: finding.message,
-            span: finding.primary.span,
-            notes: related
-                .chain(finding.notes.into_iter().map(|n| (n, None)))
-                .collect(),
-        });
-    }
+    diags.extend(conflicts.iter().map(|c| render(&design, c)));
     conflicts
 }
 
@@ -352,8 +336,9 @@ fn provenance(
         .map(ToString::to_string)
 }
 
-/// Renders one conflict, within a design or across two.
-pub(crate) fn render(designs: &[DesignRef<'_>], conflict: &ActuationConflict) -> CrossFinding {
+/// Renders one conflict, within a design or across two; each location
+/// names the index of the design it points into.
+pub(crate) fn render(designs: &[DesignRef<'_>], conflict: &ActuationConflict) -> Diagnostic {
     let (first, second) = (&conflict.first, &conflict.second);
     let (a, b) = (
         designs[conflict.first_design].name,
@@ -410,32 +395,31 @@ pub(crate) fn render(designs: &[DesignRef<'_>], conflict: &ActuationConflict) ->
             format!(" ({name})")
         }
     };
-    let mut notes = Vec::new();
+    let mut notes = vec![(
+        related,
+        Some(Loc {
+            file: conflict.second_design,
+            span: second.span,
+        }),
+    )];
     if let Some(chain) = &first.chain {
-        notes.push(format!("first actuation chain{}: {chain}", tag(a)));
+        notes.push((format!("first actuation chain{}: {chain}", tag(a)), None));
     }
     if let Some(chain) = &second.chain {
-        notes.push(format!("second actuation chain{}: {chain}", tag(b)));
+        notes.push((format!("second actuation chain{}: {chain}", tag(b)), None));
     }
-    CrossFinding {
-        code: conflict.code(),
+    Diagnostic {
         severity: if conflict.guaranteed() {
             Severity::Error
         } else {
             Severity::Warning
         },
+        code: conflict.code(),
         message,
-        primary: DesignSpan {
-            design: conflict.first_design,
+        at: Loc {
+            file: conflict.first_design,
             span: first.span,
         },
-        related: vec![(
-            related,
-            DesignSpan {
-                design: conflict.second_design,
-                span: second.span,
-            },
-        )],
         notes,
     }
 }

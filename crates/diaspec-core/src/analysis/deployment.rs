@@ -27,13 +27,13 @@
 //! resolve to overlapping families exactly as they would inside a single
 //! design (see [`super::graph::families_overlap`]).
 
+use crate::diag::{Diagnostic, Diagnostics, Severity};
 use crate::model::CheckedSpec;
-use crate::span::Span;
+use crate::span::{Loc, Span};
 use std::collections::{BTreeMap, BTreeSet};
 
 use super::conflicts::{self, ActuationConflict};
 use super::rates::{self, EdgeCapacity};
-use crate::diag::{Diagnostics, Severity};
 
 /// One design participating in a deployment, by display name (usually
 /// the spec file stem).
@@ -173,8 +173,7 @@ pub struct FamilyLoad {
 
 impl FamilyLoad {
     /// Whether the aggregate exceeds the family budget.
-    #[must_use]
-    pub fn over_budget(&self) -> bool {
+    fn over_budget(&self) -> bool {
         self.total_msgs_per_hour > self.budget_msgs_per_hour
     }
 }
@@ -215,40 +214,12 @@ pub struct CutViolation {
     pub variant: Option<String>,
 }
 
-/// A span attributed to one of the analyzed designs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DesignSpan {
-    /// Index into the analyzed `designs` slice.
-    pub design: usize,
-    /// Span inside that design's source.
-    pub span: Span,
-}
-
-/// One cross-design finding, ready for multi-file rendering: the primary
-/// span and every related span carry the index of the design (and hence
-/// source file) they point into.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossFinding {
-    /// Stable diagnostic code (`E0601`, `W0601`, `W0602`, `E0602`).
-    pub code: &'static str,
-    /// Error vs. warning, before any severity policy is applied.
-    pub severity: Severity,
-    /// Human-readable description.
-    pub message: String,
-    /// Primary location.
-    pub primary: DesignSpan,
-    /// Secondary locations with their note text (e.g. the conflicting
-    /// `do` clause in the partner design).
-    pub related: Vec<(String, DesignSpan)>,
-    /// Span-less notes (e.g. rendered provenance chains).
-    pub notes: Vec<String>,
-}
-
 /// The combined result of the cross-design passes.
 #[derive(Debug, Clone, Default)]
 pub struct DeploymentReport {
-    /// All findings in pass order (conflicts, cut safety, capacity).
-    pub findings: Vec<CrossFinding>,
+    /// All findings in pass order (conflicts, cut safety, capacity);
+    /// each location's `file` is the index of the design it points into.
+    pub diagnostics: Diagnostics,
     /// Cross-design actuation conflicts (E0601 / W0601).
     pub conflicts: Vec<ActuationConflict>,
     /// Manifest cut violations (E0602).
@@ -272,13 +243,13 @@ impl DeploymentReport {
     /// Whether any finding is error-severity.
     #[must_use]
     pub fn has_errors(&self) -> bool {
-        self.findings.iter().any(|f| f.severity == Severity::Error)
+        self.diagnostics.has_errors()
     }
 
     /// Whether the passes produced no finding at all.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
+        self.diagnostics.is_empty()
     }
 }
 
@@ -300,7 +271,9 @@ pub fn analyze_deployment(
     let mut report = DeploymentReport::default();
     for conflict in conflicts::detect(designs, &taxonomy) {
         if conflict.first_design != conflict.second_design {
-            report.findings.push(conflicts::render(designs, &conflict));
+            report
+                .diagnostics
+                .push(conflicts::render(designs, &conflict));
             report.conflicts.push(conflict);
         }
     }
@@ -330,7 +303,7 @@ fn detect_cut_violations(
                         compare_pins(first.design, fa, hosts_a, second.design, fb, hosts_b)
                     {
                         report
-                            .findings
+                            .diagnostics
                             .push(render_cut(designs, pins, pi, &violation));
                         report.cut_violations.push(violation);
                     }
@@ -439,7 +412,7 @@ fn render_cut(
     pins: &[DeployPins],
     first_pin: usize,
     violation: &CutViolation,
-) -> CrossFinding {
+) -> Diagnostic {
     let (a, b) = (
         designs[violation.first_design].name,
         designs[violation.second_design].name,
@@ -460,35 +433,40 @@ fn render_cut(
         place(&violation.first_node, &violation.first_addr),
         place(&violation.second_node, &violation.second_addr),
     );
-    let decl_span = |design: usize, family: &str| -> Span {
-        designs[design]
-            .spec
-            .device(family)
-            .map_or(Span::DUMMY, |d| d.span)
-    };
-    CrossFinding {
-        code: "E0602",
+    let manifests = format!(
+        "manifests: {} vs {}",
+        pins[first_pin].origin,
+        pins.iter()
+            .find(|p| p.design == violation.second_design)
+            .map_or("?", |p| p.origin.as_str()),
+    );
+    Diagnostic {
         severity: Severity::Error,
+        code: "E0602",
         message,
-        primary: DesignSpan {
-            design: violation.first_design,
-            span: decl_span(violation.first_design, &violation.first_family),
-        },
-        related: vec![(
-            format!("pinned by design `{b}` for this declaration"),
-            DesignSpan {
-                design: violation.second_design,
-                span: decl_span(violation.second_design, &violation.second_family),
-            },
-        )],
-        notes: vec![format!(
-            "manifests: {} vs {}",
-            pins[first_pin].origin,
-            pins.iter()
-                .find(|p| p.design == violation.second_design)
-                .map_or("?", |p| p.origin.as_str()),
-        )],
+        at: declaration(designs, violation.first_design, &violation.first_family),
+        notes: vec![
+            (
+                format!("pinned by design `{b}` for this declaration"),
+                Some(declaration(
+                    designs,
+                    violation.second_design,
+                    &violation.second_family,
+                )),
+            ),
+            (manifests, None),
+        ],
     }
+}
+
+/// The declaration of device `family` in design `design`, or a dummy
+/// span there when the design does not declare it.
+fn declaration(designs: &[DesignRef<'_>], design: usize, family: &str) -> Loc {
+    let span = designs[design]
+        .spec
+        .device(family)
+        .map_or(Span::DUMMY, |d| d.span);
+    Loc { file: design, span }
 }
 
 /// Known load of one design's edges against `family` under the shared
@@ -549,7 +527,7 @@ fn detect_family_overloads(
             unknown_edges: unknown,
         };
         if load.over_budget() {
-            report.findings.push(render_family_overload(
+            report.diagnostics.push(render_family_overload(
                 designs,
                 declaring_design,
                 options.fleet_size,
@@ -565,25 +543,14 @@ fn render_family_overload(
     declaring_design: usize,
     fleet_size: u64,
     load: &FamilyLoad,
-) -> CrossFinding {
+) -> Diagnostic {
     let contributions = load
         .per_design
         .iter()
         .map(|(name, rate)| format!("`{name}` {rate:.1} msg/h"))
         .collect::<Vec<_>>()
         .join(", ");
-    let mut notes = vec![format!("per-design contributions: {contributions}")];
-    if load.unknown_edges > 0 {
-        notes.push(format!(
-            "{} matching edge(s) have no design-time rate and are not counted",
-            load.unknown_edges
-        ));
-    }
-    let primary_span = designs[declaring_design]
-        .spec
-        .device(&load.family)
-        .map_or(Span::DUMMY, |d| d.span);
-    let related = designs
+    let mut notes: Vec<(String, Option<Loc>)> = designs
         .iter()
         .enumerate()
         .filter(|(index, design)| {
@@ -594,19 +561,23 @@ fn render_family_overload(
         .map(|(index, design)| {
             (
                 format!("also orchestrated by design `{}` here", design.name),
-                DesignSpan {
-                    design: index,
-                    span: design
-                        .spec
-                        .device(&load.family)
-                        .map_or(Span::DUMMY, |d| d.span),
-                },
+                Some(declaration(designs, index, &load.family)),
             )
         })
         .collect();
-    CrossFinding {
-        code: "W0602",
+    notes.push((format!("per-design contributions: {contributions}"), None));
+    if load.unknown_edges > 0 {
+        notes.push((
+            format!(
+                "{} matching edge(s) have no design-time rate and are not counted",
+                load.unknown_edges
+            ),
+            None,
+        ));
+    }
+    Diagnostic {
         severity: Severity::Warning,
+        code: "W0602",
         message: format!(
             "co-deployed designs overload device family `{}`: {:.1} msg/h against a budget of {:.1} msg/h (@qos(capacityPerHour = {}) x {fleet_size} devices)",
             load.family,
@@ -614,11 +585,7 @@ fn render_family_overload(
             load.budget_msgs_per_hour,
             load.per_device_budget,
         ),
-        primary: DesignSpan {
-            design: declaring_design,
-            span: primary_span,
-        },
-        related,
+        at: declaration(designs, declaring_design, &load.family),
         notes,
     }
 }
@@ -684,7 +651,7 @@ fn detect_link_overloads(
                 .collect::<Vec<_>>()
                 .join(", ");
             // Anchor on the first contributing design's family decl.
-            let primary = load
+            let at = load
                 .per_design
                 .first()
                 .and_then(|(design_name, family, _)| {
@@ -694,22 +661,15 @@ fn detect_link_overloads(
                             .flatten()
                     })
                 })
-                .map_or(
-                    DesignSpan {
-                        design: 0,
-                        span: Span::DUMMY,
-                    },
-                    |(design, span)| DesignSpan { design, span },
-                );
-            report.findings.push(CrossFinding {
-                code: "W0602",
+                .map_or(Loc::from(Span::DUMMY), |(file, span)| Loc { file, span });
+            report.diagnostics.push(Diagnostic {
                 severity: Severity::Warning,
+                code: "W0602",
                 message: format!(
                     "deployment cut link `{addr}` is overloaded: {total:.1} msg/h against a budget of {budget:.1} msg/h"
                 ),
-                primary,
-                related: Vec::new(),
-                notes: vec![format!("per-design contributions: {contributions}")],
+                at,
+                notes: vec![(format!("per-design contributions: {contributions}"), None)],
             });
         }
         report.link_loads.push(load);
@@ -774,7 +734,7 @@ mod tests {
             })
         );
         assert_eq!(conflict.shared_devices, vec!["Lamp".to_owned()]);
-        let finding = &report.findings[0];
+        let finding = report.diagnostics.iter().next().unwrap();
         assert_eq!(finding.code, "E0601");
         assert_eq!(finding.severity, Severity::Error);
         assert!(
@@ -787,13 +747,14 @@ mod tests {
         assert!(finding
             .notes
             .iter()
-            .any(|n| n.contains("first actuation chain (a)")));
+            .any(|(n, _)| n.contains("first actuation chain (a)")));
         assert!(finding
             .notes
             .iter()
-            .any(|n| n.contains("second actuation chain (b)")));
-        assert_eq!(finding.related.len(), 1);
-        assert_eq!(finding.related[0].1.design, 1);
+            .any(|(n, _)| n.contains("second actuation chain (b)")));
+        let related: Vec<Loc> = finding.notes.iter().filter_map(|(_, at)| *at).collect();
+        assert_eq!(related.len(), 1);
+        assert_eq!(related[0].file, 1);
         assert!(report.has_errors());
     }
 
@@ -806,7 +767,13 @@ mod tests {
         assert!(!conflict.guaranteed());
         assert_eq!(conflict.code(), "W0601");
         assert!(matches!(conflict.coupling, Coupling::PossibleRoot(_)));
-        assert!(report.findings[0].message.contains("maybe publish"));
+        assert!(report
+            .diagnostics
+            .iter()
+            .next()
+            .unwrap()
+            .message
+            .contains("maybe publish"));
     }
 
     #[test]
@@ -860,7 +827,11 @@ mod tests {
         let conflict = &report.conflicts[0];
         assert_eq!(conflict.code(), "W0601");
         assert_eq!(conflict.coupling, Coupling::Independent);
-        assert!(report.findings[0]
+        assert!(report
+            .diagnostics
+            .iter()
+            .next()
+            .unwrap()
             .message
             .contains("independent trigger chains"));
     }
@@ -930,7 +901,7 @@ mod tests {
         // exceed the 100 msg/h per-device budget.
         let report = deploy_with(&[("a", METERED), ("b", METERED)], &[], &options);
         let finding = report
-            .findings
+            .diagnostics
             .iter()
             .find(|f| f.code == "W0602")
             .expect("aggregate overload reported");
@@ -952,7 +923,7 @@ mod tests {
         };
         let roomy = METERED.replace("capacityPerHour = 100", "capacityPerHour = 150");
         let report = deploy_with(&[("a", &roomy), ("b", &roomy)], &[], &options);
-        assert!(report.findings.iter().all(|f| f.code != "W0602"));
+        assert!(report.diagnostics.iter().all(|f| f.code != "W0602"));
         assert_eq!(report.family_loads.len(), 1);
         assert!(!report.family_loads[0].over_budget());
     }
@@ -991,14 +962,17 @@ mod tests {
             .expect("cut violation reported");
         assert_eq!(violation.variant.as_deref(), Some("s1"));
         let finding = report
-            .findings
+            .diagnostics
             .iter()
             .find(|f| f.code == "E0602")
             .expect("E0602 reported");
         assert_eq!(finding.severity, Severity::Error);
         assert!(finding.message.contains("127.0.0.1:7070"));
         assert!(finding.message.contains("127.0.0.1:9090"));
-        assert!(finding.notes.iter().any(|n| n.contains("manifest0.json")));
+        assert!(finding
+            .notes
+            .iter()
+            .any(|(n, _)| n.contains("manifest0.json")));
     }
 
     #[test]
@@ -1056,7 +1030,7 @@ mod tests {
         assert_eq!(report.link_loads.len(), 1);
         assert_eq!(report.link_loads[0].total_msgs_per_hour, 120.0);
         assert!(report
-            .findings
+            .diagnostics
             .iter()
             .any(|f| f.code == "W0602" && f.message.contains("cut link")));
     }

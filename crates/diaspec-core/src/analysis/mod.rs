@@ -77,8 +77,8 @@ pub mod reach;
 
 pub use conflicts::{ActuationConflict, ActuationSite, Coupling, SharedPublication};
 pub use deployment::{
-    analyze_deployment, CrossFinding, CutViolation, DeployPins, DeploymentOptions,
-    DeploymentReport, DesignRef, DesignSpan, FamilyLoad, LinkLoad, MergedTaxonomy, PinnedHost,
+    analyze_deployment, CutViolation, DeployPins, DeploymentOptions, DeploymentReport, DesignRef,
+    FamilyLoad, LinkLoad, MergedTaxonomy, PinnedHost,
 };
 pub use graph::DesignGraph;
 pub use loops::{FeedbackLoop, LoopKind};

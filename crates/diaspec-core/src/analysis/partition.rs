@@ -499,7 +499,7 @@ mod tests {
             "{}",
             diag.message
         );
-        assert_ne!(diag.span, Span::DUMMY, "route diagnostics carry spans");
+        assert_ne!(diag.at.span, Span::DUMMY, "route diagnostics carry spans");
     }
 
     #[test]

@@ -135,8 +135,7 @@ impl TimeUnit {
     }
 
     /// Milliseconds per unit.
-    #[must_use]
-    pub fn millis(self) -> u64 {
+    fn millis(self) -> u64 {
         match self {
             TimeUnit::Millis => 1,
             TimeUnit::Seconds => 1_000,

@@ -1,14 +1,16 @@
-//! Diagnostics produced by the lexer, parser, and semantic checker.
+//! Diagnostics: the one finding type of the front end, the analyzer,
+//! the cross-design passes and §VI infrastructure matching.
 //!
-//! All front-end phases report problems as [`Diagnostic`] values instead of
-//! aborting at the first error, so a single compiler run can surface every
-//! issue in a specification. Diagnostics carry a stable [`code`] (for
-//! example `E0203`) so tests and tooling can match on the *kind* of problem
-//! rather than on message text.
+//! Every phase reports problems as [`Diagnostic`] values instead of
+//! aborting at the first error, so a single run can surface every issue
+//! in a specification. Diagnostics carry a stable [`code`] (for example
+//! `E0203`) so tests and tooling can match on the *kind* of problem
+//! rather than on message text, and every location is a [`Loc`]: a span
+//! in one of the run's source files.
 //!
 //! [`code`]: Diagnostic::code
 
-use crate::span::{SourceMap, Span};
+use crate::span::{Loc, MultiSourceMap, Span};
 use std::error::Error;
 use std::fmt;
 
@@ -39,14 +41,15 @@ pub struct Diagnostic {
     ///
     /// Code ranges by phase: `E00xx` lexer, `E01xx` parser, `E02xx`/`W02xx`
     /// name resolution and structure, `E03xx`/`W03xx` typing and
-    /// SCC-conformance rules.
+    /// SCC-conformance rules, `E04xx`–`E06xx`/`W04xx`–`W06xx` analysis.
     pub code: &'static str,
     /// Human-readable description of the problem.
     pub message: String,
     /// Primary source location.
-    pub span: Span,
-    /// Additional context lines (e.g. "first declared here").
-    pub notes: Vec<(String, Option<Span>)>,
+    pub at: Loc,
+    /// Additional context lines (e.g. "first declared here"), each with
+    /// an optional second location.
+    pub notes: Vec<(String, Option<Loc>)>,
 }
 
 impl Diagnostic {
@@ -57,7 +60,7 @@ impl Diagnostic {
             severity: Severity::Error,
             code,
             message: message.into(),
-            span,
+            at: span.into(),
             notes: Vec::new(),
         }
     }
@@ -69,7 +72,7 @@ impl Diagnostic {
             severity: Severity::Warning,
             code,
             message: message.into(),
-            span,
+            at: span.into(),
             notes: Vec::new(),
         }
     }
@@ -77,26 +80,38 @@ impl Diagnostic {
     /// Attaches a note, optionally pointing at a second location.
     #[must_use]
     pub fn with_note(mut self, note: impl Into<String>, span: Option<Span>) -> Self {
-        self.notes.push((note.into(), span));
+        self.notes.push((note.into(), span.map(Loc::from)));
         self
     }
 
-    /// Renders this diagnostic with a source snippet from `map`.
+    /// Moves every location of this diagnostic through `f` (into the
+    /// file of a run it was found in).
     #[must_use]
-    pub fn render(&self, map: &SourceMap) -> String {
-        let pos = map.line_col(self.span.start);
-        let mut out = format!(
-            "{}[{}]: {} at {pos}\n",
-            self.severity, self.code, self.message
-        );
-        out.push_str(&map.snippet(self.span));
-        for (note, nspan) in &self.notes {
+    pub fn relocate(mut self, f: impl Fn(Loc) -> Loc) -> Self {
+        self.at = f(self.at);
+        for (_, at) in &mut self.notes {
+            *at = at.map(&f);
+        }
+        self
+    }
+
+    /// Renders this diagnostic in the compiler style: the header, the
+    /// primary source line with a caret underline, then each note. A
+    /// position names its file when `named` (a finding of a run over
+    /// several files).
+    #[must_use]
+    pub fn render(&self, sources: &MultiSourceMap, named: bool) -> String {
+        let mut out = format!("{self} at {}\n", sources.position(self.at, named));
+        out.push_str(&sources.snippet(self.at));
+        for (note, at) in &self.notes {
             out.push('\n');
-            match nspan {
-                Some(s) => {
-                    let npos = map.line_col(s.start);
-                    out.push_str(&format!("note: {note} at {npos}\n"));
-                    out.push_str(&map.snippet(*s));
+            match at {
+                Some(at) => {
+                    out.push_str(&format!(
+                        "note: {note} at {}\n",
+                        sources.position(*at, named)
+                    ));
+                    out.push_str(&sources.snippet(*at));
                 }
                 None => out.push_str(&format!("note: {note}")),
             }
@@ -186,12 +201,23 @@ impl Diagnostics {
         self.items.iter().find(|d| d.code == code)
     }
 
-    /// Renders every diagnostic against `map`, separated by blank lines.
+    /// Attributes every location, a span of `sources.text()` (what
+    /// [`compile_sources`](crate::compile_sources) compiles), to the file
+    /// it starts in.
     #[must_use]
-    pub fn render(&self, map: &SourceMap) -> String {
+    pub fn locate(self, sources: &MultiSourceMap) -> Self {
+        self.into_iter()
+            .map(|d| d.relocate(|at| sources.locate(at.span)))
+            .collect()
+    }
+
+    /// Renders every diagnostic (see [`Diagnostic::render`]), separated
+    /// by blank lines.
+    #[must_use]
+    pub fn render(&self, sources: &MultiSourceMap, named: bool) -> String {
         self.items
             .iter()
-            .map(|d| d.render(map))
+            .map(|d| d.render(sources, named))
             .collect::<Vec<_>>()
             .join("\n\n")
     }
@@ -238,21 +264,14 @@ pub struct CompileError {
 }
 
 impl CompileError {
-    /// Creates a compile error from diagnostics, pre-rendering them against
-    /// the given source map for display.
+    /// Creates a compile error from the diagnostics of compiling
+    /// `sources.text()`: each location is attributed to its file, and the
+    /// report is pre-rendered for display (positions name their file
+    /// when `named`).
     #[must_use]
-    pub fn new(diagnostics: Diagnostics, map: &SourceMap) -> Self {
-        let rendered = diagnostics.render(map);
-        CompileError {
-            diagnostics,
-            rendered,
-        }
-    }
-
-    /// Creates a compile error with an already-rendered report (used by
-    /// multi-file compilation, which attributes spans to their files).
-    #[must_use]
-    pub fn from_rendered(diagnostics: Diagnostics, rendered: String) -> Self {
+    pub fn new(diagnostics: Diagnostics, sources: &MultiSourceMap, named: bool) -> Self {
+        let diagnostics = diagnostics.locate(sources);
+        let rendered = diagnostics.render(sources, named);
         CompileError {
             diagnostics,
             rendered,
@@ -300,10 +319,10 @@ mod tests {
 
     #[test]
     fn render_includes_code_message_and_snippet() {
-        let map = SourceMap::new("context Foo as Bar {}\n");
+        let map = MultiSourceMap::new([("a.spec", "context Foo as Bar {}\n")]);
         let d = Diagnostic::error("E0201", "unknown type `Bar`", Span::new(15, 18))
             .with_note("declare it with `structure` or `enumeration`", None);
-        let rendered = d.render(&map);
+        let rendered = d.render(&map, false);
         assert!(rendered.contains("E0201"), "{rendered}");
         assert!(rendered.contains("unknown type `Bar`"), "{rendered}");
         assert!(rendered.contains("^^^"), "{rendered}");
@@ -312,20 +331,30 @@ mod tests {
 
     #[test]
     fn render_note_with_secondary_span() {
-        let map = SourceMap::new("device A {}\ndevice A {}\n");
+        let map = MultiSourceMap::new([("a.spec", "device A {}\ndevice A {}\n")]);
         let d = Diagnostic::error("E0202", "duplicate device `A`", Span::new(19, 20))
             .with_note("first declared here", Some(Span::new(7, 8)));
-        let rendered = d.render(&map);
+        let rendered = d.render(&map, false);
         assert!(rendered.matches('^').count() >= 2, "{rendered}");
-        assert!(rendered.contains("1:8"), "{rendered}");
+        assert!(
+            rendered.contains("first declared here at 1:8"),
+            "{rendered}"
+        );
+        // Named, every position carries its file.
+        let named = d.render(&map, true);
+        assert!(named.contains("at a.spec:2:8\n"), "{named}");
+        assert!(
+            named.contains("first declared here at a.spec:1:8"),
+            "{named}"
+        );
     }
 
     #[test]
     fn compile_error_displays_counts() {
-        let map = SourceMap::new("x");
+        let map = MultiSourceMap::new([("x.spec", "x")]);
         let mut diags = Diagnostics::new();
         diags.push(Diagnostic::error("E0101", "boom", Span::new(0, 1)));
-        let err = CompileError::new(diags, &map);
+        let err = CompileError::new(diags, &map, false);
         let msg = err.to_string();
         assert!(msg.contains("1 error(s)"), "{msg}");
         assert!(msg.contains("boom"), "{msg}");

@@ -76,7 +76,7 @@ pub mod types;
 pub use diag::{CompileError, Diagnostics};
 pub use model::CheckedSpec;
 
-use span::SourceMap;
+use span::MultiSourceMap;
 
 /// Parses and checks a specification in one step.
 ///
@@ -105,17 +105,22 @@ pub fn compile_str(source: &str) -> Result<CheckedSpec, CompileError> {
 ///
 /// Returns a [`CompileError`] if the specification contains errors.
 pub fn compile_str_with_warnings(source: &str) -> Result<(CheckedSpec, Diagnostics), CompileError> {
-    let map = SourceMap::new(source);
-    let (spec, mut diags) = parser::parse(source);
-    if diags.has_errors() {
-        return Err(CompileError::new(diags, &map));
+    front_end(source)
+        .map_err(|diags| CompileError::new(diags, &MultiSourceMap::new([("", source)]), false))
+}
+
+/// Parses and checks `text`: the model with its warnings, or every
+/// diagnostic when there is an error.
+fn front_end(text: &str) -> Result<(CheckedSpec, Diagnostics), Diagnostics> {
+    let (spec, mut diags) = parser::parse(text);
+    if !diags.has_errors() {
+        let (model, mut check_diags) = check::check(&spec);
+        diags.append(&mut check_diags);
+        if let Some(model) = model.filter(|_| !diags.has_errors()) {
+            return Ok((model, diags));
+        }
     }
-    let (model, mut check_diags) = check::check(&spec);
-    diags.append(&mut check_diags);
-    match model {
-        Some(model) if !diags.has_errors() => Ok((model, diags)),
-        _ => Err(CompileError::new(diags, &map)),
-    }
+    Err(diags)
 }
 
 /// Compiles several named specification files together — the paper's
@@ -123,12 +128,13 @@ pub fn compile_str_with_warnings(source: &str) -> Result<(CheckedSpec, Diagnosti
 /// domain's taxonomy file) are shared across application designs.
 ///
 /// Files are concatenated in order and checked as one specification;
-/// diagnostics are attributed back to their file of origin.
+/// every location of a diagnostic, notes included, is attributed back to
+/// its file of origin.
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] (with per-file attribution in its rendered
-/// report) if the combined specification contains errors.
+/// Returns a [`CompileError`] (each position naming its file in the
+/// rendered report) if the combined specification contains errors.
 ///
 /// # Examples
 ///
@@ -151,28 +157,10 @@ where
     N: Into<String>,
     T: AsRef<str>,
 {
-    let map = span::MultiSourceMap::new(files);
-    let (spec, mut diags) = parser::parse(map.text());
-    if !diags.has_errors() {
-        let (model, mut check_diags) = check::check(&spec);
-        diags.append(&mut check_diags);
-        if let Some(model) = model {
-            if !diags.has_errors() {
-                return Ok(model);
-            }
-        }
-    }
-    let rendered = diags
-        .iter()
-        .map(|d| {
-            let (file, pos) = map.locate(d.span.start);
-            let mut out = format!("{d} at {file}:{pos}\n");
-            out.push_str(&map.snippet(d.span));
-            out
-        })
-        .collect::<Vec<_>>()
-        .join("\n\n");
-    Err(CompileError::from_rendered(diags, rendered))
+    let map = MultiSourceMap::new(files);
+    front_end(map.text())
+        .map(|(model, _)| model)
+        .map_err(|diags| CompileError::new(diags, &map, true))
 }
 
 #[cfg(test)]

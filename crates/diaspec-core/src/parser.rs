@@ -968,7 +968,7 @@ mod tests {
         assert!(
             !diags.has_errors(),
             "unexpected errors:\n{}",
-            diags.render(&crate::span::SourceMap::new(src))
+            diags.render(&crate::span::MultiSourceMap::new([("", src)]), false)
         );
         spec
     }

@@ -12,15 +12,26 @@
 //! polling, actuation), the message rate its periodic contracts imply per
 //! bound entity, and the processing its `grouped by`/MapReduce clauses
 //! demand. [`match_infrastructure`] then checks those requirements
-//! against a concrete [`Infrastructure`] description and reports, per
-//! finding, what is satisfied, tight, or missing.
+//! against a concrete [`Infrastructure`] description and reports what is
+//! missing (errors: the design is not deployable there) or tight
+//! (warnings) as [`Diagnostic`]s, each at the declaration it concerns:
+//!
+//! | Code | Rule |
+//! |------|------|
+//! | E0603 | no deployed entity of a device family the design uses |
+//! | E0604 | periodic demand exceeds the network capacity |
+//! | W0605 | periodic demand uses more than 80 % of the network capacity |
+//! | W0606 | event-driven traffic comes on top of a limited network capacity |
+//! | W0607 | declared MapReduce phases get at most one worker |
+//!
 //! Both read the one load model, [`crate::analysis::rates`]: families
 //! and usage are its edges' device ends, network demand its periodic
 //! edges scaled by the infrastructure's entity counts.
 
 use crate::analysis::rates::{self, EdgeCapacity, LoadKind};
-use crate::diag::Diagnostics;
+use crate::diag::{Diagnostic, Diagnostics};
 use crate::model::{ActivationTrigger, CheckedSpec};
+use crate::span::{MultiSourceMap, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -95,8 +106,7 @@ pub struct Infrastructure {
 impl Infrastructure {
     /// Entities available for `device_type`, counting subtypes per the
     /// design's `extends` hierarchy.
-    #[must_use]
-    pub fn family_count(&self, spec: &CheckedSpec, device_type: &str) -> u32 {
+    fn family_count(&self, spec: &CheckedSpec, device_type: &str) -> u32 {
         self.entities
             .iter()
             .filter(|(ty, _)| spec.device_is_subtype(ty, device_type))
@@ -105,80 +115,53 @@ impl Infrastructure {
     }
 }
 
-/// Severity of a matching finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum MatchSeverity {
-    /// Requirement satisfied with headroom.
-    Ok,
-    /// Satisfied, but worth attention (e.g. > 80 % of network capacity,
-    /// or MapReduce declared with a single worker).
-    Tight,
-    /// Not satisfiable on this infrastructure.
-    Missing,
-}
-
-impl fmt::Display for MatchSeverity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            MatchSeverity::Ok => "ok",
-            MatchSeverity::Tight => "tight",
-            MatchSeverity::Missing => "missing",
-        })
-    }
-}
-
-/// One finding of the requirement/infrastructure match.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MatchFinding {
-    /// How serious it is.
-    pub severity: MatchSeverity,
-    /// What the finding concerns (a device type, "network", "processing").
-    pub subject: String,
-    /// Human-readable explanation.
-    pub message: String,
-}
-
 /// The result of matching a design against an infrastructure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatchReport {
-    /// Every finding, most severe first.
-    pub findings: Vec<MatchFinding>,
+    /// What is missing (errors) or tight (warnings), errors first; a
+    /// location is a declaration of the matched design.
+    pub diagnostics: Diagnostics,
     /// Estimated statically-known network demand (messages/hour).
     pub estimated_msgs_per_hour: f64,
 }
 
 impl MatchReport {
-    /// Whether the application can run: no [`MatchSeverity::Missing`]
-    /// finding.
+    /// Whether the application can run: no error diagnostic.
     #[must_use]
     pub fn deployable(&self) -> bool {
-        self.findings
-            .iter()
-            .all(|f| f.severity != MatchSeverity::Missing)
+        !self.diagnostics.has_errors()
+    }
+
+    /// The `--match` report: each finding rendered against the design's
+    /// `sources` (see [`Diagnostic::render`]), then the verdict line.
+    #[must_use]
+    pub fn render(&self, sources: &MultiSourceMap, named: bool) -> String {
+        let mut out = String::new();
+        for diag in &self.diagnostics {
+            out.push_str(&diag.render(sources, named));
+            out.push('\n');
+        }
+        out.push_str(&self.to_string());
+        out
     }
 }
 
 impl fmt::Display for MatchReport {
+    /// The verdict line. [`MatchReport::render`] puts the findings, which
+    /// need the design's source, before it.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
+        let errors = self.diagnostics.error_count();
+        write!(
             f,
-            "{} ({} finding(s), ~{:.0} periodic msgs/hour)",
+            "{} ({errors} error(s), {} warning(s), ~{:.0} periodic msgs/hour)",
             if self.deployable() {
                 "DEPLOYABLE"
             } else {
                 "NOT DEPLOYABLE"
             },
-            self.findings.len(),
+            self.diagnostics.len() - errors,
             self.estimated_msgs_per_hour
-        )?;
-        for finding in &self.findings {
-            writeln!(
-                f,
-                "  [{}] {}: {}",
-                finding.severity, finding.subject, finding.message
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -236,44 +219,35 @@ pub fn estimate(spec: &CheckedSpec) -> AppRequirements {
     }
 }
 
-/// Matches extracted requirements against an infrastructure description,
-/// producing per-subject findings (§VI).
+/// Matches extracted requirements against an infrastructure description
+/// (§VI), reporting each shortfall as a diagnostic.
 #[must_use]
 pub fn match_infrastructure(
     spec: &CheckedSpec,
     requirements: &AppRequirements,
     infrastructure: &Infrastructure,
 ) -> MatchReport {
-    let mut findings = Vec::new();
+    let device = |name: &str| spec.device(name).map_or(Span::DUMMY, |d| d.span);
+    let mut diagnostics = Diagnostics::new();
 
     // Devices: every required family needs at least one bound entity.
     for req in requirements.devices.values() {
-        let available = infrastructure.family_count(spec, &req.device_type);
-        if available == 0 {
-            findings.push(MatchFinding {
-                severity: MatchSeverity::Missing,
-                subject: req.device_type.clone(),
-                message: format!(
+        if infrastructure.family_count(spec, &req.device_type) == 0 {
+            diagnostics.push(Diagnostic::error(
+                "E0603",
+                format!(
                     "no entity of family `{}` is deployed, but the design {}",
                     req.device_type,
                     describe_usage(req.usage)
                 ),
-            });
-        } else {
-            findings.push(MatchFinding {
-                severity: MatchSeverity::Ok,
-                subject: req.device_type.clone(),
-                message: format!(
-                    "{available} entit{} available ({})",
-                    if available == 1 { "y" } else { "ies" },
-                    describe_usage(req.usage)
-                ),
-            });
+                device(&req.device_type),
+            ));
         }
     }
 
     // Network: statically known periodic demand vs. capacity — every
-    // periodic edge scaled by the entities deployed of its family.
+    // periodic edge scaled by the entities deployed of its family —
+    // reported at the first periodic context (in name order).
     let (demand, _) = rates::tally(
         load_model(spec)
             .iter()
@@ -282,60 +256,63 @@ pub fn match_infrastructure(
                 edge.msgs_per_hour(|family| u64::from(infrastructure.family_count(spec, family)))
             }),
     );
+    let periodic = requirements
+        .processing
+        .first()
+        .and_then(|proc| spec.context(&proc.context))
+        .map_or(Span::DUMMY, |ctx| ctx.span);
     match infrastructure.msgs_per_hour_capacity {
-        Some(capacity) if demand > capacity => findings.push(MatchFinding {
-            severity: MatchSeverity::Missing,
-            subject: "network".to_owned(),
-            message: format!(
+        Some(capacity) if demand > capacity => diagnostics.push(Diagnostic::error(
+            "E0604",
+            format!(
                 "periodic contracts need ~{demand:.0} msgs/hour but the network \
                  provides {capacity:.0}"
             ),
-        }),
-        Some(capacity) if demand > 0.8 * capacity => findings.push(MatchFinding {
-            severity: MatchSeverity::Tight,
-            subject: "network".to_owned(),
-            message: format!(
+            periodic,
+        )),
+        Some(capacity) if demand > 0.8 * capacity => diagnostics.push(Diagnostic::warning(
+            "W0605",
+            format!(
                 "periodic demand (~{demand:.0} msgs/hour) uses more than 80% of the \
                  network capacity ({capacity:.0})"
             ),
-        }),
-        Some(capacity) => findings.push(MatchFinding {
-            severity: MatchSeverity::Ok,
-            subject: "network".to_owned(),
-            message: format!(
-                "periodic demand ~{demand:.0} msgs/hour within capacity {capacity:.0}"
-            ),
-        }),
-        None => {}
+            periodic,
+        )),
+        _ => {}
     }
-    if requirements.has_event_driven_load && infrastructure.msgs_per_hour_capacity.is_some() {
-        findings.push(MatchFinding {
-            severity: MatchSeverity::Tight,
-            subject: "network".to_owned(),
-            message: "event-driven subscriptions add activity-dependent traffic on top \
-                      of the periodic estimate"
-                .to_owned(),
-        });
+    if infrastructure.msgs_per_hour_capacity.is_some() {
+        if let Some(req) = requirements
+            .devices
+            .values()
+            .find(|req| req.usage.event_sources)
+        {
+            diagnostics.push(Diagnostic::warning(
+                "W0606",
+                "event-driven subscriptions add activity-dependent traffic on top \
+                 of the periodic estimate",
+                device(&req.device_type),
+            ));
+        }
     }
 
     // Processing: declared MapReduce wants workers.
     for proc in &requirements.processing {
         if proc.map_reduce && infrastructure.parallel_workers <= 1 {
-            findings.push(MatchFinding {
-                severity: MatchSeverity::Tight,
-                subject: "processing".to_owned(),
-                message: format!(
+            diagnostics.push(Diagnostic::warning(
+                "W0607",
+                format!(
                     "context `{}` declares MapReduce phases, but only {} worker(s) are \
                      available; processing falls back to serial",
                     proc.context, infrastructure.parallel_workers
                 ),
-            });
+                spec.context(&proc.context)
+                    .map_or(Span::DUMMY, |ctx| ctx.span),
+            ));
         }
     }
 
-    findings.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.subject.cmp(&b.subject)));
     MatchReport {
-        findings,
+        diagnostics,
         estimated_msgs_per_hour: demand,
     }
 }
@@ -446,15 +423,14 @@ mod tests {
         };
         let report = match_infrastructure(&spec, &req, &infra);
         assert!(!report.deployable(), "{report}");
-        let missing: Vec<&MatchFinding> = report
-            .findings
-            .iter()
-            .filter(|f| f.severity == MatchSeverity::Missing)
-            .collect();
-        assert_eq!(missing.len(), 1);
-        assert_eq!(missing[0].subject, "ParkingEntrancePanel");
-        // Most severe first.
-        assert_eq!(report.findings[0].severity, MatchSeverity::Missing);
+        assert_eq!(report.diagnostics.error_count(), 1);
+        let missing = report.diagnostics.find("E0603").unwrap();
+        assert!(missing.message.contains("`ParkingEntrancePanel`"));
+        // At the family's declaration.
+        let at = missing.at.span;
+        assert_eq!(&PARKING[at.start..at.end], "ParkingEntrancePanel");
+        // Errors first.
+        assert_eq!(report.diagnostics.iter().next(), Some(missing));
     }
 
     #[test]
@@ -501,18 +477,14 @@ mod tests {
         // Tight (between 80% and 100%).
         let report = match_infrastructure(&spec, &req, &infra(7_000.0));
         assert!(report.deployable());
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.subject == "network" && f.severity == MatchSeverity::Tight));
+        assert!(report.diagnostics.find("W0605").is_some(), "{report}");
         // Comfortable.
         let report = match_infrastructure(&spec, &req, &infra(100_000.0));
         assert!(report.deployable());
-        // The event-driven caveat still flags as Tight.
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("event-driven")));
+        assert!(report.diagnostics.find("W0605").is_none(), "{report}");
+        // The event-driven caveat still warns.
+        let caveat = report.diagnostics.find("W0606").unwrap();
+        assert!(caveat.message.contains("event-driven"));
     }
 
     #[test]
@@ -530,10 +502,8 @@ mod tests {
         };
         let report = match_infrastructure(&spec, &req, &infra);
         assert!(report.deployable(), "tight, not missing: {report}");
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.subject == "processing" && f.severity == MatchSeverity::Tight));
+        let serial = report.diagnostics.find("W0607").unwrap();
+        assert!(serial.message.contains("`ParkingAvailability`"));
     }
 
     #[test]
@@ -548,9 +518,47 @@ mod tests {
                 parallel_workers: 1,
             },
         );
-        let text = report.to_string();
-        assert!(text.contains("NOT DEPLOYABLE"), "{text}");
-        assert!(text.contains("[missing] ParkingEntrancePanel"), "{text}");
+        assert_eq!(
+            report.to_string(),
+            "NOT DEPLOYABLE (2 error(s), 1 warning(s), ~0 periodic msgs/hour)"
+        );
+        let sources = MultiSourceMap::new([("parking.spec", PARKING)]);
+        let text = report.render(&sources, false);
+        assert!(
+            text.contains(
+                "error[E0603]: no entity of family `ParkingEntrancePanel` is deployed, \
+                 but the design actuates it at 7:16\n   7 |         device ParkingEntrancePanel"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.ends_with("\nNOT DEPLOYABLE (2 error(s), 1 warning(s), ~0 periodic msgs/hour)"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn diagnostics_of_a_multi_file_design_name_their_file() {
+        let (taxonomy, app) = PARKING.split_at(PARKING.find("context").unwrap());
+        let spec = crate::compile_sources([("tax.spec", taxonomy), ("app.spec", app)]).unwrap();
+        let infra = Infrastructure {
+            entities: [("PresenceSensor".to_owned(), 10)].into_iter().collect(),
+            msgs_per_hour_capacity: None,
+            parallel_workers: 1,
+        };
+        let mut report = match_infrastructure(&spec, &estimate(&spec), &infra);
+        // The model's spans count through the concatenation of both
+        // files; `locate` attributes each location to its file.
+        let sources = MultiSourceMap::new([("tax.spec", taxonomy), ("app.spec", app)]);
+        report.diagnostics = report.diagnostics.locate(&sources);
+        let text = report.render(&sources, true);
+        // The missing panel family is declared in the taxonomy, the
+        // MapReduce context in the app.
+        assert!(text.contains("actuates it at tax.spec:7:16\n"), "{text}");
+        assert!(
+            text.contains("falls back to serial at app.spec:1:9\n"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -115,8 +115,10 @@ impl fmt::Display for LineCol {
 /// let pos = map.line_col(17);
 /// assert_eq!(pos.line, 2);
 /// assert_eq!(pos.col, 3);
-/// assert_eq!(map.line_text(2), Some("  source tick as Integer;"));
-/// # let _ = map.snippet(Span::new(17, 23));
+/// assert_eq!(
+///     map.snippet(Span::new(17, 23)),
+///     "   2 |   source tick as Integer;\n     |   ^^^^^^"
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct SourceMap {
@@ -162,8 +164,7 @@ impl SourceMap {
     }
 
     /// Returns the text of the 1-based line `line`, without its newline.
-    #[must_use]
-    pub fn line_text(&self, line: u32) -> Option<&str> {
+    fn line_text(&self, line: u32) -> Option<&str> {
         let idx = (line as usize).checked_sub(1)?;
         let start = *self.line_starts.get(idx)?;
         let end = self
@@ -190,25 +191,46 @@ impl SourceMap {
     }
 }
 
-/// A source map over several named files compiled together (the paper's
-/// §III *taxonomy* usage: shared device declarations plus an application
-/// design).
+/// A position a diagnostic points at: a span inside one of the sources
+/// of a run, by index (0 when the run read one source), counted from the
+/// start of that file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Loc {
+    /// Index of the source file in the run's [`MultiSourceMap`].
+    pub file: usize,
+    /// Span inside that file.
+    pub span: Span,
+}
+
+impl From<Span> for Loc {
+    /// A span of the only (or first) source.
+    fn from(span: Span) -> Self {
+        Loc { file: 0, span }
+    }
+}
+
+/// The named source files of one run: a single specification, several
+/// linted together, or the §III *taxonomy* usage, where shared device
+/// declarations and an application design compile as one text.
 ///
-/// Files are concatenated in order; spans index into the concatenation,
-/// and this map attributes them back to `(file, line, column)`.
+/// Files are concatenated in order for compilation; [`Loc`]s index the
+/// files, and [`MultiSourceMap::locate`] attributes a span of the
+/// concatenation to the file it starts in.
 ///
 /// # Examples
 ///
 /// ```
-/// use diaspec_core::span::MultiSourceMap;
+/// use diaspec_core::span::{MultiSourceMap, Span};
 ///
 /// let map = MultiSourceMap::new([
 ///     ("taxonomy.spec", "device Clock { source tick as Integer; }\n"),
 ///     ("app.spec", "context C as Integer { when provided tick from Clock always publish; }\n"),
 /// ]);
-/// let (file, pos) = map.locate(map.text().find("context").unwrap());
-/// assert_eq!(file, "app.spec");
-/// assert_eq!(pos.line, 1);
+/// let start = map.text().find("context").unwrap();
+/// let at = map.locate(Span::new(start, start + 7));
+/// assert_eq!(at.file, 1);
+/// assert_eq!(map.position(at, true), "app.spec:1:1");
+/// assert_eq!(map.position(at, false), "1:1");
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiSourceMap {
@@ -249,35 +271,50 @@ impl MultiSourceMap {
         &self.text
     }
 
-    /// Attributes a concatenation offset to its file and in-file position.
-    ///
-    /// Offsets past the end resolve into the last file.
+    /// Attributes a span of the concatenated [`text`](Self::text) to the
+    /// file it starts in, counted from that file's start. Spans past the
+    /// end resolve into the last file.
     #[must_use]
-    pub fn locate(&self, offset: usize) -> (&str, LineCol) {
-        let idx = self
+    pub fn locate(&self, span: Span) -> Loc {
+        let file = self
             .files
             .iter()
-            .rposition(|(_, start, _)| *start <= offset)
+            .rposition(|(_, file_start, _)| *file_start <= span.start)
             .unwrap_or(0);
-        let (name, start, map) = &self.files[idx];
-        (name.as_str(), map.line_col(offset - start))
+        let file_start = self.files[file].1;
+        let start = span.start - file_start;
+        Loc {
+            file,
+            span: Span::new(start, (span.end - file_start).max(start)),
+        }
     }
 
-    /// Renders a snippet for `span` with its file attribution.
+    /// The file of a location: its name, its source map and the span
+    /// inside it.
     #[must_use]
-    pub fn snippet(&self, span: Span) -> String {
-        let idx = self
-            .files
-            .iter()
-            .rposition(|(_, start, _)| *start <= span.start)
-            .unwrap_or(0);
-        let (name, start, map) = &self.files[idx];
-        let local_start = span.start - start;
-        let local_end = span.end.saturating_sub(*start).max(local_start);
-        format!(
-            "--> {name}\n{}",
-            map.snippet(Span::new(local_start, local_end))
-        )
+    pub fn resolve(&self, at: Loc) -> (&str, &SourceMap, Span) {
+        let (name, _, map) = &self.files[at.file];
+        (name, map, at.span)
+    }
+
+    /// `line:col` of a location's start, prefixed with `file:` when
+    /// `named`.
+    #[must_use]
+    pub fn position(&self, at: Loc, named: bool) -> String {
+        let (name, map, span) = self.resolve(at);
+        let pos = map.line_col(span.start);
+        if named {
+            format!("{name}:{pos}")
+        } else {
+            pos.to_string()
+        }
+    }
+
+    /// The caret snippet of a location, from the file it starts in.
+    #[must_use]
+    pub fn snippet(&self, at: Loc) -> String {
+        let (_, map, span) = self.resolve(at);
+        map.snippet(span)
     }
 }
 
@@ -345,30 +382,52 @@ mod tests {
             ("a.spec", "first file\nsecond line"),
             ("b.spec", "third file"),
         ]);
+        let at = |needle: &str| {
+            let start = map.text().find(needle).unwrap();
+            map.locate(Span::new(start, start + needle.len()))
+        };
         // Start of the first file.
-        let (file, pos) = map.locate(0);
-        assert_eq!(file, "a.spec");
-        assert_eq!(pos, LineCol { line: 1, col: 1 });
+        assert_eq!(map.locate(Span::new(0, 1)), Loc::from(Span::new(0, 1)));
         // Second line of the first file.
-        let (file, pos) = map.locate(map.text().find("second").unwrap());
-        assert_eq!(file, "a.spec");
-        assert_eq!(pos.line, 2);
+        assert_eq!(map.position(at("second"), true), "a.spec:2:1");
         // The second file starts fresh at line 1.
-        let (file, pos) = map.locate(map.text().find("third").unwrap());
-        assert_eq!(file, "b.spec");
-        assert_eq!(pos, LineCol { line: 1, col: 1 });
+        let third = at("third");
+        assert_eq!(
+            third,
+            Loc {
+                file: 1,
+                span: Span::new(0, 5)
+            }
+        );
+        assert_eq!(map.position(third, true), "b.spec:1:1");
+        assert_eq!(map.position(third, false), "1:1");
         // Past-the-end lands in the last file.
-        let (file, _) = map.locate(10_000);
-        assert_eq!(file, "b.spec");
+        assert_eq!(map.locate(Span::new(10_000, 10_000)).file, 1);
     }
 
     #[test]
     fn multi_source_map_snippets_name_the_file() {
         let map = MultiSourceMap::new([("tax.spec", "device D {}"), ("app.spec", "oops here")]);
         let offset = map.text().find("oops").unwrap();
-        let snippet = map.snippet(Span::new(offset, offset + 4));
-        assert!(snippet.starts_with("--> app.spec\n"), "{snippet}");
-        assert!(snippet.contains("^^^^"), "{snippet}");
+        // A span of the concatenation is located in the file it starts
+        // in: the position names the file, the snippet is that file's line.
+        let at = map.locate(Span::new(offset, offset + 4));
+        assert_eq!(map.position(at, true), "app.spec:1:1");
+        assert_eq!(map.snippet(at), "   1 | oops here\n     | ^^^^");
+    }
+
+    #[test]
+    fn a_location_at_the_end_of_a_file_stays_in_that_file() {
+        // `a.spec` ends in a newline, so its end offset is where `b.spec`
+        // starts in the concatenation; a per-file location there is still
+        // a location in `a.spec`.
+        let a = "device Foo {\n";
+        let map = MultiSourceMap::new([("a.spec", a), ("b.spec", "device Bar {}\n")]);
+        let at = Loc {
+            file: 0,
+            span: Span::new(a.len(), a.len()),
+        };
+        assert_eq!(map.position(at, true), "a.spec:2:1");
     }
 
     #[test]

@@ -166,12 +166,6 @@ impl ContextApi<'_> {
         self.engine.queue.now()
     }
 
-    /// The name of the activated context.
-    #[must_use]
-    pub fn context_name(&self) -> &str {
-        self.context
-    }
-
     /// Query-driven read of a device source (`get src from Dev`): returns
     /// the current reading of every bound entity of the device family, in
     /// deterministic entity order.
@@ -295,12 +289,6 @@ impl ControllerApi<'_> {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.engine.queue.now()
-    }
-
-    /// The name of the activated controller.
-    #[must_use]
-    pub fn controller_name(&self) -> &str {
-        self.controller
     }
 
     /// Discovers entities of a device type this controller actuates.

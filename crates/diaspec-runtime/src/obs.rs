@@ -301,8 +301,7 @@ impl LatencyHistogram {
     /// bucket upper bound. The final unbounded bucket is omitted — its
     /// samples are only reachable through the implicit `+Inf` bucket
     /// (whose cumulative count is [`LatencyHistogram::count`]).
-    #[must_use]
-    pub fn cumulative_buckets(&self) -> Vec<BucketCount> {
+    fn cumulative_buckets(&self) -> Vec<BucketCount> {
         let mut out = Vec::new();
         let mut cumulative = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
@@ -633,35 +632,24 @@ impl Observer for BufferSink {
 /// events, `{"span": ...}` for completed spans and `{"snapshot": ...}`
 /// for snapshots.
 ///
-/// Write errors do not disturb the orchestration; they are counted and
-/// reported by [`JsonlSink::write_errors`].
+/// Write errors do not disturb the orchestration; a line that fails to
+/// write is not counted in [`JsonlSink::lines`].
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
     lines: u64,
-    write_errors: u64,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wraps a writer.
     pub fn new(writer: W) -> Self {
-        JsonlSink {
-            writer,
-            lines: 0,
-            write_errors: 0,
-        }
+        JsonlSink { writer, lines: 0 }
     }
 
     /// Lines successfully written so far.
     #[must_use]
     pub fn lines(&self) -> u64 {
         self.lines
-    }
-
-    /// Failed writes so far.
-    #[must_use]
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors
     }
 
     /// Flushes the underlying writer.
@@ -685,9 +673,8 @@ impl<W: Write> JsonlSink<W> {
     }
 
     fn write_line(&mut self, line: &str) {
-        match writeln!(self.writer, "{line}") {
-            Ok(()) => self.lines += 1,
-            Err(_) => self.write_errors += 1,
+        if writeln!(self.writer, "{line}").is_ok() {
+            self.lines += 1;
         }
     }
 }
@@ -1370,7 +1357,6 @@ mod tests {
         hub.record(Activity::Actuating, "Tv.on", 12);
         sink.on_snapshot(&hub.snapshot(9));
         assert_eq!(sink.lines(), 2);
-        assert_eq!(sink.write_errors(), 0);
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

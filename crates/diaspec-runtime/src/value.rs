@@ -118,15 +118,6 @@ impl Value {
         }
     }
 
-    /// The variant name, if this is an `Enum`.
-    #[must_use]
-    pub fn as_variant(&self) -> Option<&str> {
-        match self {
-            Value::Enum { variant, .. } => Some(variant),
-            _ => None,
-        }
-    }
-
     /// The element slice, if this is an `Array`.
     #[must_use]
     pub fn as_array(&self) -> Option<&[Value]> {
@@ -142,23 +133,6 @@ impl Value {
         match self {
             Value::Struct { fields, .. } => fields.get(name),
             _ => None,
-        }
-    }
-
-    /// A short description of the value's runtime type, for diagnostics.
-    #[must_use]
-    pub fn type_name(&self) -> String {
-        match self {
-            Value::Int(_) => "Integer".to_owned(),
-            Value::Float(_) => "Float".to_owned(),
-            Value::Bool(_) => "Boolean".to_owned(),
-            Value::Str(_) => "String".to_owned(),
-            Value::Enum { enumeration, .. } => enumeration.clone(),
-            Value::Struct { structure, .. } => structure.clone(),
-            Value::Array(items) => match items.first() {
-                Some(first) => format!("{}[]", first.type_name()),
-                None => "[]".to_owned(),
-            },
         }
     }
 
@@ -506,7 +480,6 @@ mod tests {
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::from("hi").as_str(), Some("hi"));
         assert_eq!(Value::Int(3).as_float(), None);
-        assert_eq!(Value::enum_value("E", "A").as_variant(), Some("A"));
         let arr: Value = vec![1i64, 2, 3].into();
         assert_eq!(arr.as_array().unwrap().len(), 3);
     }
@@ -649,8 +622,8 @@ mod tests {
             Value::Float(0.5),
         ];
         values.sort();
-        let ranks: Vec<String> = values.iter().map(Value::type_name).collect();
-        assert_eq!(ranks, ["Integer", "Float", "Boolean", "String", "[]"]);
+        let ranks: Vec<String> = values.iter().map(ToString::to_string).collect();
+        assert_eq!(ranks, ["1", "0.5", "true", "\"s\"", "[]"]);
     }
 
     #[test]

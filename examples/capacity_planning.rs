@@ -11,6 +11,7 @@
 
 use diaspec_core::compile_str;
 use diaspec_core::requirements::{estimate, match_infrastructure, Infrastructure};
+use diaspec_core::span::MultiSourceMap;
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -61,6 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         parallel_workers: 1,
     };
 
+    let sources = MultiSourceMap::new([("specs/parking.spec", diaspec_apps::parking::SPEC)]);
     for (name, infra) in [
         ("full city", &full_city),
         ("missing panels", &missing_panels),
@@ -68,8 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         println!("=== candidate infrastructure: {name} ===");
         let report = match_infrastructure(&spec, &requirements, infra);
-        print!("{report}");
-        println!();
+        println!("{}\n", report.render(&sources, false));
     }
 
     // The full city must deploy; the others must be rejected for the

@@ -87,6 +87,17 @@
 #    type (`struct CrossConflict`), the retired single-design family
 #    intersection (`fn family_intersection`), or `collect_sites(` (private
 #    to conflicts.rs) called there anywhere but in the pass's `fn detect(`.
+# 14. One finding type: the front end, the analyzer, the cross-design
+#    passes and §VI matching all report `Diagnostic`s (crates/diaspec-core/
+#    src/diag.rs), whose locations name a file of the run, and each output
+#    format has one renderer: `Diagnostic::render` for people, one JSON
+#    builder and one SARIF loop in crates/diaspec-codegen/src/lint.rs.
+#    A second finding type growing back shows up as `CrossFinding`,
+#    `DesignSpan`, `MatchSeverity` or `MatchFinding` under crates/, a
+#    second renderer as `render_cross_human` or `cross_json` in lint.rs or
+#    as hand formatting (`map.locate(`) in crates/diaspec-core/src/lib.rs,
+#    and a second lint entry point as a `lint_source(` call in
+#    diaspec-gen.rs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -339,3 +350,26 @@ if ! grep -q '^pub(crate) fn detect($' "$CONFLICTS"; then
     exit 1
 fi
 echo "ok: one conflict rule (one pass in $CONFLICTS, no CrossConflict, no family_intersection)"
+
+LINT=crates/diaspec-codegen/src/lint.rs
+if grep -rnwE 'CrossFinding|DesignSpan|MatchSeverity|MatchFinding' crates --include=*.rs; then
+    echo "FAIL: a second finding type is back under crates/ (lines above); report" >&2
+    echo "a diag::Diagnostic whose locations name their file instead." >&2
+    exit 1
+fi
+if grep -nE 'fn (render_cross_human|cross_json)\b' "$LINT"; then
+    echo "FAIL: $LINT renders cross-design findings on their own (lines above);" >&2
+    echo "pass named positions to the one renderer of each format." >&2
+    exit 1
+fi
+if grep -nF 'map.locate(' crates/diaspec-core/src/lib.rs; then
+    echo "FAIL: crates/diaspec-core/src/lib.rs formats diagnostics by hand (lines" >&2
+    echo "above); build a CompileError, which renders them with Diagnostic::render." >&2
+    exit 1
+fi
+if grep -nF 'lint_source(' crates/diaspec-codegen/src/bin/diaspec-gen.rs; then
+    echo "FAIL: diaspec-gen.rs has a second lint entry point (lines above); one" >&2
+    echo "input without manifests is lint_designs' single-design case." >&2
+    exit 1
+fi
+echo "ok: one finding type (no CrossFinding/DesignSpan/MatchFinding/MatchSeverity, one renderer per format)"

@@ -19,6 +19,7 @@
 //! separately deployed processes would, and only the physical world
 //! (bindings and emissions) is shared.
 
+use diaspec_core::analysis::deployment::{DesignRef, MergedTaxonomy};
 use diaspec_core::model::CheckedSpec;
 use diaspec_runtime::engine::Orchestrator;
 use diaspec_runtime::entity::{AttributeMap, DeviceInstance, EntityId};
@@ -125,9 +126,13 @@ impl SharedFleet {
     }
 
     /// Binds one *physical* device into every application whose design
-    /// declares its family, calling `driver` once per application (each
-    /// orchestrator owns its driver, like separately deployed proxies for
-    /// the same hardware). Returns how many applications bound it.
+    /// declares its type or an ancestor of it, calling `driver` once per
+    /// application (each orchestrator owns its driver, like separately
+    /// deployed proxies for the same hardware). A design that declares
+    /// only ancestors binds the entity under the nearest one in the fleet's
+    /// merged taxonomy, with the attributes that ancestor declares: a
+    /// design actuating a `Vent` family reaches an `EmergencyVent` only
+    /// its partner declares. Returns how many applications bound it.
     ///
     /// # Errors
     ///
@@ -139,14 +144,40 @@ impl SharedFleet {
         attributes: &AttributeMap,
         mut driver: impl FnMut() -> Box<dyn DeviceInstance>,
     ) -> Result<usize, RuntimeError> {
+        let refs: Vec<DesignRef<'_>> = self
+            .apps
+            .iter()
+            .map(|app| DesignRef {
+                name: &app.name,
+                spec: &app.spec,
+            })
+            .collect();
+        let taxonomy = MergedTaxonomy::build(&refs);
         let mut count = 0;
         for app in &mut self.apps {
-            if app.spec.device(device).is_none() {
+            let nearest = app
+                .spec
+                .devices()
+                .filter(|declared| taxonomy.is_subtype(device, &declared.name))
+                .reduce(|a, b| {
+                    if taxonomy.is_subtype(&a.name, &b.name) {
+                        a
+                    } else {
+                        b
+                    }
+                });
+            let Some(declared) = nearest else {
                 continue;
-            }
+            };
+            let declared_attributes: AttributeMap = attributes
+                .iter()
+                .filter(|(name, _)| declared.attribute(name).is_some())
+                .map(|(name, value)| (name.clone(), value.clone()))
+                .collect();
+            let ty = declared.name.clone();
             app.orch
-                .bind_entity(EntityId::from(id), device, attributes.clone(), driver())?;
-            app.bound.insert(id.to_owned(), device.to_owned());
+                .bind_entity(EntityId::from(id), &ty, declared_attributes, driver())?;
+            app.bound.insert(id.to_owned(), ty);
             count += 1;
         }
         Ok(count)

@@ -15,7 +15,7 @@
 //!    choreography pair must make the co-deployment lint clean.
 
 use diaspec_codegen::deploy::NodeManifest;
-use diaspec_codegen::lint::{lint_designs, lint_source, LintFormat, LintLevel, LintOptions};
+use diaspec_codegen::lint::{lint_designs, LintFormat, LintLevel, LintOptions};
 use diaspec_core::analysis::{analyze_deployment, DeploymentOptions, DesignRef};
 use diaspec_core::span::Span;
 use serde_json::Value as Json;
@@ -93,9 +93,8 @@ fn choreo_pair_reports_the_guaranteed_conflict_with_both_chains() {
     assert!(!report.conflict_free());
 
     let guaranteed = report
-        .findings
-        .iter()
-        .find(|f| f.code == "E0601")
+        .diagnostics
+        .find("E0601")
         .expect("the shared MotionSensor publication guarantees a conflict");
     assert!(guaranteed.message.contains("`update`"));
     assert!(guaranteed.message.contains("MotionSensor.motion"));
@@ -103,6 +102,7 @@ fn choreo_pair_reports_the_guaranteed_conflict_with_both_chains() {
     let chains: Vec<_> = guaranteed
         .notes
         .iter()
+        .map(|(n, _)| n)
         .filter(|n| n.contains("actuation chain"))
         .collect();
     assert_eq!(chains.len(), 2, "{:?}", guaranteed.notes);
@@ -110,18 +110,19 @@ fn choreo_pair_reports_the_guaranteed_conflict_with_both_chains() {
     assert!(chains[1].contains("MotionSensor.motion -> [IntrusionSweep] -> (PatrolBoard)"));
     // The primary span sits in the first design, the related span in the
     // second — both real positions, not dummies.
-    assert_eq!(guaranteed.primary.design, 0);
-    assert_ne!(guaranteed.primary.span, Span::DUMMY);
-    let (_, related) = &guaranteed.related[0];
-    assert_eq!(related.design, 1);
+    assert_eq!(guaranteed.at.file, 0);
+    assert_ne!(guaranteed.at.span, Span::DUMMY);
+    let related = guaranteed.notes[0]
+        .1
+        .expect("the partner clause is located");
+    assert_eq!(related.file, 1);
     assert_ne!(related.span, Span::DUMMY);
 
     // The overlapping Vent families warn (timing-dependent, not
     // guaranteed: independent trigger chains).
     let possible = report
-        .findings
-        .iter()
-        .find(|f| f.code == "W0601")
+        .diagnostics
+        .find("W0601")
         .expect("overlapping Vent families warn");
     assert!(possible.message.contains("`setLevel`"));
 }
@@ -190,14 +191,15 @@ fn every_cross_code_has_a_fixture_pair() {
         let a = read_rel(&format!("specs/lint/cross/{prefix}_a.spec"));
         let b = read_rel(&format!("specs/lint/cross/{prefix}_b.spec"));
         for (rel, source) in [&a, &b] {
-            let alone = lint_source(
-                rel,
-                source,
+            let alone = lint_designs(
+                &[(rel.clone(), source.clone())],
+                &[],
                 &LintOptions {
                     deny_warnings: true,
                     ..LintOptions::default()
                 },
-            );
+            )
+            .unwrap();
             assert!(
                 !alone.failed() && !alone.broken,
                 "{rel} must lint clean alone:\n{}",
@@ -239,13 +241,11 @@ fn cross_findings_carry_real_spans_into_both_files() {
         ];
         let report = analyze_deployment(&designs, &[], &DeploymentOptions::default());
         let finding = report
-            .findings
-            .iter()
-            .find(|f| f.code == code)
+            .diagnostics
+            .find(code)
             .unwrap_or_else(|| panic!("{prefix}: no {code} finding"));
-        assert_ne!(finding.primary.span, Span::DUMMY, "{prefix}");
-        let covered =
-            &sources[finding.primary.design][finding.primary.span.start..finding.primary.span.end];
+        assert_ne!(finding.at.span, Span::DUMMY, "{prefix}");
+        let covered = &sources[finding.at.file][finding.at.span.start..finding.at.span.end];
         assert!(!covered.trim().is_empty(), "{prefix}: span covers nothing");
     }
 }

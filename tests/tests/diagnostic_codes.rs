@@ -1,10 +1,11 @@
 //! Consistency guard for the diagnostic-code tables.
 //!
-//! The stable code set is documented in three places: the checker
+//! The stable code set is documented in four places: the checker
 //! rustdoc (`diaspec_core::check`), the analysis rustdoc
-//! (`diaspec_core::analysis`), and the user-facing reference
+//! (`diaspec_core::analysis`), the §VI matching rustdoc
+//! (`diaspec_core::requirements`), and the user-facing reference
 //! (`docs/LANGUAGE.md`). Nothing ties them together at compile time, so
-//! this test parses the markdown tables out of all three and fails the
+//! this test parses the markdown tables out of all four and fails the
 //! build the moment they drift apart.
 
 use diaspec_core::analysis::analyze;
@@ -14,6 +15,7 @@ use std::path::PathBuf;
 
 const CHECK_RS: &str = include_str!("../../crates/diaspec-core/src/check.rs");
 const ANALYSIS_RS: &str = include_str!("../../crates/diaspec-core/src/analysis/mod.rs");
+const REQUIREMENTS_RS: &str = include_str!("../../crates/diaspec-core/src/requirements.rs");
 const LANGUAGE_MD: &str = include_str!("../../docs/LANGUAGE.md");
 
 /// Extracts every diagnostic code that appears as the first column of a
@@ -45,17 +47,23 @@ fn codes_in(text: &str) -> BTreeSet<String> {
 fn code_tables_never_drift_apart() {
     let checker = codes_in(CHECK_RS);
     let analysis = codes_in(ANALYSIS_RS);
+    let matching = codes_in(REQUIREMENTS_RS);
     let reference = codes_in(LANGUAGE_MD);
     assert!(
-        !checker.is_empty() && !analysis.is_empty(),
+        !checker.is_empty() && !analysis.is_empty() && !matching.is_empty(),
         "table parser found nothing — did a module doc change format?"
     );
-    let disjoint: Vec<_> = checker.intersection(&analysis).collect();
-    assert!(
-        disjoint.is_empty(),
-        "codes documented by both the checker and the analyzer: {disjoint:?}"
-    );
-    let rustdoc: BTreeSet<_> = checker.union(&analysis).cloned().collect();
+    let tables = [&checker, &analysis, &matching];
+    for (i, first) in tables.iter().enumerate() {
+        for second in &tables[i + 1..] {
+            let shared: Vec<_> = first.intersection(second).collect();
+            assert!(
+                shared.is_empty(),
+                "codes documented by two rustdoc tables: {shared:?}"
+            );
+        }
+    }
+    let rustdoc: BTreeSet<_> = tables.into_iter().flatten().cloned().collect();
     let missing: Vec<_> = rustdoc.difference(&reference).collect();
     let stale: Vec<_> = reference.difference(&rustdoc).collect();
     assert!(
@@ -78,6 +86,24 @@ fn analysis_table_lists_exactly_the_emitted_codes() {
     assert_eq!(analysis, expected);
 }
 
+#[test]
+fn requirements_table_lists_exactly_the_match_codes() {
+    let expected: BTreeSet<String> = ["E0603", "E0604", "W0605", "W0606", "W0607"]
+        .iter()
+        .map(|s| (*s).to_owned())
+        .collect();
+    assert_eq!(codes_in(REQUIREMENTS_RS), expected);
+    // Each is emitted by `match_infrastructure`, which says nothing else.
+    let source = include_str!("../../crates/diaspec-core/src/requirements.rs");
+    let body = &source[source.find("pub fn match_infrastructure").unwrap()..];
+    for code in &expected {
+        assert!(
+            body.contains(&format!("\"{code}\"")),
+            "{code} is never emitted"
+        );
+    }
+}
+
 /// Every diagnostic an analysis pass produces on the negative fixtures
 /// must carry a real source span — a `Span::DUMMY` would render as a
 /// caret at 1:1, pointing the user at nothing.
@@ -97,7 +123,7 @@ fn fixture_diagnostics_carry_real_spans() {
         let report = analyze(&spec);
         for diag in warnings.iter().chain(report.diagnostics.iter()) {
             assert_ne!(
-                diag.span,
+                diag.at.span,
                 Span::DUMMY,
                 "{}: {} `{}` has a dummy span",
                 path.display(),

@@ -66,7 +66,7 @@ fn static_guarantees_conflict(a: (&str, &CheckedSpec), b: (&str, &CheckedSpec)) 
         &[],
         &DeploymentOptions::default(),
     );
-    report.findings.iter().any(|f| f.code == "E0601")
+    report.diagnostics.find("E0601").is_some()
 }
 
 /// The choreography pair: the analyzer reports a guaranteed conflict
@@ -224,6 +224,45 @@ fn predicted_clean_pair_stays_clean_at_runtime() {
             fleet.cross_actuations().is_empty(),
             "seed {seed}: the statically clean pair produced a cross-application actuation"
         );
+    }
+}
+
+/// A subtype only one design declares is bound into its partner too,
+/// under the nearest ancestor the partner declares: the choreography
+/// pair's `EmergencyVent` and `cross_w0601`'s `PurgeVent` refine a `Vent`
+/// both designs actuate, so both designs reach them.
+#[test]
+fn subtype_entities_are_bound_in_every_design_declaring_an_ancestor() {
+    for (pair, device) in [
+        (
+            ["choreo_climate.spec", "choreo_security.spec"],
+            "EmergencyVent",
+        ),
+        (
+            [
+                "lint/cross/cross_w0601_a.spec",
+                "lint/cross/cross_w0601_b.spec",
+            ],
+            "PurgeVent",
+        ),
+    ] {
+        let mut fleet = SharedFleet::new();
+        let mut attributes = AttributeMap::new();
+        for rel in pair {
+            let spec = load(rel);
+            if let Some(declared) = spec.device(device) {
+                for attribute in &declared.attributes {
+                    attributes.insert(attribute.name.clone(), placeholder(&spec, &attribute.ty));
+                }
+            }
+            fleet
+                .add_app(rel, Arc::clone(&spec), |orch| register_all(orch, &spec))
+                .unwrap();
+        }
+        let bound = fleet
+            .bind_shared("vent-0", device, &attributes, || Box::new(Inert))
+            .unwrap();
+        assert_eq!(bound, 2, "{device} must be bound in both designs");
     }
 }
 

@@ -14,7 +14,7 @@
 //!    trace exhibits a double actuation must correspond to a statically
 //!    reported conflict, and a conflict-free design must not.
 
-use diaspec_codegen::lint::{lint_designs, lint_source, LintFormat, LintOptions};
+use diaspec_codegen::lint::{lint_designs, LintFormat, LintOptions, LintOutcome};
 use diaspec_core::analysis::{analyze, Coupling, SharedPublication};
 use diaspec_runtime::component::ContextActivation;
 use diaspec_runtime::engine::{ContextApi, ControllerApi, Orchestrator};
@@ -47,6 +47,11 @@ fn assert_matches_golden(name: &str, actual: &str) {
     assert_eq!(expected, actual, "lint output diverged from golden {name}");
 }
 
+/// Lints one file on its own: one input and no manifest.
+fn lint_alone(file: &str, source: &str, options: &LintOptions) -> LintOutcome {
+    lint_designs(&[(file.to_owned(), source.to_owned())], &[], options).unwrap()
+}
+
 // ---- 1. lint goldens for the shipped designs -----------------------------------
 
 #[test]
@@ -54,7 +59,7 @@ fn shipped_designs_lint_to_goldens() {
     for name in ["cooker", "parking", "avionics", "homeassist"] {
         let rel = format!("specs/{name}.spec");
         let source = std::fs::read_to_string(repo_path(&rel)).unwrap();
-        let outcome = lint_source(&rel, &source, &LintOptions::default());
+        let outcome = lint_alone(&rel, &source, &LintOptions::default());
         assert!(
             !outcome.failed(),
             "{name}: shipped designs must not contain hard analysis errors"
@@ -94,7 +99,7 @@ fn every_code_has_a_fixture_with_an_exact_span() {
             .diagnostics
             .find(code)
             .unwrap_or_else(|| panic!("{name}: expected {code}, got {:?}", report.diagnostics));
-        let spanned = &source[diag.span.start..diag.span.end];
+        let spanned = &source[diag.at.span.start..diag.at.span.end];
         assert!(
             spanned.contains(covered),
             "{name}: {code} span covers `{spanned}`, expected it to cover `{covered}`"
@@ -129,7 +134,7 @@ fn same_trigger_conflict_reports_both_chains() {
         .iter()
         .find(|(n, _)| n.starts_with("conflicting `do` clause"))
         .expect("secondary-site note");
-    let span = second_span.expect("secondary site carries a span");
+    let span = second_span.expect("secondary site carries a span").span;
     assert!(source[span.start..span.end].contains("do sound on Siren"));
 }
 
@@ -168,7 +173,7 @@ fn shared_root_verdict_does_not_depend_on_the_file_split() {
             source: "v".into(),
         })
     );
-    let one = lint_source("one.spec", &source, &LintOptions::default());
+    let one = lint_alone("one.spec", &source, &LintOptions::default());
     assert!(one.rendered.contains("error[E0401]"), "{}", one.rendered);
     assert!(one.failed() && !one.broken, "{}", one.rendered);
 
@@ -199,7 +204,7 @@ fn shared_root_verdict_does_not_depend_on_the_file_split() {
 fn fixtures_fail_lint_under_deny_warnings() {
     for (name, code, _) in FIXTURES {
         let source = fixture_source(name);
-        let outcome = lint_source(
+        let outcome = lint_alone(
             &format!("specs/lint/{name}.spec"),
             &source,
             &LintOptions {
@@ -219,7 +224,7 @@ fn fixtures_fail_lint_under_deny_warnings() {
 #[test]
 fn sarif_output_for_a_shipped_design_is_well_formed() {
     let source = std::fs::read_to_string(repo_path("specs/homeassist.spec")).unwrap();
-    let outcome = lint_source(
+    let outcome = lint_alone(
         "specs/homeassist.spec",
         &source,
         &LintOptions {

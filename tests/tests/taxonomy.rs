@@ -95,6 +95,32 @@ fn app_errors_point_at_the_app_file_not_the_taxonomy() {
     ])
     .unwrap_err();
     let report = err.to_string();
-    assert!(report.contains("broken.spec"), "{report}");
-    assert!(!report.contains("--> home.spec"), "{report}");
+    let headers: Vec<&str> = report.lines().filter(|l| l.starts_with("error[")).collect();
+    assert!(!headers.is_empty(), "{report}");
+    for header in headers {
+        assert!(header.contains(" at broken.spec:1:"), "{report}");
+        assert!(!header.contains("home.spec:"), "{report}");
+    }
+}
+
+/// A device declared in both the taxonomy and the app: the error points
+/// into the app, and its note points back into the taxonomy, each
+/// position naming its own file and quoting that file's line.
+#[test]
+fn redeclared_taxonomy_device_notes_the_first_declaration() {
+    let err = compile_sources([
+        ("tax.spec", "device Clock { source tick as Integer; }"),
+        ("app.spec", "device Clock { source tock as Integer; }"),
+    ])
+    .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "specification has 1 error(s)\n\
+         error[E0201]: the name `Clock` is already used by a device at app.spec:1:8\n   \
+         1 | device Clock { source tock as Integer; }\n     \
+         |        ^^^^^\n\
+         note: first declared here at tax.spec:1:8\n   \
+         1 | device Clock { source tick as Integer; }\n     \
+         |        ^^^^^"
+    );
 }
