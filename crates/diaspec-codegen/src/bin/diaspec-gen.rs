@@ -8,7 +8,6 @@
 //! diaspec-gen lint <SPEC.spec>... [--format json|sarif] [--deny warnings]
 //!                  [--allow CODE] [--warn CODE] [--deny CODE]
 //!                  [--fleet N] [--capacity] [--manifest <M.json>]...
-//!                  [--link-budget N]
 //! diaspec-gen deploy <SPEC.spec> [--edges N] [--host H] [--port-base P]
 //!                    [--shard-enum NAME] [--out <DIR>]
 //! ```
@@ -24,7 +23,8 @@
 //! analysis pass (actuation conflicts, feedback loops, reachability,
 //! rate propagation) and, given several specs, the cross-design
 //! deployment passes over the whole co-deployment (plus any `--manifest`
-//! deployment pins). Exit codes classify the outcome: `0` clean (or
+//! deployment pins, whose `edges[].link.msgs_per_hour` budget each cut
+//! link). Exit codes classify the outcome: `0` clean (or
 //! warnings only), `2` at least one diagnostic ended up error-severity
 //! after the level flags, `3` an input could not be read or parsed at
 //! all, `1` bad flags.
@@ -205,19 +205,11 @@ fn run_lint(mut args: impl Iterator<Item = String>) -> Result<u8, String> {
                     args.next().ok_or("--manifest needs a manifest JSON file")?,
                 ));
             }
-            "--link-budget" => {
-                let value = args.next().ok_or("--link-budget needs a msgs/hour rate")?;
-                options.link_budget = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("--link-budget needs a number, got `{value}`"))?,
-                );
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: diaspec-gen lint <SPEC.spec>... [--format human|json|sarif] \
                      [--deny warnings] [--allow CODE] [--warn CODE] [--deny CODE] \
-                     [--fleet N] [--capacity] [--manifest <M.json>] [--link-budget N]"
+                     [--fleet N] [--capacity] [--manifest <M.json>]"
                 );
                 return Ok(0);
             }

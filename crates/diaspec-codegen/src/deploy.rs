@@ -31,6 +31,7 @@ use diaspec_core::analysis::partition::{self, PartitionNode, PartitionPlan, Part
 use diaspec_core::diag::Severity;
 use diaspec_core::model::CheckedSpec;
 use diaspec_core::types::Type;
+use serde::content::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -83,7 +84,7 @@ pub struct CoordinatorManifest {
 /// parked across partitions, and a circuit breaker that fails fast on
 /// a dead edge. All fields are integers so the manifest stays exactly
 /// comparable (`Eq`) and byte-stable across platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub struct LinkPolicy {
     /// Whether the link runs the at-least-once session layer.
     pub session: bool,
@@ -99,6 +100,32 @@ pub struct LinkPolicy {
     pub breaker_failures: u32,
     /// Sim-ms the breaker stays open before a half-open probe.
     pub breaker_cooldown_ms: u64,
+    /// The link's budget in messages per hour, which lint holds the load
+    /// of the families pinned to the edge against (W0602); `None`, and
+    /// absent from the JSON, when the link has none.
+    pub msgs_per_hour: Option<u64>,
+}
+
+impl Serialize for LinkPolicy {
+    /// The derived layout, without `msgs_per_hour` when it is `None`, so a
+    /// manifest without a link budget serializes as it did before the
+    /// field existed.
+    fn to_content(&self) -> Value {
+        let fields = [
+            ("session", self.session.to_content()),
+            ("resend_queue", self.resend_queue.to_content()),
+            ("max_attempts", self.max_attempts.to_content()),
+            ("base_backoff_ms", self.base_backoff_ms.to_content()),
+            ("timeout_ms", self.timeout_ms.to_content()),
+            ("breaker_failures", self.breaker_failures.to_content()),
+            ("breaker_cooldown_ms", self.breaker_cooldown_ms.to_content()),
+        ];
+        let budget = self
+            .msgs_per_hour
+            .map(|m| ("msgs_per_hour", m.to_content()));
+        let entries = fields.into_iter().chain(budget);
+        Value::Object(entries.map(|(name, v)| (name.to_owned(), v)).collect())
+    }
 }
 
 impl Default for LinkPolicy {
@@ -111,6 +138,7 @@ impl Default for LinkPolicy {
             timeout_ms: 10_000,
             breaker_failures: 4,
             breaker_cooldown_ms: 60_000,
+            msgs_per_hour: None,
         }
     }
 }
@@ -185,7 +213,7 @@ impl NodeManifest {
     /// to refuse: no edge; an empty or repeated node name; a `listen` that
     /// is not `host:port` with a port in 1..=65535; a shard on two edges; a
     /// session link that cannot run (`SessionConfig::validate`'s two rules,
-    /// under the manifest's field names).
+    /// under the manifest's field names); a link budget of 0 msg/h.
     ///
     /// # Errors
     ///
@@ -232,6 +260,9 @@ impl NodeManifest {
             }
             if edge.link.session && edge.link.breaker_failures == 0 {
                 return refuse("link.breaker_failures must be at least 1".to_owned());
+            }
+            if edge.link.msgs_per_hour == Some(0) {
+                return refuse("link.msgs_per_hour must be at least 1".to_owned());
             }
         }
         Ok(())
@@ -539,6 +570,13 @@ mod tests {
             let back = NodeManifest::from_json(&manifest.to_json()).unwrap();
             assert_eq!(back, manifest);
             back.check_against(&spec).unwrap();
+            // A link without a budget writes no `msgs_per_hour`; one with
+            // a budget keeps it.
+            assert!(!manifest.to_json().contains("msgs_per_hour"));
+            let mut budgeted = manifest.clone();
+            budgeted.edges[0].link.msgs_per_hour = Some(120);
+            assert!(budgeted.to_json().contains(r#""msgs_per_hour": 120"#));
+            assert_eq!(NodeManifest::from_json(&budgeted.to_json()), Ok(budgeted));
         }
     }
 
@@ -638,6 +676,11 @@ mod tests {
                 |m| m.edges[1].link.breaker_failures = 0,
                 &["manifest edge edge1: link.breaker_failures must be at least 1"],
             ),
+            (
+                |m| m.edges[1].link.msgs_per_hour = Some(0),
+                &["manifest edge edge1: link.msgs_per_hour must be at least 1"],
+            ),
+            (|m| m.edges[1].link.msgs_per_hour = Some(1), &[]),
             (
                 |m| {
                     m.edges[0].link = LinkPolicy {

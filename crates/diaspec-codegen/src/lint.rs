@@ -18,10 +18,10 @@
 //! [`lint_designs`] lints one specification or several together. Each
 //! file is linted exactly as it would be alone; given several files (or
 //! any `--manifest`), [`analyze_deployment`] then runs over the merged
-//! device taxonomy (plus the manifests' deployment pins) and the
-//! cross-application findings — E0601/W0601 conflicts, W0602 aggregate
-//! capacity, E0602 cut safety — render in a trailing cross-design
-//! section whose positions name the file they point into.
+//! device taxonomy (plus the manifests' deployment pins and link budgets)
+//! and the cross-application findings — E0601/W0601 conflicts, W0602
+//! aggregate capacity, E0602 cut safety — render in a trailing
+//! cross-design section whose positions name the file they point into.
 //!
 //! Actuation conflicts come from one pass over a universe of designs
 //! (`diaspec_core::analysis::conflicts`, one guarantee rule): a file's
@@ -30,7 +30,10 @@
 //! in the cross-design section) are the same pass over all of them,
 //! which [`analyze_deployment`] runs and of which it keeps only the
 //! cross-design pairs. So splitting a design into files changes a
-//! conflict's code, not its severity.
+//! conflict's code, not its severity. Budgets work the same way
+//! (`diaspec_core::analysis::rates`, one budget pass): a family one file
+//! overloads alone is W0407 in its section, and W0602 is an overload
+//! only the files together reach.
 //!
 //! Every finding is a [`Diagnostic`] whose locations index the run's
 //! files, and each format has one renderer; the only difference between
@@ -38,9 +41,7 @@
 //! position names its file.
 
 use crate::deploy::NodeManifest;
-use diaspec_core::analysis::deployment::{
-    analyze_deployment, DeployPins, DeploymentOptions, DesignRef, PinnedHost,
-};
+use diaspec_core::analysis::deployment::{analyze_deployment, DeployPins, DesignRef, PinnedHost};
 use diaspec_core::analysis::{analyze_with, AnalysisOptions, CapacityReport};
 use diaspec_core::diag::{Diagnostic, Severity};
 use diaspec_core::model::CheckedSpec;
@@ -85,8 +86,6 @@ pub struct LintOptions {
     pub fleet_size: Option<u64>,
     /// Append the static capacity report to human output.
     pub capacity: bool,
-    /// Cut-link budget (msgs/hour) for the cross-design W0602 pass.
-    pub link_budget: Option<f64>,
 }
 
 /// The result of linting one specification (or one co-deployment).
@@ -191,8 +190,8 @@ fn design_name(file: &str) -> String {
         .unwrap_or_else(|| file.to_owned())
 }
 
-/// Reduces a deployment manifest to the device pins the cross-design
-/// cut-safety and link-budget passes consume.
+/// Reduces a deployment manifest to the device pins, with each edge's
+/// link budget, that the cross-design passes consume.
 fn manifest_pins(manifest: &NodeManifest, design: usize, origin: &str) -> DeployPins {
     let mut families: BTreeMap<String, Vec<PinnedHost>> = BTreeMap::new();
     for device in &manifest.coordinator.devices {
@@ -203,6 +202,7 @@ fn manifest_pins(manifest: &NodeManifest, design: usize, origin: &str) -> Deploy
                 node: manifest.coordinator.name.clone(),
                 addr: None,
                 variants: Vec::new(),
+                link_msgs_per_hour: None,
             });
     }
     for edge in &manifest.edges {
@@ -214,6 +214,7 @@ fn manifest_pins(manifest: &NodeManifest, design: usize, origin: &str) -> Deploy
                     node: edge.name.clone(),
                     addr: Some(edge.listen.clone()),
                     variants: edge.shards.clone(),
+                    link_msgs_per_hour: edge.link.msgs_per_hour,
                 });
         }
     }
@@ -254,14 +255,7 @@ fn cross_design(
             })?;
         pins.push(manifest_pins(manifest, design, path));
     }
-    let report = analyze_deployment(
-        &designs,
-        &pins,
-        &DeploymentOptions {
-            fleet_size: options.analysis().fleet_size,
-            link_budget_per_hour: options.link_budget,
-        },
-    );
+    let report = analyze_deployment(&designs, &pins, &options.analysis());
     Ok(report.diagnostics.into_iter().collect())
 }
 

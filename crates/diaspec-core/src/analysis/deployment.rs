@@ -13,10 +13,11 @@
 //!   which this report keeps the pairs across designs (each design's own
 //!   pairs are its single-design analysis). E0601 when the pair is
 //!   guaranteed under the one rule stated there, W0601 otherwise.
-//! - **W0602** — aggregate capacity overload: the summed per-design edge
-//!   loads against a device family (under a shared fleet-size
-//!   hypothesis) exceed its declared `@qos(capacityPerHour)` budget, or
-//!   the flows pinned to one cut link exceed the link budget.
+//! - **W0602** — capacity overload: the one budget pass
+//!   ([`super::rates`]) run over all N designs under a shared fleet-size
+//!   hypothesis, of which this report keeps what no design reaches alone
+//!   (each design's own overloads are its W0407): a device family's
+//!   `@qos(capacityPerHour)` budget, or a cut link's `msgs_per_hour`.
 //! - **E0602** — unsafe deployment cut: two manifests pin a shared
 //!   device family (or one of its shard variants) to *different* edge
 //!   nodes — one physical device cannot be attached to two processes.
@@ -34,6 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use super::conflicts::{self, ActuationConflict};
 use super::rates::{self, EdgeCapacity};
+use super::AnalysisOptions;
 
 /// One design participating in a deployment, by display name (usually
 /// the spec file stem).
@@ -43,26 +45,6 @@ pub struct DesignRef<'a> {
     pub name: &'a str,
     /// The checked design.
     pub spec: &'a CheckedSpec,
-}
-
-/// Tuning knobs for [`analyze_deployment`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeploymentOptions {
-    /// Shared fleet-size hypothesis applied to every design.
-    pub fleet_size: u64,
-    /// Optional cut-link budget in messages per hour; when set and
-    /// manifests pin families to edge links, per-link aggregates above
-    /// it report W0602.
-    pub link_budget_per_hour: Option<f64>,
-}
-
-impl Default for DeploymentOptions {
-    fn default() -> Self {
-        DeploymentOptions {
-            fleet_size: super::AnalysisOptions::default().fleet_size,
-            link_budget_per_hour: None,
-        }
-    }
 }
 
 /// Where one deployment manifest pins a device family.
@@ -75,10 +57,13 @@ pub struct PinnedHost {
     /// Shard variants of the family hosted there (empty when the whole
     /// family is pinned without sharding).
     pub variants: Vec<String>,
+    /// The msg/h budget of the node's cut link, when its manifest gives
+    /// one (`None` for the coordinator).
+    pub link_msgs_per_hour: Option<u64>,
 }
 
 /// The device pins of one design's deployment manifest, reduced to what
-/// the cut-safety and link-budget passes need.
+/// the cut-safety pass and the link budgets need.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeployPins {
     /// Index into the `designs` slice this manifest belongs to.
@@ -154,41 +139,6 @@ impl MergedTaxonomy {
     }
 }
 
-/// Aggregate load against one device family's declared capacity budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FamilyLoad {
-    /// Budget-declaring device family.
-    pub family: String,
-    /// The declared `@qos(capacityPerHour)` per deployed device.
-    pub per_device_budget: u64,
-    /// Family budget: `capacityPerHour x fleet_size`.
-    pub budget_msgs_per_hour: f64,
-    /// Known contribution of each design, by design name.
-    pub per_design: Vec<(String, f64)>,
-    /// Sum of the known contributions.
-    pub total_msgs_per_hour: f64,
-    /// Device-facing edges whose rate is unknown at design time.
-    pub unknown_edges: usize,
-}
-
-impl FamilyLoad {
-    /// Whether the aggregate exceeds the family budget.
-    fn over_budget(&self) -> bool {
-        self.total_msgs_per_hour > self.budget_msgs_per_hour
-    }
-}
-
-/// Aggregate flow pinned to one cut link by the deployment manifests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkLoad {
-    /// Listen address of the link.
-    pub addr: String,
-    /// Known contributions: (design name, family, msgs/h).
-    pub per_design: Vec<(String, String, f64)>,
-    /// Sum of the known contributions.
-    pub total_msgs_per_hour: f64,
-}
-
 /// A shared device family pinned to incompatible places by two designs'
 /// manifests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,19 +167,13 @@ pub struct CutViolation {
 /// The combined result of the cross-design passes.
 #[derive(Debug, Clone, Default)]
 pub struct DeploymentReport {
-    /// All findings in pass order (conflicts, cut safety, capacity);
+    /// All findings in pass order (conflicts, cut safety, budgets);
     /// each location's `file` is the index of the design it points into.
     pub diagnostics: Diagnostics,
     /// Cross-design actuation conflicts (E0601 / W0601).
     pub conflicts: Vec<ActuationConflict>,
     /// Manifest cut violations (E0602).
     pub cut_violations: Vec<CutViolation>,
-    /// Aggregate family loads for every budgeted family (whether over
-    /// budget or not — W0602 is reported only for the overloaded ones).
-    pub family_loads: Vec<FamilyLoad>,
-    /// Aggregate per-link loads (only when manifests pin families to
-    /// links and a link budget is configured).
-    pub link_loads: Vec<LinkLoad>,
 }
 
 impl DeploymentReport {
@@ -239,18 +183,6 @@ impl DeploymentReport {
     pub fn conflict_free(&self) -> bool {
         self.conflicts.is_empty()
     }
-
-    /// Whether any finding is error-severity.
-    #[must_use]
-    pub fn has_errors(&self) -> bool {
-        self.diagnostics.has_errors()
-    }
-
-    /// Whether the passes produced no finding at all.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
 }
 
 /// Runs every cross-design pass over `designs` (order defines the
@@ -259,11 +191,11 @@ impl DeploymentReport {
 pub fn analyze_deployment(
     designs: &[DesignRef<'_>],
     pins: &[DeployPins],
-    options: &DeploymentOptions,
+    options: &AnalysisOptions,
 ) -> DeploymentReport {
     let taxonomy = MergedTaxonomy::build(designs);
-    // Each design's load model, once for both capacity passes. W0404 is
-    // a per-design finding the single-design pass already reports.
+    // Each design's load model, once. W0404 is a per-design finding the
+    // single-design pass already reports.
     let loads: Vec<Vec<EdgeCapacity>> = designs
         .iter()
         .map(|d| rates::detect(d.spec, options.fleet_size, &mut Diagnostics::new()).edges)
@@ -278,8 +210,9 @@ pub fn analyze_deployment(
         }
     }
     detect_cut_violations(designs, pins, &taxonomy, &mut report);
-    detect_family_overloads(designs, &loads, &taxonomy, options, &mut report);
-    detect_link_overloads(designs, &loads, pins, &taxonomy, options, &mut report);
+    let fleet = |_: &str| options.fleet_size;
+    let budgets = rates::judge(designs, &loads, &fleet, pins, None);
+    report.diagnostics.extend(budgets.together);
     report
 }
 
@@ -461,219 +394,12 @@ fn render_cut(
 
 /// The declaration of device `family` in design `design`, or a dummy
 /// span there when the design does not declare it.
-fn declaration(designs: &[DesignRef<'_>], design: usize, family: &str) -> Loc {
+pub(super) fn declaration(designs: &[DesignRef<'_>], design: usize, family: &str) -> Loc {
     let span = designs[design]
         .spec
         .device(family)
         .map_or(Span::DUMMY, |d| d.span);
     Loc { file: design, span }
-}
-
-/// Known load of one design's edges against `family` under the shared
-/// fleet hypothesis, plus how many of its edges have no design-time rate.
-fn family_contribution(
-    edges: &[EdgeCapacity],
-    taxonomy: &MergedTaxonomy,
-    family: &str,
-    fleet_size: u64,
-) -> (f64, usize) {
-    let touches = |f: &str| taxonomy.overlap(f, family);
-    let touching = edges
-        .iter()
-        .filter(|e| e.family.as_deref().is_some_and(touches));
-    rates::tally(touching.map(|e| e.msgs_per_hour(|_| fleet_size)))
-}
-
-fn detect_family_overloads(
-    designs: &[DesignRef<'_>],
-    loads: &[Vec<EdgeCapacity>],
-    taxonomy: &MergedTaxonomy,
-    options: &DeploymentOptions,
-    report: &mut DeploymentReport,
-) {
-    // Budgets: any design may declare `@qos(capacityPerHour = N)` on a
-    // device; the smallest declaration wins (most conservative).
-    let mut budgets: BTreeMap<String, (u64, usize)> = BTreeMap::new();
-    for (index, design) in designs.iter().enumerate() {
-        for device in design.spec.devices() {
-            let Some(cap) = device.qos_capacity_per_hour() else {
-                continue;
-            };
-            let entry = budgets.entry(device.name.clone()).or_insert((cap, index));
-            if cap < entry.0 {
-                *entry = (cap, index);
-            }
-        }
-    }
-    for (family, (per_device_budget, declaring_design)) in budgets {
-        let budget = per_device_budget as f64 * options.fleet_size as f64;
-        let mut per_design = Vec::new();
-        let mut unknown = 0;
-        for (design, edges) in designs.iter().zip(loads) {
-            let (known, unrated) =
-                family_contribution(edges, taxonomy, &family, options.fleet_size);
-            unknown += unrated;
-            if known > 0.0 || unrated > 0 {
-                per_design.push((design.name.to_owned(), known));
-            }
-        }
-        let total = per_design.iter().fold(0.0, |sum, (_, rate)| sum + rate);
-        let load = FamilyLoad {
-            family: family.clone(),
-            per_device_budget,
-            budget_msgs_per_hour: budget,
-            per_design,
-            total_msgs_per_hour: total,
-            unknown_edges: unknown,
-        };
-        if load.over_budget() {
-            report.diagnostics.push(render_family_overload(
-                designs,
-                declaring_design,
-                options.fleet_size,
-                &load,
-            ));
-        }
-        report.family_loads.push(load);
-    }
-}
-
-fn render_family_overload(
-    designs: &[DesignRef<'_>],
-    declaring_design: usize,
-    fleet_size: u64,
-    load: &FamilyLoad,
-) -> Diagnostic {
-    let contributions = load
-        .per_design
-        .iter()
-        .map(|(name, rate)| format!("`{name}` {rate:.1} msg/h"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let mut notes: Vec<(String, Option<Loc>)> = designs
-        .iter()
-        .enumerate()
-        .filter(|(index, design)| {
-            *index != declaring_design
-                && design.spec.device(&load.family).is_some()
-                && load.per_design.iter().any(|(n, _)| n == design.name)
-        })
-        .map(|(index, design)| {
-            (
-                format!("also orchestrated by design `{}` here", design.name),
-                Some(declaration(designs, index, &load.family)),
-            )
-        })
-        .collect();
-    notes.push((format!("per-design contributions: {contributions}"), None));
-    if load.unknown_edges > 0 {
-        notes.push((
-            format!(
-                "{} matching edge(s) have no design-time rate and are not counted",
-                load.unknown_edges
-            ),
-            None,
-        ));
-    }
-    Diagnostic {
-        severity: Severity::Warning,
-        code: "W0602",
-        message: format!(
-            "co-deployed designs overload device family `{}`: {:.1} msg/h against a budget of {:.1} msg/h (@qos(capacityPerHour = {}) x {fleet_size} devices)",
-            load.family,
-            load.total_msgs_per_hour,
-            load.budget_msgs_per_hour,
-            load.per_device_budget,
-        ),
-        at: declaration(designs, declaring_design, &load.family),
-        notes,
-    }
-}
-
-fn detect_link_overloads(
-    designs: &[DesignRef<'_>],
-    loads: &[Vec<EdgeCapacity>],
-    pins: &[DeployPins],
-    taxonomy: &MergedTaxonomy,
-    options: &DeploymentOptions,
-    report: &mut DeploymentReport,
-) {
-    let Some(budget) = options.link_budget_per_hour else {
-        return;
-    };
-
-    // addr -> contributions.
-    let mut links: BTreeMap<String, Vec<(String, String, f64)>> = BTreeMap::new();
-    for pin in pins {
-        let Some(edges) = loads.get(pin.design) else {
-            continue;
-        };
-        for (family, hosts) in &pin.families {
-            let (family_load, _) = family_contribution(edges, taxonomy, family, options.fleet_size);
-            if family_load <= 0.0 {
-                continue;
-            }
-            let total_variants: usize = hosts.iter().map(|h| h.variants.len()).sum();
-            let edge_hosts = hosts.iter().filter(|h| h.addr.is_some()).count();
-            for host in hosts {
-                let Some(addr) = &host.addr else { continue };
-                // Pro-rate the family's flow across its edge hosts by
-                // shard-variant count when sharded, evenly otherwise.
-                let share = if total_variants > 0 {
-                    host.variants.len() as f64 / total_variants as f64
-                } else {
-                    1.0 / edge_hosts.max(1) as f64
-                };
-                if share <= 0.0 {
-                    continue;
-                }
-                links.entry(addr.clone()).or_default().push((
-                    designs[pin.design].name.to_owned(),
-                    family.clone(),
-                    family_load * share,
-                ));
-            }
-        }
-    }
-
-    for (addr, per_design) in links {
-        let total: f64 = per_design.iter().map(|(_, _, rate)| rate).sum();
-        let load = LinkLoad {
-            addr: addr.clone(),
-            per_design,
-            total_msgs_per_hour: total,
-        };
-        if total > budget {
-            let contributions = load
-                .per_design
-                .iter()
-                .map(|(design, family, rate)| format!("`{design}`/{family} {rate:.1} msg/h"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            // Anchor on the first contributing design's family decl.
-            let at = load
-                .per_design
-                .first()
-                .and_then(|(design_name, family, _)| {
-                    designs.iter().enumerate().find_map(|(index, d)| {
-                        (d.name == design_name)
-                            .then(|| d.spec.device(family).map(|dev| (index, dev.span)))
-                            .flatten()
-                    })
-                })
-                .map_or(Loc::from(Span::DUMMY), |(file, span)| Loc { file, span });
-            report.diagnostics.push(Diagnostic {
-                severity: Severity::Warning,
-                code: "W0602",
-                message: format!(
-                    "deployment cut link `{addr}` is overloaded: {total:.1} msg/h against a budget of {budget:.1} msg/h"
-                ),
-                at,
-                notes: vec![(format!("per-design contributions: {contributions}"), None)],
-            });
-        }
-        report.link_loads.push(load);
-    }
 }
 
 #[cfg(test)]
@@ -683,13 +409,13 @@ mod tests {
     use crate::compile_str;
 
     fn deploy(sources: &[(&str, &str)], pins: &[DeployPins]) -> DeploymentReport {
-        deploy_with(sources, pins, &DeploymentOptions::default())
+        deploy_with(sources, pins, &AnalysisOptions::default())
     }
 
     fn deploy_with(
         sources: &[(&str, &str)],
         pins: &[DeployPins],
-        options: &DeploymentOptions,
+        options: &AnalysisOptions,
     ) -> DeploymentReport {
         let specs: Vec<(&str, CheckedSpec)> = sources
             .iter()
@@ -755,7 +481,7 @@ mod tests {
         let related: Vec<Loc> = finding.notes.iter().filter_map(|(_, at)| *at).collect();
         assert_eq!(related.len(), 1);
         assert_eq!(related[0].file, 1);
-        assert!(report.has_errors());
+        assert!(report.diagnostics.has_errors());
     }
 
     #[test]
@@ -873,14 +599,14 @@ mod tests {
         "#;
         let report = deploy(&[("a", a), ("b", b)], &[]);
         assert!(report.conflict_free());
-        assert!(report.is_clean());
+        assert!(report.diagnostics.is_empty());
     }
 
     #[test]
     fn single_design_reports_no_cross_conflicts() {
         let report = deploy(&[("a", SHARED_GUARANTEED_A)], &[]);
         assert!(report.conflict_free());
-        assert!(report.is_clean());
+        assert!(report.diagnostics.is_empty());
     }
 
     const METERED: &str = r#"
@@ -893,39 +619,49 @@ mod tests {
 
     #[test]
     fn aggregate_load_over_family_budget_warns() {
-        let options = DeploymentOptions {
-            fleet_size: 1,
-            ..DeploymentOptions::default()
-        };
         // Each design polls the shared meters at 60 msg/h; together they
         // exceed the 100 msg/h per-device budget.
-        let report = deploy_with(&[("a", METERED), ("b", METERED)], &[], &options);
-        let finding = report
-            .diagnostics
-            .iter()
-            .find(|f| f.code == "W0602")
-            .expect("aggregate overload reported");
+        let report = deploy_with(
+            &[("a", METERED), ("b", METERED)],
+            &[],
+            &AnalysisOptions { fleet_size: 1 },
+        );
+        let finding = report.diagnostics.find("W0602").unwrap();
         assert_eq!(finding.severity, Severity::Warning);
-        assert!(finding.message.contains("`Meter`"), "{}", finding.message);
-        assert_eq!(report.family_loads.len(), 1);
-        let load = &report.family_loads[0];
-        assert_eq!(load.total_msgs_per_hour, 120.0);
-        assert_eq!(load.budget_msgs_per_hour, 100.0);
-        assert!(load.over_budget());
-        assert_eq!(load.per_design.len(), 2);
+        assert_eq!(
+            finding.message,
+            "co-deployed designs overload device family `Meter`: 120.0 msg/h against a budget \
+             of 100.0 msg/h (@qos(capacityPerHour = 100) x 1 devices)"
+        );
+        let notes: Vec<&str> = finding.notes.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            notes,
+            [
+                "also orchestrated by design `b` here",
+                "per-design contributions: `a` 60.0 msg/h, `b` 60.0 msg/h"
+            ]
+        );
     }
 
     #[test]
     fn aggregate_load_within_budget_is_clean() {
-        let options = DeploymentOptions {
-            fleet_size: 1,
-            ..DeploymentOptions::default()
-        };
         let roomy = METERED.replace("capacityPerHour = 100", "capacityPerHour = 150");
-        let report = deploy_with(&[("a", &roomy), ("b", &roomy)], &[], &options);
-        assert!(report.diagnostics.iter().all(|f| f.code != "W0602"));
-        assert_eq!(report.family_loads.len(), 1);
-        assert!(!report.family_loads[0].over_budget());
+        let report = deploy_with(
+            &[("a", &roomy), ("b", &roomy)],
+            &[],
+            &AnalysisOptions { fleet_size: 1 },
+        );
+        assert!(report.diagnostics.find("W0602").is_none());
+    }
+
+    /// A family one design overloads alone is that design's W0407 (its
+    /// single-design analysis), and the deployment does not repeat it.
+    #[test]
+    fn a_family_one_design_overloads_is_not_repeated_as_w0602() {
+        let tight = METERED.replace("capacityPerHour = 100", "capacityPerHour = 50");
+        let report = deploy(&[("a", &tight), ("b", METERED)], &[]);
+        let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(codes, ["W0601"], "the pair's conflict, no budget finding");
     }
 
     fn pin(design: usize, family: &str, hosts: &[(&str, Option<&str>, &[&str])]) -> DeployPins {
@@ -940,6 +676,7 @@ mod tests {
                         node: (*node).to_owned(),
                         addr: addr.map(str::to_owned),
                         variants: variants.iter().map(|v| (*v).to_owned()).collect(),
+                        link_msgs_per_hour: None,
                     })
                     .collect(),
             )]),
@@ -1017,22 +754,31 @@ mod tests {
 
     #[test]
     fn link_budget_aggregates_across_designs() {
-        let options = DeploymentOptions {
-            fleet_size: 1,
-            link_budget_per_hour: Some(100.0),
-        };
-        let pins = vec![
+        let roomy = METERED.replace("capacityPerHour = 100", "capacityPerHour = 150");
+        let mut pins = vec![
             pin(0, "Meter", &[("edge0", Some("127.0.0.1:7070"), &[])]),
             pin(1, "Meter", &[("edge9", Some("127.0.0.1:7070"), &[])]),
         ];
-        // 60 msg/h from each design onto the same link: 120 > 100.
-        let report = deploy_with(&[("a", METERED), ("b", METERED)], &pins, &options);
-        assert_eq!(report.link_loads.len(), 1);
-        assert_eq!(report.link_loads[0].total_msgs_per_hour, 120.0);
-        assert!(report
-            .diagnostics
-            .iter()
-            .any(|f| f.code == "W0602" && f.message.contains("cut link")));
+        let fleet = AnalysisOptions { fleet_size: 1 };
+        let designs = [("a", roomy.as_str()), ("b", roomy.as_str())];
+        // No manifest gives the link a budget: nothing to hold it to.
+        let report = deploy_with(&designs, &pins, &fleet);
+        assert!(report.diagnostics.find("W0602").is_none());
+        // 60 msg/h from each design onto the same link: 120 > 100, the
+        // smaller of the two budgets its manifests give.
+        pins[0].families.get_mut("Meter").unwrap()[0].link_msgs_per_hour = Some(100);
+        pins[1].families.get_mut("Meter").unwrap()[0].link_msgs_per_hour = Some(500);
+        let report = deploy_with(&designs, &pins, &fleet);
+        let finding = report.diagnostics.find("W0602").unwrap();
+        assert_eq!(
+            finding.message,
+            "deployment cut link `127.0.0.1:7070` is overloaded: 120.0 msg/h against a budget \
+             of 100.0 msg/h"
+        );
+        assert_eq!(
+            finding.notes[0].0,
+            "per-design contributions: `a`/Meter 60.0 msg/h, `b`/Meter 60.0 msg/h"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! 2. [`conflicts`] — actuation-conflict detection, one pass over a
 //!    universe of N ≥ 1 designs (here N = 1);
 //! 3. [`loops`] — environment feedback-loop detection;
-//! 4. [`reach`] / [`rates`] — reachability, rate propagation, and the
-//!    static capacity report.
+//! 4. [`reach`] / [`rates`] — reachability, rate propagation, the
+//!    static capacity report, and the one budget pass (here N = 1).
 //!
 //! A fifth pass, [`partition`], validates a proposed deployment split
 //! against the design. It takes a [`PartitionPlan`] as extra input, so
@@ -23,8 +23,8 @@
 //! takes *several* checked designs (plus their optional deployment
 //! manifests) and analyzes the co-deployment — cross-application
 //! actuation conflicts (the [`conflicts`] pass over all N), aggregate
-//! capacity against `@qos(capacityPerHour)` budgets, and manifest cut
-//! safety. It is invoked by multi-design lint
+//! load against the budgets (the [`rates`] budget pass over all N), and
+//! manifest cut safety. It is invoked by multi-design lint
 //! ([`deployment::analyze_deployment`]) rather than by [`analyze`].
 //!
 //! Every finding carries a stable diagnostic code, continuing the
@@ -41,6 +41,7 @@
 //! | W0404 | aggregation window shorter than the delivery period |
 //! | W0405 | unreachable context or controller |
 //! | W0406 | dead device: family never sensed nor actuated |
+//! | W0407 | one design's load exceeds a device family's `@qos(capacityPerHour)` budget |
 //! | E0501 | component on zero or several nodes, or device family on none |
 //! | E0502 | partition plan names an unknown node, component, or device |
 //! | E0503 | dataflow route crosses between edge nodes without passing the coordinator |
@@ -49,6 +50,8 @@
 //! | W0601 | possible cross-application actuation conflict on overlapping device families |
 //! | W0602 | aggregate co-deployed load exceeds a device family or cut-link capacity budget |
 //! | E0602 | manifests pin a shared device family to conflicting attachment points |
+//! | E0604 | periodic demand exceeds §VI's network capacity |
+//! | W0605 | periodic demand uses more than 80 % of §VI's network capacity |
 //!
 //! # Examples
 //!
@@ -77,8 +80,8 @@ pub mod reach;
 
 pub use conflicts::{ActuationConflict, ActuationSite, Coupling, SharedPublication};
 pub use deployment::{
-    analyze_deployment, CutViolation, DeployPins, DeploymentOptions, DeploymentReport, DesignRef,
-    FamilyLoad, LinkLoad, MergedTaxonomy, PinnedHost,
+    analyze_deployment, CutViolation, DeployPins, DeploymentReport, DesignRef, MergedTaxonomy,
+    PinnedHost,
 };
 pub use graph::DesignGraph;
 pub use loops::{FeedbackLoop, LoopKind};
@@ -128,12 +131,6 @@ impl AnalysisReport {
     pub fn conflict_free(&self) -> bool {
         self.conflicts.is_empty()
     }
-
-    /// Whether the analysis produced no finding at all.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
 }
 
 /// Runs every analysis pass with default [`AnalysisOptions`].
@@ -151,6 +148,12 @@ pub fn analyze_with(spec: &CheckedSpec, options: &AnalysisOptions) -> AnalysisRe
     let loops = loops::detect(spec, &graph, &mut diagnostics);
     let reachability = reach::detect(spec, &mut diagnostics);
     let capacity = rates::detect(spec, options.fleet_size, &mut diagnostics);
+    // The budget pass over one design and no manifest: every overload is
+    // the design's own.
+    let design = [DesignRef { name: "", spec }];
+    let loads = std::slice::from_ref(&capacity.edges);
+    let fleet = |_: &str| options.fleet_size;
+    diagnostics.extend(rates::judge(&design, loads, &fleet, &[], None).alone);
     AnalysisReport {
         diagnostics,
         graph,
@@ -178,7 +181,7 @@ mod tests {
         )
         .unwrap();
         let report = analyze(&spec);
-        assert!(report.is_clean());
+        assert!(report.diagnostics.is_empty());
         assert!(report.conflict_free());
         assert!(report.loops.is_empty());
         assert!(report.reachability.dead_devices.is_empty());

@@ -1,16 +1,23 @@
 //! Pass 4b: the load model — rate propagation, window/period mismatches
-//! (W0404) and the static capacity report.
+//! (W0404), the static capacity report, and the one budget pass.
 //!
 //! The one place a declaration becomes messages per hour. Rates propagate
 //! forward in topological order from periodic subscriptions (`1/period`,
 //! re-timed by `every <W>` windows) and from event-driven sources with a
 //! `@qos(periodMs = …)` hint. Each edge carries its rate for one device
 //! of its family; [`EdgeCapacity::msgs_per_hour`] scales it by a count:
-//! a *fleet-size hypothesis* (capacity report, W0602), an infrastructure
+//! a *fleet-size hypothesis* (capacity report), an infrastructure
 //! ([`crate::requirements`]) or the entities a run bound.
+//!
+//! `judge` holds the scaled load of N ≥ 1 designs against every budget
+//! it meets: a device family's `@qos(capacityPerHour)`, a cut link's
+//! `msgs_per_hour`, and §VI's network capacity. A single design is the
+//! N = 1 case.
 
-use crate::diag::{Diagnostic, Diagnostics};
-use crate::model::{ActivationTrigger, CheckedSpec, Device, InputRef, PublishMode};
+use super::deployment::{declaration, DeployPins, DesignRef, MergedTaxonomy};
+use crate::diag::{Diagnostic, Diagnostics, Severity};
+use crate::model::{ActivationTrigger, CheckedSpec, Context, Device, InputRef, PublishMode};
+use crate::span::{Loc, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -297,6 +304,263 @@ pub(crate) fn detect(
         total_msgs_per_hour: total,
         unknown_edges: unknown,
     }
+}
+
+/// The known msg/h of the `edges` that `picks` keeps, each scaled by
+/// `count` of its family, and how many of them have no design-time rate:
+/// the one load sum of every budget [`judge`] checks.
+fn load(
+    edges: &[EdgeCapacity],
+    picks: impl Fn(&EdgeCapacity) -> bool,
+    count: &dyn Fn(&str) -> u64,
+) -> (f64, usize) {
+    tally(
+        edges
+            .iter()
+            .filter(|e| picks(e))
+            .map(|e| e.msgs_per_hour(count)),
+    )
+}
+
+/// Whether an edge loads `family`: its own family overlaps it.
+fn touching<'a>(
+    taxonomy: &'a MergedTaxonomy,
+    family: &'a str,
+) -> impl Fn(&EdgeCapacity) -> bool + 'a {
+    move |e| {
+        e.family
+            .as_deref()
+            .is_some_and(|f| taxonomy.overlap(f, family))
+    }
+}
+
+/// What [`judge`] found.
+pub(crate) struct Verdict {
+    /// Budgets one design overloads by itself (W0407), located in it.
+    pub alone: Vec<Diagnostic>,
+    /// Budgets of the designs together: §VI's network (E0604 / W0605),
+    /// families no single design overloads (W0602), cut links (W0602).
+    pub together: Vec<Diagnostic>,
+    /// The periodic edges' msg/h: §VI's network demand.
+    pub periodic_msgs_per_hour: f64,
+}
+
+/// The one budget pass. Design `i`'s load-model edges are `loads[i]`,
+/// each rate scaled by `count` of its family: `|_| N` under `--fleet N`,
+/// an infrastructure's entities of the family, subtypes included.
+///
+/// - A device family's `@qos(capacityPerHour)` (the smallest any design
+///   declares) × `count` of the family, against every edge on a family
+///   that overlaps it: W0407 in a design that overloads it alone, W0602
+///   when only the designs together do.
+/// - Each cut link's `msgs_per_hour` (the smallest its manifests give),
+///   against the load of the families pinned to it: W0602.
+/// - §VI's `network` capacity against the periodic edges: E0604 over it,
+///   W0605 above 80 % of it.
+pub(crate) fn judge(
+    designs: &[DesignRef<'_>],
+    loads: &[Vec<EdgeCapacity>],
+    count: &dyn Fn(&str) -> u64,
+    pins: &[DeployPins],
+    network: Option<f64>,
+) -> Verdict {
+    let periodic = |e: &EdgeCapacity| e.kind == LoadKind::Periodic;
+    let periodic_msgs_per_hour = loads
+        .iter()
+        .fold(0.0, |sum, edges| sum + load(edges, periodic, count).0);
+    let mut together: Vec<Diagnostic> = network
+        .and_then(|capacity| network_finding(designs, periodic_msgs_per_hour, capacity))
+        .into_iter()
+        .collect();
+    let alone: Vec<(&str, Diagnostic)> = (0..designs.len())
+        .flat_map(|i| overloads(designs, loads, &[i], count))
+        .collect();
+    if designs.len() > 1 {
+        let all: Vec<usize> = (0..designs.len()).collect();
+        for (family, finding) in overloads(designs, loads, &all, count) {
+            if alone.iter().all(|(overloaded, _)| *overloaded != family) {
+                together.push(finding);
+            }
+        }
+    }
+    together.extend(link_findings(designs, loads, count, pins));
+    Verdict {
+        alone: alone.into_iter().map(|(_, finding)| finding).collect(),
+        together,
+        periodic_msgs_per_hour,
+    }
+}
+
+/// E0604 / W0605 at the first periodic context (in name order).
+fn network_finding(designs: &[DesignRef<'_>], demand: f64, capacity: f64) -> Option<Diagnostic> {
+    let finding = if demand > capacity {
+        Diagnostic::error(
+            "E0604",
+            format!("periodic contracts need ~{demand:.0} msgs/hour but the network provides {capacity:.0}"),
+            Span::DUMMY,
+        )
+    } else if demand > 0.8 * capacity {
+        Diagnostic::warning(
+            "W0605",
+            format!("periodic demand (~{demand:.0} msgs/hour) uses more than 80% of the network capacity ({capacity:.0})"),
+            Span::DUMMY,
+        )
+    } else {
+        return None;
+    };
+    let polls = |ctx: &&Context| {
+        ctx.activations
+            .iter()
+            .any(|a| matches!(a.trigger, ActivationTrigger::Periodic { .. }))
+    };
+    let at = designs.iter().enumerate().find_map(|(file, design)| {
+        let span = design.spec.contexts().find(polls)?.span;
+        Some(Loc { file, span })
+    });
+    Some(Diagnostic {
+        at: at.unwrap_or(finding.at),
+        ..finding
+    })
+}
+
+/// Every family the `members` of `designs` overload together, with its
+/// finding: W0407 for one member, W0602 for several.
+fn overloads<'a>(
+    designs: &[DesignRef<'a>],
+    loads: &[Vec<EdgeCapacity>],
+    members: &[usize],
+    count: &dyn Fn(&str) -> u64,
+) -> Vec<(&'a str, Diagnostic)> {
+    let taxonomy = MergedTaxonomy::build(&members.iter().map(|&i| designs[i]).collect::<Vec<_>>());
+    // The smallest declaration wins (most conservative).
+    let mut budgets: BTreeMap<&'a str, (u64, usize)> = BTreeMap::new();
+    for &i in members {
+        for device in designs[i].spec.devices() {
+            if let Some(cap) = device.qos_capacity_per_hour() {
+                let entry = budgets.entry(&device.name).or_insert((cap, i));
+                if cap < entry.0 {
+                    *entry = (cap, i);
+                }
+            }
+        }
+    }
+    let mut found = Vec::new();
+    for (family, (per_device, declared_in)) in budgets {
+        let mut per_design = Vec::new();
+        let mut unknown = 0;
+        for &i in members {
+            let (known, unrated) = load(&loads[i], touching(&taxonomy, family), count);
+            unknown += unrated;
+            if known > 0.0 || unrated > 0 {
+                per_design.push((i, known));
+            }
+        }
+        let total = per_design.iter().fold(0.0, |sum, (_, rate)| sum + rate);
+        let devices = count(family);
+        let budget = per_device as f64 * devices as f64;
+        if total <= budget {
+            continue;
+        }
+        let mut notes: Vec<(String, Option<Loc>)> = Vec::new();
+        let together = members.len() > 1;
+        if together {
+            for &(i, _) in &per_design {
+                if i != declared_in && designs[i].spec.device(family).is_some() {
+                    let also = format!("also orchestrated by design `{}` here", designs[i].name);
+                    notes.push((also, Some(declaration(designs, i, family))));
+                }
+            }
+            let contributions: Vec<String> = per_design
+                .iter()
+                .map(|&(i, rate)| format!("`{}` {rate:.1} msg/h", designs[i].name))
+                .collect();
+            let contributions = contributions.join(", ");
+            notes.push((format!("per-design contributions: {contributions}"), None));
+        }
+        if unknown > 0 {
+            let uncounted =
+                format!("{unknown} matching edge(s) have no design-time rate and are not counted");
+            notes.push((uncounted, None));
+        }
+        let (code, subject) = if together {
+            ("W0602", "co-deployed designs overload")
+        } else {
+            ("W0407", "the design overloads")
+        };
+        let finding = Diagnostic {
+            severity: Severity::Warning,
+            code,
+            message: format!(
+                "{subject} device family `{family}`: {total:.1} msg/h against a budget of {budget:.1} msg/h (@qos(capacityPerHour = {per_device}) x {devices} devices)"
+            ),
+            at: declaration(designs, declared_in, family),
+            notes,
+        };
+        found.push((family, finding));
+    }
+    found
+}
+
+/// A cut link's budget and the flows pinned to it, as (design, family,
+/// msg/h).
+type Link<'a> = (Option<u64>, Vec<(usize, &'a str, f64)>);
+
+/// W0602 for every cut link whose pinned families carry more than the
+/// smallest `msgs_per_hour` its manifests give it.
+fn link_findings(
+    designs: &[DesignRef<'_>],
+    loads: &[Vec<EdgeCapacity>],
+    count: &dyn Fn(&str) -> u64,
+    pins: &[DeployPins],
+) -> Vec<Diagnostic> {
+    let taxonomy = MergedTaxonomy::build(designs);
+    let mut links: BTreeMap<&str, Link<'_>> = BTreeMap::new();
+    for pin in pins {
+        for (family, hosts) in &pin.families {
+            let (family_load, _) = load(&loads[pin.design], touching(&taxonomy, family), count);
+            let total_variants: usize = hosts.iter().map(|h| h.variants.len()).sum();
+            let edge_hosts = hosts.iter().filter(|h| h.addr.is_some()).count();
+            for host in hosts {
+                let Some(addr) = &host.addr else { continue };
+                let (budget, per_design) = links.entry(addr).or_default();
+                *budget = (*budget).into_iter().chain(host.link_msgs_per_hour).min();
+                // Pro-rate the family's flow across its edge hosts by
+                // shard-variant count when sharded, evenly otherwise.
+                let share = if total_variants > 0 {
+                    host.variants.len() as f64 / total_variants as f64
+                } else {
+                    1.0 / edge_hosts as f64
+                };
+                if family_load > 0.0 && share > 0.0 {
+                    per_design.push((pin.design, family, family_load * share));
+                }
+            }
+        }
+    }
+    let mut found = Vec::new();
+    for (addr, (budget, per_design)) in links {
+        let total: f64 = per_design.iter().map(|(_, _, rate)| rate).sum();
+        let Some(budget) = budget.map(|b| b as f64).filter(|&b| total > b) else {
+            continue;
+        };
+        let contributions: Vec<String> = per_design
+            .iter()
+            .map(|&(i, family, rate)| format!("`{}`/{family} {rate:.1} msg/h", designs[i].name))
+            .collect();
+        let contributions = contributions.join(", ");
+        // At the first contributing design's family declaration.
+        let (i, family, _) = per_design[0];
+        found.push(Diagnostic {
+            severity: Severity::Warning,
+            code: "W0602",
+            message: format!(
+                "deployment cut link `{addr}` is overloaded: {total:.1} msg/h against a budget of {budget:.1} msg/h"
+            ),
+            at: declaration(designs, i, family),
+            notes: vec![(format!("per-design contributions: {contributions}"), None)],
+        });
+    }
+    found
 }
 
 #[cfg(test)]

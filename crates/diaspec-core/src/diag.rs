@@ -260,21 +260,21 @@ impl Extend<Diagnostic> for Diagnostics {
 #[derive(Debug, Clone)]
 pub struct CompileError {
     diagnostics: Diagnostics,
-    rendered: String,
+    sources: MultiSourceMap,
+    named: bool,
 }
 
 impl CompileError {
     /// Creates a compile error from the diagnostics of compiling
-    /// `sources.text()`: each location is attributed to its file, and the
-    /// report is pre-rendered for display (positions name their file
-    /// when `named`).
+    /// `sources.text()`: each location is attributed to its file. The
+    /// report is rendered when the error is displayed (positions name
+    /// their file when `named`).
     #[must_use]
-    pub fn new(diagnostics: Diagnostics, sources: &MultiSourceMap, named: bool) -> Self {
-        let diagnostics = diagnostics.locate(sources);
-        let rendered = diagnostics.render(sources, named);
+    pub fn new(diagnostics: Diagnostics, sources: MultiSourceMap, named: bool) -> Self {
         CompileError {
-            diagnostics,
-            rendered,
+            diagnostics: diagnostics.locate(&sources),
+            sources,
+            named,
         }
     }
 
@@ -291,7 +291,7 @@ impl fmt::Display for CompileError {
             f,
             "specification has {} error(s)\n{}",
             self.diagnostics.error_count(),
-            self.rendered
+            self.diagnostics.render(&self.sources, self.named)
         )
     }
 }
@@ -354,7 +354,7 @@ mod tests {
         let map = MultiSourceMap::new([("x.spec", "x")]);
         let mut diags = Diagnostics::new();
         diags.push(Diagnostic::error("E0101", "boom", Span::new(0, 1)));
-        let err = CompileError::new(diags, &map, false);
+        let err = CompileError::new(diags, map, false);
         let msg = err.to_string();
         assert!(msg.contains("1 error(s)"), "{msg}");
         assert!(msg.contains("boom"), "{msg}");

@@ -106,7 +106,7 @@ pub fn compile_str(source: &str) -> Result<CheckedSpec, CompileError> {
 /// Returns a [`CompileError`] if the specification contains errors.
 pub fn compile_str_with_warnings(source: &str) -> Result<(CheckedSpec, Diagnostics), CompileError> {
     front_end(source)
-        .map_err(|diags| CompileError::new(diags, &MultiSourceMap::new([("", source)]), false))
+        .map_err(|diags| CompileError::new(diags, MultiSourceMap::new([("", source)]), false))
 }
 
 /// Parses and checks `text`: the model with its warnings, or every
@@ -160,7 +160,7 @@ where
     let map = MultiSourceMap::new(files);
     front_end(map.text())
         .map(|(model, _)| model)
-        .map_err(|diags| CompileError::new(diags, &map, true))
+        .map_err(|diags| CompileError::new(diags, map, true))
 }
 
 #[cfg(test)]

@@ -19,16 +19,17 @@
 //! | Code | Rule |
 //! |------|------|
 //! | E0603 | no deployed entity of a device family the design uses |
-//! | E0604 | periodic demand exceeds the network capacity |
-//! | W0605 | periodic demand uses more than 80 % of the network capacity |
 //! | W0606 | event-driven traffic comes on top of a limited network capacity |
 //! | W0607 | declared MapReduce phases get at most one worker |
 //!
 //! Both read the one load model, [`crate::analysis::rates`]: families
-//! and usage are its edges' device ends, network demand its periodic
-//! edges scaled by the infrastructure's entity counts.
+//! and usage are its edges' device ends. The budgets are its one budget
+//! pass, run with the infrastructure's entity counts: the network
+//! capacity against the periodic edges (E0604 / W0605, in the
+//! [`crate::analysis`] table) and each `@qos(capacityPerHour)` (W0407).
 
 use crate::analysis::rates::{self, EdgeCapacity, LoadKind};
+use crate::analysis::DesignRef;
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::model::{ActivationTrigger, CheckedSpec};
 use crate::span::{MultiSourceMap, Span};
@@ -245,41 +246,18 @@ pub fn match_infrastructure(
         }
     }
 
-    // Network: statically known periodic demand vs. capacity — every
-    // periodic edge scaled by the entities deployed of its family —
-    // reported at the first periodic context (in name order).
-    let (demand, _) = rates::tally(
-        load_model(spec)
-            .iter()
-            .filter(|edge| edge.kind == LoadKind::Periodic)
-            .map(|edge| {
-                edge.msgs_per_hour(|family| u64::from(infrastructure.family_count(spec, family)))
-            }),
+    // Budgets: the one budget pass, every edge scaled by the entities
+    // deployed of its family.
+    let entities = |family: &str| u64::from(infrastructure.family_count(spec, family));
+    let budgets = rates::judge(
+        &[DesignRef { name: "", spec }],
+        &[load_model(spec)],
+        &entities,
+        &[],
+        infrastructure.msgs_per_hour_capacity,
     );
-    let periodic = requirements
-        .processing
-        .first()
-        .and_then(|proc| spec.context(&proc.context))
-        .map_or(Span::DUMMY, |ctx| ctx.span);
-    match infrastructure.msgs_per_hour_capacity {
-        Some(capacity) if demand > capacity => diagnostics.push(Diagnostic::error(
-            "E0604",
-            format!(
-                "periodic contracts need ~{demand:.0} msgs/hour but the network \
-                 provides {capacity:.0}"
-            ),
-            periodic,
-        )),
-        Some(capacity) if demand > 0.8 * capacity => diagnostics.push(Diagnostic::warning(
-            "W0605",
-            format!(
-                "periodic demand (~{demand:.0} msgs/hour) uses more than 80% of the \
-                 network capacity ({capacity:.0})"
-            ),
-            periodic,
-        )),
-        _ => {}
-    }
+    diagnostics.extend(budgets.together);
+    diagnostics.extend(budgets.alone);
     if infrastructure.msgs_per_hour_capacity.is_some() {
         if let Some(req) = requirements
             .devices
@@ -313,7 +291,7 @@ pub fn match_infrastructure(
 
     MatchReport {
         diagnostics,
-        estimated_msgs_per_hour: demand,
+        estimated_msgs_per_hour: budgets.periodic_msgs_per_hour,
     }
 }
 
@@ -558,6 +536,36 @@ mod tests {
         assert!(
             text.contains("falls back to serial at app.spec:1:9\n"),
             "{text}"
+        );
+    }
+
+    /// The one budget pass runs under `--match` too, with the
+    /// infrastructure's entity counts on both sides of the comparison.
+    #[test]
+    fn a_capacity_budget_is_held_to_the_infrastructures_counts() {
+        let spec = compile_str(
+            r#"
+            @qos(capacityPerHour = 100)
+            device Meter { source reading as Float; }
+            device Gauge { action show(value as Float); }
+            context Sweep as Float { when periodic reading from Meter <30 s> always publish; }
+            controller Board { when provided Sweep do show on Gauge; }
+            "#,
+        )
+        .unwrap();
+        let infra = Infrastructure {
+            entities: [("Meter".to_owned(), 40), ("Gauge".to_owned(), 1)]
+                .into_iter()
+                .collect(),
+            msgs_per_hour_capacity: None,
+            parallel_workers: 1,
+        };
+        let report = match_infrastructure(&spec, &estimate(&spec), &infra);
+        assert!(report.deployable(), "{report}");
+        assert_eq!(
+            report.diagnostics.find("W0407").unwrap().message,
+            "the design overloads device family `Meter`: 4800.0 msg/h against a budget of \
+             4000.0 msg/h (@qos(capacityPerHour = 100) x 40 devices)"
         );
     }
 

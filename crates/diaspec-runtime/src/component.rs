@@ -89,9 +89,6 @@ pub struct Groups {
     values: Vec<Payload>,
 }
 
-/// Marks a reading without a grouping value in [`Groups::of`].
-const UNGROUPED: u32 = u32::MAX;
-
 impl Groups {
     /// Groups the readings that carry a grouping value.
     ///
@@ -101,23 +98,18 @@ impl Groups {
     /// change looks the handle up. A handle seen for the first time
     /// joins the group of an equal value, which merges the handles of a
     /// subtype family's member types and those of a value rebound
-    /// between the polls of one window. A counting pass then places each
-    /// reading in its group's slice.
+    /// between the polls of one window. A counting pass then walks the
+    /// readings again, the same way, and places each in its group's
+    /// slice.
     #[must_use]
     pub fn of(readings: &[PolledReading]) -> Self {
-        // A small id per distinct value, in first-seen order, and one per
-        // reading.
+        // A small id per distinct value, in first-seen order.
         let mut by_handle: BTreeMap<*const Value, u32> = BTreeMap::new();
         let mut by_value: BTreeMap<&Value, u32> = BTreeMap::new();
         let mut firsts: Vec<&Payload> = Vec::new();
         let mut counts: Vec<usize> = Vec::new();
-        let mut ids = Vec::with_capacity(readings.len());
         let mut last: Option<(*const Value, u32)> = None;
-        for reading in readings {
-            let Some(key) = &reading.group else {
-                ids.push(UNGROUPED);
-                continue;
-            };
+        for key in readings.iter().filter_map(|r| r.group.as_ref()) {
             let handle: *const Value = key.value();
             let id = match last {
                 Some((hit, id)) if hit == handle => id,
@@ -134,7 +126,6 @@ impl Groups {
                 }
             };
             counts[id as usize] += 1;
-            ids.push(id);
         }
 
         // Group order is key order; `next[id]` becomes the slot of the
@@ -150,12 +141,20 @@ impl Groups {
             keys.push(firsts[id as usize].clone());
             ends.push(total);
         }
+        // Every handle is in `by_handle` now.
         let mut order = vec![0u32; total];
-        for (at, &id) in ids.iter().enumerate().filter(|(_, &id)| id != UNGROUPED) {
+        let mut last: Option<(*const Value, u32)> = None;
+        for (at, reading) in readings.iter().enumerate() {
+            let Some(key) = &reading.group else { continue };
+            let handle: *const Value = key.value();
+            let id = match last {
+                Some((hit, id)) if hit == handle => id,
+                _ => by_handle[&handle],
+            };
+            last = Some((handle, id));
             order[next[id as usize]] = u32::try_from(at).expect("a batch fits u32 positions");
             next[id as usize] += 1;
         }
-        drop(ids);
         let values = order
             .iter()
             .map(|&at| readings[at as usize].value.clone())

@@ -316,11 +316,11 @@ fn batch_calls(sensors: u64) -> u64 {
 fn an_engine_batch_costs_the_same_allocator_calls_at_100_and_at_4000_sensors() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (calls_small, calls_large) = (batch_calls(100), batch_calls(4_000));
-    // Grouping sizes three vectors and a few group-sized tables once, and
-    // the executor collects the Map input once: no call grows with the
-    // batch (20 calls a period at both sizes). A map of per-group vectors
-    // grows each of them logarithmically, and a collected input without
-    // a length does too (39 and 84 calls).
+    // Grouping sizes two reading-sized vectors and a few group-sized
+    // tables once, and the executor collects the Map input once: no call
+    // grows with the batch (19 calls a period at both sizes). A map of
+    // per-group vectors grows each of them logarithmically, and a
+    // collected input without a length does too (39 and 84 calls).
     assert_eq!(
         calls_small, calls_large,
         "a batch of 100 sensors made {calls_small} allocator calls, of 4 000 {calls_large}"

@@ -98,6 +98,17 @@
 #    as hand formatting (`map.locate(`) in crates/diaspec-core/src/lib.rs,
 #    and a second lint entry point as a `lint_source(` call in
 #    diaspec-gen.rs.
+# 15. One budget pass: every load is judged against its budget by one pass
+#    over N >= 1 designs (`rates::judge` in crates/diaspec-core/src/
+#    analysis/rates.rs, docs/ANALYSIS.md §4): a device family's
+#    `@qos(capacityPerHour)` (W0407 / W0602), a cut link's manifest
+#    `msgs_per_hour` (W0602) and §VI's network capacity (E0604 / W0605).
+#    A second budget loop growing back shows up as the retired
+#    `detect_family_overloads`, `detect_link_overloads`, `FamilyLoad`,
+#    `LinkLoad` or `DeploymentOptions` under crates/, a link budget
+#    outside the manifest as `--link-budget` in diaspec-gen.rs, and a
+#    network tally of its own as a `rates::tally(` call in
+#    requirements.rs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -373,3 +384,25 @@ if grep -nF 'lint_source(' crates/diaspec-codegen/src/bin/diaspec-gen.rs; then
     exit 1
 fi
 echo "ok: one finding type (no CrossFinding/DesignSpan/MatchFinding/MatchSeverity, one renderer per format)"
+
+BUDGETS=crates/diaspec-core/src/analysis/rates.rs
+if grep -rnwE 'detect_family_overloads|detect_link_overloads|FamilyLoad|LinkLoad|DeploymentOptions' crates --include=*.rs; then
+    echo "FAIL: a second budget loop is back under crates/ (lines above); call" >&2
+    echo "rates::judge in $BUDGETS with the designs and their counts instead." >&2
+    exit 1
+fi
+if grep -nF -- '--link-budget' crates/diaspec-codegen/src/bin/diaspec-gen.rs; then
+    echo "FAIL: diaspec-gen.rs takes a link budget on the command line (lines above);" >&2
+    echo "a cut link's budget is edges[].link.msgs_per_hour in its manifest." >&2
+    exit 1
+fi
+if grep -nF 'rates::tally(' crates/diaspec-core/src/requirements.rs; then
+    echo "FAIL: requirements.rs sums the network demand itself (lines above); read" >&2
+    echo "E0604 / W0605 and the demand from rates::judge." >&2
+    exit 1
+fi
+if ! grep -q '^pub(crate) fn judge($' "$BUDGETS"; then
+    echo "FAIL: $BUDGETS no longer declares \`pub(crate) fn judge(\`; update this check." >&2
+    exit 1
+fi
+echo "ok: one budget pass (rates::judge; no FamilyLoad/LinkLoad/DeploymentOptions, no --link-budget, no tally in requirements.rs)"

@@ -9,14 +9,16 @@
 //! 2. **Negative fixture pairs** — each cross-design code (E0601,
 //!    W0601, W0602, E0602) is pinned to a minimal pair in
 //!    `specs/lint/cross/`: both designs must lint clean alone and trip
-//!    exactly their code together.
+//!    exactly their code together. A capacity budget is checked whatever
+//!    the file layout (W0407 in one file, W0602 across files), and a cut
+//!    link's budget comes from its manifest.
 //! 3. **The documented fix** — applying the refinement-based fix from
 //!    docs/ANALYSIS.md (disjoint sibling subfamilies) to the
 //!    choreography pair must make the co-deployment lint clean.
 
 use diaspec_codegen::deploy::NodeManifest;
 use diaspec_codegen::lint::{lint_designs, LintFormat, LintLevel, LintOptions};
-use diaspec_core::analysis::{analyze_deployment, DeploymentOptions, DesignRef};
+use diaspec_core::analysis::{analyze_deployment, AnalysisOptions, DesignRef};
 use diaspec_core::span::Span;
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
@@ -89,7 +91,7 @@ fn choreo_pair_reports_the_guaranteed_conflict_with_both_chains() {
             spec: &specs[1],
         },
     ];
-    let report = analyze_deployment(&designs, &[], &DeploymentOptions::default());
+    let report = analyze_deployment(&designs, &[], &AnalysisOptions::default());
     assert!(!report.conflict_free());
 
     let guaranteed = report
@@ -239,7 +241,7 @@ fn cross_findings_carry_real_spans_into_both_files() {
                 spec: &specs[1],
             },
         ];
-        let report = analyze_deployment(&designs, &[], &DeploymentOptions::default());
+        let report = analyze_deployment(&designs, &[], &AnalysisOptions::default());
         let finding = report
             .diagnostics
             .find(code)
@@ -277,6 +279,161 @@ fn conflicting_manifests_trip_the_cut_safety_pass() {
     );
     assert!(pinned.rendered.contains("127.0.0.1:7070"));
     assert!(pinned.rendered.contains("127.0.0.1:9090"));
+}
+
+/// The `(path, source)` inputs of one lint run.
+type Inputs = Vec<(String, String)>;
+
+/// `specs/lint/capacity_overload.spec` as one file, and split at
+/// `device Logger` into two files that each keep the `Meter` declaration
+/// and one of its two 10-second polls; `budget` replaces its
+/// `capacityPerHour = 500`.
+fn capacity_layouts(budget: u64) -> (Inputs, Inputs) {
+    let (rel, source) = read_rel("specs/lint/capacity_overload.spec");
+    let source = source.replace(
+        "capacityPerHour = 500",
+        &format!("capacityPerHour = {budget}"),
+    );
+    let meter_end = source.find("device Gauge {").unwrap();
+    let split = source.find("device Logger {").unwrap();
+    let meter = &source[..meter_end];
+    let halves = vec![
+        ("fast.spec".to_owned(), source[..split].to_owned()),
+        (
+            "audit.spec".to_owned(),
+            format!("{meter}{}", &source[split..]),
+        ),
+    ];
+    (vec![(rel, source)], halves)
+}
+
+/// The codes of a lint run's per-file sections and of its cross-design
+/// section (JSON format).
+fn sectioned_codes(inputs: &[(String, String)]) -> (Vec<String>, Vec<String>) {
+    let outcome = lint_designs(
+        inputs,
+        &[],
+        &LintOptions {
+            format: LintFormat::Json,
+            ..LintOptions::default()
+        },
+    )
+    .unwrap();
+    let log: Json = serde_json::from_str(&outcome.rendered).unwrap();
+    let codes = |section: &Json| -> Vec<String> {
+        let diagnostics = section.get("diagnostics").and_then(Json::as_array).unwrap();
+        diagnostics
+            .iter()
+            .map(|d| d.get("code").and_then(Json::as_str).unwrap().to_owned())
+            .collect()
+    };
+    match log.get("files").and_then(Json::as_array) {
+        Some(files) => (
+            files.iter().flat_map(codes).collect(),
+            codes(log.get("cross").unwrap()),
+        ),
+        None => (codes(&log), Vec::new()),
+    }
+}
+
+/// A budget one design declares is checked whatever the file layout: one
+/// file that overloads it reports W0407, and a split whose halves each
+/// fit reports the same warning as W0602.
+#[test]
+fn a_capacity_overload_is_reported_whatever_the_file_layout() {
+    let (whole, halves) = capacity_layouts(500);
+    let alone = lint_designs(&whole, &[], &LintOptions::default()).unwrap();
+    assert!(!alone.failed(), "{}", alone.rendered);
+    assert_eq!(alone.warnings, 1, "{}", alone.rendered);
+    assert!(
+        alone.rendered.contains(
+            "warning[W0407]: the design overloads device family `Meter`: 720000.0 msg/h \
+             against a budget of 500000.0 msg/h (@qos(capacityPerHour = 500) x 1000 devices)"
+        ),
+        "{}",
+        alone.rendered
+    );
+    let denied = lint_designs(
+        &whole,
+        &[],
+        &LintOptions {
+            deny_warnings: true,
+            ..LintOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(denied.failed());
+
+    assert_eq!(sectioned_codes(&halves), (vec![], vec!["W0602".to_owned()]));
+    let split = lint_designs(&halves, &[], &LintOptions::default()).unwrap();
+    assert!(!split.failed(), "{}", split.rendered);
+    assert!(
+        split.rendered.contains(
+            "warning[W0602]: co-deployed designs overload device family `Meter`: 720000.0 msg/h"
+        ),
+        "{}",
+        split.rendered
+    );
+}
+
+/// When each half overloads the family alone, each file reports W0407 and
+/// the cross-design section does not repeat it.
+#[test]
+fn an_overload_each_file_reaches_alone_is_not_repeated_across_files() {
+    let (whole, halves) = capacity_layouts(100);
+    assert_eq!(sectioned_codes(&whole), (vec!["W0407".to_owned()], vec![]));
+    assert_eq!(
+        sectioned_codes(&halves),
+        (vec!["W0407".to_owned(), "W0407".to_owned()], vec![])
+    );
+}
+
+/// A cut link's budget is `edges[].link.msgs_per_hour` in the manifest
+/// that pins families to it. The `cross_e0602` manifests, both moved to
+/// one edge address, with a `@qos(periodMs)` hint on the shared sensor so
+/// that its load is known: 60 msg/h from each design at `--fleet 1`.
+#[test]
+fn a_manifest_link_budget_below_the_pairs_load_is_a_w0602() {
+    let hint = "@qos(periodMs = 60000)\ndevice MotionSensor";
+    let inputs: Vec<(String, String)> = ["a", "b"]
+        .iter()
+        .map(|s| {
+            let (rel, source) = read_rel(&format!("specs/lint/cross/cross_e0602_{s}.spec"));
+            (rel, source.replace("device MotionSensor", hint))
+        })
+        .collect();
+    let manifests = |budget: Option<u64>| -> Vec<(String, NodeManifest)> {
+        ["a", "b"]
+            .iter()
+            .map(|s| {
+                let rel = format!("specs/lint/cross/cross_e0602_{s}.manifest.json");
+                let raw = std::fs::read_to_string(repo_path(&rel)).unwrap();
+                let mut manifest = NodeManifest::from_json(&raw).unwrap();
+                manifest.edges[0].listen = "127.0.0.1:7070".to_owned();
+                manifest.edges[0].link.msgs_per_hour = budget;
+                (rel, NodeManifest::from_json(&manifest.to_json()).unwrap())
+            })
+            .collect()
+    };
+    let options = LintOptions {
+        fleet_size: Some(1),
+        ..LintOptions::default()
+    };
+    let budgeted = lint_designs(&inputs, &manifests(Some(100)), &options).unwrap();
+    assert!(
+        budgeted.rendered.contains(
+            "warning[W0602]: deployment cut link `127.0.0.1:7070` is overloaded: 120.0 msg/h \
+             against a budget of 100.0 msg/h"
+        ),
+        "{}",
+        budgeted.rendered
+    );
+    let unbudgeted = lint_designs(&inputs, &manifests(None), &options).unwrap();
+    assert!(
+        !unbudgeted.rendered.contains("cut link"),
+        "{}",
+        unbudgeted.rendered
+    );
 }
 
 // ---- 3. machine formats and outcome classification ------------------------------

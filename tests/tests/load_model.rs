@@ -347,3 +347,61 @@ fn windows_stretch_to_whole_periods() {
         );
     }
 }
+
+/// The simulator witness of the one budget pass on a single design
+/// (`specs/lint/capacity_overload.spec`): W0407 is reported exactly when
+/// the readings the engine polls from one `Meter` in a whole simulated
+/// hour exceed its `@qos(capacityPerHour)`. The fixture asks 720 an hour
+/// of a 500 budget; 20-second polls ask 360; a 720 budget is met, not
+/// exceeded.
+#[test]
+fn w0407_is_reported_exactly_when_a_device_is_polled_over_its_budget() {
+    const METERS: u64 = 3;
+    let fixture = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../specs/lint/capacity_overload.spec"),
+    )
+    .unwrap();
+    let variants = [
+        ("capacity_overload", fixture.clone(), true),
+        ("20 s polls", fixture.replace("<10 s>", "<20 s>"), false),
+        (
+            "a 720 budget",
+            fixture.replace("capacityPerHour = 500", "capacityPerHour = 720"),
+            false,
+        ),
+    ];
+    for (variant, source, over) in variants {
+        let spec = Arc::new(diaspec_core::compile_str(&source).unwrap());
+        let reported = analyze(&spec).diagnostics.find("W0407").is_some();
+        let mut orch = Orchestrator::new(Arc::clone(&spec));
+        register_all(&mut orch, &spec).unwrap();
+        orch.begin_deployment();
+        for i in 0..METERS {
+            orch.bind_entity(
+                format!("meter-{i}").into(),
+                "Meter",
+                AttributeMap::new(),
+                Box::new(Fixed),
+            )
+            .unwrap();
+        }
+        for device in ["Gauge", "Logger"] {
+            orch.bind_entity(device.into(), device, AttributeMap::new(), Box::new(Fixed))
+                .unwrap();
+        }
+        orch.launch().unwrap();
+        let polled = deliver(&mut orch).readings["Meter.reading"];
+        assert!(orch.drain_errors().is_empty(), "{variant}");
+        let per_device_hour = polled as f64 / (METERS * HOURS) as f64;
+        let budget = spec
+            .device("Meter")
+            .and_then(Device::qos_capacity_per_hour)
+            .unwrap();
+        assert_eq!(per_device_hour > budget as f64, over, "{variant}");
+        assert_eq!(
+            reported, over,
+            "{variant}: {per_device_hour} readings a Meter an hour against {budget}"
+        );
+    }
+}

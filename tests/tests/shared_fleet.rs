@@ -15,7 +15,8 @@
 //!   each run drives one trigger root once (one emission, or one poll
 //!   period) and counts the actuations of each action per device.
 
-use diaspec_core::analysis::deployment::{analyze_deployment, DeploymentOptions, DesignRef};
+use diaspec_core::analysis::deployment::{analyze_deployment, DesignRef};
+use diaspec_core::analysis::AnalysisOptions;
 use diaspec_core::analysis::{analyze, ActuationConflict, Coupling};
 use diaspec_core::model::{ActivationTrigger, CheckedSpec};
 use diaspec_integration::multi::SharedFleet;
@@ -64,7 +65,7 @@ fn static_guarantees_conflict(a: (&str, &CheckedSpec), b: (&str, &CheckedSpec)) 
             },
         ],
         &[],
-        &DeploymentOptions::default(),
+        &AnalysisOptions::default(),
     );
     report.diagnostics.find("E0601").is_some()
 }
@@ -346,7 +347,7 @@ impl Universe {
             .iter()
             .map(|(name, spec)| DesignRef { name, spec })
             .collect();
-        all.extend(analyze_deployment(&refs, &[], &DeploymentOptions::default()).conflicts);
+        all.extend(analyze_deployment(&refs, &[], &AnalysisOptions::default()).conflicts);
         all
     }
 

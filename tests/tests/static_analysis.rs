@@ -71,7 +71,7 @@ fn shipped_designs_lint_to_goldens() {
 // ---- 2. negative fixtures -------------------------------------------------------
 
 /// (fixture, expected code, text the primary span must cover).
-const FIXTURES: [(&str, &str, &str); 10] = [
+const FIXTURES: [(&str, &str, &str); 11] = [
     ("conflict_same_trigger", "E0401", "do sound on Siren"),
     ("conflict_shared_root", "E0401", "do flash on Lamp"),
     ("conflict_subtype_root", "E0401", "do flash on Lamp"),
@@ -82,6 +82,7 @@ const FIXTURES: [(&str, &str, &str); 10] = [
     ("rate_window", "W0404", "1 min"),
     ("dead_required", "W0405", "Forgotten"),
     ("dead_device", "W0406", "Barometer"),
+    ("capacity_overload", "W0407", "Meter"),
 ];
 
 fn fixture_source(name: &str) -> String {
