@@ -43,20 +43,19 @@ pub use api::{ContextApi, ControllerApi, ProcessApi};
 use self::deliver::Event;
 use self::design::Design;
 use crate::clock::{EventQueue, SimTime};
-use crate::component::{ContainedError, ContextLogic, ControllerLogic, MapReduceLogic};
+use crate::component::{ContainedError, ContextLogic, ControllerLogic, Gathered, MapReduceLogic};
 use crate::entity::{AttributeMap, BindingTime, DeviceInstance, EntityId};
 use crate::error::RuntimeError;
 use crate::fault::{FaultInjector, FaultPlan, RecoveryConfig};
 use crate::metrics::RuntimeMetrics;
 use crate::obs::{self, Activity, ObsHub, Ring};
 use crate::payload::Payload;
-use crate::registry::{PolledReading, Registry};
+use crate::registry::Registry;
 use crate::spans::{SpanCtx, SpanEvent};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::{SimTransport, TransportConfig};
 use crate::value::Value;
 use diaspec_core::model::CheckedSpec;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Hard cap on buffered contained errors. A pathological run (millions of
@@ -101,12 +100,15 @@ struct ContextRuntime {
     /// The most recent published/computed value, cached as a shared
     /// handle (it is also in flight to subscribers).
     last_value: Option<Payload>,
-    /// Per-activation window accumulation buffers.
-    windows: BTreeMap<usize, WindowBuffer>,
+    /// One pending batch per activation, by activation index, built at
+    /// launch (a periodic activation without `every` gathers one poll).
+    windows: Vec<WindowBuffer>,
 }
 
+#[derive(Default)]
 struct WindowBuffer {
-    readings: Vec<PolledReading>,
+    batch: Gathered,
+    /// When an `every` window flushes next.
     deadline: SimTime,
 }
 
@@ -644,15 +646,12 @@ impl Orchestrator {
                 let Some(periodic) = periodic else {
                     continue;
                 };
-                if let Some(window_ms) = periodic.window_ms {
-                    self.contexts[context as usize].windows.insert(
-                        idx,
-                        WindowBuffer {
-                            readings: Vec::new(),
-                            deadline: now + window_ms,
-                        },
-                    );
-                }
+                // Slots up to the last periodic activation: a context that
+                // never polls allocates none.
+                let windows = &mut self.contexts[context as usize].windows;
+                windows.resize_with(idx + 1, WindowBuffer::default);
+                windows[idx].batch = Gathered::new(periodic.group_by.is_some());
+                windows[idx].deadline = now + periodic.window_ms.unwrap_or(0);
                 self.queue.schedule(
                     now + periodic.period_ms,
                     Event::PeriodicPoll {

@@ -12,7 +12,7 @@
 //! admission and activation.
 
 use crate::component::{
-    BatchData, ContextActivation, ContextLogic, ControllerLogic, Groups, MapReduceLogic,
+    BatchData, ContextActivation, ContextLogic, ControllerLogic, Gathered, Groups, MapReduceLogic,
 };
 use crate::engine::design::{Design, Periodic};
 use crate::engine::{ContextApi, ControllerApi, Orchestrator, ProcessApi, ProcessingMode};
@@ -20,7 +20,6 @@ use crate::error::RuntimeError;
 use crate::fault::{FaultInjector, FaultKind};
 use crate::obs::Activity;
 use crate::payload::Payload;
-use crate::registry::PolledReading;
 use crate::spans::{SpanCtx, SpanStage};
 use crate::trace::TraceKind;
 use crate::value::Value;
@@ -106,10 +105,10 @@ impl Orchestrator {
             Event::BatchDeliver {
                 context,
                 activation_idx,
-                readings,
+                batch,
                 window_ms,
                 span,
-            } => self.dispatch_batch(&design, context, activation_idx, readings, window_ms, span),
+            } => self.dispatch_batch(&design, context, activation_idx, *batch, window_ms, span),
             Event::ProcessWake { idx } => {
                 let Some(mut process) = self.processes[idx].process.take() else {
                     return;
@@ -308,10 +307,33 @@ impl Orchestrator {
             readings: readings.len(),
         });
 
-        // Each reading crosses the transport; the batch arrives when its
-        // slowest surviving reading does. Readings carry payload handles,
-        // so the injected-duplicate copy is a handle clone.
-        let mut surviving = Vec::with_capacity(readings.len());
+        // The activation's pending batch: a window's polls so far, or
+        // nothing before this poll. A window flushes at the first poll at
+        // or after its deadline; without `every`, every poll flushes.
+        let window = &mut self.contexts[id as usize].windows[activation_idx];
+        let flush = match window_ms {
+            Some(window_ms) if now >= window.deadline => {
+                window.deadline = now + window_ms;
+                true
+            }
+            Some(_) => false,
+            None => true,
+        };
+        let mut batch = window.batch.take();
+        // The first poll sizes the batch for every poll it will hold.
+        let polls = window_ms.map_or(1, |window_ms| {
+            (window_ms / period_ms.max(1)).saturating_add(1)
+        });
+        batch.reserve_once(
+            usize::try_from(polls)
+                .unwrap_or(usize::MAX)
+                .saturating_mul(readings.len()),
+        );
+
+        // Each reading crosses the transport and is appended as it
+        // arrives; the batch arrives when its slowest delivered reading
+        // does. An injected duplicate appends a second copy (handle
+        // clones); a lost reading appends nothing.
         let mut max_latency = 0;
         for reading in readings {
             let outcome = self.sample_send();
@@ -322,7 +344,7 @@ impl Orchestrator {
                 self.metrics.total_transport_latency_ms += latency;
                 self.obs.record(Activity::Delivering, context, latency);
                 max_latency = max_latency.max(latency);
-                surviving.push(reading.clone());
+                batch.push(reading.clone());
             }
             match outcome.delivery {
                 Some(latency) => {
@@ -330,7 +352,7 @@ impl Orchestrator {
                     self.metrics.total_transport_latency_ms += latency;
                     self.obs.record(Activity::Delivering, context, latency);
                     max_latency = max_latency.max(latency);
-                    surviving.push(reading);
+                    batch.push(reading);
                 }
                 // Dropped poll readings are not retried: the next poll
                 // supersedes them.
@@ -340,39 +362,10 @@ impl Orchestrator {
         let span = admit.ctx();
         self.end(admit);
 
-        // Window accumulation (`every <T>`): buffer until the deadline.
-        let deliver = if let Some(window_ms) = window_ms {
-            let buffer = self.contexts[id as usize]
-                .windows
-                .get_mut(&activation_idx)
-                .expect("window initialized at launch");
-            if buffer.readings.capacity() == 0 {
-                // First poll of a window: size the buffer for every poll
-                // the window will hold instead of doubling up to it. A
-                // reservation the allocator refuses is not an error; the
-                // buffer then grows as it fills.
-                let polls = (window_ms / period_ms.max(1)).saturating_add(1);
-                let expected = usize::try_from(polls)
-                    .unwrap_or(usize::MAX)
-                    .saturating_mul(surviving.len());
-                let _ = buffer.readings.try_reserve_exact(expected);
-            }
-            buffer.readings.extend(surviving);
-            if now >= buffer.deadline {
-                let batch = std::mem::take(&mut buffer.readings);
-                buffer.deadline = now + window_ms;
-                Some(batch)
-            } else {
-                None
-            }
-        } else {
-            Some(surviving)
-        };
-
-        if let Some(readings) = deliver {
+        if flush {
             self.check_qos(id, max_latency);
             // One schedule span stands for the whole batch hop (the batch
-            // arrives with its slowest surviving reading). A window flush
+            // arrives with its slowest delivered reading). A window flush
             // is attributed to the poll that flushed it.
             let batch_span = self.point(
                 span,
@@ -386,11 +379,13 @@ impl Orchestrator {
                 Event::BatchDeliver {
                     context: id,
                     activation_idx,
-                    readings,
+                    batch: Box::new(batch),
                     window_ms,
                     span: batch_span,
                 },
             );
+        } else {
+            self.contexts[id as usize].windows[activation_idx].batch = batch;
         }
 
         // Keep the cadence anchored to the poll time, not delivery time.
@@ -408,7 +403,7 @@ impl Orchestrator {
         design: &Design,
         id: u32,
         activation_idx: usize,
-        readings: Vec<PolledReading>,
+        batch: Gathered,
         window_ms: Option<u64>,
         span: SpanCtx,
     ) {
@@ -419,20 +414,22 @@ impl Orchestrator {
         let arrival = self.begin(span, SpanStage::Dispatch, None, || context.into());
         let ctx = arrival.ctx();
 
-        // One pass groups the batch into one flat layout of the batch's
-        // payload handles — a 10k-reading batch groups with 10k pointer
-        // bumps, not 10k value copies.
-        let grouped = periodic.group_by.as_ref().map(|_| Groups::of(&readings));
+        // The grouped records are indexed in group order by one counting
+        // pass over their positions; no reading is cloned or re-hashed.
+        let (readings, grouped) = batch.seal();
 
-        let (reduced, coverage) = if !periodic.map_reduce {
-            (None, None)
-        } else if let Some(mr) = self.contexts[id as usize].map_reduce.clone() {
-            self.process_batch(design, id, mr.as_ref(), &readings, ctx)
-        } else {
-            self.contain(RuntimeError::Configuration(format!(
-                "context `{context}` reached a MapReduce batch without phases"
-            )));
-            (None, None)
+        // A MapReduce activation always groups (`grouped by ... with map`).
+        let (reduced, coverage) = match grouped.as_ref().filter(|_| periodic.map_reduce) {
+            None => (None, None),
+            Some(groups) => match self.contexts[id as usize].map_reduce.clone() {
+                Some(mr) => self.process_batch(design, id, mr.as_ref(), groups, ctx),
+                None => {
+                    self.contain(RuntimeError::Configuration(format!(
+                        "context `{context}` reached a MapReduce batch without phases"
+                    )));
+                    (None, None)
+                }
+            },
         };
 
         let batch = BatchData {
@@ -450,7 +447,7 @@ impl Orchestrator {
     }
 
     /// Runs a batch through the context's MapReduce phases. The Map
-    /// phase reads the grouped readings in batch order, so the task
+    /// phase reads the grouped records in batch order, so the task
     /// chunks (and with them every seeded task fate and coverage report)
     /// do not depend on the grouping layout.
     fn process_batch(
@@ -458,7 +455,7 @@ impl Orchestrator {
         design: &Design,
         id: u32,
         mr: &dyn MapReduceLogic,
-        readings: &[PolledReading],
+        groups: &Groups,
         ctx: SpanCtx,
     ) -> (Option<BTreeMap<Value, Value>>, Option<CoverageReport>) {
         let context = design.contexts.name(id);
@@ -466,10 +463,9 @@ impl Orchestrator {
         // Batch ingestion into the MapReduce substrate is its own span;
         // the per-phase wall times become compute spans nested under it.
         let ingest = self.begin(ctx, SpanStage::Ingest, None, || context.into());
-        let input = Records {
-            readings: readings.iter(),
-            left: readings.iter().filter(|r| r.group.is_some()).count(),
-        };
+        // The records know their length, so the executor collects the
+        // Map input with one allocation.
+        let input = groups.records();
         let job = match self.processing {
             ProcessingMode::Serial => Job::serial(),
             ProcessingMode::Parallel(workers) => Job::parallel(workers),
@@ -767,31 +763,6 @@ impl Orchestrator {
                     })
             }
         }
-    }
-}
-
-/// A MapReduce input: each grouped reading's `(group, value)` handles,
-/// borrowed from the batch in batch order. It knows its length, so the
-/// executor collects it with one allocation.
-struct Records<'a> {
-    readings: std::slice::Iter<'a, PolledReading>,
-    /// Grouped readings not yet yielded.
-    left: usize,
-}
-
-impl<'a> Iterator for Records<'a> {
-    type Item = (&'a Payload, &'a Payload);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let record = self
-            .readings
-            .find_map(|r| Some((r.group.as_ref()?, &r.value)))?;
-        self.left -= 1;
-        Some(record)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
     }
 }
 

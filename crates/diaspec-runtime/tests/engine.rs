@@ -414,9 +414,12 @@ fn window_aggregates_multiple_periods() {
         "Hourly",
         |_api: &mut ContextApi<'_>, activation: ContextActivation<'_>| match activation {
             ContextActivation::Batch(batch) => {
-                // Average over the whole window.
-                let sum: i64 = batch.readings.iter().filter_map(|r| r.value.as_int()).sum();
-                let n = batch.readings.len().max(1);
+                // Average over the whole window: every reading has a zone,
+                // so every reading is a grouped record.
+                assert!(batch.readings.is_empty());
+                let records = batch.grouped.as_ref().expect("grouping declared").records();
+                let n = records.len().max(1);
+                let sum: i64 = records.filter_map(|(_, v)| v.as_int()).sum();
                 assert_eq!(batch.window_ms, Some(3_600_000));
                 Ok(Some(Value::Float(sum as f64 / n as f64)))
             }
@@ -1132,13 +1135,24 @@ fn entities_bound_and_unbound_mid_run_affect_subsequent_polls() {
 
 // ---------- batch order and window contents -------------------------------------
 
-/// What one delivered batch held: entity ids in batch order, readings in
-/// batch order, and the `grouped by` partition.
+/// What one delivered batch held: its grouped records in batch order,
+/// as (key, reading), and the `grouped by` partition. The `n`-th panel
+/// bound (`p-{n + 1}`) reports `10 × minute + n`, so a reading names its
+/// entity.
 #[derive(Debug, Clone, PartialEq)]
 struct SeenBatch {
-    entities: Vec<String>,
-    readings: Vec<Value>,
+    records: Vec<(Value, Value)>,
     grouped: Vec<(Value, Vec<Value>)>,
+}
+
+impl SeenBatch {
+    /// The entity behind each record, in batch order.
+    fn entities(&self) -> Vec<String> {
+        self.records
+            .iter()
+            .map(|(_, v)| format!("p-{}", v.as_int().unwrap() % 10 + 1))
+            .collect()
+    }
 }
 
 /// Polls the `level` source of the `Panel` family every 10 minutes,
@@ -1173,21 +1187,15 @@ fn panel_batches(window: &str, faults: Option<u64>, minutes: u64) -> Vec<SeenBat
         "Levels",
         move |_: &mut ContextApi<'_>, activation: ContextActivation<'_>| {
             if let ContextActivation::Batch(batch) = activation {
+                // Every panel has a zone: no reading is ungrouped.
+                assert!(batch.readings.is_empty());
+                let grouped = batch.grouped.as_ref().expect("grouping declared");
                 sink.lock().unwrap().push(SeenBatch {
-                    entities: batch
-                        .readings
-                        .iter()
-                        .map(|r| r.entity.to_string())
+                    records: grouped
+                        .records()
+                        .map(|(k, v)| (k.value().clone(), v.value().clone()))
                         .collect(),
-                    readings: batch
-                        .readings
-                        .iter()
-                        .map(|r| r.value.value().clone())
-                        .collect(),
-                    grouped: batch
-                        .grouped
-                        .as_ref()
-                        .expect("grouping declared")
+                    grouped: grouped
                         .iter()
                         .map(|(k, vs)| {
                             (
@@ -1244,19 +1252,19 @@ fn batch_order_is_member_type_then_id_and_a_window_concatenates_polls() {
     // before `Panel`), ids in order within each — not global id order.
     let polls = panel_batches("", None, 25);
     assert_eq!(polls.len(), 2);
-    assert_eq!(polls[0].entities, ["p-1", "p-3", "p-2", "p-4"]);
-    assert_eq!(polls[1].entities, polls[0].entities);
+    assert_eq!(polls[0].entities(), ["p-1", "p-3", "p-2", "p-4"]);
+    assert_eq!(polls[1].entities(), polls[0].entities());
 
     // A window holds its polls back to back, in poll order.
     let windows = panel_batches("every <20 min>", None, 25);
     assert_eq!(windows.len(), 1);
     assert_eq!(
-        windows[0].entities,
+        windows[0].entities(),
         ["p-1", "p-3", "p-2", "p-4", "p-1", "p-3", "p-2", "p-4"]
     );
     assert_eq!(
-        windows[0].readings,
-        [polls[0].readings.clone(), polls[1].readings.clone()].concat()
+        windows[0].records,
+        [polls[0].records.clone(), polls[1].records.clone()].concat()
     );
 }
 
@@ -1269,20 +1277,18 @@ fn window_batch_equals_the_concatenation_of_its_polls_under_drops_and_duplicates
         assert_eq!(polls.len(), 12, "seed {seed}");
         assert_eq!(windows.len(), 2, "seed {seed}");
         let clean = 12 * 4;
-        let delivered: usize = polls.iter().map(|p| p.readings.len()).sum();
+        let delivered: usize = polls.iter().map(|p| p.records.len()).sum();
         assert_ne!(delivered, clean, "seed {seed}: the plan injected faults");
 
         for (w, window) in windows.iter().enumerate() {
             let its_polls = &polls[w * 6..(w + 1) * 6];
             let mut expected = SeenBatch {
-                entities: Vec::new(),
-                readings: Vec::new(),
+                records: Vec::new(),
                 grouped: Vec::new(),
             };
             let mut groups: std::collections::BTreeMap<Value, Vec<Value>> = Default::default();
             for poll in its_polls {
-                expected.entities.extend(poll.entities.iter().cloned());
-                expected.readings.extend(poll.readings.iter().cloned());
+                expected.records.extend(poll.records.iter().cloned());
                 for (key, values) in &poll.grouped {
                     groups
                         .entry(key.clone())

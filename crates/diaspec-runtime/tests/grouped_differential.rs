@@ -1,13 +1,16 @@
 //! Differential test of the `grouped by` layout.
 //!
-//! `BatchData::grouped` is a flat view built in one pass over the batch
-//! (`Groups::of`): a reading finds its group by its canonical handle, and
-//! a handle seen for the first time joins the group of an equal value.
-//! Its reference is the obvious map the test builds from
-//! `batch.readings`: `BTreeMap<Value, Vec<Value>>`, keyed by value, each
-//! group's readings pushed in batch order. Every batch a context is
-//! handed must agree with it on the keys, their order, and each group's
-//! readings and their order.
+//! `BatchData::grouped` holds a grouped batch as one record per reading,
+//! in batch order, each naming its group by a small id: as a reading is
+//! appended it finds its group by its canonical handle, and a handle seen
+//! for the first time joins the group of an equal value. Sealing the
+//! batch indexes the records in group order. The reference is the
+//! obvious map the test builds from the batch-order records by their key
+//! values, not their ids (or, for a registry poll, from its
+//! `PolledReading`s): `BTreeMap<Value, Vec<Value>>`, each group's readings
+//! pushed in batch order. Every batch a context is handed must agree
+//! with it on the keys, their order, and each group's readings and their
+//! order.
 //!
 //! The cases are the ones where one value arrives under several handles
 //! or a reading arrives without one:
@@ -39,18 +42,21 @@ use std::sync::{Arc, Mutex};
 /// A partition compared by value: each key with its readings.
 type Partition = Vec<(Value, Vec<Value>)>;
 
-/// The reference partition of `readings`.
-fn reference(readings: &[PolledReading]) -> Partition {
+/// The reference partition of `(key, reading)` pairs in batch order.
+fn reference<'a>(records: impl Iterator<Item = (&'a Value, &'a Value)>) -> Partition {
     let mut groups: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
-    for reading in readings {
-        if let Some(group) = &reading.group {
-            groups
-                .entry(group.value().clone())
-                .or_default()
-                .push(reading.value.value().clone());
-        }
+    for (key, reading) in records {
+        groups.entry(key.clone()).or_default().push(reading.clone());
     }
     groups.into_iter().collect()
+}
+
+/// The grouped readings of a poll (or a window of polls), as the
+/// reference reads them.
+fn keyed(readings: &[PolledReading]) -> impl Iterator<Item = (&Value, &Value)> {
+    readings
+        .iter()
+        .filter_map(|r| Some((r.group.as_ref()?.value(), r.value.value())))
 }
 
 /// What the view yields.
@@ -66,8 +72,9 @@ fn view(groups: &Groups) -> Partition {
         .collect()
 }
 
-/// The distinct handles each grouping value arrived under in `readings`.
-fn handles_per_value(readings: &[PolledReading]) -> BTreeMap<Value, BTreeSet<usize>> {
+/// The most distinct handles one grouping value arrived under in
+/// `readings`.
+fn most_handles(readings: &[PolledReading]) -> usize {
     let mut handles: BTreeMap<Value, BTreeSet<usize>> = BTreeMap::new();
     for group in readings.iter().filter_map(|r| r.group.as_ref()) {
         let at: *const Value = group.value();
@@ -76,20 +83,19 @@ fn handles_per_value(readings: &[PolledReading]) -> BTreeMap<Value, BTreeSet<usi
             .or_default()
             .insert(at as usize);
     }
-    handles
+    handles.values().map(BTreeSet::len).max().unwrap_or(0)
 }
 
 const MINUTE: u64 = 60_000;
 
-/// One delivered batch: its readings' partition by the reference and by
-/// the view, the most handles one value arrived under, and what the
-/// MapReduce context reduced (or would have, by the reference).
+/// One delivered batch: how many readings it held, its records'
+/// partition by the reference and by the view, and what the MapReduce
+/// context reduced (or would have, by the reference).
 #[derive(Debug, Default)]
 struct Seen {
     readings: usize,
     reference: Partition,
     view: Partition,
-    most_handles: usize,
     reduced: Option<(BTreeMap<Value, Value>, BTreeMap<Value, Value>)>,
 }
 
@@ -107,32 +113,38 @@ impl MapReduceLogic for Collect {
     }
 }
 
+const PANELS: &str = r#"
+    device Panel { attribute zone as String; source level as Integer; }
+    device EntrancePanel extends Panel { }
+    context Levels as Integer {
+      when periodic level from Panel <10 min>
+        grouped by zone every <30 min>
+        no publish;
+    }
+    context Lists as Integer {
+      when periodic level from Panel <10 min>
+        grouped by zone with map as Integer reduce as Integer[]
+        no publish;
+    }
+"#;
+
+/// The panels bound at the start, `(n, type, zone)` for `p-{n}`.
+const PANEL_BINDINGS: [(u64, &str, &str); 4] = [
+    (1, "EntrancePanel", "north"),
+    (2, "Panel", "south"),
+    (3, "EntrancePanel", "south"),
+    (4, "Panel", "north"),
+];
+
 /// The `Panel` family (two `Panel`s, two `EntrancePanel`s, one of each
 /// in `north`) polled every 10 minutes for `minutes`, grouped by `zone`
 /// into 30-minute windows (`Levels`) and into MapReduce batches
 /// (`Lists`). At minute 15 the only plain `Panel` in `north` is unbound
 /// and a replacement is bound in `north`, so the first window holds two
-/// handles of `north` for the type, and a third for `EntrancePanel`.
+/// handles of `north` for the type, and a third for `EntrancePanel`
+/// (`the_panel_script_mints_three_handles_of_one_value`).
 fn panel_batches(faults: Option<u64>, minutes: u64) -> Vec<Seen> {
-    let spec = Arc::new(
-        compile_str(
-            r#"
-            device Panel { attribute zone as String; source level as Integer; }
-            device EntrancePanel extends Panel { }
-            context Levels as Integer {
-              when periodic level from Panel <10 min>
-                grouped by zone every <30 min>
-                no publish;
-            }
-            context Lists as Integer {
-              when periodic level from Panel <10 min>
-                grouped by zone with map as Integer reduce as Integer[]
-                no publish;
-            }
-            "#,
-        )
-        .unwrap(),
-    );
+    let spec = Arc::new(compile_str(PANELS).unwrap());
     let seen: Arc<Mutex<Vec<Seen>>> = Arc::default();
     let mut orch = Orchestrator::new(spec);
     for context in ["Levels", "Lists"] {
@@ -144,7 +156,9 @@ fn panel_batches(faults: Option<u64>, minutes: u64) -> Vec<Seen> {
                     return Ok(None);
                 };
                 let grouped = batch.grouped.as_ref().expect("grouping declared");
-                let reference = reference(&batch.readings);
+                // Every panel has a zone: each reading is a record.
+                assert!(batch.readings.is_empty());
+                let reference = reference(grouped.records().map(|(k, v)| (k.value(), v.value())));
                 let reduced = batch.reduced.clone().map(|reduced| {
                     let lists = reference
                         .iter()
@@ -153,14 +167,9 @@ fn panel_batches(faults: Option<u64>, minutes: u64) -> Vec<Seen> {
                     (reduced, lists)
                 });
                 sink.lock().unwrap().push(Seen {
-                    readings: batch.readings.len(),
+                    readings: grouped.records().len(),
                     view: view(grouped),
                     reference,
-                    most_handles: handles_per_value(&batch.readings)
-                        .values()
-                        .map(BTreeSet::len)
-                        .max()
-                        .unwrap_or(0),
                     reduced,
                 });
                 Ok(None)
@@ -176,12 +185,7 @@ fn panel_batches(faults: Option<u64>, minutes: u64) -> Vec<Seen> {
         orch.bind_entity(format!("p-{n}").into(), ty, attrs, Box::new(driver))
             .unwrap();
     };
-    for (n, ty, zone) in [
-        (1, "EntrancePanel", "north"),
-        (2, "Panel", "south"),
-        (3, "EntrancePanel", "south"),
-        (4, "Panel", "north"),
-    ] {
+    for (n, ty, zone) in PANEL_BINDINGS {
         bind(&mut orch, n, ty, zone);
     }
     if let Some(seed) = faults {
@@ -218,14 +222,53 @@ fn equal_values_under_different_handles_share_one_group() {
     assert_eq!(batches.len(), 8);
     assert_eq!(batches.iter().filter(|b| b.reduced.is_some()).count(), 6);
     assert_agrees(&batches, "no faults");
-    // Each window held `north` under three handles: the two exact types',
-    // and the plain type's before and after its rebind. One poll holds
-    // it under two.
+    // The first window held `north` under three handles and each poll
+    // under two (`the_panel_script_mints_three_handles_of_one_value`);
+    // each is one group.
     let window = batches.iter().find(|b| b.reduced.is_none()).unwrap();
-    assert_eq!(window.most_handles, 3);
     assert_eq!(window.view.len(), 2, "north and south, once each");
     assert_eq!(window.readings, 12);
-    assert!(batches.iter().all(|b| b.most_handles >= 2));
+    assert!(batches.iter().all(|b| b.view.len() == 2));
+}
+
+/// The handles the engine's batches above arrive under: the same
+/// bindings, unbind and rebind in a bare registry, polled at the same
+/// minutes. A window of polls 1–3 holds `north` under three handles:
+/// the two exact types', and the plain type's before and after its
+/// rebind; one poll holds it under two.
+#[test]
+fn the_panel_script_mints_three_handles_of_one_value() {
+    let mut registry = Registry::new(Arc::new(compile_str(PANELS).unwrap()));
+    let bind = |registry: &mut Registry, n: u64, ty: &str, zone: &str| {
+        let mut attrs = AttributeMap::new();
+        attrs.insert("zone".to_owned(), Value::from(zone));
+        let driver = move |_: &str, now: u64| Ok(Value::Int((now / MINUTE * 10 + n) as i64));
+        registry
+            .bind(
+                format!("p-{n}").into(),
+                ty,
+                attrs,
+                Box::new(driver),
+                BindingTime::Runtime,
+                0,
+            )
+            .unwrap();
+    };
+    for (n, ty, zone) in PANEL_BINDINGS {
+        bind(&mut registry, n, ty, zone);
+    }
+    let mut window: Vec<PolledReading> = Vec::new();
+    for minute in [10, 20, 30] {
+        if minute == 20 {
+            registry.unbind(&"p-4".into()).unwrap();
+            bind(&mut registry, 5, "Panel", "north");
+        }
+        let poll = registry.poll("Panel", "level", Some("zone"), minute * MINUTE);
+        assert_eq!(most_handles(&poll), 2, "minute {minute}");
+        window.extend(poll);
+    }
+    assert_eq!(most_handles(&window), 3);
+    assert_eq!(view(&Groups::of(&window)), reference(keyed(&window)));
 }
 
 #[test]
@@ -259,7 +302,7 @@ fn a_member_type_without_the_attribute_is_in_no_group() {
         let mut registry = Registry::new(Arc::new(compile_str(FAMILY).unwrap()));
         let mut live: Vec<String> = Vec::new();
         let mut window: Vec<PolledReading> = Vec::new();
-        let mut most_handles = 0;
+        let mut most = 0;
         for step in 0..60u64 {
             for _ in 0..rng.gen_range(0..4) {
                 let n = rng.gen_range(0..40);
@@ -296,25 +339,18 @@ fn a_member_type_without_the_attribute_is_in_no_group() {
                 let groups = Groups::of(&window);
                 assert_eq!(
                     view(&groups),
-                    reference(&window),
+                    reference(keyed(&window)),
                     "seed {seed}, step {step}"
                 );
                 let grouped: usize = groups.iter().map(|(_, vs)| vs.len()).sum();
+                assert_eq!(grouped, groups.records().len());
                 let ungrouped = window.iter().filter(|r| r.group.is_none()).count();
                 assert_eq!(grouped + ungrouped, window.len());
-                most_handles = handles_per_value(&window)
-                    .values()
-                    .map(BTreeSet::len)
-                    .max()
-                    .unwrap_or(0)
-                    .max(most_handles);
+                most = most.max(most_handles(&window));
                 window.clear();
             }
         }
-        assert!(
-            most_handles >= 2,
-            "seed {seed}: one value never had two handles"
-        );
+        assert!(most >= 2, "seed {seed}: one value never had two handles");
     }
 }
 

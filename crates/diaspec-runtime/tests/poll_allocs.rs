@@ -4,8 +4,9 @@
 //! three shared handles — the entity id, the canonical handle of its
 //! grouping attribute value, and the interned `Boolean` — so a poll sweep
 //! makes a constant number of allocator calls, not one (or five) per
-//! reading, and a buffered reading costs the three pointers it is made
-//! of.
+//! reading. A grouped window buffers each reading as one 16-byte record
+//! (a group id and the value handle), and its flush indexes the records
+//! with a constant number of allocator calls.
 //!
 //! A sweep walks the registry's entity slab by slot: its allocator calls
 //! do not grow with the fleet, and unbind/rebind churn reuses freed
@@ -23,7 +24,7 @@
 //! so nothing else allocates while one of them counts.
 
 use diaspec_core::compile_str;
-use diaspec_runtime::component::ContextActivation;
+use diaspec_runtime::component::{ContextActivation, Record};
 use diaspec_runtime::engine::{ContextApi, ControllerApi, Orchestrator};
 use diaspec_runtime::entity::{AttributeMap, BindingTime, DeviceInstance, EntityId};
 use diaspec_runtime::error::DeviceError;
@@ -102,7 +103,9 @@ fn a_polled_reading_costs_handles_not_allocations() {
     orch.register_context(
         "Occupancy",
         |_: &mut ContextApi<'_>, activation: ContextActivation<'_>| match activation {
-            ContextActivation::Batch(batch) => Ok(Some(Value::Int(batch.readings.len() as i64))),
+            ContextActivation::Batch(batch) => Ok(Some(Value::Int(
+                batch.grouped.as_ref().map_or(0, |g| g.records().len()) as i64,
+            ))),
             _ => Ok(None),
         },
     )
@@ -147,11 +150,18 @@ fn a_polled_reading_costs_handles_not_allocations() {
         "{calls} allocator calls for {readings} polled readings ({calls_per_reading:.2} each)"
     );
     // The 110-minute window is sized once, for 12 polls; 10 are in it.
+    // A buffered reading was a 32-byte `PolledReading` (38.4 B each with
+    // the two reserved polls); it is a 16-byte record (19.2 B).
     let bytes_per_reading = grown as f64 / readings as f64;
     assert!(
-        bytes_per_reading <= 48.0,
+        bytes_per_reading <= 20.0,
         "{grown} B of live heap for {readings} buffered readings ({bytes_per_reading:.1} B each)"
     );
+}
+
+#[test]
+fn a_buffered_grouped_reading_is_one_16_byte_record() {
+    assert!(std::mem::size_of::<Record>() <= 16);
 }
 
 /// A registry of `sensors` grouped Boolean presence sensors, `GROUPS`
@@ -324,6 +334,92 @@ fn an_engine_batch_costs_the_same_allocator_calls_at_100_and_at_4000_sensors() {
     assert_eq!(
         calls_small, calls_large,
         "a batch of 100 sensors made {calls_small} allocator calls, of 4 000 {calls_large}"
+    );
+}
+
+/// The fewest allocator calls one 30-minute window (three polls, the
+/// flush, the seal, the handler and the drop of the delivered batch) of
+/// an engine with `sensors` grouped presence sensors made, over a few
+/// windows.
+fn window_calls(sensors: u64) -> u64 {
+    let spec = Arc::new(
+        compile_str(
+            r#"
+            device PresenceSensor {
+              attribute parkingLot as ParkingLotEnum;
+              source presence as Boolean;
+            }
+            context Occupancy as Integer {
+              when periodic presence from PresenceSensor <10 min>
+                grouped by parkingLot every <30 min>
+                no publish;
+            }
+            enumeration ParkingLotEnum { L0, L1, L2, L3, L4, L5, L6, L7 }
+            "#,
+        )
+        .unwrap(),
+    );
+    let mut orch = Orchestrator::new(spec);
+    orch.register_context(
+        "Occupancy",
+        move |_: &mut ContextApi<'_>, activation: ContextActivation<'_>| match activation {
+            ContextActivation::Batch(batch) => {
+                let grouped = batch.grouped.as_ref().expect("grouping declared");
+                assert_eq!(grouped.len() as u64, GROUPS);
+                assert_eq!(grouped.records().len() as u64, 3 * sensors);
+                let occupied = grouped
+                    .iter()
+                    .flat_map(|(_, readings)| readings.iter())
+                    .filter(|r| r.as_bool() == Some(true))
+                    .count();
+                assert!(occupied > 0);
+                Ok(None)
+            }
+            _ => Ok(None),
+        },
+    )
+    .unwrap();
+    for i in 0..sensors {
+        let mut attrs = AttributeMap::new();
+        attrs.insert(
+            "parkingLot".to_owned(),
+            Value::enum_value("ParkingLotEnum", format!("L{}", i % GROUPS)),
+        );
+        let driver = move |_: &str, now: u64| Ok(Value::Bool((now / PERIOD_MS + i) % 3 == 1));
+        orch.bind_entity(
+            format!("presence-{i:04}").into(),
+            "PresenceSensor",
+            attrs,
+            Box::new(driver),
+        )
+        .unwrap();
+    }
+    orch.launch().unwrap();
+    // The first window flushes at minute 30; each later one 30 minutes on.
+    orch.run_until(3 * PERIOD_MS);
+    let calls = (2..=5)
+        .map(|window| {
+            let before = CALLS.load(Ordering::Relaxed);
+            orch.run_until(3 * window * PERIOD_MS);
+            CALLS.load(Ordering::Relaxed) - before
+        })
+        .min()
+        .expect("four windows");
+    assert_eq!(orch.metrics().context_activations, 5);
+    assert!(orch.drain_errors().is_empty());
+    calls
+}
+
+#[test]
+fn a_window_flush_costs_the_same_allocator_calls_at_100_and_at_4000_sensors() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (calls_small, calls_large) = (window_calls(100), window_calls(4_000));
+    // Each poll sizes its sweep once, the window's first poll sizes the
+    // window once, and the flush indexes the records with one position
+    // vector and a few group-sized tables.
+    assert_eq!(
+        calls_small, calls_large,
+        "a window of 100 sensors made {calls_small} allocator calls, of 4 000 {calls_large}"
     );
 }
 

@@ -64,7 +64,11 @@ fn build(transport: TransportConfig) -> Orchestrator {
     orch.register_context(
         "Batch",
         |_: &mut ContextApi<'_>, activation: ContextActivation<'_>| match activation {
-            ContextActivation::Batch(batch) => Ok(Some(Value::Int(batch.readings.len() as i64))),
+            // Readings delivered: the grouped records and any without a zone.
+            ContextActivation::Batch(batch) => Ok(Some(Value::Int(
+                (batch.readings.len() + batch.grouped.as_ref().map_or(0, |g| g.records().len()))
+                    as i64,
+            ))),
             _ => Ok(None),
         },
     )

@@ -109,6 +109,18 @@
 #    outside the manifest as `--link-budget` in diaspec-gen.rs, and a
 #    network tally of its own as a `rates::tally(` call in
 #    requirements.rs.
+# 16. One compact grouped batch: a grouped activation's readings are one
+#    array of 16-byte `(group id, value handle)` records from the poll to
+#    the handler (`Record`, `Grouping` and `Groups` in crates/diaspec-
+#    runtime/src/component.rs, docs/ARCHITECTURE.md "One grouped batch"):
+#    the poll appends each reading as it crosses the transport, an `every`
+#    window keeps the array, and `Groups` indexes it in group order by
+#    `u32` positions. The 32-byte form growing back shows up as
+#    `PolledReading` in the window buffer's type (`struct WindowBuffer` in
+#    engine.rs), a second collect of the delivered readings as
+#    `surviving` in engine/deliver/dispatch.rs, and a group-order copy of
+#    the value handles as a `Vec<Payload>` field of `struct Groups` other
+#    than its per-group `keys`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -406,3 +418,33 @@ if ! grep -q '^pub(crate) fn judge($' "$BUDGETS"; then
     exit 1
 fi
 echo "ok: one budget pass (rates::judge; no FamilyLoad/LinkLoad/DeploymentOptions, no --link-budget, no tally in requirements.rs)"
+
+COMPONENT=crates/diaspec-runtime/src/component.rs
+# The declaration of `struct $2` in file $1, as "file:line: text" lines.
+struct_body() {
+    awk -v name="$2" '$0 ~ "^(pub(\\(crate\\))? )?struct " name " \\{" {inside=1}
+        inside{print FILENAME ":" FNR ": " $0} inside && /^\}/{exit}' "$1"
+}
+window=$(struct_body "$ENGINE" WindowBuffer)
+groups=$(struct_body "$COMPONENT" Groups)
+if [ -z "$window" ] || [ -z "$groups" ]; then
+    echo "FAIL: $ENGINE no longer declares \`struct WindowBuffer {\` or $COMPONENT" >&2
+    echo "\`pub struct Groups {\`; update this check." >&2
+    exit 1
+fi
+if echo "$window" | grep -F 'PolledReading'; then
+    echo "FAIL: an \`every\` window buffers 32-byte PolledReadings again (line above);" >&2
+    echo "buffer the activation's component::Gathered, whose grouped readings are records." >&2
+    exit 1
+fi
+if grep -n 'surviving' "$DISPATCH"; then
+    echo "FAIL: $DISPATCH collects the delivered readings a second time (lines above);" >&2
+    echo "append each to the pending batch as it crosses the transport." >&2
+    exit 1
+fi
+if echo "$groups" | grep -F 'Vec<Payload>' | grep -vE '^[^:]+:[0-9]+: +keys: Vec<Payload>,$'; then
+    echo "FAIL: Groups copies the value handles into group order (line above); index" >&2
+    echo "the batch-order records by their u32 positions instead." >&2
+    exit 1
+fi
+echo "ok: one compact grouped batch (no PolledReading in the window buffer, no surviving collect, no group-order handle copy)"
