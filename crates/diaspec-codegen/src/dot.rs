@@ -7,8 +7,9 @@
 //! checked specification: render with `dot -Tsvg` to reproduce the
 //! figures for any design.
 
+use diaspec_core::analysis::graph::{EdgeKind, Node};
 use diaspec_core::analysis::{analyze, LoopKind};
-use diaspec_core::model::{ActivationTrigger, CheckedSpec, InputRef, Subscriber};
+use diaspec_core::model::CheckedSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -17,8 +18,20 @@ fn quote(s: &str) -> String {
     format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
+/// The DOT id of a graph node.
+fn id(node: &Node) -> String {
+    match node {
+        Node::Source { device, source } => format!("src:{device}.{source}"),
+        Node::Context(name) => format!("ctx:{name}"),
+        Node::Controller(name) => format!("ctl:{name}"),
+        Node::Action { device, action } => format!("act:{device}.{action}"),
+    }
+}
+
 /// Generates the Sense-Compute-Control diagram of a design, in the
-/// four-layer layout of the paper's Figures 3 and 4.
+/// four-layer layout of the paper's Figures 3 and 4: the analyzer's
+/// [`DesignGraph`](diaspec_core::analysis::DesignGraph), one DOT edge per
+/// declared clause.
 ///
 /// - Solid edges: event-driven flow (`when provided` / `when periodic`
 ///   subscriptions, controller triggers, `do` actions). Periodic edges
@@ -54,6 +67,7 @@ pub fn generate_dot(spec: &CheckedSpec, title: &str) -> String {
     // Overlay data from the static analyzer: which `do` edges conflict,
     // which close environment loops, and where those loops re-enter.
     let report = analyze(spec);
+    let graph = &report.graph;
     let mut conflict_edges: BTreeSet<(String, String, String)> = BTreeSet::new();
     for conflict in &report.conflicts {
         for site in [&conflict.first, &conflict.second] {
@@ -65,17 +79,24 @@ pub fn generate_dot(spec: &CheckedSpec, title: &str) -> String {
         }
     }
     let mut loop_edges: BTreeMap<(String, String, String), LoopKind> = BTreeMap::new();
-    let mut env_edges: BTreeSet<(String, String, String, String)> = BTreeSet::new();
+    let mut env_edges: BTreeSet<(String, String, &Node)> = BTreeSet::new();
     for lp in &report.loops {
         loop_edges
             .entry((lp.controller.clone(), lp.device.clone(), lp.action.clone()))
             .or_insert(lp.kind);
-        env_edges.insert((
-            lp.device.clone(),
-            lp.action.clone(),
-            source_owner(spec, &lp.feedback_device, &lp.source).to_owned(),
-            lp.source.clone(),
-        ));
+        // The re-entering source node: the one a clause naming the loop's
+        // feedback family and source reads.
+        let reentry = graph.edges.iter().find_map(|e| match &graph.nodes[e.from] {
+            node @ Node::Source { source, .. }
+                if *source == lp.source && e.family.as_ref() == Some(&lp.feedback_device) =>
+            {
+                Some(node)
+            }
+            _ => None,
+        });
+        if let Some(reentry) = reentry {
+            env_edges.insert((lp.device.clone(), lp.action.clone(), reentry));
+        }
     }
 
     let mut out = String::new();
@@ -88,201 +109,116 @@ pub fn generate_dot(spec: &CheckedSpec, title: &str) -> String {
         quote(&format!("{title} — Sense-Compute-Control design"))
     );
 
-    // ---- layer 1: device sources ----
-    let _ = writeln!(out, "    subgraph cluster_sources {{");
-    let _ = writeln!(out, "        label=\"Devices (sources)\"; style=dashed;");
-    for device in spec.devices() {
-        for source in &device.sources {
-            if source.declared_in != device.name {
-                continue; // inherited; drawn on the declaring device
-            }
-            let id = format!("src:{}.{}", device.name, source.name);
-            let _ = writeln!(
-                out,
-                "        {} [shape=ellipse, label={}];",
-                quote(&id),
-                quote(&format!("{}\\n{}", device.name, source.name))
-            );
-        }
-    }
-    let _ = writeln!(out, "    }}");
-
-    // ---- layer 2: contexts ----
-    let _ = writeln!(out, "    subgraph cluster_contexts {{");
-    let _ = writeln!(out, "        label=\"Contexts\"; style=dashed;");
-    for ctx in spec.contexts() {
-        let id = format!("ctx:{}", ctx.name);
-        let mr = if ctx.uses_map_reduce() {
-            "\\n[MapReduce]"
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "        {} [shape=box, style=rounded, label={}];",
-            quote(&id),
-            quote(&format!("{}\\nas {}{mr}", ctx.name, ctx.output))
-        );
-    }
-    let _ = writeln!(out, "    }}");
-
-    // ---- layer 3: controllers ----
-    let _ = writeln!(out, "    subgraph cluster_controllers {{");
-    let _ = writeln!(out, "        label=\"Controllers\"; style=dashed;");
-    for ctrl in spec.controllers() {
-        let id = format!("ctl:{}", ctrl.name);
-        let _ = writeln!(
-            out,
-            "        {} [shape=box, label={}];",
-            quote(&id),
-            quote(&ctrl.name)
-        );
-    }
-    let _ = writeln!(out, "    }}");
-
-    // ---- layer 4: device actions ----
-    let _ = writeln!(out, "    subgraph cluster_actions {{");
-    let _ = writeln!(out, "        label=\"Devices (actions)\"; style=dashed;");
-    let mut used_actions: Vec<(String, String)> = Vec::new();
-    for ctrl in spec.controllers() {
-        for binding in &ctrl.bindings {
-            for (action, device) in &binding.actions {
-                let key = (device.clone(), action.clone());
-                if !used_actions.contains(&key) {
-                    used_actions.push(key);
+    // ---- the four layers: sources, contexts, controllers, actions ----
+    let layers = [
+        ("sources", "Devices (sources)"),
+        ("contexts", "Contexts"),
+        ("controllers", "Controllers"),
+        ("actions", "Devices (actions)"),
+    ];
+    for (layer, (cluster, label)) in layers.iter().enumerate() {
+        let _ = writeln!(out, "    subgraph cluster_{cluster} {{");
+        let _ = writeln!(out, "        label=\"{label}\"; style=dashed;");
+        for node in &graph.nodes {
+            let attrs = match (layer, node) {
+                (0, Node::Source { device, source }) => format!(
+                    "shape=ellipse, label={}",
+                    quote(&format!("{device}\\n{source}"))
+                ),
+                (1, Node::Context(name)) => {
+                    let Some(ctx) = spec.context(name) else {
+                        continue;
+                    };
+                    let mr = if ctx.uses_map_reduce() {
+                        "\\n[MapReduce]"
+                    } else {
+                        ""
+                    };
+                    format!(
+                        "shape=box, style=rounded, label={}",
+                        quote(&format!("{name}\\nas {}{mr}", ctx.output))
+                    )
                 }
-            }
+                (2, Node::Controller(name)) => format!("shape=box, label={}", quote(name)),
+                (3, Node::Action { device, action }) => format!(
+                    "shape=ellipse, label={}",
+                    quote(&format!("{device}\\n{action}"))
+                ),
+                _ => continue,
+            };
+            let _ = writeln!(out, "        {} [{attrs}];", quote(&id(node)));
         }
+        let _ = writeln!(out, "    }}");
     }
-    for (device, action) in &used_actions {
-        let id = format!("act:{device}.{action}");
-        let _ = writeln!(
-            out,
-            "        {} [shape=ellipse, label={}];",
-            quote(&id),
-            quote(&format!("{device}\\n{action}"))
-        );
-    }
-    let _ = writeln!(out, "    }}");
 
     // ---- edges ----
-    for ctx in spec.contexts() {
-        let ctx_id = format!("ctx:{}", ctx.name);
-        for activation in &ctx.activations {
-            match &activation.trigger {
-                ActivationTrigger::DeviceSource { device, source } => {
-                    let _ = writeln!(
-                        out,
-                        "    {} -> {};",
-                        quote(&format!(
-                            "src:{}.{source}",
-                            source_owner(spec, device, source)
-                        )),
-                        quote(&ctx_id)
-                    );
-                }
-                ActivationTrigger::Periodic {
-                    device,
-                    source,
-                    period_ms,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "    {} -> {} [label={}];",
-                        quote(&format!(
-                            "src:{}.{source}",
-                            source_owner(spec, device, source)
-                        )),
-                        quote(&ctx_id),
-                        quote(&format!("every {}", human_period(*period_ms)))
-                    );
-                }
-                ActivationTrigger::Context(from) => {
-                    let _ = writeln!(
-                        out,
-                        "    {} -> {};",
-                        quote(&format!("ctx:{from}")),
-                        quote(&ctx_id)
-                    );
-                }
-                ActivationTrigger::OnDemand => {}
-            }
-            for get in &activation.gets {
-                let from = match get {
-                    InputRef::DeviceSource { device, source } => {
-                        format!("src:{}.{source}", source_owner(spec, device, source))
-                    }
-                    InputRef::Context(name) => format!("ctx:{name}"),
-                };
-                let _ = writeln!(
-                    out,
-                    "    {} -> {} [style=dashed, label=\"get\", constraint=false];",
-                    quote(&from),
-                    quote(&ctx_id)
-                );
-            }
+    // Each context's incoming clauses, then the controllers it triggers
+    // (once per controller); then every `do` clause.
+    for (ctx, node) in graph.nodes.iter().enumerate() {
+        if !matches!(node, Node::Context(_)) {
+            continue;
         }
-        // Context publications consumed by controllers.
-        for subscriber in spec.subscribers_of_context(&ctx.name) {
-            if let Subscriber::Controller(name) = subscriber {
+        for edge in graph.edges.iter().filter(|e| e.to == ctx) {
+            let from = quote(&id(&graph.nodes[edge.from]));
+            let attrs = match edge.kind {
+                EdgeKind::Periodic { period_ms, .. } => format!(
+                    " [label={}]",
+                    quote(&format!("every {}", human_period(period_ms)))
+                ),
+                EdgeKind::Query => " [style=dashed, label=\"get\", constraint=false]".to_owned(),
+                EdgeKind::Event | EdgeKind::Do => String::new(),
+            };
+            let _ = writeln!(out, "    {from} -> {}{attrs};", quote(&id(node)));
+        }
+        let mut triggered: Vec<usize> = Vec::new();
+        for edge in graph.edges.iter().filter(|e| e.from == ctx) {
+            if matches!(graph.nodes[edge.to], Node::Controller(_)) && !triggered.contains(&edge.to)
+            {
+                triggered.push(edge.to);
                 let _ = writeln!(
                     out,
                     "    {} -> {};",
-                    quote(&ctx_id),
-                    quote(&format!("ctl:{name}"))
+                    quote(&id(node)),
+                    quote(&id(&graph.nodes[edge.to]))
                 );
             }
         }
     }
-    for ctrl in spec.controllers() {
-        for binding in &ctrl.bindings {
-            for (action, device) in &binding.actions {
-                let key = (ctrl.name.clone(), device.clone(), action.clone());
-                let attrs = if conflict_edges.contains(&key) {
-                    " [color=red, penwidth=2, tooltip=\"actuation conflict\"]"
-                } else {
-                    match loop_edges.get(&key) {
-                        Some(LoopKind::Event) => {
-                            " [color=orange, penwidth=2, tooltip=\"feedback loop\"]"
-                        }
-                        Some(LoopKind::Query) => " [color=orange, tooltip=\"feedback loop (get)\"]",
-                        None => "",
-                    }
-                };
-                let _ = writeln!(
-                    out,
-                    "    {} -> {}{attrs};",
-                    quote(&format!("ctl:{}", ctrl.name)),
-                    quote(&format!("act:{device}.{action}"))
-                );
+    for edge in graph.edges.iter().filter(|e| e.kind == EdgeKind::Do) {
+        let (Node::Controller(ctrl), Node::Action { device, action }) =
+            (&graph.nodes[edge.from], &graph.nodes[edge.to])
+        else {
+            continue;
+        };
+        let key = (ctrl.clone(), device.clone(), action.clone());
+        let attrs = if conflict_edges.contains(&key) {
+            " [color=red, penwidth=2, tooltip=\"actuation conflict\"]"
+        } else {
+            match loop_edges.get(&key) {
+                Some(LoopKind::Event) => " [color=orange, penwidth=2, tooltip=\"feedback loop\"]",
+                Some(LoopKind::Query) => " [color=orange, tooltip=\"feedback loop (get)\"]",
+                None => "",
             }
-        }
+        };
+        let _ = writeln!(
+            out,
+            "    {} -> {}{attrs};",
+            quote(&id(&graph.nodes[edge.from])),
+            quote(&id(&graph.nodes[edge.to]))
+        );
     }
     // Environment return edges of detected feedback loops: the physical
     // coupling from an actuated device back into a sensed source.
-    for (device, action, owner, source) in &env_edges {
+    for (device, action, reentry) in &env_edges {
         let _ = writeln!(
             out,
             "    {} -> {} [style=dotted, color=orange, label=\"environment\", constraint=false];",
             quote(&format!("act:{device}.{action}")),
-            quote(&format!("src:{owner}.{source}"))
+            quote(&id(reentry))
         );
     }
     out.push_str("}\n");
     out
-}
-
-/// The device that actually declares `source` (walking up `extends`), so
-/// subscriptions against subtypes draw to the single declaring node.
-fn source_owner<'s>(spec: &'s CheckedSpec, device: &'s str, source: &str) -> &'s str {
-    spec.device(device)
-        .and_then(|d| d.source(source))
-        .map_or(device, |s| {
-            // `declared_in` lives in the model as a String; find the
-            // device entry to borrow a stable &str.
-            spec.device(&s.declared_in)
-                .map_or(device, |d| d.name.as_str())
-        })
 }
 
 fn human_period(ms: u64) -> String {

@@ -24,15 +24,16 @@
 //! actuation happens depends on runtime timing. Each finding carries
 //! both provenance chains.
 
-use crate::chains::{functional_chains, ChainStep, FunctionalChain};
+use crate::chains::{chains_of, FunctionalChain};
 use crate::diag::{Diagnostic, Diagnostics, Severity};
-use crate::model::{ActivationTrigger, CheckedSpec, PublishMode};
+use crate::model::{CheckedSpec, PublishMode};
 use crate::span::{Loc, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 use super::deployment::{DesignRef, MergedTaxonomy};
+use super::graph::{DesignGraph, EdgeKind, Node};
 
 /// One `do` clause, located precisely enough to report a conflict.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -142,32 +143,36 @@ struct TriggerRoot {
 /// Device publications that (transitively) trigger each context's own
 /// publications, keyed by context name. Computed in topological order so
 /// upstream contexts are resolved before their consumers.
-fn context_roots(spec: &CheckedSpec) -> BTreeMap<String, Vec<TriggerRoot>> {
+fn context_roots(spec: &CheckedSpec, graph: &DesignGraph) -> BTreeMap<String, Vec<TriggerRoot>> {
     let mut roots: BTreeMap<String, Vec<TriggerRoot>> = BTreeMap::new();
     for ctx in spec.context_topo_order() {
+        let id = graph.context_id(&ctx.name);
         let mut merged: BTreeMap<(String, String), bool> = BTreeMap::new();
-        for activation in &ctx.activations {
+        for edge in graph
+            .edges
+            .iter()
+            .filter(|e| Some(e.to) == id && e.kind.is_flow())
+        {
             // An activation that never publishes contributes no roots:
             // nothing downstream is event-triggered through it.
-            if activation.publish == PublishMode::No {
+            let publish = graph
+                .activation(spec, edge)
+                .map_or(PublishMode::No, |a| a.publish);
+            if publish == PublishMode::No {
                 continue;
             }
-            let publish_guaranteed = activation.publish == PublishMode::Always;
-            let incoming: Vec<TriggerRoot> = match &activation.trigger {
-                ActivationTrigger::DeviceSource { device, source }
-                | ActivationTrigger::Periodic { device, source, .. } => vec![TriggerRoot {
-                    family: device.clone(),
+            let publish_guaranteed = publish == PublishMode::Always;
+            let incoming: Vec<TriggerRoot> = match (&graph.nodes[edge.from], &edge.family) {
+                (Node::Source { source, .. }, Some(family)) => vec![TriggerRoot {
+                    family: family.clone(),
                     source: source.clone(),
                     // Batched delivery decouples publication instants
                     // from readings: a shared root, but not a shared
                     // *instant*.
-                    guaranteed: matches!(
-                        activation.trigger,
-                        ActivationTrigger::DeviceSource { .. }
-                    ),
+                    guaranteed: edge.kind == EdgeKind::Event,
                 }],
-                ActivationTrigger::Context(from) => roots.get(from).cloned().unwrap_or_default(),
-                ActivationTrigger::OnDemand => Vec::new(),
+                (Node::Context(from), _) => roots.get(from).cloned().unwrap_or_default(),
+                _ => Vec::new(),
             };
             for root in incoming {
                 let guaranteed = root.guaranteed && publish_guaranteed;
@@ -192,36 +197,49 @@ fn context_roots(spec: &CheckedSpec) -> BTreeMap<String, Vec<TriggerRoot>> {
 
 /// Every `do` clause of the design as an [`ActuationSite`], with its
 /// provenance chain resolved.
-fn collect_sites(spec: &CheckedSpec) -> Vec<ActuationSite> {
-    let chains = functional_chains(spec);
+fn collect_sites(spec: &CheckedSpec, graph: &DesignGraph) -> Vec<ActuationSite> {
+    let chains = chains_of(graph);
     let mut sites = Vec::new();
-    for ctrl in spec.controllers() {
-        for binding in &ctrl.bindings {
-            for (index, (action, device)) in binding.actions.iter().enumerate() {
-                sites.push(ActuationSite {
-                    controller: ctrl.name.clone(),
-                    trigger_context: binding.context.clone(),
-                    action: action.clone(),
-                    device: device.clone(),
-                    span: binding.action_span(index),
-                    chain: provenance(&chains, &ctrl.name, &binding.context, action, device),
-                });
-            }
-        }
+    for edge in graph.edges.iter().filter(|e| e.kind == EdgeKind::Do) {
+        let (Node::Controller(controller), Node::Action { device, action }) =
+            (&graph.nodes[edge.from], &graph.nodes[edge.to])
+        else {
+            continue;
+        };
+        let Some(binding) = graph.binding(spec, edge) else {
+            continue;
+        };
+        sites.push(ActuationSite {
+            controller: controller.clone(),
+            trigger_context: binding.context.clone(),
+            action: action.clone(),
+            device: device.clone(),
+            span: graph.span(spec, edge),
+            chain: provenance(&chains, controller, &binding.context, action, device),
+        });
     }
     sites
 }
 
 /// The one conflict pass: every pair of `do` clauses in `designs` that
 /// performs the same action on overlapping families, within one design
-/// (i = j, each unordered pair once) and across two (i < j).
+/// (i = j, each unordered pair once) and across two (i < j). Design
+/// `i`'s graph is `graphs[i]`.
 pub(crate) fn detect(
     designs: &[DesignRef<'_>],
+    graphs: &[DesignGraph],
     taxonomy: &MergedTaxonomy,
 ) -> Vec<ActuationConflict> {
-    let sites: Vec<Vec<ActuationSite>> = designs.iter().map(|d| collect_sites(d.spec)).collect();
-    let roots: Vec<BTreeMap<String, Vec<TriggerRoot>>> =
-        designs.iter().map(|d| context_roots(d.spec)).collect();
+    let sites: Vec<Vec<ActuationSite>> = designs
+        .iter()
+        .zip(graphs)
+        .map(|(d, graph)| collect_sites(d.spec, graph))
+        .collect();
+    let roots: Vec<BTreeMap<String, Vec<TriggerRoot>>> = designs
+        .iter()
+        .zip(graphs)
+        .map(|(d, graph)| context_roots(d.spec, graph))
+        .collect();
 
     let mut conflicts = Vec::new();
     for i in 0..designs.len() {
@@ -265,9 +283,14 @@ pub(crate) fn detect(
 
 /// The pass over one design (the N = 1 universe), with its findings
 /// reported into `diags`.
-pub(crate) fn detect_design(spec: &CheckedSpec, diags: &mut Diagnostics) -> Vec<ActuationConflict> {
+pub(crate) fn detect_design(
+    spec: &CheckedSpec,
+    graph: &DesignGraph,
+    diags: &mut Diagnostics,
+) -> Vec<ActuationConflict> {
     let design = [DesignRef { name: "", spec }];
-    let conflicts = detect(&design, &MergedTaxonomy::build(&design));
+    let graphs = std::slice::from_ref(graph);
+    let conflicts = detect(&design, graphs, &MergedTaxonomy::build(&design));
     diags.extend(conflicts.iter().map(|c| render(&design, c)));
     conflicts
 }
@@ -326,12 +349,12 @@ fn provenance(
             let n = steps.len();
             n >= 3
                 && steps[n - 1]
-                    == ChainStep::Action {
+                    == Node::Action {
                         device: device.to_owned(),
                         action: action.to_owned(),
                     }
-                && steps[n - 2] == ChainStep::Controller(controller.to_owned())
-                && steps[n - 3] == ChainStep::Context(trigger.to_owned())
+                && steps[n - 2] == Node::Controller(controller.to_owned())
+                && steps[n - 3] == Node::Context(trigger.to_owned())
         })
         .map(ToString::to_string)
 }
@@ -432,7 +455,7 @@ mod tests {
     fn analyze(src: &str) -> (Vec<ActuationConflict>, Diagnostics) {
         let spec = compile_str(src).unwrap();
         let mut diags = Diagnostics::new();
-        let conflicts = detect_design(&spec, &mut diags);
+        let conflicts = detect_design(&spec, &DesignGraph::build(&spec), &mut diags);
         (conflicts, diags)
     }
 

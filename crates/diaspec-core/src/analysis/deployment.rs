@@ -34,6 +34,7 @@ use crate::span::{Loc, Span};
 use std::collections::{BTreeMap, BTreeSet};
 
 use super::conflicts::{self, ActuationConflict};
+use super::graph::DesignGraph;
 use super::rates::{self, EdgeCapacity};
 use super::AnalysisOptions;
 
@@ -194,14 +195,18 @@ pub fn analyze_deployment(
     options: &AnalysisOptions,
 ) -> DeploymentReport {
     let taxonomy = MergedTaxonomy::build(designs);
-    // Each design's load model, once. W0404 is a per-design finding the
-    // single-design pass already reports.
+    // Each design's graph and load model, once. W0404 is a per-design
+    // finding the single-design pass already reports.
+    let graphs: Vec<DesignGraph> = designs.iter().map(|d| DesignGraph::build(d.spec)).collect();
     let loads: Vec<Vec<EdgeCapacity>> = designs
         .iter()
-        .map(|d| rates::detect(d.spec, options.fleet_size, &mut Diagnostics::new()).edges)
+        .zip(&graphs)
+        .map(|(d, graph)| {
+            rates::detect(d.spec, graph, options.fleet_size, &mut Diagnostics::new()).edges
+        })
         .collect();
     let mut report = DeploymentReport::default();
-    for conflict in conflicts::detect(designs, &taxonomy) {
+    for conflict in conflicts::detect(designs, &graphs, &taxonomy) {
         if conflict.first_design != conflict.second_design {
             report
                 .diagnostics
@@ -211,7 +216,7 @@ pub fn analyze_deployment(
     }
     detect_cut_violations(designs, pins, &taxonomy, &mut report);
     let fleet = |_: &str| options.fleet_size;
-    let budgets = rates::judge(designs, &loads, &fleet, pins, None);
+    let budgets = rates::judge(designs, &graphs, &loads, &fleet, pins, None);
     report.diagnostics.extend(budgets.together);
     report
 }

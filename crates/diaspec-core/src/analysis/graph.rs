@@ -1,20 +1,27 @@
-//! Pass 1: the whole-design Sense-Compute-Control dataflow graph.
+//! Pass 1: the analyzer's one lowering of a design — the whole-design
+//! Sense-Compute-Control dataflow graph.
 //!
-//! Every other analysis pass works on this graph: nodes are device
-//! sources, contexts, controllers, and device actions; edges carry the
-//! interaction kind declared in the design (event-driven subscription,
-//! periodic delivery, query-driven `get`, or a controller `do` clause).
-//! Device references are *attribute-refined sets*: a subscription or `do`
+//! [`DesignGraph::build`] is the only walk of the model's activations
+//! and bindings in the analyzer: every other pass, the functional chains
+//! ([`crate::chains`]), the requirements estimate and the DOT view read
+//! its nodes and edges. Nodes are device sources, contexts, controllers,
+//! and device actions. Each declared clause is one edge — a trigger, a
+//! `get`, a binding's trigger or a `do` — in declaration order, never
+//! merged with another. An edge carries the interaction kind, the device
+//! family as the clause writes it, and its origin (the clause's index in
+//! its component), from which a pass reads back spans, publish modes
+//! and groupings. Device references are *attribute-refined sets*: a
 //! clause against a device names its whole `extends` family, so overlap
 //! questions (conflicts, feedback) are answered on families, not names.
 
-use crate::model::{ActivationTrigger, CheckedSpec, InputRef};
+use crate::model::{Activation, ActivationTrigger, CheckedSpec, ControllerBinding, InputRef};
+use crate::span::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 /// A node of the dataflow graph.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Node {
     /// A device sensing facet, attributed to its declaring device.
     Source {
@@ -53,10 +60,13 @@ pub enum EdgeKind {
     /// Event-driven flow: `when provided` subscriptions and
     /// context-to-controller triggers.
     Event,
-    /// Periodic batched delivery with its period.
+    /// Periodic batched delivery.
     Periodic {
         /// Delivery period in milliseconds.
         period_ms: u64,
+        /// The `every <W>` aggregation window in milliseconds, when the
+        /// clause declares one.
+        window_ms: Option<u64>,
     },
     /// Query-driven read: a `get` clause (the paper's loop arrows).
     Query,
@@ -67,12 +77,12 @@ pub enum EdgeKind {
 impl EdgeKind {
     /// Whether this edge pushes data on its own (event or periodic), as
     /// opposed to being pulled (`get`) or being an actuation.
-    fn is_flow(self) -> bool {
+    pub(crate) fn is_flow(self) -> bool {
         matches!(self, EdgeKind::Event | EdgeKind::Periodic { .. })
     }
 }
 
-/// A directed edge of the dataflow graph.
+/// A directed edge of the dataflow graph: one declared clause.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Edge {
     /// Index of the origin node in [`DesignGraph::nodes`].
@@ -81,17 +91,34 @@ pub struct Edge {
     pub to: usize,
     /// Interaction kind.
     pub kind: EdgeKind,
+    /// The device family as the clause names it: `from Leaf` stays
+    /// `Leaf` though the source node is the declaring device's, and a
+    /// `do ... on K` is `K`. `None` between two components.
+    pub family: Option<String>,
+    /// The declaring clause's index in its component: the activation of
+    /// the context an edge enters, or the binding of the controller a
+    /// trigger edge enters or a `do` edge leaves.
+    pub clause: usize,
+    /// A `do` edge's index among its binding's actions; `None` for every
+    /// other edge.
+    pub action: Option<usize>,
 }
 
-/// The dataflow graph of a whole design.
+/// The dataflow graph of a whole design: its one lowering.
 ///
 /// Built once by [`DesignGraph::build`] and shared by the conflict,
-/// feedback-loop, reachability, and rate-propagation passes.
+/// feedback-loop, reachability, rate and partition passes, the
+/// functional chains and the DOT view.
 #[derive(Debug, Clone)]
 pub struct DesignGraph {
-    /// Nodes in deterministic (sorted) order.
+    /// Nodes: every declared source (devices in name order, each
+    /// device's own sources in declaration order), every context and
+    /// every controller (in name order), then each action in the order
+    /// of its first `do` clause.
     pub nodes: Vec<Node>,
-    /// Edges in deterministic order, deduplicated.
+    /// One edge per declared clause: contexts in name order, each
+    /// activation's trigger then its `get`s; then controllers in name
+    /// order, each binding's trigger then its `do`s.
     pub edges: Vec<Edge>,
     index: BTreeMap<Node, usize>,
 }
@@ -101,7 +128,8 @@ impl DesignGraph {
     ///
     /// Source references are normalized to the device that *declares* the
     /// source (walking `extends` upward), so a subscription against a
-    /// subtype and one against its ancestor meet at the same node.
+    /// subtype and one against its ancestor meet at the same node; the
+    /// edge keeps the family the clause names.
     #[must_use]
     pub fn build(spec: &CheckedSpec) -> Self {
         let mut graph = DesignGraph {
@@ -109,26 +137,37 @@ impl DesignGraph {
             edges: Vec::new(),
             index: BTreeMap::new(),
         };
-        let mut edges: BTreeSet<(usize, usize, String)> = BTreeSet::new();
-        let mut push_edge = |graph: &mut DesignGraph, from: Node, to: Node, kind: EdgeKind| {
-            let from = graph.intern(from);
-            let to = graph.intern(to);
-            if edges.insert((from, to, format!("{kind:?}"))) {
-                graph.edges.push(Edge { from, to, kind });
+        for device in spec.devices() {
+            for source in device
+                .sources
+                .iter()
+                .filter(|s| s.declared_in == device.name)
+            {
+                graph.intern(Node::Source {
+                    device: device.name.clone(),
+                    source: source.name.clone(),
+                });
             }
-        };
+        }
+        for ctx in spec.contexts() {
+            graph.intern(Node::Context(ctx.name.clone()));
+        }
+        for ctrl in spec.controllers() {
+            graph.intern(Node::Controller(ctrl.name.clone()));
+        }
 
         for ctx in spec.contexts() {
-            let ctx_node = Node::Context(ctx.name.clone());
-            graph.intern(ctx_node.clone());
-            for activation in &ctx.activations {
+            let to = Node::Context(ctx.name.clone());
+            for (clause, activation) in ctx.activations.iter().enumerate() {
+                let mut push = |from: Node, kind: EdgeKind, family: Option<&String>| {
+                    graph.push(from, to.clone(), kind, family, clause, None);
+                };
                 match &activation.trigger {
                     ActivationTrigger::DeviceSource { device, source } => {
-                        push_edge(
-                            &mut graph,
+                        push(
                             source_node(spec, device, source),
-                            ctx_node.clone(),
                             EdgeKind::Event,
+                            Some(device),
                         );
                     }
                     ActivationTrigger::Periodic {
@@ -136,60 +175,75 @@ impl DesignGraph {
                         source,
                         period_ms,
                     } => {
-                        push_edge(
-                            &mut graph,
-                            source_node(spec, device, source),
-                            ctx_node.clone(),
-                            EdgeKind::Periodic {
-                                period_ms: *period_ms,
-                            },
-                        );
+                        let kind = EdgeKind::Periodic {
+                            period_ms: *period_ms,
+                            window_ms: activation.grouping.as_ref().and_then(|g| g.window_ms),
+                        };
+                        push(source_node(spec, device, source), kind, Some(device));
                     }
                     ActivationTrigger::Context(from) => {
-                        push_edge(
-                            &mut graph,
-                            Node::Context(from.clone()),
-                            ctx_node.clone(),
-                            EdgeKind::Event,
-                        );
+                        push(Node::Context(from.clone()), EdgeKind::Event, None);
                     }
                     ActivationTrigger::OnDemand => {}
                 }
                 for get in &activation.gets {
-                    let from = match get {
+                    match get {
                         InputRef::DeviceSource { device, source } => {
-                            source_node(spec, device, source)
+                            push(
+                                source_node(spec, device, source),
+                                EdgeKind::Query,
+                                Some(device),
+                            );
                         }
-                        InputRef::Context(name) => Node::Context(name.clone()),
-                    };
-                    push_edge(&mut graph, from, ctx_node.clone(), EdgeKind::Query);
+                        InputRef::Context(name) => {
+                            push(Node::Context(name.clone()), EdgeKind::Query, None);
+                        }
+                    }
                 }
             }
         }
         for ctrl in spec.controllers() {
-            let ctrl_node = Node::Controller(ctrl.name.clone());
-            graph.intern(ctrl_node.clone());
-            for binding in &ctrl.bindings {
-                push_edge(
-                    &mut graph,
-                    Node::Context(binding.context.clone()),
-                    ctrl_node.clone(),
-                    EdgeKind::Event,
-                );
-                for (action, device) in &binding.actions {
-                    push_edge(
-                        &mut graph,
-                        ctrl_node.clone(),
-                        Node::Action {
-                            device: device.clone(),
-                            action: action.clone(),
-                        },
+            let node = Node::Controller(ctrl.name.clone());
+            for (clause, binding) in ctrl.bindings.iter().enumerate() {
+                let trigger = Node::Context(binding.context.clone());
+                graph.push(trigger, node.clone(), EdgeKind::Event, None, clause, None);
+                for (index, (action, device)) in binding.actions.iter().enumerate() {
+                    let target = Node::Action {
+                        device: device.clone(),
+                        action: action.clone(),
+                    };
+                    graph.push(
+                        node.clone(),
+                        target,
                         EdgeKind::Do,
+                        Some(device),
+                        clause,
+                        Some(index),
                     );
                 }
             }
         }
         graph
+    }
+
+    fn push(
+        &mut self,
+        from: Node,
+        to: Node,
+        kind: EdgeKind,
+        family: Option<&String>,
+        clause: usize,
+        action: Option<usize>,
+    ) {
+        let (from, to) = (self.intern(from), self.intern(to));
+        self.edges.push(Edge {
+            from,
+            to,
+            kind,
+            family: family.cloned(),
+            clause,
+            action,
+        });
     }
 
     fn intern(&mut self, node: Node) -> usize {
@@ -203,8 +257,49 @@ impl DesignGraph {
     }
 
     /// Looks up a node's index.
-    fn node_id(&self, node: &Node) -> Option<usize> {
+    pub(crate) fn node_id(&self, node: &Node) -> Option<usize> {
         self.index.get(node).copied()
+    }
+
+    /// The index of context `name`'s node.
+    pub(crate) fn context_id(&self, name: &str) -> Option<usize> {
+        self.node_id(&Node::Context(name.to_owned()))
+    }
+
+    /// The activation an edge entering a context was declared in.
+    pub(crate) fn activation<'s>(
+        &self,
+        spec: &'s CheckedSpec,
+        edge: &Edge,
+    ) -> Option<&'s Activation> {
+        match &self.nodes[edge.to] {
+            Node::Context(name) => spec.context(name)?.activations.get(edge.clause),
+            _ => None,
+        }
+    }
+
+    /// The binding a controller's trigger or `do` edge was declared in.
+    pub(crate) fn binding<'s>(
+        &self,
+        spec: &'s CheckedSpec,
+        edge: &Edge,
+    ) -> Option<&'s ControllerBinding> {
+        let controller = match (&self.nodes[edge.from], &self.nodes[edge.to]) {
+            (Node::Controller(name), _) | (_, Node::Controller(name)) => name,
+            _ => return None,
+        };
+        spec.controller(controller)?.bindings.get(edge.clause)
+    }
+
+    /// The span of an edge's clause: the whole `when ...;` interaction of
+    /// an activation, a binding's trigger-context name, or a `do` clause.
+    pub(crate) fn span(&self, spec: &CheckedSpec, edge: &Edge) -> Span {
+        if let Some(binding) = self.binding(spec, edge) {
+            return edge
+                .action
+                .map_or(binding.context_span, |index| binding.action_span(index));
+        }
+        self.activation(spec, edge).map_or(Span::DUMMY, |a| a.span)
     }
 
     /// Whether context `from` reaches context `to` along
@@ -326,6 +421,43 @@ mod tests {
         assert_eq!(into_c.len(), 2);
         assert!(into_c.iter().any(|k| k.is_flow()));
         assert!(into_c.contains(&EdgeKind::Query));
+    }
+
+    #[test]
+    fn one_edge_per_clause_with_its_written_family_and_origin() {
+        let spec = compile_str(
+            &SPEC.replace("do absorb on Sink;", "do absorb on Sink do absorb on Sink;"),
+        )
+        .unwrap();
+        let graph = DesignGraph::build(&spec);
+        // `from -> to kind family clause action`, one line a clause.
+        let edges: Vec<String> = graph
+            .edges
+            .iter()
+            .map(|e| {
+                let (from, to) = (&graph.nodes[e.from], &graph.nodes[e.to]);
+                let (kind, family) = (e.kind, e.family.as_deref());
+                format!(
+                    "{from} -> {to} {kind:?} {family:?} {} {:?}",
+                    e.clause, e.action
+                )
+            })
+            .collect();
+        assert_eq!(
+            edges,
+            [
+                "Base.reading -> [C] Periodic { period_ms: 60000, window_ms: None } Some(\"Leaf\") 0 None",
+                "Base.reading -> [C] Query Some(\"Base\") 0 None",
+                "[C] -> [D] Event None 0 None",
+                "[D] -> (Out) Event None 0 None",
+                "(Out) -> Sink.absorb() Do Some(\"Sink\") 0 Some(0)",
+                "(Out) -> Sink.absorb() Do Some(\"Sink\") 0 Some(1)",
+            ]
+        );
+        // The origin reads the clause back: the second `do` clause's span.
+        let span = graph.span(&spec, &graph.edges[5]);
+        let binding = &spec.controller("Out").unwrap().bindings[0];
+        assert_eq!(span, binding.action_span(1));
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   itself. Weaker, still worth knowing about.
 
 use crate::diag::{Diagnostic, Diagnostics};
-use crate::model::{ActivationTrigger, CheckedSpec, InputRef};
+use crate::model::CheckedSpec;
 use crate::span::Span;
 use serde::{Deserialize, Serialize};
 
-use super::graph::{families_overlap, DesignGraph};
+use super::graph::{families_overlap, DesignGraph, EdgeKind, Node};
 
 /// How a feedback loop re-enters the trigger chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,46 +66,48 @@ pub(crate) fn detect(
     diags: &mut Diagnostics,
 ) -> Vec<FeedbackLoop> {
     // Every sensing entry point, in deterministic context order.
-    let mut entries: Vec<Entry<'_>> = Vec::new();
-    for ctx in spec.contexts() {
-        for activation in &ctx.activations {
-            match &activation.trigger {
-                ActivationTrigger::DeviceSource { device, source }
-                | ActivationTrigger::Periodic { device, source, .. } => {
-                    entries.push((&ctx.name, device, source, true));
-                }
-                ActivationTrigger::Context(_) | ActivationTrigger::OnDemand => {}
-            }
-            for get in &activation.gets {
-                if let InputRef::DeviceSource { device, source } = get {
-                    entries.push((&ctx.name, device, source, false));
-                }
-            }
-        }
-    }
+    let entries: Vec<Entry<'_>> = graph
+        .edges
+        .iter()
+        .filter_map(
+            |edge| match (&graph.nodes[edge.from], &graph.nodes[edge.to], &edge.family) {
+                (Node::Source { source, .. }, Node::Context(ctx), Some(family)) => Some((
+                    ctx.as_str(),
+                    family.as_str(),
+                    source.as_str(),
+                    edge.kind.is_flow(),
+                )),
+                _ => None,
+            },
+        )
+        .collect();
 
     let mut loops = Vec::new();
-    for ctrl in spec.controllers() {
-        for binding in &ctrl.bindings {
-            for (index, (action, device)) in binding.actions.iter().enumerate() {
-                let found = find_loop(spec, graph, &entries, &binding.context, device);
-                if let Some((entry, path, kind)) = found {
-                    let lp = FeedbackLoop {
-                        controller: ctrl.name.clone(),
-                        trigger_context: binding.context.clone(),
-                        action: action.clone(),
-                        device: device.clone(),
-                        feedback_device: entry.1.to_owned(),
-                        source: entry.2.to_owned(),
-                        reentry_context: entry.0.to_owned(),
-                        path,
-                        kind,
-                        span: binding.action_span(index),
-                    };
-                    diags.push(render(spec, &lp));
-                    loops.push(lp);
-                }
-            }
+    for edge in graph.edges.iter().filter(|e| e.kind == EdgeKind::Do) {
+        let (Node::Controller(controller), Node::Action { device, action }) =
+            (&graph.nodes[edge.from], &graph.nodes[edge.to])
+        else {
+            continue;
+        };
+        let Some(binding) = graph.binding(spec, edge) else {
+            continue;
+        };
+        let found = find_loop(spec, graph, &entries, &binding.context, device);
+        if let Some((entry, path, kind)) = found {
+            let lp = FeedbackLoop {
+                controller: controller.clone(),
+                trigger_context: binding.context.clone(),
+                action: action.clone(),
+                device: device.clone(),
+                feedback_device: entry.1.to_owned(),
+                source: entry.2.to_owned(),
+                reentry_context: entry.0.to_owned(),
+                path,
+                kind,
+                span: graph.span(spec, edge),
+            };
+            diags.push(render(spec, &lp));
+            loops.push(lp);
         }
     }
     loops

@@ -4,10 +4,17 @@
 //! this module reasons about the *composition*: what happens when every
 //! declared interaction contract runs against a shared environment. The
 //! paper's promise that an orchestration design is "verifiable before
-//! deployment" lives here. Four passes share one dataflow graph:
+//! deployment" lives here. Four passes share one dataflow graph, the
+//! design's one lowering, built once per design by [`analyze_with`]:
 //!
 //! 1. [`graph`] — builds the Sense-Compute-Control dataflow graph with
-//!    attribute-refined device sets;
+//!    attribute-refined device sets. It is the only walk of the model's
+//!    activations and bindings: each declared clause (a trigger, a `get`,
+//!    a binding's trigger, a `do`) is one [`graph::Edge`] holding its
+//!    kind (event, periodic with period and window, query, do), the
+//!    device family as the clause writes it, and its origin (activation
+//!    or binding index, and action index), from which the passes read
+//!    spans, publish modes and groupings back;
 //! 2. [`conflicts`] — actuation-conflict detection, one pass over a
 //!    universe of N ≥ 1 designs (here N = 1);
 //! 3. [`loops`] — environment feedback-loop detection;
@@ -15,8 +22,9 @@
 //!    static capacity report, and the one budget pass (here N = 1).
 //!
 //! A fifth pass, [`partition`], validates a proposed deployment split
-//! against the design. It takes a [`PartitionPlan`] as extra input, so
-//! it is invoked by the deployment tooling ([`partition::validate`])
+//! against the design's routes, one per graph edge. It takes a
+//! [`PartitionPlan`] as extra input, so it is invoked by the deployment
+//! tooling ([`partition::validate`], which builds the graph itself)
 //! rather than by [`analyze`].
 //!
 //! A sixth pass family, [`deployment`], crosses design boundaries: it
@@ -25,7 +33,8 @@
 //! actuation conflicts (the [`conflicts`] pass over all N), aggregate
 //! load against the budgets (the [`rates`] budget pass over all N), and
 //! manifest cut safety. It is invoked by multi-design lint
-//! ([`deployment::analyze_deployment`]) rather than by [`analyze`].
+//! ([`deployment::analyze_deployment`], which builds each design's graph
+//! once) rather than by [`analyze`].
 //!
 //! Every finding carries a stable diagnostic code, continuing the
 //! checker's numbering into the 04xx block (whole-design analysis),
@@ -144,16 +153,17 @@ pub fn analyze(spec: &CheckedSpec) -> AnalysisReport {
 pub fn analyze_with(spec: &CheckedSpec, options: &AnalysisOptions) -> AnalysisReport {
     let graph = DesignGraph::build(spec);
     let mut diagnostics = Diagnostics::new();
-    let conflicts = conflicts::detect_design(spec, &mut diagnostics);
+    let conflicts = conflicts::detect_design(spec, &graph, &mut diagnostics);
     let loops = loops::detect(spec, &graph, &mut diagnostics);
-    let reachability = reach::detect(spec, &mut diagnostics);
-    let capacity = rates::detect(spec, options.fleet_size, &mut diagnostics);
+    let reachability = reach::detect(spec, &graph, &mut diagnostics);
+    let capacity = rates::detect(spec, &graph, options.fleet_size, &mut diagnostics);
     // The budget pass over one design and no manifest: every overload is
     // the design's own.
     let design = [DesignRef { name: "", spec }];
+    let graphs = std::slice::from_ref(&graph);
     let loads = std::slice::from_ref(&capacity.edges);
     let fleet = |_: &str| options.fleet_size;
-    diagnostics.extend(rates::judge(&design, loads, &fleet, &[], None).alone);
+    diagnostics.extend(rates::judge(&design, graphs, loads, &fleet, &[], None).alone);
     AnalysisReport {
         diagnostics,
         graph,

@@ -15,9 +15,11 @@
 //! undeclared cut, W0501 placement with no local interaction.
 
 use crate::diag::{Diagnostic, Diagnostics};
-use crate::model::{ActivationTrigger, CheckedSpec, InputRef};
+use crate::model::CheckedSpec;
 use crate::span::Span;
 use std::collections::BTreeMap;
+
+use super::graph::{DesignGraph, Edge, Node};
 
 /// Where one deployment node's slice of the design runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,8 +179,10 @@ pub fn validate(spec: &CheckedSpec, plan: &PartitionPlan) -> PartitionReport {
     // E0503 — every route is node-local or crosses the coordinator cut.
     // A device family placed on several nodes contributes one crossing
     // per hosting node.
+    let graph = DesignGraph::build(spec);
+    let all_routes = routes(spec, &graph);
     let mut cut_routes = Vec::new();
-    for route in routes(spec) {
+    for route in &all_routes {
         let (Some(from_nodes), Some(to_nodes)) =
             (assignment.get(route.from), assignment.get(route.to))
         else {
@@ -223,7 +227,6 @@ pub fn validate(spec: &CheckedSpec, plan: &PartitionPlan) -> PartitionReport {
     // W0501 — a component whose every route leaves its node: the
     // placement buys no locality.
     if !diagnostics.has_errors() {
-        let all_routes: Vec<Route<'_>> = routes(spec).collect();
         for (name, span) in &declared {
             if spec.context(name).is_none() && spec.controller(name).is_none() {
                 continue;
@@ -268,67 +271,31 @@ pub fn validate(spec: &CheckedSpec, plan: &PartitionPlan) -> PartitionReport {
     }
 }
 
-/// Enumerates every directed dataflow route in the design, with the
-/// span of the consuming clause.
-fn routes(spec: &CheckedSpec) -> impl Iterator<Item = Route<'_>> {
-    let context_routes = spec.contexts().flat_map(|context| {
-        context.activations.iter().flat_map(move |activation| {
-            let trigger = match &activation.trigger {
-                ActivationTrigger::DeviceSource { device, source }
-                | ActivationTrigger::Periodic { device, source, .. } => Some(Route {
-                    from: device,
-                    to: &context.name,
-                    member: Some(source),
-                    span: activation.span,
-                }),
-                ActivationTrigger::Context(name) => Some(Route {
-                    from: name,
-                    to: &context.name,
-                    member: None,
-                    span: activation.span,
-                }),
-                ActivationTrigger::OnDemand => None,
-            };
-            let gets = activation.gets.iter().map(move |get| match get {
-                InputRef::DeviceSource { device, source } => Route {
-                    from: device,
-                    to: &context.name,
-                    member: Some(source),
-                    span: activation.span,
-                },
-                InputRef::Context(name) => Route {
-                    from: name,
-                    to: &context.name,
-                    member: None,
-                    span: activation.span,
-                },
-            });
-            trigger.into_iter().chain(gets)
+/// Every directed dataflow route in the design, one per edge of its
+/// graph, with the span of the declaring clause. A device end is named
+/// by the family its clause writes.
+fn routes<'a>(spec: &CheckedSpec, graph: &'a DesignGraph) -> Vec<Route<'a>> {
+    let end = |id: usize, edge: &'a Edge| match &graph.nodes[id] {
+        Node::Source { source: member, .. } | Node::Action { action: member, .. } => (
+            edge.family.as_deref().unwrap_or_default(),
+            Some(member.as_str()),
+        ),
+        Node::Context(name) | Node::Controller(name) => (name.as_str(), None),
+    };
+    graph
+        .edges
+        .iter()
+        .map(|edge| {
+            let (from, from_member) = end(edge.from, edge);
+            let (to, to_member) = end(edge.to, edge);
+            Route {
+                from,
+                to,
+                member: from_member.or(to_member),
+                span: graph.span(spec, edge),
+            }
         })
-    });
-    let controller_routes = spec.controllers().flat_map(|controller| {
-        controller.bindings.iter().flat_map(move |binding| {
-            let trigger = Route {
-                from: &binding.context,
-                to: &controller.name,
-                member: None,
-                span: binding.context_span,
-            };
-            let actions =
-                binding
-                    .actions
-                    .iter()
-                    .enumerate()
-                    .map(move |(index, (action, device))| Route {
-                        from: &controller.name,
-                        to: device,
-                        member: Some(action),
-                        span: binding.action_span(index),
-                    });
-            std::iter::once(trigger).chain(actions)
-        })
-    });
-    context_routes.chain(controller_routes)
+        .collect()
 }
 
 #[cfg(test)]

@@ -15,8 +15,9 @@
 //! N = 1 case.
 
 use super::deployment::{declaration, DeployPins, DesignRef, MergedTaxonomy};
+use super::graph::{DesignGraph, EdgeKind, Node};
 use crate::diag::{Diagnostic, Diagnostics, Severity};
-use crate::model::{ActivationTrigger, CheckedSpec, Context, Device, InputRef, PublishMode};
+use crate::model::{CheckedSpec, Device, PublishMode};
 use crate::span::{Loc, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -150,9 +151,11 @@ impl fmt::Display for CapacityReport {
     }
 }
 
-/// Runs the rate pass: W0404 diagnostics plus the capacity report.
+/// Runs the rate pass over `graph`: W0404 diagnostics plus the
+/// capacity report.
 pub(crate) fn detect(
     spec: &CheckedSpec,
+    graph: &DesignGraph,
     fleet_size: u64,
     diags: &mut Diagnostics,
 ) -> CapacityReport {
@@ -164,20 +167,46 @@ pub(crate) fn detect(
 
     for ctx in spec.context_topo_order() {
         let to = format!("[{}]", ctx.name);
+        let id = graph.context_id(&ctx.name);
         let mut own: Option<f64> = Some(0.0);
-        for activation in &ctx.activations {
-            let grouping = activation.grouping.as_ref();
-            let activations_per_hour = match &activation.trigger {
-                ActivationTrigger::Periodic {
-                    device,
-                    source,
-                    period_ms,
-                } => {
-                    let window = grouping.and_then(|g| g.window_ms);
+        // Activations per hour of the last triggered clause: its `get`s
+        // follow it. A `when required` clause has no trigger edge and
+        // activates only on demand.
+        let mut triggered: Option<(usize, Option<f64>)> = None;
+        for edge in graph.edges.iter().filter(|e| Some(e.to) == id) {
+            let Some(activation) = graph.activation(spec, edge) else {
+                continue;
+            };
+            let from = &graph.nodes[edge.from];
+            let family = edge.family.as_deref();
+            // (kind, msg/h for one device of the family, note, and the
+            // activations per hour a trigger causes).
+            let (kind, rate_per_device, note, activations_per_hour) = match (edge.kind, family) {
+                (EdgeKind::Query, _) => {
+                    // `get` edges fire once per activation; device-facing
+                    // gets fan out to every matching deployed device.
+                    let per_activation = match triggered {
+                        Some((clause, rate)) if clause == edge.clause => rate,
+                        _ => Some(0.0),
+                    };
+                    let note = match family {
+                        Some(_) => format!("per activation x {fleet_size} devices"),
+                        None => "per activation".to_owned(),
+                    };
+                    (LoadKind::Get, per_activation, note, None)
+                }
+                (
+                    EdgeKind::Periodic {
+                        period_ms,
+                        window_ms,
+                    },
+                    _,
+                ) => {
                     // W0404: a window shorter than the delivery period
                     // closes with at most one batch in it — aggregation
                     // degenerates.
-                    if let Some(window_ms) = window.filter(|w| w < period_ms) {
+                    if let Some(window_ms) = window_ms.filter(|w| *w < period_ms) {
+                        let grouping = activation.grouping.as_ref();
                         diags.push(Diagnostic::warning(
                             "W0404",
                             format!(
@@ -186,76 +215,56 @@ pub(crate) fn detect(
                             grouping.and_then(|g| g.window_span).unwrap_or(activation.span),
                         ));
                     }
-                    edges.push(EdgeCapacity {
-                        from: format!("{device}.{source}"),
-                        to: to.clone(),
-                        kind: LoadKind::Periodic,
-                        family: Some(device.clone()),
-                        msgs_per_device_hour: Some(per_hour(*period_ms, None)),
-                        note: format!("{fleet_size} devices x 1/{period_ms} ms, batched"),
-                    });
+                    let note = format!("{fleet_size} devices x 1/{period_ms} ms, batched");
                     // One activation per delivery, or per window when
                     // the readings are folded `every <W>`.
-                    Some(per_hour(*period_ms, window))
+                    let activations = Some(per_hour(period_ms, window_ms));
+                    (
+                        LoadKind::Periodic,
+                        Some(per_hour(period_ms, None)),
+                        note,
+                        activations,
+                    )
                 }
-                ActivationTrigger::DeviceSource { device, source } => {
+                (_, Some(device)) => {
                     let hinted = spec.device(device).and_then(Device::qos_period_ms);
-                    edges.push(EdgeCapacity {
-                        from: format!("{device}.{source}"),
-                        to: to.clone(),
-                        kind: LoadKind::Event,
-                        family: Some(device.clone()),
-                        msgs_per_device_hour: hinted.map(|p| per_hour(p, None)),
-                        note: match hinted {
-                            Some(p) => {
-                                format!("{fleet_size} devices x @qos(periodMs = {p}) hint")
-                            }
-                            None => "event-driven; no @qos(periodMs) hint".to_owned(),
-                        },
-                    });
+                    let note = match hinted {
+                        Some(p) => format!("{fleet_size} devices x @qos(periodMs = {p}) hint"),
+                        None => "event-driven; no @qos(periodMs) hint".to_owned(),
+                    };
                     // Every device's publication activates the context.
-                    edges.last().and_then(|edge| edge.msgs_per_hour(fleet))
+                    let rate = hinted.map(|p| per_hour(p, None));
+                    let activations = rate.map(|per_device| per_device * fleet(device) as f64);
+                    (LoadKind::Event, rate, note, activations)
                 }
-                ActivationTrigger::Context(from) => {
-                    let upstream = rate.get(from.as_str()).copied().flatten();
-                    edges.push(EdgeCapacity {
-                        from: format!("[{from}]"),
-                        to: to.clone(),
-                        kind: LoadKind::Publish,
-                        family: None,
-                        msgs_per_device_hour: upstream,
-                        note: match upstream {
-                            Some(_) => "publication rate of the producer".to_owned(),
-                            None => "producer rate unknown".to_owned(),
-                        },
-                    });
-                    upstream
+                (_, None) => {
+                    let upstream = match from {
+                        Node::Context(name) => rate.get(name.as_str()).copied().flatten(),
+                        _ => None,
+                    };
+                    let note = match upstream {
+                        Some(_) => "publication rate of the producer",
+                        None => "producer rate unknown",
+                    };
+                    (LoadKind::Publish, upstream, note.to_owned(), upstream)
                 }
-                ActivationTrigger::OnDemand => Some(0.0),
             };
-
-            // `get` edges fire once per activation; device-facing gets
-            // fan out to every matching deployed device.
-            for get in &activation.gets {
-                let (from, family, note) = match get {
-                    InputRef::DeviceSource { device, source } => (
-                        format!("{device}.{source}"),
-                        Some(device.clone()),
-                        format!("per activation x {fleet_size} devices"),
-                    ),
-                    InputRef::Context(name) => {
-                        (format!("[{name}]"), None, "per activation".to_owned())
-                    }
-                };
-                edges.push(EdgeCapacity {
-                    from,
-                    to: to.clone(),
-                    kind: LoadKind::Get,
-                    family,
-                    msgs_per_device_hour: activations_per_hour,
-                    note,
-                });
+            edges.push(EdgeCapacity {
+                // A device end is written with the family its clause names.
+                from: match (from, family) {
+                    (Node::Source { source, .. }, Some(family)) => format!("{family}.{source}"),
+                    _ => from.to_string(),
+                },
+                to: to.clone(),
+                kind,
+                family: edge.family.clone(),
+                msgs_per_device_hour: rate_per_device,
+                note,
+            });
+            if kind == LoadKind::Get {
+                continue;
             }
+            triggered = Some((edge.clause, activations_per_hour));
 
             // Contribution to the context's own publication rate.
             let published = match activation.publish {
@@ -270,30 +279,33 @@ pub(crate) fn detect(
         rate.insert(&ctx.name, own);
     }
 
-    for ctrl in spec.controllers() {
-        for binding in &ctrl.bindings {
-            let trigger_rate = rate.get(binding.context.as_str()).copied().flatten();
-            edges.push(EdgeCapacity {
-                from: format!("[{}]", binding.context),
-                to: format!("({})", ctrl.name),
-                kind: LoadKind::Publish,
-                family: None,
-                msgs_per_device_hour: trigger_rate,
-                note: match trigger_rate {
-                    Some(_) => "publication rate of the trigger context".to_owned(),
-                    None => "trigger rate unknown".to_owned(),
-                },
-            });
-            for (action, device) in &binding.actions {
+    // Each binding's trigger edge precedes its `do` edges.
+    let mut trigger_rate = None;
+    for edge in &graph.edges {
+        match (&graph.nodes[edge.from], &graph.nodes[edge.to]) {
+            (Node::Context(context), Node::Controller(_)) => {
+                trigger_rate = rate.get(context.as_str()).copied().flatten();
                 edges.push(EdgeCapacity {
-                    from: format!("({})", ctrl.name),
-                    to: format!("{device}.{action}()"),
-                    kind: LoadKind::Do,
-                    family: Some(device.clone()),
+                    from: graph.nodes[edge.from].to_string(),
+                    to: graph.nodes[edge.to].to_string(),
+                    kind: LoadKind::Publish,
+                    family: None,
                     msgs_per_device_hour: trigger_rate,
-                    note: format!("per trigger x {fleet_size} matching devices"),
+                    note: match trigger_rate {
+                        Some(_) => "publication rate of the trigger context".to_owned(),
+                        None => "trigger rate unknown".to_owned(),
+                    },
                 });
             }
+            (Node::Controller(_), Node::Action { .. }) => edges.push(EdgeCapacity {
+                from: graph.nodes[edge.from].to_string(),
+                to: graph.nodes[edge.to].to_string(),
+                kind: LoadKind::Do,
+                family: edge.family.clone(),
+                msgs_per_device_hour: trigger_rate,
+                note: format!("per trigger x {fleet_size} matching devices"),
+            }),
+            _ => {}
         }
     }
 
@@ -345,8 +357,9 @@ pub(crate) struct Verdict {
     pub periodic_msgs_per_hour: f64,
 }
 
-/// The one budget pass. Design `i`'s load-model edges are `loads[i]`,
-/// each rate scaled by `count` of its family: `|_| N` under `--fleet N`,
+/// The one budget pass. Design `i`'s graph is `graphs[i]` and its
+/// load-model edges are `loads[i]`, each rate scaled by `count` of its
+/// family: `|_| N` under `--fleet N`,
 /// an infrastructure's entities of the family, subtypes included.
 ///
 /// - A device family's `@qos(capacityPerHour)` (the smallest any design
@@ -359,6 +372,7 @@ pub(crate) struct Verdict {
 ///   W0605 above 80 % of it.
 pub(crate) fn judge(
     designs: &[DesignRef<'_>],
+    graphs: &[DesignGraph],
     loads: &[Vec<EdgeCapacity>],
     count: &dyn Fn(&str) -> u64,
     pins: &[DeployPins],
@@ -369,7 +383,7 @@ pub(crate) fn judge(
         .iter()
         .fold(0.0, |sum, edges| sum + load(edges, periodic, count).0);
     let mut together: Vec<Diagnostic> = network
-        .and_then(|capacity| network_finding(designs, periodic_msgs_per_hour, capacity))
+        .and_then(|capacity| network_finding(designs, graphs, periodic_msgs_per_hour, capacity))
         .into_iter()
         .collect();
     let alone: Vec<(&str, Diagnostic)> = (0..designs.len())
@@ -392,7 +406,12 @@ pub(crate) fn judge(
 }
 
 /// E0604 / W0605 at the first periodic context (in name order).
-fn network_finding(designs: &[DesignRef<'_>], demand: f64, capacity: f64) -> Option<Diagnostic> {
+fn network_finding(
+    designs: &[DesignRef<'_>],
+    graphs: &[DesignGraph],
+    demand: f64,
+    capacity: f64,
+) -> Option<Diagnostic> {
     let finding = if demand > capacity {
         Diagnostic::error(
             "E0604",
@@ -408,15 +427,23 @@ fn network_finding(designs: &[DesignRef<'_>], demand: f64, capacity: f64) -> Opt
     } else {
         return None;
     };
-    let polls = |ctx: &&Context| {
-        ctx.activations
-            .iter()
-            .any(|a| matches!(a.trigger, ActivationTrigger::Periodic { .. }))
-    };
-    let at = designs.iter().enumerate().find_map(|(file, design)| {
-        let span = design.spec.contexts().find(polls)?.span;
-        Some(Loc { file, span })
-    });
+    // Edges enter contexts in name order, so the first periodic edge
+    // enters the first context that polls.
+    let at = designs
+        .iter()
+        .zip(graphs)
+        .enumerate()
+        .find_map(|(file, (design, graph))| {
+            let edge = graph
+                .edges
+                .iter()
+                .find(|e| matches!(e.kind, EdgeKind::Periodic { .. }))?;
+            let Node::Context(name) = &graph.nodes[edge.to] else {
+                return None;
+            };
+            let span = design.spec.context(name)?.span;
+            Some(Loc { file, span })
+        });
     Some(Diagnostic {
         at: at.unwrap_or(finding.at),
         ..finding
@@ -571,7 +598,7 @@ mod tests {
     fn analyze(src: &str, fleet: u64) -> (CapacityReport, Diagnostics) {
         let spec = compile_str(src).unwrap();
         let mut diags = Diagnostics::new();
-        let report = detect(&spec, fleet, &mut diags);
+        let report = detect(&spec, &DesignGraph::build(&spec), fleet, &mut diags);
         (report, diags)
     }
 

@@ -13,10 +13,10 @@
 //! root-most dead device of a dead subtree is reported.
 
 use crate::diag::{Diagnostic, Diagnostics};
-use crate::model::{ActivationTrigger, CheckedSpec, InputRef};
+use crate::model::CheckedSpec;
 use std::collections::BTreeSet;
 
-use super::graph::families_overlap;
+use super::graph::{families_overlap, DesignGraph, EdgeKind, Node};
 
 /// The outcome of the reachability pass.
 #[derive(Debug, Clone, Default)]
@@ -30,34 +30,37 @@ pub struct Reachability {
 }
 
 /// Runs the reachability pass, reporting findings into `diags`.
-pub(crate) fn detect(spec: &CheckedSpec, diags: &mut Diagnostics) -> Reachability {
+pub(crate) fn detect(
+    spec: &CheckedSpec,
+    graph: &DesignGraph,
+    diags: &mut Diagnostics,
+) -> Reachability {
     let mut out = Reachability::default();
 
-    // ---- component liveness fixpoint -----------------------------------
-    let mut live: BTreeSet<&str> = BTreeSet::new();
+    // ---- component liveness fixpoint, over node ids ----------------------
+    let mut live: BTreeSet<usize> = BTreeSet::new();
     loop {
         let mut changed = false;
         for ctx in spec.contexts() {
-            if live.contains(ctx.name.as_str()) {
+            let Some(id) = graph.context_id(&ctx.name) else {
+                continue;
+            };
+            if live.contains(&id) {
                 continue;
             }
-            let fires = ctx.activations.iter().any(|a| match &a.trigger {
-                ActivationTrigger::DeviceSource { .. } | ActivationTrigger::Periodic { .. } => true,
-                ActivationTrigger::Context(from) => live.contains(from.as_str()),
-                ActivationTrigger::OnDemand => false,
+            // A subscription fires on its own when it senses a device,
+            // and through a live context otherwise.
+            let fires = graph.edges.iter().any(|e| {
+                e.to == id && e.kind.is_flow() && (e.family.is_some() || live.contains(&e.from))
             });
             // A `when required` context is reached when a *live* context
             // queries it (the query runs only when the querier activates).
-            let queried = spec.contexts().any(|querier| {
-                live.contains(querier.name.as_str())
-                    && querier.activations.iter().any(|a| {
-                        a.gets
-                            .iter()
-                            .any(|g| matches!(g, InputRef::Context(name) if *name == ctx.name))
-                    })
-            });
+            let queried = graph
+                .edges
+                .iter()
+                .any(|e| e.from == id && e.kind == EdgeKind::Query && live.contains(&e.to));
             if fires || queried {
-                live.insert(&ctx.name);
+                live.insert(id);
                 changed = true;
             }
         }
@@ -67,7 +70,10 @@ pub(crate) fn detect(spec: &CheckedSpec, diags: &mut Diagnostics) -> Reachabilit
     }
 
     for ctx in spec.contexts() {
-        if !live.contains(ctx.name.as_str()) {
+        if !graph
+            .context_id(&ctx.name)
+            .is_some_and(|id| live.contains(&id))
+        {
             diags.push(Diagnostic::warning(
                 "W0405",
                 format!(
@@ -80,10 +86,11 @@ pub(crate) fn detect(spec: &CheckedSpec, diags: &mut Diagnostics) -> Reachabilit
         }
     }
     for ctrl in spec.controllers() {
-        let fires = ctrl
-            .bindings
+        let id = graph.node_id(&Node::Controller(ctrl.name.clone()));
+        let fires = graph
+            .edges
             .iter()
-            .any(|b| live.contains(b.context.as_str()));
+            .any(|e| Some(e.to) == id && live.contains(&e.from));
         if !fires {
             diags.push(Diagnostic::warning(
                 "W0405",
@@ -98,31 +105,12 @@ pub(crate) fn detect(spec: &CheckedSpec, diags: &mut Diagnostics) -> Reachabilit
     }
 
     // ---- dead devices ---------------------------------------------------
-    // Every device reference appearing in an interaction contract.
-    let mut referenced: BTreeSet<&str> = BTreeSet::new();
-    for ctx in spec.contexts() {
-        for activation in &ctx.activations {
-            match &activation.trigger {
-                ActivationTrigger::DeviceSource { device, .. }
-                | ActivationTrigger::Periodic { device, .. } => {
-                    referenced.insert(device);
-                }
-                _ => {}
-            }
-            for get in &activation.gets {
-                if let InputRef::DeviceSource { device, .. } = get {
-                    referenced.insert(device);
-                }
-            }
-        }
-    }
-    for ctrl in spec.controllers() {
-        for binding in &ctrl.bindings {
-            for (_, device) in &binding.actions {
-                referenced.insert(device);
-            }
-        }
-    }
+    // Every device family a clause names: triggers, `get`s and `do`s.
+    let referenced: BTreeSet<&str> = graph
+        .edges
+        .iter()
+        .filter_map(|e| e.family.as_deref())
+        .collect();
     let is_dead = |name: &str| !referenced.iter().any(|r| families_overlap(spec, r, name));
     for device in spec.devices() {
         if !is_dead(&device.name) {
@@ -153,7 +141,7 @@ mod tests {
     fn analyze(src: &str) -> (Reachability, Diagnostics) {
         let spec = compile_str(src).unwrap();
         let mut diags = Diagnostics::new();
-        let reach = detect(&spec, &mut diags);
+        let reach = detect(&spec, &DesignGraph::build(&spec), &mut diags);
         (reach, diags)
     }
 

@@ -2,80 +2,25 @@
 //!
 //! Paper §II describes an application design as a set of *functional
 //! chains* "from device sources to device actions" (Figure 3). This module
-//! recovers those chains from a [`CheckedSpec`]: every path that starts at
-//! a device source, flows through one or more contexts, reaches a
-//! controller, and ends at a device action.
+//! recovers those chains as paths of the design's one lowering,
+//! [`DesignGraph`]: every path that starts at a device source, flows
+//! through one or more contexts, reaches a controller, and ends at a
+//! device action.
 //!
-//! Chains are used by documentation tooling, by tests that assert a design
-//! is fully wired, and by the runtime to pre-compute routing tables.
+//! Chains are used by the `--chains` view of `diaspec-gen`, by the
+//! conflict pass's provenance notes, and by tests that assert a design is
+//! fully wired.
 
-use crate::model::CheckedSpec;
+use crate::analysis::graph::{DesignGraph, EdgeKind, Node};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// One step of a functional chain.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ChainStep {
-    /// The originating device source.
-    Source {
-        /// Device name.
-        device: String,
-        /// Source name.
-        source: String,
-    },
-    /// A context that processes the data.
-    Context(String),
-    /// The controller that computes effects.
-    Controller(String),
-    /// The final device action.
-    Action {
-        /// Device name.
-        device: String,
-        /// Action name.
-        action: String,
-    },
-}
-
-impl fmt::Display for ChainStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChainStep::Source { device, source } => write!(f, "{device}.{source}"),
-            ChainStep::Context(name) => write!(f, "[{name}]"),
-            ChainStep::Controller(name) => write!(f, "({name})"),
-            ChainStep::Action { device, action } => write!(f, "{device}.{action}()"),
-        }
-    }
-}
 
 /// A complete functional chain: source → contexts… → controller → action.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FunctionalChain {
-    /// Steps in flow order. Always starts with [`ChainStep::Source`] and
-    /// ends with [`ChainStep::Action`].
-    pub steps: Vec<ChainStep>,
-}
-
-impl FunctionalChain {
-    /// The contexts traversed, in order.
-    pub fn contexts(&self) -> impl Iterator<Item = &str> {
-        self.steps.iter().filter_map(|s| match s {
-            ChainStep::Context(name) => Some(name.as_str()),
-            _ => None,
-        })
-    }
-
-    /// Number of steps in the chain.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the chain has no steps (never true for chains produced by
-    /// [`functional_chains`]).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
+    /// Nodes in flow order. Always starts with a [`Node::Source`] and
+    /// ends with a [`Node::Action`].
+    pub steps: Vec<Node>,
 }
 
 impl fmt::Display for FunctionalChain {
@@ -95,7 +40,9 @@ impl fmt::Display for FunctionalChain {
 /// A chain follows *event-driven* edges only (`when provided` / `when
 /// periodic` subscriptions and controller `do` clauses); query-driven
 /// (`get`) inputs are auxiliary reads, not flow, matching the straight
-/// vs. loop arrow distinction of the paper's Figure 3.
+/// vs. loop arrow distinction of the paper's Figure 3. A chain starts at
+/// the device that declares its source, whichever family of it the
+/// subscription names.
 ///
 /// The checker guarantees the subscription graph is acyclic, so
 /// enumeration terminates. Chains are returned in deterministic order.
@@ -117,73 +64,53 @@ impl fmt::Display for FunctionalChain {
 /// # Ok::<(), diaspec_core::diag::CompileError>(())
 /// ```
 #[must_use]
-pub fn functional_chains(spec: &CheckedSpec) -> Vec<FunctionalChain> {
+pub fn functional_chains(spec: &crate::model::CheckedSpec) -> Vec<FunctionalChain> {
+    chains_of(&DesignGraph::build(spec))
+}
+
+/// The functional chains of a built graph: from each source node (in
+/// node order), the paths over flow edges through contexts to a
+/// controller, and each `do` edge of the binding that path enters.
+pub(crate) fn chains_of(graph: &DesignGraph) -> Vec<FunctionalChain> {
     let mut chains = Vec::new();
-    for device in spec.devices() {
-        for source in device
-            .sources
-            .iter()
-            .filter(|s| s.declared_in == device.name)
-        {
-            // Only start chains at sources the device declares itself;
-            // otherwise every subclass would duplicate its parent's chains.
-            // Subscriptions against ancestors are still found because
-            // `subscribers_of_source` walks the hierarchy.
-            let mut prefix = vec![ChainStep::Source {
-                device: device.name.clone(),
-                source: source.name.clone(),
-            }];
-            extend_from_source(spec, &device.name, &source.name, &mut prefix, &mut chains);
+    for (id, node) in graph.nodes.iter().enumerate() {
+        if matches!(node, Node::Source { .. }) {
+            extend(graph, &mut vec![id], &mut chains);
         }
     }
     chains
 }
 
-fn extend_from_source(
-    spec: &CheckedSpec,
-    device: &str,
-    source: &str,
-    prefix: &mut Vec<ChainStep>,
-    chains: &mut Vec<FunctionalChain>,
-) {
-    for ctx in spec.subscribers_of_source(device, source) {
-        prefix.push(ChainStep::Context(ctx.name.clone()));
-        extend_from_context(spec, &ctx.name, prefix, chains);
-        prefix.pop();
-    }
-}
-
-fn extend_from_context(
-    spec: &CheckedSpec,
-    context: &str,
-    prefix: &mut Vec<ChainStep>,
-    chains: &mut Vec<FunctionalChain>,
-) {
-    use crate::model::Subscriber;
-    for sub in spec.subscribers_of_context(context) {
-        match sub {
-            Subscriber::Context(next) => {
-                prefix.push(ChainStep::Context(next.clone()));
-                extend_from_context(spec, &next, prefix, chains);
+fn extend(graph: &DesignGraph, prefix: &mut Vec<usize>, chains: &mut Vec<FunctionalChain>) {
+    let at = prefix[prefix.len() - 1];
+    let mut entered: Vec<usize> = Vec::new();
+    for edge in graph
+        .edges
+        .iter()
+        .filter(|e| e.from == at && e.kind.is_flow())
+    {
+        match graph.nodes[edge.to] {
+            // Two clauses between the same two nodes are one path.
+            Node::Context(_) if !entered.contains(&edge.to) => {
+                entered.push(edge.to);
+                prefix.push(edge.to);
+                extend(graph, prefix, chains);
                 prefix.pop();
             }
-            Subscriber::Controller(name) => {
-                let ctrl = spec.controller(&name).expect("subscriber exists");
-                for binding in &ctrl.bindings {
-                    if binding.context != context {
-                        continue;
-                    }
-                    for (action, target) in &binding.actions {
-                        let mut steps = prefix.clone();
-                        steps.push(ChainStep::Controller(name.clone()));
-                        steps.push(ChainStep::Action {
-                            device: target.clone(),
-                            action: action.clone(),
-                        });
-                        chains.push(FunctionalChain { steps });
-                    }
+            Node::Controller(_) => {
+                let actions = graph.edges.iter().filter(|d| {
+                    d.kind == EdgeKind::Do && d.from == edge.to && d.clause == edge.clause
+                });
+                for act in actions {
+                    let steps = prefix
+                        .iter()
+                        .chain([&edge.to, &act.to])
+                        .map(|&id| graph.nodes[id].clone())
+                        .collect();
+                    chains.push(FunctionalChain { steps });
                 }
             }
+            _ => {}
         }
     }
 }
@@ -254,11 +181,9 @@ mod tests {
         let chains = functional_chains(&model);
         assert_eq!(chains.len(), 1);
         assert_eq!(
-            chains[0].contexts().collect::<Vec<_>>(),
-            vec!["First", "Second"]
+            chains[0].to_string(),
+            "Sensor.v -> [First] -> [Second] -> (End) -> Sink.absorb()"
         );
-        assert_eq!(chains[0].len(), 5);
-        assert!(!chains[0].is_empty());
     }
 
     #[test]

@@ -28,10 +28,11 @@
 //! capacity against the periodic edges (E0604 / W0605, in the
 //! [`crate::analysis`] table) and each `@qos(capacityPerHour)` (W0407).
 
+use crate::analysis::graph::{DesignGraph, EdgeKind, Node};
 use crate::analysis::rates::{self, EdgeCapacity, LoadKind};
 use crate::analysis::DesignRef;
 use crate::diag::{Diagnostic, Diagnostics};
-use crate::model::{ActivationTrigger, CheckedSpec};
+use crate::model::CheckedSpec;
 use crate::span::{MultiSourceMap, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -168,15 +169,16 @@ impl fmt::Display for MatchReport {
 
 /// The design's load-model edges (read here: periodic rates, which no
 /// fleet hypothesis changes; W0404 is the lint's to report).
-fn load_model(spec: &CheckedSpec) -> Vec<EdgeCapacity> {
-    rates::detect(spec, 1, &mut Diagnostics::new()).edges
+fn load_model(spec: &CheckedSpec, graph: &DesignGraph) -> Vec<EdgeCapacity> {
+    rates::detect(spec, graph, 1, &mut Diagnostics::new()).edges
 }
 
 /// Extracts the application requirements from a checked design (§VI).
 #[must_use]
 pub fn estimate(spec: &CheckedSpec) -> AppRequirements {
+    let graph = DesignGraph::build(spec);
     let mut devices: BTreeMap<String, DeviceRequirement> = BTreeMap::new();
-    for edge in load_model(spec) {
+    for edge in load_model(spec, &graph) {
         let Some(family) = edge.family else {
             continue;
         };
@@ -194,23 +196,30 @@ pub fn estimate(spec: &CheckedSpec) -> AppRequirements {
         }
     }
 
+    // One row per periodic clause, in context order.
     let mut processing = Vec::new();
-    for ctx in spec.contexts() {
-        for activation in &ctx.activations {
-            if let ActivationTrigger::Periodic {
-                device, period_ms, ..
-            } = &activation.trigger
-            {
-                let grouping = activation.grouping.as_ref();
-                processing.push(ProcessingRequirement {
-                    context: ctx.name.clone(),
-                    device_type: device.clone(),
-                    period_ms: *period_ms,
-                    window_ms: grouping.and_then(|g| g.window_ms),
-                    map_reduce: grouping.is_some_and(|g| g.map_reduce.is_some()),
-                });
-            }
-        }
+    for edge in &graph.edges {
+        let (
+            EdgeKind::Periodic {
+                period_ms,
+                window_ms,
+            },
+            Node::Context(context),
+            Some(device_type),
+        ) = (edge.kind, &graph.nodes[edge.to], &edge.family)
+        else {
+            continue;
+        };
+        let grouping = graph
+            .activation(spec, edge)
+            .and_then(|a| a.grouping.as_ref());
+        processing.push(ProcessingRequirement {
+            context: context.clone(),
+            device_type: device_type.clone(),
+            period_ms,
+            window_ms,
+            map_reduce: grouping.is_some_and(|g| g.map_reduce.is_some()),
+        });
     }
 
     AppRequirements {
@@ -249,9 +258,11 @@ pub fn match_infrastructure(
     // Budgets: the one budget pass, every edge scaled by the entities
     // deployed of its family.
     let entities = |family: &str| u64::from(infrastructure.family_count(spec, family));
+    let graph = DesignGraph::build(spec);
     let budgets = rates::judge(
         &[DesignRef { name: "", spec }],
-        &[load_model(spec)],
+        std::slice::from_ref(&graph),
+        &[load_model(spec, &graph)],
         &entities,
         &[],
         infrastructure.msgs_per_hour_capacity,

@@ -121,6 +121,16 @@
 #    `surviving` in engine/deliver/dispatch.rs, and a group-order copy of
 #    the value handles as a `Vec<Payload>` field of `struct Groups` other
 #    than its per-group `keys`.
+# 17. One design graph: the analyzer lowers a design once, in
+#    `DesignGraph::build` (crates/diaspec-core/src/analysis/graph.rs,
+#    docs/ANALYSIS.md "One design graph"), one edge per declared clause,
+#    and every pass, the functional chains, the requirements estimate
+#    and the DOT view read that graph. A second lowering growing back
+#    shows up as `ActivationTrigger::`, a `.activations` or `.bindings`
+#    walk, or a `subscribers_of_` call in any other file under
+#    analysis/, in chains.rs, requirements.rs or crates/diaspec-codegen/
+#    src/dot.rs; a second chain-step type as `ChainStep` under crates/;
+#    and the DOT view's own source normalization as `fn source_owner`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -448,3 +458,29 @@ if echo "$groups" | grep -F 'Vec<Payload>' | grep -vE '^[^:]+:[0-9]+: +keys: Vec
     exit 1
 fi
 echo "ok: one compact grouped batch (no PolledReading in the window buffer, no surviving collect, no group-order handle copy)"
+
+ANALYSIS=crates/diaspec-core/src/analysis
+GRAPH=$ANALYSIS/graph.rs
+if [ ! -f "$GRAPH" ] || ! grep -q 'pub fn build(spec: &CheckedSpec) -> Self' "$GRAPH"; then
+    echo "FAIL: $GRAPH no longer declares \`DesignGraph::build\`; update this check." >&2
+    exit 1
+fi
+readers=$(ls "$ANALYSIS"/*.rs | grep -vx "$GRAPH")
+if grep -nE 'ActivationTrigger::|\.activations\b|\.bindings\b|subscribers_of_' $readers \
+    crates/diaspec-core/src/chains.rs crates/diaspec-core/src/requirements.rs \
+    crates/diaspec-codegen/src/dot.rs; then
+    echo "FAIL: a pass walks the model's activations or bindings itself (lines above);" >&2
+    echo "read the edges of $GRAPH, whose origin names the clause." >&2
+    exit 1
+fi
+if grep -rnw 'ChainStep' crates --include=*.rs; then
+    echo "FAIL: a second chain-step type is back under crates/ (lines above); a" >&2
+    echo "functional chain's steps are graph::Node's." >&2
+    exit 1
+fi
+if grep -rn 'fn source_owner' crates --include=*.rs; then
+    echo "FAIL: a source is normalized to its declaring device outside $GRAPH" >&2
+    echo "(lines above); draw and read the graph's source nodes." >&2
+    exit 1
+fi
+echo "ok: one design graph (activations and bindings walked only in $GRAPH, no ChainStep, no source_owner)"

@@ -16,6 +16,8 @@
 
 use diaspec_codegen::lint::{lint_designs, LintFormat, LintOptions, LintOutcome};
 use diaspec_core::analysis::{analyze, Coupling, SharedPublication};
+use diaspec_core::chains::functional_chains;
+use diaspec_core::model::ActivationTrigger;
 use diaspec_runtime::component::ContextActivation;
 use diaspec_runtime::engine::{ContextApi, ControllerApi, Orchestrator};
 use diaspec_runtime::value::Value;
@@ -157,6 +159,89 @@ fn distinct_chain_conflict_names_both_trigger_chains() {
     assert!(notes
         .iter()
         .any(|n| n.contains("Clock.tickMinute -> [Schedule] -> (EveningScene) -> Light.setOn()")));
+}
+
+/// A subscription that names a subtype of the source's declaring device
+/// still starts a functional chain at that source.
+#[test]
+fn chains_through_a_subtype_subscription_are_found() {
+    for (name, expected) in [
+        (
+            "conflict_sibling_roots",
+            [
+                "Sensor.v -> [A] -> (CA) -> Lamp.flash()",
+                "Sensor.v -> [B] -> (CB) -> Lamp.flash()",
+            ],
+        ),
+        (
+            "conflict_subtype_root",
+            [
+                "Sensor.v -> [A] -> (CA) -> Lamp.flash()",
+                "Sensor.v -> [B] -> (CB) -> Lamp.flash()",
+            ],
+        ),
+    ] {
+        let spec = diaspec_core::compile_str(&fixture_source(name)).unwrap();
+        let chains: Vec<String> = functional_chains(&spec)
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(chains, expected, "{name}");
+    }
+}
+
+/// Whether some activation of `context` is triggered, directly or through
+/// upstream contexts, by a device source (read from the model alone).
+fn fed_by_a_device(spec: &diaspec_core::model::CheckedSpec, context: &str) -> bool {
+    spec.context(context).is_some_and(|ctx| {
+        ctx.activations.iter().any(|a| match &a.trigger {
+            ActivationTrigger::DeviceSource { .. } | ActivationTrigger::Periodic { .. } => true,
+            ActivationTrigger::Context(upstream) => fed_by_a_device(spec, upstream),
+            ActivationTrigger::OnDemand => false,
+        })
+    })
+}
+
+#[test]
+fn every_conflict_site_fed_by_a_device_has_a_provenance_chain() {
+    let mut checked = 0;
+    for rel in spec_files("specs") {
+        let source = std::fs::read_to_string(repo_path(&rel)).unwrap();
+        let Ok(spec) = diaspec_core::compile_str(&source) else {
+            continue;
+        };
+        for conflict in analyze(&spec).conflicts {
+            for site in [&conflict.first, &conflict.second] {
+                if fed_by_a_device(&spec, &site.trigger_context) {
+                    checked += 1;
+                    assert!(
+                        site.chain.is_some(),
+                        "{rel}: `do {} on {}` in `{}` has no provenance chain",
+                        site.action,
+                        site.device,
+                        site.controller
+                    );
+                }
+            }
+        }
+    }
+    assert!(checked >= 10, "only {checked} sites checked");
+}
+
+/// Every `.spec` file under `dir` (repo-relative), recursively, sorted.
+fn spec_files(dir: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(repo_path(dir)).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let rel = format!("{dir}/{name}");
+        if repo_path(&rel).is_dir() {
+            out.extend(spec_files(&rel));
+        } else if name.ends_with(".spec") {
+            out.push(rel);
+        }
+    }
+    out.sort();
+    out
 }
 
 /// The shared-root probe, as one file and split into two: the verdict
