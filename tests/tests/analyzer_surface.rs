@@ -5,7 +5,9 @@
 //! human and JSON lint output with the capacity report, the functional
 //! chains, the DOT view and the §VI requirements estimate. Every pair
 //! under `specs/lint/cross/` is linted together, with its manifests when
-//! it has them, and `parking.spec` is split by `plan_deployment`. A
+//! it has them, and `parking.spec` is split by `plan_deployment`. The
+//! §VI section matches `parking.spec` and `capacity_overload.spec`
+//! against infrastructure descriptions, one human lint section a run. A
 //! refactor of any analyzer pass that moves one byte of what a user can
 //! see shows up as a diff of `tests/goldens/analyzer_surface.txt`.
 //! Re-bless with `UPDATE_GOLDENS=1`, only for a change that is meant to
@@ -16,7 +18,8 @@ use diaspec_codegen::dot::generate_dot;
 use diaspec_codegen::lint::{lint_designs, LintFormat, LintOptions};
 use diaspec_core::chains::functional_chains;
 use diaspec_core::compile_str;
-use diaspec_core::requirements::estimate;
+use diaspec_core::requirements::{estimate, match_infrastructure, Infrastructure};
+use diaspec_core::span::MultiSourceMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -137,8 +140,69 @@ fn surface() -> String {
             }
         }
     }
+    for (rel, name, infrastructure) in MATCH_RUNS {
+        let _ = writeln!(out, "=== §VI {rel} --match {name}");
+        let source = read(rel);
+        let spec = compile_str(&source).unwrap();
+        let infrastructure: Infrastructure = serde_json::from_str(infrastructure).unwrap();
+        let report = match_infrastructure(&spec, &estimate(&spec), &infrastructure);
+        let sources = MultiSourceMap::new([(rel, &source)]);
+        for diag in &report.diagnostics {
+            out.push_str(&diag.render(&sources, false));
+            out.push('\n');
+        }
+        let errors = report.diagnostics.error_count();
+        let warnings = report.diagnostics.len() - errors;
+        let _ = writeln!(out, "{rel}: {errors} error(s), {warnings} warning(s)");
+    }
     out
 }
+
+/// The §VI runs: a design, a name, and the infrastructure it is matched
+/// against (E15's three cities, the two of the CLI tests, and 40 meters
+/// for the budget fixture).
+const MATCH_RUNS: [(&str, &str, &str); 6] = [
+    (
+        "specs/parking.spec",
+        "full city",
+        r#"{"entities": {"PresenceSensor": 4000, "ParkingEntrancePanel": 8,
+            "CityEntrancePanel": 4, "Messenger": 1},
+           "msgs_per_hour_capacity": 100000.0, "parallel_workers": 8}"#,
+    ),
+    (
+        "specs/parking.spec",
+        "missing panels",
+        r#"{"entities": {"PresenceSensor": 4000, "Messenger": 1},
+           "msgs_per_hour_capacity": null, "parallel_workers": 8}"#,
+    ),
+    (
+        "specs/parking.spec",
+        "starved LoRa network",
+        r#"{"entities": {"PresenceSensor": 4000, "ParkingEntrancePanel": 8,
+            "CityEntrancePanel": 4, "Messenger": 1},
+           "msgs_per_hour_capacity": 30000.0, "parallel_workers": 1}"#,
+    ),
+    (
+        "specs/parking.spec",
+        "lora.json",
+        r#"{"entities": {"PresenceSensor": 4000, "ParkingEntrancePanel": 8,
+            "CityEntrancePanel": 4, "Messenger": 1},
+           "msgs_per_hour_capacity": 30000.0, "parallel_workers": 4}"#,
+    ),
+    (
+        "specs/parking.spec",
+        "one-worker.json",
+        r#"{"entities": {"PresenceSensor": 4000, "ParkingEntrancePanel": 8,
+            "CityEntrancePanel": 4, "Messenger": 1},
+           "msgs_per_hour_capacity": null, "parallel_workers": 1}"#,
+    ),
+    (
+        "specs/lint/capacity_overload.spec",
+        "40 meters",
+        r#"{"entities": {"Meter": 40}, "msgs_per_hour_capacity": null,
+           "parallel_workers": 1}"#,
+    ),
+];
 
 #[test]
 fn the_analyzer_surface_matches_its_golden() {
