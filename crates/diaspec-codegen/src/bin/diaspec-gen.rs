@@ -8,6 +8,8 @@
 //! diaspec-gen lint <SPEC.spec>... [--format json|sarif] [--deny warnings]
 //!                  [--allow CODE] [--warn CODE] [--deny CODE]
 //!                  [--fleet N] [--capacity] [--manifest <M.json>]...
+//! diaspec-gen lint <SPEC.spec> --match <INFRA.json> [--format json|sarif]
+//!                  [--deny warnings] [--allow CODE] [--warn CODE] [--deny CODE]
 //! diaspec-gen deploy <SPEC.spec> [--edges N] [--host H] [--port-base P]
 //!                    [--shard-enum NAME] [--out <DIR>]
 //! ```
@@ -24,7 +26,11 @@
 //! rate propagation) and, given several specs, the cross-design
 //! deployment passes over the whole co-deployment (plus any `--manifest`
 //! deployment pins, whose `edges[].link.msgs_per_hour` budget each cut
-//! link). Exit codes classify the outcome: `0` clean (or
+//! link). With `--match`, one design is linted against an
+//! infrastructure description (§VI): its entities per device type, its
+//! network capacity and its workers replace the fleet hypothesis, and
+//! what the infrastructure lacks or makes tight renders in the file's
+//! section. Exit codes classify the outcome: `0` clean (or
 //! warnings only), `2` at least one diagnostic ended up error-severity
 //! after the level flags, `3` an input could not be read or parsed at
 //! all, `1` bad flags.
@@ -37,10 +43,11 @@
 //! deployment unit. Without `--out` the manifest is printed to stdout.
 
 use diaspec_codegen::deploy::{plan_deployment, DeployOptions, NodeManifest};
-use diaspec_codegen::lint::{lint_designs, LintFormat, LintLevel, LintOptions};
+use diaspec_codegen::lint::{lint_designs, LintFormat, LintLevel, LintOptions, LintOutcome};
 use diaspec_codegen::{generate_java, generate_rust, generate_rust_co_deployed, metrics};
-use diaspec_core::span::MultiSourceMap;
-use std::path::PathBuf;
+use diaspec_core::analysis::CountSource;
+use diaspec_core::requirements::Infrastructure;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Exit code for inputs that could not be read or parsed at all — the
@@ -160,6 +167,8 @@ fn run_lint(mut args: impl Iterator<Item = String>) -> Result<u8, String> {
     let mut options = LintOptions::default();
     let mut files: Vec<PathBuf> = Vec::new();
     let mut manifest_paths: Vec<PathBuf> = Vec::new();
+    let mut fleet: Option<u64> = None;
+    let mut infrastructure_path: Option<PathBuf> = None;
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -193,7 +202,7 @@ fn run_lint(mut args: impl Iterator<Item = String>) -> Result<u8, String> {
             }
             "--fleet" => {
                 let value = args.next().ok_or("--fleet needs a device count")?;
-                options.fleet_size = Some(
+                fleet = Some(
                     value
                         .parse()
                         .map_err(|_| format!("--fleet needs an integer, got `{value}`"))?,
@@ -205,11 +214,17 @@ fn run_lint(mut args: impl Iterator<Item = String>) -> Result<u8, String> {
                     args.next().ok_or("--manifest needs a manifest JSON file")?,
                 ));
             }
+            "--match" => {
+                infrastructure_path = Some(PathBuf::from(
+                    args.next()
+                        .ok_or("--match needs an infrastructure JSON file")?,
+                ));
+            }
             "--help" | "-h" => {
                 println!(
                     "usage: diaspec-gen lint <SPEC.spec>... [--format human|json|sarif] \
                      [--deny warnings] [--allow CODE] [--warn CODE] [--deny CODE] \
-                     [--fleet N] [--capacity] [--manifest <M.json>]"
+                     [--fleet N] [--capacity] [--manifest <M.json>] | --match <INFRA.json>"
                 );
                 return Ok(0);
             }
@@ -220,36 +235,22 @@ fn run_lint(mut args: impl Iterator<Item = String>) -> Result<u8, String> {
     if files.is_empty() {
         return Err("lint needs at least one <SPEC.spec> argument".to_owned());
     }
-
-    let mut inputs: Vec<(String, String)> = Vec::new();
-    for path in &files {
-        match std::fs::read_to_string(path) {
-            Ok(source) => inputs.push((path.display().to_string(), source)),
-            Err(e) => {
-                eprintln!("diaspec-gen: cannot read {}: {e}", path.display());
-                return Ok(EXIT_BROKEN);
-            }
+    if infrastructure_path.is_some() {
+        // The infrastructure is the run's one count source, for one design.
+        let clash = [
+            ("--fleet", fleet.is_some()),
+            ("--capacity", options.capacity),
+            ("--manifest", !manifest_paths.is_empty()),
+            ("a second <SPEC.spec>", files.len() > 1),
+        ];
+        if let Some((other, _)) = clash.into_iter().find(|(_, given)| *given) {
+            return Err(format!("--match cannot be combined with {other}"));
         }
     }
-    let mut manifests: Vec<(String, NodeManifest)> = Vec::new();
-    for path in &manifest_paths {
-        let raw = match std::fs::read_to_string(path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                eprintln!("diaspec-gen: cannot read {}: {e}", path.display());
-                return Ok(EXIT_BROKEN);
-            }
-        };
-        match NodeManifest::from_json(&raw) {
-            Ok(manifest) => manifests.push((path.display().to_string(), manifest)),
-            Err(e) => {
-                eprintln!("diaspec-gen: invalid manifest {}: {e}", path.display());
-                return Ok(EXIT_BROKEN);
-            }
-        }
+    if let Some(devices) = fleet {
+        options.counts = CountSource::Fleet(devices);
     }
-
-    let outcome = match lint_designs(&inputs, &manifests, &options) {
+    let outcome = match lint_files(&files, &manifest_paths, &infrastructure_path, options) {
         Ok(outcome) => outcome,
         Err(message) => {
             eprintln!("diaspec-gen: {message}");
@@ -269,6 +270,40 @@ fn run_lint(mut args: impl Iterator<Item = String>) -> Result<u8, String> {
     }
 }
 
+/// Reads a lint run's specs and manifests, and its `--match`
+/// infrastructure as the run's count source, then lints. `Err` names the
+/// file that could not be read or parsed, or a manifest that matches no
+/// spec.
+fn lint_files(
+    files: &[PathBuf],
+    manifest_paths: &[PathBuf],
+    infrastructure_path: &Option<PathBuf>,
+    mut options: LintOptions,
+) -> Result<LintOutcome, String> {
+    let inputs: Vec<(String, String)> = files.iter().map(|p| read(p)).collect::<Result<_, _>>()?;
+    let mut manifests = Vec::new();
+    for path in manifest_paths {
+        let (shown, raw) = read(path)?;
+        let manifest =
+            NodeManifest::from_json(&raw).map_err(|e| format!("invalid manifest {shown}: {e}"))?;
+        manifests.push((shown, manifest));
+    }
+    if let Some(path) = infrastructure_path {
+        let (shown, raw) = read(path)?;
+        let infrastructure: Infrastructure = serde_json::from_str(&raw)
+            .map_err(|e| format!("invalid infrastructure JSON {shown}: {e}"))?;
+        options.counts = CountSource::Infrastructure(infrastructure);
+    }
+    lint_designs(&inputs, &manifests, &options)
+}
+
+/// A file's display path and contents.
+fn read(path: &Path) -> Result<(String, String), String> {
+    let shown = path.display().to_string();
+    let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {shown}: {e}"))?;
+    Ok((shown, raw))
+}
+
 fn run() -> Result<(), String> {
     let mut args = std::env::args().skip(1);
     let mut spec_path: Option<PathBuf> = None;
@@ -278,7 +313,6 @@ fn run() -> Result<(), String> {
     let mut dot = false;
     let mut chains = false;
     let mut requirements = false;
-    let mut match_infra: Option<PathBuf> = None;
     let mut with: Vec<PathBuf> = Vec::new();
 
     while let Some(arg) = args.next() {
@@ -298,17 +332,11 @@ fn run() -> Result<(), String> {
             "--dot" => dot = true,
             "--chains" => chains = true,
             "--requirements" => requirements = true,
-            "--match" => {
-                match_infra = Some(PathBuf::from(
-                    args.next()
-                        .ok_or("--match needs an infrastructure JSON file")?,
-                ));
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: diaspec-gen <SPEC.spec> --language rust|java --out <DIR> \
                      [--report] [--dot] [--chains] [--requirements] \
-                     [--match <INFRA.json>] [--with <SPEC2.spec>]..."
+                     [--with <SPEC2.spec>]..."
                 );
                 return Ok(());
             }
@@ -323,22 +351,6 @@ fn run() -> Result<(), String> {
     let source = std::fs::read_to_string(&spec_path)
         .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?;
     let spec = diaspec_core::compile_str(&source).map_err(|e| e.to_string())?;
-
-    if let Some(infra_path) = &match_infra {
-        let infra_src = std::fs::read_to_string(infra_path)
-            .map_err(|e| format!("cannot read {}: {e}", infra_path.display()))?;
-        let infra: diaspec_core::requirements::Infrastructure = serde_json::from_str(&infra_src)
-            .map_err(|e| format!("invalid infrastructure JSON {}: {e}", infra_path.display()))?;
-        let req = diaspec_core::requirements::estimate(&spec);
-        let report = diaspec_core::requirements::match_infrastructure(&spec, &req, &infra);
-        let sources = MultiSourceMap::new([(spec_path.display().to_string(), &source)]);
-        println!("{}", report.render(&sources, false));
-        return if report.deployable() {
-            Ok(())
-        } else {
-            Err("design does not fit the infrastructure".to_owned())
-        };
-    }
 
     if requirements {
         let req = diaspec_core::requirements::estimate(&spec);

@@ -141,14 +141,16 @@ pub fn generate_rust_co_deployed(
     spec: &CheckedSpec,
     companions: &[(String, &CheckedSpec)],
 ) -> GeneratedFramework {
-    use diaspec_core::analysis::{analyze_deployment, AnalysisOptions, DesignRef};
+    use diaspec_core::analysis::{analyze, analyze_deployment, AnalysisOptions, DesignRef};
     let mut designs = vec![DesignRef { name: design, spec }];
     designs.extend(
         companions
             .iter()
             .map(|(name, spec)| DesignRef { name, spec }),
     );
-    let report = analyze_deployment(&designs, &[], &AnalysisOptions::default());
+    let analyses: Vec<_> = designs.iter().map(|d| analyze(d.spec)).collect();
+    let analyses: Vec<_> = analyses.iter().collect();
+    let report = analyze_deployment(&designs, &analyses, &[], &AnalysisOptions::default());
     let banner = rust::MultiAppBanner {
         companions: companions.iter().map(|(name, _)| name.clone()).collect(),
         conflict_free: report.conflict_free(),

@@ -35,6 +35,13 @@
 //! overloads alone is W0407 in its section, and W0602 is an overload
 //! only the files together reach.
 //!
+//! §VI matching is a lint run too: with the counts of an
+//! [`Infrastructure`](diaspec_core::requirements::Infrastructure)
+//! (`--match`, [`CountSource::Infrastructure`]) in place of the fleet
+//! hypothesis, [`analyze_with`] holds the design to its entities, network
+//! capacity and workers (E0603, E0604 / W0605, W0606, W0607, and W0407
+//! under its counts), and the findings render in the file's section.
+//!
 //! Every finding is a [`Diagnostic`] whose locations index the run's
 //! files, and each format has one renderer; the only difference between
 //! a file's section and the cross-design section is that a cross-design
@@ -42,7 +49,7 @@
 
 use crate::deploy::NodeManifest;
 use diaspec_core::analysis::deployment::{analyze_deployment, DeployPins, DesignRef, PinnedHost};
-use diaspec_core::analysis::{analyze_with, AnalysisOptions, CapacityReport};
+use diaspec_core::analysis::{analyze_with, AnalysisOptions, AnalysisReport, CountSource};
 use diaspec_core::diag::{Diagnostic, Severity};
 use diaspec_core::model::CheckedSpec;
 use diaspec_core::span::{Loc, MultiSourceMap};
@@ -82,8 +89,9 @@ pub struct LintOptions {
     pub deny_warnings: bool,
     /// Per-code overrides; these win over `deny_warnings`.
     pub levels: BTreeMap<String, LintLevel>,
-    /// Fleet-size hypothesis forwarded to the capacity report.
-    pub fleet_size: Option<u64>,
+    /// How a family is counted: the `--fleet` hypothesis (the analysis
+    /// default when not given) or the `--match` infrastructure.
+    pub counts: CountSource,
     /// Append the static capacity report to human output.
     pub capacity: bool,
 }
@@ -103,13 +111,10 @@ pub struct LintOutcome {
 }
 
 impl LintOptions {
-    /// The analysis options of a run: the `--fleet` hypothesis, or the
-    /// analysis default.
+    /// The analysis options of a run.
     fn analysis(&self) -> AnalysisOptions {
         AnalysisOptions {
-            fleet_size: self
-                .fleet_size
-                .unwrap_or(AnalysisOptions::default().fleet_size),
+            counts: self.counts.clone(),
         }
     }
 }
@@ -154,31 +159,30 @@ impl Section {
     }
 }
 
-/// One linted file: its section, plus the model and capacity report
-/// when the front end produced a model.
+/// One linted file: its section, plus the model and its analysis (the
+/// diagnostics taken into the section) when the front end produced a
+/// model.
 struct FileLint {
     section: Section,
-    capacity: Option<CapacityReport>,
-    spec: Option<CheckedSpec>,
+    analysis: Option<(CheckedSpec, AnalysisReport)>,
 }
 
 /// Runs the front end plus every single-design analysis pass over file
 /// `file` of the run and applies the severity policy.
 fn lint_one(file: usize, source: &str, options: &LintOptions) -> FileLint {
-    let (raw, capacity, spec) = match diaspec_core::compile_str_with_warnings(source) {
+    let (raw, analysis) = match diaspec_core::compile_str_with_warnings(source) {
         Ok((spec, warnings)) => {
-            let report = analyze_with(&spec, &options.analysis());
+            let mut report = analyze_with(&spec, &options.analysis());
             let mut diags: Vec<Diagnostic> = warnings.into_iter().collect();
-            diags.extend(report.diagnostics);
-            (diags, Some(report.capacity), Some(spec))
+            diags.extend(std::mem::take(&mut report.diagnostics));
+            (diags, Some((spec, report)))
         }
-        Err(error) => (error.diagnostics().iter().cloned().collect(), None, None),
+        Err(error) => (error.diagnostics().iter().cloned().collect(), None),
     };
     let raw = raw.into_iter().map(|d| d.relocate(|at| Loc { file, ..at }));
     FileLint {
         section: Section::keep(options, raw),
-        capacity,
-        spec,
+        analysis,
     }
 }
 
@@ -225,8 +229,9 @@ fn manifest_pins(manifest: &NodeManifest, design: usize, origin: &str) -> Deploy
     }
 }
 
-/// The cross-design passes over every linted file (all compiled) and
-/// the manifests' pins; a location's file is its design's input index.
+/// The cross-design passes over every linted file (all compiled, each
+/// with its analysis) and the manifests' pins; a location's file is its
+/// design's input index.
 fn cross_design(
     inputs: &[(String, String)],
     lints: &[FileLint],
@@ -234,14 +239,16 @@ fn cross_design(
     options: &LintOptions,
 ) -> Result<Vec<Diagnostic>, String> {
     let names: Vec<String> = inputs.iter().map(|(file, _)| design_name(file)).collect();
-    let designs: Vec<DesignRef<'_>> = lints
+    let analyzed: Vec<&(CheckedSpec, AnalysisReport)> = lints
+        .iter()
+        .map(|lint| lint.analysis.as_ref().expect("not broken"))
+        .collect();
+    let designs: Vec<DesignRef<'_>> = analyzed
         .iter()
         .zip(&names)
-        .map(|(lint, name)| DesignRef {
-            name,
-            spec: lint.spec.as_ref().expect("not broken"),
-        })
+        .map(|((spec, _), name)| DesignRef { name, spec })
         .collect();
+    let analyses: Vec<&AnalysisReport> = analyzed.iter().map(|(_, report)| report).collect();
     let mut pins: Vec<DeployPins> = Vec::new();
     for (path, manifest) in manifests {
         let design = names
@@ -255,7 +262,7 @@ fn cross_design(
             })?;
         pins.push(manifest_pins(manifest, design, path));
     }
-    let report = analyze_deployment(&designs, &pins, &options.analysis());
+    let report = analyze_deployment(&designs, &analyses, &pins, &options.analysis());
     Ok(report.diagnostics.into_iter().collect())
 }
 
@@ -283,7 +290,7 @@ pub fn lint_designs(
         .enumerate()
         .map(|(file, (_, source))| lint_one(file, source, options))
         .collect();
-    let broken = lints.iter().any(|l| l.spec.is_none());
+    let broken = lints.iter().any(|l| l.analysis.is_none());
     let single = inputs.len() == 1 && manifests.is_empty();
     let cross = if broken || single {
         Section::default()
@@ -304,8 +311,8 @@ pub fn lint_designs(
                     "{file}: {} error(s), {} warning(s)",
                     section.errors, section.warnings
                 );
-                if let Some(capacity) = lint.capacity.as_ref().filter(|_| options.capacity) {
-                    let _ = writeln!(out, "{capacity}");
+                if let Some((_, report)) = lint.analysis.as_ref().filter(|_| options.capacity) {
+                    let _ = writeln!(out, "{}", report.capacity);
                 }
             }
             if !single {
@@ -743,7 +750,7 @@ mod tests {
             "#,
             &LintOptions {
                 capacity: true,
-                fleet_size: Some(100),
+                counts: CountSource::Fleet(100),
                 ..LintOptions::default()
             },
         );

@@ -252,62 +252,94 @@ fn requirements_flag_reports_periodic_rate_per_entity() {
     );
 }
 
+/// The parking city's entities, with a network capacity and a number of
+/// workers, as an infrastructure description for `lint --match`.
+fn city(dir: &std::path::Path, name: &str, capacity: &str, workers: u32) -> PathBuf {
+    let infra = dir.join(name);
+    std::fs::write(
+        &infra,
+        format!(
+            r#"{{"entities": {{"PresenceSensor": 4000, "ParkingEntrancePanel": 8,
+                "CityEntrancePanel": 4, "Messenger": 1}},
+               "msgs_per_hour_capacity": {capacity}, "parallel_workers": {workers}}}"#
+        ),
+    )
+    .unwrap();
+    infra
+}
+
 /// §VI matching: 4 000 sensors x 13 msg/h = 52 000 msg/h does not fit a
-/// 30 000 msg/h network (E0604), and the error fails the run.
+/// 30 000 msg/h network (E0604), and the error fails the lint (exit 2)
+/// in every format.
 #[test]
 fn match_flag_refuses_an_undersized_network() {
     let dir = scratch("match");
-    let infra = dir.join("lora.json");
-    std::fs::write(
-        &infra,
-        r#"{"entities": {"PresenceSensor": 4000, "ParkingEntrancePanel": 8,
-            "CityEntrancePanel": 4, "Messenger": 1},
-           "msgs_per_hour_capacity": 30000.0, "parallel_workers": 4}"#,
-    )
-    .unwrap();
-    let output = gen()
-        .arg(spec_path("parking.spec"))
-        .arg("--match")
-        .arg(&infra)
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success());
+    let infra = city(&dir, "lora.json", "30000.0", 4);
+    let spec = spec_path("parking.spec");
+    let lint = |format: &str| {
+        gen()
+            .arg("lint")
+            .arg(&spec)
+            .arg("--match")
+            .arg(&infra)
+            .args(["--format", format])
+            .output()
+            .expect("binary runs")
+    };
+    let output = lint("human");
+    assert_eq!(output.status.code(), Some(2));
     let stdout = String::from_utf8(output.stdout).unwrap();
-    // One error diagnostic at the first periodic context, then the verdict.
+    // One error diagnostic at the first periodic context, then the
+    // file's summary.
     assert_eq!(
         stdout,
-        "error[E0604]: periodic contracts need ~52000 msgs/hour but the network provides 30000 at 41:9\n  \
-         41 | context AverageOccupancy as ParkingOccupancy[] {\n     \
-         |         ^^^^^^^^^^^^^^^^\n\
-         NOT DEPLOYABLE (1 error(s), 0 warning(s), ~52000 periodic msgs/hour)\n"
+        format!(
+            "error[E0604]: periodic contracts need ~52000 msgs/hour but the network provides 30000 at 41:9\n  \
+             41 | context AverageOccupancy as ParkingOccupancy[] {{\n     \
+             |         ^^^^^^^^^^^^^^^^\n\
+             {}: 1 error(s), 0 warning(s)\n",
+            spec.display()
+        )
     );
+    for format in ["json", "sarif"] {
+        let output = lint(format);
+        assert_eq!(output.status.code(), Some(2), "{format}");
+        let text = String::from_utf8(output.stdout).unwrap();
+        let _: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
+        assert!(text.contains("\"E0604\""), "{format}: {text}");
+        assert!(text.contains("need ~52000 msgs/hour"), "{format}: {text}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A warning alone (MapReduce on one worker, W0607) leaves the design
-/// deployable: the run succeeds.
+/// deployable: the lint succeeds, and `--allow W0607` drops the finding.
 #[test]
 fn match_flag_passes_a_design_with_warnings_only() {
     let dir = scratch("match-tight");
-    let infra = dir.join("one-worker.json");
-    std::fs::write(
-        &infra,
-        r#"{"entities": {"PresenceSensor": 4000, "ParkingEntrancePanel": 8,
-            "CityEntrancePanel": 4, "Messenger": 1},
-           "msgs_per_hour_capacity": null, "parallel_workers": 1}"#,
-    )
-    .unwrap();
-    let output = gen()
-        .arg(spec_path("parking.spec"))
-        .arg("--match")
-        .arg(&infra)
-        .output()
-        .expect("binary runs");
-    let stdout = String::from_utf8(output.stdout).unwrap();
-    assert!(output.status.success(), "{stdout}");
+    let infra = city(&dir, "one-worker.json", "null", 1);
+    let lint = |extra: &[&str]| {
+        let output = gen()
+            .arg("lint")
+            .arg(spec_path("parking.spec"))
+            .arg("--match")
+            .arg(&infra)
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        assert!(output.status.success(), "{stdout}");
+        stdout
+    };
+    let stdout = lint(&[]);
     assert!(stdout.starts_with("warning[W0607]: "), "{stdout}");
     assert!(
-        stdout.ends_with("\nDEPLOYABLE (0 error(s), 1 warning(s), ~52000 periodic msgs/hour)\n"),
+        stdout.ends_with("parking.spec: 0 error(s), 1 warning(s)\n"),
+        "{stdout}"
+    );
+    let stdout = lint(&["--allow", "W0607"]);
+    assert!(
+        stdout.ends_with("parking.spec: 0 error(s), 0 warning(s)\n"),
         "{stdout}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
@@ -319,6 +351,7 @@ fn match_flag_names_a_malformed_infrastructure_file() {
     let infra = dir.join("broken.json");
     std::fs::write(&infra, "{ \"entities\": ").unwrap();
     let output = gen()
+        .arg("lint")
         .arg(spec_path("parking.spec"))
         .arg("--match")
         .arg(&infra)
@@ -328,6 +361,49 @@ fn match_flag_names_a_malformed_infrastructure_file() {
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert!(stderr.contains("invalid infrastructure JSON"), "{stderr}");
     assert!(stderr.contains(&infra.display().to_string()), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The infrastructure is the run's one count source, for one design:
+/// `--match` with a fleet, a capacity report, a manifest or a second
+/// design is a usage error (exit 1) that names both, and generation has
+/// no `--match`.
+#[test]
+fn match_flag_lints_one_design_alone() {
+    let dir = scratch("match-alone");
+    let infra = city(&dir, "one-worker.json", "null", 1);
+    let parking = spec_path("parking.spec");
+    let cooker = spec_path("cooker.spec");
+    let manifest = dir.join("manifest.json");
+    for (extra, named) in [
+        (vec!["--fleet".into(), "10".into()], "--fleet"),
+        (vec!["--capacity".into()], "--capacity"),
+        (
+            vec!["--manifest".into(), manifest.into_os_string()],
+            "--manifest",
+        ),
+        (vec![cooker.into_os_string()], "a second <SPEC.spec>"),
+    ] {
+        let output = gen()
+            .arg("lint")
+            .arg(&parking)
+            .arg("--match")
+            .arg(&infra)
+            .args(&extra)
+            .output()
+            .expect("binary runs");
+        assert_eq!(output.status.code(), Some(1), "{named}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(stderr.contains("--match"), "{stderr}");
+        assert!(stderr.contains(named), "{stderr}");
+    }
+    let output = gen()
+        .arg(&parking)
+        .arg("--match")
+        .arg(&infra)
+        .output()
+        .expect("binary runs");
+    assert_eq!(output.status.code(), Some(1));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -227,7 +227,7 @@ fn collect_sites(spec: &CheckedSpec, graph: &DesignGraph) -> Vec<ActuationSite> 
 /// `i`'s graph is `graphs[i]`.
 pub(crate) fn detect(
     designs: &[DesignRef<'_>],
-    graphs: &[DesignGraph],
+    graphs: &[&DesignGraph],
     taxonomy: &MergedTaxonomy,
 ) -> Vec<ActuationConflict> {
     let sites: Vec<Vec<ActuationSite>> = designs
@@ -289,8 +289,7 @@ pub(crate) fn detect_design(
     diags: &mut Diagnostics,
 ) -> Vec<ActuationConflict> {
     let design = [DesignRef { name: "", spec }];
-    let graphs = std::slice::from_ref(graph);
-    let conflicts = detect(&design, graphs, &MergedTaxonomy::build(&design));
+    let conflicts = detect(&design, &[graph], &MergedTaxonomy::build(&design));
     diags.extend(conflicts.iter().map(|c| render(&design, c)));
     conflicts
 }

@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use super::conflicts::{self, ActuationConflict};
 use super::graph::DesignGraph;
 use super::rates::{self, EdgeCapacity};
-use super::AnalysisOptions;
+use super::{AnalysisOptions, AnalysisReport};
 
 /// One design participating in a deployment, by display name (usually
 /// the spec file stem).
@@ -187,24 +187,20 @@ impl DeploymentReport {
 }
 
 /// Runs every cross-design pass over `designs` (order defines the
-/// design indices used in findings and pins).
+/// design indices used in findings and pins). Design `i`'s graph and
+/// load model are those of `analyses[i]`, its single-design analysis
+/// under `options`; W0404 and each design's own budgets are findings
+/// that analysis already reports.
 #[must_use]
 pub fn analyze_deployment(
     designs: &[DesignRef<'_>],
+    analyses: &[&AnalysisReport],
     pins: &[DeployPins],
     options: &AnalysisOptions,
 ) -> DeploymentReport {
     let taxonomy = MergedTaxonomy::build(designs);
-    // Each design's graph and load model, once. W0404 is a per-design
-    // finding the single-design pass already reports.
-    let graphs: Vec<DesignGraph> = designs.iter().map(|d| DesignGraph::build(d.spec)).collect();
-    let loads: Vec<Vec<EdgeCapacity>> = designs
-        .iter()
-        .zip(&graphs)
-        .map(|(d, graph)| {
-            rates::detect(d.spec, graph, options.fleet_size, &mut Diagnostics::new()).edges
-        })
-        .collect();
+    let graphs: Vec<&DesignGraph> = analyses.iter().map(|a| &a.graph).collect();
+    let loads: Vec<&[EdgeCapacity]> = analyses.iter().map(|a| &a.capacity.edges[..]).collect();
     let mut report = DeploymentReport::default();
     for conflict in conflicts::detect(designs, &graphs, &taxonomy) {
         if conflict.first_design != conflict.second_design {
@@ -215,8 +211,8 @@ pub fn analyze_deployment(
         }
     }
     detect_cut_violations(designs, pins, &taxonomy, &mut report);
-    let fleet = |_: &str| options.fleet_size;
-    let budgets = rates::judge(designs, &graphs, &loads, &fleet, pins, None);
+    let count = |family: &str| options.counts.count(|ty| taxonomy.is_subtype(ty, family));
+    let budgets = rates::judge(designs, &graphs, &loads, &count, pins, None);
     report.diagnostics.extend(budgets.together);
     report
 }
@@ -411,6 +407,7 @@ pub(super) fn declaration(designs: &[DesignRef<'_>], design: usize, family: &str
 mod tests {
     use super::*;
     use crate::analysis::conflicts::{Coupling, SharedPublication};
+    use crate::analysis::CountSource;
     use crate::compile_str;
 
     fn deploy(sources: &[(&str, &str)], pins: &[DeployPins]) -> DeploymentReport {
@@ -430,7 +427,12 @@ mod tests {
             .iter()
             .map(|(name, spec)| DesignRef { name, spec })
             .collect();
-        analyze_deployment(&designs, pins, options)
+        let analyses: Vec<AnalysisReport> = specs
+            .iter()
+            .map(|(_, spec)| crate::analysis::analyze_with(spec, options))
+            .collect();
+        let analyses: Vec<&AnalysisReport> = analyses.iter().collect();
+        analyze_deployment(&designs, &analyses, pins, options)
     }
 
     const SHARED_GUARANTEED_A: &str = r#"
@@ -629,7 +631,9 @@ mod tests {
         let report = deploy_with(
             &[("a", METERED), ("b", METERED)],
             &[],
-            &AnalysisOptions { fleet_size: 1 },
+            &AnalysisOptions {
+                counts: CountSource::Fleet(1),
+            },
         );
         let finding = report.diagnostics.find("W0602").unwrap();
         assert_eq!(finding.severity, Severity::Warning);
@@ -654,7 +658,9 @@ mod tests {
         let report = deploy_with(
             &[("a", &roomy), ("b", &roomy)],
             &[],
-            &AnalysisOptions { fleet_size: 1 },
+            &AnalysisOptions {
+                counts: CountSource::Fleet(1),
+            },
         );
         assert!(report.diagnostics.find("W0602").is_none());
     }
@@ -764,7 +770,9 @@ mod tests {
             pin(0, "Meter", &[("edge0", Some("127.0.0.1:7070"), &[])]),
             pin(1, "Meter", &[("edge9", Some("127.0.0.1:7070"), &[])]),
         ];
-        let fleet = AnalysisOptions { fleet_size: 1 };
+        let fleet = AnalysisOptions {
+            counts: CountSource::Fleet(1),
+        };
         let designs = [("a", roomy.as_str()), ("b", roomy.as_str())];
         // No manifest gives the link a budget: nothing to hold it to.
         let report = deploy_with(&designs, &pins, &fleet);

@@ -17,7 +17,7 @@
 use crate::model::{Activation, ActivationTrigger, CheckedSpec, ControllerBinding, InputRef};
 use crate::span::Span;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// A node of the dataflow graph.
@@ -314,40 +314,42 @@ impl DesignGraph {
         if from == to {
             return Some(vec![from.to_owned()]);
         }
-        let start = self.node_id(&Node::Context(from.to_owned()))?;
-        let goal = self.node_id(&Node::Context(to.to_owned()))?;
-        let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
+        let start = self.context_id(from)?;
+        let goal = self.context_id(to)?;
+        // Each node's context successors, in edge order: the search
+        // visits each edge once.
+        let mut next: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
+        for edge in &self.edges {
+            if matches!(self.nodes[edge.to], Node::Context(_))
+                && (edge.kind.is_flow() || (include_query && edge.kind == EdgeKind::Query))
+            {
+                next[edge.from].push(edge.to);
+            }
+        }
+        // Breadth first; a reached node's parent on its shortest path.
+        let mut parent: Vec<Option<usize>> = vec![None; self.nodes.len()];
+        parent[start] = Some(start);
         let mut queue = VecDeque::from([start]);
-        let mut seen = BTreeSet::from([start]);
         while let Some(at) = queue.pop_front() {
-            for edge in &self.edges {
-                if edge.from != at
-                    || !matches!(self.nodes[edge.to], Node::Context(_))
-                    || !(edge.kind.is_flow() || (include_query && edge.kind == EdgeKind::Query))
-                {
+            for &to in &next[at] {
+                if parent[to].is_some() {
                     continue;
                 }
-                if seen.insert(edge.to) {
-                    parent.insert(edge.to, at);
-                    if edge.to == goal {
-                        let mut path = vec![goal];
-                        let mut cursor = goal;
-                        while let Some(&prev) = parent.get(&cursor) {
-                            path.push(prev);
-                            cursor = prev;
-                        }
-                        path.reverse();
-                        return Some(
-                            path.into_iter()
-                                .map(|id| match &self.nodes[id] {
-                                    Node::Context(name) => name.clone(),
-                                    other => other.to_string(),
-                                })
-                                .collect(),
-                        );
+                parent[to] = Some(at);
+                if to == goal {
+                    let mut path = vec![goal];
+                    while let Some(prev) = parent[path[path.len() - 1]].filter(|&p| p != start) {
+                        path.push(prev);
                     }
-                    queue.push_back(edge.to);
+                    path.push(start);
+                    path.reverse();
+                    let name = |id: usize| match &self.nodes[id] {
+                        Node::Context(name) => name.clone(),
+                        other => other.to_string(),
+                    };
+                    return Some(path.into_iter().map(name).collect());
                 }
+                queue.push_back(to);
             }
         }
         None

@@ -21,6 +21,12 @@
 //! 4. [`reach`] / [`rates`] — reachability, rate propagation, the
 //!    static capacity report, and the one budget pass (here N = 1).
 //!
+//! A family is counted one way a run ([`CountSource`]): the fleet-size
+//! hypothesis, or an infrastructure. Under an infrastructure the budget
+//! pass holds the design to its counts and network capacity, and the
+//! §VI checks of [`crate::requirements`] (E0603, W0606, W0607) read the
+//! same graph and load model.
+//!
 //! A fifth pass, [`partition`], validates a proposed deployment split
 //! against the design's routes, one per graph edge. It takes a
 //! [`PartitionPlan`] as extra input, so it is invoked by the deployment
@@ -33,8 +39,9 @@
 //! actuation conflicts (the [`conflicts`] pass over all N), aggregate
 //! load against the budgets (the [`rates`] budget pass over all N), and
 //! manifest cut safety. It is invoked by multi-design lint
-//! ([`deployment::analyze_deployment`], which builds each design's graph
-//! once) rather than by [`analyze`].
+//! ([`deployment::analyze_deployment`], which reads each design's graph
+//! and load model from the analysis its caller already ran) rather than
+//! by [`analyze`].
 //!
 //! Every finding carries a stable diagnostic code, continuing the
 //! checker's numbering into the 04xx block (whole-design analysis),
@@ -100,19 +107,50 @@ pub use reach::Reachability;
 
 use crate::diag::Diagnostics;
 use crate::model::CheckedSpec;
+use crate::requirements::{self, Infrastructure};
 
-/// Tuning knobs for [`analyze_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnalysisOptions {
-    /// Fleet-size hypothesis for the capacity report: how many deployed
-    /// devices to assume per referenced device family.
-    pub fleet_size: u64,
+/// How a run counts the deployed devices of a family: the one count
+/// source of the capacity report and of every budget.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CountSource {
+    /// The uniform fleet-size hypothesis (`lint --fleet N`): N devices of
+    /// every referenced family.
+    Fleet(u64),
+    /// §VI (`lint --match`): an infrastructure's entities, a family
+    /// counting those of its subtypes. The load model runs at one device
+    /// a family and the budget pass scales it by these counts; the §VI
+    /// checks of [`crate::requirements`] run too.
+    Infrastructure(Infrastructure),
 }
 
-impl Default for AnalysisOptions {
+impl Default for CountSource {
     fn default() -> Self {
-        AnalysisOptions { fleet_size: 1000 }
+        CountSource::Fleet(1000)
     }
+}
+
+impl CountSource {
+    /// The devices counted for a family; `member(ty)` says whether an
+    /// entity type belongs to it.
+    pub(crate) fn count(&self, member: impl Fn(&str) -> bool) -> u64 {
+        match self {
+            CountSource::Fleet(devices) => *devices,
+            CountSource::Infrastructure(infrastructure) => infrastructure
+                .entities
+                .iter()
+                .filter(|(ty, _)| member(ty))
+                .map(|(_, n)| u64::from(*n))
+                .sum(),
+        }
+    }
+}
+
+/// Tuning knobs for [`analyze_with`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AnalysisOptions {
+    /// How a family is counted: a fleet-size hypothesis (by default 1000
+    /// devices per referenced family) or an infrastructure.
+    pub counts: CountSource,
 }
 
 /// The combined result of all analysis passes.
@@ -129,7 +167,8 @@ pub struct AnalysisReport {
     pub loops: Vec<FeedbackLoop>,
     /// Unreachable components and dead devices (W0405 / W0406).
     pub reachability: Reachability,
-    /// Rate propagation under the fleet-size hypothesis.
+    /// Rate propagation under the fleet-size hypothesis (one device a
+    /// family under an infrastructure).
     pub capacity: CapacityReport,
 }
 
@@ -156,14 +195,35 @@ pub fn analyze_with(spec: &CheckedSpec, options: &AnalysisOptions) -> AnalysisRe
     let conflicts = conflicts::detect_design(spec, &graph, &mut diagnostics);
     let loops = loops::detect(spec, &graph, &mut diagnostics);
     let reachability = reach::detect(spec, &graph, &mut diagnostics);
-    let capacity = rates::detect(spec, &graph, options.fleet_size, &mut diagnostics);
+    let counts = &options.counts;
+    let (fleet_size, infrastructure) = match counts {
+        CountSource::Fleet(devices) => (*devices, None),
+        CountSource::Infrastructure(infrastructure) => (1, Some(infrastructure)),
+    };
+    let capacity = rates::detect(spec, &graph, fleet_size, &mut diagnostics);
     // The budget pass over one design and no manifest: every overload is
     // the design's own.
-    let design = [DesignRef { name: "", spec }];
-    let graphs = std::slice::from_ref(&graph);
-    let loads = std::slice::from_ref(&capacity.edges);
-    let fleet = |_: &str| options.fleet_size;
-    diagnostics.extend(rates::judge(&design, graphs, loads, &fleet, &[], None).alone);
+    let count = |family: &str| counts.count(|ty| spec.device_is_subtype(ty, family));
+    let budgets = rates::judge(
+        &[DesignRef { name: "", spec }],
+        &[&graph],
+        &[&capacity.edges],
+        &count,
+        &[],
+        infrastructure.and_then(|i| i.msgs_per_hour_capacity),
+    );
+    match infrastructure {
+        None => diagnostics.extend(budgets.alone),
+        Some(infrastructure) => requirements::check_fit(
+            spec,
+            &graph,
+            &capacity.edges,
+            infrastructure,
+            &count,
+            budgets,
+            &mut diagnostics,
+        ),
+    }
     AnalysisReport {
         diagnostics,
         graph,
@@ -232,7 +292,10 @@ mod tests {
             "#,
         )
         .unwrap();
-        let report = analyze_with(&spec, &AnalysisOptions { fleet_size: 7 });
+        let options = AnalysisOptions {
+            counts: CountSource::Fleet(7),
+        };
+        let report = analyze_with(&spec, &options);
         let capacity = &report.capacity;
         assert_eq!(capacity.fleet_size, 7);
         // Meter.reading at 60/h per device, then (Out) -> K.a() per meter

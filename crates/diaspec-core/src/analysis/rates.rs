@@ -7,7 +7,7 @@
 //! `@qos(periodMs = …)` hint. Each edge carries its rate for one device
 //! of its family; [`EdgeCapacity::msgs_per_hour`] scales it by a count:
 //! a *fleet-size hypothesis* (capacity report), an infrastructure
-//! ([`crate::requirements`]) or the entities a run bound.
+//! (§VI, [`super::CountSource`]) or the entities a run bound.
 //!
 //! `judge` holds the scaled load of N ≥ 1 designs against every budget
 //! it meets: a device family's `@qos(capacityPerHour)`, a cut link's
@@ -353,14 +353,12 @@ pub(crate) struct Verdict {
     /// Budgets of the designs together: §VI's network (E0604 / W0605),
     /// families no single design overloads (W0602), cut links (W0602).
     pub together: Vec<Diagnostic>,
-    /// The periodic edges' msg/h: §VI's network demand.
-    pub periodic_msgs_per_hour: f64,
 }
 
 /// The one budget pass. Design `i`'s graph is `graphs[i]` and its
 /// load-model edges are `loads[i]`, each rate scaled by `count` of its
-/// family: `|_| N` under `--fleet N`,
-/// an infrastructure's entities of the family, subtypes included.
+/// family: `|_| N` under `--fleet N`, an infrastructure's entities of
+/// the family, subtypes included (see [`super::CountSource`]).
 ///
 /// - A device family's `@qos(capacityPerHour)` (the smallest any design
 ///   declares) × `count` of the family, against every edge on a family
@@ -372,18 +370,20 @@ pub(crate) struct Verdict {
 ///   W0605 above 80 % of it.
 pub(crate) fn judge(
     designs: &[DesignRef<'_>],
-    graphs: &[DesignGraph],
-    loads: &[Vec<EdgeCapacity>],
+    graphs: &[&DesignGraph],
+    loads: &[&[EdgeCapacity]],
     count: &dyn Fn(&str) -> u64,
     pins: &[DeployPins],
     network: Option<f64>,
 ) -> Verdict {
     let periodic = |e: &EdgeCapacity| e.kind == LoadKind::Periodic;
-    let periodic_msgs_per_hour = loads
-        .iter()
-        .fold(0.0, |sum, edges| sum + load(edges, periodic, count).0);
+    let demand = || {
+        loads
+            .iter()
+            .fold(0.0, |sum, edges| sum + load(edges, periodic, count).0)
+    };
     let mut together: Vec<Diagnostic> = network
-        .and_then(|capacity| network_finding(designs, graphs, periodic_msgs_per_hour, capacity))
+        .and_then(|capacity| network_finding(designs, graphs, demand(), capacity))
         .into_iter()
         .collect();
     let alone: Vec<(&str, Diagnostic)> = (0..designs.len())
@@ -401,14 +401,13 @@ pub(crate) fn judge(
     Verdict {
         alone: alone.into_iter().map(|(_, finding)| finding).collect(),
         together,
-        periodic_msgs_per_hour,
     }
 }
 
 /// E0604 / W0605 at the first periodic context (in name order).
 fn network_finding(
     designs: &[DesignRef<'_>],
-    graphs: &[DesignGraph],
+    graphs: &[&DesignGraph],
     demand: f64,
     capacity: f64,
 ) -> Option<Diagnostic> {
@@ -454,7 +453,7 @@ fn network_finding(
 /// finding: W0407 for one member, W0602 for several.
 fn overloads<'a>(
     designs: &[DesignRef<'a>],
-    loads: &[Vec<EdgeCapacity>],
+    loads: &[&[EdgeCapacity]],
     members: &[usize],
     count: &dyn Fn(&str) -> u64,
 ) -> Vec<(&'a str, Diagnostic)> {
@@ -476,7 +475,7 @@ fn overloads<'a>(
         let mut per_design = Vec::new();
         let mut unknown = 0;
         for &i in members {
-            let (known, unrated) = load(&loads[i], touching(&taxonomy, family), count);
+            let (known, unrated) = load(loads[i], touching(&taxonomy, family), count);
             unknown += unrated;
             if known > 0.0 || unrated > 0 {
                 per_design.push((i, known));
@@ -536,7 +535,7 @@ type Link<'a> = (Option<u64>, Vec<(usize, &'a str, f64)>);
 /// smallest `msgs_per_hour` its manifests give it.
 fn link_findings(
     designs: &[DesignRef<'_>],
-    loads: &[Vec<EdgeCapacity>],
+    loads: &[&[EdgeCapacity]],
     count: &dyn Fn(&str) -> u64,
     pins: &[DeployPins],
 ) -> Vec<Diagnostic> {
@@ -544,7 +543,7 @@ fn link_findings(
     let mut links: BTreeMap<&str, Link<'_>> = BTreeMap::new();
     for pin in pins {
         for (family, hosts) in &pin.families {
-            let (family_load, _) = load(&loads[pin.design], touching(&taxonomy, family), count);
+            let (family_load, _) = load(loads[pin.design], touching(&taxonomy, family), count);
             let total_variants: usize = hosts.iter().map(|h| h.variants.len()).sum();
             let edge_hosts = hosts.iter().filter(|h| h.addr.is_some()).count();
             for host in hosts {

@@ -11,10 +11,13 @@
 //! which device families the application binds to (and how — sensing,
 //! polling, actuation), the message rate its periodic contracts imply per
 //! bound entity, and the processing its `grouped by`/MapReduce clauses
-//! demand. [`match_infrastructure`] then checks those requirements
-//! against a concrete [`Infrastructure`] description and reports what is
-//! missing (errors: the design is not deployable there) or tight
-//! (warnings) as [`Diagnostic`]s, each at the declaration it concerns:
+//! demand. Matching is a lint run: [`crate::analysis::analyze_with`]
+//! counting families by an [`Infrastructure`]
+//! ([`crate::analysis::CountSource::Infrastructure`], `lint --match`)
+//! derives the same requirements from the graph and load model its other
+//! passes read, and reports what is missing (errors: the design is not
+//! deployable there) or tight (warnings), each at the declaration it
+//! concerns:
 //!
 //! | Code | Rule |
 //! |------|------|
@@ -29,14 +32,12 @@
 //! [`crate::analysis`] table) and each `@qos(capacityPerHour)` (W0407).
 
 use crate::analysis::graph::{DesignGraph, EdgeKind, Node};
-use crate::analysis::rates::{self, EdgeCapacity, LoadKind};
-use crate::analysis::DesignRef;
+use crate::analysis::rates::{self, EdgeCapacity, LoadKind, Verdict};
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::model::CheckedSpec;
-use crate::span::{MultiSourceMap, Span};
+use crate::span::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// How an application uses a device family.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -105,85 +106,25 @@ pub struct Infrastructure {
     pub parallel_workers: u32,
 }
 
-impl Infrastructure {
-    /// Entities available for `device_type`, counting subtypes per the
-    /// design's `extends` hierarchy.
-    fn family_count(&self, spec: &CheckedSpec, device_type: &str) -> u32 {
-        self.entities
-            .iter()
-            .filter(|(ty, _)| spec.device_is_subtype(ty, device_type))
-            .map(|(_, n)| *n)
-            .sum()
-    }
-}
-
-/// The result of matching a design against an infrastructure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatchReport {
-    /// What is missing (errors) or tight (warnings), errors first; a
-    /// location is a declaration of the matched design.
-    pub diagnostics: Diagnostics,
-    /// Estimated statically-known network demand (messages/hour).
-    pub estimated_msgs_per_hour: f64,
-}
-
-impl MatchReport {
-    /// Whether the application can run: no error diagnostic.
-    #[must_use]
-    pub fn deployable(&self) -> bool {
-        !self.diagnostics.has_errors()
-    }
-
-    /// The `--match` report: each finding rendered against the design's
-    /// `sources` (see [`Diagnostic::render`]), then the verdict line.
-    #[must_use]
-    pub fn render(&self, sources: &MultiSourceMap, named: bool) -> String {
-        let mut out = String::new();
-        for diag in &self.diagnostics {
-            out.push_str(&diag.render(sources, named));
-            out.push('\n');
-        }
-        out.push_str(&self.to_string());
-        out
-    }
-}
-
-impl fmt::Display for MatchReport {
-    /// The verdict line. [`MatchReport::render`] puts the findings, which
-    /// need the design's source, before it.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let errors = self.diagnostics.error_count();
-        write!(
-            f,
-            "{} ({errors} error(s), {} warning(s), ~{:.0} periodic msgs/hour)",
-            if self.deployable() {
-                "DEPLOYABLE"
-            } else {
-                "NOT DEPLOYABLE"
-            },
-            self.diagnostics.len() - errors,
-            self.estimated_msgs_per_hour
-        )
-    }
-}
-
-/// The design's load-model edges (read here: periodic rates, which no
-/// fleet hypothesis changes; W0404 is the lint's to report).
-fn load_model(spec: &CheckedSpec, graph: &DesignGraph) -> Vec<EdgeCapacity> {
-    rates::detect(spec, graph, 1, &mut Diagnostics::new()).edges
-}
-
 /// Extracts the application requirements from a checked design (§VI).
 #[must_use]
 pub fn estimate(spec: &CheckedSpec) -> AppRequirements {
     let graph = DesignGraph::build(spec);
+    // Periodic rates, which no count changes; W0404 is the lint's.
+    let load = rates::detect(spec, &graph, 1, &mut Diagnostics::new()).edges;
+    derive(spec, &graph, &load)
+}
+
+/// The requirements of a design, read off its graph and its load-model
+/// edges (at one device a family).
+fn derive(spec: &CheckedSpec, graph: &DesignGraph, load: &[EdgeCapacity]) -> AppRequirements {
     let mut devices: BTreeMap<String, DeviceRequirement> = BTreeMap::new();
-    for edge in load_model(spec, &graph) {
-        let Some(family) = edge.family else {
+    for edge in load {
+        let Some(family) = &edge.family else {
             continue;
         };
         let req = devices.entry(family.clone()).or_default();
-        req.device_type = family;
+        req.device_type.clone_from(family);
         match edge.kind {
             LoadKind::Periodic => {
                 req.usage.polled_sources = true;
@@ -229,20 +170,26 @@ pub fn estimate(spec: &CheckedSpec) -> AppRequirements {
     }
 }
 
-/// Matches extracted requirements against an infrastructure description
-/// (§VI), reporting each shortfall as a diagnostic.
-#[must_use]
-pub fn match_infrastructure(
+/// The §VI checks of a design against `infrastructure`, pushed into
+/// `diagnostics` errors first: a missing family (E0603), then the budget
+/// pass's `budgets` under the infrastructure's `count`s (E0604 / W0605,
+/// W0407), then what is tight (W0606, W0607). `graph` and `load` are the
+/// design's analysis, the load model at one device a family.
+pub(crate) fn check_fit(
     spec: &CheckedSpec,
-    requirements: &AppRequirements,
+    graph: &DesignGraph,
+    load: &[EdgeCapacity],
     infrastructure: &Infrastructure,
-) -> MatchReport {
+    count: &dyn Fn(&str) -> u64,
+    budgets: Verdict,
+    diagnostics: &mut Diagnostics,
+) {
+    let requirements = derive(spec, graph, load);
     let device = |name: &str| spec.device(name).map_or(Span::DUMMY, |d| d.span);
-    let mut diagnostics = Diagnostics::new();
 
     // Devices: every required family needs at least one bound entity.
     for req in requirements.devices.values() {
-        if infrastructure.family_count(spec, &req.device_type) == 0 {
+        if count(&req.device_type) == 0 {
             diagnostics.push(Diagnostic::error(
                 "E0603",
                 format!(
@@ -255,18 +202,6 @@ pub fn match_infrastructure(
         }
     }
 
-    // Budgets: the one budget pass, every edge scaled by the entities
-    // deployed of its family.
-    let entities = |family: &str| u64::from(infrastructure.family_count(spec, family));
-    let graph = DesignGraph::build(spec);
-    let budgets = rates::judge(
-        &[DesignRef { name: "", spec }],
-        std::slice::from_ref(&graph),
-        &[load_model(spec, &graph)],
-        &entities,
-        &[],
-        infrastructure.msgs_per_hour_capacity,
-    );
     diagnostics.extend(budgets.together);
     diagnostics.extend(budgets.alone);
     if infrastructure.msgs_per_hour_capacity.is_some() {
@@ -299,11 +234,6 @@ pub fn match_infrastructure(
             ));
         }
     }
-
-    MatchReport {
-        diagnostics,
-        estimated_msgs_per_hour: budgets.periodic_msgs_per_hour,
-    }
 }
 
 fn describe_usage(usage: DeviceUsage) -> String {
@@ -330,7 +260,9 @@ fn describe_usage(usage: DeviceUsage) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{analyze_with, AnalysisOptions, CountSource};
     use crate::compile_str;
+    use crate::span::MultiSourceMap;
 
     const PARKING: &str = r#"
         device PresenceSensor {
@@ -364,6 +296,21 @@ mod tests {
         (spec, req)
     }
 
+    /// The §VI findings of `spec` matched against `infrastructure`: its
+    /// analysis under the infrastructure's counts, less the findings the
+    /// other passes report whatever the counts (`PARKING`'s actuation
+    /// conflict).
+    fn matched(spec: &CheckedSpec, infrastructure: Infrastructure) -> Diagnostics {
+        let options = AnalysisOptions {
+            counts: CountSource::Infrastructure(infrastructure),
+        };
+        analyze_with(spec, &options)
+            .diagnostics
+            .into_iter()
+            .filter(|d| ["E0603", "E0604", "W0605", "W0606", "W0607", "W0407"].contains(&d.code))
+            .collect()
+    }
+
     #[test]
     fn extraction_finds_families_usage_and_rates() {
         let (_, req) = parking_requirements();
@@ -385,46 +332,50 @@ mod tests {
 
     #[test]
     fn complete_infrastructure_is_deployable() {
-        let (spec, req) = parking_requirements();
-        let infra = Infrastructure {
+        let (spec, _) = parking_requirements();
+        let infra = |capacity: Option<f64>| Infrastructure {
             entities: [
                 ("PresenceSensor".to_owned(), 800),
                 ("ParkingEntrancePanel".to_owned(), 8),
             ]
             .into_iter()
             .collect(),
-            msgs_per_hour_capacity: None,
+            msgs_per_hour_capacity: capacity,
             parallel_workers: 8,
         };
-        let report = match_infrastructure(&spec, &req, &infra);
-        assert!(report.deployable(), "{report}");
-        // 800 sensors x 6 msgs/hour.
-        assert!((report.estimated_msgs_per_hour - 4800.0).abs() < 1e-9);
+        let report = matched(&spec, infra(None));
+        assert!(report.is_empty(), "{report:?}");
+        // 800 sensors x 6 msgs/hour, one over what the network carries.
+        let report = matched(&spec, infra(Some(4_799.0)));
+        assert_eq!(
+            report.find("E0604").unwrap().message,
+            "periodic contracts need ~4800 msgs/hour but the network provides 4799"
+        );
     }
 
     #[test]
     fn missing_device_family_blocks_deployment() {
-        let (spec, req) = parking_requirements();
+        let (spec, _) = parking_requirements();
         let infra = Infrastructure {
             entities: [("PresenceSensor".to_owned(), 100)].into_iter().collect(),
             msgs_per_hour_capacity: None,
             parallel_workers: 4,
         };
-        let report = match_infrastructure(&spec, &req, &infra);
-        assert!(!report.deployable(), "{report}");
-        assert_eq!(report.diagnostics.error_count(), 1);
-        let missing = report.diagnostics.find("E0603").unwrap();
+        let report = matched(&spec, infra);
+        assert!(report.has_errors(), "{report:?}");
+        assert_eq!(report.error_count(), 1);
+        let missing = report.find("E0603").unwrap();
         assert!(missing.message.contains("`ParkingEntrancePanel`"));
         // At the family's declaration.
         let at = missing.at.span;
         assert_eq!(&PARKING[at.start..at.end], "ParkingEntrancePanel");
         // Errors first.
-        assert_eq!(report.diagnostics.iter().next(), Some(missing));
+        assert_eq!(report.iter().next(), Some(missing));
     }
 
     #[test]
     fn subtypes_satisfy_family_requirements() {
-        let (spec, req) = parking_requirements();
+        let (spec, _) = parking_requirements();
         // A hypothetical subtype of ParkingEntrancePanel would count; here
         // we verify the family arithmetic through the base/derived pair.
         let infra = Infrastructure {
@@ -440,16 +391,16 @@ mod tests {
             msgs_per_hour_capacity: None,
             parallel_workers: 1,
         };
-        let report = match_infrastructure(&spec, &req, &infra);
+        let report = matched(&spec, infra);
         assert!(
-            !report.deployable(),
-            "a parent-type entity must not satisfy a subtype requirement: {report}"
+            report.has_errors(),
+            "a parent-type entity must not satisfy a subtype requirement: {report:?}"
         );
     }
 
     #[test]
     fn network_capacity_thresholds() {
-        let (spec, req) = parking_requirements();
+        let (spec, _) = parking_requirements();
         let infra = |capacity: f64| Infrastructure {
             entities: [
                 ("PresenceSensor".to_owned(), 1000), // 6000 msgs/hour
@@ -461,24 +412,24 @@ mod tests {
             parallel_workers: 4,
         };
         // Insufficient capacity.
-        let report = match_infrastructure(&spec, &req, &infra(5_000.0));
-        assert!(!report.deployable(), "{report}");
+        let report = matched(&spec, infra(5_000.0));
+        assert!(report.has_errors(), "{report:?}");
         // Tight (between 80% and 100%).
-        let report = match_infrastructure(&spec, &req, &infra(7_000.0));
-        assert!(report.deployable());
-        assert!(report.diagnostics.find("W0605").is_some(), "{report}");
+        let report = matched(&spec, infra(7_000.0));
+        assert!(!report.has_errors());
+        assert!(report.find("W0605").is_some(), "{report:?}");
         // Comfortable.
-        let report = match_infrastructure(&spec, &req, &infra(100_000.0));
-        assert!(report.deployable());
-        assert!(report.diagnostics.find("W0605").is_none(), "{report}");
+        let report = matched(&spec, infra(100_000.0));
+        assert!(!report.has_errors());
+        assert!(report.find("W0605").is_none(), "{report:?}");
         // The event-driven caveat still warns.
-        let caveat = report.diagnostics.find("W0606").unwrap();
+        let caveat = report.find("W0606").unwrap();
         assert!(caveat.message.contains("event-driven"));
     }
 
     #[test]
     fn mapreduce_with_single_worker_is_flagged() {
-        let (spec, req) = parking_requirements();
+        let (spec, _) = parking_requirements();
         let infra = Infrastructure {
             entities: [
                 ("PresenceSensor".to_owned(), 10),
@@ -489,41 +440,10 @@ mod tests {
             msgs_per_hour_capacity: None,
             parallel_workers: 1,
         };
-        let report = match_infrastructure(&spec, &req, &infra);
-        assert!(report.deployable(), "tight, not missing: {report}");
-        let serial = report.diagnostics.find("W0607").unwrap();
+        let report = matched(&spec, infra);
+        assert!(!report.has_errors(), "tight, not missing: {report:?}");
+        let serial = report.find("W0607").unwrap();
         assert!(serial.message.contains("`ParkingAvailability`"));
-    }
-
-    #[test]
-    fn report_displays_verdict_and_findings() {
-        let (spec, req) = parking_requirements();
-        let report = match_infrastructure(
-            &spec,
-            &req,
-            &Infrastructure {
-                entities: BTreeMap::new(),
-                msgs_per_hour_capacity: None,
-                parallel_workers: 1,
-            },
-        );
-        assert_eq!(
-            report.to_string(),
-            "NOT DEPLOYABLE (2 error(s), 1 warning(s), ~0 periodic msgs/hour)"
-        );
-        let sources = MultiSourceMap::new([("parking.spec", PARKING)]);
-        let text = report.render(&sources, false);
-        assert!(
-            text.contains(
-                "error[E0603]: no entity of family `ParkingEntrancePanel` is deployed, \
-                 but the design actuates it at 7:16\n   7 |         device ParkingEntrancePanel"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.ends_with("\nNOT DEPLOYABLE (2 error(s), 1 warning(s), ~0 periodic msgs/hour)"),
-            "{text}"
-        );
     }
 
     #[test]
@@ -535,12 +455,11 @@ mod tests {
             msgs_per_hour_capacity: None,
             parallel_workers: 1,
         };
-        let mut report = match_infrastructure(&spec, &estimate(&spec), &infra);
         // The model's spans count through the concatenation of both
         // files; `locate` attributes each location to its file.
         let sources = MultiSourceMap::new([("tax.spec", taxonomy), ("app.spec", app)]);
-        report.diagnostics = report.diagnostics.locate(&sources);
-        let text = report.render(&sources, true);
+        let report = matched(&spec, infra).locate(&sources);
+        let text: String = report.iter().map(|d| d.render(&sources, true)).collect();
         // The missing panel family is declared in the taxonomy, the
         // MapReduce context in the app.
         assert!(text.contains("actuates it at tax.spec:7:16\n"), "{text}");
@@ -550,7 +469,7 @@ mod tests {
         );
     }
 
-    /// The one budget pass runs under `--match` too, with the
+    /// The one budget pass runs under `lint --match` too, with the
     /// infrastructure's entity counts on both sides of the comparison.
     #[test]
     fn a_capacity_budget_is_held_to_the_infrastructures_counts() {
@@ -571,10 +490,10 @@ mod tests {
             msgs_per_hour_capacity: None,
             parallel_workers: 1,
         };
-        let report = match_infrastructure(&spec, &estimate(&spec), &infra);
-        assert!(report.deployable(), "{report}");
+        let report = matched(&spec, infra);
+        assert!(!report.has_errors(), "{report:?}");
         assert_eq!(
-            report.diagnostics.find("W0407").unwrap().message,
+            report.find("W0407").unwrap().message,
             "the design overloads device family `Meter`: 4800.0 msg/h against a budget of \
              4000.0 msg/h (@qos(capacityPerHour = 100) x 40 devices)"
         );

@@ -3,15 +3,17 @@
 //! the resources of an infrastructure?"*
 //!
 //! Extracts the parking application's requirements from its design alone
-//! (no code runs) and matches them against three candidate city
-//! infrastructures — one complete, one missing hardware, one whose LoRa
-//! network cannot carry the periodic load.
+//! (no code runs) and lints the design against three candidate city
+//! infrastructures (`diaspec-gen lint --match`) — one complete, one
+//! missing hardware, one whose LoRa network cannot carry the periodic
+//! load.
 //!
 //! Run with: `cargo run -p diaspec-examples --bin capacity_planning`
 
+use diaspec_codegen::lint::{lint_designs, LintOptions};
+use diaspec_core::analysis::CountSource;
 use diaspec_core::compile_str;
-use diaspec_core::requirements::{estimate, match_infrastructure, Infrastructure};
-use diaspec_core::span::MultiSourceMap;
+use diaspec_core::requirements::{estimate, Infrastructure};
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,22 +64,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         parallel_workers: 1,
     };
 
-    let sources = MultiSourceMap::new([("specs/parking.spec", diaspec_apps::parking::SPEC)]);
-    for (name, infra) in [
-        ("full city", &full_city),
-        ("missing panels", &missing_panels),
-        ("starved LoRa network", &starved_network),
+    // The full city must deploy; the others must be rejected.
+    let input = [(
+        "specs/parking.spec".to_owned(),
+        diaspec_apps::parking::SPEC.to_owned(),
+    )];
+    for (name, infra, fits) in [
+        ("full city", full_city, true),
+        ("missing panels", missing_panels, false),
+        ("starved LoRa network", starved_network, false),
     ] {
         println!("=== candidate infrastructure: {name} ===");
-        let report = match_infrastructure(&spec, &requirements, infra);
-        println!("{}\n", report.render(&sources, false));
+        let options = LintOptions {
+            counts: CountSource::Infrastructure(infra),
+            ..LintOptions::default()
+        };
+        let outcome = lint_designs(&input, &[], &options)?;
+        println!("{}", outcome.rendered);
+        assert_eq!(outcome.failed(), !fits, "{name}");
     }
-
-    // The full city must deploy; the others must be rejected for the
-    // right reasons.
-    assert!(match_infrastructure(&spec, &requirements, &full_city).deployable());
-    assert!(!match_infrastructure(&spec, &requirements, &missing_panels).deployable());
-    assert!(!match_infrastructure(&spec, &requirements, &starved_network).deployable());
     Ok(())
 }
 

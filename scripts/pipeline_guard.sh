@@ -131,6 +131,18 @@
 #    analysis/, in chains.rs, requirements.rs or crates/diaspec-codegen/
 #    src/dot.rs; a second chain-step type as `ChainStep` under crates/;
 #    and the DOT view's own source normalization as `fn source_owner`.
+# 18. One verdict surface: §VI matching is a lint run (`diaspec-gen lint
+#    --match`, docs/ANALYSIS.md "§VI"): an infrastructure is the run's one
+#    count source (`analysis::CountSource`), `analyze_with` runs the §VI
+#    checks over the graph and load model its other passes read, and the
+#    findings render through lint's sections, levels and exit codes.
+#    `analyze_deployment` reads each design's graph and load model from
+#    the analysis its caller ran. A second surface growing back shows up
+#    as `MatchReport`, `fn match_infrastructure` or a `DEPLOYABLE`
+#    verdict line under crates/, or `--match` handled outside `run_lint`
+#    in diaspec-gen.rs; a second lowering as `DesignGraph::build(` or
+#    `rates::detect(` in the non-test part of analysis/deployment.rs, or
+#    more than one `DesignGraph::build(` in that of requirements.rs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -484,3 +496,39 @@ if grep -rn 'fn source_owner' crates --include=*.rs; then
     exit 1
 fi
 echo "ok: one design graph (activations and bindings walked only in $GRAPH, no ChainStep, no source_owner)"
+
+if grep -rnE 'MatchReport|fn match_infrastructure|DEPLOYABLE' crates --include=*.rs; then
+    echo "FAIL: a second verdict surface for §VI matching is back (lines above); lint" >&2
+    echo "the design with the infrastructure as its count source (lint --match)." >&2
+    exit 1
+fi
+GEN=crates/diaspec-codegen/src/bin/diaspec-gen.rs
+if ! grep -q '^fn run_lint(' "$GEN"; then
+    echo "FAIL: $GEN no longer declares \`fn run_lint(\`; update this check." >&2
+    exit 1
+fi
+if awk '/^fn run_lint\(/{inside=1} !inside && /"--match"/{print FILENAME ":" FNR ": " $0; found=1}
+    inside && /^}/{inside=0} END{exit !found}' "$GEN"; then
+    echo "FAIL: $GEN handles --match outside run_lint (lines above); §VI matching" >&2
+    echo "is a lint run." >&2
+    exit 1
+fi
+# The part of file $1 before its first column-0 #[cfg(test)], as
+# "file:line: text" lines.
+non_test() {
+    awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$1"
+}
+if non_test "$ANALYSIS/deployment.rs" | grep -E 'DesignGraph::build\(|rates::detect\('; then
+    echo "FAIL: the cross-design passes lower a design again (lines above); read each" >&2
+    echo "design's graph and load model from the analysis its caller ran." >&2
+    exit 1
+fi
+REQUIREMENTS=crates/diaspec-core/src/requirements.rs
+builds=$(non_test "$REQUIREMENTS" | grep -c 'DesignGraph::build(' || true)
+if [ "$builds" -gt 1 ]; then
+    non_test "$REQUIREMENTS" | grep 'DesignGraph::build(' >&2
+    echo "FAIL: $REQUIREMENTS builds the design graph $builds times (lines above);" >&2
+    echo "only \`estimate\` builds one, and the §VI checks read the analysis's." >&2
+    exit 1
+fi
+echo "ok: one verdict surface (no MatchReport or DEPLOYABLE, --match only in run_lint, no second lowering in deployment.rs or requirements.rs)"

@@ -3,7 +3,9 @@
 
 pub mod multi;
 
-use diaspec_core::model::{ActivationTrigger, CheckedSpec, Context, PublishMode};
+use diaspec_core::model::{
+    Activation, ActivationTrigger, CheckedSpec, Context, InputRef, PublishMode,
+};
 use diaspec_core::types::Type;
 use diaspec_runtime::component::{ContextActivation, MapReduceLogic};
 use diaspec_runtime::engine::{ContextApi, ControllerApi, Orchestrator};
@@ -53,17 +55,14 @@ pub enum Publishing {
     Obliged,
 }
 
-/// Whether `ctx` publishes on `activation` under `publishing`: never when
-/// the clause that triggered it is `no publish`, and an on-demand
-/// computation always answers its `get`.
-fn publishes(
+/// The clause of `ctx` that `activation` fired: the one whose trigger it
+/// delivers, or the `when required` clause of an on-demand computation.
+fn clause<'c>(
     spec: &CheckedSpec,
-    ctx: &Context,
+    ctx: &'c Context,
     activation: &ContextActivation<'_>,
-    publishing: Publishing,
-) -> bool {
-    let clause = ctx
-        .activations
+) -> Option<&'c Activation> {
+    ctx.activations
         .iter()
         .find(|a| match (&a.trigger, activation) {
             (ActivationTrigger::Context(from), ContextActivation::ContextEvent { context, .. }) => {
@@ -81,12 +80,36 @@ fn publishes(
                 ActivationTrigger::Periodic { device, source, .. },
                 ContextActivation::Batch(batch),
             ) => *source == batch.source && spec.device_is_subtype(&batch.device_type, device),
+            (ActivationTrigger::OnDemand, ContextActivation::OnDemand) => true,
             _ => false,
-        });
-    clause.is_none_or(|a| match publishing {
-        Publishing::Allowed => a.publish != PublishMode::No,
-        Publishing::Obliged => a.publish == PublishMode::Always,
-    })
+        })
+}
+
+/// Whether an activation of `clause` publishes under `publishing`: never
+/// when the clause is `no publish`, and an on-demand computation always
+/// answers its `get`.
+fn publishes(clause: Option<&Activation>, publishing: Publishing) -> bool {
+    clause
+        .filter(|a| a.trigger != ActivationTrigger::OnDemand)
+        .is_none_or(|a| match publishing {
+            Publishing::Allowed => a.publish != PublishMode::No,
+            Publishing::Obliged => a.publish == PublishMode::Always,
+        })
+}
+
+/// Performs every `get` the fired `clause` declares.
+fn read_gets(api: &mut ContextApi<'_>, clause: Option<&Activation>) -> Result<(), RuntimeError> {
+    for get in clause.map_or(&[][..], |a| &a.gets) {
+        match get {
+            InputRef::DeviceSource { device, source } => {
+                api.get_device_source(device, source)?;
+            }
+            InputRef::Context(target) => {
+                api.get_context(target)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The MapReduce phases of a generic `with map ... reduce ...` context:
@@ -102,9 +125,10 @@ impl MapReduceLogic for NoRecords {
 }
 
 /// Registers every component of `spec` generically: each context
-/// publishes a placeholder of its output type on every activation that
-/// may publish, each controller performs each declared `do` clause on
-/// every discovered entity of the target family. This is the most any
+/// performs the `get`s of the clause that fired and publishes a
+/// placeholder of its output type on every activation that may publish,
+/// each controller performs each declared `do` clause on every
+/// discovered entity of the target family. This is the most any
 /// concrete implementation is contractually allowed to do, so the
 /// observed publications and actuations are exactly the ones the design
 /// declares.
@@ -134,11 +158,13 @@ pub fn register_with(
         let (spec, name) = (Arc::clone(&shared), ctx.name.clone());
         orch.register_context(
             &ctx.name,
-            move |_api: &mut ContextApi<'_>, activation: ContextActivation<'_>| {
+            move |api: &mut ContextApi<'_>, activation: ContextActivation<'_>| {
                 let ctx = spec
                     .context(&name)
                     .expect("registered contexts are declared");
-                Ok(publishes(&spec, ctx, &activation, publishing).then(|| value.clone()))
+                let clause = clause(&spec, ctx, &activation);
+                read_gets(api, clause)?;
+                Ok(publishes(clause, publishing).then(|| value.clone()))
             },
         )?;
         let map_reduce = ctx

@@ -6,8 +6,8 @@
 //! chains, the DOT view and the §VI requirements estimate. Every pair
 //! under `specs/lint/cross/` is linted together, with its manifests when
 //! it has them, and `parking.spec` is split by `plan_deployment`. The
-//! §VI section matches `parking.spec` and `capacity_overload.spec`
-//! against infrastructure descriptions, one human lint section a run. A
+//! §VI section lints `parking.spec` and `capacity_overload.spec` against
+//! infrastructure descriptions (`lint --match`), one human section a run. A
 //! refactor of any analyzer pass that moves one byte of what a user can
 //! see shows up as a diff of `tests/goldens/analyzer_surface.txt`.
 //! Re-bless with `UPDATE_GOLDENS=1`, only for a change that is meant to
@@ -16,10 +16,10 @@
 use diaspec_codegen::deploy::{plan_deployment, DeployOptions, NodeManifest};
 use diaspec_codegen::dot::generate_dot;
 use diaspec_codegen::lint::{lint_designs, LintFormat, LintOptions};
+use diaspec_core::analysis::CountSource;
 use diaspec_core::chains::functional_chains;
 use diaspec_core::compile_str;
-use diaspec_core::requirements::{estimate, match_infrastructure, Infrastructure};
-use diaspec_core::span::MultiSourceMap;
+use diaspec_core::requirements::{estimate, Infrastructure};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -142,18 +142,13 @@ fn surface() -> String {
     }
     for (rel, name, infrastructure) in MATCH_RUNS {
         let _ = writeln!(out, "=== §VI {rel} --match {name}");
-        let source = read(rel);
-        let spec = compile_str(&source).unwrap();
         let infrastructure: Infrastructure = serde_json::from_str(infrastructure).unwrap();
-        let report = match_infrastructure(&spec, &estimate(&spec), &infrastructure);
-        let sources = MultiSourceMap::new([(rel, &source)]);
-        for diag in &report.diagnostics {
-            out.push_str(&diag.render(&sources, false));
-            out.push('\n');
-        }
-        let errors = report.diagnostics.error_count();
-        let warnings = report.diagnostics.len() - errors;
-        let _ = writeln!(out, "{rel}: {errors} error(s), {warnings} warning(s)");
+        let options = LintOptions {
+            counts: CountSource::Infrastructure(infrastructure),
+            ..LintOptions::default()
+        };
+        let input = [(rel.to_owned(), read(rel))];
+        out.push_str(&lint_designs(&input, &[], &options).unwrap().rendered);
     }
     out
 }

@@ -18,7 +18,9 @@
 
 use diaspec_codegen::deploy::NodeManifest;
 use diaspec_codegen::lint::{lint_designs, LintFormat, LintLevel, LintOptions};
-use diaspec_core::analysis::{analyze_deployment, AnalysisOptions, DesignRef};
+use diaspec_core::analysis::{
+    analyze, analyze_deployment, AnalysisOptions, CountSource, DesignRef,
+};
 use diaspec_core::span::Span;
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
@@ -91,7 +93,8 @@ fn choreo_pair_reports_the_guaranteed_conflict_with_both_chains() {
             spec: &specs[1],
         },
     ];
-    let report = analyze_deployment(&designs, &[], &AnalysisOptions::default());
+    let analyses = [&analyze(&specs[0]), &analyze(&specs[1])];
+    let report = analyze_deployment(&designs, &analyses, &[], &AnalysisOptions::default());
     assert!(!report.conflict_free());
 
     let guaranteed = report
@@ -241,7 +244,8 @@ fn cross_findings_carry_real_spans_into_both_files() {
                 spec: &specs[1],
             },
         ];
-        let report = analyze_deployment(&designs, &[], &AnalysisOptions::default());
+        let analyses = [&analyze(&specs[0]), &analyze(&specs[1])];
+        let report = analyze_deployment(&designs, &analyses, &[], &AnalysisOptions::default());
         let finding = report
             .diagnostics
             .find(code)
@@ -416,7 +420,7 @@ fn a_manifest_link_budget_below_the_pairs_load_is_a_w0602() {
             .collect()
     };
     let options = LintOptions {
-        fleet_size: Some(1),
+        counts: CountSource::Fleet(1),
         ..LintOptions::default()
     };
     let budgeted = lint_designs(&inputs, &manifests(Some(100)), &options).unwrap();

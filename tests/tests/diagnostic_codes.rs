@@ -101,9 +101,9 @@ fn requirements_table_lists_exactly_the_match_codes() {
         .map(|s| (*s).to_owned())
         .collect();
     assert_eq!(codes_in(REQUIREMENTS_RS), expected);
-    // Each is emitted by `match_infrastructure`, which says nothing else.
+    // Each is emitted by `check_fit`, which says nothing else.
     let source = include_str!("../../crates/diaspec-core/src/requirements.rs");
-    let body = &source[source.find("pub fn match_infrastructure").unwrap()..];
+    let body = &source[source.find("pub(crate) fn check_fit").unwrap()..];
     for code in &expected {
         assert!(
             body.contains(&format!("\"{code}\"")),

@@ -16,8 +16,8 @@
 //!   period) and counts the actuations of each action per device.
 
 use diaspec_core::analysis::deployment::{analyze_deployment, DesignRef};
-use diaspec_core::analysis::AnalysisOptions;
 use diaspec_core::analysis::{analyze, ActuationConflict, Coupling};
+use diaspec_core::analysis::{AnalysisOptions, AnalysisReport};
 use diaspec_core::model::{ActivationTrigger, CheckedSpec};
 use diaspec_integration::multi::SharedFleet;
 use diaspec_integration::{placeholder, register_all, register_with, Publishing};
@@ -64,6 +64,7 @@ fn static_guarantees_conflict(a: (&str, &CheckedSpec), b: (&str, &CheckedSpec)) 
                 spec: b.1,
             },
         ],
+        &[&analyze(a.1), &analyze(b.1)],
         &[],
         &AnalysisOptions::default(),
     );
@@ -337,17 +338,20 @@ impl Universe {
     /// Every conflict the analyzer reports: each design's own (N = 1),
     /// then those across designs.
     fn conflicts(&self) -> Vec<ActuationConflict> {
-        let mut all: Vec<ActuationConflict> = self
-            .designs
+        let analyses: Vec<AnalysisReport> =
+            self.designs.iter().map(|(_, spec)| analyze(spec)).collect();
+        let mut all: Vec<ActuationConflict> = analyses
             .iter()
-            .flat_map(|(_, spec)| analyze(spec).conflicts)
+            .flat_map(|analysis| analysis.conflicts.iter().cloned())
             .collect();
         let refs: Vec<DesignRef<'_>> = self
             .designs
             .iter()
             .map(|(name, spec)| DesignRef { name, spec })
             .collect();
-        all.extend(analyze_deployment(&refs, &[], &AnalysisOptions::default()).conflicts);
+        let analyses: Vec<&AnalysisReport> = analyses.iter().collect();
+        let options = AnalysisOptions::default();
+        all.extend(analyze_deployment(&refs, &analyses, &[], &options).conflicts);
         all
     }
 
