@@ -39,7 +39,7 @@ const EXPERIMENTS: &[(&str, &str, bool)] = &[
     ("e12", "discovery latency vs registry size and attribute selectivity", true),
     ("e13", "compiler throughput vs spec size (benchmark/ probes lexer.lex_us .. codegen.java_us)", false),
     ("e14", "@error/@qos annotations drive declared recovery (tests/failure_injection.rs)", false),
-    ("e15", "requirements matched against infrastructure descriptions (examples/capacity_planning.rs)", false),
+    ("e15", "designs linted against infrastructure descriptions: lint --match (examples/capacity_planning.rs)", false),
     ("e16", "recovery cost under seeded device churn: leases, rebinds, retries", true),
     ("e17", "fault-tolerant batch processing: task panics, bounded retries, degraded coverage", true),
     ("e18", "one-datum-to-many fan-out through the zero-copy delivery pipeline", true),

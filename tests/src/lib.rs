@@ -55,8 +55,8 @@ pub enum Publishing {
     Obliged,
 }
 
-/// The clause of `ctx` that `activation` fired: the one whose trigger it
-/// delivers, or the `when required` clause of an on-demand computation.
+/// The clause of `ctx` whose trigger `activation` delivers; none for an
+/// on-demand computation (a `when required` clause declares no `get`).
 fn clause<'c>(
     spec: &CheckedSpec,
     ctx: &'c Context,
@@ -80,7 +80,6 @@ fn clause<'c>(
                 ActivationTrigger::Periodic { device, source, .. },
                 ContextActivation::Batch(batch),
             ) => *source == batch.source && spec.device_is_subtype(&batch.device_type, device),
-            (ActivationTrigger::OnDemand, ContextActivation::OnDemand) => true,
             _ => false,
         })
 }
@@ -89,12 +88,10 @@ fn clause<'c>(
 /// when the clause is `no publish`, and an on-demand computation always
 /// answers its `get`.
 fn publishes(clause: Option<&Activation>, publishing: Publishing) -> bool {
-    clause
-        .filter(|a| a.trigger != ActivationTrigger::OnDemand)
-        .is_none_or(|a| match publishing {
-            Publishing::Allowed => a.publish != PublishMode::No,
-            Publishing::Obliged => a.publish == PublishMode::Always,
-        })
+    clause.is_none_or(|a| match publishing {
+        Publishing::Allowed => a.publish != PublishMode::No,
+        Publishing::Obliged => a.publish == PublishMode::Always,
+    })
 }
 
 /// Performs every `get` the fired `clause` declares.

@@ -2,7 +2,7 @@
 //! (`diaspec_core::analysis::reach`, W0405 / W0406).
 //!
 //! Every bundled design under `specs/`, every single-file fixture under
-//! `specs/lint/` and a few designs below run through the generic
+//! `specs/lint/` and two designs below run through the generic
 //! components of `register_with(.., Publishing::Allowed)` (the most any
 //! implementation may do: every clause that may publish does, and every
 //! declared `get` is read) with one entity bound per declared device
